@@ -5,7 +5,7 @@ One binary with subcommands:
 ``region``  annealed-region classification, optionally over a scan grid
 ``poly``    chain-polynomial report (activities, coefficients, zeros)
 ``rs``      consistency-equation solutions with certificates
-``bound``   variational lower bound with certification flags
+``bound``   variational upper bound with certification flags
 ``verify``  finite-size ground-truth checks (trend, covariance, criteria)
 ``scan``    grid evaluation of selected quantities over 1-2 parameter axes
 
@@ -22,10 +22,8 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,7 +80,6 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class _Config:
-    raw: dict
     params: ModelParams
     scan: ScanSpec | None
     solver: dict
@@ -123,7 +120,7 @@ def _parse_axis(obj: dict, params: ModelParams) -> ScanAxis:
     if name == "fields":
         if lo < 0.0:
             raise ConfigError("field variances must stay non-negative")
-        if params.fields[index].kind not in ("zero", "gaussian_centered"):
+        if not params.fields[index].is_centred:
             raise ConfigError(
                 f"'{path}' requires a zero or centred-Gaussian base field")
     kind = {"beta": "beta", "lambda": "lambda", "fields": "field_v"}[name]
@@ -166,8 +163,7 @@ def _load_config(path: str) -> _Config:
     verify = raw.get("verify", {})
     if not isinstance(solver, dict) or not isinstance(verify, dict):
         raise ConfigError("solver/verify sections must be JSON objects")
-    return _Config(raw=raw, params=params, scan=scan, solver=solver,
-                   verify=verify)
+    return _Config(params=params, scan=scan, solver=solver, verify=verify)
 
 
 def _apply_point(base: ModelParams, axes, values) -> ModelParams:
@@ -213,13 +209,6 @@ def _apply_point(base: ModelParams, axes, values) -> ModelParams:
 
 def _grid(axes) -> list[tuple]:
     return list(itertools.product(*(axis.values() for axis in axes)))
-
-
-def _pooled(worker, grid: list) -> list:
-    if len(grid) <= 1:
-        return [worker(point) for point in grid]
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +288,21 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _setting(section: dict, key: str, default, kind):
+    """``kind(section[key])`` (or of ``default``), as a usage error if invalid."""
+    try:
+        return kind(section.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value for '{key}': {exc}") from exc
+
+
 def _tol(args, config: _Config) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    return float(config.solver.get("tol", 1e-10))
-
-
-def _nested_supported(params: ModelParams) -> bool:
-    return (all(f.is_gaussian and f.v > 0.0 for f in params.fields)
-            and min(params.lam) > 0.0)
+    tol = (float(args.tol) if args.tol is not None
+           else _setting(config.solver, "tol", 1e-10, float))
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(
+            f"the solver tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _solve_rs(params: ModelParams, method: str, tol: float,
@@ -346,7 +341,7 @@ def cmd_region(config: _Config, args, rule) -> tuple[str, bool]:
                           else [float(x) for x in verdict.feasible_a])
         return row
 
-    rows = _pooled(worker, grid)
+    rows = [worker(values) for values in grid]
     if args.format == "json":
         return _json_text({"command": "region", "rows": rows}), True
     columns = [axis.path for axis in axes] + ["rho", "verdict"]
@@ -386,7 +381,7 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
     method = str(config.solver.get("method", "auto"))
     if method not in {"auto", "nested", "fixed_point", "both"}:
         raise ConfigError(f"unknown solver method '{method}'")
-    supported = _nested_supported(params)
+    supported = params.gaussian_fields and min(params.lam) > 0.0
     if method == "auto":
         method = "nested" if supported else "fixed_point"
     if method in {"nested", "both"} and not supported:
@@ -395,7 +390,7 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
             "variance on every layer (and positive layer weights); "
             "use method 'fixed_point' for this model")
     methods = ("nested", "fixed_point") if method == "both" else (method,)
-    damping = float(config.solver.get("damping", 0.5))
+    damping = _setting(config.solver, "damping", 0.5, float)
     solutions = [_solve_rs(params, m, tol, rule, damping) for m in methods]
     payload = {
         "command": "rs",
@@ -421,6 +416,10 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
 def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
     params = config.params
     tol = _tol(args, config)
+    try:
+        params.require_fields("the bound", gaussian=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if params.K == 1:
         value, certified = sk_chain_bound.p_dbm_functional(np.zeros(0), params,
                                                            rule=rule)
@@ -451,12 +450,12 @@ def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     params = config.params
     section = config.verify
     totals = section.get("sizes", (12, 18, 24))
-    n_disorder = int(section.get("n_disorder", 200))
-    sweeps = int(section.get("sweeps", 400))
-    replicas = int(section.get("replicas", 21))
-    cov_total = int(section.get("covariance_total", 12))
-    cov_n = int(section.get("covariance_n_disorder", 1000))
-    n_pairs = int(section.get("n_pairs", 10))
+    n_disorder = _setting(section, "n_disorder", 200, int)
+    sweeps = _setting(section, "sweeps", 400, int)
+    replicas = _setting(section, "replicas", 21, int)
+    cov_total = _setting(section, "covariance_total", 12, int)
+    cov_n = _setting(section, "covariance_n_disorder", 1000, int)
+    n_pairs = _setting(section, "n_pairs", 10, int)
     try:
         assignments = [
             finite_volume_lab.LayerAssignment.from_weights(params.lam, int(n))
@@ -511,7 +510,8 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
         solution = None
         if need_solution:
             try:
-                method = "nested" if _nested_supported(params) else "fixed_point"
+                nested = params.gaussian_fields and min(params.lam) > 0.0
+                method = "nested" if nested else "fixed_point"
                 solution = _solve_rs(params, method, tol, rule)
             except (rs_solver.SolverError, ValueError):
                 flags.append("rs_failed")
@@ -542,7 +542,7 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
         row["flags"] = ";".join(flags)
         return row
 
-    rows = _pooled(worker, _grid(scan.axes))
+    rows = [worker(values) for values in _grid(scan.axes)]
     columns = [axis.path for axis in scan.axes]
     for name in outputs:
         columns.extend(_OUTPUT_COLUMNS[name])
@@ -579,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "region": "classify points of the annealed region",
         "poly": "report the chain polynomial of the configured model",
         "rs": "solve the consistency equations with certificates",
-        "bound": "maximize the variational lower bound",
+        "bound": "maximize the variational upper bound",
         "verify": "run finite-size trend and covariance checks",
         "scan": "evaluate selected quantities over a parameter grid",
     }

@@ -566,7 +566,7 @@ def annealed_trend(params: ModelParams, sizes, n_disorder: int = 200,
     estimate and its gap to the annealed pressure; rows violating the
     annealed upper bound by more than three standard errors are flagged.
     """
-    if not all(f.is_zero for f in params.fields):
+    if not params.zero_fields:
         raise ValueError("the annealed trend is defined for zero external fields")
     verdict = machine.classify_annealed(params)
     if verdict.verdict != "inside":

@@ -122,6 +122,16 @@ class FieldSpec:
     def is_gaussian(self) -> bool:
         return self.kind == "gaussian_centered"
 
+    @property
+    def is_positive_gaussian(self) -> bool:
+        """Centred Gaussian with strictly positive variance."""
+        return self.is_gaussian and self.v > 0.0
+
+    @property
+    def is_centred(self) -> bool:
+        """Zero or centred Gaussian (of any variance ``v >= 0``)."""
+        return self.kind in ("zero", "gaussian_centered")
+
     def to_dict(self) -> dict:
         if self.kind == "zero":
             return {"kind": "zero"}
@@ -185,6 +195,25 @@ class ModelParams:
     @property
     def zero_fields(self) -> bool:
         return all(f.is_zero for f in self.fields)
+
+    @property
+    def gaussian_fields(self) -> bool:
+        """Every layer has a centred Gaussian field with positive variance."""
+        return all(f.is_positive_gaussian for f in self.fields)
+
+    def require_fields(self, what: str, gaussian: bool) -> None:
+        """Raise ``ValueError`` naming the first layer that ``what`` cannot take.
+
+        ``gaussian`` requires :attr:`gaussian_fields`; otherwise every layer
+        must have a zero or centred Gaussian field (:attr:`FieldSpec.is_centred`).
+        """
+        need = ("centred Gaussian fields with positive variance" if gaussian
+                else "zero or centred Gaussian external fields")
+        for p, f in enumerate(self.fields):
+            if not (f.is_positive_gaussian if gaussian else f.is_centred):
+                detail = f", v={f.v}" if f.is_gaussian else ""
+                raise ValueError(f"{what} requires {need} on every layer "
+                                 f"(layer {p} has kind '{f.kind}'{detail})")
 
     def to_dict(self) -> dict:
         return {

@@ -49,6 +49,8 @@ _LOG2 = math.log(2.0)
 _ZERO_FIELD = FieldSpec.zero()
 # smallest relative tolerance scipy's brentq accepts is ~4*eps
 _BRENTQ_RTOL = 1e-15
+# Newton steps allowed to one scalar overlap solve.
+_SCALAR_STEPS = 60
 
 
 class SolverError(RuntimeError):
@@ -150,19 +152,6 @@ def _require_positive_lambda(params: ModelParams) -> None:
             "zero-weight layers from the model first")
 
 
-def _require_gaussian_fields(params: ModelParams, what: str) -> np.ndarray:
-    """Return the per-layer field variances, or raise if unsupported."""
-    variances = []
-    for p, f in enumerate(params.fields):
-        if not f.is_gaussian or f.v <= 0.0:
-            raise ValueError(
-                f"{what} requires centred Gaussian fields with positive "
-                f"variance on every layer (layer {p} has kind '{f.kind}'"
-                + (f", v={f.v}" if f.is_gaussian else "") + ")")
-        variances.append(f.v)
-    return np.asarray(variances, dtype=float)
-
-
 def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
     """Effective squared layer temperatures induced by auxiliary variables.
 
@@ -240,14 +229,52 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
+                    rule: QuadratureRule | None,
+                    warm: float | None = None) -> tuple[float, bool]:
+    """Largest root of ``x = E tanh^2(z sqrt(2 x theta_sq) + h)`` in ``[0, 1)``.
+
+    For zero-like fields the root is ``0`` up to the critical line
+    ``2 theta_sq = 1`` and the positive branch beyond it.  For centred
+    Gaussian fields with positive variance the positive root is unique
+    (the Latala--Guerra argument: ``F(x)/x`` is strictly decreasing on
+    ``(0, 1]``).  Bracketed Newton iteration, seeded at ``warm`` when a
+    nearby root is known, stops once ``|F(x) - x| < tol``.  Returns
+    ``(x, converged)``; without convergence ``x`` is the iterate with the
+    smallest defect.
+    """
+    two_t = 2.0 * float(theta_sq)
+    if field.is_zero and two_t <= 1.0:
+        return 0.0, True
+    lo, hi = 0.0, 1.0
+    x = warm if warm is not None and 0.0 < warm < 1.0 else 0.5
+    best_x, best_defect = x, math.inf
+    for _ in range(_SCALAR_STEPS):
+        defect = ghquad.expect(TANH_SQ, two_t * x, field, rule) - x
+        if abs(defect) < abs(best_defect):
+            best_x, best_defect = x, defect
+        if abs(defect) < tol:
+            return x, True
+        if defect > 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = two_t * ghquad.expect_derivative_in_s(TANH_SQ, two_t * x, field, rule)
+        candidate = x + defect / (1.0 - slope) if slope < 1.0 else 0.5 * (lo + hi)
+        if not lo < candidate < hi:
+            candidate = 0.5 * (lo + hi)
+        x = candidate
+    return best_x, False
+
+
 def latala_guerra(beta: float, v: float, tol: float = 1e-12, *,
                   rule: QuadratureRule | None = None) -> float:
     """Unique positive root of ``q = E tanh^2(z sqrt(2 q beta^2 + v))``.
 
-    Uniqueness for ``v > 0`` is the classical Latala--Guerra argument:
-    ``F(q)/q`` is strictly decreasing on ``(0, 1]``, so bisection on the
-    sign of ``F(q) - q`` converges to the single crossing.  Stops when
-    ``|q - F(q)| < tol``.
+    Validating entry to the scalar overlap solver with ``theta^2 = beta^2``
+    and a centred Gaussian field of variance ``v > 0``, where the root is
+    unique.  Stops when ``|q - F(q)| < tol`` and raises
+    :class:`SolverError` when that is not reached.
     """
     beta = float(beta)
     v = float(v)
@@ -255,25 +282,15 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12, *,
         raise ValueError("field variance v must be positive")
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    two_beta_sq = 2.0 * beta * beta
-
-    def consistency(x: float) -> float:
-        return ghquad.expect(TANH_SQ, two_beta_sq * x + v, _ZERO_FIELD, rule)
-
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        f_mid = consistency(mid)
-        if abs(f_mid - mid) < tol:
-            return mid
-        if f_mid > mid:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(
-        "bisection failed to reach tolerance; this should be impossible "
-        "for v > 0 and indicates a bug")
+    field = FieldSpec.gaussian(v)
+    q, converged = _scalar_overlap(beta * beta, field, tol, rule)
+    if not converged:
+        residual = abs(q - ghquad.expect(TANH_SQ, 2.0 * beta * beta * q, field, rule))
+        raise SolverError(
+            f"scalar overlap solve did not reach tol={tol} "
+            f"(residual {residual:.3e})",
+            last_q=np.array([q]), residual=residual, iterations=_SCALAR_STEPS)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +334,7 @@ def check_at(q, params: ModelParams, *,
     layer (``(Mq)_p = 0``) passes trivially.
     """
     q = _check_overlap(q, params.K)
-    _require_gaussian_fields(params, "check_at")
+    params.require_fields("check_at", gaussian=True)
     _, _, M = machine.build_matrices(params)
     m = M @ q
     flags = []
@@ -337,7 +354,7 @@ def _certificates(q, params: ModelParams, a=None, *,
     else:
         talagrand_ok = None
     at_ok: bool | None
-    if all(f.is_gaussian and f.v > 0.0 for f in params.fields):
+    if params.gaussian_fields:
         at_ok = all(check_at(q, params, rule=rule))
     else:
         at_ok = None
@@ -466,10 +483,23 @@ def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
 
 def _solve_shoot(params: ModelParams, v: np.ndarray,
                  rule: QuadratureRule | None) -> np.ndarray:
-    """Root-find the sweep mismatch over ``s1 = v_1 + exp(u)``."""
+    """Root-find the sweep mismatch over ``s1 = v_1 + exp(u)``.
+
+    Raises :class:`SolverError` when the mismatch cannot be bracketed or
+    its root does not yield a complete sweep (a too-coarse quadrature
+    rule or a very deep chain can cause either).
+    """
+    sweeps = 0
 
     def mismatch(u: float) -> float:
+        nonlocal sweeps
+        sweeps += 1
         return _shoot_once(v[0] + math.exp(u), params, v, rule)[0]
+
+    def failure(what: str) -> SolverError:
+        return SolverError(f"chain shooting failed: {what}",
+                           last_q=np.full(params.K, math.nan),
+                           residual=math.inf, iterations=sweeps)
 
     lo = hi = 0.0
     f_lo = f_hi = mismatch(0.0)
@@ -479,16 +509,14 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
         f_lo = mismatch(lo)
         steps += 1
         if steps > 600:
-            raise RuntimeError("failed to bracket the chain mismatch from "
-                               "below; this indicates a bug")
+            raise failure("the mismatch was not bracketed from below")
     steps = 0
     while f_hi >= 0.0:
         hi += 1.0
         f_hi = mismatch(hi)
         steps += 1
         if steps > 600:
-            raise RuntimeError("failed to bracket the chain mismatch from "
-                               "above; this indicates a bug")
+            raise failure("the mismatch was not bracketed from above")
     # Narrow by bisection until both ends are finite, then polish the root.
     for _ in range(200):
         if math.isfinite(f_lo) and math.isfinite(f_hi) and hi - lo < 0.5:
@@ -500,8 +528,7 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
         else:
             hi, f_hi = mid, f_mid
     else:
-        raise RuntimeError("mismatch bracket never became finite; this "
-                           "indicates a bug")
+        raise failure("the mismatch bracket never became finite")
     u_root = brentq(mismatch, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
     _, q, _ = _shoot_once(v[0] + math.exp(u_root), params, v, rule)
     if q is None:
@@ -511,51 +538,50 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
             if q is not None:
                 break
     if q is None:
-        raise RuntimeError("shoot root evaluation failed; this indicates a bug")
+        raise failure("no complete sweep at the mismatch root")
     return q
 
 
-def _newton_polish(q: np.ndarray, params: ModelParams, target: float,
-                   max_steps: int, rule: QuadratureRule | None):
-    """Newton steps on ``q - F(q) = 0`` from a near-solution start.
+def _newton_polish(residual, x: np.ndarray, lower: float, upper: float,
+                   step_rule, target: float, max_steps: int):
+    """Finite-difference Newton on ``residual(x) = 0`` inside a box.
 
-    Returns the best iterate seen and its residual; never returns a worse
-    point than the input.
+    The Jacobian comes from central differences with the per-coordinate
+    steps ``step_rule(x)``; Newton iterates are clipped to
+    ``[lower, upper]``.  A step is kept only when it lowers
+    ``max |residual|``, so the result is never worse than the start.
+    Stops once that maximum is at most ``target``, after ``max_steps``
+    kept steps, or at the first step that does not improve.  Returns
+    ``(x, max |residual(x)|, kept steps)``.
     """
-    def residual_of(x: np.ndarray) -> float:
-        return float(np.max(np.abs(x - rs_map(x, params, rule=rule))))
-
-    best_q = q.copy()
-    best_res = residual_of(best_q)
-    current = q.copy()
-    for _ in range(max_steps):
-        if best_res < target:
-            break
-        f = rs_map(current, params, rule=rule)
-        defect = current - f
-        step = np.minimum(1e-6, np.minimum(current, 1.0 - current) / 2.0)
-        step = np.maximum(step, 1e-12)
-        jac = np.empty((params.K, params.K))
-        for j in range(params.K):
-            hp = current.copy()
-            hm = current.copy()
-            hp[j] += step[j]
-            hm[j] -= step[j]
-            col = (rs_map(hp, params, rule=rule)
-                   - rs_map(hm, params, rule=rule)) / (2.0 * step[j])
-            jac[:, j] = col
-        system = np.eye(params.K) - jac
+    x = np.asarray(x, dtype=float)
+    r = residual(x)
+    err = float(np.max(np.abs(r)))
+    steps = 0
+    while steps < max_steps and err > target:
+        h = step_rule(x)
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            bump = np.zeros(x.size)
+            bump[j] = h[j]
+            jac[:, j] = (residual(x + bump) - residual(x - bump)) / (2.0 * h[j])
         try:
-            delta = np.linalg.solve(system, defect)
+            delta = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError:
             break
-        candidate = np.clip(current - delta, 1e-15, 1.0 - 1e-15)
-        cand_res = residual_of(candidate)
-        if cand_res >= best_res:
+        candidate = np.clip(x - delta, lower, upper)
+        cand_r = residual(candidate)
+        cand_err = float(np.max(np.abs(cand_r)))
+        if not cand_err < err:
             break
-        best_q, best_res = candidate.copy(), cand_res
-        current = candidate
-    return best_q, best_res
+        x, r, err = candidate, cand_r, cand_err
+        steps += 1
+    return x, err, steps
+
+
+def _overlap_steps(q: np.ndarray) -> np.ndarray:
+    """Difference steps that keep ``q +- step`` inside the unit box."""
+    return np.maximum(np.minimum(1e-6, np.minimum(q, 1.0 - q) / 2.0), 1e-12)
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10, *,
@@ -573,7 +599,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
     drives the residual to the requested tolerance.
     """
     _require_positive_lambda(params)
-    v = _require_gaussian_fields(params, "solve_nested")
+    params.require_fields("solve_nested", gaussian=True)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if params.K == 1:
@@ -584,14 +610,17 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
             residual=residual, method="nested",
             certificates=_certificates(q, params, rule=rule))
 
+    v = np.array([f.v for f in params.fields])
     q_shoot = _solve_shoot(params, v, rule)
-    q_best, res_best = _newton_polish(q_shoot, params,
-                                      target=max(1e-14, 0.01 * tol),
-                                      max_steps=12, rule=rule)
+    q_best, res_best, iterations = _newton_polish(
+        lambda x: x - rs_map(x, params, rule=rule), q_shoot, 1e-15,
+        1.0 - 1e-15, _overlap_steps, target=max(1e-14, 0.01 * tol),
+        max_steps=12)
     if res_best > tol:
         # Fall back to damped iteration from the shoot point.
         q_iter = q_best.copy()
         for _ in range(5000):
+            iterations += 1
             f = rs_map(q_iter, params, rule=rule)
             res = float(np.max(np.abs(q_iter - f)))
             if res < res_best:
@@ -602,7 +631,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
         if res_best > tol:
             raise SolverError(
                 f"nested solve stalled at residual {res_best:.3e} > tol={tol}",
-                last_q=q_best, residual=res_best, iterations=0)
+                last_q=q_best, residual=res_best, iterations=iterations)
     return RsSolution(
         q=q_best,
         pressure=rs_pressure(q_best, params, rule=rule),

@@ -30,9 +30,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import ghquad, machine, rs_solver
-from .ghquad import INV_COSH4, LOG_COSH, TANH_SQ, QuadratureRule
+from .ghquad import INV_COSH4, LOG_COSH, QuadratureRule
 from .machine import ModelParams
-from .rs_solver import _theta_sq_from_aux
+from .rs_solver import _newton_polish, _scalar_overlap, _theta_sq_from_aux
 
 _LOG2 = math.log(2.0)
 
@@ -81,63 +81,25 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
     return lam[1:] * q[1:] / (lam[:-1] * q[:-1])
 
 
-def _require_supported_fields(params: ModelParams, what: str) -> None:
-    for p, f in enumerate(params.fields):
-        if f.kind not in ("zero", "gaussian_centered"):
-            raise ValueError(
-                f"{what} supports only zero or centred Gaussian external "
-                f"fields (layer {p} has kind '{f.kind}')")
-
-
 # ---------------------------------------------------------------------------
 # scalar surrogate overlaps
 # ---------------------------------------------------------------------------
 
 
-def _scalar_overlap(theta_sq: float, field, rule, warm: float | None = None) -> float:
-    """Surrogate overlap of one decoupled layer.
-
-    Returns the largest solution of ``x = E tanh^2(z sqrt(2 x theta_sq) + h)``
-    in ``[0, 1)``.  For zero-like fields this is ``0`` up to the critical
-    line ``2 theta_sq = 1`` and the positive branch beyond it; for Gaussian
-    fields with positive variance the positive solution is unique.  Uses
-    bracketed Newton iteration; ``warm`` seeds the iteration when a nearby
-    solve is available.
-    """
-    two_t = 2.0 * float(theta_sq)
-    if field.is_zero and two_t <= 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    x = warm if warm is not None and 0.0 < warm < 1.0 else 0.5
-    best_x, best_defect = x, math.inf
-    for _ in range(60):
-        value = ghquad.expect(TANH_SQ, two_t * x, field, rule)
-        defect = value - x
-        if abs(defect) < abs(best_defect):
-            best_x, best_defect = x, defect
-        if abs(defect) < _SCALAR_TOL:
-            return x
-        if defect > 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = two_t * ghquad.expect_derivative_in_s(TANH_SQ, two_t * x, field, rule)
-        candidate = x + defect / (1.0 - slope) if slope < 1.0 else 0.5 * (lo + hi)
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        x = candidate
-    return best_x
-
-
 def _surrogate_overlaps(theta_sq: np.ndarray, params: ModelParams, rule,
-                        warm: dict[int, float] | None = None) -> np.ndarray:
+                        warm: dict[int, float] | None = None
+                        ) -> tuple[np.ndarray, bool]:
+    """Per-layer surrogate overlaps and whether every layer solve converged."""
     out = np.zeros(params.K)
+    converged = True
     for p in range(params.K):
         seed = None if warm is None else warm.get(p)
-        out[p] = _scalar_overlap(theta_sq[p], params.fields[p], rule, seed)
+        out[p], ok = _scalar_overlap(theta_sq[p], params.fields[p],
+                                     _SCALAR_TOL, rule, seed)
+        converged = converged and ok
         if warm is not None and out[p] > 0.0:
             warm[p] = out[p]
-    return out
+    return out, converged
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +122,26 @@ def _functional_value(theta_sq: np.ndarray, overlaps: np.ndarray,
     return float(value)
 
 
-def _certified_layers(theta_sq: np.ndarray, overlaps: np.ndarray,
-                      params: ModelParams, rule) -> list[bool]:
-    """Per-layer validity flags for the replica-symmetric surrogate.
+def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
+               params: ModelParams, rule) -> bool:
+    """Whether the replica-symmetric surrogate is valid on every layer.
 
-    A layer passes when its temperature sits strictly below the
-    high-temperature line ``theta^2 < 1/8`` or when the scalar
-    Almeida-Thouless criterion holds at its surrogate overlap.
+    Needs every scalar overlap solve to have converged.  A layer then
+    passes when its temperature sits strictly below the high-temperature
+    line ``theta^2 < 1/8`` or when the scalar Almeida-Thouless criterion
+    holds at its surrogate overlap.
     """
-    flags = []
+    if not converged:
+        return False
     for p in range(params.K):
         t = float(theta_sq[p])
         if t < _TALAGRAND_LINE:
-            flags.append(True)
             continue
         m = 2.0 * float(overlaps[p]) * t
         ec4 = ghquad.expect(INV_COSH4, m, params.fields[p], rule)
-        flags.append(bool(m * ec4 <= overlaps[p]))
-    return flags
+        if not m * ec4 <= overlaps[p]:
+            return False
+    return True
 
 
 def p_dbm_functional(a, params: ModelParams, *,
@@ -188,14 +152,15 @@ def p_dbm_functional(a, params: ModelParams, *,
     the full model from above and ``certified`` records whether every
     decoupled layer passed its replica-symmetric validity check, so that
     the one-layer pressures entering the bound are exact rather than
-    merely bounds themselves.  Fields must be zero or centred Gaussian.
+    merely bounds themselves; a layer whose overlap solve did not
+    converge leaves the value uncertified.  Fields must be zero or
+    centred Gaussian.
     """
-    _require_supported_fields(params, "the split bound")
+    params.require_fields("the split bound", gaussian=False)
     theta_sq = _theta_sq_from_aux(a, params)
-    overlaps = _surrogate_overlaps(theta_sq, params, rule)
+    overlaps, converged = _surrogate_overlaps(theta_sq, params, rule)
     value = _functional_value(theta_sq, overlaps, params, rule)
-    certified = all(_certified_layers(theta_sq, overlaps, params, rule))
-    return value, bool(certified)
+    return value, _certified(theta_sq, overlaps, converged, params, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +212,10 @@ class BoundResult:
         )
 
 
-def _evaluate(u: np.ndarray, params: ModelParams, rule,
-              warm: dict[int, float]) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Bound value and its gradient in ``u = log a``, plus the layer state.
+def _evaluate(u: np.ndarray, params: ModelParams, rule, warm: dict[int, float]
+              ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Bound value and its gradient in ``u = log a``, plus the layer state
+    (overlaps, squared temperatures, whether every overlap solve converged).
 
     The gradient uses the envelope identity: at its own consistency point
     each one-layer pressure depends on ``theta_p^2`` with slope
@@ -257,54 +223,18 @@ def _evaluate(u: np.ndarray, params: ModelParams, rule,
     """
     a = np.exp(u)
     theta_sq = _theta_sq_from_aux(a, params)
-    overlaps = _surrogate_overlaps(theta_sq, params, rule, warm)
+    overlaps, converged = _surrogate_overlaps(theta_sq, params, rule, warm)
     value = _functional_value(theta_sq, overlaps, params, rule)
     lam_q = np.asarray(params.lam, dtype=float) * overlaps
     beta_sq = np.asarray(params.beta, dtype=float) ** 2
     grad_u = 0.5 * beta_sq * (lam_q[1:] ** 2 / a - lam_q[:-1] ** 2 * a)
-    return value, grad_u, overlaps, theta_sq
+    return value, grad_u, overlaps, theta_sq, converged
 
 
 def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """Bond-wise residuals of the relatedness equations."""
     lam_q = lam * overlaps
     return lam_q[:-1] * a - lam_q[1:]
-
-
-def _polish_stationarity(u: np.ndarray, params: ModelParams, rule,
-                         warm: dict[int, float], target: float) -> np.ndarray:
-    """Newton steps on the matching residuals, keeping only improvements."""
-    lam = np.asarray(params.lam, dtype=float)
-
-    def residual(vec: np.ndarray) -> np.ndarray:
-        _, _, overlaps, _ = _evaluate(vec, params, rule, warm)
-        return _matching_defect(np.exp(vec), lam, overlaps)
-
-    best_u = u
-    best_err = float(np.max(np.abs(residual(u))))
-    if best_err <= target:
-        return best_u
-    n = u.size
-    eps = 1e-6
-    for _ in range(8):
-        r0 = residual(best_u)
-        jac = np.empty((n, n))
-        for j in range(n):
-            bumped = best_u.copy()
-            bumped[j] += eps
-            jac[:, j] = (residual(bumped) - r0) / eps
-        try:
-            delta = np.linalg.solve(jac, -r0)
-        except np.linalg.LinAlgError:
-            break
-        candidate = np.clip(best_u + delta, -_LOG_BOX, _LOG_BOX)
-        err = float(np.max(np.abs(residual(candidate))))
-        if not err < best_err:
-            break
-        best_u, best_err = candidate, err
-        if best_err <= target:
-            break
-    return best_u
 
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
@@ -322,7 +252,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
     """
     if params.K == 1:
         raise ValueError("the split bound needs at least two layers")
-    _require_supported_fields(params, "the split bound")
+    params.require_fields("the split bound", gaussian=False)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     n_bonds = params.K - 1
@@ -331,8 +261,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
     verdict = machine.classify_annealed(params)
     if verdict.feasible_a:
         starts.append(np.log(np.asarray(verdict.feasible_a, dtype=float)))
-    if (all(f.is_gaussian and f.v > 0.0 for f in params.fields)
-            and min(params.lam) > 0.0):
+    if params.gaussian_fields and min(params.lam) > 0.0:
         try:
             nested = rs_solver.solve_nested(params, rule=rule)
             starts.append(np.log(related_aux(nested.q, params)))
@@ -345,7 +274,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
     warm: dict[int, float] = {}
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad_u, _, _ = _evaluate(u, params, rule, warm)
+        value, grad_u, _, _, _ = _evaluate(u, params, rule, warm)
         return -value, -grad_u
 
     best_u: np.ndarray | None = None
@@ -359,17 +288,25 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
             best_value = -float(result.fun)
             best_u = np.asarray(result.x, dtype=float)
 
-    target = max(1e-14, 0.01 * tol)
-    best_u = _polish_stationarity(best_u, params, rule, warm, target)
+    # Sharpen the maximizer with Newton steps on the matching residuals.
+    lam = np.asarray(params.lam, dtype=float)
 
-    value, _, overlaps, theta_sq = _evaluate(best_u, params, rule, warm)
+    def matching(u: np.ndarray) -> np.ndarray:
+        overlaps = _evaluate(u, params, rule, warm)[2]
+        return _matching_defect(np.exp(u), lam, overlaps)
+
+    best_u, _, _ = _newton_polish(
+        matching, best_u, -_LOG_BOX, _LOG_BOX,
+        lambda u: np.full(u.size, 1e-6), target=max(1e-14, 0.01 * tol),
+        max_steps=8)
+
+    value, _, overlaps, theta_sq, converged = _evaluate(best_u, params, rule, warm)
     a = np.exp(best_u)
-    defect = _matching_defect(a, np.asarray(params.lam, dtype=float), overlaps)
-    certified = all(_certified_layers(theta_sq, overlaps, params, rule))
+    defect = _matching_defect(a, lam, overlaps)
     return BoundResult(
         a=a,
         value=value,
-        certified=bool(certified),
+        certified=_certified(theta_sq, overlaps, converged, params, rule),
         boundary_suspect=bool(np.any(np.abs(best_u) > _SUSPECT_WIDTH)),
         theta=np.sqrt(theta_sq),
         overlaps=overlaps,

@@ -103,6 +103,15 @@ def test_malformed_config_is_usage_error(tmp_path):
     broken = write_config(tmp_path, {"K": 2, "beta": [0.5], "lambda": [0.9, 0.6]},
                           name="broken.json")
     assert cli.main(["region", "--config", broken]) == 2
+    good = write_config(tmp_path, gauss2(), name="good.json")
+    for command in ("rs", "bound"):
+        for tol in ("0", "-1"):
+            assert cli.main([command, "--config", good, "--tol", tol]) == 2
+    point_mass = write_config(
+        tmp_path, model_dict(2, (0.6,), (0.5, 0.5),
+                             (FieldSpec.point_mass(0.3), FieldSpec.zero())),
+        name="point_mass.json")
+    assert cli.main(["bound", "--config", point_mass]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +260,10 @@ def test_verify_reports_and_csv_contract(tmp_path):
 
 def test_verify_outside_region_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, verify_config(beta=1.5))
+    assert cli.main(["verify", "--config", cfg]) == 2
+    data = verify_config()
+    data["verify"]["n_disorder"] = "many"
+    cfg = write_config(tmp_path, data, name="many.json")
     assert cli.main(["verify", "--config", cfg]) == 2
 
 
@@ -405,6 +418,15 @@ def test_quadrature_order_flag(tmp_path):
     pa = read_json(out_a)["solutions"][0]["pressure"]
     pb = read_json(out_b)["solutions"][0]["pressure"]
     assert pa == pytest.approx(pb, abs=1e-6)
+
+
+def test_solver_failure_is_exit_one_with_one_line(tmp_path, capsys):
+    # Three quadrature nodes are too coarse for the nested solver's sweep.
+    cfg = write_config(tmp_path, gauss2())
+    assert cli.main(["rs", "--config", cfg, "--quadrature-order", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver did not converge:")
+    assert err.count("\n") == 1
 
 
 def test_default_output_is_stdout(tmp_path, capsys):

@@ -40,17 +40,19 @@ def test_params_default_fields_are_zero():
 
 def test_params_json_round_trip():
     p = make(
-        3,
-        (0.8, 1.1),
-        (0.2, 0.5, 0.3),
+        4,
+        (0.8, 1.1, 0.9),
+        (0.2, 0.4, 0.3, 0.1),
         fields=(
             FieldSpec.zero(),
             FieldSpec.gaussian(0.4),
             FieldSpec.discrete((-1.0, 1.0), (0.5, 0.5)),
+            FieldSpec.point_mass(0.25),
         ),
     )
     d = p.to_dict()
-    assert d["lambda"] == [0.2, 0.5, 0.3]
+    assert d["lambda"] == [0.2, 0.4, 0.3, 0.1]
+    assert d["fields"][3] == {"kind": "point_mass", "h0": 0.25}
     assert ModelParams.from_dict(d) == p
 
 

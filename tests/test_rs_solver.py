@@ -224,13 +224,22 @@ def test_scalar_solver_rejects_nonpositive_variance():
 
 def test_scalar_solver_residual_and_range():
     rng = np.random.default_rng(18)
+    cases = []
     for _ in range(20):
         beta = float(rng.uniform(0.05, 2.0))
         v = float(rng.uniform(0.02, 3.0))
-        q = latala_guerra(beta, v, tol=1e-12)
+        cases.append((beta, FieldSpec.gaussian(v),
+                      latala_guerra(beta, v, tol=1e-12)))
+    # Zero field beyond the critical line 2 beta^2 = 1: the roots are 0 and
+    # one positive value, and the solver must return the positive one.
+    for beta in (0.75, 1.0, 1.5, 2.0):
+        q, converged = rs_solver._scalar_overlap(beta * beta, FieldSpec.zero(),
+                                                 1e-12, None)
+        assert converged is True
+        cases.append((beta, FieldSpec.zero(), q))
+    for beta, field, q in cases:
         assert 0.0 < q < 1.0
-        resid = abs(q - ghquad.expect(TANH_SQ, 2.0 * q * beta * beta,
-                                      FieldSpec.gaussian(v)))
+        resid = abs(q - ghquad.expect(TANH_SQ, 2.0 * q * beta * beta, field))
         assert resid < 1e-12
 
 

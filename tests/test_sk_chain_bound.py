@@ -141,6 +141,23 @@ def test_functional_certified_instance_matches_rs_pressure():
         assert value == pytest.approx(rs_solver.rs_pressure(sol.q, params), abs=1e-10)
 
 
+def test_functional_unconverged_layer_solve_is_uncertified(monkeypatch):
+    # Both layers sit below the high-temperature line, so only the layer
+    # solves can withhold the certificate.  Shifting every expectation by
+    # one leaves x = E tanh^2(...) + 1 without a root in [0, 1).
+    params = make(2, (0.3,), (0.5, 0.5),
+                  (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.5)))
+    a = np.array([1.0])
+    assert np.all(theta_map(a, params) ** 2 < 0.125)
+    assert p_dbm_functional(a, params)[1] is True
+    expect = sk_chain_bound.ghquad.expect
+    monkeypatch.setattr(sk_chain_bound.ghquad, "expect",
+                        lambda f, s, field, rule=None: expect(f, s, field, rule) + 1.0)
+    value, certified = p_dbm_functional(a, params)
+    assert math.isfinite(value)
+    assert certified is False
+
+
 def test_functional_rejects_unsupported_fields():
     params = make(2, (1.0,), (0.5, 0.5),
                   (FieldSpec.point_mass(0.2), FieldSpec.zero()))
