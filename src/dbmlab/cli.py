@@ -314,11 +314,17 @@ def _solve_rs(params: ModelParams, method: str, tol: float,
 
 
 def _bound_point(params: ModelParams, tol: float, seed: int,
-                 rule: QuadratureRule | None) -> tuple[float, bool]:
-    """Bound value and certification; single-layer models short-circuit."""
+                 rule: QuadratureRule | None,
+                 nested_q: np.ndarray | None = None) -> tuple[float, bool]:
+    """Bound value and certification; single-layer models short-circuit.
+
+    ``nested_q`` is a nested-solver overlap vector already computed for
+    this model, which spares the maximizer its own nested solve.
+    """
     if params.K == 1:
         return sk_chain_bound.p_dbm_functional(np.zeros(0), params, rule=rule)
-    res = sk_chain_bound.maximize_bound(params, tol, seed=seed, rule=rule)
+    res = sk_chain_bound.maximize_bound(params, tol, seed=seed, rule=rule,
+                                        nested_q=nested_q)
     return res.value, res.certified
 
 
@@ -391,6 +397,9 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
             "use method 'fixed_point' for this model")
     methods = ("nested", "fixed_point") if method == "both" else (method,)
     damping = _setting(config.solver, "damping", 0.5, float)
+    if not 0.0 < damping <= 1.0:
+        raise ConfigError(f"the fixed-point damping must lie in (0, 1], "
+                          f"got {damping}")
     solutions = [_solve_rs(params, m, tol, rule, damping) for m in methods]
     payload = {
         "command": "rs",
@@ -531,7 +540,10 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
                 row.update(certs)
             elif name == "bound":
                 try:
-                    value, certified = _bound_point(params, tol, args.seed, rule)
+                    nested_q = (solution.q if solution is not None
+                                and solution.method == "nested" else None)
+                    value, certified = _bound_point(params, tol, args.seed,
+                                                    rule, nested_q)
                 except ValueError:
                     value, certified = None, None
                     flags.append("bound_failed")
@@ -588,7 +600,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=0,
-                       help="master seed for stochastic steps (default 0)")
+                       help="master seed for stochastic steps (default 0); "
+                            "bound and scan use it only when the bound's "
+                            "random-start fallback runs")
         p.add_argument("--out", default=None,
                        help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",

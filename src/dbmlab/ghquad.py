@@ -162,14 +162,21 @@ def default_rule() -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
+# The single atom of zero and centred-Gaussian fields, shared read-only.
+_ORIGIN = np.zeros(1)
+_ORIGIN.setflags(write=False)
+_CERTAIN = np.ones(1)
+_CERTAIN.setflags(write=False)
+
+
 def _field_atoms(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Atoms (shifts, probabilities) and extra Gaussian variance of a field."""
     if not isinstance(field, FieldSpec):
         raise TypeError("field must be a FieldSpec")
     if field.kind == "zero":
-        return np.zeros(1), np.ones(1), 0.0
+        return _ORIGIN, _CERTAIN, 0.0
     if field.kind == "gaussian_centered":
-        return np.zeros(1), np.ones(1), float(field.v)
+        return _ORIGIN, _CERTAIN, float(field.v)
     return np.asarray(field.values, dtype=float), np.asarray(field.probs, dtype=float), 0.0
 
 

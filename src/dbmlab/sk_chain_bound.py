@@ -239,16 +239,23 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
                    n_random_starts: int = 8,
-                   rule: QuadratureRule | None = None) -> BoundResult:
+                   rule: QuadratureRule | None = None,
+                   nested_q: np.ndarray | None = None) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
-    Runs bounded quasi-Newton ascent in ``u = log a`` from several
+    Runs bounded quasi-Newton (L-BFGS-B) ascent in ``u = log a`` from the
     deterministic starts (balanced weights, the annealed-region witness
     when one exists, weights related to the nested-solver overlaps when
-    fields are Gaussian) plus ``n_random_starts`` seeded random ones, then
-    sharpens the best maximizer with Newton steps on the bond-matching
-    residuals.  Needs at least two layers and zero or centred Gaussian
-    fields.
+    fields are Gaussian) and sharpens the best maximizer with Newton
+    steps on the bond-matching residuals.  Only when that result is
+    uncertified, boundary-suspect, stationary to no better than ``tol``,
+    or came from an ascent that did not report success, does a second
+    batch of ``n_random_starts`` random starts run, drawn from ``seed``;
+    a better maximizer found there is sharpened again.  ``seed`` thus
+    changes nothing unless that fallback runs.  ``nested_q`` passes in
+    an already computed nested-solver overlap vector for the related
+    start (default: solve for it here).  Needs at least two layers and
+    zero or centred Gaussian fields.
     """
     if params.K == 1:
         raise ValueError("the split bound needs at least two layers")
@@ -263,55 +270,64 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
         starts.append(np.log(np.asarray(verdict.feasible_a, dtype=float)))
     if params.gaussian_fields and min(params.lam) > 0.0:
         try:
-            nested = rs_solver.solve_nested(params, rule=rule)
-            starts.append(np.log(related_aux(nested.q, params)))
+            if nested_q is None:
+                nested_q = rs_solver.solve_nested(params, rule=rule).q
+            starts.append(np.log(related_aux(nested_q, params)))
         except (RuntimeError, ValueError):
             pass
     rng = np.random.default_rng(seed)
-    for _ in range(n_random_starts):
-        starts.append(rng.normal(0.0, 1.5, n_bonds))
+    random_starts = [rng.normal(0.0, 1.5, n_bonds)
+                     for _ in range(n_random_starts)]
 
     warm: dict[int, float] = {}
+    lam = np.asarray(params.lam, dtype=float)
 
     def objective(u: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad_u, _, _, _ = _evaluate(u, params, rule, warm)
         return -value, -grad_u
 
-    best_u: np.ndarray | None = None
-    best_value = -math.inf
-    for u0 in starts:
-        result = minimize(
-            objective, np.clip(u0, -_LOG_BOX, _LOG_BOX), jac=True,
-            method="L-BFGS-B", bounds=[(-_LOG_BOX, _LOG_BOX)] * n_bonds,
-            options={"maxiter": 300, "ftol": 1e-15, "gtol": 1e-12})
-        if -result.fun > best_value:
-            best_value = -float(result.fun)
-            best_u = np.asarray(result.x, dtype=float)
-
-    # Sharpen the maximizer with Newton steps on the matching residuals.
-    lam = np.asarray(params.lam, dtype=float)
-
     def matching(u: np.ndarray) -> np.ndarray:
         overlaps = _evaluate(u, params, rule, warm)[2]
         return _matching_defect(np.exp(u), lam, overlaps)
 
-    best_u, _, _ = _newton_polish(
-        matching, best_u, -_LOG_BOX, _LOG_BOX,
-        lambda u: np.full(u.size, 1e-6), target=max(1e-14, 0.01 * tol),
-        max_steps=8)
+    def sharpened(u: np.ndarray) -> BoundResult:
+        """The maximizer after Newton steps on the matching residuals."""
+        u, _, _ = _newton_polish(
+            matching, u, -_LOG_BOX, _LOG_BOX,
+            lambda x: np.full(x.size, 1e-6), target=max(1e-14, 0.01 * tol),
+            max_steps=8)
+        value, _, overlaps, theta_sq, converged = _evaluate(u, params, rule, warm)
+        a = np.exp(u)
+        return BoundResult(
+            a=a,
+            value=value,
+            certified=_certified(theta_sq, overlaps, converged, params, rule),
+            boundary_suspect=bool(np.any(np.abs(u) > _SUSPECT_WIDTH)),
+            theta=np.sqrt(theta_sq),
+            overlaps=overlaps,
+            stationarity=float(np.max(np.abs(_matching_defect(a, lam, overlaps)))),
+        )
 
-    value, _, overlaps, theta_sq, converged = _evaluate(best_u, params, rule, warm)
-    a = np.exp(best_u)
-    defect = _matching_defect(a, lam, overlaps)
-    return BoundResult(
-        a=a,
-        value=value,
-        certified=_certified(theta_sq, overlaps, converged, params, rule),
-        boundary_suspect=bool(np.any(np.abs(best_u) > _SUSPECT_WIDTH)),
-        theta=np.sqrt(theta_sq),
-        overlaps=overlaps,
-        stationarity=float(np.max(np.abs(defect))),
-    )
+    best: BoundResult | None = None
+    best_value = -math.inf
+    for batch in (starts, random_starts):
+        winner = None
+        for u0 in batch:
+            run = minimize(
+                objective, np.clip(u0, -_LOG_BOX, _LOG_BOX), jac=True,
+                method="L-BFGS-B", bounds=[(-_LOG_BOX, _LOG_BOX)] * n_bonds,
+                options={"maxiter": 300, "ftol": 1e-15, "gtol": 1e-12})
+            if -run.fun > best_value:
+                best_value = -float(run.fun)
+                winner = run
+        if winner is not None:
+            best = sharpened(np.asarray(winner.x, dtype=float))
+            best_value = max(best_value, best.value)
+            success = bool(winner.success)
+        if (best.certified and not best.boundary_suspect
+                and best.stationarity <= tol and success):
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

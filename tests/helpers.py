@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dbmlab.machine import FieldSpec, ModelParams
 
@@ -54,3 +55,33 @@ def random_params(rng: np.random.Generator,
             kind = rng.choice(sorted(kinds))
         fields.append(random_field(rng, kind, *v_range))
     return ModelParams(K=K, beta=beta, lam=lam, fields=tuple(fields))
+
+
+def _normalized(weights) -> list[float]:
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def field_specs() -> st.SearchStrategy:
+    """Hypothesis strategy over every field kind."""
+    atoms = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)),
+                     min_size=1, max_size=4)
+    return st.one_of(
+        st.just(FieldSpec.zero()),
+        st.floats(0.0, 5.0).map(FieldSpec.gaussian),
+        st.floats(-3.0, 3.0).map(FieldSpec.point_mass),
+        atoms.map(lambda pairs: FieldSpec.discrete(
+            [h for h, _ in pairs], _normalized([w for _, w in pairs]))),
+    )
+
+
+@st.composite
+def model_params(draw, k_range: tuple[int, int] = (1, 6)) -> ModelParams:
+    """Hypothesis strategy over chain models with any mix of field kinds."""
+    K = draw(st.integers(*k_range))
+    beta = draw(st.lists(st.floats(0.05, 3.0), min_size=K - 1, max_size=K - 1))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=K, max_size=K).filter(any))
+    fields = draw(st.lists(field_specs(), min_size=K, max_size=K))
+    return ModelParams(K=K, beta=tuple(beta), lam=tuple(_normalized(weights)),
+                       fields=tuple(fields))

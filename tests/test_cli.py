@@ -112,6 +112,11 @@ def test_malformed_config_is_usage_error(tmp_path):
                              (FieldSpec.point_mass(0.3), FieldSpec.zero())),
         name="point_mass.json")
     assert cli.main(["bound", "--config", point_mass]) == 2
+    for damping in (1.5, 0.0, -0.2, "nan"):
+        data = gauss2()
+        data["solver"] = {"method": "fixed_point", "damping": damping}
+        cfg = write_config(tmp_path, data, name="damping.json")
+        assert cli.main(["rs", "--config", cfg]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -200,3 +200,39 @@ def test_tanh_sq_expectation_bounded_and_monotone():
     vals = [ghquad.expect(TANH_SQ, s, FieldSpec.zero()) for s in (0.1, 0.5, 1.0, 4.0, 16.0)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert np.all(np.diff(vals) > 0.0)
+
+
+def _fresh_atom_expect(f, s, field, rule, derivative=False):
+    """``expect`` / ``expect_derivative_in_s`` with freshly allocated atoms."""
+    if field.kind in ("zero", "gaussian_centered"):
+        shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
+    else:
+        shifts = np.asarray(field.values, dtype=float)
+        probs = np.asarray(field.probs, dtype=float)
+        extra = 0.0
+    std = math.sqrt(s + extra)
+    y = std * rule.nodes[None, :] + shifts[:, None]
+    if not derivative:
+        return float(probs @ (np.asarray(f.value(y), dtype=float) @ rule.weights))
+    vals = np.asarray(f.deriv(y), dtype=float) * rule.nodes[None, :]
+    return float(probs @ (vals @ rule.weights)) / (2.0 * std)
+
+
+def test_shared_atoms_are_read_only_and_bit_identical():
+    rule = ghquad.default_rule()
+    fields = (FieldSpec.zero(), FieldSpec.gaussian(0.7),
+              FieldSpec.point_mass(0.3),
+              FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+    for field in fields:
+        shifts, probs, _ = ghquad._field_atoms(field)
+        if field.kind in ("zero", "gaussian_centered"):
+            for atoms in (shifts, probs):
+                with pytest.raises(ValueError):
+                    atoms[0] = 5.0
+        for s in (0.0, 0.4, 3.0):
+            for kernel in (TANH_SQ, LOG_COSH):
+                assert ghquad.expect(kernel, s, field) == _fresh_atom_expect(
+                    kernel, s, field, rule)
+                if s + field.v > 0.0:  # total variance must be positive
+                    assert ghquad.expect_derivative_in_s(kernel, s, field) == (
+                        _fresh_atom_expect(kernel, s, field, rule, derivative=True))

@@ -1,12 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from dbmlab import chainpoly, machine
 from dbmlab.machine import FieldSpec, ModelParams
 
-from helpers import random_lambda, random_params
+from helpers import model_params, random_lambda, random_params
 from oracles import dense_charpoly_value
 
 
@@ -54,6 +56,13 @@ def test_params_json_round_trip():
     assert d["lambda"] == [0.2, 0.4, 0.3, 0.1]
     assert d["fields"][3] == {"kind": "point_mass", "h0": 0.25}
     assert ModelParams.from_dict(d) == p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(params=model_params())
+def test_params_dict_round_trip_property(params):
+    assert ModelParams.from_dict(params.to_dict()) == params
+    assert ModelParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
 
 
 # ---------------------------------------------------------------------------

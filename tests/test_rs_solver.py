@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbmlab import ghquad, machine, rs_solver
 from dbmlab.ghquad import LOG_COSH, TANH_SQ
@@ -21,7 +22,7 @@ from dbmlab.rs_solver import (
     solve_nested,
 )
 
-from helpers import random_params
+from helpers import model_params, random_params
 from oracles import (
     central_fd_gradient,
     central_fd_jacobian,
@@ -151,6 +152,16 @@ def test_map_image_inside_unit_interval():
         q = rng.uniform(0.0, 1.0, params.K)
         f = rs_map(q, params)
         assert np.all(f >= 0.0) and np.all(f < 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(params=model_params(), data=st.data())
+def test_map_sends_unit_box_into_unit_box_property(params, data):
+    q = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=params.K,
+                                    max_size=params.K)))
+    f = rs_map(q, params)
+    assert f.shape == (params.K,)
+    assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
 
 # ---------------------------------------------------------------------------
