@@ -19,6 +19,7 @@ or solver failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -156,7 +157,7 @@ def _load_config(path: str) -> _Config:
         raise ConfigError("config must be a JSON object")
     try:
         params = ModelParams.from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     scan = _parse_scan(raw["scan"], params) if "scan" in raw else None
     solver = raw.get("solver", {})
@@ -387,14 +388,16 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
     method = str(config.solver.get("method", "auto"))
     if method not in {"auto", "nested", "fixed_point", "both"}:
         raise ConfigError(f"unknown solver method '{method}'")
-    supported = params.gaussian_fields and min(params.lam) > 0.0
+    if min(params.lam) <= 0.0:
+        raise ConfigError("the rs solvers require strictly positive layer "
+                          "weights; prune zero-weight layers from the model")
+    supported = params.gaussian_fields
     if method == "auto":
         method = "nested" if supported else "fixed_point"
     if method in {"nested", "both"} and not supported:
         raise ConfigError(
             "the nested solver requires centred Gaussian fields with positive "
-            "variance on every layer (and positive layer weights); "
-            "use method 'fixed_point' for this model")
+            "variance on every layer; use method 'fixed_point' for this model")
     methods = ("nested", "fixed_point") if method == "both" else (method,)
     damping = _setting(config.solver, "damping", 0.5, float)
     if not 0.0 < damping <= 1.0:
@@ -580,7 +583,13 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    ``parse_args`` keeps no state between calls, so every call of
+    :func:`main` can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="dbmlab",
         description="Numerics for layered mean-field spin systems: "

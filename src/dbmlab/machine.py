@@ -143,6 +143,8 @@ class FieldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
+        if not isinstance(d, dict):
+            raise TypeError(f"a field must be an object, not {type(d).__name__}")
         kind = d.get("kind", "zero")
         if kind == "zero":
             return FieldSpec.zero()
@@ -178,6 +180,9 @@ class ModelParams:
             raise ValueError("beta must have K - 1 entries")
         if not all(math.isfinite(b) and b > 0.0 for b in self.beta):
             raise ValueError("beta entries must be finite and positive")
+        if not all(math.isfinite(4.0 * b * b * b * b) for b in self.beta):
+            raise ValueError("beta entries must keep 4 beta^4 finite "
+                             "(it bounds the chain activities)")
         if len(self.lam) != self.K:
             raise ValueError("lambda must have K entries")
         lam = np.asarray(self.lam, dtype=float)

@@ -414,26 +414,43 @@ def _tanh_sq_variance(s: float, rule: QuadratureRule | None) -> float:
     return ghquad.expect(TANH_SQ, s, _ZERO_FIELD, rule)
 
 
-def _tanh_sq_inverse(target: float, rule: QuadratureRule | None) -> float | None:
+def _tanh_sq_inverse(target: float, rule: QuadratureRule | None,
+                     brackets: list[float]) -> float | None:
     """Solve ``T(s) = target`` for ``s >= 0``; ``None`` if out of reach.
 
     ``T`` is strictly increasing with ``T(0) = 0`` and ``T -> 1``, so the
     root is unique.  Targets so close to one that ``s`` would exceed the
-    numeric cap are reported as unreachable.
+    numeric cap are reported as unreachable.  ``brackets[k]`` holds
+    ``T(4^k)`` under ``rule``; missing entries are appended on first need,
+    so callers sharing one list evaluate each bracket end once.
     """
     if target <= 0.0:
         return 0.0
-    hi = 1.0
-    while _tanh_sq_variance(hi, rule) < target:
-        hi *= 4.0
-        if hi > _TINV_CAP:
+    k = 0
+    while True:
+        if k == len(brackets):
+            brackets.append(_tanh_sq_variance(4.0 ** k, rule))
+        if not brackets[k] < target:
+            break
+        k += 1
+        if 4.0 ** k > _TINV_CAP:
             return None
-    return float(brentq(lambda s: _tanh_sq_variance(s, rule) - target,
-                        0.0, hi, xtol=1e-30, rtol=_BRENTQ_RTOL))
+    hi, t_hi = 4.0 ** k, brackets[k]
+
+    def defect(s: float) -> float:
+        # The bracket ends are already known: T(0) is exactly 0 under
+        # every rule, and T(hi) is the tabulated value.
+        if s == 0.0:
+            return -target
+        if s == hi:
+            return t_hi - target
+        return _tanh_sq_variance(s, rule) - target
+
+    return float(brentq(defect, 0.0, hi, xtol=1e-30, rtol=_BRENTQ_RTOL))
 
 
 def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
-                rule: QuadratureRule | None):
+                rule: QuadratureRule | None, brackets: list[float]):
     """One forward sweep of the layer chain from a trial first-layer variance.
 
     Builds ``(q, a)`` layer by layer from ``s1 = (Mq)_1 + v_1`` using the
@@ -443,7 +460,8 @@ def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
     the trial overshoots (some overlap would reach one) and ``+inf`` when
     it undershoots (the auxiliary chain would go nonpositive); it is
     strictly decreasing in ``s1`` in between, which makes the outer root
-    solve a bracketed scalar problem.
+    solve a bracketed scalar problem.  ``brackets`` is the ``T(4^k)`` table
+    of :func:`_tanh_sq_inverse`, shared across the sweeps of one solve.
     """
     lam = np.asarray(params.lam)
     beta_sq = np.asarray(params.beta, dtype=float) ** 2
@@ -460,7 +478,7 @@ def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
         q_p = level / lam[p]
         if q_p >= 1.0:
             return -math.inf, None, None
-        s_p = _tanh_sq_inverse(q_p, rule)
+        s_p = _tanh_sq_inverse(q_p, rule, brackets)
         if s_p is None:
             return -math.inf, None, None
         q[p] = q_p
@@ -472,7 +490,7 @@ def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
     q_last = level / lam[K - 1]
     if q_last >= 1.0:
         return -math.inf, None, None
-    s_last = _tanh_sq_inverse(q_last, rule)
+    s_last = _tanh_sq_inverse(q_last, rule, brackets)
     if s_last is None:
         return -math.inf, None, None
     q[K - 1] = q_last
@@ -487,14 +505,17 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
 
     Raises :class:`SolverError` when the mismatch cannot be bracketed or
     its root does not yield a complete sweep (a too-coarse quadrature
-    rule or a very deep chain can cause either).
+    rule or a very deep chain can cause either).  Bisection stops as soon
+    as the bracket has shrunk to adjacent doubles with an end still
+    infinite, since every further sweep would repeat the last one.
     """
     sweeps = 0
+    brackets: list[float] = []
 
     def mismatch(u: float) -> float:
         nonlocal sweeps
         sweeps += 1
-        return _shoot_once(v[0] + math.exp(u), params, v, rule)[0]
+        return _shoot_once(v[0] + math.exp(u), params, v, rule, brackets)[0]
 
     def failure(what: str) -> SolverError:
         return SolverError(f"chain shooting failed: {what}",
@@ -522,6 +543,8 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
         if math.isfinite(f_lo) and math.isfinite(f_hi) and hi - lo < 0.5:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise failure("the mismatch bracket never became finite")
         f_mid = mismatch(mid)
         if f_mid > 0.0:
             lo, f_lo = mid, f_mid
@@ -530,11 +553,12 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
     else:
         raise failure("the mismatch bracket never became finite")
     u_root = brentq(mismatch, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
-    _, q, _ = _shoot_once(v[0] + math.exp(u_root), params, v, rule)
+    _, q, _ = _shoot_once(v[0] + math.exp(u_root), params, v, rule, brackets)
     if q is None:
         # The root evaluation landed on a shot boundary; nudge inward.
         for shift in (1e-12, -1e-12, 1e-9, -1e-9):
-            _, q, _ = _shoot_once(v[0] + math.exp(u_root + shift), params, v, rule)
+            _, q, _ = _shoot_once(v[0] + math.exp(u_root + shift), params, v,
+                                  rule, brackets)
             if q is not None:
                 break
     if q is None:

@@ -85,3 +85,40 @@ def model_params(draw, k_range: tuple[int, int] = (1, 6)) -> ModelParams:
     fields = draw(st.lists(field_specs(), min_size=K, max_size=K))
     return ModelParams(K=K, beta=tuple(beta), lam=tuple(_normalized(weights)),
                        fields=tuple(fields))
+
+
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 14),
+                         st.floats(), st.text(max_size=4),
+                         st.sampled_from([1e-300, 1e77, 1e300, 10**400]))
+_FIELD_KEYS = ("kind", "v", "h0", "values", "probs")
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(_FIELD_KEYS), children,
+                                        max_size=3)),
+    max_leaves=8)
+_SECTION_PARTS = ("K", "beta", "lambda", "fields", "beta[]", "lambda[]",
+                  "fields[]")
+
+
+@st.composite
+def model_sections(draw, k_range: tuple[int, int] = (1, 4)) -> dict:
+    """Hypothesis strategy over the model section of a JSON config.
+
+    Starts from a valid model and replaces or deletes up to two of its
+    parts (a whole key or one list entry) with arbitrary JSON values.
+    """
+    section = draw(model_params(k_range)).to_dict()
+    for part in draw(st.lists(st.sampled_from(_SECTION_PARTS), max_size=2,
+                              unique=True)):
+        key = part.rstrip("[]")
+        if part != key:
+            entries = section.get(key)
+            if isinstance(entries, list) and entries:
+                index = draw(st.integers(0, len(entries) - 1))
+                entries[index] = draw(_JSON_VALUES)
+        elif draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(_JSON_VALUES)
+    return section

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbmlab import cli, ghquad, machine
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
+
+from helpers import model_sections
 
 LOG2 = math.log(2.0)
 
@@ -117,6 +120,17 @@ def test_malformed_config_is_usage_error(tmp_path):
         data["solver"] = {"method": "fixed_point", "damping": damping}
         cfg = write_config(tmp_path, data, name="damping.json")
         assert cli.main(["rs", "--config", cfg]) == 2
+    for model in ({"K": 2, "beta": [1e77], "lambda": [0.5, 0.5]},
+                  {"K": 1, "beta": [], "lambda": [1.0], "fields": [[]]},
+                  {"K": 1, "beta": [], "lambda": [1.0], "fields": "zero"},
+                  {"K": 1, "beta": [], "lambda": [1.0],
+                   "fields": [{"kind": "gaussian_centered", "v": 10**400}]}):
+        cfg = write_config(tmp_path, model, name="model.json")
+        for command in ("region", "poly", "rs", "bound"):
+            assert cli.main([command, "--config", cfg]) == 2
+    zero_weight = write_config(tmp_path, model_dict(2, (0.6,), (0.0, 1.0)),
+                               name="zero_weight.json")
+    assert cli.main(["rs", "--config", zero_weight]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +455,51 @@ def test_default_output_is_stdout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "rho,verdict"
     assert lines[1].endswith(",inside")
+
+
+# ---------------------------------------------------------------------------
+# parser reuse and fuzzed configs
+# ---------------------------------------------------------------------------
+
+
+def _run_main(argv, capsys):
+    """Exit code (``SystemExit`` included) and captured stdout of one call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    region = write_config(tmp_path, balanced2(), name="region.json")
+    scan_data = balanced2()
+    scan_data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.5,
+                                   "max": 1.5, "steps": 3}]}
+    scan = write_config(tmp_path, scan_data, name="scan.json")
+    calls = [
+        ["rs"],  # missing --config: usage error
+        ["rs", "--config", write_config(tmp_path, gauss2()), "--format", "json"],
+        ["region", "--config", region],
+        ["scan", "--config", scan],
+    ]
+    shared = [_run_main(argv, capsys) for argv in calls]
+    assert [code for code, _ in shared] == [2, 0, 0, 0]
+    for argv, result in zip(calls, shared):
+        cli._build_parser.cache_clear()
+        assert _run_main(argv, capsys) == result
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(section=model_sections(),
+       command=st.sampled_from(("region", "poly", "rs", "bound")))
+def test_fuzzed_model_section_exits_cleanly_property(tmp_path_factory, section,
+                                                     command):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(section))
+    try:
+        code = cli.main([command, "--config", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from dbmlab import ghquad, machine, rs_solver
 from dbmlab.ghquad import LOG_COSH, TANH_SQ
@@ -378,6 +379,102 @@ def test_nested_overlaps_are_strictly_positive():
         params = gaussian_params(rng, k_range=(2, 6), beta_range=(0.05, 0.3))
         sol = solve_nested(params)
         assert np.all(sol.q > 0.0)
+
+
+# A K=12 all-Gaussian chain whose shooting bracket shrinks to two adjacent
+# doubles with one end still infinite.
+_COLLAPSING_CHAIN = {
+    "K": 12,
+    "beta": [0.6845458261465869, 0.5439850085468507, 0.8678781290060247,
+             0.6337024407641715, 0.2912591807217949, 1.1967734432783101,
+             0.5999217069971979, 0.7355932669321763, 0.8114245107717102,
+             0.48422142112691363, 1.0397915921198755],
+    "lambda": [0.06821240889418836, 0.06290201313724363, 0.05774089261807735,
+               0.1515621299478433, 0.04460836872945795, 0.08425238310694158,
+               0.10946199578231725, 0.10479244292356482, 0.09201874632179341,
+               0.05888108432872921, 0.09308971415515907, 0.07247782005468408],
+    "fields": [{"kind": "gaussian_centered", "v": v} for v in (
+        0.481162642101288, 0.9585374114820423, 0.1783859250268458,
+        0.9534454991062596, 0.9444077243790596, 0.6981288607712508,
+        0.3949261031550421, 0.4526733455911364, 0.057109603199373346,
+        0.34981319893791885, 0.8787134880852336, 0.7816623248241595)],
+}
+
+
+def test_nested_stops_once_the_shooting_bracket_collapses(monkeypatch):
+    sweeps = 0
+    shoot = rs_solver._shoot_once
+
+    def counting(*args, **kwargs):
+        nonlocal sweeps
+        sweeps += 1
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(rs_solver, "_shoot_once", counting)
+    params = ModelParams.from_dict(_COLLAPSING_CHAIN)
+    with pytest.raises(SolverError) as info:
+        solve_nested(params)
+    assert str(info.value) == (
+        "chain shooting failed: the mismatch bracket never became finite")
+    assert sweeps < 100
+    assert info.value.iterations == sweeps
+
+
+def _doubling_tanh_sq_inverse(target, rule):
+    """Reference inversion: bracket doubling, then brentq on fresh values."""
+    if target <= 0.0:
+        return 0.0
+    hi = 1.0
+    while rs_solver._tanh_sq_variance(hi, rule) < target:
+        hi *= 4.0
+        if hi > rs_solver._TINV_CAP:
+            return None
+    return float(brentq(lambda s: rs_solver._tanh_sq_variance(s, rule) - target,
+                        0.0, hi, xtol=1e-30, rtol=1e-15))
+
+
+_INVERSION_RULES = {
+    "default": None,
+    "trapezoid181": ghquad.normal_trapezoid_rule(181),
+    "trapezoid3": ghquad.normal_trapezoid_rule(3),
+    "hermite40": ghquad.gauss_hermite_rule(40),
+}
+
+
+@pytest.mark.parametrize("rule_name", sorted(_INVERSION_RULES))
+def test_tanh_sq_inverse_is_bit_identical_to_fresh_brackets(rule_name):
+    rule = _INVERSION_RULES[rule_name]
+    targets = ([-0.5, 0.0, 1e-14, 1e-6] + list(np.linspace(0.01, 0.95, 48))
+               + [1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.5])
+    shared: list = []
+    for target in targets:
+        want = _doubling_tanh_sq_inverse(float(target), rule)
+        for brackets in (shared, []):
+            got = rs_solver._tanh_sq_inverse(float(target), rule, brackets)
+            assert (got is None) == (want is None), target
+            assert got == want, target
+    # Later targets reused the table: one entry per bracket end reached.
+    assert len(shared) <= 15
+    assert shared == [rs_solver._tanh_sq_variance(4.0 ** k, rule)
+                      for k in range(len(shared))]
+
+
+def test_nested_solve_never_evaluates_the_kernel_at_zero_variance(monkeypatch):
+    expect = ghquad.expect
+    zero_variance = []
+
+    def recording(f, s, field, rule=None):
+        if s == 0.0 and field.is_zero:
+            zero_variance.append(field)
+        return expect(f, s, field, rule)
+
+    monkeypatch.setattr(ghquad, "expect", recording)
+    rng = np.random.default_rng(27)
+    for rule in (None, ghquad.normal_trapezoid_rule(181)):
+        for _ in range(4):
+            sol = solve_nested(gaussian_params(rng, k_range=(2, 6)), rule=rule)
+            assert sol.residual < 1e-10
+    assert zero_variance == []
 
 
 # ---------------------------------------------------------------------------
