@@ -9,8 +9,8 @@ machine
     Model parameters, activities, annealed pressure, interaction matrices,
     spectral radius, annealed-region classification, extremal layer widths.
 ghquad
-    Gauss--Hermite quadrature for expectations of smooth functions of a
-    Gaussian plus an external field.
+    Expectations of smooth functions of a Gaussian plus an external field,
+    by a truncated-Gaussian trapezoid rule (Gauss--Hermite for comparison).
 rs_solver
     Replica-symmetric consistency equations: pressure functional, fixed-point
     and nested solvers, stability and high-temperature certificates.

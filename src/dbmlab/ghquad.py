@@ -20,12 +20,20 @@ default rule at machine accuracy (~1e-13) through ``s + v <= 25``.  A classic
 normalized Gauss--Hermite constructor is provided for comparison and for
 low-variance work; both satisfy the :class:`QuadratureRule` contract
 (positive weights summing to one, symmetric nodes).
+
+Derivatives in the variance
+---------------------------
+:func:`expect` is the only expectation entry point.  Derivatives in ``s``
+come from it by Gaussian integration by parts,
+``d/ds E f(z sqrt(s) + h) = (1/2) E f''(z sqrt(s) + h)``, for every field
+kind and at ``s = 0``; with ``(tanh^2)'' = 6 cosh^-4 - 4 cosh^-2`` that
+gives ``d/ds E tanh^2 = 3 E cosh^-4 - 2 (1 - E tanh^2)``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -35,7 +43,6 @@ from .machine import FieldSpec
 __all__ = [
     "DEFAULT_ORDER",
     "QuadratureRule",
-    "Kernel",
     "TANH_SQ",
     "LOG_COSH",
     "INV_COSH4",
@@ -44,7 +51,6 @@ __all__ = [
     "normal_trapezoid_rule",
     "default_rule",
     "expect",
-    "expect_derivative_in_s",
 ]
 
 DEFAULT_ORDER = 361
@@ -61,16 +67,6 @@ class QuadratureRule:
     order: int
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
-    """A scalar kernel with (optional) first and second derivatives."""
-
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None
-    deriv2: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
-
-
 def logcosh(y):
     """Overflow-safe ``log cosh y = |y| + log1p(e^(-2|y|)) - log 2``."""
     a = np.abs(y)
@@ -82,31 +78,15 @@ def _tanh_sq(y):
     return t * t
 
 
-def _tanh_sq_deriv(y):
-    t = np.tanh(y)
-    return 2.0 * t * (1.0 - t * t)
-
-
-def _tanh_sq_deriv2(y):
-    t_sq = np.tanh(y) ** 2
-    return 2.0 * (1.0 - t_sq) * (1.0 - 3.0 * t_sq)
-
-
 def _inv_cosh4(y):
     # sech^2 = 1 - tanh^2 avoids overflowing cosh at large |y|
     u = 1.0 - np.tanh(y) ** 2
     return u * u
 
 
-def _inv_cosh4_deriv(y):
-    t = np.tanh(y)
-    u = 1.0 - t * t
-    return -4.0 * t * u * u
-
-
-TANH_SQ = Kernel(_tanh_sq, _tanh_sq_deriv, _tanh_sq_deriv2, name="tanh_sq")
-LOG_COSH = Kernel(logcosh, np.tanh, lambda y: 1.0 - np.tanh(y) ** 2, name="log_cosh")
-INV_COSH4 = Kernel(_inv_cosh4, _inv_cosh4_deriv, name="inv_cosh4")
+TANH_SQ = _tanh_sq
+LOG_COSH = logcosh
+INV_COSH4 = _inv_cosh4
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +126,10 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER,
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
-_default_rule_cache: QuadratureRule | None = None
-
-
+@functools.cache
 def default_rule() -> QuadratureRule:
     """The module-wide default rule (cached)."""
-    global _default_rule_cache
-    if _default_rule_cache is None:
-        _default_rule_cache = normal_trapezoid_rule(DEFAULT_ORDER)
-    return _default_rule_cache
+    return normal_trapezoid_rule(DEFAULT_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -180,45 +155,14 @@ def _field_atoms(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return np.asarray(field.values, dtype=float), np.asarray(field.probs, dtype=float), 0.0
 
 
-def _kernel_value(f) -> Callable:
-    return f.value if isinstance(f, Kernel) else f
-
-
 def expect(f, s: float, field: FieldSpec, rule: QuadratureRule | None = None) -> float:
     """``E f(z sqrt(s) + h)`` for standard Gaussian ``z`` and field ``h``."""
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError("variance s must be finite and >= 0")
-    fn = _kernel_value(f)
     if rule is None:
         rule = default_rule()
     shifts, probs, extra = _field_atoms(field)
     std = math.sqrt(s + extra)
     y = std * rule.nodes[None, :] + shifts[:, None]
-    vals = np.asarray(fn(y), dtype=float)
+    vals = np.asarray(f(y), dtype=float)
     return float(probs @ (vals @ rule.weights))
-
-
-def expect_derivative_in_s(f, s: float, field: FieldSpec,
-                           rule: QuadratureRule | None = None) -> float:
-    """``d/ds E f(z sqrt(s) + h)``, differentiated under the integral sign.
-
-    Equals ``E[f'(z sqrt(u) + h) z] / (2 sqrt(u))`` with ``u`` the total
-    Gaussian variance (``s`` plus any centered-Gaussian field variance).
-    Requires ``u > 0``; at ``u = 0`` the map ``s -> sqrt(s)`` is not
-    differentiable, so a one-sided finite difference of :func:`expect` is the
-    caller's fallback there.
-    """
-    if not isinstance(f, Kernel) or f.deriv is None:
-        raise TypeError("expect_derivative_in_s needs a Kernel with a derivative")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValueError("variance s must be finite and >= 0")
-    if rule is None:
-        rule = default_rule()
-    shifts, probs, extra = _field_atoms(field)
-    total = s + extra
-    if total <= 0.0:
-        raise ValueError("total variance must be positive to differentiate in s")
-    std = math.sqrt(total)
-    y = std * rule.nodes[None, :] + shifts[:, None]
-    vals = np.asarray(f.deriv(y), dtype=float) * rule.nodes[None, :]
-    return float(probs @ (vals @ rule.weights)) / (2.0 * std)

@@ -231,8 +231,11 @@ class ModelParams:
     @staticmethod
     def from_dict(d: dict) -> "ModelParams":
         fields = tuple(FieldSpec.from_dict(f) for f in d.get("fields", []))
+        K = d["K"]
+        if isinstance(K, bool) or int(K) != float(K):
+            raise ValueError(f"K must be an integer, got {K!r}")
         return ModelParams(
-            K=int(d["K"]),
+            K=int(K),
             beta=tuple(float(b) for b in d["beta"]),
             lam=tuple(float(x) for x in d["lambda"]),
             fields=fields,

@@ -51,6 +51,8 @@ _ZERO_FIELD = FieldSpec.zero()
 _BRENTQ_RTOL = 1e-15
 # Newton steps allowed to one scalar overlap solve.
 _SCALAR_STEPS = 60
+# High-temperature line: a layer with theta^2 below it is certified outright.
+_TALAGRAND_LINE = 0.125
 
 
 class SolverError(RuntimeError):
@@ -229,6 +231,12 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _tanh_sq_slope(s: float, field: FieldSpec, rule: QuadratureRule | None,
+                   tanh_sq: float) -> float:
+    """``d/ds tanh_sq`` for ``tanh_sq = E tanh^2(z sqrt(s) + h)``, by parts."""
+    return 3.0 * ghquad.expect(INV_COSH4, s, field, rule) - 2.0 * (1.0 - tanh_sq)
+
+
 def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
                     rule: QuadratureRule | None,
                     warm: float | None = None) -> tuple[float, bool]:
@@ -250,7 +258,8 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
     x = warm if warm is not None and 0.0 < warm < 1.0 else 0.5
     best_x, best_defect = x, math.inf
     for _ in range(_SCALAR_STEPS):
-        defect = ghquad.expect(TANH_SQ, two_t * x, field, rule) - x
+        tanh_sq = ghquad.expect(TANH_SQ, two_t * x, field, rule)
+        defect = tanh_sq - x
         if abs(defect) < abs(best_defect):
             best_x, best_defect = x, defect
         if abs(defect) < tol:
@@ -259,7 +268,7 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
             lo = x
         else:
             hi = x
-        slope = two_t * ghquad.expect_derivative_in_s(TANH_SQ, two_t * x, field, rule)
+        slope = two_t * _tanh_sq_slope(two_t * x, field, rule, tanh_sq)
         candidate = x + defect / (1.0 - slope) if slope < 1.0 else 0.5 * (lo + hi)
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
@@ -319,7 +328,7 @@ def check_talagrand(q, params: ModelParams, a=None) -> list:
         if q[p] > 0.0:
             flags.append(bool(m[p] < 0.25 * q[p]))
         elif theta_sq is not None:
-            flags.append(bool(theta_sq[p] < 0.125))
+            flags.append(bool(theta_sq[p] < _TALAGRAND_LINE))
         else:
             flags.append(None)
     return flags
@@ -337,11 +346,14 @@ def check_at(q, params: ModelParams, *,
     params.require_fields("check_at", gaussian=True)
     _, _, M = machine.build_matrices(params)
     m = M @ q
-    flags = []
-    for p in range(params.K):
-        ec4 = ghquad.expect(INV_COSH4, float(m[p]), params.fields[p], rule)
-        flags.append(bool(m[p] * ec4 <= q[p]))
-    return flags
+    return [_at_stable(float(m[p]), q[p], params.fields[p], rule)
+            for p in range(params.K)]
+
+
+def _at_stable(m: float, q: float, field: FieldSpec,
+               rule: QuadratureRule | None) -> bool:
+    """Scalar de Almeida--Thouless test ``m E cosh^-4(z sqrt(m) + h) <= q``."""
+    return bool(m * ghquad.expect(INV_COSH4, m, field, rule) <= q)
 
 
 def _certificates(q, params: ModelParams, a=None, *,
@@ -449,6 +461,9 @@ def _tanh_sq_inverse(target: float, rule: QuadratureRule | None,
     return float(brentq(defect, 0.0, hi, xtol=1e-30, rtol=_BRENTQ_RTOL))
 
 
+# The sweep signals over- and undershoot by infinities, so division by zero
+# and overflow are expected there; a NaN would carry no sign, so it raises.
+@np.errstate(divide="ignore", over="ignore", invalid="raise")
 def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
                 rule: QuadratureRule | None, brackets: list[float]):
     """One forward sweep of the layer chain from a trial first-layer variance.
@@ -507,20 +522,27 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
     its root does not yield a complete sweep (a too-coarse quadrature
     rule or a very deep chain can cause either).  Bisection stops as soon
     as the bracket has shrunk to adjacent doubles with an end still
-    infinite, since every further sweep would repeat the last one.
+    infinite, since every further sweep would repeat the last one.  A
+    sweep that produces a NaN is a :class:`SolverError` too.
     """
     sweeps = 0
     brackets: list[float] = []
-
-    def mismatch(u: float) -> float:
-        nonlocal sweeps
-        sweeps += 1
-        return _shoot_once(v[0] + math.exp(u), params, v, rule, brackets)[0]
 
     def failure(what: str) -> SolverError:
         return SolverError(f"chain shooting failed: {what}",
                            last_q=np.full(params.K, math.nan),
                            residual=math.inf, iterations=sweeps)
+
+    def sweep(u: float):
+        nonlocal sweeps
+        sweeps += 1
+        try:
+            return _shoot_once(v[0] + math.exp(u), params, v, rule, brackets)
+        except FloatingPointError:
+            raise failure("a sweep produced an invalid value") from None
+
+    def mismatch(u: float) -> float:
+        return sweep(u)[0]
 
     lo = hi = 0.0
     f_lo = f_hi = mismatch(0.0)
@@ -553,12 +575,11 @@ def _solve_shoot(params: ModelParams, v: np.ndarray,
     else:
         raise failure("the mismatch bracket never became finite")
     u_root = brentq(mismatch, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
-    _, q, _ = _shoot_once(v[0] + math.exp(u_root), params, v, rule, brackets)
+    _, q, _ = sweep(u_root)
     if q is None:
         # The root evaluation landed on a shot boundary; nudge inward.
         for shift in (1e-12, -1e-12, 1e-9, -1e-9):
-            _, q, _ = _shoot_once(v[0] + math.exp(u_root + shift), params, v,
-                                  rule, brackets)
+            _, q, _ = sweep(u_root + shift)
             if q is not None:
                 break
     if q is None:

@@ -30,16 +30,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import ghquad, machine, rs_solver
-from .ghquad import INV_COSH4, LOG_COSH, QuadratureRule
+from .ghquad import LOG_COSH, QuadratureRule
 from .machine import ModelParams
-from .rs_solver import _newton_polish, _scalar_overlap, _theta_sq_from_aux
+from .rs_solver import (_TALAGRAND_LINE, _at_stable, _newton_polish,
+                        _scalar_overlap, _theta_sq_from_aux)
 
 _LOG2 = math.log(2.0)
 
 # Relatedness tolerance for (overlap, auxiliary) pairs.
 _RELATED_TOL = 1e-10
-# A layer is certified outright when theta^2 stays below this line.
-_TALAGRAND_LINE = 0.125
 # Scalar consistency solves stop at this defect.
 _SCALAR_TOL = 1e-13
 # Optimization box in u = log(a), and the width beyond which a maximizer
@@ -131,17 +130,10 @@ def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
     line ``theta^2 < 1/8`` or when the scalar Almeida-Thouless criterion
     holds at its surrogate overlap.
     """
-    if not converged:
-        return False
-    for p in range(params.K):
-        t = float(theta_sq[p])
-        if t < _TALAGRAND_LINE:
-            continue
-        m = 2.0 * float(overlaps[p]) * t
-        ec4 = ghquad.expect(INV_COSH4, m, params.fields[p], rule)
-        if not m * ec4 <= overlaps[p]:
-            return False
-    return True
+    return converged and all(
+        float(t) < _TALAGRAND_LINE
+        or _at_stable(2.0 * float(x) * float(t), x, field, rule)
+        for t, x, field in zip(theta_sq, overlaps, params.fields))
 
 
 def p_dbm_functional(a, params: ModelParams, *,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,7 @@ def test_malformed_config_is_usage_error(tmp_path):
         cfg = write_config(tmp_path, data, name="damping.json")
         assert cli.main(["rs", "--config", cfg]) == 2
     for model in ({"K": 2, "beta": [1e77], "lambda": [0.5, 0.5]},
+                  {"K": 2.9, "beta": [0.5], "lambda": [0.5, 0.5]},
                   {"K": 1, "beta": [], "lambda": [1.0], "fields": [[]]},
                   {"K": 1, "beta": [], "lambda": [1.0], "fields": "zero"},
                   {"K": 1, "beta": [], "lambda": [1.0],
@@ -443,6 +445,20 @@ def test_solver_failure_is_exit_one_with_one_line(tmp_path, capsys):
     # Three quadrature nodes are too coarse for the nested solver's sweep.
     cfg = write_config(tmp_path, gauss2())
     assert cli.main(["rs", "--config", cfg, "--quadrature-order", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver did not converge:")
+    assert err.count("\n") == 1
+
+
+def test_infinite_sweep_signals_raise_no_warning(tmp_path, capsys):
+    # beta_1^2 underflows to zero, so every chain sweep divides by zero.
+    cfg = write_config(tmp_path, model_dict(
+        3, (1e-300, 1.0), (0.25, 0.5, 0.25),
+        (FieldSpec.gaussian(1e-300), FieldSpec.gaussian(0.5),
+         FieldSpec.gaussian(0.5))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["rs", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: solver did not converge:")
     assert err.count("\n") == 1

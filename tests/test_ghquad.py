@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dbmlab import ghquad
-from dbmlab.ghquad import LOG_COSH, TANH_SQ, Kernel
+from dbmlab import ghquad, rs_solver
+from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_SQ
 from dbmlab.machine import FieldSpec
 
 from oracles import mc_gauss_expect, trapezoid_gauss_expect
@@ -129,48 +129,83 @@ def test_expect_rejects_negative_variance():
         ghquad.expect(TANH_SQ, -0.1, FieldSpec.zero())
 
 
+def test_expect_is_the_only_expectation_entry_point():
+    assert [n for n in ghquad.__all__ if n.startswith("expect")] == ["expect"]
+
+
 # ---------------------------------------------------------------------------
-# derivative under the integral sign
+# derivative in the variance, by Gaussian integration by parts
 # ---------------------------------------------------------------------------
+
+
+_ALL_FIELD_KINDS = (FieldSpec.zero(), FieldSpec.gaussian(0.6),
+                    FieldSpec.point_mass(0.4),
+                    FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+
+
+def _slope(s, field):
+    """The overlap solver's ``d/ds E tanh^2(z sqrt(s) + h)``."""
+    return rs_solver._tanh_sq_slope(s, field, None, ghquad.expect(TANH_SQ, s, field))
+
+
+def _differentiated_under_the_integral(s, field):
+    """``E[(tanh^2)'(z sqrt(u) + h) z] / (2 sqrt(u))``, ``u`` the total variance.
+
+    Differentiation under the integral sign, the reference for the
+    integration-by-parts slope; it needs ``u > 0``.
+    """
+    rule = ghquad.default_rule()
+    shifts, probs, extra = ghquad._field_atoms(field)
+    std = math.sqrt(s + extra)
+    t = np.tanh(std * rule.nodes[None, :] + shifts[:, None])
+    vals = 2.0 * t * (1.0 - t * t) * rule.nodes[None, :]
+    return float(probs @ (vals @ rule.weights)) / (2.0 * std)
 
 
 def test_expect_derivative_matches_finite_differences():
     eps = 1e-5
-    for field in (FieldSpec.zero(), FieldSpec.point_mass(0.4), FieldSpec.gaussian(0.6)):
-        for s in (0.3, 1.0, 4.0):
-            der = ghquad.expect_derivative_in_s(TANH_SQ, s, field)
+    for field in _ALL_FIELD_KINDS:
+        for s in (0.3, 1.0, 2.0, 4.0, 20.0):
+            der = _slope(s, field)
             fd = (
                 ghquad.expect(TANH_SQ, s + eps, field)
                 - ghquad.expect(TANH_SQ, s - eps, field)
             ) / (2.0 * eps)
-            assert der == pytest.approx(fd, abs=1e-6)
+            assert der == pytest.approx(fd, abs=1e-8)
+            assert der == pytest.approx(
+                _differentiated_under_the_integral(s, field), abs=1e-14)
 
 
 def test_expect_derivative_of_square_is_one():
-    square = Kernel(value=lambda y: y**2, deriv=lambda y: 2.0 * y)
-    for s in (0.2, 1.0, 9.0):
-        der = ghquad.expect_derivative_in_s(square, s, FieldSpec.zero())
-        assert der == pytest.approx(1.0, rel=1e-12)
-        der = ghquad.expect_derivative_in_s(square, s, FieldSpec.point_mass(0.7))
-        assert der == pytest.approx(1.0, rel=1e-12)
+    # d/ds E f = (1/2) E f'' for f(y) = y^2, and the rule is exact on it.
+    eps = 0.1
+    for field in (FieldSpec.zero(), FieldSpec.point_mass(0.7)):
+        for s in (0.2, 1.0, 9.0):
+            fd = (
+                ghquad.expect(lambda y: y**2, s + eps, field)
+                - ghquad.expect(lambda y: y**2, s - eps, field)
+            ) / (2.0 * eps)
+            assert fd == pytest.approx(1.0, rel=1e-12)
 
 
 def test_expect_derivative_at_zero_variance():
-    with pytest.raises(ValueError):
-        ghquad.expect_derivative_in_s(TANH_SQ, 0.0, FieldSpec.zero())
-    # a Gaussian field keeps the total variance positive, so s = 0 is fine
-    der = ghquad.expect_derivative_in_s(TANH_SQ, 0.0, FieldSpec.gaussian(0.5))
+    # At s = 0 only the Gaussian field keeps the total variance positive.
+    # For the other kinds the slope is (1/2) E (tanh^2)''(h)
+    # = E[3 cosh^-4 h - 2 cosh^-2 h].
     eps = 1e-5
-    fd = (
-        ghquad.expect(TANH_SQ, eps, FieldSpec.gaussian(0.5))
-        - ghquad.expect(TANH_SQ, 0.0, FieldSpec.gaussian(0.5))
-    ) / eps
-    assert der == pytest.approx(fd, abs=1e-4)
-
-
-def test_expect_derivative_requires_derivative_kernel():
-    with pytest.raises(TypeError):
-        ghquad.expect_derivative_in_s(lambda y: y**2, 1.0, FieldSpec.zero())
+    for field in _ALL_FIELD_KINDS:
+        der = _slope(0.0, field)
+        if field.v > 0.0:
+            exact = _differentiated_under_the_integral(0.0, field)
+        else:
+            shifts, probs, _ = ghquad._field_atoms(field)
+            sech_sq = 1.0 / np.cosh(shifts) ** 2
+            exact = float(probs @ (3.0 * sech_sq**2 - 2.0 * sech_sq))
+        assert der == pytest.approx(exact, abs=1e-14)
+        tanh_sq = [ghquad.expect(TANH_SQ, k * eps, field) for k in range(3)]
+        fd = (-3.0 * tanh_sq[0] + 4.0 * tanh_sq[1] - tanh_sq[2]) / (2.0 * eps)
+        assert der == pytest.approx(fd, abs=1e-8)
+    assert _slope(0.0, FieldSpec.zero()) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +217,7 @@ def test_doubling_the_order_is_converged():
     base = ghquad.default_rule()
     doubled = ghquad.normal_trapezoid_rule(2 * base.order)
     for s in (0.1, 1.0, 9.0, 25.0):
-        for kernel in (TANH_SQ, LOG_COSH, ghquad.INV_COSH4):
+        for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
             a = ghquad.expect(kernel, s, FieldSpec.zero(), rule=base)
             b = ghquad.expect(kernel, s, FieldSpec.zero(), rule=doubled)
             assert abs(a - b) < 1e-10 * max(1.0, abs(a))
@@ -202,8 +237,8 @@ def test_tanh_sq_expectation_bounded_and_monotone():
     assert np.all(np.diff(vals) > 0.0)
 
 
-def _fresh_atom_expect(f, s, field, rule, derivative=False):
-    """``expect`` / ``expect_derivative_in_s`` with freshly allocated atoms."""
+def _fresh_atom_expect(f, s, field, rule):
+    """``expect`` with freshly allocated atoms."""
     if field.kind in ("zero", "gaussian_centered"):
         shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
     else:
@@ -212,10 +247,7 @@ def _fresh_atom_expect(f, s, field, rule, derivative=False):
         extra = 0.0
     std = math.sqrt(s + extra)
     y = std * rule.nodes[None, :] + shifts[:, None]
-    if not derivative:
-        return float(probs @ (np.asarray(f.value(y), dtype=float) @ rule.weights))
-    vals = np.asarray(f.deriv(y), dtype=float) * rule.nodes[None, :]
-    return float(probs @ (vals @ rule.weights)) / (2.0 * std)
+    return float(probs @ (np.asarray(f(y), dtype=float) @ rule.weights))
 
 
 def test_shared_atoms_are_read_only_and_bit_identical():
@@ -230,9 +262,6 @@ def test_shared_atoms_are_read_only_and_bit_identical():
                 with pytest.raises(ValueError):
                     atoms[0] = 5.0
         for s in (0.0, 0.4, 3.0):
-            for kernel in (TANH_SQ, LOG_COSH):
+            for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
                 assert ghquad.expect(kernel, s, field) == _fresh_atom_expect(
                     kernel, s, field, rule)
-                if s + field.v > 0.0:  # total variance must be positive
-                    assert ghquad.expect_derivative_in_s(kernel, s, field) == (
-                        _fresh_atom_expect(kernel, s, field, rule, derivative=True))

@@ -58,6 +58,17 @@ def test_params_json_round_trip():
     assert ModelParams.from_dict(d) == p
 
 
+def test_params_from_dict_needs_an_integral_layer_count():
+    for K in (3, 3.0):
+        d = {"K": K, "beta": [0.5, 0.5], "lambda": [0.3, 0.3, 0.4]}
+        assert ModelParams.from_dict(d).K == 3
+    for d in ({"K": 2.9, "beta": [0.5], "lambda": [0.5, 0.5]},
+              {"K": float("nan"), "beta": [0.5], "lambda": [0.5, 0.5]},
+              {"K": True, "beta": [], "lambda": [1.0]}):
+        with pytest.raises(ValueError):
+            ModelParams.from_dict(d)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(params=model_params())
 def test_params_dict_round_trip_property(params):

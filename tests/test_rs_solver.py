@@ -420,6 +420,17 @@ def test_nested_stops_once_the_shooting_bracket_collapses(monkeypatch):
     assert info.value.iterations == sweeps
 
 
+def test_nested_sweep_without_a_sign_is_a_solver_error(monkeypatch):
+    # With T = 0 the first layer multiplies 0 by an infinite weight.
+    monkeypatch.setattr(rs_solver, "_tanh_sq_variance", lambda s, rule: 0.0)
+    params = ModelParams(K=3, beta=(0.8, 0.9), lam=(0.3, 0.4, 0.3),
+                         fields=(FieldSpec.gaussian(0.5),) * 3)
+    with pytest.raises(SolverError,
+                       match="a sweep produced an invalid value") as info:
+        solve_nested(params)
+    assert info.value.iterations == 1
+
+
 def _doubling_tanh_sq_inverse(target, rule):
     """Reference inversion: bracket doubling, then brentq on fresh values."""
     if target <= 0.0:
