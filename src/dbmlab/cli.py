@@ -90,10 +90,10 @@ class _Config:
 def _parse_axis(obj: dict, params: ModelParams) -> ScanAxis:
     try:
         path = str(obj["path"])
-        lo = float(obj["min"])
-        hi = float(obj["max"])
-        steps = int(obj["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
+        lo, hi = (machine.config_number(obj[key], f"'{key}'")
+                  for key in ("min", "max"))
+        steps = machine.config_number(obj["steps"], "'steps'", integral=True)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"scan axis needs path/min/max/steps: {exc}") from exc
     match = _AXIS_RE.match(path)
     if match is None:
@@ -289,12 +289,21 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _setting(section: dict, key: str, default, kind):
-    """``kind(section[key])`` (or of ``default``), as a usage error if invalid."""
+def _number(value, what: str, kind=float):
+    """``value`` as a JSON number of type ``kind`` (``float`` or ``int``).
+
+    Booleans, strings and, for ``int``, fractional numbers are usage
+    errors (:func:`machine.config_number`).
+    """
     try:
-        return kind(section.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value for '{key}': {exc}") from exc
+        return machine.config_number(value, what, integral=kind is int)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid value: {exc}") from exc
+
+
+def _setting(section: dict, key: str, default, kind):
+    """``section[key]`` (or ``default``) read by :func:`_number`."""
+    return _number(section.get(key, default), f"'{key}'", kind)
 
 
 def _tol(args, config: _Config) -> float:
@@ -461,7 +470,10 @@ def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
 def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     params = config.params
     section = config.verify
-    totals = section.get("sizes", (12, 18, 24))
+    totals = section.get("sizes", [12, 18, 24])
+    if not isinstance(totals, list):
+        raise ConfigError("'sizes' must be a JSON list of integers")
+    totals = [_number(n, "'sizes' entries", int) for n in totals]
     n_disorder = _setting(section, "n_disorder", 200, int)
     sweeps = _setting(section, "sweeps", 400, int)
     replicas = _setting(section, "replicas", 21, int)
@@ -470,7 +482,7 @@ def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     n_pairs = _setting(section, "n_pairs", 10, int)
     try:
         assignments = [
-            finite_volume_lab.LayerAssignment.from_weights(params.lam, int(n))
+            finite_volume_lab.LayerAssignment.from_weights(params.lam, n)
             for n in totals]
         report = finite_volume_lab.annealed_trend(
             params, assignments, n_disorder, args.seed,

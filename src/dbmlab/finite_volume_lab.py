@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from . import machine
 from .machine import FieldSpec, ModelParams
@@ -184,28 +184,40 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
 
 
 def _split_layers(assignment: LayerAssignment, sigma: np.ndarray) -> list[np.ndarray]:
+    """Per-layer views of one configuration ``(N,)`` or of a stack ``(n, N)``."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (assignment.N,):
-        raise ValueError(f"spin configuration must have shape ({assignment.N},)")
+    if sigma.ndim not in (1, 2) or sigma.shape[-1] != assignment.N:
+        raise ValueError(
+            f"spin configurations must have shape ({assignment.N},) or (n, {assignment.N})")
     if not np.all(np.abs(sigma) == 1.0):
         raise ValueError("spins must be +-1")
     bounds = np.cumsum((0,) + assignment.sizes)
-    return [sigma[bounds[p]:bounds[p + 1]] for p in range(len(assignment.sizes))]
+    return [sigma[..., bounds[p]:bounds[p + 1]]
+            for p in range(len(assignment.sizes))]
 
 
-def hamiltonian(sample: DisorderSample, sigma, params: ModelParams) -> float:
-    """Interaction energy of one configuration (fields enter ``Z`` separately)."""
+def hamiltonian(sample: DisorderSample, sigma, params: ModelParams):
+    """Interaction energy ``-sqrt(2/N) sum_p beta_p sigma_p . J_p sigma_{p+1}``.
+
+    Fields enter ``Z`` separately.  ``sigma`` is one configuration of shape
+    ``(N,)``, giving a ``float``, or a stack of shape ``(n, N)``, giving an
+    array of ``n`` energies, one per row.
+    """
     if params.K != len(sample.assignment.sizes):
         raise ValueError("sample and parameters disagree on the layer count")
     parts = _split_layers(sample.assignment, sigma)
-    total = 0.0
+    total = np.zeros(parts[0].shape[:-1])
     for p in range(params.K - 1):
-        total += params.beta[p] * float(parts[p] @ sample.couplings[p] @ parts[p + 1])
-    return -math.sqrt(2.0 / sample.assignment.N) * total
+        total += params.beta[p] * np.einsum(
+            "...i,...i->...", parts[p] @ sample.couplings[p], parts[p + 1])
+    energy = -math.sqrt(2.0 / sample.assignment.N) * total
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
     """Per-layer overlaps ``(sigma_p . tau_p) / N_p`` (zero for empty layers)."""
+    if np.ndim(sigma) != 1 or np.ndim(tau) != 1:
+        raise ValueError("layer overlaps take two single configurations")
     parts_s = _split_layers(assignment, sigma)
     parts_t = _split_layers(assignment, tau)
     out = np.zeros(len(assignment.sizes))
@@ -232,12 +244,42 @@ def _spin_block(codes: np.ndarray, n: int) -> np.ndarray:
     return ((codes[:, None] >> np.arange(n)) & 1).astype(float) * 2.0 - 1.0
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis; overwrites ``a``.
+
+    The arithmetic of ``scipy.special.logsumexp`` (SciPy 1.15 and later):
+    with the row max ``m`` held by ``c`` entries, those entries leave the
+    sum ``s`` of ``exp(a - m)``, and the result is
+    ``log1p(s / c) + log(c) + m``.  On finite rows this is bit-identical to
+    SciPy; a row whose max is ``+inf``, ``-inf`` or NaN gives that max, as
+    SciPy does.
+    """
+    m = a.max(axis=-1, keepdims=True)
+    finite = np.isfinite(m)
+    # Only rows with a non-finite max can raise here, and their values are
+    # discarded by the last line.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a -= np.where(finite, m, 0.0)
+        top = a == 0.0
+        np.exp(a, out=a)
+        np.copyto(a, 0.0, where=top)
+        count = np.count_nonzero(top, axis=-1)
+        s = a.sum(axis=-1)
+        out = np.log1p(np.where(s == 0.0, s, s / count)) + np.log(count) + m[..., 0]
+    return np.where(finite[..., 0], out, m[..., 0])
+
+
 def log_partition(sample: DisorderSample, params: ModelParams) -> float:
     """Exact ``log Z`` by a layer-by-layer transfer contraction.
 
     Sums all ``2^N`` configurations in log space, processing layers left to
     right so that memory stays polynomial in the per-layer counts; capped
-    at ``N <= 24`` spins.
+    at ``N <= 24`` spins.  Each transfer row is reduced by
+    :func:`_logsumexp_rows`, a NumPy log-sum-exp that performs SciPy's
+    ``logsumexp`` operations in SciPy's order, so ``log Z`` keeps its bits,
+    but skips SciPy's second, unshifted pass over the row and its per-call
+    dispatch.  A plain ``m + log(sum(exp(a - m)))`` would not keep them:
+    SciPy takes the max entries out of the sum and adds ``log1p``.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -262,12 +304,12 @@ def log_partition(sample: DisorderSample, params: ModelParams) -> float:
         for t0 in range(0, total_next, block):
             codes = np.arange(t0, min(t0 + block, total_next))
             spins = _spin_block(codes, n_next)
-            cross = spins @ bond.T
-            nxt[t0:t0 + codes.size] = (
-                logsumexp(log_weights[None, :] + cross, axis=1)
-                + spins @ sample.fields[p + 1])
+            rows = spins @ bond.T
+            rows += log_weights
+            nxt[t0:t0 + codes.size] = (_logsumexp_rows(rows)
+                                       + spins @ sample.fields[p + 1])
         log_weights = nxt
-    return float(logsumexp(log_weights))
+    return float(_logsumexp_rows(log_weights))
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -312,17 +354,42 @@ def _drift_detected(series: np.ndarray) -> bool:
     return bool(abs(float(np.mean(recent) - np.mean(previous))) > 3.0 * pooled)
 
 
-def _interaction_gain(states: np.ndarray, sample: DisorderSample,
-                      params: ModelParams, bounds: np.ndarray) -> np.ndarray:
-    """Negative interaction energy ``-H`` for every replica row."""
-    N = sample.assignment.N
-    gain = np.zeros(states.shape[0])
-    for p in range(params.K - 1):
-        left = states[:, bounds[p]:bounds[p + 1]]
-        right = states[:, bounds[p + 1]:bounds[p + 2]]
-        gain += params.beta[p] * np.einsum("ri,rj->r", left @ sample.couplings[p],
-                                           right)
-    return math.sqrt(2.0 / N) * gain
+def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
+                     slope: np.ndarray, fields2: list[np.ndarray],
+                     draws: np.ndarray) -> np.ndarray:
+    """One heat-bath sweep over the layers of every rung; returns ``-H`` per rung.
+
+    ``layers[p]`` is the ``(R, N_p)`` view of layer ``p`` in the rung
+    states, updated in place, and ``coupled[p]`` is ``sqrt(2/N) beta_p J_p``.
+    A spin of layer ``p`` with coupling field ``g`` at rung ``r`` becomes
+    ``+1`` with probability ``expit(slope[r] * g + fields2[p])``, where
+    ``slope`` is twice the rung's coupling scale and ``fields2[p]`` twice
+    the layer's fields.  ``draws`` holds the sweep's ``R * N`` uniforms,
+    layer by layer.  The product ``layers[p] @ coupled[p]`` taken after
+    layer ``p`` updates is both the left part of layer ``p + 1``'s coupling
+    field and, contracted with the updated layer ``p + 1``, bond ``p``'s
+    share of ``-H``.
+    """
+    R = slope.shape[0]
+    K = len(layers)
+    gain = np.zeros(R)
+    local = np.zeros(layers[0].shape)
+    start = 0
+    for p in range(K):
+        layer = layers[p]
+        if p < K - 1:
+            local = local + layers[p + 1] @ coupled[p].T
+        stop = start + layer.size
+        uniforms = draws[start:stop].reshape(layer.shape)
+        start = stop
+        layer[...] = np.where(uniforms < expit(slope * local + fields2[p]),
+                              1.0, -1.0)
+        if p > 0:
+            gain += np.einsum("ri,ri->r", below, layer)
+        if p < K - 1:
+            below = layer @ coupled[p]
+            local = below
+    return gain
 
 
 def _mc_sample_pressure(sample: DisorderSample, params: ModelParams,
@@ -332,7 +399,10 @@ def _mc_sample_pressure(sample: DisorderSample, params: ModelParams,
 
     The coupling scale runs over Gauss-Legendre ``nodes`` in ``[0, 1]``; the
     rungs double as a parallel-tempering ladder with swap moves after every
-    sweep.  The anchor at scale zero is the exact decoupled pressure.
+    sweep.  The anchor at scale zero is the exact decoupled pressure, and
+    the integrand at a rung is its mean ``-H``, the interaction energy
+    :func:`hamiltonian` gives for the same states.  Each sweep draws its
+    heat-bath and swap uniforms in one call.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -342,27 +412,21 @@ def _mc_sample_pressure(sample: DisorderSample, params: ModelParams,
     bounds = np.cumsum((0,) + sizes)
     scale = math.sqrt(2.0 / N)
     h_all = np.concatenate(sample.fields) if N else np.zeros(0)
+    coupled = [(scale * params.beta[p]) * sample.couplings[p] for p in range(K - 1)]
+    slope = (2.0 * nodes)[:, None]
+    fields2 = [2.0 * h for h in sample.fields]
 
     states = gen.integers(0, 2, size=(R, N)).astype(float) * 2.0 - 1.0
+    layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(K)]
     burn_in = sweeps // 2
     records = np.empty((sweeps - burn_in, R))
     for sweep in range(sweeps):
-        for p in range(K):
-            local = np.zeros((R, sizes[p]))
-            if p > 0:
-                local += params.beta[p - 1] * (
-                    states[:, bounds[p - 1]:bounds[p]] @ sample.couplings[p - 1])
-            if p < K - 1:
-                local += params.beta[p] * (
-                    states[:, bounds[p + 1]:bounds[p + 2]] @ sample.couplings[p].T)
-            effective = (scale * nodes)[:, None] * local + sample.fields[p][None, :]
-            draws = gen.random((R, sizes[p]))
-            states[:, bounds[p]:bounds[p + 1]] = np.where(
-                draws < expit(2.0 * effective), 1.0, -1.0)
-        gain = _interaction_gain(states, sample, params, bounds)
-        for r in range(sweep % 2, R - 1, 2):
+        rungs = range(sweep % 2, R - 1, 2)
+        draws = gen.random(R * N + len(rungs))
+        gain = _tempering_sweep(layers, coupled, slope, fields2, draws)
+        for r, u in zip(rungs, draws[R * N:]):
             log_accept = (nodes[r + 1] - nodes[r]) * (gain[r] - gain[r + 1])
-            if math.log(max(gen.random(), 1e-300)) < log_accept:
+            if math.log(max(u, 1e-300)) < log_accept:
                 states[[r, r + 1]] = states[[r + 1, r]]
                 gain[[r, r + 1]] = gain[[r + 1, r]]
         if sweep >= burn_in:
@@ -379,10 +443,16 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
                 seed: int = 0) -> PressureEstimate:
     """Quenched pressure by thermodynamic integration with parallel tempering.
 
-    Each disorder sample gets an independent keyed random stream, so the
-    estimate is reproducible regardless of evaluation order.  A
-    ``nonequilibrated`` flag is attached when any temperature rung shows a
-    significant energy drift late in its sweep series.
+    ``log Z`` at coupling scale one is the decoupled (fields-only) value
+    plus the integral over the scale ``t`` in ``[0, 1]`` of the mean of
+    ``-H`` (:func:`hamiltonian`) under the Gibbs measure at scale ``t``.
+    The ``replicas`` rungs sit at the Gauss-Legendre nodes of that
+    integral; each records ``-H`` of its states after every sweep, and the
+    second half of the sweeps is averaged.  Each disorder sample gets an
+    independent keyed random stream, so the estimate is reproducible
+    regardless of evaluation order.  A ``nonequilibrated`` flag is attached
+    when any temperature rung shows a significant energy drift late in its
+    sweep series.
     """
     if assignment.N > MC_SPIN_CAP:
         raise ValueError(f"Monte Carlo estimator is capped at {MC_SPIN_CAP} spins")
@@ -454,7 +524,9 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     For each configuration pair, estimates ``Cov(H(sigma), H(tau))`` over
     ``n_disorder`` common disorder samples and compares it to the quadratic
     overlap form it must equal in distribution.  ``pairs`` defaults to
-    ``n_pairs`` seeded random configuration pairs.
+    ``n_pairs`` seeded random configuration pairs.  Each disorder sample
+    costs one stacked :func:`hamiltonian` call on all ``2 * len(pairs)``
+    configurations.
     """
     if n_disorder < 3:
         raise ValueError("need at least three disorder samples")
@@ -466,12 +538,14 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
             for _ in range(n_pairs)]
     pairs = [(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
              for s, t in pairs]
-    energies = np.empty((len(pairs), 2, n_disorder))
+    if not pairs:
+        raise ValueError("need at least one configuration pair")
+    configs = np.array([spins for pair in pairs for spins in pair])
+    energies = np.empty((len(configs), n_disorder))
     for j in range(n_disorder):
         sample = sample_disorder(assignment, params, seed, j)
-        for k, (sigma, tau) in enumerate(pairs):
-            energies[k, 0, j] = hamiltonian(sample, sigma, params)
-            energies[k, 1, j] = hamiltonian(sample, tau, params)
+        energies[:, j] = hamiltonian(sample, configs, params)
+    energies = energies.reshape(len(pairs), 2, n_disorder)
     rows = []
     for k, (sigma, tau) in enumerate(pairs):
         ds = energies[k, 0] - energies[k, 0].mean()

@@ -21,6 +21,7 @@ positive.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,11 +42,43 @@ __all__ = [
     "classify_annealed",
     "extremal_lambda",
     "chain_quadratic_bound",
+    "config_number",
+    "config_numbers",
 ]
 
 _FIELD_KINDS = ("zero", "gaussian_centered", "point_mass", "discrete")
 MAX_FIELD_ATOMS = 64
 _SIMPLEX_TOL = 1e-9
+
+
+def config_number(value, what: str, integral: bool = False):
+    """``value`` read from a JSON config as a ``float``, or ``int`` if ``integral``.
+
+    Only JSON numbers load: booleans and numeric strings raise
+    ``ValueError`` although ``float()`` would take them, since ``true`` or
+    ``"0.7"`` where a number belongs is a malformed config.  ``integral``
+    also refuses numbers with a fractional part (``3.0`` loads as ``3``).
+    """
+    # ``float`` and ``int`` come first: the ABC checks cost far more.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{what} must be a JSON number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, (int, numbers.Integral)):
+        return int(value)
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def config_numbers(values, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats, each read as by :func:`config_number`."""
+    values = list(values)
+    # Plain ``int``/``float`` lists, the JSON case, skip the per-entry call.
+    if not {type(v) for v in values} <= {float, int}:
+        for v in values:
+            config_number(v, what)
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -143,17 +176,19 @@ class FieldSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
+        """Field from its JSON form; numbers must be JSON numbers (:func:`config_number`)."""
         if not isinstance(d, dict):
             raise TypeError(f"a field must be an object, not {type(d).__name__}")
         kind = d.get("kind", "zero")
         if kind == "zero":
             return FieldSpec.zero()
         if kind == "gaussian_centered":
-            return FieldSpec.gaussian(d["v"])
+            return FieldSpec.gaussian(config_number(d["v"], "a field variance v"))
         if kind == "point_mass":
-            return FieldSpec.point_mass(d["h0"])
+            return FieldSpec.point_mass(config_number(d["h0"], "a point-mass field h0"))
         if kind == "discrete":
-            return FieldSpec.discrete(d["values"], d["probs"])
+            return FieldSpec.discrete(config_numbers(d["values"], "field atoms"),
+                                      config_numbers(d["probs"], "field probabilities"))
         raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -230,14 +265,12 @@ class ModelParams:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelParams":
+        """Model from its JSON form; numbers must be JSON numbers (:func:`config_number`)."""
         fields = tuple(FieldSpec.from_dict(f) for f in d.get("fields", []))
-        K = d["K"]
-        if isinstance(K, bool) or int(K) != float(K):
-            raise ValueError(f"K must be an integer, got {K!r}")
         return ModelParams(
-            K=int(K),
-            beta=tuple(float(b) for b in d["beta"]),
-            lam=tuple(float(x) for x in d["lambda"]),
+            K=config_number(d["K"], "K", integral=True),
+            beta=config_numbers(d["beta"], "beta entries"),
+            lam=config_numbers(d["lambda"], "lambda entries"),
             fields=fields,
         )
 

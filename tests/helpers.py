@@ -87,7 +87,11 @@ def model_params(draw, k_range: tuple[int, int] = (1, 6)) -> ModelParams:
                        fields=tuple(fields))
 
 
-_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 14),
+# Booleans and numeric strings stand where numbers belong; ``float()`` would
+# take them, the config loader must not.
+_NOT_NUMBERS = st.one_of(st.booleans(),
+                         st.sampled_from(["0.7", "1", "2", "0.5", "nan"]))
+_JSON_LEAVES = st.one_of(st.none(), _NOT_NUMBERS, st.integers(-2, 14),
                          st.floats(), st.text(max_size=4),
                          st.sampled_from([1e-300, 1e77, 1e300, 10**400]))
 _FIELD_KEYS = ("kind", "v", "h0", "values", "probs")
@@ -121,4 +125,22 @@ def model_sections(draw, k_range: tuple[int, int] = (1, 4)) -> dict:
             section.pop(key, None)
         else:
             section[key] = draw(_JSON_VALUES)
+    return section
+
+
+@st.composite
+def mistyped_model_sections(draw, k_range: tuple[int, int] = (1, 4)) -> dict:
+    """A valid model section with one of its numbers replaced by a boolean
+    or a numeric string: ``K``, a ``beta`` or ``lambda`` entry, or a number
+    of a field."""
+    section = draw(model_params(k_range)).to_dict()
+    slots = [(section, "K")]
+    slots += [(section[key], i) for key in ("beta", "lambda")
+              for i in range(len(section[key]))]
+    for field in section["fields"]:
+        slots += [(field, key) for key in ("v", "h0") if key in field]
+        slots += [(field[key], i) for key in ("values", "probs")
+                  if key in field for i in range(len(field[key]))]
+    container, key = draw(st.sampled_from(slots))
+    container[key] = draw(_NOT_NUMBERS)
     return section

@@ -11,7 +11,7 @@ from dbmlab import cli, ghquad, machine
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
 
-from helpers import model_sections
+from helpers import mistyped_model_sections, model_sections
 
 LOG2 = math.log(2.0)
 
@@ -116,7 +116,7 @@ def test_malformed_config_is_usage_error(tmp_path):
                              (FieldSpec.point_mass(0.3), FieldSpec.zero())),
         name="point_mass.json")
     assert cli.main(["bound", "--config", point_mass]) == 2
-    for damping in (1.5, 0.0, -0.2, "nan"):
+    for damping in (1.5, 0.0, -0.2, "nan", "0.5", True):
         data = gauss2()
         data["solver"] = {"method": "fixed_point", "damping": damping}
         cfg = write_config(tmp_path, data, name="damping.json")
@@ -126,13 +126,35 @@ def test_malformed_config_is_usage_error(tmp_path):
                   {"K": 1, "beta": [], "lambda": [1.0], "fields": [[]]},
                   {"K": 1, "beta": [], "lambda": [1.0], "fields": "zero"},
                   {"K": 1, "beta": [], "lambda": [1.0],
-                   "fields": [{"kind": "gaussian_centered", "v": 10**400}]}):
+                   "fields": [{"kind": "gaussian_centered", "v": 10**400}]},
+                  {"K": 2, "beta": [True], "lambda": [0.5, 0.5]},
+                  {"K": 2, "beta": ["0.7"], "lambda": [0.5, 0.5]},
+                  {"K": "2", "beta": [0.7], "lambda": [0.5, 0.5]},
+                  {"K": 2, "beta": [0.7], "lambda": ["0.5", 0.5]},
+                  {"K": 1, "beta": [], "lambda": [1.0],
+                   "fields": [{"kind": "gaussian_centered", "v": True}]},
+                  {"K": 1, "beta": [], "lambda": [1.0],
+                   "fields": [{"kind": "point_mass", "h0": "0.3"}]},
+                  {"K": 1, "beta": [], "lambda": [1.0],
+                   "fields": [{"kind": "discrete", "values": [False],
+                               "probs": [1.0]}]}):
         cfg = write_config(tmp_path, model, name="model.json")
         for command in ("region", "poly", "rs", "bound"):
             assert cli.main([command, "--config", cfg]) == 2
     zero_weight = write_config(tmp_path, model_dict(2, (0.6,), (0.0, 1.0)),
                                name="zero_weight.json")
     assert cli.main(["rs", "--config", zero_weight]) == 2
+    for key, value in (("sizes", [12.7, 18]), ("sizes", [True, 12]),
+                       ("sizes", "12"), ("sizes", 12), ("sizes", [6, "10"]),
+                       ("n_disorder", 3.5), ("n_disorder", True),
+                       ("sweeps", "400"), ("replicas", 2.5),
+                       ("covariance_total", False),
+                       ("covariance_n_disorder", 10.5), ("n_pairs", True),
+                       ("n_pairs", 0)):
+        data = verify_config()
+        data["verify"][key] = value
+        cfg = write_config(tmp_path, data, name="verify.json")
+        assert cli.main(["verify", "--config", cfg]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +541,13 @@ def test_fuzzed_model_section_exits_cleanly_property(tmp_path_factory, section,
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(section=mistyped_model_sections(),
+       command=st.sampled_from(("region", "poly", "rs", "bound")))
+def test_booleans_and_strings_as_model_numbers_are_usage_errors_property(
+        tmp_path_factory, section, command):
+    path = tmp_path_factory.mktemp("mistyped") / "config.json"
+    path.write_text(json.dumps(section))
+    assert cli.main([command, "--config", str(path)]) == 2

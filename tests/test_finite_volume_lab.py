@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from dbmlab import finite_volume_lab as fvl
 from dbmlab import machine
@@ -21,7 +22,7 @@ from dbmlab.finite_volume_lab import (
 )
 from dbmlab.machine import FieldSpec, ModelParams
 
-from oracles import bruteforce_log_partition
+from oracles import all_spin_configs, bruteforce_log_partition
 
 LOG2 = math.log(2.0)
 
@@ -126,6 +127,42 @@ def test_hamiltonian_validation():
         hamiltonian(sample, np.ones(3), params)
     with pytest.raises(ValueError):
         hamiltonian(sample, np.array([1.0, 2.0, 1.0, 1.0]), params)
+    stack = np.ones((3, 4))
+    for bad in (stack * 0.5, np.concatenate((stack, np.zeros((1, 4)))),
+                np.ones((3, 5)), np.ones((2, 3, 4)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            hamiltonian(sample, bad, params)
+
+
+def _loop_hamiltonian(sample, sigma, params):
+    """One configuration's energy, bond by bond with vector-matrix-vector products."""
+    bounds = np.cumsum((0,) + sample.assignment.sizes)
+    parts = [sigma[bounds[p]:bounds[p + 1]] for p in range(params.K)]
+    total = sum(params.beta[p] * float(parts[p] @ sample.couplings[p] @ parts[p + 1])
+                for p in range(params.K - 1))
+    return -math.sqrt(2.0 / sample.assignment.N) * total
+
+
+def test_hamiltonian_stack_matches_scalar_calls():
+    params = make(4, (0.9, 1.3, 0.6), (0.3, 0.0, 0.3, 0.4),
+                  (FieldSpec.gaussian(0.5),) + (FieldSpec.zero(),) * 3)
+    for sizes in ((3, 0, 4, 5), (0, 0, 6, 2), (4, 3, 2, 3)):
+        assignment = LayerAssignment(sizes)
+        sample = sample_disorder(assignment, params, seed=5, index=1)
+        rng = np.random.default_rng(sum(sizes))
+        stack = rng.choice((-1.0, 1.0), size=(7, assignment.N))
+        energies = hamiltonian(sample, stack, params)
+        assert energies.shape == (7,)
+        for row, energy in zip(stack, energies):
+            single = hamiltonian(sample, row, params)
+            assert isinstance(single, float)
+            assert abs(energy - single) <= 1e-13
+            assert abs(energy - _loop_hamiltonian(sample, row, params)) <= 1e-13
+        assert hamiltonian(sample, stack[:0], params).shape == (0,)
+    single_layer = LayerAssignment((5,))
+    sample = sample_disorder(single_layer, make(1, (), (1.0,)), seed=0)
+    np.testing.assert_array_equal(
+        hamiltonian(sample, np.ones((3, 5)), make(1, (), (1.0,))), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +192,55 @@ def test_log_partition_three_layers_vs_bruteforce():
     h = np.concatenate(sample.fields)
     want = bruteforce_log_partition(layer_index, params.beta, sample.couplings, h)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def _fsum_log_partition(sample, params):
+    """``log Z`` by enumerating all ``2^N`` states, summed with ``math.fsum``."""
+    sizes = sample.assignment.sizes
+    N = sample.assignment.N
+    spins = all_spin_configs(N)
+    bounds = np.cumsum((0,) + sizes)
+    layers = [spins[:, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
+    energy = spins @ np.concatenate(sample.fields)
+    for p in range(len(sizes) - 1):
+        bonds = np.einsum("ci,ij,cj->c", layers[p], sample.couplings[p],
+                          layers[p + 1])
+        energy += math.sqrt(2.0 / N) * params.beta[p] * bonds
+    top = float(energy.max())
+    return top + math.log(math.fsum(np.exp(energy - top)))
+
+
+@pytest.mark.parametrize("sizes", [(9,), (7, 9), (4, 0, 5), (5, 6, 5),
+                                   (0, 3, 4), (3, 5, 0, 8), (4, 4, 4, 4)])
+def test_log_partition_matches_fsum_enumeration(sizes):
+    K = len(sizes)
+    fields = [FieldSpec.gaussian(0.6), FieldSpec.zero(),
+              FieldSpec.discrete((-0.5, 1.0), (0.4, 0.6)), FieldSpec.point_mass(0.3)]
+    params = make(K, (1.4, 0.8, 1.1)[:K - 1], (1.0 / K,) * K, fields[:K])
+    for index in range(3):
+        sample = sample_disorder(LayerAssignment(sizes), params, seed=13, index=index)
+        want = _fsum_log_partition(sample, params)
+        assert abs(log_partition(sample, params) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_logsumexp_rows_is_bit_identical_to_scipy():
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 200)))
+        rows = rng.normal(size=shape) * rng.choice((1e-3, 1.0, 30.0, 700.0))
+        if trial % 4 == 0:
+            rows = np.round(rows)  # ties for the row max
+        want = logsumexp(rows, axis=1)
+        got = fvl._logsumexp_rows(rows.copy())
+        assert np.array_equal(got, want)
+        assert fvl._logsumexp_rows(rows[0].copy()) == logsumexp(rows[0])
+    inf = math.inf
+    special = np.array([[inf, 1.0, 2.0], [-inf, -inf, -inf], [inf, -inf, 0.0],
+                        [-inf, 2.0, -inf], [800.0, inf, 1.0], [inf, inf, inf]])
+    with np.errstate(all="raise"):
+        got = fvl._logsumexp_rows(special.copy())
+    assert not np.any(np.isnan(got))
+    assert np.array_equal(got, logsumexp(special, axis=1))
 
 
 # Inverse temperatures must be strictly positive, so the decoupled limit is
@@ -284,6 +370,58 @@ def test_mc_pressure_agrees_with_enumeration():
     assert abs(mc.mean - ex.mean) <= 3.0 * combined + 1e-4
 
 
+def test_mc_sweep_gain_is_minus_hamiltonian():
+    params = make(3, (1.2, 0.8), (0.3, 0.3, 0.4),
+                  (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.point_mass(0.2)))
+    for sizes in ((4, 5, 3), (4, 0, 3)):
+        assignment = LayerAssignment(sizes)
+        sample = sample_disorder(assignment, params, seed=9, index=0)
+        rng = np.random.default_rng(1)
+        R, N = 4, assignment.N
+        states = rng.choice((-1.0, 1.0), size=(R, N))
+        bounds = np.cumsum((0,) + sizes)
+        layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(3)]
+        coupled = [math.sqrt(2.0 / N) * params.beta[p] * sample.couplings[p]
+                   for p in range(2)]
+        slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
+        fields2 = [2.0 * h for h in sample.fields]
+        for _ in range(3):
+            gain = fvl._tempering_sweep(layers, coupled, slope, fields2,
+                                        rng.random(R * N))
+            np.testing.assert_allclose(gain, -hamiltonian(sample, states, params),
+                                       rtol=0.0, atol=1e-13)
+
+
+def test_mc_pressure_tracks_enumeration_sample_by_sample():
+    # Strong coupling, where a wrong integrand shows: the same disorder
+    # samples enumerated exactly pin both the mean and the spread.
+    params = make(3, (1.2, 1.0), (1 / 3, 1 / 3, 1 / 3))
+    assignment = LayerAssignment.from_weights(params.lam, 12)
+    for seed in range(4):
+        mc = mc_pressure(assignment, params, n_disorder=10, sweeps=200,
+                         replicas=5, seed=seed)
+        ex = exact_pressure(assignment, params, n_disorder=10, seed=seed)
+        assert abs(mc.mean - ex.mean) <= 0.005
+        assert mc.std_error <= 1.5 * ex.std_error
+
+
+def test_mc_pressure_single_and_empty_layers():
+    single = make(1, (), (1.0,), (FieldSpec.gaussian(0.7),))
+    assignment = LayerAssignment((6,))
+    mc = mc_pressure(assignment, single, n_disorder=3, sweeps=10, replicas=3, seed=2)
+    ex = exact_pressure(assignment, single, n_disorder=3, seed=2)
+    assert mc.mean == pytest.approx(ex.mean, abs=1e-14)
+    params = make(3, (0.9, 0.7), (0.4, 0.2, 0.4),
+                  (FieldSpec.gaussian(0.3), FieldSpec.zero(), FieldSpec.zero()))
+    for sizes in ((5, 0, 5), (0, 5, 5)):
+        assignment = LayerAssignment(sizes)
+        mc = mc_pressure(assignment, params, n_disorder=8, sweeps=200, replicas=5,
+                         seed=3)
+        ex = exact_pressure(assignment, params, n_disorder=8, seed=3)
+        assert math.isfinite(mc.mean)
+        assert abs(mc.mean - ex.mean) <= 3.0 * math.hypot(mc.std_error, ex.std_error) + 2e-3
+
+
 def test_mc_pressure_deep_annealed_matches_limit():
     params = make(3, (0.3, 0.3), (1 / 3, 1 / 3, 1 / 3))
     assignment = LayerAssignment.from_weights(params.lam, 600)
@@ -346,6 +484,15 @@ def test_covariance_orthogonal_pair_is_null():
     row = rows[0]
     assert row.predicted == 0.0
     assert abs(row.empirical) <= 5.0 * row.std_error
+
+
+def test_covariance_needs_a_pair():
+    assignment = LayerAssignment((2, 2))
+    params = make(2, (0.7,), (0.5, 0.5))
+    with pytest.raises(ValueError):
+        covariance_report(assignment, params, n_disorder=5, pairs=[])
+    with pytest.raises(ValueError):
+        covariance_report(assignment, params, n_disorder=5, n_pairs=0)
 
 
 def test_covariance_check_standardized_deviation():
