@@ -14,10 +14,22 @@ Stationary points solve the consistency equations
 
 This module provides the functional, the consistency map and its Jacobian
 at ``q = 0``, the scalar single-layer solver (the classical
-Latala--Guerra uniqueness argument), a damped fixed-point solver, a
-globally convergent nested solver for Gaussian fields, and the
-Talagrand / de Almeida--Thouless sufficient conditions used to certify
-the scalar surrogate downstream.
+Latala--Guerra uniqueness argument), a damped fixed-point solver, the
+nested solver for centred Gaussian fields, and the Talagrand / de
+Almeida--Thouless sufficient conditions used to certify the scalar
+surrogate downstream.
+
+The nested solver is a monotone Newton iteration.  With centred Gaussian
+fields each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing
+and concave, so ``G(q) = q - F(q)`` is convex with the analytic Jacobian
+``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 - T)`` by Gaussian
+integration by parts.  Newton on ``G`` from ``q = 1``, which lies above
+the unique root, decreases monotonically onto it.  A guard raises
+:class:`SolverError` when an iterate leaves ``[0, 1]`` or climbs while
+the residual is still above ``1e-6``, which is how a quadrature rule too
+coarse to keep ``T`` concave shows; the iteration stops at residual
+``max(1e-14, tol / 100)`` and fails only if its best residual stays
+above ``tol``.
 """
 from __future__ import annotations
 
@@ -25,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import ghquad, machine
 from .ghquad import INV_COSH4, LOG_COSH, TANH_SQ, QuadratureRule
@@ -46,9 +57,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-_ZERO_FIELD = FieldSpec.zero()
-# smallest relative tolerance scipy's brentq accepts is ~4*eps
-_BRENTQ_RTOL = 1e-15
 # Newton steps allowed to one scalar overlap solve.
 _SCALAR_STEPS = 60
 # High-temperature line: a layer with theta^2 below it is certified outright.
@@ -418,230 +426,81 @@ def solve_fixed_point(params: ModelParams, q0=None, damping: float = 0.5,
 # nested solver (Gaussian fields)
 # ---------------------------------------------------------------------------
 
-_TINV_CAP = 1e9
+# Newton steps allowed to one nested solve; under the default rule every
+# measured chain converged in at most five.
+_NEWTON_STEPS = 50
+# The monotonicity guard holds only while the residual exceeds this.  Below
+# it, quadrature roundoff in the concavity of T can lift a converging
+# iterate by more than rounding although the step is sound.
+_GUARD_RESIDUAL = 1e-6
+# Rounding allowed in the guard's "does not increase" test.
+_GUARD_SLACK = 1e-15
 
 
-def _tanh_sq_variance(s: float, rule: QuadratureRule | None) -> float:
-    """``T(s) = E tanh^2(z sqrt(s))`` for total variance ``s``."""
-    return ghquad.expect(TANH_SQ, s, _ZERO_FIELD, rule)
+def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
+    """Guarded Newton iterates for ``G(q) = q - F(q)`` from ``q = 1``.
 
-
-def _tanh_sq_inverse(target: float, rule: QuadratureRule | None,
-                     brackets: list[float]) -> float | None:
-    """Solve ``T(s) = target`` for ``s >= 0``; ``None`` if out of reach.
-
-    ``T`` is strictly increasing with ``T(0) = 0`` and ``T -> 1``, so the
-    root is unique.  Targets so close to one that ``s`` would exceed the
-    numeric cap are reported as unreachable.  ``brackets[k]`` holds
-    ``T(4^k)`` under ``rule``; missing entries are appended on first need,
-    so callers sharing one list evaluate each bracket end once.
+    Yields ``(q, max |G(q)|)`` for ``q = 1`` and each later iterate; the
+    Jacobian step runs only when the caller asks for the next one.  Raises
+    :class:`SolverError` when a step leaves the monotone descent (see
+    :func:`solve_nested`) or is not finite.
     """
-    if target <= 0.0:
-        return 0.0
-    k = 0
+    _, _, M = machine.build_matrices(params)
+    fields = params.fields
+    eye = np.eye(params.K)
+    q = np.ones(params.K)
+    steps = 0
     while True:
-        if k == len(brackets):
-            brackets.append(_tanh_sq_variance(4.0 ** k, rule))
-        if not brackets[k] < target:
-            break
-        k += 1
-        if 4.0 ** k > _TINV_CAP:
-            return None
-    hi, t_hi = 4.0 ** k, brackets[k]
-
-    def defect(s: float) -> float:
-        # The bracket ends are already known: T(0) is exactly 0 under
-        # every rule, and T(hi) is the tabulated value.
-        if s == 0.0:
-            return -target
-        if s == hi:
-            return t_hi - target
-        return _tanh_sq_variance(s, rule) - target
-
-    return float(brentq(defect, 0.0, hi, xtol=1e-30, rtol=_BRENTQ_RTOL))
-
-
-# The sweep signals over- and undershoot by infinities, so division by zero
-# and overflow are expected there; a NaN would carry no sign, so it raises.
-@np.errstate(divide="ignore", over="ignore", invalid="raise")
-def _shoot_once(s1: float, params: ModelParams, v: np.ndarray,
-                rule: QuadratureRule | None, brackets: list[float]):
-    """One forward sweep of the layer chain from a trial first-layer variance.
-
-    Builds ``(q, a)`` layer by layer from ``s1 = (Mq)_1 + v_1`` using the
-    auxiliary-variable correspondence ``lam_p q_p a_p = lam_{p+1} q_{p+1}``,
-    and returns ``(mismatch, q, a)`` where ``mismatch`` is the defect of
-    the final-layer temperature identity.  ``mismatch`` is ``-inf`` when
-    the trial overshoots (some overlap would reach one) and ``+inf`` when
-    it undershoots (the auxiliary chain would go nonpositive); it is
-    strictly decreasing in ``s1`` in between, which makes the outer root
-    solve a bracketed scalar problem.  ``brackets`` is the ``T(4^k)`` table
-    of :func:`_tanh_sq_inverse`, shared across the sweeps of one solve.
-    """
-    lam = np.asarray(params.lam)
-    beta_sq = np.asarray(params.beta, dtype=float) ** 2
-    K = params.K
-    q = np.zeros(K)
-    a = np.zeros(K - 1)
-    q[0] = _tanh_sq_variance(s1, rule)
-    theta_sq_first = (s1 - v[0]) / (2.0 * q[0])
-    if theta_sq_first <= 0.0:
-        return math.inf, None, None
-    a[0] = theta_sq_first / (lam[0] * beta_sq[0])
-    level = lam[0] * q[0] * a[0]
-    for p in range(1, K - 1):
-        q_p = level / lam[p]
-        if q_p >= 1.0:
-            return -math.inf, None, None
-        s_p = _tanh_sq_inverse(q_p, rule, brackets)
-        if s_p is None:
-            return -math.inf, None, None
-        q[p] = q_p
-        theta_sq = (s_p - v[p]) / (2.0 * q_p)
-        a[p] = (theta_sq / lam[p] - beta_sq[p - 1] / a[p - 1]) / beta_sq[p]
-        if a[p] <= 0.0:
-            return math.inf, None, None
-        level *= a[p]
-    q_last = level / lam[K - 1]
-    if q_last >= 1.0:
-        return -math.inf, None, None
-    s_last = _tanh_sq_inverse(q_last, rule, brackets)
-    if s_last is None:
-        return -math.inf, None, None
-    q[K - 1] = q_last
-    from_chain = lam[K - 1] * beta_sq[K - 2] / a[K - 2]
-    needed = (s_last - v[K - 1]) / (2.0 * q_last)
-    return from_chain - needed, q, a
-
-
-def _solve_shoot(params: ModelParams, v: np.ndarray,
-                 rule: QuadratureRule | None) -> np.ndarray:
-    """Root-find the sweep mismatch over ``s1 = v_1 + exp(u)``.
-
-    Raises :class:`SolverError` when the mismatch cannot be bracketed or
-    its root does not yield a complete sweep (a too-coarse quadrature
-    rule or a very deep chain can cause either).  Bisection stops as soon
-    as the bracket has shrunk to adjacent doubles with an end still
-    infinite, since every further sweep would repeat the last one.  A
-    sweep that produces a NaN is a :class:`SolverError` too.
-    """
-    sweeps = 0
-    brackets: list[float] = []
-
-    def failure(what: str) -> SolverError:
-        return SolverError(f"chain shooting failed: {what}",
-                           last_q=np.full(params.K, math.nan),
-                           residual=math.inf, iterations=sweeps)
-
-    def sweep(u: float):
-        nonlocal sweeps
-        sweeps += 1
-        try:
-            return _shoot_once(v[0] + math.exp(u), params, v, rule, brackets)
-        except FloatingPointError:
-            raise failure("a sweep produced an invalid value") from None
-
-    def mismatch(u: float) -> float:
-        return sweep(u)[0]
-
-    lo = hi = 0.0
-    f_lo = f_hi = mismatch(0.0)
-    steps = 0
-    while f_lo <= 0.0:
-        lo -= 1.0
-        f_lo = mismatch(lo)
+        m = M @ q
+        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p], rule)
+                      for p in range(params.K)])
+        g = q - f
+        res = float(np.max(np.abs(g)))
+        yield q, res
+        slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], rule, f[p])
+                          for p in range(params.K)])
         steps += 1
-        if steps > 600:
-            raise failure("the mismatch was not bracketed from below")
-    steps = 0
-    while f_hi >= 0.0:
-        hi += 1.0
-        f_hi = mismatch(hi)
-        steps += 1
-        if steps > 600:
-            raise failure("the mismatch was not bracketed from above")
-    # Narrow by bisection until both ends are finite, then polish the root.
-    for _ in range(200):
-        if math.isfinite(f_lo) and math.isfinite(f_hi) and hi - lo < 0.5:
-            break
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise failure("the mismatch bracket never became finite")
-        f_mid = mismatch(mid)
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    else:
-        raise failure("the mismatch bracket never became finite")
-    u_root = brentq(mismatch, lo, hi, xtol=1e-15, rtol=_BRENTQ_RTOL)
-    _, q, _ = sweep(u_root)
-    if q is None:
-        # The root evaluation landed on a shot boundary; nudge inward.
-        for shift in (1e-12, -1e-12, 1e-9, -1e-9):
-            _, q, _ = sweep(u_root + shift)
-            if q is not None:
-                break
-    if q is None:
-        raise failure("no complete sweep at the mismatch root")
-    return q
-
-
-def _newton_polish(residual, x: np.ndarray, lower: float, upper: float,
-                   step_rule, target: float, max_steps: int):
-    """Finite-difference Newton on ``residual(x) = 0`` inside a box.
-
-    The Jacobian comes from central differences with the per-coordinate
-    steps ``step_rule(x)``; Newton iterates are clipped to
-    ``[lower, upper]``.  A step is kept only when it lowers
-    ``max |residual|``, so the result is never worse than the start.
-    Stops once that maximum is at most ``target``, after ``max_steps``
-    kept steps, or at the first step that does not improve.  Returns
-    ``(x, max |residual(x)|, kept steps)``.
-    """
-    x = np.asarray(x, dtype=float)
-    r = residual(x)
-    err = float(np.max(np.abs(r)))
-    steps = 0
-    while steps < max_steps and err > target:
-        h = step_rule(x)
-        jac = np.empty((r.size, x.size))
-        for j in range(x.size):
-            bump = np.zeros(x.size)
-            bump[j] = h[j]
-            jac[:, j] = (residual(x + bump) - residual(x - bump)) / (2.0 * h[j])
         try:
-            delta = np.linalg.solve(jac, r)
+            new = q - np.linalg.solve(eye - slope[:, None] * M, g)
         except np.linalg.LinAlgError:
-            break
-        candidate = np.clip(x - delta, lower, upper)
-        cand_r = residual(candidate)
-        cand_err = float(np.max(np.abs(cand_r)))
-        if not cand_err < err:
-            break
-        x, r, err = candidate, cand_r, cand_err
-        steps += 1
-    return x, err, steps
-
-
-def _overlap_steps(q: np.ndarray) -> np.ndarray:
-    """Difference steps that keep ``q +- step`` inside the unit box."""
-    return np.maximum(np.minimum(1e-6, np.minimum(q, 1.0 - q) / 2.0), 1e-12)
+            new = np.full(params.K, math.nan)
+        guarded = res > _GUARD_RESIDUAL
+        if not (np.all(np.isfinite(new)) and (not guarded or (
+                np.all(new >= 0.0) and np.all(new <= q + _GUARD_SLACK)))):
+            raise SolverError(
+                f"nested Newton step {steps} left the monotone descent "
+                f"at residual {res:.3e}",
+                last_q=q, residual=res, iterations=steps)
+        q = np.clip(new, 0.0, 1.0)
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10, *,
                  rule: QuadratureRule | None = None) -> RsSolution:
-    """Constructive solver for the unique consistency solution.
+    """Monotone Newton solver for the unique consistency solution.
 
     Requires centred Gaussian fields with positive variance on every
-    layer (the regime where the solution is unique and strictly
-    positive).  The layer recursion is reduced to a single scalar
-    root-find on the first layer's total variance: a forward sweep
-    propagates a trial value through the auxiliary-variable
-    correspondence, and the defect of the final layer's temperature
-    identity is strictly decreasing in the trial, so the outer problem
-    brackets.  A short Newton polish on the full consistency system then
-    drives the residual to the requested tolerance.
+    layer, where the solution is unique and strictly positive.  Each layer
+    map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is then increasing and concave
+    in ``s``, so ``G(q) = q - F(q)`` is convex and order-monotone, with the
+    analytic Jacobian ``I - diag(T'_p) M`` and the slopes
+    ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` at ``(Mq)_p``.  Newton's method on
+    ``G`` started from ``q = 1``, which lies above the root because
+    ``F(1) <= 1``, decreases monotonically onto it (the monotone Newton
+    theorem: Ortega and Rheinboldt, *Iterative Solution of Nonlinear
+    Equations in Several Variables*, 1970, section 13.3).  A step costs
+    ``K`` ``TANH_SQ`` and ``K`` ``INV_COSH4`` expectations and one
+    ``K x K`` linear solve.
+
+    The guard checks that theory: while the residual ``max |G(q)|`` is
+    above ``1e-6``, every iterate must stay in ``[0, 1]`` and must not
+    increase in any coordinate beyond rounding (``1e-15``).  A violation,
+    which a quadrature rule too coarse to keep ``T`` concave causes, raises
+    :class:`SolverError`.  Closer to the root the guard is off and iterates
+    are clipped to the unit box.  Iteration stops once the residual is at
+    most ``max(1e-14, tol / 100)``, or when a step no longer lowers it and
+    the best residual is within ``tol``; the iterate with the smallest
+    residual is returned.  :class:`SolverError`, carrying the Newton step
+    count, is raised when that residual stays above ``tol``.
     """
     _require_positive_lambda(params)
     params.require_fields("solve_nested", gaussian=True)
@@ -655,31 +514,22 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
             residual=residual, method="nested",
             certificates=_certificates(q, params, rule=rule))
 
-    v = np.array([f.v for f in params.fields])
-    q_shoot = _solve_shoot(params, v, rule)
-    q_best, res_best, iterations = _newton_polish(
-        lambda x: x - rs_map(x, params, rule=rule), q_shoot, 1e-15,
-        1.0 - 1e-15, _overlap_steps, target=max(1e-14, 0.01 * tol),
-        max_steps=12)
-    if res_best > tol:
-        # Fall back to damped iteration from the shoot point.
-        q_iter = q_best.copy()
-        for _ in range(5000):
-            iterations += 1
-            f = rs_map(q_iter, params, rule=rule)
-            res = float(np.max(np.abs(q_iter - f)))
-            if res < res_best:
-                q_best, res_best = q_iter.copy(), res
-            if res_best < tol:
-                break
-            q_iter = 0.5 * q_iter + 0.5 * f
-        if res_best > tol:
-            raise SolverError(
-                f"nested solve stalled at residual {res_best:.3e} > tol={tol}",
-                last_q=q_best, residual=res_best, iterations=iterations)
+    target = max(1e-14, 0.01 * tol)
+    best_q, best_res = None, math.inf
+    for steps, (q, res) in enumerate(_newton_iterates(params, rule)):
+        if res < best_res:
+            best_q, best_res = q, res
+        elif best_res <= tol:
+            break  # stalled at rounding level
+        if best_res <= target or steps == _NEWTON_STEPS:
+            break
+    if best_res > tol:
+        raise SolverError(
+            f"nested solve stalled at residual {best_res:.3e} > tol={tol}",
+            last_q=best_q, residual=best_res, iterations=steps)
     return RsSolution(
-        q=q_best,
-        pressure=rs_pressure(q_best, params, rule=rule),
-        residual=res_best,
+        q=best_q,
+        pressure=rs_pressure(best_q, params, rule=rule),
+        residual=best_res,
         method="nested",
-        certificates=_certificates(q_best, params, rule=rule))
+        certificates=_certificates(best_q, params, rule=rule))

@@ -32,8 +32,8 @@ from scipy.optimize import minimize
 from . import ghquad, machine, rs_solver
 from .ghquad import LOG_COSH, QuadratureRule
 from .machine import ModelParams
-from .rs_solver import (_TALAGRAND_LINE, _at_stable, _newton_polish,
-                        _scalar_overlap, _theta_sq_from_aux)
+from .rs_solver import (_TALAGRAND_LINE, _at_stable, _scalar_overlap,
+                        _theta_sq_from_aux)
 
 _LOG2 = math.log(2.0)
 
@@ -45,6 +45,8 @@ _SCALAR_TOL = 1e-13
 # is flagged as suspiciously close to the box.
 _LOG_BOX = 30.0
 _SUSPECT_WIDTH = 12.0
+# Bound values this close count as tied maximizers.
+_TIE_WIDTH = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +231,43 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
     return lam_q[:-1] * a - lam_q[1:]
 
 
+def _newton_polish(residual, x: np.ndarray, lower: float, upper: float,
+                   step_rule, target: float, max_steps: int):
+    """Finite-difference Newton on ``residual(x) = 0`` inside a box.
+
+    The Jacobian comes from central differences with the per-coordinate
+    steps ``step_rule(x)``; Newton iterates are clipped to
+    ``[lower, upper]``.  A step is kept only when it lowers
+    ``max |residual|``, so the result is never worse than the start.
+    Stops once that maximum is at most ``target``, after ``max_steps``
+    kept steps, or at the first step that does not improve.  Returns
+    ``(x, max |residual(x)|, kept steps)``.
+    """
+    x = np.asarray(x, dtype=float)
+    r = residual(x)
+    err = float(np.max(np.abs(r)))
+    steps = 0
+    while steps < max_steps and err > target:
+        h = step_rule(x)
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            bump = np.zeros(x.size)
+            bump[j] = h[j]
+            jac[:, j] = (residual(x + bump) - residual(x - bump)) / (2.0 * h[j])
+        try:
+            delta = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError:
+            break
+        candidate = np.clip(x - delta, lower, upper)
+        cand_r = residual(candidate)
+        cand_err = float(np.max(np.abs(cand_r)))
+        if not cand_err < err:
+            break
+        x, r, err = candidate, cand_r, cand_err
+        steps += 1
+    return x, err, steps
+
+
 def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
                    n_random_starts: int = 8,
                    rule: QuadratureRule | None = None,
@@ -248,6 +287,13 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
     an already computed nested-solver overlap vector for the related
     start (default: solve for it here).  Needs at least two layers and
     zero or centred Gaussian fields.
+
+    Among points whose values tie within ``1e-12`` a certified one is
+    preferred.  The bound can be flat, as it is for zero fields inside
+    the annealed region, so an uncertified maximizer may tie a certified
+    point; when the result is uncertified and the annealed-region witness
+    exists, the bound is evaluated once at the witness and that point is
+    reported instead if it is certified and ties.
     """
     if params.K == 1:
         raise ValueError("the split bound needs at least two layers")
@@ -258,8 +304,10 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
 
     starts: list[np.ndarray] = [np.zeros(n_bonds)]
     verdict = machine.classify_annealed(params)
+    witness = None
     if verdict.feasible_a:
-        starts.append(np.log(np.asarray(verdict.feasible_a, dtype=float)))
+        witness = np.log(np.asarray(verdict.feasible_a, dtype=float))
+        starts.append(witness)
     if params.gaussian_fields and min(params.lam) > 0.0:
         try:
             if nested_q is None:
@@ -282,12 +330,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
         overlaps = _evaluate(u, params, rule, warm)[2]
         return _matching_defect(np.exp(u), lam, overlaps)
 
-    def sharpened(u: np.ndarray) -> BoundResult:
-        """The maximizer after Newton steps on the matching residuals."""
-        u, _, _ = _newton_polish(
-            matching, u, -_LOG_BOX, _LOG_BOX,
-            lambda x: np.full(x.size, 1e-6), target=max(1e-14, 0.01 * tol),
-            max_steps=8)
+    def result_at(u: np.ndarray) -> BoundResult:
         value, _, overlaps, theta_sq, converged = _evaluate(u, params, rule, warm)
         a = np.exp(u)
         return BoundResult(
@@ -299,6 +342,14 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
             overlaps=overlaps,
             stationarity=float(np.max(np.abs(_matching_defect(a, lam, overlaps)))),
         )
+
+    def sharpened(u: np.ndarray) -> BoundResult:
+        """The maximizer after Newton steps on the matching residuals."""
+        u, _, _ = _newton_polish(
+            matching, u, -_LOG_BOX, _LOG_BOX,
+            lambda x: np.full(x.size, 1e-6), target=max(1e-14, 0.01 * tol),
+            max_steps=8)
+        return result_at(u)
 
     best: BoundResult | None = None
     best_value = -math.inf
@@ -319,6 +370,10 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *, seed: int = 0,
         if (best.certified and not best.boundary_suspect
                 and best.stationarity <= tol and success):
             break
+    if not best.certified and witness is not None:
+        tie = result_at(witness)
+        if tie.certified and tie.value >= best.value - _TIE_WIDTH:
+            best = tie
     return best
 
 

@@ -1,11 +1,11 @@
 """Tests for the replica-symmetric layer: functional, consistency map, solvers, checks."""
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
 
 from dbmlab import ghquad, machine, rs_solver
 from dbmlab.ghquad import LOG_COSH, TANH_SQ
@@ -381,8 +381,9 @@ def test_nested_overlaps_are_strictly_positive():
         assert np.all(sol.q > 0.0)
 
 
-# A K=12 all-Gaussian chain whose shooting bracket shrinks to two adjacent
-# doubles with one end still infinite.
+# A K=12 all-Gaussian chain on which the former scalar shooting solver
+# failed: its bisection bracket shrank to two adjacent doubles with one end
+# still infinite.
 _COLLAPSING_CHAIN = {
     "K": 12,
     "beta": [0.6845458261465869, 0.5439850085468507, 0.8678781290060247,
@@ -401,73 +402,59 @@ _COLLAPSING_CHAIN = {
 }
 
 
-def test_nested_stops_once_the_shooting_bracket_collapses(monkeypatch):
-    sweeps = 0
-    shoot = rs_solver._shoot_once
-
-    def counting(*args, **kwargs):
-        nonlocal sweeps
-        sweeps += 1
-        return shoot(*args, **kwargs)
-
-    monkeypatch.setattr(rs_solver, "_shoot_once", counting)
+def test_nested_solves_the_collapsing_chain():
     params = ModelParams.from_dict(_COLLAPSING_CHAIN)
-    with pytest.raises(SolverError) as info:
-        solve_nested(params)
-    assert str(info.value) == (
-        "chain shooting failed: the mismatch bracket never became finite")
-    assert sweeps < 100
-    assert info.value.iterations == sweeps
+    sol = solve_nested(params)
+    assert sol.residual <= 1e-12
+    fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                           tol=1e-14, max_iter=100_000)
+    np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-12)
 
 
-def test_nested_sweep_without_a_sign_is_a_solver_error(monkeypatch):
-    # With T = 0 the first layer multiplies 0 by an infinite weight.
-    monkeypatch.setattr(rs_solver, "_tanh_sq_variance", lambda s, rule: 0.0)
-    params = ModelParams(K=3, beta=(0.8, 0.9), lam=(0.3, 0.4, 0.3),
-                         fields=(FieldSpec.gaussian(0.5),) * 3)
-    with pytest.raises(SolverError,
-                       match="a sweep produced an invalid value") as info:
-        solve_nested(params)
+@st.composite
+def gaussian_chains(draw, k_range=(2, 16)):
+    """Chains with centred Gaussian fields and positive weights on every layer."""
+    K = draw(st.integers(*k_range))
+    beta = draw(st.lists(st.floats(0.05, 2.0), min_size=K - 1, max_size=K - 1))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=K, max_size=K))
+    v = draw(st.lists(st.floats(0.01, 2.0), min_size=K, max_size=K))
+    total = sum(weights)
+    return ModelParams(K=K, beta=tuple(beta),
+                       lam=tuple(w / total for w in weights),
+                       fields=tuple(FieldSpec.gaussian(x) for x in v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=gaussian_chains())
+def test_nested_newton_is_monotone_and_matches_fixed_point_property(params):
+    tol = 1e-10
+    sol = solve_nested(params, tol)
+    assert sol.residual <= tol
+    assert np.max(np.abs(sol.q - rs_map(sol.q, params))) == sol.residual
+    # While the guard is on, every Newton iterate lies in the unit box and
+    # no coordinate grows beyond rounding.
+    iterates = list(itertools.islice(rs_solver._newton_iterates(params, None), 8))
+    for (q, res), (nxt, _) in zip(iterates, iterates[1:]):
+        if res <= rs_solver._GUARD_RESIDUAL:
+            break
+        assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)
+        assert np.all(nxt <= q + rs_solver._GUARD_SLACK)
+    fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                           tol=1e-13, max_iter=100_000)
+    np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("nodes", [3, 5, 9])
+def test_nested_guard_trips_on_the_first_step_of_coarse_rules(nodes):
+    # So few trapezoid nodes make T non-concave, and the first Newton step
+    # from q = 1 already overshoots the unit box or climbs.
+    params = make(2, (0.6,), (0.5, 0.5),
+                  (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.3)))
+    rule = ghquad.normal_trapezoid_rule(nodes)
+    with pytest.raises(SolverError, match="left the monotone descent") as info:
+        solve_nested(params, rule=rule)
     assert info.value.iterations == 1
-
-
-def _doubling_tanh_sq_inverse(target, rule):
-    """Reference inversion: bracket doubling, then brentq on fresh values."""
-    if target <= 0.0:
-        return 0.0
-    hi = 1.0
-    while rs_solver._tanh_sq_variance(hi, rule) < target:
-        hi *= 4.0
-        if hi > rs_solver._TINV_CAP:
-            return None
-    return float(brentq(lambda s: rs_solver._tanh_sq_variance(s, rule) - target,
-                        0.0, hi, xtol=1e-30, rtol=1e-15))
-
-
-_INVERSION_RULES = {
-    "default": None,
-    "trapezoid181": ghquad.normal_trapezoid_rule(181),
-    "trapezoid3": ghquad.normal_trapezoid_rule(3),
-    "hermite40": ghquad.gauss_hermite_rule(40),
-}
-
-
-@pytest.mark.parametrize("rule_name", sorted(_INVERSION_RULES))
-def test_tanh_sq_inverse_is_bit_identical_to_fresh_brackets(rule_name):
-    rule = _INVERSION_RULES[rule_name]
-    targets = ([-0.5, 0.0, 1e-14, 1e-6] + list(np.linspace(0.01, 0.95, 48))
-               + [1.0 - 1e-6, 1.0 - 1e-12, 1.0, 1.5])
-    shared: list = []
-    for target in targets:
-        want = _doubling_tanh_sq_inverse(float(target), rule)
-        for brackets in (shared, []):
-            got = rs_solver._tanh_sq_inverse(float(target), rule, brackets)
-            assert (got is None) == (want is None), target
-            assert got == want, target
-    # Later targets reused the table: one entry per bracket end reached.
-    assert len(shared) <= 15
-    assert shared == [rs_solver._tanh_sq_variance(4.0 ** k, rule)
-                      for k in range(len(shared))]
+    np.testing.assert_array_equal(info.value.last_q, np.ones(2))
 
 
 def test_nested_solve_never_evaluates_the_kernel_at_zero_variance(monkeypatch):

@@ -315,16 +315,21 @@ def count_minimize_calls(monkeypatch, status=None):
     return calls
 
 
+def _oracle_draws(count):
+    """The models of the every-start oracle comparison, draw by draw."""
+    rng = np.random.default_rng(909)
+    for i in range(count):
+        yield i, random_params(rng, k_range=(2, 6), beta_range=(0.2, 1.5),
+                               field_kind=("zero", "gaussian")[i % 2],
+                               v_range=(0.1, 1.0))
+
+
 def test_maximize_matches_every_start_oracle():
     # On the zero-field annealed plateau the bound is flat, so maximizers of
     # equal value (to roundoff) can differ in certification; there the flag
-    # must be that of one of the tied oracle maximizers.  Elsewhere the tied
-    # set holds a single flag and the check is exact agreement.
-    rng = np.random.default_rng(909)
-    for i in range(40):
-        params = random_params(rng, k_range=(2, 6), beta_range=(0.2, 1.5),
-                               field_kind=("zero", "gaussian")[i % 2],
-                               v_range=(0.1, 1.0))
+    # must be certified whenever a tied oracle maximizer is.  Elsewhere the
+    # tied set holds a single flag and the check is exact agreement.
+    for i, params in _oracle_draws(40):
         runs = every_start_oracle(params, seed=i)
         result = maximize_bound(params, seed=i)
         top = max(value for value, _ in runs)
@@ -333,6 +338,27 @@ def test_maximize_matches_every_start_oracle():
         assert result.certified in tied
         if params.gaussian_fields:
             assert tied == {result.certified}
+        elif True in tied:
+            assert result.certified is True
+
+
+def test_maximize_prefers_a_certified_point_on_the_annealed_plateau():
+    # Draws 22 (K = 3) and 26 (K = 6): zero fields inside the annealed
+    # region, where the ascent ends at an uncertified point that ties the
+    # certified annealed witness.
+    draws = dict(_oracle_draws(27))
+    for i in (22, 26):
+        params = draws[i]
+        verdict = machine.classify_annealed(params)
+        assert params.zero_fields and verdict.verdict == "inside"
+        result = maximize_bound(params, seed=i)
+        assert result.certified is True
+        assert result.value == pytest.approx(machine.annealed_pressure(params),
+                                             abs=1e-12)
+        witness_value, witness_certified = p_dbm_functional(verdict.feasible_a,
+                                                            params)
+        assert witness_certified is True
+        assert result.value >= witness_value - 1e-12
 
 
 def test_maximize_runs_random_starts_only_when_needed(monkeypatch):
