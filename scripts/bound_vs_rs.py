@@ -23,7 +23,6 @@ def main() -> None:
     parser.add_argument("--min", dest="lo", type=float, default=0.2)
     parser.add_argument("--max", dest="hi", type=float, default=1.4)
     parser.add_argument("--steps", type=int, default=13)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     fields = (FieldSpec.gaussian(args.variance),
@@ -35,7 +34,7 @@ def main() -> None:
         rho = machine.spectral_radius(params)
         nested = rs_solver.solve_nested(params)
         rs_value = rs_solver.rs_pressure(nested.q, params)
-        result = sk_chain_bound.maximize_bound(params, seed=args.seed)
+        result = sk_chain_bound.maximize_bound(params)
         gap = machine.annealed_pressure(params) - result.value
         print(f"{float(beta)!r},{float(rho)!r},{float(rs_value)!r},"
               f"{float(result.value)!r},{str(result.certified).lower()},"

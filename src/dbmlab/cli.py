@@ -5,7 +5,7 @@ One binary with subcommands:
 ``region``  annealed-region classification, optionally over a scan grid
 ``poly``    chain-polynomial report (activities, coefficients, zeros)
 ``rs``      consistency-equation solutions with certificates
-``bound``   variational upper bound with certification flags
+``bound``   variational lower bound with certification flags
 ``verify``  finite-size ground-truth checks (trend, covariance, criteria)
 ``scan``    grid evaluation of selected quantities over 1-2 parameter axes
 
@@ -323,7 +323,7 @@ def _solve_rs(params: ModelParams, method: str, tol: float,
                                        rule=rule)
 
 
-def _bound_point(params: ModelParams, tol: float, seed: int,
+def _bound_point(params: ModelParams, tol: float,
                  rule: QuadratureRule | None,
                  nested_q: np.ndarray | None = None) -> tuple[float, bool]:
     """Bound value and certification; single-layer models short-circuit.
@@ -333,7 +333,7 @@ def _bound_point(params: ModelParams, tol: float, seed: int,
     """
     if params.K == 1:
         return sk_chain_bound.p_dbm_functional(np.zeros(0), params, rule=rule)
-    res = sk_chain_bound.maximize_bound(params, tol, seed=seed, rule=rule,
+    res = sk_chain_bound.maximize_bound(params, tol, rule=rule,
                                         nested_q=nested_q)
     return res.value, res.certified
 
@@ -441,6 +441,9 @@ def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
         params.require_fields("the bound", gaussian=False)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if min(params.lam) <= 0.0:
+        raise ConfigError("the bound requires strictly positive layer "
+                          "weights; prune zero-weight layers from the model")
     if params.K == 1:
         value, certified = sk_chain_bound.p_dbm_functional(np.zeros(0), params,
                                                            rule=rule)
@@ -448,8 +451,7 @@ def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
                 "boundary_suspect": False, "theta": [0.0], "overlaps": None,
                 "stationarity": 0.0}
     else:
-        result = sk_chain_bound.maximize_bound(params, tol, seed=args.seed,
-                                               rule=rule)
+        result = sk_chain_bound.maximize_bound(params, tol, rule=rule)
         data = result.to_dict()
     p_annealed = float(machine.annealed_pressure(params))
     flags = []
@@ -557,9 +559,9 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
                 try:
                     nested_q = (solution.q if solution is not None
                                 and solution.method == "nested" else None)
-                    value, certified = _bound_point(params, tol, args.seed,
-                                                    rule, nested_q)
-                except ValueError:
+                    value, certified = _bound_point(params, tol, rule,
+                                                    nested_q)
+                except (rs_solver.SolverError, ValueError):
                     value, certified = None, None
                     flags.append("bound_failed")
                 row["bound_value"] = value
@@ -612,7 +614,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "region": "classify points of the annealed region",
         "poly": "report the chain polynomial of the configured model",
         "rs": "solve the consistency equations with certificates",
-        "bound": "maximize the variational upper bound",
+        "bound": "maximize the variational lower bound",
         "verify": "run finite-size trend and covariance checks",
         "scan": "evaluate selected quantities over a parameter grid",
     }
@@ -621,9 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="path to the JSON config file")
         p.add_argument("--seed", type=int, default=0,
-                       help="master seed for stochastic steps (default 0); "
-                            "bound and scan use it only when the bound's "
-                            "random-start fallback runs")
+                       help="master seed of verify's random draws "
+                            "(default 0); the other commands ignore it")
         p.add_argument("--out", default=None,
                        help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",

@@ -15,16 +15,16 @@ Stationary points solve the consistency equations
 This module provides the functional, the consistency map and its Jacobian
 at ``q = 0``, the scalar single-layer solver (the classical
 Latala--Guerra uniqueness argument), a damped fixed-point solver, the
-nested solver for centred Gaussian fields, and the Talagrand / de
+nested solver for zero or centred Gaussian fields, and the Talagrand / de
 Almeida--Thouless sufficient conditions used to certify the scalar
 surrogate downstream.
 
-The nested solver is a monotone Newton iteration.  With centred Gaussian
-fields each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing
-and concave, so ``G(q) = q - F(q)`` is convex with the analytic Jacobian
-``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 - T)`` by Gaussian
-integration by parts.  Newton on ``G`` from ``q = 1``, which lies above
-the unique root, decreases monotonically onto it.  A guard raises
+The nested solver is a monotone Newton iteration.  With zero or centred
+Gaussian fields each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is
+increasing and concave, so ``G(q) = q - F(q)`` is convex with the analytic
+Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 - T)`` by
+Gaussian integration by parts.  Newton on ``G`` from ``q = 1``, which lies
+above every root, decreases monotonically onto the largest.  A guard raises
 :class:`SolverError` when an iterate leaves ``[0, 1]`` or climbs while
 the residual is still above ``1e-6``, which is how a quadrature rule too
 coarse to keep ``T`` concave shows; the iteration stops at residual
@@ -246,16 +246,15 @@ def _tanh_sq_slope(s: float, field: FieldSpec, rule: QuadratureRule | None,
 
 
 def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
-                    rule: QuadratureRule | None,
-                    warm: float | None = None) -> tuple[float, bool]:
+                    rule: QuadratureRule | None) -> tuple[float, bool]:
     """Largest root of ``x = E tanh^2(z sqrt(2 x theta_sq) + h)`` in ``[0, 1)``.
 
     For zero-like fields the root is ``0`` up to the critical line
     ``2 theta_sq = 1`` and the positive branch beyond it.  For centred
     Gaussian fields with positive variance the positive root is unique
     (the Latala--Guerra argument: ``F(x)/x`` is strictly decreasing on
-    ``(0, 1]``).  Bracketed Newton iteration, seeded at ``warm`` when a
-    nearby root is known, stops once ``|F(x) - x| < tol``.  Returns
+    ``(0, 1]``).  Bracketed Newton iteration from ``x = 1/2`` stops once
+    ``|F(x) - x| < tol``.  Returns
     ``(x, converged)``; without convergence ``x`` is the iterate with the
     smallest defect.
     """
@@ -263,7 +262,7 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
     if field.is_zero and two_t <= 1.0:
         return 0.0, True
     lo, hi = 0.0, 1.0
-    x = warm if warm is not None and 0.0 < warm < 1.0 else 0.5
+    x = 0.5
     best_x, best_defect = x, math.inf
     for _ in range(_SCALAR_STEPS):
         tanh_sq = ghquad.expect(TANH_SQ, two_t * x, field, rule)
@@ -467,35 +466,41 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
         guarded = res > _GUARD_RESIDUAL
         if not (np.all(np.isfinite(new)) and (not guarded or (
                 np.all(new >= 0.0) and np.all(new <= q + _GUARD_SLACK)))):
+            variance = max(float(m[p]) + fields[p].v for p in range(params.K))
             raise SolverError(
                 f"nested Newton step {steps} left the monotone descent "
-                f"at residual {res:.3e}",
+                f"at residual {res:.3e}; the largest layer variance "
+                f"(Mq)_p + v_p is {variance:.3g}, and the default quadrature "
+                f"rule is accurate for s + v <= 25",
                 last_q=q, residual=res, iterations=steps)
         q = np.clip(new, 0.0, 1.0)
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10, *,
                  rule: QuadratureRule | None = None) -> RsSolution:
-    """Monotone Newton solver for the unique consistency solution.
+    """Monotone Newton solver for the largest consistency solution.
 
-    Requires centred Gaussian fields with positive variance on every
-    layer, where the solution is unique and strictly positive.  Each layer
-    map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is then increasing and concave
-    in ``s``, so ``G(q) = q - F(q)`` is convex and order-monotone, with the
-    analytic Jacobian ``I - diag(T'_p) M`` and the slopes
-    ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` at ``(Mq)_p``.  Newton's method on
-    ``G`` started from ``q = 1``, which lies above the root because
-    ``F(1) <= 1``, decreases monotonically onto it (the monotone Newton
-    theorem: Ortega and Rheinboldt, *Iterative Solution of Nonlinear
-    Equations in Several Variables*, 1970, section 13.3).  A step costs
-    ``K`` ``TANH_SQ`` and ``K`` ``INV_COSH4`` expectations and one
-    ``K x K`` linear solve.
+    Requires zero or centred Gaussian fields (any variance ``v >= 0``) on
+    every layer.  Each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is
+    then increasing and concave in ``s``, so ``G(q) = q - F(q)`` is convex
+    and order-monotone, with the analytic Jacobian ``I - diag(T'_p) M`` and
+    the slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` at ``(Mq)_p``.  Newton's
+    method on ``G`` started from ``q = 1``, which lies above every solution
+    because ``F(1) <= 1``, decreases monotonically onto the largest one
+    (the monotone Newton theorem: Ortega and Rheinboldt, *Iterative
+    Solution of Nonlinear Equations in Several Variables*, 1970, section
+    13.3).  With positive variance on every layer that solution is the
+    unique one and strictly positive; with zero fields ``q = 0`` also
+    solves the equations.  A step costs ``K`` ``TANH_SQ`` and ``K``
+    ``INV_COSH4`` expectations and one ``K x K`` linear solve.
 
     The guard checks that theory: while the residual ``max |G(q)|`` is
     above ``1e-6``, every iterate must stay in ``[0, 1]`` and must not
     increase in any coordinate beyond rounding (``1e-15``).  A violation,
     which a quadrature rule too coarse to keep ``T`` concave causes, raises
-    :class:`SolverError`.  Closer to the root the guard is off and iterates
+    :class:`SolverError`; its message names the largest layer variance
+    ``(Mq)_p + v_p``, to compare with the default rule's accuracy range
+    ``s + v <= 25``.  Closer to the root the guard is off and iterates
     are clipped to the unit box.  Iteration stops once the residual is at
     most ``max(1e-14, tol / 100)``, or when a step no longer lowers it and
     the best residual is within ``tol``; the iterate with the smallest
@@ -503,7 +508,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
     count, is raised when that residual stays above ``tol``.
     """
     _require_positive_lambda(params)
-    params.require_fields("solve_nested", gaussian=True)
+    params.require_fields("solve_nested", gaussian=False)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if params.K == 1:

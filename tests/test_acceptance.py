@@ -182,7 +182,7 @@ def test_09_bound_bridge():
                                    beta_range=(0.2, 0.7),
                                    field_kind="gaussian",
                                    v_range=(0.1, 1.0))
-            result = sk_chain_bound.maximize_bound(params, seed=attempts)
+            result = sk_chain_bound.maximize_bound(params)
             if not result.certified:
                 continue
             certified += 1
@@ -214,7 +214,7 @@ def test_10_annealed_collapse():
             if verdict.verdict != "inside" or verdict.feasible_a is None:
                 continue
             accepted += 1
-            result = sk_chain_bound.maximize_bound(params, seed=accepted)
+            result = sk_chain_bound.maximize_bound(params)
             target = machine.annealed_pressure(params)
             assert abs(result.value - target) <= 1e-8
 

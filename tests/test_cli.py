@@ -472,6 +472,62 @@ def test_solver_failure_is_exit_one_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# A K=2 Gaussian chain whose layer variance reaches about 141, far past the
+# default rule's accuracy range: the nested Newton guard trips at step 2.
+_GUARD_TRIP_MODEL = {
+    "K": 2,
+    "beta": [9.91593639907713],
+    "lambda": [0.8374073628734021, 0.16259263712659788],
+    "fields": [{"kind": "gaussian_centered", "v": 5.604975946298084e-06},
+               {"kind": "gaussian_centered", "v": 0.0007593323389586956}],
+}
+
+
+@pytest.mark.parametrize("command", ["rs", "bound"])
+def test_guard_trip_names_the_layer_variance(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, _GUARD_TRIP_MODEL)
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver did not converge: nested Newton "
+                          "step 2 left the monotone descent")
+    assert "(Mq)_p + v_p is 141" in err
+    assert "s + v <= 25" in err
+    assert err.count("\n") == 1
+
+
+def test_scan_flags_a_failed_bound_solve_and_goes_on(tmp_path):
+    data = dict(_GUARD_TRIP_MODEL)
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 1.0,
+                              "max": _GUARD_TRIP_MODEL["beta"][0], "steps": 2}],
+                    "outputs": ["bound"]}
+    out = str(tmp_path / "scan.json")
+    assert cli.main(["scan", "--config", write_config(tmp_path, data),
+                     "--format", "json", "--out", out]) == 0
+    first, last = read_json(out)["rows"]
+    assert last["beta[0]"] == _GUARD_TRIP_MODEL["beta"][0]
+    assert last["bound_value"] is None and last["flags"] == "bound_failed"
+    assert math.isfinite(first["bound_value"])
+    assert "bound_failed" not in first["flags"]
+
+
+def test_zero_width_layers_fail_the_bound(tmp_path, capsys):
+    model = model_dict(3, (0.5, 0.5), (0.5, 0.0, 0.5))
+    assert cli.main(["bound", "--config", write_config(tmp_path, model)]) == 2
+    err = capsys.readouterr().err
+    assert "strictly positive layer weights" in err
+    assert err.count("\n") == 1
+    model["scan"] = {"axes": [{"path": "lambda[1]", "min": 0.0, "max": 0.5,
+                               "steps": 3}],
+                     "outputs": ["bound"]}
+    out = str(tmp_path / "scan.json")
+    assert cli.main(["scan", "--config", write_config(tmp_path, model),
+                     "--format", "json", "--out", out]) == 0
+    rows = read_json(out)["rows"]
+    assert rows[0]["flags"] == "bound_failed"
+    assert rows[0]["bound_value"] is None
+    assert all(math.isfinite(row["bound_value"]) for row in rows[1:])
+
+
 def test_infinite_sweep_signals_raise_no_warning(tmp_path, capsys):
     # beta_1^2 underflows to zero and the first layer's overlap to 1e-300;
     # the nested solver must still solve the model without a float warning.

@@ -357,13 +357,34 @@ def test_nested_solution_is_stationary_point_of_pressure():
 
 def test_nested_rejects_unsupported_fields():
     with pytest.raises(ValueError):
-        solve_nested(make(2, (1.0,), (0.5, 0.5)))  # zero fields
-    with pytest.raises(ValueError):
         solve_nested(make(2, (1.0,), (0.5, 0.5),
                           (FieldSpec.point_mass(0.3), FieldSpec.point_mass(0.3))))
-    with pytest.raises(ValueError):
-        solve_nested(make(2, (1.0,), (0.5, 0.5),
-                          (FieldSpec.gaussian(0.0), FieldSpec.gaussian(1.0))))
+    # Zero and zero-variance fields are centred, so Newton takes them.
+    for fields in ((), (FieldSpec.gaussian(0.0), FieldSpec.gaussian(1.0))):
+        assert solve_nested(make(2, (1.0,), (0.5, 0.5), fields)).residual <= 1e-10
+
+
+def test_nested_reaches_the_largest_solution_with_zero_variance_fields():
+    # With a zero field on some layer the consistency equations can have
+    # several solutions (q = 0 solves them for zero fields); Newton from
+    # q = 1 must land on the largest, where the undamped iteration from
+    # q = 1 also ends.  Near rho = 1 that iteration is too slow to compare.
+    rng = np.random.default_rng(28)
+    checked = 0
+    while checked < 12:
+        params = random_params(rng, k_range=(2, 8), beta_range=(0.3, 2.0),
+                               lam_floor=0.02)
+        variances = rng.choice([0.0, 0.0, 0.3], size=params.K)
+        params = make(params.K, params.beta, params.lam,
+                      tuple(FieldSpec.gaussian(v) for v in variances))
+        if abs(machine.spectral_radius(params) - 1.0) < 0.2:
+            continue
+        checked += 1
+        sol = solve_nested(params)
+        assert sol.residual <= 1e-10
+        fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                               tol=1e-13, max_iter=100_000)
+        np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-9)
 
 
 def test_nested_rejects_zero_lambda_layers():
