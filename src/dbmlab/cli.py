@@ -400,13 +400,14 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
     if min(params.lam) <= 0.0:
         raise ConfigError("the rs solvers require strictly positive layer "
                           "weights; prune zero-weight layers from the model")
-    supported = params.gaussian_fields
     if method == "auto":
-        method = "nested" if supported else "fixed_point"
-    if method in {"nested", "both"} and not supported:
-        raise ConfigError(
-            "the nested solver requires centred Gaussian fields with positive "
-            "variance on every layer; use method 'fixed_point' for this model")
+        method = "nested" if params.gaussian_fields else "fixed_point"
+    if method in {"nested", "both"}:
+        try:
+            params.require_fields("the nested solver", gaussian=False)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc}; use method 'fixed_point' for this model") from exc
     methods = ("nested", "fixed_point") if method == "both" else (method,)
     damping = _setting(config.solver, "damping", 0.5, float)
     if not 0.0 < damping <= 1.0:

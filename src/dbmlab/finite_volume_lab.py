@@ -8,6 +8,12 @@ identity of the interaction energy, and tabulates how finite-size
 pressure estimates approach the annealed value inside the annealed
 region.
 
+The layered chain is bipartite: given the even-indexed layers, the spins
+of the odd-indexed layers are independent, and vice versa.  Exact
+enumeration uses that to sum one parity class of layers in closed form.
+The Monte Carlo estimator and the covariance check work on stacks of
+disorder samples, one array axis per sample, rather than sample by sample.
+
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
 results are bit-identical regardless of evaluation order or parallelism.
@@ -19,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, stdtrit
 
 from . import machine
 from .machine import FieldSpec, ModelParams
@@ -35,8 +41,17 @@ _STREAM_DISORDER = 0
 _STREAM_DYNAMICS = 1
 _STREAM_PAIRS = 2
 
-# Entries per chunk when contracting layer transfer blocks.
+# Array entries per stack of disorder samples: couplings plus the per-sample
+# working arrays, so that large systems are stacked a few samples at a time.
 _CHUNK_ENTRIES = 1 << 22
+
+# Batches per energy series in the drift test, and the probability that it
+# flags a row of equilibrated series.
+_DRIFT_BATCHES = 10
+_DRIFT_LEVEL = 0.01
+
+# Element by element through math.log, for the tempering swap test.
+_libm_log = np.vectorize(math.log, otypes=[float])
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +193,31 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
                           fields=fields, seed=seed, index=index)
 
 
+def _disorder_stacks(assignment: LayerAssignment, params: ModelParams,
+                     seed: int, n_disorder: int, work_entries: int):
+    """Samples ``0 .. n_disorder - 1`` stacked along a leading axis, in chunks.
+
+    Yields ``(start, couplings, fields)`` with ``couplings[p]`` of shape
+    ``(D, N_p, N_{p+1})`` and ``fields[p]`` of shape ``(D, N_p)`` for the
+    ``D`` consecutive samples from index ``start``.  A chunk holds at most
+    :data:`_CHUNK_ENTRIES` entries of couplings plus ``work_entries`` per
+    sample (and at least one sample).
+    """
+    sizes = assignment.sizes
+    per_sample = sum(a * b for a, b in zip(sizes, sizes[1:])) + work_entries
+    width = max(1, _CHUNK_ENTRIES // max(1, per_sample))
+    for start in range(0, n_disorder, width):
+        D = min(width, n_disorder - start)
+        couplings = [np.empty((D, a, b)) for a, b in zip(sizes, sizes[1:])]
+        fields = [np.empty((D, n)) for n in sizes]
+        for d in range(D):
+            sample = sample_disorder(assignment, params, seed, start + d)
+            for stack, block in zip(couplings + fields,
+                                    sample.couplings + sample.fields):
+                stack[d] = block
+        yield start, couplings, fields
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian and exact enumeration
 # ---------------------------------------------------------------------------
@@ -206,12 +246,26 @@ def hamiltonian(sample: DisorderSample, sigma, params: ModelParams):
     if params.K != len(sample.assignment.sizes):
         raise ValueError("sample and parameters disagree on the layer count")
     parts = _split_layers(sample.assignment, sigma)
-    total = np.zeros(parts[0].shape[:-1])
-    for p in range(params.K - 1):
-        total += params.beta[p] * np.einsum(
-            "...i,...i->...", parts[p] @ sample.couplings[p], parts[p + 1])
-    energy = -math.sqrt(2.0 / sample.assignment.N) * total
+    energy = _interaction_energy(sample.couplings, parts, params,
+                                 sample.assignment.N)
     return float(energy) if energy.ndim == 0 else energy
+
+
+def _interaction_energy(couplings, parts, params: ModelParams, N: int) -> np.ndarray:
+    """The energy of :func:`hamiltonian` for per-layer spins ``parts``.
+
+    ``couplings[p]`` is one ``(N_p, N_{p+1})`` block or a stack
+    ``(D, N_p, N_{p+1})`` of them; ``parts[p]`` is ``(N_p,)`` or ``(n, N_p)``.
+    The result has the stack's leading axis followed by the configurations'.
+    Each stacked sample goes through the same matrix product and per-row
+    reduction as a single block, so its energies keep their bits.
+    """
+    batch = couplings[0].shape[:-2] if couplings else ()
+    total = np.zeros(batch + parts[0].shape[:-1])
+    for p, block in enumerate(couplings):
+        total += params.beta[p] * np.einsum("...i,...i->...", parts[p] @ block,
+                                            parts[p + 1])
+    return -math.sqrt(2.0 / N) * total
 
 
 def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
@@ -227,21 +281,19 @@ def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
     return out
 
 
-def _signed_sums(vectors: np.ndarray) -> np.ndarray:
-    """All ``2^n`` signed column sums of an ``(n, m)`` array.
+def _spin_table(n: int) -> np.ndarray:
+    """All ``2^n`` configurations of ``n`` spins, shape ``(2^n, n)``.
 
-    Row order follows the binary code of the sign pattern: bit ``i`` of the
-    row index is ``1`` where entry ``i`` enters with ``+``.
+    Row ``c`` has spin ``i`` equal to ``+1`` where bit ``i`` of ``c`` is set;
+    the rows from ``2^i`` to ``2^(i+1) - 1`` repeat the first ``2^i`` rows
+    with spin ``i`` up.
     """
-    out = np.zeros((1, vectors.shape[1]))
-    for row in vectors:
-        out = np.concatenate((out - row, out + row), axis=0)
-    return out
-
-
-def _spin_block(codes: np.ndarray, n: int) -> np.ndarray:
-    """Rows of the +-1 configuration table for the given binary codes."""
-    return ((codes[:, None] >> np.arange(n)) & 1).astype(float) * 2.0 - 1.0
+    table = np.full((1 << n, n), -1.0)
+    for i in range(n):
+        half = 1 << i
+        table[half:2 * half, :i] = table[:half, :i]
+        table[half:2 * half, i] = 1.0
+    return table
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -270,45 +322,58 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def log_partition(sample: DisorderSample, params: ModelParams) -> float:
-    """Exact ``log Z`` by a layer-by-layer transfer contraction.
+    """Exact ``log Z``: enumerate one parity class of layers, sum the other.
 
-    Sums all ``2^N`` configurations in log space, processing layers left to
-    right so that memory stays polynomial in the per-layer counts; capped
-    at ``N <= 24`` spins.  Each transfer row is reduced by
+    Given the spins of the even-indexed layers, each spin of an odd-indexed
+    layer sees a fixed local field ``g`` (its external field plus the
+    couplings to its two neighbours) and sums to ``log 2 cosh g``, computed
+    as ``|g| + log1p(exp(-2|g|))``; the same holds with the classes swapped.
+    The class with fewer spins is enumerated (the even one on a tie), so
+    with the cap of ``N <= 24`` spins there are at most ``2^12`` rows.  The
+    enumerated spins enter linearly, through their own fields and the local
+    fields of the summed spins, so all rows come from one product of the
+    configuration table with a matrix.  The rows are reduced by
     :func:`_logsumexp_rows`, a NumPy log-sum-exp that performs SciPy's
-    ``logsumexp`` operations in SciPy's order, so ``log Z`` keeps its bits,
-    but skips SciPy's second, unshifted pass over the row and its per-call
-    dispatch.  A plain ``m + log(sum(exp(a - m)))`` would not keep them:
-    SciPy takes the max entries out of the sum and adds ``log1p``.
+    ``logsumexp`` operations in SciPy's order, but skips SciPy's second,
+    unshifted pass over the row and its per-call dispatch.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
     N = assignment.N
-    if params.K != len(sizes):
+    K = len(sizes)
+    if params.K != K:
         raise ValueError("sample and parameters disagree on the layer count")
     if N > EXACT_SPIN_CAP:
         raise ValueError(
             f"exact enumeration is capped at {EXACT_SPIN_CAP} spins; "
             "use the Monte Carlo estimator for larger systems")
-    if len(sizes) == 1:
+    if K == 1:
         h = sample.fields[0]
         return float(np.sum(np.logaddexp(h, -h)))
     scale = math.sqrt(2.0 / N)
-    log_weights = _signed_sums(sample.fields[0][:, None])[:, 0]
-    for p in range(len(sizes) - 1):
-        bond = (scale * params.beta[p]) * _signed_sums(sample.couplings[p])
-        n_next = sizes[p + 1]
-        total_next = 1 << n_next
-        nxt = np.empty(total_next)
-        block = max(1, _CHUNK_ENTRIES // max(1, bond.shape[0]))
-        for t0 in range(0, total_next, block):
-            codes = np.arange(t0, min(t0 + block, total_next))
-            spins = _spin_block(codes, n_next)
-            rows = spins @ bond.T
-            rows += log_weights
-            nxt[t0:t0 + codes.size] = (_logsumexp_rows(rows)
-                                       + spins @ sample.fields[p + 1])
-        log_weights = nxt
+    first = 0 if sum(sizes[0::2]) <= sum(sizes[1::2]) else 1
+    enumerated = range(first, K, 2)
+    summed = range(1 - first, K, 2)
+    rows = np.cumsum((0,) + tuple(sizes[p] for p in enumerated))
+    cols = np.cumsum((1,) + tuple(sizes[p] for p in summed))
+    # Layer p is number p // 2 of its class.  Row block rows[p // 2] holds an
+    # enumerated layer's spins; column 0 takes their fields and column block
+    # cols[p // 2] the coupling part of summed layer p's local fields.
+    linear = np.zeros((rows[-1], cols[-1]))
+    linear[:, 0] = np.concatenate([sample.fields[p] for p in enumerated])
+    for p in summed:
+        c = slice(cols[p // 2], cols[p // 2 + 1])
+        if p > 0:
+            r = slice(rows[(p - 1) // 2], rows[(p - 1) // 2 + 1])
+            linear[r, c] = (scale * params.beta[p - 1]) * sample.couplings[p - 1]
+        if p < K - 1:
+            r = slice(rows[(p + 1) // 2], rows[(p + 1) // 2 + 1])
+            linear[r, c] = (scale * params.beta[p]) * sample.couplings[p].T
+    table = _spin_table(rows[-1]) @ linear
+    local = np.abs(table[:, 1:]
+                   + np.concatenate([sample.fields[p] for p in summed]))
+    log_weights = table[:, 0] + np.sum(
+        local + np.log1p(np.exp(-2.0 * local)), axis=1)
     return float(_logsumexp_rows(log_weights))
 
 
@@ -337,105 +402,77 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
-def _drift_detected(series: np.ndarray) -> bool:
-    """Heuristic equilibration check on a per-sweep energy series.
+def _drift_detected(records: np.ndarray) -> bool:
+    """Whether any energy series in ``records`` drifts, by batch means.
 
-    Splits the last fifth of the series into two windows and flags a drift
-    when the window means differ by more than three pooled standard errors.
+    ``records`` has shape ``(S, ...)``: one series of ``S`` sweeps per
+    trailing index, ``m`` series in all.  The last ``10 L`` sweeps of each
+    series (``L = S // 10``) form ten batches of ``L`` sweeps.  Batches much
+    longer than the autocorrelation time have nearly independent, normal
+    means, so the least-squares slope of the batch means against the batch
+    index, over its standard error from their scatter about the fitted
+    line, is a Student ``t`` statistic with 8 degrees of freedom.  A series
+    drifts when ``|t|`` exceeds the two-sided ``_DRIFT_LEVEL / m`` quantile
+    (Bonferroni), so a row of equilibrated series is flagged with
+    probability at most ``_DRIFT_LEVEL``.  Series shorter than 20 sweeps
+    are never flagged.
     """
-    series = np.asarray(series, dtype=float)
-    win = series.size // 10
-    if win < 2:
+    records = np.asarray(records, dtype=float)
+    length = records.shape[0] // _DRIFT_BATCHES
+    if length < 2:
         return False
-    recent = series[-win:]
-    previous = series[-2 * win:-win]
-    pooled = math.sqrt(
-        (np.var(recent, ddof=1) + np.var(previous, ddof=1)) / win)
-    return bool(abs(float(np.mean(recent) - np.mean(previous))) > 3.0 * pooled)
+    tail = records[records.shape[0] - _DRIFT_BATCHES * length:]
+    batches = tail.reshape((_DRIFT_BATCHES, length) + tail.shape[1:]).mean(axis=1)
+    index = np.arange(_DRIFT_BATCHES) - 0.5 * (_DRIFT_BATCHES - 1)
+    index = index.reshape((-1,) + (1,) * (batches.ndim - 1))
+    spread = np.sum(index**2)
+    slope = np.sum(index * batches, axis=0) / spread
+    residual = batches - batches.mean(axis=0) - slope * index
+    scatter = np.sum(residual**2, axis=0) / (_DRIFT_BATCHES - 2)
+    tests = max(1, int(np.prod(records.shape[1:])))
+    threshold = stdtrit(_DRIFT_BATCHES - 2, 1.0 - 0.5 * _DRIFT_LEVEL / tests)
+    return bool(np.any(np.abs(slope) > threshold * np.sqrt(scatter / spread)))
 
 
 def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
                      slope: np.ndarray, fields2: list[np.ndarray],
                      draws: np.ndarray) -> np.ndarray:
-    """One heat-bath sweep over the layers of every rung; returns ``-H`` per rung.
+    """One heat-bath sweep over every layer, rung and stacked sample.
 
-    ``layers[p]`` is the ``(R, N_p)`` view of layer ``p`` in the rung
-    states, updated in place, and ``coupled[p]`` is ``sqrt(2/N) beta_p J_p``.
-    A spin of layer ``p`` with coupling field ``g`` at rung ``r`` becomes
-    ``+1`` with probability ``expit(slope[r] * g + fields2[p])``, where
-    ``slope`` is twice the rung's coupling scale and ``fields2[p]`` twice
-    the layer's fields.  ``draws`` holds the sweep's ``R * N`` uniforms,
-    layer by layer.  The product ``layers[p] @ coupled[p]`` taken after
-    layer ``p`` updates is both the left part of layer ``p + 1``'s coupling
-    field and, contracted with the updated layer ``p + 1``, bond ``p``'s
-    share of ``-H``.
+    ``layers[p]`` is the ``(D, R, N_p)`` view of layer ``p`` in the states
+    of ``D`` disorder samples at ``R`` rungs, updated in place, and
+    ``coupled[p]`` is the ``(D, N_p, N_{p+1})`` stack of
+    ``sqrt(2/N) beta_p J_p``.  A spin of layer ``p`` with coupling field
+    ``g`` at rung ``r`` becomes ``+1`` with probability
+    ``expit(slope[r] * g + fields2[p])``, where ``slope`` (shape ``(R, 1)``)
+    is twice the rung's coupling scale and ``fields2[p]`` (shape
+    ``(D, 1, N_p)``) twice the layer's fields.  Row ``d`` of ``draws`` starts
+    with sample ``d``'s ``R * N`` uniforms, layer by layer.  The product
+    ``layers[p] @ coupled[p]`` taken after layer ``p`` updates is both the
+    left part of layer ``p + 1``'s coupling field and, contracted with the
+    updated layer ``p + 1``, bond ``p``'s share of ``-H``.  Returns ``-H``
+    per sample and rung, shape ``(D, R)``.
     """
-    R = slope.shape[0]
+    D, R = layers[0].shape[:2]
     K = len(layers)
-    gain = np.zeros(R)
+    gain = np.zeros((D, R))
     local = np.zeros(layers[0].shape)
     start = 0
     for p in range(K):
         layer = layers[p]
         if p < K - 1:
-            local = local + layers[p + 1] @ coupled[p].T
-        stop = start + layer.size
-        uniforms = draws[start:stop].reshape(layer.shape)
+            local = local + layers[p + 1] @ coupled[p].transpose(0, 2, 1)
+        stop = start + R * layer.shape[2]
+        uniforms = draws[:, start:stop].reshape(layer.shape)
         start = stop
         layer[...] = np.where(uniforms < expit(slope * local + fields2[p]),
                               1.0, -1.0)
         if p > 0:
-            gain += np.einsum("ri,ri->r", below, layer)
+            gain += np.einsum("dri,dri->dr", below, layer)
         if p < K - 1:
             below = layer @ coupled[p]
             local = below
     return gain
-
-
-def _mc_sample_pressure(sample: DisorderSample, params: ModelParams,
-                        sweeps: int, nodes: np.ndarray, weights: np.ndarray,
-                        gen: np.random.Generator) -> tuple[float, bool]:
-    """Thermodynamic-integration pressure estimate for one disorder sample.
-
-    The coupling scale runs over Gauss-Legendre ``nodes`` in ``[0, 1]``; the
-    rungs double as a parallel-tempering ladder with swap moves after every
-    sweep.  The anchor at scale zero is the exact decoupled pressure, and
-    the integrand at a rung is its mean ``-H``, the interaction energy
-    :func:`hamiltonian` gives for the same states.  Each sweep draws its
-    heat-bath and swap uniforms in one call.
-    """
-    assignment = sample.assignment
-    sizes = assignment.sizes
-    N = assignment.N
-    K = len(sizes)
-    R = nodes.size
-    bounds = np.cumsum((0,) + sizes)
-    scale = math.sqrt(2.0 / N)
-    h_all = np.concatenate(sample.fields) if N else np.zeros(0)
-    coupled = [(scale * params.beta[p]) * sample.couplings[p] for p in range(K - 1)]
-    slope = (2.0 * nodes)[:, None]
-    fields2 = [2.0 * h for h in sample.fields]
-
-    states = gen.integers(0, 2, size=(R, N)).astype(float) * 2.0 - 1.0
-    layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(K)]
-    burn_in = sweeps // 2
-    records = np.empty((sweeps - burn_in, R))
-    for sweep in range(sweeps):
-        rungs = range(sweep % 2, R - 1, 2)
-        draws = gen.random(R * N + len(rungs))
-        gain = _tempering_sweep(layers, coupled, slope, fields2, draws)
-        for r, u in zip(rungs, draws[R * N:]):
-            log_accept = (nodes[r + 1] - nodes[r]) * (gain[r] - gain[r + 1])
-            if math.log(max(u, 1e-300)) < log_accept:
-                states[[r, r + 1]] = states[[r + 1, r]]
-                gain[[r, r + 1]] = gain[[r + 1, r]]
-        if sweep >= burn_in:
-            records[sweep - burn_in] = gain
-    anchor = float(np.sum(np.logaddexp(h_all, -h_all))) / N
-    mean_gain = records.mean(axis=0)
-    value = anchor + float(weights @ mean_gain) / N
-    drift = any(_drift_detected(records[:, r]) for r in range(R))
-    return value, drift
 
 
 def mc_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -448,11 +485,16 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     ``-H`` (:func:`hamiltonian`) under the Gibbs measure at scale ``t``.
     The ``replicas`` rungs sit at the Gauss-Legendre nodes of that
     integral; each records ``-H`` of its states after every sweep, and the
-    second half of the sweeps is averaged.  Each disorder sample gets an
-    independent keyed random stream, so the estimate is reproducible
-    regardless of evaluation order.  A ``nonequilibrated`` flag is attached
-    when any temperature rung shows a significant energy drift late in its
-    sweep series.
+    second half of the sweeps is averaged.  After every sweep, alternately
+    the even and the odd neighbouring rung pairs propose to swap states.
+
+    The chains of all disorder samples run together, stacked along a
+    leading axis (a few samples at a time for large systems, see
+    :func:`_disorder_stacks`).  Each sample still draws from its own keyed
+    random stream, in the order a chain run alone would, so the estimate
+    is reproducible regardless of how samples are stacked.  A
+    ``nonequilibrated`` flag is attached when :func:`_drift_detected`
+    finds a drift in any rung's recorded energy series.
     """
     if assignment.N > MC_SPIN_CAP:
         raise ValueError(f"Monte Carlo estimator is capped at {MC_SPIN_CAP} spins")
@@ -467,14 +509,51 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     x, w = np.polynomial.legendre.leggauss(replicas)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
+    sizes = assignment.sizes
+    N = assignment.N
+    R = replicas
+    bounds = np.cumsum((0,) + sizes)
+    scale = math.sqrt(2.0 / N)
+    slope = (2.0 * nodes)[:, None]
+    burn_in = sweeps // 2
+    # Sample-major, so that each sample's (sweep, rung) block reduces in the
+    # order of a single chain's records.
+    records = np.empty((n_disorder, sweeps - burn_in, R))
     values = np.empty(n_disorder)
-    drifted = False
-    for j in range(n_disorder):
-        sample = sample_disorder(assignment, params, seed, j)
-        gen = _generator(seed, j, _STREAM_DYNAMICS)
-        values[j], drift = _mc_sample_pressure(sample, params, sweeps, nodes,
-                                               weights, gen)
-        drifted = drifted or drift
+    for start, couplings, fields in _disorder_stacks(assignment, params, seed,
+                                                     n_disorder, 2 * R * N):
+        D = fields[0].shape[0]
+        gens = [_generator(seed, j, _STREAM_DYNAMICS) for j in range(start, start + D)]
+        states = np.stack([gen.integers(0, 2, size=(R, N)) for gen in gens])
+        states = states.astype(float) * 2.0 - 1.0
+        layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
+        coupled = [(scale * params.beta[p]) * block for p, block in enumerate(couplings)]
+        fields2 = [2.0 * h[:, None, :] for h in fields]
+        draws = np.empty((D, R * N + R // 2))
+        for sweep in range(sweeps):
+            lo = np.arange(sweep % 2, R - 1, 2)
+            width = R * N + lo.size
+            for d, gen in enumerate(gens):
+                gen.random(out=draws[d, :width])
+            gain = _tempering_sweep(layers, coupled, slope, fields2, draws)
+            log_accept = (nodes[lo + 1] - nodes[lo]) * (gain[:, lo] - gain[:, lo + 1])
+            # libm's log, as a single chain's scalar test takes it: NumPy's
+            # vectorised log may round differently in the last place.
+            log_u = _libm_log(np.maximum(draws[:, R * N:width], 1e-300))
+            d, r = np.nonzero(log_u < log_accept)
+            r = lo[r]
+            states[d, r], states[d, r + 1] = states[d, r + 1], states[d, r]
+            gain[d, r], gain[d, r + 1] = gain[d, r + 1], gain[d, r]
+            if sweep >= burn_in:
+                records[start:start + D, sweep - burn_in] = gain
+        h_all = np.concatenate(fields, axis=1)
+        anchor = np.sum(np.logaddexp(h_all, -h_all), axis=1) / N
+        mean_gain = records[start:start + D].mean(axis=1)
+        # One (1, R) @ (R, 1) product per sample rounds as a single chain's
+        # dot product does; a (D, R) @ (R,) product would not.
+        integral = (mean_gain[:, None, :] @ weights[:, None])[:, 0, 0]
+        values[start:start + D] = anchor + integral / N
+    drifted = _drift_detected(records.transpose(1, 0, 2))
     std_error = (
         float(np.std(values, ddof=1) / math.sqrt(n_disorder))
         if n_disorder > 1 else 0.0)
@@ -524,9 +603,11 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     For each configuration pair, estimates ``Cov(H(sigma), H(tau))`` over
     ``n_disorder`` common disorder samples and compares it to the quadratic
     overlap form it must equal in distribution.  ``pairs`` defaults to
-    ``n_pairs`` seeded random configuration pairs.  Each disorder sample
-    costs one stacked :func:`hamiltonian` call on all ``2 * len(pairs)``
-    configurations.
+    ``n_pairs`` seeded random configuration pairs.  The energies of all
+    ``2 * len(pairs)`` configurations under all disorder samples come from
+    one batched contraction over the stacked couplings (a few samples at a
+    time for large systems); each equals, bit for bit, what
+    :func:`hamiltonian` gives for that sample.
     """
     if n_disorder < 3:
         raise ValueError("need at least three disorder samples")
@@ -541,11 +622,14 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     if not pairs:
         raise ValueError("need at least one configuration pair")
     configs = np.array([spins for pair in pairs for spins in pair])
-    energies = np.empty((len(configs), n_disorder))
-    for j in range(n_disorder):
-        sample = sample_disorder(assignment, params, seed, j)
-        energies[:, j] = hamiltonian(sample, configs, params)
-    energies = energies.reshape(len(pairs), 2, n_disorder)
+    parts = _split_layers(assignment, configs)
+    energies = np.empty((n_disorder, len(configs)))
+    for start, couplings, fields in _disorder_stacks(assignment, params, seed,
+                                                     n_disorder, configs.size):
+        stop = start + fields[0].shape[0]
+        energies[start:stop] = _interaction_energy(couplings, parts, params,
+                                                   assignment.N)
+    energies = energies.T.reshape(len(pairs), 2, n_disorder)
     rows = []
     for k, (sigma, tau) in enumerate(pairs):
         ds = energies[k, 0] - energies[k, 0].mean()

@@ -254,7 +254,10 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
     Gaussian fields with positive variance the positive root is unique
     (the Latala--Guerra argument: ``F(x)/x`` is strictly decreasing on
     ``(0, 1]``).  Bracketed Newton iteration from ``x = 1/2`` stops once
-    ``|F(x) - x| < tol``.  Returns
+    both the defect ``|F(x) - x|`` and the Newton step
+    ``|(F(x) - x) / (1 - F'(x))|`` are below ``tol``.  The step bounds the
+    distance to the root; near the critical line ``F'`` tends to one, and a
+    small defect alone can leave ``x`` far from it.  Returns
     ``(x, converged)``; without convergence ``x`` is the iterate with the
     smallest defect.
     """
@@ -269,14 +272,18 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
         defect = tanh_sq - x
         if abs(defect) < abs(best_defect):
             best_x, best_defect = x, defect
-        if abs(defect) < tol:
-            return x, True
         if defect > 0.0:
             lo = x
         else:
             hi = x
         slope = two_t * _tanh_sq_slope(two_t * x, field, rule, tanh_sq)
-        candidate = x + defect / (1.0 - slope) if slope < 1.0 else 0.5 * (lo + hi)
+        if slope < 1.0:
+            step = defect / (1.0 - slope)
+            if abs(defect) < tol and abs(step) < tol:
+                return x, True
+            candidate = x + step
+        else:
+            candidate = 0.5 * (lo + hi)
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
         x = candidate
@@ -289,8 +296,8 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12, *,
 
     Validating entry to the scalar overlap solver with ``theta^2 = beta^2``
     and a centred Gaussian field of variance ``v > 0``, where the root is
-    unique.  Stops when ``|q - F(q)| < tol`` and raises
-    :class:`SolverError` when that is not reached.
+    unique.  Stops when ``|q - F(q)|`` and the Newton step are below
+    ``tol`` and raises :class:`SolverError` when that is not reached.
     """
     beta = float(beta)
     v = float(v)

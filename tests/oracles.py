@@ -217,3 +217,84 @@ def interaction_image(params, q) -> np.ndarray:
             acc += beta_sq[p] * lam[p + 1] * q[p + 1]
         out[p] = 2.0 * acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Finite-volume Monte Carlo, one disorder sample at a time
+# ---------------------------------------------------------------------------
+#
+# The same parallel-tempering algorithm as ``finite_volume_lab.mc_pressure``,
+# run chain by chain with scalar swap moves.  The package stacks the chains of
+# all samples; both must give the same bits.
+
+
+def _sample_tempering_sweep(layers, coupled, slope, fields2, draws):
+    """One heat-bath sweep over the (R, N_p) layer views of one sample; -H per rung."""
+    from scipy.special import expit
+
+    R = slope.shape[0]
+    K = len(layers)
+    gain = np.zeros(R)
+    local = np.zeros(layers[0].shape)
+    start = 0
+    for p in range(K):
+        layer = layers[p]
+        if p < K - 1:
+            local = local + layers[p + 1] @ coupled[p].T
+        stop = start + layer.size
+        uniforms = draws[start:stop].reshape(layer.shape)
+        start = stop
+        layer[...] = np.where(uniforms < expit(slope * local + fields2[p]),
+                              1.0, -1.0)
+        if p > 0:
+            gain += np.einsum("ri,ri->r", below, layer)
+        if p < K - 1:
+            below = layer @ coupled[p]
+            local = below
+    return gain
+
+
+def per_sample_mc_pressure(assignment, params, n_disorder, sweeps, replicas,
+                           seed):
+    """(mean, std_error) of the tempering pressure, one chain set per sample."""
+    from dbmlab.finite_volume_lab import (_STREAM_DYNAMICS, _generator,
+                                          sample_disorder)
+
+    x, w = np.polynomial.legendre.leggauss(replicas)
+    nodes = 0.5 * (x + 1.0)
+    weights = 0.5 * w
+    sizes = assignment.sizes
+    N = assignment.N
+    K = len(sizes)
+    R = replicas
+    bounds = np.cumsum((0,) + sizes)
+    scale = math.sqrt(2.0 / N)
+    slope = (2.0 * nodes)[:, None]
+    values = np.empty(n_disorder)
+    for j in range(n_disorder):
+        sample = sample_disorder(assignment, params, seed, j)
+        gen = _generator(seed, j, _STREAM_DYNAMICS)
+        h_all = np.concatenate(sample.fields)
+        coupled = [(scale * params.beta[p]) * sample.couplings[p]
+                   for p in range(K - 1)]
+        fields2 = [2.0 * h for h in sample.fields]
+        states = gen.integers(0, 2, size=(R, N)).astype(float) * 2.0 - 1.0
+        layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(K)]
+        burn_in = sweeps // 2
+        records = np.empty((sweeps - burn_in, R))
+        for sweep in range(sweeps):
+            rungs = range(sweep % 2, R - 1, 2)
+            draws = gen.random(R * N + len(rungs))
+            gain = _sample_tempering_sweep(layers, coupled, slope, fields2, draws)
+            for r, u in zip(rungs, draws[R * N:]):
+                log_accept = (nodes[r + 1] - nodes[r]) * (gain[r] - gain[r + 1])
+                if math.log(max(u, 1e-300)) < log_accept:
+                    states[[r, r + 1]] = states[[r + 1, r]]
+                    gain[[r, r + 1]] = gain[[r + 1, r]]
+            if sweep >= burn_in:
+                records[sweep - burn_in] = gain
+        anchor = float(np.sum(np.logaddexp(h_all, -h_all))) / N
+        values[j] = anchor + float(weights @ records.mean(axis=0)) / N
+    std_error = (float(np.std(values, ddof=1) / math.sqrt(n_disorder))
+                 if n_disorder > 1 else 0.0)
+    return float(np.mean(values)), std_error

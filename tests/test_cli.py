@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbmlab import cli, ghquad, machine
+from dbmlab import cli, ghquad, machine, rs_solver
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
 
@@ -193,12 +193,39 @@ def test_rs_cross_solver_agreement(tmp_path):
     assert sup < 1e-7
 
 
-def test_rs_nested_requires_gaussian_fields(tmp_path):
+def test_rs_nested_requires_gaussian_fields(tmp_path, capsys):
     data = model_dict(2, (0.6,), (0.5, 0.5),
                       (FieldSpec.point_mass(0.3), FieldSpec.zero()))
     data["solver"] = {"method": "nested"}
     cfg = write_config(tmp_path, data)
     assert cli.main(["rs", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "layer 0 has kind 'point_mass'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("fields", [
+    (FieldSpec.zero(),) * 3,
+    (FieldSpec.gaussian(0.0), FieldSpec.gaussian(0.4), FieldSpec.zero()),
+])
+def test_rs_nested_takes_zero_and_zero_variance_fields(tmp_path, fields):
+    # An explicit method 'nested' solves every model solve_nested takes, and
+    # lands on the largest solution, where the undamped iteration from q = 1
+    # ends.  The chain lies outside the annealed region (rho about 1.6), so
+    # that solution is not q = 0.
+    data = model_dict(3, (1.3, 1.1), (0.3, 0.4, 0.3), fields)
+    data["solver"] = {"method": "nested"}
+    cfg = write_config(tmp_path, data)
+    out = str(tmp_path / "rs.json")
+    assert cli.main(["rs", "--config", cfg, "--format", "json", "--out", out]) == 0
+    sol = read_json(out)["solutions"][0]
+    assert sol["method"] == "nested"
+    params = ModelParams.from_dict(data)
+    assert machine.spectral_radius(params) > 1.2
+    fp = rs_solver.solve_fixed_point(params, q0=np.ones(3), damping=1.0,
+                                     tol=1e-13, max_iter=100_000)
+    np.testing.assert_allclose(sol["q"], fp.q, rtol=0.0, atol=1e-9)
+    assert min(sol["q"]) > 0.1
 
 
 def test_rs_single_layer(tmp_path):

@@ -22,7 +22,7 @@ from dbmlab.finite_volume_lab import (
 )
 from dbmlab.machine import FieldSpec, ModelParams
 
-from oracles import all_spin_configs, bruteforce_log_partition
+from oracles import all_spin_configs, bruteforce_log_partition, per_sample_mc_pressure
 
 LOG2 = math.log(2.0)
 
@@ -210,13 +210,18 @@ def _fsum_log_partition(sample, params):
     return top + math.log(math.fsum(np.exp(energy - top)))
 
 
+# (4, 0, 5), (5, 6, 5), (0, 3, 4), (6, 2, 6) and (3, 2, 3, 2, 3) enumerate the
+# odd-indexed layers, (4, 0, 5) none of their spins; the other chains the
+# even-indexed ones, (4, 4, 4, 4) on a tie.
 @pytest.mark.parametrize("sizes", [(9,), (7, 9), (4, 0, 5), (5, 6, 5),
-                                   (0, 3, 4), (3, 5, 0, 8), (4, 4, 4, 4)])
+                                   (0, 3, 4), (3, 5, 0, 8), (4, 4, 4, 4),
+                                   (6, 2, 6), (3, 2, 3, 2, 3), (2, 4, 1, 4, 2)])
 def test_log_partition_matches_fsum_enumeration(sizes):
     K = len(sizes)
     fields = [FieldSpec.gaussian(0.6), FieldSpec.zero(),
-              FieldSpec.discrete((-0.5, 1.0), (0.4, 0.6)), FieldSpec.point_mass(0.3)]
-    params = make(K, (1.4, 0.8, 1.1)[:K - 1], (1.0 / K,) * K, fields[:K])
+              FieldSpec.discrete((-0.5, 1.0), (0.4, 0.6)), FieldSpec.point_mass(0.3),
+              FieldSpec.gaussian(1.5)]
+    params = make(K, (1.4, 0.8, 1.1, 0.9)[:K - 1], (1.0 / K,) * K, fields[:K])
     for index in range(3):
         sample = sample_disorder(LayerAssignment(sizes), params, seed=13, index=index)
         want = _fsum_log_partition(sample, params)
@@ -375,21 +380,53 @@ def test_mc_sweep_gain_is_minus_hamiltonian():
                   (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.point_mass(0.2)))
     for sizes in ((4, 5, 3), (4, 0, 3)):
         assignment = LayerAssignment(sizes)
-        sample = sample_disorder(assignment, params, seed=9, index=0)
+        samples = [sample_disorder(assignment, params, seed=9, index=j) for j in range(3)]
         rng = np.random.default_rng(1)
-        R, N = 4, assignment.N
-        states = rng.choice((-1.0, 1.0), size=(R, N))
+        D, R, N = len(samples), 4, assignment.N
+        states = rng.choice((-1.0, 1.0), size=(D, R, N))
         bounds = np.cumsum((0,) + sizes)
-        layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(3)]
-        coupled = [math.sqrt(2.0 / N) * params.beta[p] * sample.couplings[p]
-                   for p in range(2)]
+        layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(3)]
+        coupled = [math.sqrt(2.0 / N) * params.beta[p]
+                   * np.stack([s.couplings[p] for s in samples]) for p in range(2)]
         slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
-        fields2 = [2.0 * h for h in sample.fields]
+        fields2 = [2.0 * np.stack([s.fields[p] for s in samples])[:, None, :]
+                   for p in range(3)]
         for _ in range(3):
             gain = fvl._tempering_sweep(layers, coupled, slope, fields2,
-                                        rng.random(R * N))
-            np.testing.assert_allclose(gain, -hamiltonian(sample, states, params),
-                                       rtol=0.0, atol=1e-13)
+                                        rng.random((D, R * N)))
+            for d, sample in enumerate(samples):
+                np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params),
+                                           rtol=0.0, atol=1e-13)
+
+
+STACKED_CASES = {
+    "fields": ((5, 5), make(2, (0.7,), (0.5, 0.5),
+                            (FieldSpec.gaussian(0.5),
+                             FieldSpec.discrete((-1.0, 0.5), (0.3, 0.7)))),
+               6, 40, 5),
+    "single-layer": ((6,), make(1, (), (1.0,), (FieldSpec.gaussian(0.7),)), 3, 10, 3),
+    "empty-middle": ((5, 0, 5), make(3, (0.9, 0.7), (0.4, 0.2, 0.4)), 8, 60, 5),
+    "empty-first": ((0, 5, 5), make(3, (0.9, 0.7), (0.4, 0.2, 0.4),
+                                    (FieldSpec.zero(), FieldSpec.point_mass(0.2),
+                                     FieldSpec.gaussian(0.3))), 8, 60, 5),
+    "one-rung": ((3, 4, 2, 3), make(4, (1.2, 0.8, 0.5), (0.25,) * 4), 4, 30, 1),
+    "several-chunks": ((1000, 1000), make(2, (0.5,), (0.5, 0.5)), 5, 4, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_mc_pressure_equals_per_sample_chains(case):
+    sizes, params, n_disorder, sweeps, replicas = STACKED_CASES[case]
+    assignment = LayerAssignment(sizes)
+    if case == "several-chunks":
+        per_sample = 1000 * 1000 + 2 * replicas * assignment.N
+        assert fvl._CHUNK_ENTRIES // per_sample < n_disorder
+    est = mc_pressure(assignment, params, n_disorder=n_disorder, sweeps=sweeps,
+                      replicas=replicas, seed=3)
+    mean, std_error = per_sample_mc_pressure(assignment, params, n_disorder,
+                                             sweeps, replicas, 3)
+    assert est.mean == mean
+    assert est.std_error == std_error
 
 
 def test_mc_pressure_tracks_enumeration_sample_by_sample():
@@ -450,10 +487,16 @@ def test_mc_pressure_size_cap():
 def test_drift_detector_on_synthetic_series():
     rng = np.random.default_rng(0)
     steady = rng.normal(0.0, 1.0, 400)
-    assert fvl._drift_detected(steady) is False
+    assert fvl._drift_detected(steady[:, None, None]) is False
     drifting = np.linspace(0.0, 40.0, 400) + rng.normal(0.0, 1.0, 400)
-    assert fvl._drift_detected(drifting) is True
-    assert fvl._drift_detected(np.zeros(400)) is False  # zero-variance series
+    assert fvl._drift_detected(drifting[:, None, None]) is True
+    assert fvl._drift_detected(np.zeros((400, 1, 1))) is False  # zero-variance series
+    # (sweeps, samples, rungs): one drifting series among 200 is found, and
+    # 200 steady ones pass the Bonferroni-corrected threshold together.
+    stack = rng.normal(0.0, 1.0, (400, 40, 5))
+    assert fvl._drift_detected(stack) is False
+    stack[:, 17, 3] = drifting
+    assert fvl._drift_detected(stack) is True
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +527,47 @@ def test_covariance_orthogonal_pair_is_null():
     row = rows[0]
     assert row.predicted == 0.0
     assert abs(row.empirical) <= 5.0 * row.std_error
+
+
+def _covariance_rows_from(energies, n_disorder):
+    """(empirical, std_error) per pair from (pairs, 2, n_disorder) energies."""
+    out = []
+    for pair in energies:
+        products = (pair[0] - pair[0].mean()) * (pair[1] - pair[1].mean())
+        out.append((float(np.sum(products) / (n_disorder - 1)),
+                    float(np.std(products, ddof=1) / math.sqrt(n_disorder))))
+    return out
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_covariance_energies_equal_per_sample_hamiltonian(monkeypatch, split):
+    # The batched contraction over stacked couplings must give every
+    # energy the bits of hamiltonian(), also when the samples are stacked a
+    # few at a time (a budget of 100 entries holds 4 or 5 of them here).
+    if split:
+        monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", 100)
+    params = make(4, (0.9, 1.3, 0.6), (0.3, 0.1, 0.3, 0.3),
+                  (FieldSpec.gaussian(0.5),) + (FieldSpec.zero(),) * 3)
+    for sizes in ((3, 0, 4, 5), (4, 3, 2, 3)):
+        assignment = LayerAssignment(sizes)
+        n = 30
+        rows = covariance_report(assignment, params, n_disorder=n, seed=5, n_pairs=4)
+        gen = fvl._generator(5, 0, fvl._STREAM_PAIRS)
+        configs = np.array([gen.integers(0, 2, assignment.N).astype(float) * 2.0 - 1.0
+                            for _ in range(8)])
+        energies = np.array([
+            hamiltonian(sample_disorder(assignment, params, 5, j), configs, params)
+            for j in range(n)]).T.reshape(4, 2, n)
+        assert [(row.empirical, row.std_error) for row in rows] == \
+            _covariance_rows_from(energies, n)
+        stacks = list(fvl._disorder_stacks(assignment, params, 5, n, 0))
+        for start, couplings, fields in stacks:
+            stacked = fvl._interaction_energy(
+                couplings, fvl._split_layers(assignment, configs), params, assignment.N)
+            for d in range(stacked.shape[0]):
+                sample = sample_disorder(assignment, params, 5, start + d)
+                assert np.array_equal(stacked[d], hamiltonian(sample, configs, params))
+        assert (len(stacks) > 1) == split
 
 
 def test_covariance_needs_a_pair():

@@ -241,6 +241,27 @@ def test_maximize_is_deterministic():
     assert r1.certified == r2.certified
 
 
+def test_maximize_is_stationary_near_a_zero_field_critical_line():
+    # Model 129 of a default_rng(2024) stream of random centred-field chains.
+    # Some layers' surrogate overlaps solve x = E tanh^2(z sqrt(2 theta^2 x))
+    # with 2 theta^2 just above 1, where the defect's slope is near zero: a
+    # stop on the defect alone left the overlap off by ~1e-6, and the
+    # stationarity at 9.6e-7.
+    params = make(
+        12,
+        (2.302617169566035, 1.1143317141376732, 0.2704685518496361,
+         0.6747510115652071, 0.9635589661462265, 2.1583672891862578,
+         0.7321193446126213, 0.8142101796588874, 0.3736049886120616,
+         1.2057618868913915, 2.9208050603385436),
+        (0.0778402644201745, 0.0848912863179526, 0.17692946012223504,
+         0.04840464030256687, 0.07785241572305869, 0.08856050713378143,
+         0.04217333116933717, 0.04645568008634185, 0.09423078525562428,
+         0.07668066799873077, 0.13076860274348462, 0.055212358726712304))
+    assert params.zero_fields
+    result = maximize_bound(params)
+    assert result.stationarity <= 1e-9
+
+
 def test_maximize_result_serializes_to_json():
     params = make(2, (0.9,), (0.5, 0.5))
     result = maximize_bound(params)
