@@ -537,8 +537,7 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
         solution = None
         if need_solution:
             try:
-                nested = params.gaussian_fields and min(params.lam) > 0.0
-                method = "nested" if nested else "fixed_point"
+                method = "nested" if params.gaussian_fields else "fixed_point"
                 solution = _solve_rs(params, method, tol, rule)
             except (rs_solver.SolverError, ValueError):
                 flags.append("rs_failed")

@@ -11,8 +11,9 @@ region.
 The layered chain is bipartite: given the even-indexed layers, the spins
 of the odd-indexed layers are independent, and vice versa.  Exact
 enumeration uses that to sum one parity class of layers in closed form.
-The Monte Carlo estimator and the covariance check work on stacks of
-disorder samples, one array axis per sample, rather than sample by sample.
+All three estimators (exact enumeration, Monte Carlo and the covariance
+check) draw their disorder as stacks of consecutive samples with a leading
+array axis (see :class:`DisorderSample`), and reduce one stack at a time.
 
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, stdtrit
+from scipy.special import expit, logsumexp, stdtrit
 
 from . import machine
 from .machine import FieldSpec, ModelParams
@@ -43,7 +44,7 @@ _STREAM_PAIRS = 2
 
 # Array entries per stack of disorder samples: couplings plus the per-sample
 # working arrays, so that large systems are stacked a few samples at a time.
-_CHUNK_ENTRIES = 1 << 22
+_CHUNK_ENTRIES = 1 << 18
 
 # Batches per energy series in the drift test, and the probability that it
 # flags a row of equilibrated series.
@@ -102,11 +103,13 @@ class LayerAssignment:
 
 @dataclass(frozen=True, eq=False)
 class DisorderSample:
-    """One realization of couplings and fields for a finite assignment.
+    """Couplings and fields for a finite assignment: one sample or a stack.
 
     ``couplings[p]`` is the ``N_p x N_{p+1}`` standard-Gaussian block of
     bond ``p``; ``fields[p]`` holds the per-spin external fields of layer
-    ``p``.  Reproducible from ``(seed, index)``.
+    ``p``.  A stack of ``D`` consecutive samples puts a leading axis of
+    length ``D`` on every block and field vector, and ``index`` is its first
+    sample.  Reproducible from ``(seed, index)``.
     """
 
     assignment: LayerAssignment
@@ -119,15 +122,23 @@ class DisorderSample:
         sizes = self.assignment.sizes
         if len(self.couplings) != len(sizes) - 1:
             raise ValueError("need one coupling block per adjacent layer pair")
-        for p, block in enumerate(self.couplings):
-            if block.shape != (sizes[p], sizes[p + 1]):
-                raise ValueError(
-                    f"coupling block {p} must have shape {(sizes[p], sizes[p + 1])}")
         if len(self.fields) != len(sizes):
             raise ValueError("need one field vector per layer")
+        batch = self.batch_shape
+        if len(batch) > 1:
+            raise ValueError("a stack of samples has one leading axis")
+        for p, block in enumerate(self.couplings):
+            if block.shape != batch + (sizes[p], sizes[p + 1]):
+                raise ValueError(f"coupling block {p} must have shape "
+                                 f"{batch + (sizes[p], sizes[p + 1])}")
         for p, h in enumerate(self.fields):
-            if h.shape != (sizes[p],):
-                raise ValueError(f"field vector {p} must have shape ({sizes[p]},)")
+            if h.shape != batch + (sizes[p],):
+                raise ValueError(f"field vector {p} must have shape {batch + (sizes[p],)}")
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        """``()`` for one sample, ``(D,)`` for a stack of ``D``."""
+        return self.fields[0].shape[:-1]
 
 
 @dataclass(frozen=True)
@@ -195,13 +206,11 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
 
 def _disorder_stacks(assignment: LayerAssignment, params: ModelParams,
                      seed: int, n_disorder: int, work_entries: int):
-    """Samples ``0 .. n_disorder - 1`` stacked along a leading axis, in chunks.
+    """Samples ``0 .. n_disorder - 1`` as consecutive :class:`DisorderSample` stacks.
 
-    Yields ``(start, couplings, fields)`` with ``couplings[p]`` of shape
-    ``(D, N_p, N_{p+1})`` and ``fields[p]`` of shape ``(D, N_p)`` for the
-    ``D`` consecutive samples from index ``start``.  A chunk holds at most
-    :data:`_CHUNK_ENTRIES` entries of couplings plus ``work_entries`` per
-    sample (and at least one sample).
+    A stack holds at most :data:`_CHUNK_ENTRIES` entries of couplings plus
+    ``work_entries`` per sample, the caller's working arrays (and at least
+    one sample).
     """
     sizes = assignment.sizes
     per_sample = sum(a * b for a, b in zip(sizes, sizes[1:])) + work_entries
@@ -215,7 +224,8 @@ def _disorder_stacks(assignment: LayerAssignment, params: ModelParams,
             for stack, block in zip(couplings + fields,
                                     sample.couplings + sample.fields):
                 stack[d] = block
-        yield start, couplings, fields
+        yield DisorderSample(assignment=assignment, couplings=tuple(couplings),
+                             fields=tuple(fields), seed=seed, index=start)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +250,22 @@ def hamiltonian(sample: DisorderSample, sigma, params: ModelParams):
     """Interaction energy ``-sqrt(2/N) sum_p beta_p sigma_p . J_p sigma_{p+1}``.
 
     Fields enter ``Z`` separately.  ``sigma`` is one configuration of shape
-    ``(N,)``, giving a ``float``, or a stack of shape ``(n, N)``, giving an
-    array of ``n`` energies, one per row.
+    ``(N,)`` or a stack of shape ``(n, N)``, and ``sample`` one sample or a
+    stack of ``D``.  The energies have the sample's batch shape followed by
+    the configurations': one configuration of one sample gives a ``float``,
+    ``n`` configurations of a stack a ``(D, n)`` array.  Each stacked sample
+    goes through the same matrix product and per-row reduction as a single
+    one, so its energies keep their bits.
     """
     if params.K != len(sample.assignment.sizes):
         raise ValueError("sample and parameters disagree on the layer count")
     parts = _split_layers(sample.assignment, sigma)
-    energy = _interaction_energy(sample.couplings, parts, params,
-                                 sample.assignment.N)
-    return float(energy) if energy.ndim == 0 else energy
-
-
-def _interaction_energy(couplings, parts, params: ModelParams, N: int) -> np.ndarray:
-    """The energy of :func:`hamiltonian` for per-layer spins ``parts``.
-
-    ``couplings[p]`` is one ``(N_p, N_{p+1})`` block or a stack
-    ``(D, N_p, N_{p+1})`` of them; ``parts[p]`` is ``(N_p,)`` or ``(n, N_p)``.
-    The result has the stack's leading axis followed by the configurations'.
-    Each stacked sample goes through the same matrix product and per-row
-    reduction as a single block, so its energies keep their bits.
-    """
-    batch = couplings[0].shape[:-2] if couplings else ()
-    total = np.zeros(batch + parts[0].shape[:-1])
-    for p, block in enumerate(couplings):
+    total = np.zeros(sample.batch_shape + parts[0].shape[:-1])
+    for p, block in enumerate(sample.couplings):
         total += params.beta[p] * np.einsum("...i,...i->...", parts[p] @ block,
                                             parts[p + 1])
-    return -math.sqrt(2.0 / N) * total
+    energy = -math.sqrt(2.0 / sample.assignment.N) * total
+    return float(energy) if energy.ndim == 0 else energy
 
 
 def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
@@ -296,32 +296,7 @@ def _spin_table(n: int) -> np.ndarray:
     return table
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """``log(sum(exp(a)))`` over the last axis; overwrites ``a``.
-
-    The arithmetic of ``scipy.special.logsumexp`` (SciPy 1.15 and later):
-    with the row max ``m`` held by ``c`` entries, those entries leave the
-    sum ``s`` of ``exp(a - m)``, and the result is
-    ``log1p(s / c) + log(c) + m``.  On finite rows this is bit-identical to
-    SciPy; a row whose max is ``+inf``, ``-inf`` or NaN gives that max, as
-    SciPy does.
-    """
-    m = a.max(axis=-1, keepdims=True)
-    finite = np.isfinite(m)
-    # Only rows with a non-finite max can raise here, and their values are
-    # discarded by the last line.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a -= np.where(finite, m, 0.0)
-        top = a == 0.0
-        np.exp(a, out=a)
-        np.copyto(a, 0.0, where=top)
-        count = np.count_nonzero(top, axis=-1)
-        s = a.sum(axis=-1)
-        out = np.log1p(np.where(s == 0.0, s, s / count)) + np.log(count) + m[..., 0]
-    return np.where(finite[..., 0], out, m[..., 0])
-
-
-def log_partition(sample: DisorderSample, params: ModelParams) -> float:
+def log_partition(sample: DisorderSample, params: ModelParams):
     """Exact ``log Z``: enumerate one parity class of layers, sum the other.
 
     Given the spins of the even-indexed layers, each spin of an odd-indexed
@@ -332,10 +307,10 @@ def log_partition(sample: DisorderSample, params: ModelParams) -> float:
     with the cap of ``N <= 24`` spins there are at most ``2^12`` rows.  The
     enumerated spins enter linearly, through their own fields and the local
     fields of the summed spins, so all rows come from one product of the
-    configuration table with a matrix.  The rows are reduced by
-    :func:`_logsumexp_rows`, a NumPy log-sum-exp that performs SciPy's
-    ``logsumexp`` operations in SciPy's order, but skips SciPy's second,
-    unshifted pass over the row and its per-call dispatch.
+    configuration table with a matrix.  A stack of ``D`` samples takes one
+    such product per sample and one ``scipy.special.logsumexp`` call over
+    all its rows, and gives an array of ``D`` values; one sample gives a
+    ``float``.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -349,7 +324,8 @@ def log_partition(sample: DisorderSample, params: ModelParams) -> float:
             "use the Monte Carlo estimator for larger systems")
     if K == 1:
         h = sample.fields[0]
-        return float(np.sum(np.logaddexp(h, -h)))
+        values = np.sum(np.logaddexp(h, -h), axis=-1)
+        return float(values) if values.ndim == 0 else values
     scale = math.sqrt(2.0 / N)
     first = 0 if sum(sizes[0::2]) <= sum(sizes[1::2]) else 1
     enumerated = range(first, K, 2)
@@ -359,37 +335,47 @@ def log_partition(sample: DisorderSample, params: ModelParams) -> float:
     # Layer p is number p // 2 of its class.  Row block rows[p // 2] holds an
     # enumerated layer's spins; column 0 takes their fields and column block
     # cols[p // 2] the coupling part of summed layer p's local fields.
-    linear = np.zeros((rows[-1], cols[-1]))
-    linear[:, 0] = np.concatenate([sample.fields[p] for p in enumerated])
+    linear = np.zeros(sample.batch_shape + (rows[-1], cols[-1]))
+    linear[..., 0] = np.concatenate([sample.fields[p] for p in enumerated], axis=-1)
     for p in summed:
         c = slice(cols[p // 2], cols[p // 2 + 1])
         if p > 0:
             r = slice(rows[(p - 1) // 2], rows[(p - 1) // 2 + 1])
-            linear[r, c] = (scale * params.beta[p - 1]) * sample.couplings[p - 1]
+            linear[..., r, c] = (scale * params.beta[p - 1]) * sample.couplings[p - 1]
         if p < K - 1:
             r = slice(rows[(p + 1) // 2], rows[(p + 1) // 2 + 1])
-            linear[r, c] = (scale * params.beta[p]) * sample.couplings[p].T
+            linear[..., r, c] = ((scale * params.beta[p])
+                                 * np.swapaxes(sample.couplings[p], -1, -2))
     table = _spin_table(rows[-1]) @ linear
-    local = np.abs(table[:, 1:]
-                   + np.concatenate([sample.fields[p] for p in summed]))
-    log_weights = table[:, 0] + np.sum(
-        local + np.log1p(np.exp(-2.0 * local)), axis=1)
-    return float(_logsumexp_rows(log_weights))
+    summed_fields = np.concatenate([sample.fields[p] for p in summed], axis=-1)
+    local = np.abs(table[..., 1:] + summed_fields[..., None, :])
+    log_weights = table[..., 0] + np.sum(
+        local + np.log1p(np.exp(-2.0 * local)), axis=-1)
+    values = logsumexp(log_weights, axis=-1)
+    return float(values) if values.ndim == 0 else values
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
                    n_disorder: int = 200, seed: int = 0) -> PressureEstimate:
-    """Quenched pressure by full enumeration over seeded disorder samples."""
+    """Quenched pressure by full enumeration over seeded disorder samples.
+
+    The samples are enumerated a stack at a time; a stack's working entries
+    are four times the entries of :func:`log_partition`'s configuration
+    table (the table and its temporaries), so the largest systems go one
+    sample per stack.
+    """
     if assignment.N > EXACT_SPIN_CAP:
         raise ValueError(
             f"exact enumeration is capped at {EXACT_SPIN_CAP} spins; "
             "use the Monte Carlo estimator (mc_pressure) for larger systems")
     if n_disorder < 1:
         raise ValueError("need at least one disorder sample")
-    values = np.empty(n_disorder)
-    for j in range(n_disorder):
-        sample = sample_disorder(assignment, params, seed, j)
-        values[j] = log_partition(sample, params) / assignment.N
+    even, odd = sum(assignment.sizes[0::2]), sum(assignment.sizes[1::2])
+    table = (1 << min(even, odd)) * (1 + max(even, odd))
+    values = np.concatenate([
+        log_partition(stack, params)
+        for stack in _disorder_stacks(assignment, params, seed, n_disorder,
+                                      4 * table)]) / assignment.N
     std_error = (
         float(np.std(values, ddof=1) / math.sqrt(n_disorder))
         if n_disorder > 1 else 0.0)
@@ -520,14 +506,15 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     # order of a single chain's records.
     records = np.empty((n_disorder, sweeps - burn_in, R))
     values = np.empty(n_disorder)
-    for start, couplings, fields in _disorder_stacks(assignment, params, seed,
-                                                     n_disorder, 2 * R * N):
+    for stack in _disorder_stacks(assignment, params, seed, n_disorder, 2 * R * N):
+        start, fields = stack.index, stack.fields
         D = fields[0].shape[0]
         gens = [_generator(seed, j, _STREAM_DYNAMICS) for j in range(start, start + D)]
         states = np.stack([gen.integers(0, 2, size=(R, N)) for gen in gens])
         states = states.astype(float) * 2.0 - 1.0
         layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
-        coupled = [(scale * params.beta[p]) * block for p, block in enumerate(couplings)]
+        coupled = [(scale * params.beta[p]) * block
+                   for p, block in enumerate(stack.couplings)]
         fields2 = [2.0 * h[:, None, :] for h in fields]
         draws = np.empty((D, R * N + R // 2))
         for sweep in range(sweeps):
@@ -604,10 +591,9 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     ``n_disorder`` common disorder samples and compares it to the quadratic
     overlap form it must equal in distribution.  ``pairs`` defaults to
     ``n_pairs`` seeded random configuration pairs.  The energies of all
-    ``2 * len(pairs)`` configurations under all disorder samples come from
-    one batched contraction over the stacked couplings (a few samples at a
-    time for large systems); each equals, bit for bit, what
-    :func:`hamiltonian` gives for that sample.
+    ``2 * len(pairs)`` configurations come from one :func:`hamiltonian`
+    call per stack of disorder samples (a few samples at a time for large
+    systems).
     """
     if n_disorder < 3:
         raise ValueError("need at least three disorder samples")
@@ -622,13 +608,10 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     if not pairs:
         raise ValueError("need at least one configuration pair")
     configs = np.array([spins for pair in pairs for spins in pair])
-    parts = _split_layers(assignment, configs)
-    energies = np.empty((n_disorder, len(configs)))
-    for start, couplings, fields in _disorder_stacks(assignment, params, seed,
-                                                     n_disorder, configs.size):
-        stop = start + fields[0].shape[0]
-        energies[start:stop] = _interaction_energy(couplings, parts, params,
-                                                   assignment.N)
+    energies = np.concatenate([
+        hamiltonian(stack, configs, params)
+        for stack in _disorder_stacks(assignment, params, seed, n_disorder,
+                                      configs.size)])
     energies = energies.T.reshape(len(pairs), 2, n_disorder)
     rows = []
     for k, (sigma, tau) in enumerate(pairs):

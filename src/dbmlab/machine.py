@@ -380,10 +380,7 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
     t = activities(params)
     rho = chainpoly.largest_zero(t)
     K = params.K
-    z = np.empty(K + 1)
-    z[0] = z[1] = 1.0
-    for p in range(1, K):
-        z[p + 1] = z[p] - t[p - 1] * z[p - 1]
+    z = chainpoly.eval_sequence(1.0, t)
     if rho < 1.0 - boundary_tol:
         verdict = "inside"
     elif rho > 1.0 + boundary_tol:

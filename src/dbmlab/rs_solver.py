@@ -370,9 +370,9 @@ def _at_stable(m: float, q: float, field: FieldSpec,
     return bool(m * ghquad.expect(INV_COSH4, m, field, rule) <= q)
 
 
-def _certificates(q, params: ModelParams, a=None, *,
+def _certificates(q, params: ModelParams, *,
                   rule: QuadratureRule | None = None) -> Certificates:
-    tala_flags = check_talagrand(q, params, a)
+    tala_flags = check_talagrand(q, params)
     if any(f is False for f in tala_flags):
         talagrand_ok: bool | None = False
     elif all(f is True for f in tala_flags):

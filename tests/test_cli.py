@@ -354,6 +354,30 @@ def test_verify_exit_one_on_hard_invariant_failure(tmp_path, monkeypatch):
     assert data["trend"]["jensen_ok"] is False
 
 
+def test_verify_reaches_every_traced_finite_volume_layer(tmp_path, monkeypatch):
+    # The benchmark traces these module attributes; each must still be
+    # called by verify, through the attribute, so no layer goes dark.
+    fvl = cli.finite_volume_lab
+    names = ("sample_disorder", "log_partition", "hamiltonian", "mc_pressure",
+             "covariance_report")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fvl, name, counting(name, getattr(fvl, name)))
+    data = verify_config()
+    data["verify"].update({"sizes": [6, 26], "sweeps": 20, "replicas": 3,
+                           "covariance_n_disorder": 20})
+    assert cli.main(["verify", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "verify.csv")]) == 0
+    assert all(calls[name] > 0 for name in names), calls
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -553,6 +577,25 @@ def test_zero_width_layers_fail_the_bound(tmp_path, capsys):
     assert rows[0]["flags"] == "bound_failed"
     assert rows[0]["bound_value"] is None
     assert all(math.isfinite(row["bound_value"]) for row in rows[1:])
+
+
+def test_zero_width_gaussian_scan_point_fails_both_solves(tmp_path):
+    # Scan points route by rs's auto rule; a zero-width layer fails the
+    # nested solve and the bound alike, and the scan goes on.
+    model = model_dict(3, (0.5, 0.5), (0.5, 0.0, 0.5),
+                       tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
+    model["scan"] = {"axes": [{"path": "lambda[1]", "min": 0.0, "max": 0.5,
+                               "steps": 3}],
+                     "outputs": ["rs_pressure", "bound"]}
+    out = str(tmp_path / "scan.json")
+    assert cli.main(["scan", "--config", write_config(tmp_path, model),
+                     "--format", "json", "--out", out]) == 0
+    first, *rest = read_json(out)["rows"]
+    assert first["flags"] == "rs_failed;bound_failed"
+    assert first["rs_pressure"] is None and first["bound_value"] is None
+    for row in rest:
+        assert row["flags"] == ""
+        assert abs(row["bound_value"] - row["rs_pressure"]) < 1e-7
 
 
 def test_infinite_sweep_signals_raise_no_warning(tmp_path, capsys):

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from dbmlab import finite_volume_lab as fvl
 from dbmlab import machine
@@ -222,30 +221,51 @@ def test_log_partition_matches_fsum_enumeration(sizes):
               FieldSpec.discrete((-0.5, 1.0), (0.4, 0.6)), FieldSpec.point_mass(0.3),
               FieldSpec.gaussian(1.5)]
     params = make(K, (1.4, 0.8, 1.1, 0.9)[:K - 1], (1.0 / K,) * K, fields[:K])
+    assignment = LayerAssignment(sizes)
+    singles = []
     for index in range(3):
-        sample = sample_disorder(LayerAssignment(sizes), params, seed=13, index=index)
+        sample = sample_disorder(assignment, params, seed=13, index=index)
         want = _fsum_log_partition(sample, params)
-        assert abs(log_partition(sample, params) - want) <= 1e-12 * max(1.0, abs(want))
+        singles.append(log_partition(sample, params))
+        assert isinstance(singles[-1], float)
+        assert abs(singles[-1] - want) <= 1e-12 * max(1.0, abs(want))
+    # A stack runs each sample through the same product and reductions as a
+    # lone sample, so every value keeps its bits.
+    stack, = fvl._disorder_stacks(assignment, params, 13, 3, 0)
+    assert log_partition(stack, params).tolist() == singles
 
 
-def test_logsumexp_rows_is_bit_identical_to_scipy():
-    rng = np.random.default_rng(2)
-    for trial in range(200):
-        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 200)))
-        rows = rng.normal(size=shape) * rng.choice((1e-3, 1.0, 30.0, 700.0))
-        if trial % 4 == 0:
-            rows = np.round(rows)  # ties for the row max
-        want = logsumexp(rows, axis=1)
-        got = fvl._logsumexp_rows(rows.copy())
-        assert np.array_equal(got, want)
-        assert fvl._logsumexp_rows(rows[0].copy()) == logsumexp(rows[0])
-    inf = math.inf
-    special = np.array([[inf, 1.0, 2.0], [-inf, -inf, -inf], [inf, -inf, 0.0],
-                        [-inf, 2.0, -inf], [800.0, inf, 1.0], [inf, inf, inf]])
-    with np.errstate(all="raise"):
-        got = fvl._logsumexp_rows(special.copy())
-    assert not np.any(np.isnan(got))
-    assert np.array_equal(got, logsumexp(special, axis=1))
+def test_exact_pressure_is_independent_of_stacking(monkeypatch):
+    assignment = LayerAssignment((3, 4, 3))
+    params = make(3, (0.9, 0.7), (0.3, 0.4, 0.3), (FieldSpec.gaussian(0.4),) * 3)
+    whole = exact_pressure(assignment, params, n_disorder=9, seed=2)
+    monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", 1)
+    assert exact_pressure(assignment, params, n_disorder=9, seed=2) == whole
+    values = [log_partition(sample_disorder(assignment, params, 2, j), params) / 10
+              for j in range(9)]
+    assert whole.mean == float(np.mean(values))
+
+
+def test_stacked_sample_shapes():
+    assignment = LayerAssignment((2, 3))
+    couplings, fields = (np.zeros((4, 2, 3)),), (np.zeros((4, 2)), np.zeros((4, 3)))
+    stack = DisorderSample(assignment=assignment, couplings=couplings,
+                           fields=fields, seed=0, index=8)
+    assert stack.batch_shape == (4,)
+    np.testing.assert_array_equal(
+        hamiltonian(stack, np.ones(5), make(2, (1.0,), (0.4, 0.6))), np.zeros(4))
+    for bad in ((np.zeros((3, 2, 3)),), (np.zeros((2, 3)),)):
+        with pytest.raises(ValueError, match="coupling block 0"):
+            DisorderSample(assignment=assignment, couplings=bad, fields=fields,
+                           seed=0, index=0)
+    with pytest.raises(ValueError, match="one leading axis"):
+        DisorderSample(assignment=assignment, couplings=(np.zeros((1, 4, 2, 3)),),
+                       fields=(np.zeros((1, 4, 2)), np.zeros((1, 4, 3))),
+                       seed=0, index=0)
+    single_layer = LayerAssignment((5,))
+    stack, = fvl._disorder_stacks(single_layer, make(1, (), (1.0,)), 0, 3, 0)
+    np.testing.assert_array_equal(
+        hamiltonian(stack, np.ones((2, 5)), make(1, (), (1.0,))), np.zeros((3, 2)))
 
 
 # Inverse temperatures must be strictly positive, so the decoupled limit is
@@ -561,11 +581,10 @@ def test_covariance_energies_equal_per_sample_hamiltonian(monkeypatch, split):
         assert [(row.empirical, row.std_error) for row in rows] == \
             _covariance_rows_from(energies, n)
         stacks = list(fvl._disorder_stacks(assignment, params, 5, n, 0))
-        for start, couplings, fields in stacks:
-            stacked = fvl._interaction_energy(
-                couplings, fvl._split_layers(assignment, configs), params, assignment.N)
+        for stack in stacks:
+            stacked = hamiltonian(stack, configs, params)
             for d in range(stacked.shape[0]):
-                sample = sample_disorder(assignment, params, 5, start + d)
+                sample = sample_disorder(assignment, params, 5, stack.index + d)
                 assert np.array_equal(stacked[d], hamiltonian(sample, configs, params))
         assert (len(stacks) > 1) == split
 

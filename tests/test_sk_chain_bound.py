@@ -316,6 +316,18 @@ def test_maximize_dominates_the_functional_at_random_weights_property(params,
         assert best >= p_dbm_functional(a, params)[0] - 1e-12
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=centred_chains(),
+       q=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8))
+def test_bound_at_related_weights_is_at_most_rs_pressure_property(params, q):
+    # Each surrogate overlap minimises its layer's term of the RS pressure,
+    # so at weights related to any q the bound cannot exceed it; the two
+    # agree where q solves the consistency equations.
+    q = np.asarray(q[:params.K])
+    bound, _ = p_dbm_functional(related_aux(q, params), params)
+    assert bound <= rs_solver.rs_pressure(q, params) + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # maximize_bound against an L-BFGS-B ascent from every start
 # ---------------------------------------------------------------------------
