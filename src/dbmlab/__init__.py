@@ -10,7 +10,7 @@ machine
     spectral radius, annealed-region classification, extremal layer widths.
 ghquad
     Expectations of smooth functions of a Gaussian plus an external field,
-    by a truncated-Gaussian trapezoid rule (Gauss--Hermite for comparison).
+    by a truncated-Gaussian trapezoid rule.
 rs_solver
     Replica-symmetric consistency equations: pressure functional, fixed-point
     and nested solvers, stability and high-temperature certificates.

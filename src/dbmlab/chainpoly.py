@@ -18,9 +18,12 @@ polynomials interlace.  The largest zero of ``Delta_K`` is the spectral radius
 of that matrix, and localisation of all zeros inside ``(-r, r)`` is equivalent
 to positivity of every ``Delta_p(r)``.
 
-Chains are capped at ``MAX_LAYERS`` vertices; coefficient and value arrays are
-plain float64, which can overflow for very deep chains at large ``|x|`` — use
-:func:`eval_logspace` there.
+Chains are capped at ``MAX_LAYERS`` vertices; values are plain float64, which
+can overflow for deep chains at large ``|x|``.  At ``x = 1``, where the
+annealed-region test evaluates the chain, ``Delta_{p+1} = Delta_p - t_p
+Delta_{p-1} <= Delta_p`` while both are positive: the values fall from
+``Delta_1 = 1``, and the first non-positive one, which decides the test,
+comes before any overflow.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "MAX_LAYERS",
     "eval_sequence",
-    "eval_logspace",
     "matching_sums",
     "coefficients",
     "zeros",
@@ -51,9 +53,9 @@ def _check_activities(t: Sequence[float]) -> np.ndarray:
         raise ValueError("activities must be a one-dimensional sequence")
     if t.size + 1 > MAX_LAYERS:
         raise ValueError(f"chain length {t.size + 1} exceeds MAX_LAYERS = {MAX_LAYERS}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("activities must be finite")
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ValueError("activities must be nonnegative")
     return t
 
@@ -61,8 +63,8 @@ def _check_activities(t: Sequence[float]) -> np.ndarray:
 def eval_sequence(x: float, t: Sequence[float]) -> np.ndarray:
     """Values ``(Delta_0(x), ..., Delta_K(x))`` with ``K = len(t) + 1``.
 
-    Plain float64 recursion; for deep chains at large ``|x|`` the values can
-    overflow to ``inf`` (see :func:`eval_logspace` for a stable alternative).
+    Plain float64 recursion; deep chains at large ``|x|`` overflow to ``inf``
+    and ``nan``, but not at ``x = 1`` (see the module docstring).
     """
     t = _check_activities(t)
     K = t.size + 1
@@ -73,50 +75,6 @@ def eval_sequence(x: float, t: Sequence[float]) -> np.ndarray:
         for p in range(1, K):
             vals[p + 1] = x * vals[p] - t[p - 1] * vals[p - 1]
     return vals
-
-
-def eval_logspace(x: float, t: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log-magnitudes of ``(Delta_0(x), ..., Delta_K(x))``.
-
-    Returns ``(signs, logmag)`` with ``Delta_p(x) = signs[p] * exp(logmag[p])``
-    (``signs[p] = 0`` and ``logmag[p] = -inf`` for an exact zero).  Stable for
-    chains up to ``MAX_LAYERS`` at any ``x``.
-    """
-    t = _check_activities(t)
-    K = t.size + 1
-    signs = np.zeros(K + 1, dtype=np.int8)
-    logmag = np.full(K + 1, -np.inf)
-    signs[0], logmag[0] = 1, 0.0
-    if x != 0.0:
-        signs[1] = 1 if x > 0 else -1
-        logmag[1] = np.log(abs(x))
-    log_abs_x = np.log(abs(x)) if x != 0.0 else -np.inf
-    sign_x = 0 if x == 0.0 else (1 if x > 0 else -1)
-    with np.errstate(divide="ignore"):
-        log_t = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
-    for p in range(1, K):
-        # term1 = x * Delta_p, term2 = -t_p * Delta_{p-1}
-        s1 = sign_x * signs[p]
-        l1 = log_abs_x + logmag[p]
-        s2 = -signs[p - 1] if t[p - 1] > 0.0 else 0
-        l2 = log_t[p - 1] + logmag[p - 1]
-        signs[p + 1], logmag[p + 1] = _signed_log_add(s1, l1, s2, l2)
-    return signs, logmag
-
-
-def _signed_log_add(s1: int, l1: float, s2: int, l2: float) -> tuple[int, float]:
-    """Sign and log-magnitude of ``s1*exp(l1) + s2*exp(l2)``."""
-    if s1 == 0:
-        return s2, l2
-    if s2 == 0:
-        return s1, l1
-    if l2 > l1:
-        s1, l1, s2, l2 = s2, l2, s1, l1
-    if s1 == s2:
-        return s1, l1 + float(np.log1p(np.exp(l2 - l1)))
-    if l1 == l2:
-        return 0, -np.inf
-    return s1, l1 + float(np.log1p(-np.exp(l2 - l1)))
 
 
 def matching_sums(t: Sequence[float]) -> np.ndarray:
@@ -197,14 +155,19 @@ def zeros_in_interval(t: Sequence[float], radius: float, method: str = "signs") 
     """Whether every zero of ``Delta_K`` lies strictly inside ``(-radius, radius)``.
 
     ``method="signs"`` checks positivity of every ``Delta_p(radius)`` along the
-    chain (no eigensolve); ``method="eigen"`` compares ``radius`` with the
-    largest zero.  The two agree away from the boundary case
-    ``radius = max |zero|``.
+    chain (no eigensolve) through the ratios ``Delta_p / Delta_{p-1}``, which
+    lie in ``(0, radius]`` until the first non-positive one and so cannot
+    overflow; ``method="eigen"`` compares ``radius`` with the largest zero.
+    The two agree away from the boundary case ``radius = max |zero|``.
     """
     t = _check_activities(t)
     if method == "signs":
-        vals = eval_sequence(radius, t)
-        return bool(np.all(vals[1:] > 0.0))
+        radius = ratio = float(radius)
+        for tp in t.tolist():
+            if not ratio > 0.0:
+                return False
+            ratio = radius - tp / ratio
+        return ratio > 0.0
     if method == "eigen":
         z = zeros(t)
         return bool(np.abs(z).max() < radius)

@@ -72,10 +72,9 @@ class ScanAxis:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Validated scan request: one or two axes over a base model."""
+    """Validated scan request: one or two axes and the outputs to tabulate."""
 
     axes: tuple[ScanAxis, ...]
-    fixed: ModelParams
     outputs: tuple[str, ...]
 
 
@@ -141,7 +140,7 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
         raise ConfigError(
             f"unknown scan outputs {unknown}; "
             f"choose from {sorted(_OUTPUT_COLUMNS)}")
-    return ScanSpec(axes=axes, fixed=params, outputs=outputs)
+    return ScanSpec(axes=axes, outputs=outputs)
 
 
 def _load_config(path: str) -> _Config:
@@ -378,16 +377,11 @@ def cmd_poly(config: _Config, args, rule) -> tuple[str, bool]:
     }
     if args.format == "json":
         return _json_text(payload), True
-    pairs = []
-    for i, x in enumerate(payload["activities"]):
-        pairs.append((f"activity[{i}]", x))
-    for i, c in enumerate(payload["coefficients"]):
-        pairs.append((f"coefficient[{i}]", c))
-    for i, z in enumerate(payload["zeros"]):
-        pairs.append((f"zero[{i}]", z))
-    pairs.append(("largest_zero", payload["largest_zero"]))
-    pairs.append(("spectral_radius", payload["spectral_radius"]))
-    pairs.append(("interlacing_ok", payload["interlacing_ok"]))
+    pairs = [*_flatten_kv("activity", payload["activities"]),
+             *_flatten_kv("coefficient", payload["coefficients"]),
+             *_flatten_kv("zero", payload["zeros"])]
+    pairs += [(key, payload[key]) for key in
+              ("largest_zero", "spectral_radius", "interlacing_ok")]
     return _kv_csv(pairs), True
 
 
@@ -470,6 +464,16 @@ def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
     return _kv_csv(pairs), True
 
 
+def _criteria_consistent(params: ModelParams) -> bool:
+    """Whether the spectral, chain-positivity and witness criteria agree."""
+    verdict = machine.classify_annealed(params)
+    inside = verdict.rho < 1.0
+    return verdict.verdict == "boundary" or (
+        inside == all(z > 0.0 for z in verdict.z_chain)
+        and (min(params.lam) <= 0.0
+             or inside == (verdict.feasible_a is not None)))
+
+
 def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     params = config.params
     section = config.verify
@@ -497,15 +501,7 @@ def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     worst = max(row.standardized for row in cov_rows)
-    verdict = machine.classify_annealed(params)
-    if verdict.verdict == "boundary":
-        consistent = True
-    else:
-        inside = verdict.rho < 1.0
-        consistent = inside == all(z > 0.0 for z in verdict.z_chain)
-        if min(params.lam) > 0.0:
-            consistent = consistent and (
-                inside == (verdict.feasible_a is not None))
+    consistent = _criteria_consistent(params)
     ok = bool(report.jensen_ok and worst < 5.0 and consistent)
     if args.format == "json":
         payload = {

@@ -16,10 +16,9 @@ above have poles/branch points at ``Im y = pi/2``, i.e. at distance
 ``pi / (2 sqrt(s))`` from the real axis in the integration variable, which
 defeats polynomial (Gauss--Hermite) quadrature long before ``s = 25`` — while
 the trapezoid rule's geometric convergence in the analyticity strip keeps the
-default rule at machine accuracy (~1e-13) through ``s + v <= 25``.  A classic
-normalized Gauss--Hermite constructor is provided for comparison and for
-low-variance work; both satisfy the :class:`QuadratureRule` contract
-(positive weights summing to one, symmetric nodes).
+default rule at machine accuracy (~1e-13) through ``s + v <= 25``.  Every
+rule satisfies the :class:`QuadratureRule` contract (positive weights summing
+to one, symmetric nodes).
 
 Derivatives in the variance
 ---------------------------
@@ -36,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .machine import FieldSpec
 
@@ -47,7 +45,6 @@ __all__ = [
     "LOG_COSH",
     "INV_COSH4",
     "logcosh",
-    "gauss_hermite_rule",
     "normal_trapezoid_rule",
     "default_rule",
     "expect",
@@ -92,19 +89,6 @@ INV_COSH4 = _inv_cosh4
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
-
-
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Normalized probabilists' Gauss--Hermite rule with ``order`` nodes.
-
-    Exact for polynomials of degree ``< 2 * order``; accuracy for the bounded
-    hyperbolic kernels degrades at large variance (see the module docstring).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    nodes, weights = hermegauss(order)
-    weights = weights / weights.sum()
-    return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
 def normal_trapezoid_rule(order: int = DEFAULT_ORDER,

@@ -280,10 +280,11 @@ class RegionVerdict:
     """Result of the annealed-region classification.
 
     ``verdict`` is ``inside`` / ``outside`` / ``boundary`` (the latter when
-    ``|rho - 1| <= boundary_tol``); ``z_chain`` holds the chain values
-    ``(z_0, ..., z_K)`` at ``x = 1``; ``feasible_a`` is the witness for the
-    layer inequality system when inside (``None`` when outside, on the
-    boundary, or when some layer width vanishes; the empty tuple for K = 1).
+    ``|rho - 1|`` is within :func:`classify_annealed`'s ``boundary_tol``);
+    ``z_chain`` holds the chain values ``(z_0, ..., z_K)`` at ``x = 1``;
+    ``feasible_a`` is the witness for the layer inequality system when inside
+    (``None`` when outside, on the boundary, or when some layer width
+    vanishes; the empty tuple for K = 1).
     The witness saturates the first ``K - 1`` inequalities exactly and
     satisfies the last one strictly; strict interior witnesses follow by an
     arbitrarily small perturbation.
@@ -293,7 +294,6 @@ class RegionVerdict:
     rho: float
     z_chain: tuple[float, ...]
     feasible_a: tuple[float, ...] | None
-    boundary_tol: float
 
 
 @dataclass(frozen=True)
@@ -413,7 +413,6 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
         rho=float(rho),
         z_chain=tuple(float(v) for v in z),
         feasible_a=feasible_a,
-        boundary_tol=boundary_tol,
     )
 
 

@@ -28,7 +28,8 @@ above every root, decreases monotonically onto the largest.  A guard raises
 :class:`SolverError` when an iterate leaves ``[0, 1]`` or climbs while
 the residual is still above ``1e-6``, which is how a quadrature rule too
 coarse to keep ``T`` concave shows; the iteration stops at residual
-``max(1e-14, tol / 100)`` and fails only if its best residual stays
+``max(1e-14, tol / 100)`` once the next step, estimated with the last
+Jacobian, is within ``tol``, and fails only if its best residual stays
 above ``tol``.
 """
 from __future__ import annotations
@@ -101,11 +102,6 @@ class Certificates:
             "stable_at_zero": self.stable_at_zero,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Certificates":
-        return cls(talagrand_ok=data["talagrand_ok"], at_ok=data["at_ok"],
-                   stable_at_zero=data["stable_at_zero"])
-
 
 @dataclass(frozen=True, eq=False)
 class RsSolution:
@@ -129,14 +125,6 @@ class RsSolution:
             "method": self.method,
             "certificates": self.certificates.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RsSolution":
-        return cls(q=np.asarray(data["q"], dtype=float),
-                   pressure=float(data["pressure"]),
-                   residual=float(data["residual"]),
-                   method=str(data["method"]),
-                   certificates=Certificates.from_dict(data["certificates"]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +434,11 @@ _GUARD_SLACK = 1e-15
 def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
     """Guarded Newton iterates for ``G(q) = q - F(q)`` from ``q = 1``.
 
-    Yields ``(q, max |G(q)|)`` for ``q = 1`` and each later iterate; the
-    Jacobian step runs only when the caller asks for the next one.  Raises
+    Yields ``(q, max |G(q)|, distance)`` for ``q = 1`` and each later
+    iterate, where ``distance`` is ``max |J^{-1} G(q)|`` with the Jacobian
+    ``J`` of the previous step (``inf`` at ``q = 1``), an estimate of the
+    distance to the root that costs no expectation.  The Jacobian step runs
+    only when the caller asks for the next iterate.  Raises
     :class:`SolverError` when a step leaves the monotone descent (see
     :func:`solve_nested`) or is not finite.
     """
@@ -455,6 +446,7 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
     fields = params.fields
     eye = np.eye(params.K)
     q = np.ones(params.K)
+    jac = None
     steps = 0
     while True:
         m = M @ q
@@ -462,12 +454,16 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
                       for p in range(params.K)])
         g = q - f
         res = float(np.max(np.abs(g)))
-        yield q, res
+        # The last step solved with ``jac`` already, so it is not singular.
+        distance = (math.inf if jac is None
+                    else float(np.max(np.abs(np.linalg.solve(jac, g)))))
+        yield q, res, distance
         slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], rule, f[p])
                           for p in range(params.K)])
         steps += 1
+        jac = eye - slope[:, None] * M
         try:
-            new = q - np.linalg.solve(eye - slope[:, None] * M, g)
+            new = q - np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
             new = np.full(params.K, math.nan)
         guarded = res > _GUARD_RESIDUAL
@@ -509,9 +505,11 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
     ``(Mq)_p + v_p``, to compare with the default rule's accuracy range
     ``s + v <= 25``.  Closer to the root the guard is off and iterates
     are clipped to the unit box.  Iteration stops once the residual is at
-    most ``max(1e-14, tol / 100)``, or when a step no longer lowers it and
-    the best residual is within ``tol``; the iterate with the smallest
-    residual is returned.  :class:`SolverError`, carrying the Newton step
+    most ``max(1e-14, tol / 100)`` and the last Jacobian's step from the
+    iterate is at most ``tol`` (near a critical line ``G`` is nearly
+    singular at the root, and a tiny residual alone can leave ``q`` far
+    from it), or when a step no longer lowers the residual and the best one
+    is within ``tol``; the iterate with the smallest residual is returned.  :class:`SolverError`, carrying the Newton step
     count, is raised when that residual stays above ``tol``.
     """
     _require_positive_lambda(params)
@@ -528,12 +526,12 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
 
     target = max(1e-14, 0.01 * tol)
     best_q, best_res = None, math.inf
-    for steps, (q, res) in enumerate(_newton_iterates(params, rule)):
+    for steps, (q, res, distance) in enumerate(_newton_iterates(params, rule)):
         if res < best_res:
             best_q, best_res = q, res
         elif best_res <= tol:
             break  # stalled at rounding level
-        if best_res <= target or steps == _NEWTON_STEPS:
+        if (best_res <= target and distance <= tol) or steps == _NEWTON_STEPS:
             break
     if best_res > tol:
         raise SolverError(

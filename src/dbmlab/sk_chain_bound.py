@@ -194,18 +194,6 @@ class BoundResult:
             "stationarity": float(self.stationarity),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundResult":
-        return cls(
-            a=np.asarray(data["a"], dtype=float),
-            value=float(data["value"]),
-            certified=bool(data["certified"]),
-            boundary_suspect=bool(data["boundary_suspect"]),
-            theta=np.asarray(data["theta"], dtype=float),
-            overlaps=np.asarray(data["overlaps"], dtype=float),
-            stationarity=float(data["stationarity"]),
-        )
-
 
 def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """Bond-wise residuals of the relatedness equations."""

@@ -11,6 +11,9 @@ import itertools
 import math
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+
+from dbmlab.ghquad import QuadratureRule
 
 # ---------------------------------------------------------------------------
 # Chain matching polynomials
@@ -70,6 +73,17 @@ def dense_charpoly_value(M: np.ndarray, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Gaussian expectations
 # ---------------------------------------------------------------------------
+
+
+def gauss_hermite_rule(order: int) -> QuadratureRule:
+    """Normalized probabilists' Gauss--Hermite rule with ``order`` nodes.
+
+    Exact for polynomials of degree ``< 2 * order``, so a comparison rule
+    built on a different principle from the package's trapezoid rule.
+    """
+    nodes, weights = hermegauss(order)
+    return QuadratureRule(nodes=nodes, weights=weights / weights.sum(),
+                          order=order)
 
 
 def trapezoid_gauss_expect(f, std: float, shift: float = 0.0,

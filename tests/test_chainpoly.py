@@ -199,6 +199,25 @@ def test_zeros_in_interval_methods_agree():
         assert a == b
 
 
+def test_zeros_in_interval_methods_agree_on_deep_chains():
+    # The plain recursion overflows to inf - inf = nan on such chains well
+    # inside the localisation radius; the ratio test must not.
+    t = np.full(511, 2.0)
+    assert not np.all(np.isfinite(chainpoly.eval_sequence(9.0, t)))
+    assert chainpoly.zeros_in_interval(t, 9.0, method="signs")
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        K = int(rng.integers(2, chainpoly.MAX_LAYERS + 1))
+        t = rng.uniform(0.0, 3.0, size=K - 1)
+        largest = chainpoly.largest_zero(t)
+        radius = rng.uniform(0.5, 10.0) * largest
+        if abs(radius - largest) <= 1e-9 * largest:
+            continue  # boundary case: the methods may round differently
+        a = chainpoly.zeros_in_interval(t, radius, method="signs")
+        b = chainpoly.zeros_in_interval(t, radius, method="eigen")
+        assert a == b, (K, radius, largest)
+
+
 def test_localisation_equivalences():
     # Four equivalent statements, tested away from the boundary:
     #   (A) all zeros of Delta_K lie in (-r, r)
@@ -221,30 +240,3 @@ def test_localisation_equivalences():
         stmt_d = bool(np.all(vals[1:] > 0.0))
         assert stmt_a == stmt_b == stmt_c == stmt_d
         checked += 1
-
-
-# ---------------------------------------------------------------------------
-# log-space evaluation
-# ---------------------------------------------------------------------------
-
-
-def test_logspace_evaluation_matches_direct():
-    rng = np.random.default_rng(43)
-    for _ in range(20):
-        K = int(rng.integers(1, 15))
-        t = rng.uniform(0.0, 2.0, size=K - 1)
-        x = rng.uniform(-5.0, 5.0)
-        direct = chainpoly.eval_sequence(x, t)
-        signs, logmag = chainpoly.eval_logspace(x, t)
-        rebuilt = signs * np.exp(logmag)
-        scale = np.maximum(1.0, np.abs(direct))
-        np.testing.assert_allclose(rebuilt, direct, atol=1e-10 * scale.max())
-
-
-def test_logspace_handles_deep_chains_without_overflow():
-    t = np.full(511, 2.0)  # 512 layers
-    signs, logmag = chainpoly.eval_logspace(9.0, t)
-    assert np.all(np.isfinite(logmag[1:]))
-    assert signs[-1] == 1
-    # direct recursion overflows well before p = 512 at x = 9
-    assert not np.all(np.isfinite(chainpoly.eval_sequence(9.0, t)))

@@ -337,6 +337,14 @@ def test_verify_outside_region_is_usage_error(tmp_path):
     assert cli.main(["verify", "--config", cfg]) == 2
 
 
+def test_verify_criteria_stay_consistent_on_overflowing_chains():
+    K = 512
+    for beta in (10.0, 1e30):  # inside; far outside, where z_chain holds nan
+        params = ModelParams(K=K, beta=(beta,) * (K - 1), lam=(1 / K,) * K,
+                             fields=())
+        assert cli._criteria_consistent(params)
+
+
 def test_verify_exit_one_on_hard_invariant_failure(tmp_path, monkeypatch):
     row = TrendRow(N=6, method="exact_enum", mean=0.9, std_error=0.0,
                    p_annealed=0.8, gap=-0.1, flags=("jensen_violation",))

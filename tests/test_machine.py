@@ -275,6 +275,21 @@ def test_classification_criteria_are_equivalent():
         checked += 1
 
 
+def test_classify_deep_chains_decide_before_overflow():
+    # At x = 1 the chain values fall from Delta_1 = 1 while they stay
+    # positive, so they lie in (0, 1] inside the region; far outside they
+    # overflow to nan only after a non-positive value has decided the verdict.
+    K = chainpoly.MAX_LAYERS
+    inside = machine.classify_annealed(make(K, (10.0,) * (K - 1), (1 / K,) * K))
+    assert inside.verdict == "inside"
+    z = np.asarray(inside.z_chain)
+    assert np.all((z > 0.0) & (z <= 1.0))
+    outside = machine.classify_annealed(make(K, (1e30,) * (K - 1), (1 / K,) * K))
+    assert outside.verdict == "outside"
+    assert np.isnan(outside.z_chain).any()
+    assert not all(v > 0.0 for v in outside.z_chain)
+
+
 # ---------------------------------------------------------------------------
 # extremal layer widths
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""Smoke tests for the example scripts: each runs at its smallest size."""
+"""Smoke tests for the example script and the example configs."""
+import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from dbmlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "boundary_scan.py": (["--steps", "3"], "beta,rho,verdict"),
-    "bound_vs_rs.py": (["--steps", "3"],
-                       "beta,rho,rs_pressure,bound,certified,annealed_gap"),
-    "trend_experiment.py": (["--sizes", "6", "9", "--disorder", "4"],
-                            "N,method,mean,std_error,p_annealed,gap,flags"),
 }
 
 
@@ -28,3 +29,31 @@ def test_script_runs_and_prints_its_csv_header(script):
     lines = done.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_example_configs_run_through_the_cli(tmp_path):
+    grid = tmp_path / "bound_vs_rs.csv"
+    assert cli.main(["scan", "--config", str(ROOT / "examples" / "bound_vs_rs.json"),
+                     "--out", str(grid)]) == 0
+    with grid.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    np.testing.assert_allclose([float(row["beta[0]"]) for row in rows],
+                               np.linspace(0.2, 1.4, 13), rtol=1e-12)
+    for row in rows:
+        for column in ("rho", "rs_pressure", "bound_value"):
+            float(row[column])
+        assert row["bound_certified"] in ("true", "false")
+        assert row["at_ok"] in ("true", "false")
+
+    report = tmp_path / "trend.json"
+    assert cli.main(["verify", "--config", str(ROOT / "examples" / "trend.json"),
+                     "--seed", "2", "--format", "json", "--out", str(report)]) == 0
+    data = json.loads(report.read_text())
+    trend = data["trend"]
+    assert [row["N"] for row in trend["rows"]] == [12, 18, 24]
+    for row in trend["rows"]:
+        assert set(row) == {"N", "method", "mean", "std_error", "p_annealed",
+                            "gap", "flags"}
+    assert trend["jensen_ok"] is True
+    assert trend["gap_decreasing"] is True
+    assert data["covariance"]["worst"] < 5.0
