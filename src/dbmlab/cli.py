@@ -394,15 +394,8 @@ def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
     if min(params.lam) <= 0.0:
         raise ConfigError("the rs solvers require strictly positive layer "
                           "weights; prune zero-weight layers from the model")
-    if method == "auto":
-        method = "nested" if params.gaussian_fields else "fixed_point"
-    if method in {"nested", "both"}:
-        try:
-            params.require_fields("the nested solver", gaussian=False)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{exc}; use method 'fixed_point' for this model") from exc
-    methods = ("nested", "fixed_point") if method == "both" else (method,)
+    methods = {"auto": ("nested",),
+               "both": ("nested", "fixed_point")}.get(method, (method,))
     damping = _setting(config.solver, "damping", 0.5, float)
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"the fixed-point damping must lie in (0, 1], "
@@ -533,8 +526,7 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
         solution = None
         if need_solution:
             try:
-                method = "nested" if params.gaussian_fields else "fixed_point"
-                solution = _solve_rs(params, method, tol, rule)
+                solution = rs_solver.solve_nested(params, tol, rule=rule)
             except (rs_solver.SolverError, ValueError):
                 flags.append("rs_failed")
         for name in outputs:
@@ -553,10 +545,9 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
                 row.update(certs)
             elif name == "bound":
                 try:
-                    nested_q = (solution.q if solution is not None
-                                and solution.method == "nested" else None)
-                    value, certified = _bound_point(params, tol, rule,
-                                                    nested_q)
+                    value, certified = _bound_point(
+                        params, tol, rule,
+                        None if solution is None else solution.q)
                 except (rs_solver.SolverError, ValueError):
                     value, certified = None, None
                     flags.append("bound_failed")

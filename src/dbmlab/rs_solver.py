@@ -15,19 +15,22 @@ Stationary points solve the consistency equations
 This module provides the functional, the consistency map and its Jacobian
 at ``q = 0``, the scalar single-layer solver (the classical
 Latala--Guerra uniqueness argument), a damped fixed-point solver, the
-nested solver for zero or centred Gaussian fields, and the Talagrand / de
+nested Newton solver for every field kind, and the Talagrand / de
 Almeida--Thouless sufficient conditions used to certify the scalar
 surrogate downstream.
 
-The nested solver is a monotone Newton iteration.  With zero or centred
+The nested solver is Newton's method on ``G(q) = q - F(q)`` with the
+analytic Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 -
+T)`` by Gaussian integration by parts for any field.  With zero or centred
 Gaussian fields each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is
-increasing and concave, so ``G(q) = q - F(q)`` is convex with the analytic
-Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 - T)`` by
-Gaussian integration by parts.  Newton on ``G`` from ``q = 1``, which lies
-above every root, decreases monotonically onto the largest.  A guard raises
-:class:`SolverError` when an iterate leaves ``[0, 1]`` or climbs while
-the residual is still above ``1e-6``, which is how a quadrature rule too
-coarse to keep ``T`` concave shows; the iteration stops at residual
+increasing and concave, so ``G`` is convex, and Newton from ``q = 1``,
+which lies above every root, decreases monotonically onto the largest.  A
+guard raises :class:`SolverError` when an iterate leaves ``[0, 1]`` or
+climbs while the residual is still above ``1e-6``, which is how a
+quadrature rule too coarse to keep ``T`` concave shows.  Other fields
+(point-mass, discrete or mixed) lose that theory: Newton starts at ``q =
+1/2`` and keeps a step only if it lowers the residual, taking the damped
+fixed-point step otherwise.  Either way the iteration stops at residual
 ``max(1e-14, tol / 100)`` once the next step, estimated with the last
 Jacobian, is within ``tol``, and fails only if its best residual stays
 above ``tol``.
@@ -417,7 +420,7 @@ def solve_fixed_point(params: ModelParams, q0=None, damping: float = 0.5,
 
 
 # ---------------------------------------------------------------------------
-# nested solver (Gaussian fields)
+# nested solver (Newton, every field kind)
 # ---------------------------------------------------------------------------
 
 # Newton steps allowed to one nested solve; under the default rule every
@@ -432,88 +435,116 @@ _GUARD_SLACK = 1e-15
 
 
 def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
-    """Guarded Newton iterates for ``G(q) = q - F(q)`` from ``q = 1``.
+    """Safeguarded Newton iterates for ``G(q) = q - F(q)``.
 
-    Yields ``(q, max |G(q)|, distance)`` for ``q = 1`` and each later
-    iterate, where ``distance`` is ``max |J^{-1} G(q)|`` with the Jacobian
-    ``J`` of the previous step (``inf`` at ``q = 1``), an estimate of the
-    distance to the root that costs no expectation.  The Jacobian step runs
-    only when the caller asks for the next iterate.  Raises
-    :class:`SolverError` when a step leaves the monotone descent (see
-    :func:`solve_nested`) or is not finite.
+    Centred fields (zero, or Gaussian with ``v >= 0``) start at ``q = 1``
+    under the monotone guard (see :func:`solve_nested`).  Other fields start
+    at ``q = 1/2``; a Newton step, clipped to the unit box, is kept only if
+    it lowers ``max |G|``, and otherwise the damped step
+    ``q - G(q) / 2`` is taken.  Yields ``(q, max |G(q)|, distance)`` for the
+    start and each later iterate, where ``distance`` is ``max |J^{-1} G(q)|``
+    with the Jacobian ``J`` of the previous step (``inf`` at the start or
+    after a singular ``J``), an estimate of the distance to the root that
+    costs no expectation.  The Jacobian step runs only when the caller asks
+    for the next iterate.  Raises :class:`SolverError` when a step from
+    centred fields leaves the monotone descent or is not finite.
     """
     _, _, M = machine.build_matrices(params)
     fields = params.fields
-    eye = np.eye(params.K)
-    q = np.ones(params.K)
+    K = params.K
+    centred = all(f.is_centred for f in fields)
+    eye = np.eye(K)
+
+    def evaluate(q):
+        m = M @ q
+        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p], rule)
+                      for p in range(K)])
+        g = q - f
+        return q, m, f, g, float(np.max(np.abs(g)))
+
+    q, m, f, g, res = evaluate(np.ones(K) if centred else np.full(K, 0.5))
     jac = None
     steps = 0
     while True:
-        m = M @ q
-        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p], rule)
-                      for p in range(params.K)])
-        g = q - f
-        res = float(np.max(np.abs(g)))
-        # The last step solved with ``jac`` already, so it is not singular.
+        # Every kept ``jac`` has solved a step already, so it is not singular.
         distance = (math.inf if jac is None
                     else float(np.max(np.abs(np.linalg.solve(jac, g)))))
         yield q, res, distance
         slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], rule, f[p])
-                          for p in range(params.K)])
+                          for p in range(K)])
         steps += 1
         jac = eye - slope[:, None] * M
         try:
             new = q - np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
-            new = np.full(params.K, math.nan)
+            new = np.full(K, math.nan)
+            jac = None
+        finite = bool(np.all(np.isfinite(new)))
+        if not centred:
+            state = evaluate(np.clip(new, 0.0, 1.0)) if finite else None
+            if state is None or not state[4] < res:
+                state = evaluate(q - 0.5 * g)
+            q, m, f, g, res = state
+            continue
         guarded = res > _GUARD_RESIDUAL
-        if not (np.all(np.isfinite(new)) and (not guarded or (
+        if not (finite and (not guarded or (
                 np.all(new >= 0.0) and np.all(new <= q + _GUARD_SLACK)))):
-            variance = max(float(m[p]) + fields[p].v for p in range(params.K))
+            variance = max(float(m[p]) + fields[p].v for p in range(K))
             raise SolverError(
                 f"nested Newton step {steps} left the monotone descent "
                 f"at residual {res:.3e}; the largest layer variance "
                 f"(Mq)_p + v_p is {variance:.3g}, and the default quadrature "
                 f"rule is accurate for s + v <= 25",
                 last_q=q, residual=res, iterations=steps)
-        q = np.clip(new, 0.0, 1.0)
+        q, m, f, g, res = evaluate(np.clip(new, 0.0, 1.0))
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10, *,
                  rule: QuadratureRule | None = None) -> RsSolution:
-    """Monotone Newton solver for the largest consistency solution.
+    """Safeguarded Newton solver for the consistency equations, any field kind.
 
-    Requires zero or centred Gaussian fields (any variance ``v >= 0``) on
-    every layer.  Each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is
-    then increasing and concave in ``s``, so ``G(q) = q - F(q)`` is convex
-    and order-monotone, with the analytic Jacobian ``I - diag(T'_p) M`` and
-    the slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` at ``(Mq)_p``.  Newton's
-    method on ``G`` started from ``q = 1``, which lies above every solution
-    because ``F(1) <= 1``, decreases monotonically onto the largest one
-    (the monotone Newton theorem: Ortega and Rheinboldt, *Iterative
-    Solution of Nonlinear Equations in Several Variables*, 1970, section
-    13.3).  With positive variance on every layer that solution is the
-    unique one and strictly positive; with zero fields ``q = 0`` also
-    solves the equations.  A step costs ``K`` ``TANH_SQ`` and ``K``
-    ``INV_COSH4`` expectations and one ``K x K`` linear solve.
+    The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M`` with the
+    slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
+    ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
+    integration by parts for every field kind.  A step costs ``K``
+    ``TANH_SQ`` and ``K`` ``INV_COSH4`` expectations and one ``K x K``
+    linear solve.
 
-    The guard checks that theory: while the residual ``max |G(q)|`` is
-    above ``1e-6``, every iterate must stay in ``[0, 1]`` and must not
-    increase in any coordinate beyond rounding (``1e-15``).  A violation,
-    which a quadrature rule too coarse to keep ``T`` concave causes, raises
-    :class:`SolverError`; its message names the largest layer variance
-    ``(Mq)_p + v_p``, to compare with the default rule's accuracy range
-    ``s + v <= 25``.  Closer to the root the guard is off and iterates
-    are clipped to the unit box.  Iteration stops once the residual is at
-    most ``max(1e-14, tol / 100)`` and the last Jacobian's step from the
-    iterate is at most ``tol`` (near a critical line ``G`` is nearly
-    singular at the root, and a tiny residual alone can leave ``q`` far
-    from it), or when a step no longer lowers the residual and the best one
-    is within ``tol``; the iterate with the smallest residual is returned.  :class:`SolverError`, carrying the Newton step
-    count, is raised when that residual stays above ``tol``.
+    *Centred fields* (zero, or Gaussian with variance ``v >= 0``, on every
+    layer).  Each ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing and
+    concave in ``s``, so ``G`` is convex and order-monotone.  Newton's
+    method started from ``q = 1``, which lies above every solution because
+    ``F(1) <= 1``, decreases monotonically onto the largest one (the
+    monotone Newton theorem: Ortega and Rheinboldt, *Iterative Solution of
+    Nonlinear Equations in Several Variables*, 1970, section 13.3).  With
+    positive variance on every layer that solution is the unique one and
+    strictly positive; with zero fields ``q = 0`` also solves the
+    equations.  The guard checks that theory: while the residual
+    ``max |G(q)|`` is above ``1e-6``, every iterate must stay in ``[0, 1]``
+    and must not increase in any coordinate beyond rounding (``1e-15``).  A
+    violation, which a quadrature rule too coarse to keep ``T`` concave
+    causes, raises :class:`SolverError`; its message names the largest
+    layer variance ``(Mq)_p + v_p``, to compare with the default rule's
+    accuracy range ``s + v <= 25``.  Closer to the root the guard is off
+    and iterates are clipped to the unit box.
+
+    *Other fields* (point-mass, discrete, or a mix with centred ones).  The
+    monotone theory no longer applies, so the iteration starts at
+    ``q = 1/2``, where the damped fixed-point iteration starts, and keeps a
+    Newton step (clipped to the unit box) only if it lowers the residual;
+    otherwise it takes the damped step ``q - G(q) / 2`` of
+    :func:`solve_fixed_point` at its default damping.
+
+    Iteration stops once the residual is at most ``max(1e-14, tol / 100)``
+    and the last Jacobian's step from the iterate is at most ``tol`` (near
+    a critical line ``G`` is nearly singular at the root, and a tiny
+    residual alone can leave ``q`` far from it), or when a step no longer
+    lowers the residual and the best one is within ``tol``, or after 50
+    steps; the iterate with the smallest residual is returned.
+    :class:`SolverError`, carrying the step count, is raised when that
+    residual stays above ``tol``.
     """
     _require_positive_lambda(params)
-    params.require_fields("solve_nested", gaussian=False)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if params.K == 1:

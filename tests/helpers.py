@@ -76,12 +76,18 @@ def field_specs() -> st.SearchStrategy:
 
 
 @st.composite
-def model_params(draw, k_range: tuple[int, int] = (1, 6)) -> ModelParams:
-    """Hypothesis strategy over chain models with any mix of field kinds."""
+def model_params(draw, k_range: tuple[int, int] = (1, 6),
+                 zero_weights: bool = True) -> ModelParams:
+    """Hypothesis strategy over chain models with any mix of field kinds.
+
+    ``zero_weights=False`` keeps every layer weight positive.
+    """
     K = draw(st.integers(*k_range))
     beta = draw(st.lists(st.floats(0.05, 3.0), min_size=K - 1, max_size=K - 1))
-    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
-                            min_size=K, max_size=K).filter(any))
+    weight = st.floats(0.01, 1.0)
+    if zero_weights:
+        weight = st.one_of(st.just(0.0), weight)
+    weights = draw(st.lists(weight, min_size=K, max_size=K).filter(any))
     fields = draw(st.lists(field_specs(), min_size=K, max_size=K))
     return ModelParams(K=K, beta=tuple(beta), lam=tuple(_normalized(weights)),
                        fields=tuple(fields))

@@ -169,7 +169,7 @@ def test_rs_zero_field_reports_zero_overlap(tmp_path):
     assert rc == 0
     data = read_json(out)
     sol = data["solutions"][0]
-    assert sol["method"] == "fixed_point"
+    assert sol["method"] == "nested"
     assert np.allclose(sol["q"], 0.0, atol=1e-9)
     params = ModelParams.from_dict(balanced2())
     assert sol["pressure"] == pytest.approx(machine.annealed_pressure(params),
@@ -193,15 +193,47 @@ def test_rs_cross_solver_agreement(tmp_path):
     assert sup < 1e-7
 
 
-def test_rs_nested_requires_gaussian_fields(tmp_path, capsys):
+def test_rs_nested_takes_point_mass_fields(tmp_path):
+    # An explicit 'nested' solves point-mass models too, and lands where
+    # the damped iteration of 'both' does.
     data = model_dict(2, (0.6,), (0.5, 0.5),
                       (FieldSpec.point_mass(0.3), FieldSpec.zero()))
-    data["solver"] = {"method": "nested"}
-    cfg = write_config(tmp_path, data)
-    assert cli.main(["rs", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "layer 0 has kind 'point_mass'" in err
-    assert len(err.strip().splitlines()) == 1
+    q = {}
+    for method in ("nested", "both"):
+        data["solver"] = {"method": method}
+        out = str(tmp_path / f"{method}.json")
+        assert cli.main(["rs", "--config", write_config(tmp_path, data),
+                         "--format", "json", "--out", out]) == 0
+        for sol in read_json(out)["solutions"]:
+            q[method, sol["method"]] = np.asarray(sol["q"])
+    assert set(q) == {("nested", "nested"), ("both", "nested"),
+                      ("both", "fixed_point")}
+    np.testing.assert_array_equal(q["nested", "nested"], q["both", "nested"])
+    assert np.max(np.abs(q["nested", "nested"]
+                         - q["both", "fixed_point"])) < 1e-7
+    assert min(q["nested", "nested"]) > 0.0
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-4, 1e-6])
+def test_rs_auto_solves_zero_field_models_just_past_a_critical_line(
+        tmp_path, excess):
+    # The damped iteration stalls above 1e-10 after 10000 steps on these
+    # models; 'auto' takes Newton, which lands on the root in a few.
+    lam = (0.3, 0.4, 0.3)
+    unit = machine.spectral_radius(ModelParams(K=3, beta=(1.0, 1.0), lam=lam))
+    beta = math.sqrt((1.0 + excess) / unit)
+    params = ModelParams(K=3, beta=(beta, beta), lam=lam)
+    assert machine.spectral_radius(params) == pytest.approx(1.0 + excess,
+                                                            rel=1e-12)
+    out = str(tmp_path / "rs.json")
+    assert cli.main(["rs", "--config", write_config(tmp_path, params.to_dict()),
+                     "--format", "json", "--out", out]) == 0
+    sol = read_json(out)["solutions"][0]
+    assert sol["method"] == "nested"
+    nested = rs_solver.solve_nested(params)
+    assert sol["q"] == [float(x) for x in nested.q]
+    assert sol["residual"] <= 1e-12
+    assert min(sol["q"]) > 0.0
 
 
 @pytest.mark.parametrize("fields", [

@@ -354,13 +354,17 @@ def test_nested_solution_is_stationary_point_of_pressure():
         assert np.max(np.abs(grad)) < 1e-4
 
 
-def test_nested_rejects_unsupported_fields():
-    with pytest.raises(ValueError):
-        solve_nested(make(2, (1.0,), (0.5, 0.5),
-                          (FieldSpec.point_mass(0.3), FieldSpec.point_mass(0.3))))
-    # Zero and zero-variance fields are centred, so Newton takes them.
-    for fields in ((), (FieldSpec.gaussian(0.0), FieldSpec.gaussian(1.0))):
-        assert solve_nested(make(2, (1.0,), (0.5, 0.5), fields)).residual <= 1e-10
+def test_nested_takes_every_field_kind():
+    # Centred fields (zero, zero-variance) take the monotone path from
+    # q = 1, the others the safeguarded one from q = 1/2.
+    for fields in ((), (FieldSpec.gaussian(0.0), FieldSpec.gaussian(1.0)),
+                   (FieldSpec.point_mass(0.3), FieldSpec.point_mass(0.3)),
+                   (FieldSpec.discrete((-0.5, 1.0), (0.25, 0.75)),
+                    FieldSpec.zero())):
+        params = make(2, (1.0,), (0.5, 0.5), fields)
+        sol = solve_nested(params)
+        assert sol.method == "nested" and sol.residual <= 1e-10
+        assert np.max(np.abs(sol.q - rs_map(sol.q, params))) == sol.residual
 
 
 def test_nested_reaches_the_largest_solution_with_zero_variance_fields():
@@ -462,6 +466,41 @@ def test_nested_newton_is_monotone_and_matches_fixed_point_property(params):
     fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
                            tol=1e-13, max_iter=100_000)
     np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-9)
+
+
+def test_nested_takes_the_damped_step_where_newton_does_not_lower_the_residual():
+    # Under the default rule no measured non-centred chain rejected a Newton
+    # step.  A 9-node rule bends the layer maps away from the slopes that
+    # integration by parts gives, so Newton steps from q = 1/2 can raise
+    # the residual; each such step must give way to the damped one.
+    rule = ghquad.normal_trapezoid_rule(9)
+    params = make(2, (2.0,), (0.5, 0.5),
+                  (FieldSpec.point_mass(1.0), FieldSpec.zero()))
+    iterates = list(itertools.islice(rs_solver._newton_iterates(params, rule), 12))
+    damped = 0
+    for (q, res, _), (nxt, nxt_res, _) in zip(iterates, iterates[1:]):
+        assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)
+        if np.array_equal(nxt, q - 0.5 * (q - rs_map(q, params, rule=rule))):
+            damped += 1
+        else:
+            assert nxt_res < res
+    assert damped > 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=model_params(k_range=(2, 6), zero_weights=False).filter(
+    lambda p: not all(f.is_centred for f in p.fields)))
+def test_nested_matches_fixed_point_from_both_starts_on_non_centred_chains_property(
+        params):
+    # Without centred fields the monotone theory is gone, so Newton could
+    # land on another fixed point than the damped iteration; it must not,
+    # from either of that iteration's starts.
+    tol = 1e-10
+    sol = solve_nested(params, tol)
+    assert sol.residual <= tol
+    for start in (0.5, 1.0):
+        fp = solve_fixed_point(params, q0=np.full(params.K, start), tol=tol)
+        np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("excess", [1e-6, 1e-7])
