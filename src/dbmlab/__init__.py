@@ -10,10 +10,10 @@ machine
     spectral radius, annealed-region classification, extremal layer widths.
 ghquad
     Expectations of smooth functions of a Gaussian plus an external field,
-    by a truncated-Gaussian trapezoid rule.
+    by a truncated-Gaussian trapezoid rule picked from the variance.
 rs_solver
-    Replica-symmetric consistency equations: pressure functional, fixed-point
-    and nested solvers, stability and high-temperature certificates.
+    Replica-symmetric consistency equations: pressure functional, the nested
+    Newton solver, stability and high-temperature certificates.
 sk_chain_bound
     Layer-decoupled SK pressure bound: theta map, bound functional, bound
     maximisation, and the bridge identity to the RS pressure.

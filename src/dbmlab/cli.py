@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import chainpoly, finite_volume_lab, machine, rs_solver, sk_chain_bound
-from .ghquad import QuadratureRule, normal_trapezoid_rule
 from .machine import FieldSpec, ModelParams
 
 _OUTPUT_COLUMNS = {
@@ -134,7 +133,11 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
     if not isinstance(axes_raw, list) or not 1 <= len(axes_raw) <= 2:
         raise ConfigError("scan needs an axes list with one or two entries")
     axes = tuple(_parse_axis(a, params) for a in axes_raw)
-    outputs = tuple(obj.get("outputs", _DEFAULT_OUTPUTS))
+    outputs = obj.get("outputs", list(_DEFAULT_OUTPUTS))
+    if not (isinstance(outputs, list)
+            and all(isinstance(o, str) for o in outputs)):
+        raise ConfigError("scan outputs must be a JSON list of strings")
+    outputs = tuple(outputs)
     unknown = [o for o in outputs if o not in _OUTPUT_COLUMNS]
     if unknown:
         raise ConfigError(
@@ -163,6 +166,10 @@ def _load_config(path: str) -> _Config:
     verify = raw.get("verify", {})
     if not isinstance(solver, dict) or not isinstance(verify, dict):
         raise ConfigError("solver/verify sections must be JSON objects")
+    unknown = sorted(set(solver) - {"tol"})
+    if unknown:
+        raise ConfigError(f"unknown solver settings {unknown}; "
+                          "the solver section takes only 'tol'")
     return _Config(params=params, scan=scan, solver=solver, verify=verify)
 
 
@@ -314,16 +321,7 @@ def _tol(args, config: _Config) -> float:
     return tol
 
 
-def _solve_rs(params: ModelParams, method: str, tol: float,
-              rule: QuadratureRule | None, damping: float = 0.5):
-    if method == "nested":
-        return rs_solver.solve_nested(params, tol, rule=rule)
-    return rs_solver.solve_fixed_point(params, tol=tol, damping=damping,
-                                       rule=rule)
-
-
 def _bound_point(params: ModelParams, tol: float,
-                 rule: QuadratureRule | None,
                  nested_q: np.ndarray | None = None) -> tuple[float, bool]:
     """Bound value and certification; single-layer models short-circuit.
 
@@ -331,9 +329,8 @@ def _bound_point(params: ModelParams, tol: float,
     this model, which spares the maximizer its own nested solve.
     """
     if params.K == 1:
-        return sk_chain_bound.p_dbm_functional(np.zeros(0), params, rule=rule)
-    res = sk_chain_bound.maximize_bound(params, tol, rule=rule,
-                                        nested_q=nested_q)
+        return sk_chain_bound.p_dbm_functional(np.zeros(0), params)
+    res = sk_chain_bound.maximize_bound(params, tol, nested_q=nested_q)
     return res.value, res.certified
 
 
@@ -342,7 +339,7 @@ def _bound_point(params: ModelParams, tol: float,
 # ---------------------------------------------------------------------------
 
 
-def cmd_region(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_region(config: _Config, args) -> tuple[str, bool]:
     axes = config.scan.axes if config.scan is not None else ()
     grid = _grid(axes) if axes else [()]
 
@@ -363,7 +360,7 @@ def cmd_region(config: _Config, args, rule) -> tuple[str, bool]:
     return _csv_table(columns, rows), True
 
 
-def cmd_poly(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_poly(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     t = machine.activities(params)
     payload = {
@@ -385,44 +382,23 @@ def cmd_poly(config: _Config, args, rule) -> tuple[str, bool]:
     return _kv_csv(pairs), True
 
 
-def cmd_rs(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_rs(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     tol = _tol(args, config)
-    method = str(config.solver.get("method", "auto"))
-    if method not in {"auto", "nested", "fixed_point", "both"}:
-        raise ConfigError(f"unknown solver method '{method}'")
     if min(params.lam) <= 0.0:
-        raise ConfigError("the rs solvers require strictly positive layer "
+        raise ConfigError("the rs solver requires strictly positive layer "
                           "weights; prune zero-weight layers from the model")
-    methods = {"auto": ("nested",),
-               "both": ("nested", "fixed_point")}.get(method, (method,))
-    damping = _setting(config.solver, "damping", 0.5, float)
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"the fixed-point damping must lie in (0, 1], "
-                          f"got {damping}")
-    solutions = [_solve_rs(params, m, tol, rule, damping) for m in methods]
-    payload = {
-        "command": "rs",
-        "p_annealed": float(machine.annealed_pressure(params)),
-        "solutions": [sol.to_dict() for sol in solutions],
-    }
-    if len(solutions) == 2:
-        sup = float(np.max(np.abs(solutions[0].q - solutions[1].q)))
-        payload["agreement"] = {"sup_diff": sup}
+    solution = rs_solver.solve_nested(params, tol).to_dict()
+    p_annealed = float(machine.annealed_pressure(params))
     if args.format == "json":
-        return _json_text(payload), True
-    pairs = []
-    for sol in solutions:
-        data = sol.to_dict()
-        prefix = data.pop("method")
-        pairs.extend(_flatten_kv(prefix, data))
-    pairs.append(("p_annealed", payload["p_annealed"]))
-    if "agreement" in payload:
-        pairs.append(("agreement.sup_diff", payload["agreement"]["sup_diff"]))
+        return _json_text({"command": "rs", "p_annealed": p_annealed,
+                           "solutions": [solution]}), True
+    pairs = _flatten_kv(solution.pop("method"), solution)
+    pairs.append(("p_annealed", p_annealed))
     return _kv_csv(pairs), True
 
 
-def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     tol = _tol(args, config)
     try:
@@ -433,13 +409,12 @@ def cmd_bound(config: _Config, args, rule) -> tuple[str, bool]:
         raise ConfigError("the bound requires strictly positive layer "
                           "weights; prune zero-weight layers from the model")
     if params.K == 1:
-        value, certified = sk_chain_bound.p_dbm_functional(np.zeros(0), params,
-                                                           rule=rule)
+        value, certified = sk_chain_bound.p_dbm_functional(np.zeros(0), params)
         data = {"a": [], "value": float(value), "certified": bool(certified),
                 "boundary_suspect": False, "theta": [0.0], "overlaps": None,
                 "stationarity": 0.0}
     else:
-        result = sk_chain_bound.maximize_bound(params, tol, rule=rule)
+        result = sk_chain_bound.maximize_bound(params, tol)
         data = result.to_dict()
     p_annealed = float(machine.annealed_pressure(params))
     flags = []
@@ -467,7 +442,7 @@ def _criteria_consistent(params: ModelParams) -> bool:
              or inside == (verdict.feasible_a is not None)))
 
 
-def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_verify(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     section = config.verify
     totals = section.get("sizes", [12, 18, 24])
@@ -509,7 +484,7 @@ def cmd_verify(config: _Config, args, rule) -> tuple[str, bool]:
     return report.to_csv(), ok
 
 
-def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
+def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")
     scan = config.scan
@@ -526,7 +501,7 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
         solution = None
         if need_solution:
             try:
-                solution = rs_solver.solve_nested(params, tol, rule=rule)
+                solution = rs_solver.solve_nested(params, tol)
             except (rs_solver.SolverError, ValueError):
                 flags.append("rs_failed")
         for name in outputs:
@@ -546,8 +521,7 @@ def cmd_scan(config: _Config, args, rule) -> tuple[str, bool]:
             elif name == "bound":
                 try:
                     value, certified = _bound_point(
-                        params, tol, rule,
-                        None if solution is None else solution.q)
+                        params, tol, None if solution is None else solution.q)
                 except (rs_solver.SolverError, ValueError):
                     value, certified = None, None
                     flags.append("bound_failed")
@@ -616,9 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output file path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
-        p.add_argument("--quadrature-order", type=int, default=None,
-                       dest="quadrature_order",
-                       help="override the Gaussian-expectation grid size")
         p.add_argument("--tol", type=float, default=None,
                        help="solver tolerance (default: config or 1e-10)")
     return parser
@@ -628,13 +599,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        rule = None
-        if args.quadrature_order is not None:
-            try:
-                rule = normal_trapezoid_rule(args.quadrature_order)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        text, ok = _HANDLERS[args.command](config, args, rule)
+        text, ok = _HANDLERS[args.command](config, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

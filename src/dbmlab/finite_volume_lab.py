@@ -610,10 +610,14 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
     ``n_pairs`` seeded random configuration pairs.  The energies of all
     ``2 * len(pairs)`` configurations come from one :func:`hamiltonian`
     call per stack of disorder samples (a few samples at a time for large
-    systems).
+    systems).  Systems above ``MC_SPIN_CAP`` spins are refused, because the
+    coupling blocks of one disorder sample grow as ``N^2``.
     """
     if n_disorder < 3:
         raise ValueError("need at least three disorder samples")
+    if assignment.N > MC_SPIN_CAP:
+        raise ValueError(f"the covariance check is capped at {MC_SPIN_CAP} "
+                         f"spins, got {assignment.N}")
     if pairs is None:
         gen = _generator(seed, 0, _STREAM_PAIRS)
         pairs = [

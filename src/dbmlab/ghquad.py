@@ -10,15 +10,22 @@ point-mass/discrete fields the outer expectation is a finite sum over atoms.
 
 Quadrature
 ----------
-The default rule is a truncated-Gaussian trapezoid rule
-(:func:`normal_trapezoid_rule`, 361 nodes on ``[-9.3, 9.3]``).  The kernels
-above have poles/branch points at ``Im y = pi/2``, i.e. at distance
-``pi / (2 sqrt(s))`` from the real axis in the integration variable, which
-defeats polynomial (Gauss--Hermite) quadrature long before ``s = 25`` — while
-the trapezoid rule's geometric convergence in the analyticity strip keeps the
-default rule at machine accuracy (~1e-13) through ``s + v <= 25``.  Every
-rule satisfies the :class:`QuadratureRule` contract (positive weights summing
-to one, symmetric nodes).
+Every rule is a truncated-Gaussian trapezoid rule
+(:func:`normal_trapezoid_rule`) on ``[-9.3, 9.3]``.  The kernels above have
+poles/branch points at ``Im y = pi/2``, i.e. at distance ``pi / (2 sqrt(s))``
+from the real axis in the integration variable, which defeats polynomial
+(Gauss--Hermite) quadrature long before ``s = 25``; the trapezoid rule
+converges geometrically in the analyticity strip once its node spacing in
+``y = z sqrt(s + v)`` is held fixed (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  So
+:func:`expect` picks the rule from the total variance ``s + v``: the
+361-node :func:`default_rule` through ``s + v <= 25``, and past that
+``360 * 2^k + 1`` nodes with ``k = ceil(log2((s + v) / 25) / 2)``, which
+keeps the spacing in ``y`` at most the default's at ``s + v = 25``.  ``k``
+is capped at 6 (23041 nodes), so the kernels stay at machine accuracy
+through ``s + v <= ACCURATE_VARIANCE = 102400``; beyond it the largest rule
+is used.  Every rule satisfies the :class:`QuadratureRule` contract
+(positive weights summing to one, symmetric nodes).
 
 Derivatives in the variance
 ---------------------------
@@ -39,6 +46,7 @@ import numpy as np
 from .machine import FieldSpec
 
 __all__ = [
+    "ACCURATE_VARIANCE",
     "DEFAULT_ORDER",
     "QuadratureRule",
     "TANH_SQ",
@@ -51,7 +59,13 @@ __all__ = [
 ]
 
 DEFAULT_ORDER = 361
-_DEFAULT_HALF_WIDTH = 9.3
+_HALF_WIDTH = 9.3
+# Total variance through which the default rule is accurate.
+_DEFAULT_VARIANCE = 25.0
+# Most halvings of the default rule's node spacing, and the total variance
+# through which the rule so refined is accurate.
+_MAX_DOUBLINGS = 6
+ACCURATE_VARIANCE = _DEFAULT_VARIANCE * 4.0 ** _MAX_DOUBLINGS
 _LOG2 = math.log(2.0)
 
 
@@ -91,8 +105,7 @@ INV_COSH4 = _inv_cosh4
 # ---------------------------------------------------------------------------
 
 
-def normal_trapezoid_rule(order: int = DEFAULT_ORDER,
-                          half_width: float = _DEFAULT_HALF_WIDTH) -> QuadratureRule:
+def normal_trapezoid_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     """Truncated-Gaussian trapezoid rule with ``order`` equispaced nodes.
 
     Geometrically convergent inside the integrand's analyticity strip, which
@@ -104,7 +117,7 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER,
         raise ValueError("order must be >= 1")
     if order == 1:
         return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1), order=1)
-    nodes = np.linspace(-half_width, half_width, order)
+    nodes = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, order)
     weights = np.exp(-0.5 * nodes * nodes)
     weights = weights / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
@@ -114,6 +127,21 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER,
 def default_rule() -> QuadratureRule:
     """The module-wide default rule (cached)."""
     return normal_trapezoid_rule(DEFAULT_ORDER)
+
+
+@functools.cache
+def _refined_rule(doublings: int) -> QuadratureRule:
+    """The default rule with its node spacing halved ``doublings`` times."""
+    return normal_trapezoid_rule((DEFAULT_ORDER - 1) * 2 ** doublings + 1)
+
+
+def _rule_for(variance: float) -> QuadratureRule:
+    """The cheapest rule accurate at total variance ``variance``, or the
+    finest one past ``ACCURATE_VARIANCE``."""
+    if variance <= _DEFAULT_VARIANCE:
+        return default_rule()
+    capped = min(variance, ACCURATE_VARIANCE)
+    return _refined_rule(math.ceil(0.5 * math.log2(capped / _DEFAULT_VARIANCE)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +167,18 @@ def _field_atoms(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return np.asarray(field.values, dtype=float), np.asarray(field.probs, dtype=float), 0.0
 
 
-def expect(f, s: float, field: FieldSpec, rule: QuadratureRule | None = None) -> float:
-    """``E f(z sqrt(s) + h)`` for standard Gaussian ``z`` and field ``h``."""
+def expect(f, s: float, field: FieldSpec) -> float:
+    """``E f(z sqrt(s) + h)`` for standard Gaussian ``z`` and field ``h``.
+
+    The rule is picked from the total variance ``s + v`` (see the module
+    docstring).
+    """
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError("variance s must be finite and >= 0")
-    if rule is None:
-        rule = default_rule()
     shifts, probs, extra = _field_atoms(field)
-    std = math.sqrt(s + extra)
+    total = s + extra
+    rule = _rule_for(total)
+    std = math.sqrt(total)
     y = std * rule.nodes[None, :] + shifts[:, None]
     vals = np.asarray(f(y), dtype=float)
     return float(probs @ (vals @ rule.weights))

@@ -14,8 +14,8 @@ Stationary points solve the consistency equations
 
 This module provides the functional, the consistency map and its Jacobian
 at ``q = 0``, the scalar single-layer solver (the classical
-Latala--Guerra uniqueness argument), a damped fixed-point solver, the
-nested Newton solver for every field kind, and the Talagrand / de
+Latala--Guerra uniqueness argument), the nested Newton solver for every
+field kind, which is the one consistency solver, and the Talagrand / de
 Almeida--Thouless sufficient conditions used to certify the scalar
 surrogate downstream.
 
@@ -27,10 +27,11 @@ increasing and concave, so ``G`` is convex, and Newton from ``q = 1``,
 which lies above every root, decreases monotonically onto the largest.  A
 guard raises :class:`SolverError` when an iterate leaves ``[0, 1]`` or
 climbs while the residual is still above ``1e-6``, which is how a
-quadrature rule too coarse to keep ``T`` concave shows.  Other fields
-(point-mass, discrete or mixed) lose that theory: Newton starts at ``q =
-1/2`` and keeps a step only if it lowers the residual, taking the damped
-fixed-point step otherwise.  Either way the iteration stops at residual
+layer variance past the quadrature's accuracy range
+(``ghquad.ACCURATE_VARIANCE``) shows.  Other fields (point-mass, discrete
+or mixed) lose that theory: Newton starts at ``q = 1/2`` and keeps a step
+only if it lowers the residual, taking the damped step ``q - G(q) / 2``
+otherwise.  Either way the iteration stops at residual
 ``max(1e-14, tol / 100)`` once the next step, estimated with the last
 Jacobian, is within ``tol``, and fails only if its best residual stays
 above ``tol``.
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine
-from .ghquad import INV_COSH4, LOG_COSH, TANH_SQ, QuadratureRule
+from .ghquad import INV_COSH4, LOG_COSH, TANH_SQ
 from .machine import FieldSpec, ModelParams
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "rs_map",
     "jacobian_at_zero",
     "latala_guerra",
-    "solve_fixed_point",
     "solve_nested",
     "check_talagrand",
     "check_at",
@@ -111,7 +111,7 @@ class RsSolution:
     """Solver output: overlap vector, pressure value and certificates.
 
     ``residual`` is ``max_p |q_p - F_p(q)|`` at the returned ``q``;
-    ``method`` identifies the solver (``fixed_point`` or ``nested``).
+    ``method`` names the solver (``nested``).
     """
 
     q: np.ndarray
@@ -184,7 +184,7 @@ def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rs_pressure(q, params: ModelParams, *, rule: QuadratureRule | None = None) -> float:
+def rs_pressure(q, params: ModelParams) -> float:
     """Replica-symmetric pressure at overlap ``q`` (nats per spin).
 
     At ``q = 0`` with all-zero fields this reduces, through the shared
@@ -197,17 +197,17 @@ def rs_pressure(q, params: ModelParams, *, rule: QuadratureRule | None = None) -
     field_term = 0.0
     for p in range(params.K):
         field_term += lam[p] * ghquad.expect(LOG_COSH, float(m[p]),
-                                             params.fields[p], rule)
+                                             params.fields[p])
     return _LOG2 + field_term + machine.interaction_half_quadratic(params, 1.0 - q)
 
 
-def rs_map(q, params: ModelParams, *, rule: QuadratureRule | None = None) -> np.ndarray:
+def rs_map(q, params: ModelParams) -> np.ndarray:
     """Consistency map ``F_p(q) = E tanh^2(z sqrt((Mq)_p) + h_p)``."""
     q = _check_overlap(q, params.K)
     _, _, M = machine.build_matrices(params)
     m = M @ q
     return np.array([
-        ghquad.expect(TANH_SQ, float(m[p]), params.fields[p], rule)
+        ghquad.expect(TANH_SQ, float(m[p]), params.fields[p])
         for p in range(params.K)
     ])
 
@@ -230,14 +230,13 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tanh_sq_slope(s: float, field: FieldSpec, rule: QuadratureRule | None,
-                   tanh_sq: float) -> float:
+def _tanh_sq_slope(s: float, field: FieldSpec, tanh_sq: float) -> float:
     """``d/ds tanh_sq`` for ``tanh_sq = E tanh^2(z sqrt(s) + h)``, by parts."""
-    return 3.0 * ghquad.expect(INV_COSH4, s, field, rule) - 2.0 * (1.0 - tanh_sq)
+    return 3.0 * ghquad.expect(INV_COSH4, s, field) - 2.0 * (1.0 - tanh_sq)
 
 
-def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
-                    rule: QuadratureRule | None) -> tuple[float, bool]:
+def _scalar_overlap(theta_sq: float, field: FieldSpec,
+                    tol: float) -> tuple[float, bool]:
     """Largest root of ``x = E tanh^2(z sqrt(2 x theta_sq) + h)`` in ``[0, 1)``.
 
     For zero-like fields the root is ``0`` up to the critical line
@@ -259,7 +258,7 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
     x = 0.5
     best_x, best_defect = x, math.inf
     for _ in range(_SCALAR_STEPS):
-        tanh_sq = ghquad.expect(TANH_SQ, two_t * x, field, rule)
+        tanh_sq = ghquad.expect(TANH_SQ, two_t * x, field)
         defect = tanh_sq - x
         if abs(defect) < abs(best_defect):
             best_x, best_defect = x, defect
@@ -267,7 +266,7 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
             lo = x
         else:
             hi = x
-        slope = two_t * _tanh_sq_slope(two_t * x, field, rule, tanh_sq)
+        slope = two_t * _tanh_sq_slope(two_t * x, field, tanh_sq)
         if slope < 1.0:
             step = defect / (1.0 - slope)
             if abs(defect) < tol and abs(step) < tol:
@@ -281,8 +280,7 @@ def _scalar_overlap(theta_sq: float, field: FieldSpec, tol: float,
     return best_x, False
 
 
-def latala_guerra(beta: float, v: float, tol: float = 1e-12, *,
-                  rule: QuadratureRule | None = None) -> float:
+def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
     """Unique positive root of ``q = E tanh^2(z sqrt(2 q beta^2 + v))``.
 
     Validating entry to the scalar overlap solver with ``theta^2 = beta^2``
@@ -297,9 +295,9 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12, *,
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
     field = FieldSpec.gaussian(v)
-    q, converged = _scalar_overlap(beta * beta, field, tol, rule)
+    q, converged = _scalar_overlap(beta * beta, field, tol)
     if not converged:
-        residual = abs(q - ghquad.expect(TANH_SQ, 2.0 * beta * beta * q, field, rule))
+        residual = abs(q - ghquad.expect(TANH_SQ, 2.0 * beta * beta * q, field))
         raise SolverError(
             f"scalar overlap solve did not reach tol={tol} "
             f"(residual {residual:.3e})",
@@ -339,8 +337,7 @@ def check_talagrand(q, params: ModelParams, a=None) -> list:
     return flags
 
 
-def check_at(q, params: ModelParams, *,
-             rule: QuadratureRule | None = None) -> list:
+def check_at(q, params: ModelParams) -> list:
     """Per-layer de Almeida--Thouless stability flags (Gaussian fields).
 
     Layer ``p`` passes when
@@ -351,18 +348,16 @@ def check_at(q, params: ModelParams, *,
     params.require_fields("check_at", gaussian=True)
     _, _, M = machine.build_matrices(params)
     m = M @ q
-    return [_at_stable(float(m[p]), q[p], params.fields[p], rule)
+    return [_at_stable(float(m[p]), q[p], params.fields[p])
             for p in range(params.K)]
 
 
-def _at_stable(m: float, q: float, field: FieldSpec,
-               rule: QuadratureRule | None) -> bool:
+def _at_stable(m: float, q: float, field: FieldSpec) -> bool:
     """Scalar de Almeida--Thouless test ``m E cosh^-4(z sqrt(m) + h) <= q``."""
-    return bool(m * ghquad.expect(INV_COSH4, m, field, rule) <= q)
+    return bool(m * ghquad.expect(INV_COSH4, m, field) <= q)
 
 
-def _certificates(q, params: ModelParams, *,
-                  rule: QuadratureRule | None = None) -> Certificates:
+def _certificates(q, params: ModelParams) -> Certificates:
     tala_flags = check_talagrand(q, params)
     if any(f is False for f in tala_flags):
         talagrand_ok: bool | None = False
@@ -372,7 +367,7 @@ def _certificates(q, params: ModelParams, *,
         talagrand_ok = None
     at_ok: bool | None
     if params.gaussian_fields:
-        at_ok = all(check_at(q, params, rule=rule))
+        at_ok = all(check_at(q, params))
     else:
         at_ok = None
     stable = bool(machine.spectral_radius(params) < 1.0)
@@ -381,50 +376,11 @@ def _certificates(q, params: ModelParams, *,
 
 
 # ---------------------------------------------------------------------------
-# damped fixed-point solver
-# ---------------------------------------------------------------------------
-
-
-def solve_fixed_point(params: ModelParams, q0=None, damping: float = 0.5,
-                      tol: float = 1e-10, max_iter: int = 10_000, *,
-                      rule: QuadratureRule | None = None) -> RsSolution:
-    """Damped iteration ``q <- (1 - damping) q + damping F(q)``.
-
-    Damping widens the convergence basin without moving fixed points.
-    Raises :class:`SolverError` (carrying the last iterate and residual)
-    when ``max_iter`` iterations do not reach ``tol``.
-    """
-    _require_positive_lambda(params)
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    q = np.full(params.K, 0.5) if q0 is None else _check_overlap(q0, params.K)
-    residual = math.inf
-    for iteration in range(max_iter):
-        f = rs_map(q, params, rule=rule)
-        residual = float(np.max(np.abs(q - f)))
-        if residual < tol:
-            return RsSolution(
-                q=q.copy(),
-                pressure=rs_pressure(q, params, rule=rule),
-                residual=residual,
-                method="fixed_point",
-                certificates=_certificates(q, params, rule=rule),
-            )
-        q = (1.0 - damping) * q + damping * f
-    raise SolverError(
-        f"fixed-point iteration did not reach tol={tol} within "
-        f"{max_iter} iterations (residual {residual:.3e})",
-        last_q=q, residual=residual, iterations=max_iter)
-
-
-# ---------------------------------------------------------------------------
 # nested solver (Newton, every field kind)
 # ---------------------------------------------------------------------------
 
-# Newton steps allowed to one nested solve; under the default rule every
-# measured chain converged in at most five.
+# Newton steps allowed to one nested solve; every measured chain (K up to
+# 16, beta up to 30) converged in at most six.
 _NEWTON_STEPS = 50
 # The monotonicity guard holds only while the residual exceeds this.  Below
 # it, quadrature roundoff in the concavity of T can lift a converging
@@ -434,7 +390,7 @@ _GUARD_RESIDUAL = 1e-6
 _GUARD_SLACK = 1e-15
 
 
-def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
+def _newton_iterates(params: ModelParams):
     """Safeguarded Newton iterates for ``G(q) = q - F(q)``.
 
     Centred fields (zero, or Gaussian with ``v >= 0``) start at ``q = 1``
@@ -457,7 +413,7 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
 
     def evaluate(q):
         m = M @ q
-        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p], rule)
+        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p])
                       for p in range(K)])
         g = q - f
         return q, m, f, g, float(np.max(np.abs(g)))
@@ -470,7 +426,7 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
         distance = (math.inf if jac is None
                     else float(np.max(np.abs(np.linalg.solve(jac, g)))))
         yield q, res, distance
-        slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], rule, f[p])
+        slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], f[p])
                           for p in range(K)])
         steps += 1
         jac = eye - slope[:, None] * M
@@ -493,14 +449,13 @@ def _newton_iterates(params: ModelParams, rule: QuadratureRule | None):
             raise SolverError(
                 f"nested Newton step {steps} left the monotone descent "
                 f"at residual {res:.3e}; the largest layer variance "
-                f"(Mq)_p + v_p is {variance:.3g}, and the default quadrature "
-                f"rule is accurate for s + v <= 25",
+                f"(Mq)_p + v_p is {variance:.3g}, and the quadrature is "
+                f"accurate for s + v <= {ghquad.ACCURATE_VARIANCE:g}",
                 last_q=q, residual=res, iterations=steps)
         q, m, f, g, res = evaluate(np.clip(new, 0.0, 1.0))
 
 
-def solve_nested(params: ModelParams, tol: float = 1e-10, *,
-                 rule: QuadratureRule | None = None) -> RsSolution:
+def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     """Safeguarded Newton solver for the consistency equations, any field kind.
 
     The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M`` with the
@@ -522,18 +477,17 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
     equations.  The guard checks that theory: while the residual
     ``max |G(q)|`` is above ``1e-6``, every iterate must stay in ``[0, 1]``
     and must not increase in any coordinate beyond rounding (``1e-15``).  A
-    violation, which a quadrature rule too coarse to keep ``T`` concave
-    causes, raises :class:`SolverError`; its message names the largest
-    layer variance ``(Mq)_p + v_p``, to compare with the default rule's
-    accuracy range ``s + v <= 25``.  Closer to the root the guard is off
-    and iterates are clipped to the unit box.
+    violation, which a layer variance past the quadrature's accuracy range
+    bends ``T`` into, raises :class:`SolverError`; its message names the
+    largest layer variance ``(Mq)_p + v_p``, to compare with that range,
+    ``s + v <= ghquad.ACCURATE_VARIANCE``.  Closer to the root the guard is
+    off and iterates are clipped to the unit box.
 
     *Other fields* (point-mass, discrete, or a mix with centred ones).  The
     monotone theory no longer applies, so the iteration starts at
-    ``q = 1/2``, where the damped fixed-point iteration starts, and keeps a
-    Newton step (clipped to the unit box) only if it lowers the residual;
-    otherwise it takes the damped step ``q - G(q) / 2`` of
-    :func:`solve_fixed_point` at its default damping.
+    ``q = 1/2`` and keeps a Newton step (clipped to the unit box) only if
+    it lowers the residual; otherwise it takes the damped fixed-point step
+    ``q - G(q) / 2``, the step of ``q <- (q + F(q)) / 2``.
 
     Iteration stops once the residual is at most ``max(1e-14, tol / 100)``
     and the last Jacobian's step from the iterate is at most ``tol`` (near
@@ -548,16 +502,16 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if params.K == 1:
-        q = np.array([ghquad.expect(TANH_SQ, 0.0, params.fields[0], rule)])
-        residual = float(np.max(np.abs(q - rs_map(q, params, rule=rule))))
+        q = np.array([ghquad.expect(TANH_SQ, 0.0, params.fields[0])])
+        residual = float(np.max(np.abs(q - rs_map(q, params))))
         return RsSolution(
-            q=q, pressure=rs_pressure(q, params, rule=rule),
+            q=q, pressure=rs_pressure(q, params),
             residual=residual, method="nested",
-            certificates=_certificates(q, params, rule=rule))
+            certificates=_certificates(q, params))
 
     target = max(1e-14, 0.01 * tol)
     best_q, best_res = None, math.inf
-    for steps, (q, res, distance) in enumerate(_newton_iterates(params, rule)):
+    for steps, (q, res, distance) in enumerate(_newton_iterates(params)):
         if res < best_res:
             best_q, best_res = q, res
         elif best_res <= tol:
@@ -570,7 +524,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10, *,
             last_q=best_q, residual=best_res, iterations=steps)
     return RsSolution(
         q=best_q,
-        pressure=rs_pressure(best_q, params, rule=rule),
+        pressure=rs_pressure(best_q, params),
         residual=best_res,
         method="nested",
-        certificates=_certificates(best_q, params, rule=rule))
+        certificates=_certificates(best_q, params))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine, rs_solver
-from .ghquad import LOG_COSH, QuadratureRule
+from .ghquad import LOG_COSH
 from .machine import ModelParams
 from .rs_solver import (_TALAGRAND_LINE, _at_stable, _scalar_overlap,
                         _theta_sq_from_aux)
@@ -83,14 +83,14 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _surrogate_overlaps(theta_sq: np.ndarray, params: ModelParams, rule
+def _surrogate_overlaps(theta_sq: np.ndarray, params: ModelParams
                         ) -> tuple[np.ndarray, bool]:
     """Per-layer surrogate overlaps and whether every layer solve converged."""
     out = np.zeros(params.K)
     converged = True
     for p in range(params.K):
         out[p], ok = _scalar_overlap(theta_sq[p], params.fields[p],
-                                     _SCALAR_TOL, rule)
+                                     _SCALAR_TOL)
         converged = converged and ok
     return out, converged
 
@@ -101,13 +101,13 @@ def _surrogate_overlaps(theta_sq: np.ndarray, params: ModelParams, rule
 
 
 def _functional_value(theta_sq: np.ndarray, overlaps: np.ndarray,
-                      params: ModelParams, rule) -> float:
+                      params: ModelParams) -> float:
     """Value of the split bound at given temperatures and overlaps."""
     lam = np.asarray(params.lam, dtype=float)
     value = 0.0
     for p in range(params.K):
         m = 2.0 * float(overlaps[p]) * float(theta_sq[p])
-        layer = _LOG2 + ghquad.expect(LOG_COSH, m, params.fields[p], rule)
+        layer = _LOG2 + ghquad.expect(LOG_COSH, m, params.fields[p])
         layer += 0.5 * float(theta_sq[p]) * (1.0 - float(overlaps[p])) ** 2
         value += float(lam[p]) * layer
     value -= 0.5 * float(np.dot(lam, theta_sq))
@@ -116,7 +116,7 @@ def _functional_value(theta_sq: np.ndarray, overlaps: np.ndarray,
 
 
 def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
-               params: ModelParams, rule) -> bool:
+               params: ModelParams) -> bool:
     """Whether the replica-symmetric surrogate is valid on every layer.
 
     Needs every scalar overlap solve to have converged.  A layer then
@@ -126,12 +126,11 @@ def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
     """
     return converged and all(
         float(t) < _TALAGRAND_LINE
-        or _at_stable(2.0 * float(x) * float(t), x, field, rule)
+        or _at_stable(2.0 * float(x) * float(t), x, field)
         for t, x, field in zip(theta_sq, overlaps, params.fields))
 
 
-def p_dbm_functional(a, params: ModelParams, *,
-                     rule: QuadratureRule | None = None) -> tuple[float, bool]:
+def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     """Evaluate the split bound at auxiliary weights ``a``.
 
     Returns ``(value, certified)`` where ``value`` bounds the pressure of
@@ -143,18 +142,18 @@ def p_dbm_functional(a, params: ModelParams, *,
     centred Gaussian.
     """
     params.require_fields("the split bound", gaussian=False)
-    value, overlaps, theta_sq, converged = _evaluate(a, params, rule)
-    return value, _certified(theta_sq, overlaps, converged, params, rule)
+    value, overlaps, theta_sq, converged = _evaluate(a, params)
+    return value, _certified(theta_sq, overlaps, converged, params)
 
 
-def _evaluate(a, params: ModelParams, rule
+def _evaluate(a, params: ModelParams
               ) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """Bound value at ``a`` and the layer state behind it: surrogate
     overlaps, squared temperatures, and whether every overlap solve
     converged."""
     theta_sq = _theta_sq_from_aux(a, params)
-    overlaps, converged = _surrogate_overlaps(theta_sq, params, rule)
-    value = _functional_value(theta_sq, overlaps, params, rule)
+    overlaps, converged = _surrogate_overlaps(theta_sq, params)
+    value = _functional_value(theta_sq, overlaps, params)
     return value, overlaps, theta_sq, converged
 
 
@@ -202,7 +201,6 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
 
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
-                   rule: QuadratureRule | None = None,
                    nested_q: np.ndarray | None = None) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
@@ -238,14 +236,14 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
         a = np.asarray(witness, dtype=float)
     else:
         if nested_q is None:
-            nested_q = rs_solver.solve_nested(params, tol, rule=rule).q
+            nested_q = rs_solver.solve_nested(params, tol).q
         a = related_aux(nested_q, params)
-    value, overlaps, theta_sq, converged = _evaluate(a, params, rule)
+    value, overlaps, theta_sq, converged = _evaluate(a, params)
     lam = np.asarray(params.lam, dtype=float)
     return BoundResult(
         a=a,
         value=value,
-        certified=_certified(theta_sq, overlaps, converged, params, rule),
+        certified=_certified(theta_sq, overlaps, converged, params),
         boundary_suspect=bool(np.any(np.abs(np.log(a)) > _SUSPECT_WIDTH)),
         theta=np.sqrt(theta_sq),
         overlaps=overlaps,
@@ -258,8 +256,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
 # ---------------------------------------------------------------------------
 
 
-def bridge_check(q, a, params: ModelParams, *,
-                 rule: QuadratureRule | None = None) -> tuple[bool, float]:
+def bridge_check(q, a, params: ModelParams) -> tuple[bool, float]:
     """Compare the split bound at given overlaps with the full functional.
 
     ``q`` must be strictly positive with entries in ``(0, 1]`` and ``a``
@@ -284,6 +281,6 @@ def bridge_check(q, a, params: ModelParams, *,
         a = np.asarray(a, dtype=float)
         lam = np.asarray(params.lam, dtype=float)
         related = bool(np.max(np.abs(_matching_defect(a, lam, q))) <= _RELATED_TOL)
-    surrogate = _functional_value(theta_sq, q, params, rule)
-    gap = rs_solver.rs_pressure(q, params, rule=rule) - surrogate
+    surrogate = _functional_value(theta_sq, q, params)
+    gap = rs_solver.rs_pressure(q, params) - surrogate
     return related, float(gap)

@@ -77,13 +77,16 @@ def field_specs() -> st.SearchStrategy:
 
 @st.composite
 def model_params(draw, k_range: tuple[int, int] = (1, 6),
-                 zero_weights: bool = True) -> ModelParams:
+                 zero_weights: bool = True,
+                 beta_max: float = 3.0) -> ModelParams:
     """Hypothesis strategy over chain models with any mix of field kinds.
 
-    ``zero_weights=False`` keeps every layer weight positive.
+    ``zero_weights=False`` keeps every layer weight positive; couplings are
+    drawn from ``[0.05, beta_max]``.
     """
     K = draw(st.integers(*k_range))
-    beta = draw(st.lists(st.floats(0.05, 3.0), min_size=K - 1, max_size=K - 1))
+    beta = draw(st.lists(st.floats(0.05, beta_max), min_size=K - 1,
+                         max_size=K - 1))
     weight = st.floats(0.01, 1.0)
     if zero_weights:
         weight = st.one_of(st.just(0.0), weight)

@@ -14,6 +14,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from dbmlab.ghquad import QuadratureRule
+from dbmlab.rs_solver import (RsSolution, SolverError, _certificates,
+                              _check_overlap, _require_positive_lambda,
+                              rs_map, rs_pressure)
 
 # ---------------------------------------------------------------------------
 # Chain matching polynomials
@@ -100,6 +103,23 @@ def trapezoid_gauss_expect(f, std: float, shift: float = 0.0,
     return float(np.sum(w * f(std * z + shift)))
 
 
+def rule_expect(f, s: float, field, rule: QuadratureRule) -> float:
+    """E f(z sqrt(s) + h) under a given quadrature rule, for every field kind.
+
+    The package picks its rule from the variance; this evaluates the same
+    sum under any rule, so tests can compare rules or stand a coarse one in
+    for ``ghquad.expect``.
+    """
+    if field.kind in ("zero", "gaussian_centered"):
+        shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
+    else:
+        shifts = np.asarray(field.values, dtype=float)
+        probs = np.asarray(field.probs, dtype=float)
+        extra = 0.0
+    y = math.sqrt(s + extra) * rule.nodes[None, :] + shifts[:, None]
+    return float(probs @ (np.asarray(f(y), dtype=float) @ rule.weights))
+
+
 def mc_gauss_expect(f, std: float, shift: float = 0.0,
                     n: int = 10_000_000, seed: int = 0):
     """Monte Carlo E f(std*z + shift); returns (mean, standard_error)."""
@@ -147,6 +167,45 @@ def lg_root_grid_scan(beta: float, v: float, n_grid: int = 2000) -> float:
     q0, q1 = qs[j - 1], qs[j]
     g0, g1 = g[j - 1], g[j]
     return float(q0 + (1.0 - g0) * (q1 - q0) / (g1 - g0))
+
+
+# ---------------------------------------------------------------------------
+# Consistency equations (damped fixed-point iteration)
+# ---------------------------------------------------------------------------
+
+
+def damped_fixed_point(params, q0=None, damping: float = 0.5,
+                       tol: float = 1e-10, max_iter: int = 10_000) -> RsSolution:
+    """Damped iteration ``q <- (1 - damping) q + damping F(q)``.
+
+    Damping widens the convergence basin without moving fixed points.
+    Raises :class:`SolverError` (carrying the last iterate and residual)
+    when ``max_iter`` iterations do not reach ``tol``.  A different
+    algorithm from the package's Newton solver, and its reference.
+    """
+    _require_positive_lambda(params)
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if tol <= 0.0 or max_iter < 1:
+        raise ValueError("tol must be positive and max_iter at least 1")
+    q = np.full(params.K, 0.5) if q0 is None else _check_overlap(q0, params.K)
+    residual = math.inf
+    for iteration in range(max_iter):
+        f = rs_map(q, params)
+        residual = float(np.max(np.abs(q - f)))
+        if residual < tol:
+            return RsSolution(
+                q=q.copy(),
+                pressure=rs_pressure(q, params),
+                residual=residual,
+                method="fixed_point",
+                certificates=_certificates(q, params),
+            )
+        q = (1.0 - damping) * q + damping * f
+    raise SolverError(
+        f"fixed-point iteration did not reach tol={tol} within "
+        f"{max_iter} iterations (residual {residual:.3e})",
+        last_q=q, residual=residual, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------

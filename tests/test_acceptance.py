@@ -17,6 +17,7 @@ from dbmlab import finite_volume_lab as fvl
 from dbmlab.machine import FieldSpec, ModelParams
 
 from helpers import random_params
+from oracles import damped_fixed_point
 
 LOG2 = math.log(2.0)
 
@@ -156,8 +157,8 @@ def test_07_consistency_solution_uniqueness():
             assert nested.residual < 1e-8
             for _ in range(10):
                 q0 = rng.uniform(0.01, 0.95, params.K)
-                fp = rs_solver.solve_fixed_point(params, q0=q0, tol=1e-9,
-                                                 max_iter=50_000)
+                fp = damped_fixed_point(params, q0=q0, tol=1e-9,
+                                        max_iter=50_000)
                 assert float(np.max(np.abs(fp.q - nested.q))) < 1e-7
 
 

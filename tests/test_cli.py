@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dbmlab import cli, ghquad, machine, rs_solver
+from dbmlab import cli, finite_volume_lab, ghquad, machine, rs_solver
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
 
 from helpers import mistyped_model_sections, model_sections
+from oracles import damped_fixed_point
 
 LOG2 = math.log(2.0)
 
@@ -177,48 +178,49 @@ def test_rs_zero_field_reports_zero_overlap(tmp_path):
     assert sol["certificates"]["stable_at_zero"] is True
 
 
-def test_rs_cross_solver_agreement(tmp_path):
-    data = gauss2()
-    data["solver"] = {"method": "both"}
-    cfg = write_config(tmp_path, data)
+def _rs_solutions(tmp_path, data):
     out = str(tmp_path / "rs.json")
-    rc = cli.main(["rs", "--config", cfg, "--format", "json", "--out", out])
-    assert rc == 0
+    assert cli.main(["rs", "--config", write_config(tmp_path, data),
+                     "--format", "json", "--out", out]) == 0
     payload = read_json(out)
-    methods = {s["method"] for s in payload["solutions"]}
-    assert methods == {"nested", "fixed_point"}
-    q = {s["method"]: np.asarray(s["q"]) for s in payload["solutions"]}
-    sup = float(np.max(np.abs(q["nested"] - q["fixed_point"])))
-    assert payload["agreement"]["sup_diff"] == pytest.approx(sup, abs=1e-15)
-    assert sup < 1e-7
+    assert set(payload) == {"command", "p_annealed", "solutions"}
+    return payload["solutions"]
+
+
+def test_rs_cross_solver_agreement(tmp_path):
+    # rs reports one Newton solution, where the damped iteration lands too.
+    [sol] = _rs_solutions(tmp_path, gauss2())
+    assert sol["method"] == "nested"
+    fp = damped_fixed_point(ModelParams.from_dict(gauss2()), tol=1e-13)
+    assert np.max(np.abs(np.asarray(sol["q"]) - fp.q)) < 1e-7
 
 
 def test_rs_nested_takes_point_mass_fields(tmp_path):
-    # An explicit 'nested' solves point-mass models too, and lands where
-    # the damped iteration of 'both' does.
+    # Point-mass models take the Newton solver too, and land where the
+    # damped iteration does.
     data = model_dict(2, (0.6,), (0.5, 0.5),
                       (FieldSpec.point_mass(0.3), FieldSpec.zero()))
-    q = {}
-    for method in ("nested", "both"):
-        data["solver"] = {"method": method}
-        out = str(tmp_path / f"{method}.json")
-        assert cli.main(["rs", "--config", write_config(tmp_path, data),
-                         "--format", "json", "--out", out]) == 0
-        for sol in read_json(out)["solutions"]:
-            q[method, sol["method"]] = np.asarray(sol["q"])
-    assert set(q) == {("nested", "nested"), ("both", "nested"),
-                      ("both", "fixed_point")}
-    np.testing.assert_array_equal(q["nested", "nested"], q["both", "nested"])
-    assert np.max(np.abs(q["nested", "nested"]
-                         - q["both", "fixed_point"])) < 1e-7
-    assert min(q["nested", "nested"]) > 0.0
+    [sol] = _rs_solutions(tmp_path, data)
+    assert sol["method"] == "nested"
+    fp = damped_fixed_point(ModelParams.from_dict(data), tol=1e-13)
+    assert np.max(np.abs(np.asarray(sol["q"]) - fp.q)) < 1e-7
+    assert min(sol["q"]) > 0.0
+
+
+def test_rs_solves_chains_past_the_default_rule_range(tmp_path):
+    # The finer rule expect picks past s + v = 25 keeps the guard quiet.
+    [sol] = _rs_solutions(tmp_path, _FORMER_GUARD_TRIP_MODEL)
+    fp = damped_fixed_point(ModelParams.from_dict(_FORMER_GUARD_TRIP_MODEL),
+                            q0=np.ones(2), damping=1.0, tol=1e-13)
+    assert np.max(np.abs(np.asarray(sol["q"]) - fp.q)) < 1e-9
+    assert sol["residual"] <= 1e-10
 
 
 @pytest.mark.parametrize("excess", [1e-3, 1e-4, 1e-6])
 def test_rs_auto_solves_zero_field_models_just_past_a_critical_line(
         tmp_path, excess):
     # The damped iteration stalls above 1e-10 after 10000 steps on these
-    # models; 'auto' takes Newton, which lands on the root in a few.
+    # models; rs takes Newton, which lands on the root in a few steps.
     lam = (0.3, 0.4, 0.3)
     unit = machine.spectral_radius(ModelParams(K=3, beta=(1.0, 1.0), lam=lam))
     beta = math.sqrt((1.0 + excess) / unit)
@@ -241,12 +243,10 @@ def test_rs_auto_solves_zero_field_models_just_past_a_critical_line(
     (FieldSpec.gaussian(0.0), FieldSpec.gaussian(0.4), FieldSpec.zero()),
 ])
 def test_rs_nested_takes_zero_and_zero_variance_fields(tmp_path, fields):
-    # An explicit method 'nested' solves every model solve_nested takes, and
-    # lands on the largest solution, where the undamped iteration from q = 1
-    # ends.  The chain lies outside the annealed region (rho about 1.6), so
+    # rs solves zero and zero-variance fields with Newton and lands on the
+    # largest solution, where the undamped iteration from q = 1 ends.  The chain lies outside the annealed region (rho about 1.6), so
     # that solution is not q = 0.
     data = model_dict(3, (1.3, 1.1), (0.3, 0.4, 0.3), fields)
-    data["solver"] = {"method": "nested"}
     cfg = write_config(tmp_path, data)
     out = str(tmp_path / "rs.json")
     assert cli.main(["rs", "--config", cfg, "--format", "json", "--out", out]) == 0
@@ -254,8 +254,8 @@ def test_rs_nested_takes_zero_and_zero_variance_fields(tmp_path, fields):
     assert sol["method"] == "nested"
     params = ModelParams.from_dict(data)
     assert machine.spectral_radius(params) > 1.2
-    fp = rs_solver.solve_fixed_point(params, q0=np.ones(3), damping=1.0,
-                                     tol=1e-13, max_iter=100_000)
+    fp = damped_fixed_point(params, q0=np.ones(3), damping=1.0,
+                            tol=1e-13, max_iter=100_000)
     np.testing.assert_allclose(sol["q"], fp.q, rtol=0.0, atol=1e-9)
     assert min(sol["q"]) > 0.1
 
@@ -358,6 +358,15 @@ def test_verify_reports_and_csv_contract(tmp_path):
     assert data["covariance"]["worst"] < 5.0
     assert data["criteria_consistent"] is True
     assert data["ok"] is True
+
+
+def test_verify_refuses_a_covariance_check_past_the_spin_cap(tmp_path, capsys):
+    data = verify_config()
+    data["verify"]["covariance_total"] = finite_volume_lab.MC_SPIN_CAP + 1
+    assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert f"capped at {finite_volume_lab.MC_SPIN_CAP} spins" in err
+    assert err.count("\n") == 1
 
 
 def test_verify_outside_region_is_usage_error(tmp_path):
@@ -480,6 +489,18 @@ def test_scan_rejects_unknown_outputs_and_paths(tmp_path):
                          write_config(tmp_path, data, name)]) == 2
 
 
+@pytest.mark.parametrize("outputs", [[["rho"]], "rho"],
+                         ids=["nested_list", "string"])
+def test_scan_outputs_must_be_a_list_of_strings(tmp_path, capsys, outputs):
+    data = balanced2()
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
+                              "steps": 2}], "outputs": outputs}
+    assert cli.main(["scan", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "scan outputs must be a JSON list of strings" in err
+    assert err.count("\n") == 1
+
+
 def test_scan_solver_and_bound_outputs(tmp_path):
     data = gauss2()
     data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
@@ -541,36 +562,55 @@ def test_json_numbers_roundtrip_bitwise(tmp_path):
     assert row["rho"] == machine.spectral_radius(params)
 
 
-def test_quadrature_order_flag(tmp_path):
+def test_unknown_solver_settings_and_flags_are_usage_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, gauss2())
-    out_a = str(tmp_path / "a.json")
-    out_b = str(tmp_path / "b.json")
-    assert cli.main(["rs", "--config", cfg, "--format", "json",
-                     "--out", out_a]) == 0
-    assert cli.main(["rs", "--config", cfg, "--format", "json",
-                     "--out", out_b, "--quadrature-order", "181"]) == 0
-    pa = read_json(out_a)["solutions"][0]["pressure"]
-    pb = read_json(out_b)["solutions"][0]["pressure"]
-    assert pa == pytest.approx(pb, abs=1e-6)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["rs", "--config", cfg, "--quadrature-order", "181"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    for solver in ({"method": "nested"}, {"damping": 0.5},
+                   {"tol": 1e-9, "method": "both"}):
+        data = gauss2()
+        data["solver"] = solver
+        cfg = write_config(tmp_path, data, name="solver.json")
+        for command in ("rs", "bound", "scan"):
+            assert cli.main([command, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            for key in set(solver) - {"tol"}:
+                assert f"'{key}'" in err
+    data = gauss2()
+    data["solver"] = {"tol": 1e-9}
+    assert cli.main(["rs", "--config", write_config(tmp_path, data)]) == 0
 
 
 def test_solver_failure_is_exit_one_with_one_line(tmp_path, capsys):
-    # Three quadrature nodes are too coarse for the nested solver's sweep.
-    cfg = write_config(tmp_path, gauss2())
-    assert cli.main(["rs", "--config", cfg, "--quadrature-order", "3"]) == 1
+    # Past the finest rule's range the Newton guard trips.
+    cfg = write_config(tmp_path, _GUARD_TRIP_MODEL)
+    assert cli.main(["rs", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: solver did not converge:")
     assert err.count("\n") == 1
 
 
-# A K=2 Gaussian chain whose layer variance reaches about 141, far past the
-# default rule's accuracy range: the nested Newton guard trips at step 2.
-_GUARD_TRIP_MODEL = {
+# A K=2 Gaussian chain whose layer variance reaches about 141, past the
+# 361-node rule's accuracy range of 25, so expect refines its rule.
+_FORMER_GUARD_TRIP_MODEL = {
     "K": 2,
     "beta": [9.91593639907713],
     "lambda": [0.8374073628734021, 0.16259263712659788],
     "fields": [{"kind": "gaussian_centered", "v": 5.604975946298084e-06},
                {"kind": "gaussian_centered", "v": 0.0007593323389586956}],
+}
+
+# A K=2 Gaussian chain whose layer variance reaches about 1e6, past the
+# finest rule's accuracy range: the nested Newton guard trips at step 1.
+_GUARD_TRIP_MODEL = {
+    "K": 2,
+    "beta": [1000.0],
+    "lambda": [0.5, 0.5],
+    "fields": [{"kind": "gaussian_centered", "v": 0.5},
+               {"kind": "gaussian_centered", "v": 0.3}],
 }
 
 
@@ -580,9 +620,10 @@ def test_guard_trip_names_the_layer_variance(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: solver did not converge: nested Newton "
-                          "step 2 left the monotone descent")
-    assert "(Mq)_p + v_p is 141" in err
-    assert "s + v <= 25" in err
+                          "step 1 left the monotone descent")
+    assert "(Mq)_p + v_p is 1e+06" in err
+    assert "s + v <= 102400" in err
+    assert "s + v <= 25" not in err
     assert err.count("\n") == 1
 
 
@@ -620,7 +661,7 @@ def test_zero_width_layers_fail_the_bound(tmp_path, capsys):
 
 
 def test_zero_width_gaussian_scan_point_fails_both_solves(tmp_path):
-    # Scan points route by rs's auto rule; a zero-width layer fails the
+    # Scan points take rs's nested solver; a zero-width layer fails the
     # nested solve and the bound alike, and the scan goes on.
     model = model_dict(3, (0.5, 0.5), (0.5, 0.0, 0.5),
                        tuple(FieldSpec.gaussian(0.3) for _ in range(3)))

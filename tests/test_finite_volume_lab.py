@@ -598,6 +598,21 @@ def test_covariance_needs_a_pair():
         covariance_report(assignment, params, n_disorder=5, n_pairs=0)
 
 
+def test_covariance_refuses_systems_past_the_spin_cap(monkeypatch):
+    # The refusal comes before any configuration or disorder sample exists.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    for name in ("_generator", "_disorder_stacks", "hamiltonian"):
+        monkeypatch.setattr(fvl, name, unreachable)
+    n = fvl.MC_SPIN_CAP + 1
+    assignment = LayerAssignment.from_weights((0.25, 0.5, 0.25), n)
+    assert assignment.N == n
+    params = make(3, (0.7, 0.7), (0.25, 0.5, 0.25))
+    with pytest.raises(ValueError, match=f"capped at {fvl.MC_SPIN_CAP} spins"):
+        covariance_report(assignment, params, n_disorder=5)
+
+
 def test_covariance_check_standardized_deviation():
     assignment = LayerAssignment((3, 3))
     params = make(2, (0.9,), (0.5, 0.5))

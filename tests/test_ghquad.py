@@ -7,7 +7,8 @@ from dbmlab import ghquad, rs_solver
 from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_SQ
 from dbmlab.machine import FieldSpec
 
-from oracles import gauss_hermite_rule, mc_gauss_expect, trapezoid_gauss_expect
+from oracles import (gauss_hermite_rule, mc_gauss_expect, rule_expect,
+                     trapezoid_gauss_expect)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,7 @@ _ALL_FIELD_KINDS = (FieldSpec.zero(), FieldSpec.gaussian(0.6),
 
 def _slope(s, field):
     """The overlap solver's ``d/ds E tanh^2(z sqrt(s) + h)``."""
-    return rs_solver._tanh_sq_slope(s, field, None, ghquad.expect(TANH_SQ, s, field))
+    return rs_solver._tanh_sq_slope(s, field, ghquad.expect(TANH_SQ, s, field))
 
 
 def _differentiated_under_the_integral(s, field):
@@ -212,12 +213,11 @@ def test_expect_derivative_at_zero_variance():
 
 
 def test_doubling_the_order_is_converged():
-    base = ghquad.default_rule()
-    doubled = ghquad.normal_trapezoid_rule(2 * base.order)
-    for s in (0.1, 1.0, 9.0, 25.0):
+    for s in (0.1, 1.0, 9.0, 25.0, 60.0, 400.0):
+        doubled = ghquad.normal_trapezoid_rule(2 * ghquad._rule_for(s).order)
         for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
-            a = ghquad.expect(kernel, s, FieldSpec.zero(), rule=base)
-            b = ghquad.expect(kernel, s, FieldSpec.zero(), rule=doubled)
+            a = ghquad.expect(kernel, s, FieldSpec.zero())
+            b = rule_expect(kernel, s, FieldSpec.zero(), doubled)
             assert abs(a - b) < 1e-10 * max(1.0, abs(a))
 
 
@@ -227,6 +227,46 @@ def test_default_rule_accurate_at_large_variance():
     val = ghquad.expect(TANH_SQ, 25.0, FieldSpec.zero())
     ref = trapezoid_gauss_expect(lambda y: np.tanh(y) ** 2, 5.0)
     assert val == pytest.approx(ref, abs=1e-12)
+
+
+def test_rule_follows_the_total_variance():
+    # The default rule object through s + v = 25, then one node-count
+    # doubling per factor 4 in variance, capped at ACCURATE_VARIANCE.
+    assert ghquad._rule_for(0.0) is ghquad.default_rule()
+    assert ghquad._rule_for(25.0) is ghquad.default_rule()
+    for variance, order in ((25.0 + 1e-9, 721), (100.0, 721),
+                            (100.0 + 1e-9, 1441), (1e4, 11521),
+                            (ghquad.ACCURATE_VARIANCE, 23041)):
+        rule = ghquad._rule_for(variance)
+        assert rule.order == order
+        assert rule is ghquad._rule_for(variance)
+        # Node spacing in y = z sqrt(s + v) stays at most the default's at 25.
+        spacing = (rule.nodes[1] - rule.nodes[0]) * math.sqrt(variance)
+        default = ghquad.default_rule()
+        assert spacing <= (default.nodes[1] - default.nodes[0]) * 5.0 * (1 + 1e-12)
+    for variance in (1e9, 1e308 * 10.0):
+        assert (ghquad._rule_for(variance)
+                is ghquad._rule_for(ghquad.ACCURATE_VARIANCE))
+
+
+def _reference(f, s, field):
+    """``E f(z sqrt(s) + h)`` atom by atom, on the oracle's wide fine grid."""
+    if field.kind in ("zero", "gaussian_centered"):
+        return trapezoid_gauss_expect(f, math.sqrt(s + field.v), n=200_001)
+    return sum(p * trapezoid_gauss_expect(f, math.sqrt(s), h, n=200_001)
+               for h, p in zip(field.values, field.probs))
+
+
+@pytest.mark.parametrize("s", [60.0, 400.0, 1e4, 1e5])
+def test_expect_accurate_past_the_default_range(s):
+    fields = (FieldSpec.zero(), FieldSpec.point_mass(0.7),
+              FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+              FieldSpec.gaussian(0.02 * s))
+    for field in fields:
+        for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
+            val = ghquad.expect(kernel, s, field)
+            ref = _reference(kernel, s, field)
+            assert val == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
 def test_tanh_sq_expectation_bounded_and_monotone():

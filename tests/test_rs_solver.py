@@ -18,7 +18,6 @@ from dbmlab.rs_solver import (
     latala_guerra,
     rs_map,
     rs_pressure,
-    solve_fixed_point,
     solve_nested,
 )
 
@@ -26,8 +25,10 @@ from helpers import model_params, random_params
 from oracles import (
     central_fd_gradient,
     central_fd_jacobian,
+    damped_fixed_point,
     interaction_image,
     lg_root_grid_scan,
+    rule_expect,
     trapezoid_log_cosh,
     trapezoid_tanh_sq,
 )
@@ -245,7 +246,7 @@ def test_scalar_solver_residual_and_range():
     # one positive value, and the solver must return the positive one.
     for beta in (0.75, 1.0, 1.5, 2.0):
         q, converged = rs_solver._scalar_overlap(beta * beta, FieldSpec.zero(),
-                                                 1e-12, None)
+                                                 1e-12)
         assert converged is True
         cases.append((beta, FieldSpec.zero(), q))
     for beta, field, q in cases:
@@ -255,13 +256,13 @@ def test_scalar_solver_residual_and_range():
 
 
 # ---------------------------------------------------------------------------
-# solve_fixed_point
+# the damped fixed-point oracle
 # ---------------------------------------------------------------------------
 
 
 def test_fixed_point_inside_region_zero_fields_converges_to_zero():
     params = make(2, (0.9,), (0.5, 0.5))
-    sol = solve_fixed_point(params, q0=np.full(2, 0.5))
+    sol = damped_fixed_point(params, q0=np.full(2, 0.5))
     assert sol.method == "fixed_point"
     assert sol.residual < 1e-10
     assert np.max(np.abs(sol.q)) < 1e-8
@@ -272,7 +273,7 @@ def test_fixed_point_inside_region_zero_fields_converges_to_zero():
 def test_fixed_point_single_layer_gaussian():
     v = 0.4
     params = make(1, (), (1.0,), (FieldSpec.gaussian(v),))
-    sol = solve_fixed_point(params, q0=np.array([0.5]))
+    sol = damped_fixed_point(params, q0=np.array([0.5]))
     assert sol.q[0] == pytest.approx(trapezoid_tanh_sq(v), abs=1e-9)
     assert sol.residual < 1e-10
 
@@ -280,7 +281,7 @@ def test_fixed_point_single_layer_gaussian():
 def test_fixed_point_nonconvergence_reports_last_iterate():
     params = make(2, (1.3,), (0.5, 0.5), tuple(FieldSpec.gaussian(0.5) for _ in range(2)))
     with pytest.raises(SolverError) as info:
-        solve_fixed_point(params, q0=np.full(2, 0.5), tol=1e-16, max_iter=3)
+        damped_fixed_point(params, q0=np.full(2, 0.5), tol=1e-16, max_iter=3)
     err = info.value
     assert err.last_q.shape == (2,)
     assert np.isfinite(err.residual)
@@ -289,13 +290,13 @@ def test_fixed_point_nonconvergence_reports_last_iterate():
 def test_fixed_point_rejects_zero_lambda_layers():
     params = make(3, (1.0, 1.0), (0.5, 0.5, 0.0))
     with pytest.raises(ValueError, match="prune"):
-        solve_fixed_point(params, q0=np.full(3, 0.5))
+        damped_fixed_point(params, q0=np.full(3, 0.5))
 
 
 def test_fixed_point_residual_definition_and_solution_fields():
     rng = np.random.default_rng(19)
     params = gaussian_params(rng, K=3)
-    sol = solve_fixed_point(params, q0=np.full(3, 0.5))
+    sol = damped_fixed_point(params, q0=np.full(3, 0.5))
     resid = np.max(np.abs(sol.q - rs_map(sol.q, params)))
     assert sol.residual == pytest.approx(resid, abs=1e-15)
     assert sol.pressure == pytest.approx(rs_pressure(sol.q, params), abs=1e-14)
@@ -329,7 +330,7 @@ def test_nested_two_layer_symmetric_matches_scalar_reduction():
         else:
             hi = mid
     assert sol.q[0] == pytest.approx(0.5 * (lo + hi), abs=1e-7)
-    fp = solve_fixed_point(params, q0=np.full(2, 0.5))
+    fp = damped_fixed_point(params, q0=np.full(2, 0.5))
     np.testing.assert_allclose(sol.q, fp.q, atol=1e-8)
 
 
@@ -341,7 +342,7 @@ def test_nested_agrees_with_multistart_fixed_point():
         assert sol.residual < 1e-8
         for _ in range(4):
             q0 = rng.uniform(0.0, 1.0, params.K)
-            fp = solve_fixed_point(params, q0=q0, tol=1e-12, max_iter=100_000)
+            fp = damped_fixed_point(params, q0=q0, tol=1e-12, max_iter=100_000)
             np.testing.assert_allclose(sol.q, fp.q, atol=1e-7)
 
 
@@ -385,8 +386,8 @@ def test_nested_reaches_the_largest_solution_with_zero_variance_fields():
         checked += 1
         sol = solve_nested(params)
         assert sol.residual <= 1e-10
-        fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
-                               tol=1e-13, max_iter=100_000)
+        fp = damped_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                                tol=1e-13, max_iter=100_000)
         np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-9)
 
 
@@ -430,8 +431,8 @@ def test_nested_solves_the_collapsing_chain():
     params = ModelParams.from_dict(_COLLAPSING_CHAIN)
     sol = solve_nested(params)
     assert sol.residual <= 1e-12
-    fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
-                           tol=1e-14, max_iter=100_000)
+    fp = damped_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                            tol=1e-14, max_iter=100_000)
     np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-12)
 
 
@@ -457,30 +458,38 @@ def test_nested_newton_is_monotone_and_matches_fixed_point_property(params):
     assert np.max(np.abs(sol.q - rs_map(sol.q, params))) == sol.residual
     # While the guard is on, every Newton iterate lies in the unit box and
     # no coordinate grows beyond rounding.
-    iterates = list(itertools.islice(rs_solver._newton_iterates(params, None), 8))
+    iterates = list(itertools.islice(rs_solver._newton_iterates(params), 8))
     for (q, res, _), (nxt, _, _) in zip(iterates, iterates[1:]):
         if res <= rs_solver._GUARD_RESIDUAL:
             break
         assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)
         assert np.all(nxt <= q + rs_solver._GUARD_SLACK)
-    fp = solve_fixed_point(params, q0=np.ones(params.K), damping=1.0,
-                           tol=1e-13, max_iter=100_000)
+    fp = damped_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                            tol=1e-13, max_iter=100_000)
     np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-9)
 
 
-def test_nested_takes_the_damped_step_where_newton_does_not_lower_the_residual():
-    # Under the default rule no measured non-centred chain rejected a Newton
-    # step.  A 9-node rule bends the layer maps away from the slopes that
-    # integration by parts gives, so Newton steps from q = 1/2 can raise
-    # the residual; each such step must give way to the damped one.
-    rule = ghquad.normal_trapezoid_rule(9)
+def _coarse_expect(monkeypatch, nodes):
+    """Stand a ``nodes``-point trapezoid rule in for ``ghquad.expect``."""
+    rule = ghquad.normal_trapezoid_rule(nodes)
+    monkeypatch.setattr(ghquad, "expect",
+                        lambda f, s, field: rule_expect(f, s, field, rule))
+
+
+def test_nested_takes_the_damped_step_where_newton_does_not_lower_the_residual(
+        monkeypatch):
+    # No measured non-centred chain rejected a Newton step under the
+    # package's rules.  A 9-node rule bends the layer maps away from the
+    # slopes that integration by parts gives, so Newton steps from q = 1/2
+    # can raise the residual; each such step must give way to the damped one.
+    _coarse_expect(monkeypatch, 9)
     params = make(2, (2.0,), (0.5, 0.5),
                   (FieldSpec.point_mass(1.0), FieldSpec.zero()))
-    iterates = list(itertools.islice(rs_solver._newton_iterates(params, rule), 12))
+    iterates = list(itertools.islice(rs_solver._newton_iterates(params), 12))
     damped = 0
     for (q, res, _), (nxt, nxt_res, _) in zip(iterates, iterates[1:]):
         assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)
-        if np.array_equal(nxt, q - 0.5 * (q - rs_map(q, params, rule=rule))):
+        if np.array_equal(nxt, q - 0.5 * (q - rs_map(q, params))):
             damped += 1
         else:
             assert nxt_res < res
@@ -499,7 +508,7 @@ def test_nested_matches_fixed_point_from_both_starts_on_non_centred_chains_prope
     sol = solve_nested(params, tol)
     assert sol.residual <= tol
     for start in (0.5, 1.0):
-        fp = solve_fixed_point(params, q0=np.full(params.K, start), tol=tol)
+        fp = damped_fixed_point(params, q0=np.full(params.K, start), tol=tol)
         np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-7)
 
 
@@ -519,34 +528,64 @@ def test_nested_lands_on_the_root_just_past_a_critical_line(excess):
 
 
 @pytest.mark.parametrize("nodes", [3, 5, 9])
-def test_nested_guard_trips_on_the_first_step_of_coarse_rules(nodes):
+def test_nested_guard_trips_on_the_first_step_of_coarse_rules(monkeypatch, nodes):
     # So few trapezoid nodes make T non-concave, and the first Newton step
     # from q = 1 already overshoots the unit box or climbs.
     params = make(2, (0.6,), (0.5, 0.5),
                   (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.3)))
-    rule = ghquad.normal_trapezoid_rule(nodes)
+    _coarse_expect(monkeypatch, nodes)
     with pytest.raises(SolverError, match="left the monotone descent") as info:
-        solve_nested(params, rule=rule)
+        solve_nested(params)
     assert info.value.iterations == 1
     np.testing.assert_array_equal(info.value.last_q, np.ones(2))
+
+
+def test_nested_guard_trips_past_the_accurate_variance():
+    # At beta = 1000 the layer variance reaches about 1e6, past the range of
+    # the finest rule, and the guard reports the variance against that range.
+    params = make(2, (1000.0,), (0.5, 0.5),
+                  (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.3)))
+    with pytest.raises(SolverError, match="left the monotone descent") as info:
+        solve_nested(params)
+    message = str(info.value)
+    assert f"accurate for s + v <= {ghquad.ACCURATE_VARIANCE:g}" in message
+    assert "s + v <= 25" not in message
 
 
 def test_nested_solve_never_evaluates_the_kernel_at_zero_variance(monkeypatch):
     expect = ghquad.expect
     zero_variance = []
 
-    def recording(f, s, field, rule=None):
+    def recording(f, s, field):
         if s == 0.0 and field.is_zero:
             zero_variance.append(field)
-        return expect(f, s, field, rule)
+        return expect(f, s, field)
 
     monkeypatch.setattr(ghquad, "expect", recording)
     rng = np.random.default_rng(27)
-    for rule in (None, ghquad.normal_trapezoid_rule(181)):
+    for beta_range in ((0.2, 1.5), (5.0, 30.0)):
         for _ in range(4):
-            sol = solve_nested(gaussian_params(rng, k_range=(2, 6)), rule=rule)
+            sol = solve_nested(gaussian_params(rng, k_range=(2, 6),
+                                               beta_range=beta_range))
             assert sol.residual < 1e-10
     assert zero_variance == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=model_params(k_range=(2, 6), zero_weights=False, beta_max=30.0))
+def test_nested_matches_the_damped_iteration_at_large_beta_property(params):
+    # Past s + v = 25 the kernel refines its rule, and the solver must still
+    # land where the damped iteration does: from q = 1 undamped for centred
+    # fields (the largest solution), from q = 1/2 otherwise.
+    tol = 1e-10
+    sol = solve_nested(params, tol)
+    assert sol.residual <= tol
+    if all(f.is_centred for f in params.fields):
+        fp = damped_fixed_point(params, q0=np.ones(params.K), damping=1.0,
+                                tol=1e-13, max_iter=100_000)
+    else:
+        fp = damped_fixed_point(params, tol=1e-13, max_iter=100_000)
+    np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +699,6 @@ def test_solvers_are_deterministic():
     s2 = solve_nested(params)
     np.testing.assert_array_equal(s1.q, s2.q)
     assert s1.pressure == s2.pressure and s1.residual == s2.residual
-    f1 = solve_fixed_point(params, q0=np.full(4, 0.5))
-    f2 = solve_fixed_point(params, q0=np.full(4, 0.5))
+    f1 = damped_fixed_point(params, q0=np.full(4, 0.5))
+    f2 = damped_fixed_point(params, q0=np.full(4, 0.5))
     np.testing.assert_array_equal(f1.q, f2.q)

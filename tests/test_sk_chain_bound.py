@@ -154,7 +154,7 @@ def test_functional_unconverged_layer_solve_is_uncertified(monkeypatch):
     assert p_dbm_functional(a, params)[1] is True
     expect = sk_chain_bound.ghquad.expect
     monkeypatch.setattr(sk_chain_bound.ghquad, "expect",
-                        lambda f, s, field, rule=None: expect(f, s, field, rule) + 1.0)
+                        lambda f, s, field: expect(f, s, field) + 1.0)
     value, certified = p_dbm_functional(a, params)
     assert math.isfinite(value)
     assert certified is False
@@ -358,7 +358,7 @@ def every_start_oracle(params, seed, n_random_starts=8):
         # Envelope identity: each one-layer pressure has slope (1 - x_p^2) / 2
         # in theta_p^2 at its own overlap, so only the explicit terms remain.
         a = np.exp(u)
-        value, overlaps = sk_chain_bound._evaluate(a, params, None)[:2]
+        value, overlaps = sk_chain_bound._evaluate(a, params)[:2]
         lam_q = lam * overlaps
         grad = 0.5 * beta_sq * (lam_q[1:] ** 2 / a - lam_q[:-1] ** 2 * a)
         return -value, -grad
@@ -368,9 +368,9 @@ def every_start_oracle(params, seed, n_random_starts=8):
         run = minimize(objective, u0, jac=True, method="L-BFGS-B",
                        bounds=[(-30.0, 30.0)] * u0.size, options=_LBFGSB_OPTIONS)
         _, overlaps, theta_sq, converged = sk_chain_bound._evaluate(
-            np.exp(run.x), params, None)
+            np.exp(run.x), params)
         certified = sk_chain_bound._certified(theta_sq, overlaps, converged,
-                                              params, None)
+                                              params)
         out.append((-float(run.fun), certified))
     return out
 
