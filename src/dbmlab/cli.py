@@ -41,6 +41,9 @@ _OUTPUT_COLUMNS = {
     "certificates": ("talagrand_ok", "at_ok", "stable_at_zero"),
 }
 _DEFAULT_OUTPUTS = ("region", "rho")
+# Keys of the config's verify section, read by cmd_verify.
+_VERIFY_KEYS = ("sizes", "n_disorder", "sweeps", "replicas",
+                "covariance_total", "covariance_n_disorder", "n_pairs")
 
 _AXIS_RE = re.compile(r"^(beta|lambda|fields)\[(\d+)\](\.v)?$")
 
@@ -143,6 +146,10 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
         raise ConfigError(
             f"unknown scan outputs {unknown}; "
             f"choose from {sorted(_OUTPUT_COLUMNS)}")
+    repeated = sorted({o for o in outputs if outputs.count(o) > 1})
+    if repeated:
+        raise ConfigError(f"repeated scan outputs {repeated}; "
+                          "name each output once")
     return ScanSpec(axes=axes, outputs=outputs)
 
 
@@ -170,6 +177,10 @@ def _load_config(path: str) -> _Config:
     if unknown:
         raise ConfigError(f"unknown solver settings {unknown}; "
                           "the solver section takes only 'tol'")
+    unknown = sorted(set(verify) - set(_VERIFY_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown verify settings {unknown}; "
+                          f"the verify section takes {list(_VERIFY_KEYS)}")
     return _Config(params=params, scan=scan, solver=solver, verify=verify)
 
 

@@ -27,13 +27,26 @@ through ``s + v <= ACCURATE_VARIANCE = 102400``; beyond it the largest rule
 is used.  Every rule satisfies the :class:`QuadratureRule` contract
 (positive weights summing to one, symmetric nodes).
 
+Layered calls
+-------------
+The replica-symmetric pressure, its consistency map and the split bound
+are sums of one such integral per layer, so :func:`expect` takes a vector
+of variances and one field per layer and evaluates every layer in one
+call: every atom of every field goes into one ``(atoms, nodes)`` array per
+rule, layers grouped by the rule their total variance picks.  Each atom's
+node sum is its own dot product, so a layer's value is bit for bit that of
+the one-layer call, whatever else shares the call.  A float ``s`` with one
+field is the one-layer case of the same body.
+
 Derivatives in the variance
 ---------------------------
 :func:`expect` is the only expectation entry point.  Derivatives in ``s``
 come from it by Gaussian integration by parts,
 ``d/ds E f(z sqrt(s) + h) = (1/2) E f''(z sqrt(s) + h)``, for every field
 kind and at ``s = 0``; with ``(tanh^2)'' = 6 cosh^-4 - 4 cosh^-2`` that
-gives ``d/ds E tanh^2 = 3 E cosh^-4 - 2 (1 - E tanh^2)``.
+gives ``d/ds E tanh^2 = 3 E cosh^-4 - 2 (1 - E tanh^2)``.  The fused kernel
+:data:`TANH_MOMENTS` returns ``tanh^2`` and ``cosh^-4`` from one ``tanh``
+pass, so the consistency map and its slope cost one call.
 """
 from __future__ import annotations
 
@@ -52,6 +65,7 @@ __all__ = [
     "TANH_SQ",
     "LOG_COSH",
     "INV_COSH4",
+    "TANH_MOMENTS",
     "logcosh",
     "normal_trapezoid_rule",
     "default_rule",
@@ -95,9 +109,24 @@ def _inv_cosh4(y):
     return u * u
 
 
+def _tanh_moments(y):
+    """``(tanh^2 y, cosh^-4 y)`` stacked, from one ``tanh`` pass.
+
+    Bit for bit the values of :data:`TANH_SQ` and :data:`INV_COSH4`.
+    """
+    out = np.empty((2,) + np.shape(y))
+    tanh_sq, inv_cosh4 = out
+    np.tanh(y, out=tanh_sq)
+    np.square(tanh_sq, out=tanh_sq)
+    np.subtract(1.0, tanh_sq, out=inv_cosh4)
+    np.square(inv_cosh4, out=inv_cosh4)
+    return out
+
+
 TANH_SQ = _tanh_sq
 LOG_COSH = logcosh
 INV_COSH4 = _inv_cosh4
+TANH_MOMENTS = _tanh_moments
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +196,63 @@ def _field_atoms(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return np.asarray(field.values, dtype=float), np.asarray(field.probs, dtype=float), 0.0
 
 
-def expect(f, s: float, field: FieldSpec) -> float:
-    """``E f(z sqrt(s) + h)`` for standard Gaussian ``z`` and field ``h``.
+def expect(f, s, fields):
+    """``E f(z sqrt(s_p) + h_p)`` for standard Gaussian ``z``, per layer.
 
-    The rule is picked from the total variance ``s + v`` (see the module
-    docstring).
+    ``s`` is a ``(K,)`` array of variances and ``fields`` a sequence of
+    ``K`` :class:`FieldSpec`; the result is a ``(K,)`` array.  A float ``s``
+    with one :class:`FieldSpec` is the one-layer case and gives a float.  A
+    kernel that returns several arrays stacked along a leading axis, such
+    as :data:`TANH_MOMENTS`, gives one row per array: ``(m, K)``, or
+    ``(m,)`` for one layer.
+
+    Every atom of every layer goes into one ``(atoms, nodes)`` evaluation
+    per rule; the rule is picked from each layer's total variance
+    ``s_p + v_p`` (see the module docstring).  Each atom's node sum is its
+    own dot product, so a layer's value does not depend on the other
+    layers in the call: it is bit for bit the value of the one-layer call.
     """
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValueError("variance s must be finite and >= 0")
-    shifts, probs, extra = _field_atoms(field)
-    total = s + extra
-    rule = _rule_for(total)
-    std = math.sqrt(total)
-    y = std * rule.nodes[None, :] + shifts[:, None]
-    vals = np.asarray(f(y), dtype=float)
-    return float(probs @ (vals @ rule.weights))
+    single = isinstance(fields, FieldSpec)
+    if single:
+        fields = (fields,)
+    variances = np.asarray(s, dtype=float).ravel().tolist()
+    if len(variances) != len(fields):
+        raise ValueError(f"need one variance per field, got {len(variances)} "
+                         f"for {len(fields)}")
+    # Per atom its shift, probability and standard deviation, per layer the
+    # index of its first atom, and the layers grouped by rule.
+    shifts, probs, std, starts = [], [], [], []
+    groups: dict[QuadratureRule, list[int]] = {}
+    for p, (variance, field) in enumerate(zip(variances, fields)):
+        if not 0.0 <= variance < math.inf:
+            raise ValueError("variance s must be finite and >= 0")
+        atom_shifts, atom_probs, extra = _field_atoms(field)
+        groups.setdefault(_rule_for(variance + extra), []).append(p)
+        starts.append(len(std))
+        std += [math.sqrt(variance + extra)] * atom_shifts.size
+        shifts.append(atom_shifts)
+        probs.append(atom_probs)
+    ends = starts[1:] + [len(std)]
+    std = np.array(std)
+    shifts = np.concatenate(shifts)
+    sums = None
+    for rule, layers in groups.items():
+        rows = (slice(None) if len(groups) == 1 else np.concatenate(
+            [np.arange(starts[p], ends[p]) for p in layers]))
+        y = std[rows, None] * rule.nodes + shifts[rows, None]
+        vals = np.asarray(f(y), dtype=float)
+        # One dot product per atom: (..., A, 1, N) @ (N, 1).
+        atom_sums = np.matmul(vals[..., None, :],
+                              rule.weights[:, None])[..., 0, 0]
+        if len(groups) == 1:
+            sums = atom_sums
+        else:
+            if sums is None:
+                sums = np.empty(atom_sums.shape[:-1] + shifts.shape)
+            sums[..., rows] = atom_sums
+    if len(std) > len(fields):
+        # Some layer has several atoms: weigh them and sum per layer.
+        sums = np.add.reduceat(np.concatenate(probs) * sums, starts, axis=-1)
+    if not single:
+        return sums
+    return float(sums[0]) if sums.ndim == 1 else sums[..., 0]

@@ -13,11 +13,15 @@ Stationary points solve the consistency equations
     q_p = E tanh^2(z sqrt((M q)_p) + h_p),          p = 1..K.
 
 This module provides the functional, the consistency map and its Jacobian
-at ``q = 0``, the scalar single-layer solver (the classical
-Latala--Guerra uniqueness argument), the nested Newton solver for every
-field kind, which is the one consistency solver, and the Talagrand / de
-Almeida--Thouless sufficient conditions used to certify the scalar
-surrogate downstream.
+at ``q = 0``, the scalar overlap solver (the classical Latala--Guerra
+uniqueness argument), which solves every layer of a split model in
+lockstep, the nested Newton solver for every field kind, which is the one
+consistency solver, and the Talagrand / de Almeida--Thouless sufficient
+conditions used to certify the scalar surrogate downstream.  Every
+per-layer quantity comes from one layered :func:`ghquad.expect` call: the
+pressure, the map, the stability test, and each Newton or scalar step,
+whose map and slope come together from the fused
+:data:`~dbmlab.ghquad.TANH_MOMENTS` kernel.
 
 The nested solver is Newton's method on ``G(q) = q - F(q)`` with the
 analytic Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 -
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine
-from .ghquad import INV_COSH4, LOG_COSH, TANH_SQ
+from .ghquad import INV_COSH4, LOG_COSH, TANH_MOMENTS, TANH_SQ
 from .machine import FieldSpec, ModelParams
 
 __all__ = [
@@ -192,12 +196,8 @@ def rs_pressure(q, params: ModelParams) -> float:
     """
     q = _check_overlap(q, params.K)
     _, _, M = machine.build_matrices(params)
-    m = M @ q
-    lam = params.lam
-    field_term = 0.0
-    for p in range(params.K):
-        field_term += lam[p] * ghquad.expect(LOG_COSH, float(m[p]),
-                                             params.fields[p])
+    field_term = float(np.dot(params.lam,
+                              ghquad.expect(LOG_COSH, M @ q, params.fields)))
     return _LOG2 + field_term + machine.interaction_half_quadratic(params, 1.0 - q)
 
 
@@ -205,11 +205,7 @@ def rs_map(q, params: ModelParams) -> np.ndarray:
     """Consistency map ``F_p(q) = E tanh^2(z sqrt((Mq)_p) + h_p)``."""
     q = _check_overlap(q, params.K)
     _, _, M = machine.build_matrices(params)
-    m = M @ q
-    return np.array([
-        ghquad.expect(TANH_SQ, float(m[p]), params.fields[p])
-        for p in range(params.K)
-    ])
+    return ghquad.expect(TANH_SQ, M @ q, params.fields)
 
 
 def jacobian_at_zero(params: ModelParams) -> np.ndarray:
@@ -230,54 +226,62 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _tanh_sq_slope(s: float, field: FieldSpec, tanh_sq: float) -> float:
-    """``d/ds tanh_sq`` for ``tanh_sq = E tanh^2(z sqrt(s) + h)``, by parts."""
-    return 3.0 * ghquad.expect(INV_COSH4, s, field) - 2.0 * (1.0 - tanh_sq)
-
-
-def _scalar_overlap(theta_sq: float, field: FieldSpec,
-                    tol: float) -> tuple[float, bool]:
-    """Largest root of ``x = E tanh^2(z sqrt(2 x theta_sq) + h)`` in ``[0, 1)``.
+def _scalar_overlap(theta_sq, fields, tol: float,
+                    start=None) -> tuple[np.ndarray, np.ndarray]:
+    """Largest root of ``x_p = E tanh^2(z sqrt(2 x_p theta_sq_p) + h_p)`` in
+    ``[0, 1)`` for every layer ``p``, all layers in lockstep.
 
     For zero-like fields the root is ``0`` up to the critical line
     ``2 theta_sq = 1`` and the positive branch beyond it.  For centred
     Gaussian fields with positive variance the positive root is unique
     (the Latala--Guerra argument: ``F(x)/x`` is strictly decreasing on
-    ``(0, 1]``).  Bracketed Newton iteration from ``x = 1/2`` stops once
-    both the defect ``|F(x) - x|`` and the Newton step
+    ``(0, 1]``).  Each layer runs bracketed Newton iteration from ``x =
+    1/2``, or from ``start`` clipped into ``(0, 1)`` when given, and stops
+    once both the defect ``|F(x) - x|`` and the Newton step
     ``|(F(x) - x) / (1 - F'(x))|`` are below ``tol``.  The step bounds the
     distance to the root; near the critical line ``F'`` tends to one, and a
-    small defect alone can leave ``x`` far from it.  Returns
-    ``(x, converged)``; without convergence ``x`` is the iterate with the
-    smallest defect.
+    small defect alone can leave ``x`` far from it.  The slope comes with
+    the defect from one :data:`~dbmlab.ghquad.TANH_MOMENTS` call, ``F' =
+    2 theta_sq (3 E cosh^-4 - 2 (1 - F))`` by Gaussian integration by
+    parts, and one call per step serves every layer still iterating, so
+    each layer takes the steps of its own one-layer solve.  Returns
+    ``(x, converged)`` per layer; a layer that does not converge within 60
+    steps reports the iterate with the smallest defect.
     """
-    two_t = 2.0 * float(theta_sq)
-    if field.is_zero and two_t <= 1.0:
-        return 0.0, True
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    best_x, best_defect = x, math.inf
+    two_t = 2.0 * np.asarray(theta_sq, dtype=float)
+    fields = tuple(fields)
+    K = len(fields)
+    x = (np.full(K, 0.5) if start is None else
+         np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+    converged = np.array([f.is_zero and t <= 1.0
+                          for f, t in zip(fields, two_t)])
+    x[converged] = 0.0
+    lo, hi = np.zeros(K), np.ones(K)
+    best_x, best_defect = x.copy(), np.full(K, math.inf)
     for _ in range(_SCALAR_STEPS):
-        tanh_sq = ghquad.expect(TANH_SQ, two_t * x, field)
-        defect = tanh_sq - x
-        if abs(defect) < abs(best_defect):
-            best_x, best_defect = x, defect
-        if defect > 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = two_t * _tanh_sq_slope(two_t * x, field, tanh_sq)
-        if slope < 1.0:
-            step = defect / (1.0 - slope)
-            if abs(defect) < tol and abs(step) < tol:
-                return x, True
-            candidate = x + step
-        else:
-            candidate = 0.5 * (lo + hi)
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        x = candidate
-    return best_x, False
+        active = np.flatnonzero(~converged)
+        if active.size == 0:
+            break
+        xa, ta = x[active], two_t[active]
+        tanh_sq, inv_cosh4 = ghquad.expect(
+            TANH_MOMENTS, ta * xa, [fields[p] for p in active])
+        defect = tanh_sq - xa
+        better = np.abs(defect) < np.abs(best_defect[active])
+        best_x[active[better]] = xa[better]
+        best_defect[active[better]] = defect[better]
+        lo[active] = np.where(defect > 0.0, xa, lo[active])
+        hi[active] = np.where(defect > 0.0, hi[active], xa)
+        slope = ta * (3.0 * inv_cosh4 - 2.0 * (1.0 - tanh_sq))
+        newton = slope < 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(newton, defect / (1.0 - slope), 0.0)
+        done = newton & (np.abs(defect) < tol) & (np.abs(step) < tol)
+        converged[active[done]] = True
+        mid = 0.5 * (lo[active] + hi[active])
+        candidate = np.where(newton, xa + step, mid)
+        inside = (lo[active] < candidate) & (candidate < hi[active])
+        x[active] = np.where(done, xa, np.where(inside, candidate, mid))
+    return np.where(converged, x, best_x), converged
 
 
 def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
@@ -295,8 +299,9 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
     field = FieldSpec.gaussian(v)
-    q, converged = _scalar_overlap(beta * beta, field, tol)
-    if not converged:
+    x, converged = _scalar_overlap(np.array([beta * beta]), (field,), tol)
+    q = float(x[0])
+    if not converged[0]:
         residual = abs(q - ghquad.expect(TANH_SQ, 2.0 * beta * beta * q, field))
         raise SolverError(
             f"scalar overlap solve did not reach tol={tol} "
@@ -348,13 +353,8 @@ def check_at(q, params: ModelParams) -> list:
     params.require_fields("check_at", gaussian=True)
     _, _, M = machine.build_matrices(params)
     m = M @ q
-    return [_at_stable(float(m[p]), q[p], params.fields[p])
-            for p in range(params.K)]
-
-
-def _at_stable(m: float, q: float, field: FieldSpec) -> bool:
-    """Scalar de Almeida--Thouless test ``m E cosh^-4(z sqrt(m) + h) <= q``."""
-    return bool(m * ghquad.expect(INV_COSH4, m, field) <= q)
+    stable = m * ghquad.expect(INV_COSH4, m, params.fields) <= q
+    return [bool(flag) for flag in stable]
 
 
 def _certificates(q, params: ModelParams) -> Certificates:
@@ -413,12 +413,12 @@ def _newton_iterates(params: ModelParams):
 
     def evaluate(q):
         m = M @ q
-        f = np.array([ghquad.expect(TANH_SQ, float(m[p]), fields[p])
-                      for p in range(K)])
+        f, inv_cosh4 = ghquad.expect(TANH_MOMENTS, m, fields)
         g = q - f
-        return q, m, f, g, float(np.max(np.abs(g)))
+        slope = 3.0 * inv_cosh4 - 2.0 * (1.0 - f)
+        return q, m, slope, g, float(np.max(np.abs(g)))
 
-    q, m, f, g, res = evaluate(np.ones(K) if centred else np.full(K, 0.5))
+    q, m, slope, g, res = evaluate(np.ones(K) if centred else np.full(K, 0.5))
     jac = None
     steps = 0
     while True:
@@ -426,8 +426,6 @@ def _newton_iterates(params: ModelParams):
         distance = (math.inf if jac is None
                     else float(np.max(np.abs(np.linalg.solve(jac, g)))))
         yield q, res, distance
-        slope = np.array([_tanh_sq_slope(float(m[p]), fields[p], f[p])
-                          for p in range(K)])
         steps += 1
         jac = eye - slope[:, None] * M
         try:
@@ -440,7 +438,7 @@ def _newton_iterates(params: ModelParams):
             state = evaluate(np.clip(new, 0.0, 1.0)) if finite else None
             if state is None or not state[4] < res:
                 state = evaluate(q - 0.5 * g)
-            q, m, f, g, res = state
+            q, m, slope, g, res = state
             continue
         guarded = res > _GUARD_RESIDUAL
         if not (finite and (not guarded or (
@@ -452,7 +450,7 @@ def _newton_iterates(params: ModelParams):
                 f"(Mq)_p + v_p is {variance:.3g}, and the quadrature is "
                 f"accurate for s + v <= {ghquad.ACCURATE_VARIANCE:g}",
                 last_q=q, residual=res, iterations=steps)
-        q, m, f, g, res = evaluate(np.clip(new, 0.0, 1.0))
+        q, m, slope, g, res = evaluate(np.clip(new, 0.0, 1.0))
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
@@ -461,9 +459,9 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M`` with the
     slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
     ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
-    integration by parts for every field kind.  A step costs ``K``
-    ``TANH_SQ`` and ``K`` ``INV_COSH4`` expectations and one ``K x K``
-    linear solve.
+    integration by parts for every field kind.  A step costs one layered
+    ``TANH_MOMENTS`` expectation, which gives ``T_p`` and ``E cosh^-4``
+    on every layer, and one ``K x K`` linear solve.
 
     *Centred fields* (zero, or Gaussian with variance ``v >= 0``, on every
     layer).  Each ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing and

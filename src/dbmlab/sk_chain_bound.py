@@ -12,7 +12,10 @@ bound of this family.
 The surrogate for layer ``p`` couples to the rest of the chain only
 through ``theta_p``; with centred Gaussian (or zero) external fields the
 surrogate overlap is the largest solution of the scalar consistency
-equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.
+equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  The K scalar
+solves run in lockstep (:func:`rs_solver._scalar_overlap`), one layered
+kernel call per step, and the bound value and its certificate take one
+layered call each.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
 ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` for every bond; for related pairs
@@ -30,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine, rs_solver
-from .ghquad import LOG_COSH
+from .ghquad import INV_COSH4, LOG_COSH
 from .machine import ModelParams
-from .rs_solver import (_TALAGRAND_LINE, _at_stable, _scalar_overlap,
-                        _theta_sq_from_aux)
+from .rs_solver import _TALAGRAND_LINE, _scalar_overlap, _theta_sq_from_aux
 
 _LOG2 = math.log(2.0)
 
@@ -79,23 +81,6 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar surrogate overlaps
-# ---------------------------------------------------------------------------
-
-
-def _surrogate_overlaps(theta_sq: np.ndarray, params: ModelParams
-                        ) -> tuple[np.ndarray, bool]:
-    """Per-layer surrogate overlaps and whether every layer solve converged."""
-    out = np.zeros(params.K)
-    converged = True
-    for p in range(params.K):
-        out[p], ok = _scalar_overlap(theta_sq[p], params.fields[p],
-                                     _SCALAR_TOL)
-        converged = converged and ok
-    return out, converged
-
-
-# ---------------------------------------------------------------------------
 # bound functional
 # ---------------------------------------------------------------------------
 
@@ -104,12 +89,10 @@ def _functional_value(theta_sq: np.ndarray, overlaps: np.ndarray,
                       params: ModelParams) -> float:
     """Value of the split bound at given temperatures and overlaps."""
     lam = np.asarray(params.lam, dtype=float)
-    value = 0.0
-    for p in range(params.K):
-        m = 2.0 * float(overlaps[p]) * float(theta_sq[p])
-        layer = _LOG2 + ghquad.expect(LOG_COSH, m, params.fields[p])
-        layer += 0.5 * float(theta_sq[p]) * (1.0 - float(overlaps[p])) ** 2
-        value += float(lam[p]) * layer
+    layers = _LOG2 + ghquad.expect(LOG_COSH, 2.0 * overlaps * theta_sq,
+                                   params.fields)
+    layers += 0.5 * theta_sq * (1.0 - overlaps) ** 2
+    value = float(np.dot(lam, layers))
     value -= 0.5 * float(np.dot(lam, theta_sq))
     value += machine.interaction_half_quadratic(params, np.ones(params.K))
     return float(value)
@@ -124,10 +107,11 @@ def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
     line ``theta^2 < 1/8`` or when the scalar Almeida-Thouless criterion
     holds at its surrogate overlap.
     """
-    return converged and all(
-        float(t) < _TALAGRAND_LINE
-        or _at_stable(2.0 * float(x) * float(t), x, field)
-        for t, x, field in zip(theta_sq, overlaps, params.fields))
+    if not converged:
+        return False
+    m = 2.0 * overlaps * theta_sq
+    stable = m * ghquad.expect(INV_COSH4, m, params.fields) <= overlaps
+    return bool(np.all((theta_sq < _TALAGRAND_LINE) | stable))
 
 
 def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
@@ -146,15 +130,17 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     return value, _certified(theta_sq, overlaps, converged, params)
 
 
-def _evaluate(a, params: ModelParams
+def _evaluate(a, params: ModelParams, start=None
               ) -> tuple[float, np.ndarray, np.ndarray, bool]:
     """Bound value at ``a`` and the layer state behind it: surrogate
     overlaps, squared temperatures, and whether every overlap solve
-    converged."""
+    converged.  The overlap solves start at ``start`` when given (see
+    :func:`rs_solver._scalar_overlap`), else at ``1/2``."""
     theta_sq = _theta_sq_from_aux(a, params)
-    overlaps, converged = _surrogate_overlaps(theta_sq, params)
+    overlaps, converged = _scalar_overlap(theta_sq, params.fields,
+                                          _SCALAR_TOL, start)
     value = _functional_value(theta_sq, overlaps, params)
-    return value, overlaps, theta_sq, converged
+    return value, overlaps, theta_sq, bool(np.all(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +203,9 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
     * otherwise ``related_aux(q)`` for the largest consistency solution
       ``q``: ``nested_q`` when given, else :func:`rs_solver.solve_nested`
       at tolerance ``tol``, which raises :class:`rs_solver.SolverError`
-      when it fails.
+      when it fails.  There ``q_p`` is each layer's surrogate root, so the
+      scalar solves start at ``q`` (clipped into ``(0, 1)``) and need few
+      steps; at the witness they start at ``1/2``.
 
     Needs at least two layers, strictly positive layer weights and zero or
     centred Gaussian fields.  ``boundary_suspect`` flags ``|log a_p| > 12``.
@@ -238,7 +226,8 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
         if nested_q is None:
             nested_q = rs_solver.solve_nested(params, tol).q
         a = related_aux(nested_q, params)
-    value, overlaps, theta_sq, converged = _evaluate(a, params)
+    value, overlaps, theta_sq, converged = _evaluate(
+        a, params, None if witness is not None else nested_q)
     lam = np.asarray(params.lam, dtype=float)
     return BoundResult(
         a=a,

@@ -103,21 +103,42 @@ def trapezoid_gauss_expect(f, std: float, shift: float = 0.0,
     return float(np.sum(w * f(std * z + shift)))
 
 
-def rule_expect(f, s: float, field, rule: QuadratureRule) -> float:
-    """E f(z sqrt(s) + h) under a given quadrature rule, for every field kind.
+def rule_expect(f, s, fields, rule: QuadratureRule):
+    """E f(z sqrt(s_p) + h_p) under a given quadrature rule, for every field
+    kind, with ``ghquad.expect``'s signature: a float ``s`` with one field
+    gives a float, a ``(K,)`` ``s`` with ``K`` fields a ``(K,)`` array, and a
+    kernel returning stacked arrays one row per array.
 
     The package picks its rule from the variance; this evaluates the same
-    sum under any rule, so tests can compare rules or stand a coarse one in
-    for ``ghquad.expect``.
+    sum under any rule, layer by layer and atom by atom, so tests can
+    compare rules or stand a coarse one in for ``ghquad.expect``.
     """
-    if field.kind in ("zero", "gaussian_centered"):
-        shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
-    else:
-        shifts = np.asarray(field.values, dtype=float)
-        probs = np.asarray(field.probs, dtype=float)
-        extra = 0.0
-    y = math.sqrt(s + extra) * rule.nodes[None, :] + shifts[:, None]
-    return float(probs @ (np.asarray(f(y), dtype=float) @ rule.weights))
+    single = not isinstance(fields, (list, tuple))
+    layers = [fields] if single else list(fields)
+    variances = np.asarray(s, dtype=float).reshape(-1)
+    out = []
+    for s_p, field in zip(variances, layers, strict=True):
+        if field.kind in ("zero", "gaussian_centered"):
+            shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
+        else:
+            shifts = np.asarray(field.values, dtype=float)
+            probs = np.asarray(field.probs, dtype=float)
+            extra = 0.0
+        y = math.sqrt(s_p + extra) * rule.nodes[None, :] + shifts[:, None]
+        vals = np.asarray(f(y), dtype=float)
+        out.append(np.sum(probs * np.sum(vals * rule.weights, axis=-1),
+                          axis=-1))
+    out = np.moveaxis(np.array(out), 0, -1)
+    if not single:
+        return out
+    return float(out[0]) if out.ndim == 1 else out[..., 0]
+
+
+def tanh_sq_slope(s: float, field, tanh_sq: float) -> float:
+    """``d/ds tanh_sq`` for ``tanh_sq = E tanh^2(z sqrt(s) + h)``, by parts,
+    from a separate ``cosh^-4`` expectation."""
+    from dbmlab import ghquad
+    return 3.0 * ghquad.expect(ghquad.INV_COSH4, s, field) - 2.0 * (1.0 - tanh_sq)
 
 
 def mc_gauss_expect(f, std: float, shift: float = 0.0,

@@ -369,6 +369,18 @@ def test_verify_refuses_a_covariance_check_past_the_spin_cap(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_verify_refuses_unknown_settings(tmp_path, capsys):
+    # A misspelt key would otherwise run at the default it meant to change.
+    data = verify_config()
+    data["verify"]["covariance_totl"] = 6
+    for command in ("verify", "rs"):
+        assert cli.main([command, "--config",
+                         write_config(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown verify settings ['covariance_totl']" in err
+        assert err.count("\n") == 1
+
+
 def test_verify_outside_region_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, verify_config(beta=1.5))
     assert cli.main(["verify", "--config", cfg]) == 2
@@ -498,6 +510,16 @@ def test_scan_outputs_must_be_a_list_of_strings(tmp_path, capsys, outputs):
     assert cli.main(["scan", "--config", write_config(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert "scan outputs must be a JSON list of strings" in err
+    assert err.count("\n") == 1
+
+
+def test_scan_outputs_must_not_repeat(tmp_path, capsys):
+    data = balanced2()
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
+                              "steps": 2}], "outputs": ["rho", "region", "rho"]}
+    assert cli.main(["scan", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "repeated scan outputs ['rho']" in err
     assert err.count("\n") == 1
 
 

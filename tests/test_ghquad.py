@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dbmlab import ghquad, rs_solver
-from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_SQ
+from dbmlab import ghquad
+from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_MOMENTS, TANH_SQ
 from dbmlab.machine import FieldSpec
 
+from helpers import field_specs
 from oracles import (gauss_hermite_rule, mc_gauss_expect, rule_expect,
-                     trapezoid_gauss_expect)
+                     tanh_sq_slope, trapezoid_gauss_expect)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ _ALL_FIELD_KINDS = (FieldSpec.zero(), FieldSpec.gaussian(0.6),
 
 def _slope(s, field):
     """The overlap solver's ``d/ds E tanh^2(z sqrt(s) + h)``."""
-    return rs_solver._tanh_sq_slope(s, field, ghquad.expect(TANH_SQ, s, field))
+    return tanh_sq_slope(s, field, ghquad.expect(TANH_SQ, s, field))
 
 
 def _differentiated_under_the_integral(s, field):
@@ -276,7 +278,7 @@ def test_tanh_sq_expectation_bounded_and_monotone():
 
 
 def _fresh_atom_expect(f, s, field, rule):
-    """``expect`` with freshly allocated atoms."""
+    """``expect`` with freshly allocated atoms: one dot product per atom."""
     if field.kind in ("zero", "gaussian_centered"):
         shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
     else:
@@ -285,7 +287,9 @@ def _fresh_atom_expect(f, s, field, rule):
         extra = 0.0
     std = math.sqrt(s + extra)
     y = std * rule.nodes[None, :] + shifts[:, None]
-    return float(probs @ (np.asarray(f(y), dtype=float) @ rule.weights))
+    vals = np.asarray(f(y), dtype=float)
+    return float(np.sum(probs * np.array([np.dot(row, rule.weights)
+                                          for row in vals])))
 
 
 def test_shared_atoms_are_read_only_and_bit_identical():
@@ -303,3 +307,68 @@ def test_shared_atoms_are_read_only_and_bit_identical():
             for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
                 assert ghquad.expect(kernel, s, field) == _fresh_atom_expect(
                     kernel, s, field, rule)
+
+
+# ---------------------------------------------------------------------------
+# layered calls and the fused kernel
+# ---------------------------------------------------------------------------
+
+
+_LAYER_KERNELS = (TANH_SQ, LOG_COSH, INV_COSH4, TANH_MOMENTS)
+# Variances below and above the default rule's s = 25, and past the range
+# of the finest rule.
+_LAYER_VARIANCES = st.one_of(
+    st.floats(0.0, 25.0), st.floats(25.0, 2000.0),
+    st.floats(ghquad.ACCURATE_VARIANCE, 4.0 * ghquad.ACCURATE_VARIANCE))
+
+
+def _assert_layered_matches_one_layer_calls(s, fields):
+    for kernel in _LAYER_KERNELS:
+        layered = ghquad.expect(kernel, np.array(s), fields)
+        assert layered.shape[-1] == len(fields)
+        for p, (s_p, field) in enumerate(zip(s, fields)):
+            one = ghquad.expect(kernel, s_p, field)
+            np.testing.assert_allclose(layered[..., p], one, rtol=0.0,
+                                       atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(_LAYER_VARIANCES, field_specs()),
+                       min_size=1, max_size=8))
+def test_layered_expect_matches_one_layer_calls_property(layers):
+    s, fields = zip(*layers)
+    _assert_layered_matches_one_layer_calls(list(s), list(fields))
+
+
+def test_layered_expect_mixes_every_field_kind_and_rule():
+    # Every kind on both sides of s + v = 25 and past ACCURATE_VARIANCE, so
+    # one call spans three rules and both atom paths.
+    kinds = _ALL_FIELD_KINDS
+    s = [0.0, 3.0, 24.0, 30.0, 800.0, 2.0 * ghquad.ACCURATE_VARIANCE,
+         ghquad.ACCURATE_VARIANCE, 10.0]
+    fields = [kinds[p % len(kinds)] for p in range(len(s))]
+    assert len({ghquad._rule_for(s_p + f.v).order
+                for s_p, f in zip(s, fields)}) >= 3
+    _assert_layered_matches_one_layer_calls(s, fields)
+
+
+def test_tanh_moments_are_the_two_kernels_bit_for_bit():
+    y = np.linspace(-40.0, 40.0, 2001).reshape(3, -1)[:, :-1]
+    tanh_sq, inv_cosh4 = TANH_MOMENTS(y)
+    np.testing.assert_array_equal(tanh_sq, TANH_SQ(y))
+    np.testing.assert_array_equal(inv_cosh4, INV_COSH4(y))
+    for field in _ALL_FIELD_KINDS:
+        for s in (0.0, 0.7, 60.0):
+            fused = ghquad.expect(TANH_MOMENTS, s, field)
+            assert fused.shape == (2,)
+            assert fused[0] == ghquad.expect(TANH_SQ, s, field)
+            assert fused[1] == ghquad.expect(INV_COSH4, s, field)
+
+
+def test_layered_expect_rejects_bad_variances():
+    fields = (FieldSpec.zero(), FieldSpec.gaussian(0.3))
+    for s in ([0.1, -0.1], [0.1, math.nan], [math.inf, 0.1], [0.1]):
+        with pytest.raises(ValueError):
+            ghquad.expect(TANH_SQ, np.array(s), fields)
+    with pytest.raises(TypeError):
+        ghquad.expect(TANH_SQ, np.array([0.1, 0.2]), (FieldSpec.zero(), 0.3))

@@ -21,7 +21,7 @@ from dbmlab.rs_solver import (
     solve_nested,
 )
 
-from helpers import model_params, random_params
+from helpers import field_specs, model_params, random_params
 from oracles import (
     central_fd_gradient,
     central_fd_jacobian,
@@ -245,14 +245,66 @@ def test_scalar_solver_residual_and_range():
     # Zero field beyond the critical line 2 beta^2 = 1: the roots are 0 and
     # one positive value, and the solver must return the positive one.
     for beta in (0.75, 1.0, 1.5, 2.0):
-        q, converged = rs_solver._scalar_overlap(beta * beta, FieldSpec.zero(),
-                                                 1e-12)
-        assert converged is True
-        cases.append((beta, FieldSpec.zero(), q))
+        q, converged = rs_solver._scalar_overlap(
+            np.array([beta * beta]), (FieldSpec.zero(),), 1e-12)
+        assert converged.tolist() == [True]
+        cases.append((beta, FieldSpec.zero(), float(q[0])))
     for beta, field, q in cases:
         assert 0.0 < q < 1.0
         resid = abs(q - ghquad.expect(TANH_SQ, 2.0 * q * beta * beta, field))
         assert resid < 1e-12
+
+
+def _one_layer_solves(theta_sq, fields, tol, start=None):
+    """``_scalar_overlap`` run on each layer alone."""
+    solves = [rs_solver._scalar_overlap(
+        theta_sq[p:p + 1], fields[p:p + 1], tol,
+        None if start is None else start[p:p + 1])
+        for p in range(len(fields))]
+    return (np.array([x[0] for x, _ in solves]),
+            np.array([c[0] for _, c in solves]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.floats(0.0, 3.0), field_specs(),
+                                 st.floats(0.0, 1.0)),
+                       min_size=1, max_size=8),
+       warm=st.booleans())
+def test_lockstep_scalar_solver_matches_one_layer_solves_property(layers, warm):
+    # Each layer takes the steps of its own solve and stops by its own rule,
+    # whatever the other layers in the call do.
+    theta_sq = np.array([t for t, _, _ in layers])
+    fields = tuple(f for _, f, _ in layers)
+    start = np.array([x for _, _, x in layers]) if warm else None
+    x, converged = rs_solver._scalar_overlap(theta_sq, fields, 1e-13, start)
+    one_x, one_converged = _one_layer_solves(theta_sq, fields, 1e-13, start)
+    np.testing.assert_array_equal(x, one_x)
+    np.testing.assert_array_equal(converged, one_converged)
+
+
+def test_lockstep_scalar_solver_makes_one_kernel_call_per_step(monkeypatch):
+    theta_sq = np.array([0.3, 1.2, 0.4, 2.5, 0.05])
+    fields = (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.zero(),
+              FieldSpec.gaussian(2.0), FieldSpec.gaussian(0.01))
+    expect = ghquad.expect
+    calls = []
+
+    def counting(f, s, fields):
+        calls.append(np.size(s))
+        return expect(f, s, fields)
+
+    monkeypatch.setattr(ghquad, "expect", counting)
+    rs_solver._scalar_overlap(theta_sq, fields, 1e-13)
+    lockstep = list(calls)
+    one_layer = []
+    for p in range(len(fields)):
+        calls.clear()
+        rs_solver._scalar_overlap(theta_sq[p:p + 1], fields[p:p + 1], 1e-13)
+        one_layer.append(len(calls))
+    # The zero-field layer below its critical line is never evaluated.
+    assert one_layer[2] == 0
+    assert len(lockstep) == max(one_layer)
+    assert sum(lockstep) == sum(one_layer)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +525,7 @@ def _coarse_expect(monkeypatch, nodes):
     """Stand a ``nodes``-point trapezoid rule in for ``ghquad.expect``."""
     rule = ghquad.normal_trapezoid_rule(nodes)
     monkeypatch.setattr(ghquad, "expect",
-                        lambda f, s, field: rule_expect(f, s, field, rule))
+                        lambda f, s, fields: rule_expect(f, s, fields, rule))
 
 
 def test_nested_takes_the_damped_step_where_newton_does_not_lower_the_residual(
@@ -556,10 +608,12 @@ def test_nested_solve_never_evaluates_the_kernel_at_zero_variance(monkeypatch):
     expect = ghquad.expect
     zero_variance = []
 
-    def recording(f, s, field):
-        if s == 0.0 and field.is_zero:
-            zero_variance.append(field)
-        return expect(f, s, field)
+    def recording(f, s, fields):
+        layers = [fields] if isinstance(fields, FieldSpec) else fields
+        for s_p, field in zip(np.reshape(s, -1), layers, strict=True):
+            if s_p == 0.0 and field.is_zero:
+                zero_variance.append(field)
+        return expect(f, s, fields)
 
     monkeypatch.setattr(ghquad, "expect", recording)
     rng = np.random.default_rng(27)

@@ -328,6 +328,76 @@ def test_bound_at_related_weights_is_at_most_rs_pressure_property(params, q):
     assert bound <= rs_solver.rs_pressure(q, params) + 1e-12
 
 
+def _zero_field_chains_outside(rng, count):
+    """Random zero-field chains with no annealed-region witness."""
+    chains = []
+    while len(chains) < count:
+        params = random_params(rng, k_range=(2, 6), beta_range=(0.8, 2.5),
+                               lam_floor=0.02)
+        if machine.classify_annealed(params).feasible_a is None:
+            chains.append(params)
+    return chains
+
+
+def test_warm_started_surrogates_match_cold_starts(monkeypatch):
+    # At weights related to the consistency solution q, q_p is each layer's
+    # surrogate root, so starting the solves there changes nothing but the
+    # number of steps.
+    expect = sk_chain_bound.ghquad.expect
+    calls = {"warm": 0, "cold": 0, "nested": 0}
+    side = ["nested"]
+
+    def counting(f, s, fields):
+        calls[side[0]] += 1
+        return expect(f, s, fields)
+
+    monkeypatch.setattr(sk_chain_bound.ghquad, "expect", counting)
+    rng = np.random.default_rng(41)
+    chains = [gaussian_params(rng, beta_range=(0.2, 2.0)) for _ in range(12)]
+    chains += _zero_field_chains_outside(rng, 12)
+    for params in chains:
+        side[0] = "nested"
+        q = solve_nested(params).q
+        side[0] = "warm"
+        warm = maximize_bound(params, nested_q=q)
+        side[0] = "cold"
+        value, overlaps, theta_sq, converged = sk_chain_bound._evaluate(
+            related_aux(q, params), params)
+        assert converged
+        np.testing.assert_allclose(warm.overlaps, overlaps, rtol=0.0,
+                                   atol=1e-12)
+        assert warm.value == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert warm.certified == sk_chain_bound._certified(
+            theta_sq, overlaps, converged, params)
+    # The cold side skips the certificate's call; the warm solves save more.
+    assert calls["warm"] < calls["cold"]
+
+
+def test_maximize_starts_the_surrogate_solves_at_the_consistency_solution(
+        monkeypatch):
+    starts = []
+    solve = sk_chain_bound._scalar_overlap
+
+    def recording(theta_sq, fields, tol, start=None):
+        starts.append(None if start is None else np.array(start))
+        return solve(theta_sq, fields, tol, start)
+
+    monkeypatch.setattr(sk_chain_bound, "_scalar_overlap", recording)
+    params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
+                  tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
+    q = solve_nested(params).q
+    maximize_bound(params, nested_q=q)
+    maximize_bound(params)
+    assert len(starts) == 2
+    for start in starts:
+        np.testing.assert_array_equal(start, q)
+    # The annealed witness and free weights keep the cold start at 1/2.
+    inside, _ = inside_zero_field_params(np.random.default_rng(3))
+    maximize_bound(inside)
+    p_dbm_functional(np.ones(2), params)
+    assert starts[2:] == [None, None]
+
+
 # ---------------------------------------------------------------------------
 # maximize_bound against an L-BFGS-B ascent from every start
 # ---------------------------------------------------------------------------
