@@ -32,11 +32,13 @@ Layered calls
 The replica-symmetric pressure, its consistency map and the split bound
 are sums of one such integral per layer, so :func:`expect` takes a vector
 of variances and one field per layer and evaluates every layer in one
-call: every atom of every field goes into one ``(atoms, nodes)`` array per
-rule, layers grouped by the rule their total variance picks.  Each atom's
-node sum is its own dot product, so a layer's value is bit for bit that of
-the one-layer call, whatever else shares the call.  A float ``s`` with one
-field is the one-layer case of the same body.
+call: the atoms of all fields go into one ``(atoms, nodes)`` array per
+rule, layers grouped by the rule their total variance picks, in blocks of
+at most ``MAX_FIELD_ATOMS`` atoms so that no array outgrows the one-layer
+call with the largest field.  Each atom's node sum is its own dot product,
+so a layer's value is bit for bit that of the one-layer call, whatever
+else shares the call.  A float ``s`` with one field is the one-layer case
+of the same body.
 
 Derivatives in the variance
 ---------------------------
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import FieldSpec
+from .machine import MAX_FIELD_ATOMS, FieldSpec
 
 __all__ = [
     "ACCURATE_VARIANCE",
@@ -206,11 +208,12 @@ def expect(f, s, fields):
     as :data:`TANH_MOMENTS`, gives one row per array: ``(m, K)``, or
     ``(m,)`` for one layer.
 
-    Every atom of every layer goes into one ``(atoms, nodes)`` evaluation
-    per rule; the rule is picked from each layer's total variance
-    ``s_p + v_p`` (see the module docstring).  Each atom's node sum is its
-    own dot product, so a layer's value does not depend on the other
-    layers in the call: it is bit for bit the value of the one-layer call.
+    The atoms of all layers go into one ``(atoms, nodes)`` evaluation per
+    rule, split into blocks of at most ``MAX_FIELD_ATOMS`` atoms; the rule
+    is picked from each layer's total variance ``s_p + v_p`` (see the
+    module docstring).  Each atom's node sum is its own dot product, so a
+    layer's value does not depend on the other layers in the call: it is
+    bit for bit the value of the one-layer call.
     """
     single = isinstance(fields, FieldSpec)
     if single:
@@ -219,15 +222,24 @@ def expect(f, s, fields):
     if len(variances) != len(fields):
         raise ValueError(f"need one variance per field, got {len(variances)} "
                          f"for {len(fields)}")
-    # Per atom its shift, probability and standard deviation, per layer the
-    # index of its first atom, and the layers grouped by rule.
+    # Per atom its shift, probability and standard deviation, and per layer
+    # the index of its first atom.  Layers are evaluated in blocks that
+    # share a rule and hold at most MAX_FIELD_ATOMS atoms, so no array is
+    # larger than a one-layer call with the largest field needs.
     shifts, probs, std, starts = [], [], [], []
-    groups: dict[QuadratureRule, list[int]] = {}
+    blocks = []  # (rule, layers)
+    open_blocks = {}  # rule -> [layers, atom count] of its last block
     for p, (variance, field) in enumerate(zip(variances, fields)):
         if not 0.0 <= variance < math.inf:
             raise ValueError("variance s must be finite and >= 0")
         atom_shifts, atom_probs, extra = _field_atoms(field)
-        groups.setdefault(_rule_for(variance + extra), []).append(p)
+        rule = _rule_for(variance + extra)
+        block = open_blocks.get(rule)
+        if block is None or block[1] + atom_shifts.size > MAX_FIELD_ATOMS:
+            block = open_blocks[rule] = [[], 0]
+            blocks.append((rule, block[0]))
+        block[0].append(p)
+        block[1] += atom_shifts.size
         starts.append(len(std))
         std += [math.sqrt(variance + extra)] * atom_shifts.size
         shifts.append(atom_shifts)
@@ -236,20 +248,21 @@ def expect(f, s, fields):
     std = np.array(std)
     shifts = np.concatenate(shifts)
     sums = None
-    for rule, layers in groups.items():
-        rows = (slice(None) if len(groups) == 1 else np.concatenate(
+    for rule, layers in blocks:
+        rows = (slice(None) if len(blocks) == 1 else np.concatenate(
             [np.arange(starts[p], ends[p]) for p in layers]))
         y = std[rows, None] * rule.nodes + shifts[rows, None]
         vals = np.asarray(f(y), dtype=float)
         # One dot product per atom: (..., A, 1, N) @ (N, 1).
         atom_sums = np.matmul(vals[..., None, :],
                               rule.weights[:, None])[..., 0, 0]
-        if len(groups) == 1:
+        if len(blocks) == 1:
             sums = atom_sums
         else:
             if sums is None:
                 sums = np.empty(atom_sums.shape[:-1] + shifts.shape)
             sums[..., rows] = atom_sums
+        del y, vals  # free this block's arrays before the next one's
     if len(std) > len(fields):
         # Some layer has several atoms: weigh them and sum per layer.
         sums = np.add.reduceat(np.concatenate(probs) * sums, starts, axis=-1)

@@ -350,6 +350,11 @@ def test_layered_expect_mixes_every_field_kind_and_rule():
     assert len({ghquad._rule_for(s_p + f.v).order
                 for s_p, f in zip(s, fields)}) >= 3
     _assert_layered_matches_one_layer_calls(s, fields)
+    # Wide discrete fields overflow one block of MAX_FIELD_ATOMS atoms.
+    wide = FieldSpec.discrete(np.linspace(-2.0, 2.0, 40), np.full(40, 1 / 40))
+    fields = [wide, FieldSpec.gaussian(0.3), wide, wide, FieldSpec.zero()]
+    _assert_layered_matches_one_layer_calls([0.5, 1.0, 2.0, 40.0, 3.0],
+                                            fields)
 
 
 def test_tanh_moments_are_the_two_kernels_bit_for_bit():
