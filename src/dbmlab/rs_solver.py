@@ -249,7 +249,6 @@ def _scalar_overlap(theta_sq, fields, tol: float,
     steps reports the iterate with the smallest defect.
     """
     two_t = 2.0 * np.asarray(theta_sq, dtype=float)
-    fields = tuple(fields)
     K = len(fields)
     x = (np.full(K, 0.5) if start is None else
          np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
@@ -273,8 +272,7 @@ def _scalar_overlap(theta_sq, fields, tol: float,
         hi[active] = np.where(defect > 0.0, hi[active], xa)
         slope = ta * (3.0 * inv_cosh4 - 2.0 * (1.0 - tanh_sq))
         newton = slope < 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(newton, defect / (1.0 - slope), 0.0)
+        step = defect / np.where(newton, 1.0 - slope, 1.0)
         done = newton & (np.abs(defect) < tol) & (np.abs(step) < tol)
         converged[active[done]] = True
         mid = 0.5 * (lo[active] + hi[active])
