@@ -13,6 +13,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
+from dbmlab import ghquad
 from dbmlab.ghquad import QuadratureRule
 from dbmlab.rs_solver import (RsSolution, SolverError, _certificates,
                               _check_overlap, _require_positive_lambda,
@@ -137,7 +138,6 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
 def tanh_sq_slope(s: float, field, tanh_sq: float) -> float:
     """``d/ds tanh_sq`` for ``tanh_sq = E tanh^2(z sqrt(s) + h)``, by parts,
     from a separate ``cosh^-4`` expectation."""
-    from dbmlab import ghquad
     return 3.0 * ghquad.expect(ghquad.INV_COSH4, s, field) - 2.0 * (1.0 - tanh_sq)
 
 
