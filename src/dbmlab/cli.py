@@ -332,19 +332,6 @@ def _tol(args, config: _Config) -> float:
     return tol
 
 
-def _bound_point(params: ModelParams, tol: float,
-                 nested_q: np.ndarray | None = None) -> tuple[float, bool]:
-    """Bound value and certification; single-layer models short-circuit.
-
-    ``nested_q`` is a nested-solver overlap vector already computed for
-    this model, which spares the maximizer its own nested solve.
-    """
-    if params.K == 1:
-        return sk_chain_bound.p_dbm_functional(np.zeros(0), params)
-    res = sk_chain_bound.maximize_bound(params, tol, nested_q=nested_q)
-    return res.value, res.certified
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -419,14 +406,7 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     if min(params.lam) <= 0.0:
         raise ConfigError("the bound requires strictly positive layer "
                           "weights; prune zero-weight layers from the model")
-    if params.K == 1:
-        value, certified = sk_chain_bound.p_dbm_functional(np.zeros(0), params)
-        data = {"a": [], "value": float(value), "certified": bool(certified),
-                "boundary_suspect": False, "theta": [0.0], "overlaps": None,
-                "stationarity": 0.0}
-    else:
-        result = sk_chain_bound.maximize_bound(params, tol)
-        data = result.to_dict()
+    data = sk_chain_bound.maximize_bound(params, tol).to_dict()
     p_annealed = float(machine.annealed_pressure(params))
     flags = []
     if not data["certified"]:
@@ -531,8 +511,10 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
                 row.update(certs)
             elif name == "bound":
                 try:
-                    value, certified = _bound_point(
-                        params, tol, None if solution is None else solution.q)
+                    bound = sk_chain_bound.maximize_bound(
+                        params, tol,
+                        nested_q=None if solution is None else solution.q)
+                    value, certified = bound.value, bound.certified
                 except (rs_solver.SolverError, ValueError):
                     value, certified = None, None
                     flags.append("bound_failed")

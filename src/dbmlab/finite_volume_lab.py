@@ -185,14 +185,13 @@ def _generator(seed: int, index: int, stream: int,
 
 
 def _draw_field(gen: np.random.Generator, field: FieldSpec, n: int) -> np.ndarray:
-    if field.kind == "zero":
-        return np.zeros(n)
-    if field.kind == "gaussian_centered":
+    """``n`` independent draws from the field's law."""
+    if field.v > 0.0:
         return math.sqrt(field.v) * gen.standard_normal(n)
-    if field.kind == "point_mass":
-        return np.full(n, field.values[0])
-    return gen.choice(np.asarray(field.values, dtype=float), size=n,
-                      p=np.asarray(field.probs, dtype=float))
+    values, probs = field.atoms
+    if values.size == 1:
+        return np.full(n, values[0])
+    return gen.choice(values, size=n, p=probs)
 
 
 def sample_disorder(assignment: LayerAssignment, params: ModelParams,
@@ -202,7 +201,10 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
 
     Couplings are drawn bond by bond, then fields layer by layer, from a
     dedicated counter-based stream, so the draw is independent of any
-    other randomness in the process.  A caller drawing many samples may
+    other randomness in the process.  A field is drawn from its law: a
+    Gaussian draw when ``v > 0``, the atom itself when there is one, and
+    a draw among the atoms otherwise, so a layer whose field is constant
+    takes nothing from the stream.  A caller drawing many samples may
     pass one ``philox`` bit generator to re-key for each; the draws are
     the same.
     """

@@ -4,9 +4,11 @@ This is the scalar kernel under every replica-symmetric formula: ``f`` is one
 of the smooth bounded (or log-growth) kernels ``tanh^2``, ``log cosh``,
 ``cosh^-4``, ``s >= 0`` is the Gaussian variance entering through ``z``, and
 ``h`` is an external field drawn from a :class:`~dbmlab.machine.FieldSpec`.
-For centered Gaussian fields the exact reduction
-``z sqrt(s) + h ~ z' sqrt(s + v)`` folds the field into the variance; for
-point-mass/discrete fields the outer expectation is a finite sum over atoms.
+A field is its law ``h = sqrt(v) z'' + X`` with ``X`` discrete: the exact
+reduction ``z sqrt(s) + sqrt(v) z'' ~ z' sqrt(s + v)`` folds its Gaussian
+part into the variance, and the outer expectation is a finite sum over the
+atoms of ``X`` (:attr:`~dbmlab.machine.FieldSpec.atoms`).  So the kernel
+reads ``v`` and the atoms of every field alike, whatever its kind.
 
 Quadrature
 ----------
@@ -180,24 +182,6 @@ def _rule_for(variance: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-# The single atom of zero and centred-Gaussian fields, shared read-only.
-_ORIGIN = np.zeros(1)
-_ORIGIN.setflags(write=False)
-_CERTAIN = np.ones(1)
-_CERTAIN.setflags(write=False)
-
-
-def _field_atoms(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """Atoms (shifts, probabilities) and extra Gaussian variance of a field."""
-    if not isinstance(field, FieldSpec):
-        raise TypeError("field must be a FieldSpec")
-    if field.kind == "zero":
-        return _ORIGIN, _CERTAIN, 0.0
-    if field.kind == "gaussian_centered":
-        return _ORIGIN, _CERTAIN, float(field.v)
-    return np.asarray(field.values, dtype=float), np.asarray(field.probs, dtype=float), 0.0
-
-
 def expect(f, s, fields):
     """``E f(z sqrt(s_p) + h_p)`` for standard Gaussian ``z``, per layer.
 
@@ -232,8 +216,11 @@ def expect(f, s, fields):
     for p, (variance, field) in enumerate(zip(variances, fields)):
         if not 0.0 <= variance < math.inf:
             raise ValueError("variance s must be finite and >= 0")
-        atom_shifts, atom_probs, extra = _field_atoms(field)
-        rule = _rule_for(variance + extra)
+        if not isinstance(field, FieldSpec):
+            raise TypeError("field must be a FieldSpec")
+        atom_shifts, atom_probs = field.atoms
+        total = variance + field.v
+        rule = _rule_for(total)
         block = open_blocks.get(rule)
         if block is None or block[1] + atom_shifts.size > MAX_FIELD_ATOMS:
             block = open_blocks[rule] = [[], 0]
@@ -241,7 +228,7 @@ def expect(f, s, fields):
         block[0].append(p)
         block[1] += atom_shifts.size
         starts.append(len(std))
-        std += [math.sqrt(variance + extra)] * atom_shifts.size
+        std += [math.sqrt(total)] * atom_shifts.size
         shifts.append(atom_shifts)
         probs.append(atom_probs)
     ends = starts[1:] + [len(std)]

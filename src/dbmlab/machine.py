@@ -20,6 +20,7 @@ positive.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ __all__ = [
     "config_numbers",
 ]
 
-_FIELD_KINDS = ("zero", "gaussian_centered", "point_mass", "discrete")
 MAX_FIELD_ATOMS = 64
 _SIMPLEX_TOL = 1e-9
 
@@ -83,96 +83,100 @@ def config_numbers(values, what: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """External field law for one layer.
+    """External field law for one layer: ``h = sqrt(v) z + X``.
 
-    ``kind`` is one of ``zero`` (no field), ``gaussian_centered`` (centered
-    Gaussian with variance ``v``), ``point_mass`` (deterministic field, the
-    single entry of ``values``), or ``discrete`` (atoms ``values`` with
-    probabilities ``probs``, at most ``MAX_FIELD_ATOMS`` of them).
+    ``z`` is standard normal and ``X`` an independent discrete variable
+    with atoms ``values`` and probabilities ``probs`` (at most
+    ``MAX_FIELD_ATOMS``).  A field is its law, so a point mass at 0, a
+    one-atom discrete law at 0 and a Gaussian of variance 0 are all the
+    zero field and compare equal.  A Gaussian part is only allowed with the
+    single atom 0: a law with both has no JSON form.  :attr:`kind` names
+    the law for :meth:`to_dict` and for messages.
     """
 
-    kind: str = "zero"
     v: float = 0.0
-    values: tuple[float, ...] = ()
-    probs: tuple[float, ...] = ()
+    values: tuple[float, ...] = (0.0,)
+    probs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if self.kind not in _FIELD_KINDS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "gaussian_centered":
-            if not (math.isfinite(self.v) and self.v >= 0.0):
-                raise ValueError("gaussian field variance must be finite and >= 0")
-        elif self.kind == "point_mass":
-            if len(self.values) != 1 or not math.isfinite(self.values[0]):
-                raise ValueError("point-mass field needs exactly one finite value")
-        elif self.kind == "discrete":
-            n = len(self.values)
-            if not (1 <= n <= MAX_FIELD_ATOMS):
-                raise ValueError(f"discrete field needs 1..{MAX_FIELD_ATOMS} atoms")
-            if len(self.probs) != n:
-                raise ValueError("discrete field needs one probability per atom")
-            if not all(math.isfinite(x) for x in self.values):
-                raise ValueError("discrete field atoms must be finite")
-            p = np.asarray(self.probs, dtype=float)
-            if np.any(p < 0.0) or abs(p.sum() - 1.0) > _SIMPLEX_TOL:
-                raise ValueError("discrete field probabilities must be a distribution")
+        v, values, probs = self.v, self.values, self.probs
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ValueError("field variance v must be finite and >= 0")
+        if values == (0.0,) and probs == (1.0,):
+            return  # the centred atom: nothing more to check
+        n = len(values)
+        if not (1 <= n <= MAX_FIELD_ATOMS and len(probs) == n):
+            raise ValueError(f"a field needs 1..{MAX_FIELD_ATOMS} atoms "
+                             "and one probability per atom")
+        if not all(map(math.isfinite, values)):
+            raise ValueError("field atoms must be finite")
+        # A NaN probability makes the sum NaN, which fails the test.
+        if not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= _SIMPLEX_TOL):
+            raise ValueError("field probabilities must be a distribution")
+        if v > 0.0 and (n > 1 or values[0] != 0.0):
+            raise ValueError("a field cannot have both a Gaussian part "
+                             "and atoms other than the single atom 0")
+        if n == 1 and probs != (1.0,):
+            object.__setattr__(self, "probs", (1.0,))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero() -> "FieldSpec":
-        return FieldSpec(kind="zero")
+        return FieldSpec()
 
     @staticmethod
     def gaussian(v: float) -> "FieldSpec":
-        return FieldSpec(kind="gaussian_centered", v=float(v))
+        return FieldSpec(v=float(v))
 
     @staticmethod
     def point_mass(h0: float) -> "FieldSpec":
-        return FieldSpec(kind="point_mass", values=(float(h0),), probs=(1.0,))
+        return FieldSpec(values=(float(h0),))
 
     @staticmethod
     def discrete(values: Sequence[float], probs: Sequence[float]) -> "FieldSpec":
-        return FieldSpec(
-            kind="discrete",
-            values=tuple(float(x) for x in values),
-            probs=tuple(float(p) for p in probs),
-        )
+        return FieldSpec(values=tuple(float(x) for x in values),
+                         probs=tuple(float(p) for p in probs))
 
-    # -- predicates / serialization -----------------------------------------
+    # -- the law ------------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "gaussian_centered":
-            return self.v == 0.0
-        if self.kind == "point_mass":
-            return self.values[0] == 0.0
-        return all(x == 0.0 for x in self.values)
+    @functools.cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atoms ``(values, probs)`` as read-only arrays, built once."""
+        arrays = np.array(self.values), np.array(self.probs)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
 
     @property
-    def is_gaussian(self) -> bool:
-        return self.kind == "gaussian_centered"
-
-    @property
-    def is_positive_gaussian(self) -> bool:
-        """Centred Gaussian with strictly positive variance."""
-        return self.is_gaussian and self.v > 0.0
+    def kind(self) -> str:
+        """``discrete`` for several atoms, ``point_mass`` for one nonzero
+        atom, else ``gaussian_centered`` if ``v > 0`` and ``zero`` if not."""
+        if len(self.values) > 1:
+            return "discrete"
+        if self.values[0] != 0.0:
+            return "point_mass"
+        return "gaussian_centered" if self.v > 0.0 else "zero"
 
     @property
     def is_centred(self) -> bool:
-        """Zero or centred Gaussian (of any variance ``v >= 0``)."""
-        return self.kind in ("zero", "gaussian_centered")
+        """Every atom is 0: a zero or centred Gaussian field."""
+        return not any(self.values)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.v == 0.0 and self.is_centred
 
     def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        if self.kind == "gaussian_centered":
-            return {"kind": "gaussian_centered", "v": self.v}
-        if self.kind == "point_mass":
-            return {"kind": "point_mass", "h0": self.values[0]}
-        return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
+        """The JSON form, under the canonical :attr:`kind`."""
+        kind = self.kind
+        if kind == "zero":
+            return {"kind": kind}
+        if kind == "gaussian_centered":
+            return {"kind": kind, "v": self.v}
+        if kind == "point_mass":
+            return {"kind": kind, "h0": self.values[0]}
+        return {"kind": kind, "values": list(self.values), "probs": list(self.probs)}
 
     @staticmethod
     def from_dict(d: dict) -> "FieldSpec":
@@ -239,7 +243,7 @@ class ModelParams:
     @property
     def gaussian_fields(self) -> bool:
         """Every layer has a centred Gaussian field with positive variance."""
-        return all(f.is_positive_gaussian for f in self.fields)
+        return all(f.v > 0.0 for f in self.fields)
 
     def require_fields(self, what: str, gaussian: bool) -> None:
         """Raise ``ValueError`` naming the first layer that ``what`` cannot take.
@@ -250,10 +254,9 @@ class ModelParams:
         need = ("centred Gaussian fields with positive variance" if gaussian
                 else "zero or centred Gaussian external fields")
         for p, f in enumerate(self.fields):
-            if not (f.is_positive_gaussian if gaussian else f.is_centred):
-                detail = f", v={f.v}" if f.is_gaussian else ""
+            if not (f.v > 0.0 if gaussian else f.is_centred):
                 raise ValueError(f"{what} requires {need} on every layer "
-                                 f"(layer {p} has kind '{f.kind}'{detail})")
+                                 f"(layer {p} has kind '{f.kind}')")
 
     def to_dict(self) -> dict:
         return {

@@ -32,10 +32,10 @@ which lies above every root, decreases monotonically onto the largest.  A
 guard raises :class:`SolverError` when an iterate leaves ``[0, 1]`` or
 climbs while the residual is still above ``1e-6``, which is how a
 layer variance past the quadrature's accuracy range
-(``ghquad.ACCURATE_VARIANCE``) shows.  Other fields (point-mass, discrete
-or mixed) lose that theory: Newton starts at ``q = 1/2`` and keeps a step
-only if it lowers the residual, taking the damped step ``q - G(q) / 2``
-otherwise.  Either way the iteration stops at residual
+(``ghquad.ACCURATE_VARIANCE``) shows.  Fields with a nonzero atom
+(point-mass or discrete, alone or mixed with centred ones) lose that
+theory: Newton starts at ``q = 1/2`` and keeps a step only if it lowers
+the residual, taking the damped step ``q - G(q) / 2`` otherwise.  Either way the iteration stops at residual
 ``max(1e-14, tol / 100)`` once the next step, estimated with the last
 Jacobian, is within ``tol``, and fails only if its best residual stays
 above ``tol``.
@@ -479,7 +479,8 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     ``s + v <= ghquad.ACCURATE_VARIANCE``.  Closer to the root the guard is
     off and iterates are clipped to the unit box.
 
-    *Other fields* (point-mass, discrete, or a mix with centred ones).  The
+    *Fields with a nonzero atom* (point-mass or discrete, alone or mixed
+    with centred ones).  The
     monotone theory no longer applies, so the iteration starts at
     ``q = 1/2`` and keeps a Newton step (clipped to the unit box) only if
     it lowers the residual; otherwise it takes the damped fixed-point step

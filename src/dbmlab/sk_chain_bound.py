@@ -207,11 +207,11 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
       scalar solves start at ``q`` (clipped into ``(0, 1)``) and need few
       steps; at the witness they start at ``1/2``.
 
-    Needs at least two layers, strictly positive layer weights and zero or
-    centred Gaussian fields.  ``boundary_suspect`` flags ``|log a_p| > 12``.
+    Needs strictly positive layer weights and zero or centred Gaussian
+    fields.  A single layer has no weights to choose: ``a`` is empty, the
+    bound is the layer's own pressure and ``stationarity`` is 0.
+    ``boundary_suspect`` flags ``|log a_p| > 12``.
     """
-    if params.K == 1:
-        raise ValueError("the split bound needs at least two layers")
     params.require_fields("the split bound", gaussian=False)
     if min(params.lam) <= 0.0:
         raise ValueError("the split bound requires strictly positive layer "
@@ -236,7 +236,8 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
         boundary_suspect=bool(np.any(np.abs(np.log(a)) > _SUSPECT_WIDTH)),
         theta=np.sqrt(theta_sq),
         overlaps=overlaps,
-        stationarity=float(np.max(np.abs(_matching_defect(a, lam, overlaps)))),
+        stationarity=float(np.max(np.abs(_matching_defect(a, lam, overlaps)),
+                                  initial=0.0)),
     )
 
 

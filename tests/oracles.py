@@ -119,13 +119,8 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
     variances = np.asarray(s, dtype=float).reshape(-1)
     out = []
     for s_p, field in zip(variances, layers, strict=True):
-        if field.kind in ("zero", "gaussian_centered"):
-            shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
-        else:
-            shifts = np.asarray(field.values, dtype=float)
-            probs = np.asarray(field.probs, dtype=float)
-            extra = 0.0
-        y = math.sqrt(s_p + extra) * rule.nodes[None, :] + shifts[:, None]
+        shifts, probs = np.array(field.values), np.array(field.probs)
+        y = math.sqrt(s_p + field.v) * rule.nodes[None, :] + shifts[:, None]
         vals = np.asarray(f(y), dtype=float)
         out.append(np.sum(probs * np.sum(vals * rule.weights, axis=-1),
                           axis=-1))

@@ -138,7 +138,10 @@ def test_malformed_config_is_usage_error(tmp_path):
                    "fields": [{"kind": "point_mass", "h0": "0.3"}]},
                   {"K": 1, "beta": [], "lambda": [1.0],
                    "fields": [{"kind": "discrete", "values": [False],
-                               "probs": [1.0]}]}):
+                               "probs": [1.0]}]},
+                  {"K": 1, "beta": [], "lambda": [1.0],
+                   "fields": [{"kind": "discrete", "values": [0.5, -0.5],
+                               "probs": [math.nan, 1.0]}]}):
         cfg = write_config(tmp_path, model, name="model.json")
         for command in ("region", "poly", "rs", "bound"):
             assert cli.main([command, "--config", cfg]) == 2
@@ -303,6 +306,9 @@ def test_bound_single_layer(tmp_path):
         LOG2 + ghquad.expect(ghquad.LOG_COSH, 0.0, field), abs=1e-9)
     assert data["certified"] is True
     assert data["a"] == []
+    assert data["theta"] == [0.0] and data["stationarity"] == 0.0
+    assert data["overlaps"] == [pytest.approx(
+        ghquad.expect(ghquad.TANH_SQ, 0.0, field), abs=1e-12)]
 
 
 def test_bound_matches_rs_when_certified(tmp_path):
@@ -757,6 +763,56 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     for argv, result in zip(calls, shared):
         cli._build_parser.cache_clear()
         assert _run_main(argv, capsys) == result
+
+
+# The zero law as JSON can spell it.
+_ZERO_SPELLINGS = ({"kind": "zero"}, {"kind": "point_mass", "h0": 0.0},
+                   {"kind": "discrete", "values": [0.0], "probs": [1.0]},
+                   {"kind": "gaussian_centered", "v": 0.0})
+
+
+@st.composite
+def _zero_gaussian_chains(draw):
+    """Chains with zero or Gaussian fields, the zero layers marked ``None``."""
+    K = draw(st.integers(1, 5))
+    beta = draw(st.lists(st.floats(0.2, 1.5), min_size=K - 1, max_size=K - 1))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=K, max_size=K))
+    variances = draw(st.lists(st.one_of(st.none(), st.floats(0.05, 1.0)),
+                              min_size=K, max_size=K))
+    return {"K": K, "beta": beta,
+            "lambda": [w / sum(weights) for w in weights]}, variances
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(chain=_zero_gaussian_chains())
+def test_every_spelling_of_the_zero_law_gives_the_same_bytes_property(
+        tmp_path_factory, chain):
+    model, variances = chain
+    zero_layers = [p for p, v in enumerate(variances) if v is None]
+    axes = [{"path": "beta[0]", "min": 0.4, "max": 1.6, "steps": 2}
+            if model["K"] > 1 else
+            {"path": "fields[0].v", "min": 0.0, "max": 0.5, "steps": 2}]
+    if zero_layers:
+        # A variance axis on a zero layer: every spelling is a centred base.
+        axes.append({"path": f"fields[{zero_layers[-1]}].v", "min": 0.0,
+                     "max": 0.5, "steps": 2})
+    outputs = []
+    for zero in _ZERO_SPELLINGS:
+        data = dict(model, fields=[
+            zero if v is None else {"kind": "gaussian_centered", "v": v}
+            for v in variances])
+        data["scan"] = {"axes": axes, "outputs": sorted(cli._OUTPUT_COLUMNS)}
+        directory = tmp_path_factory.mktemp("zero")
+        cfg = write_config(directory, data)
+        runs = []
+        for command in ("rs", "bound", "scan"):
+            out = directory / f"{command}.json"
+            code = cli.main([command, "--config", cfg, "--format", "json",
+                             "--out", str(out)])
+            runs.append((command, code, out.read_text() if code == 0 else None))
+        outputs.append(runs)
+    assert all(runs == outputs[0] for runs in outputs)
+    assert [code for _, code, _ in outputs[0]][1:] == [0, 0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -156,8 +156,8 @@ def _differentiated_under_the_integral(s, field):
     integration-by-parts slope; it needs ``u > 0``.
     """
     rule = ghquad.default_rule()
-    shifts, probs, extra = ghquad._field_atoms(field)
-    std = math.sqrt(s + extra)
+    shifts, probs = np.array(field.values), np.array(field.probs)
+    std = math.sqrt(s + field.v)
     t = np.tanh(std * rule.nodes[None, :] + shifts[:, None])
     vals = 2.0 * t * (1.0 - t * t) * rule.nodes[None, :]
     return float(probs @ (vals @ rule.weights)) / (2.0 * std)
@@ -199,7 +199,7 @@ def test_expect_derivative_at_zero_variance():
         if field.v > 0.0:
             exact = _differentiated_under_the_integral(0.0, field)
         else:
-            shifts, probs, _ = ghquad._field_atoms(field)
+            shifts, probs = np.array(field.values), np.array(field.probs)
             sech_sq = 1.0 / np.cosh(shifts) ** 2
             exact = float(probs @ (3.0 * sech_sq**2 - 2.0 * sech_sq))
         assert der == pytest.approx(exact, abs=1e-14)
@@ -253,9 +253,8 @@ def test_rule_follows_the_total_variance():
 
 def _reference(f, s, field):
     """``E f(z sqrt(s) + h)`` atom by atom, on the oracle's wide fine grid."""
-    if field.kind in ("zero", "gaussian_centered"):
-        return trapezoid_gauss_expect(f, math.sqrt(s + field.v), n=200_001)
-    return sum(p * trapezoid_gauss_expect(f, math.sqrt(s), h, n=200_001)
+    return sum(p * trapezoid_gauss_expect(f, math.sqrt(s + field.v), h,
+                                          n=200_001)
                for h, p in zip(field.values, field.probs))
 
 
@@ -279,13 +278,8 @@ def test_tanh_sq_expectation_bounded_and_monotone():
 
 def _fresh_atom_expect(f, s, field, rule):
     """``expect`` with freshly allocated atoms: one dot product per atom."""
-    if field.kind in ("zero", "gaussian_centered"):
-        shifts, probs, extra = np.zeros(1), np.ones(1), float(field.v)
-    else:
-        shifts = np.asarray(field.values, dtype=float)
-        probs = np.asarray(field.probs, dtype=float)
-        extra = 0.0
-    std = math.sqrt(s + extra)
+    shifts, probs = np.array(field.values), np.array(field.probs)
+    std = math.sqrt(s + field.v)
     y = std * rule.nodes[None, :] + shifts[:, None]
     vals = np.asarray(f(y), dtype=float)
     return float(np.sum(probs * np.array([np.dot(row, rule.weights)
@@ -298,11 +292,9 @@ def test_shared_atoms_are_read_only_and_bit_identical():
               FieldSpec.point_mass(0.3),
               FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
     for field in fields:
-        shifts, probs, _ = ghquad._field_atoms(field)
-        if field.kind in ("zero", "gaussian_centered"):
-            for atoms in (shifts, probs):
-                with pytest.raises(ValueError):
-                    atoms[0] = 5.0
+        for atoms in field.atoms:
+            with pytest.raises(ValueError):
+                atoms[0] = 5.0
         for s in (0.0, 0.4, 3.0):
             for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
                 assert ghquad.expect(kernel, s, field) == _fresh_atom_expect(

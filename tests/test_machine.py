@@ -76,6 +76,72 @@ def test_params_dict_round_trip_property(params):
     assert ModelParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
 
 
+# Every spelling of the zero law, as constructed and as written in JSON.
+_ZERO_SPELLINGS = (FieldSpec.zero(), FieldSpec.point_mass(0.0),
+                   FieldSpec.discrete([0.0], [1.0]), FieldSpec.gaussian(0.0))
+_ZERO_JSON = ({"kind": "zero"}, {"kind": "point_mass", "h0": 0},
+              {"kind": "discrete", "values": [0], "probs": [1]},
+              {"kind": "gaussian_centered", "v": 0})
+
+
+def test_a_field_is_its_law():
+    for field in _ZERO_SPELLINGS + tuple(map(FieldSpec.from_dict, _ZERO_JSON)):
+        assert field == FieldSpec()
+        assert hash(field) == hash(FieldSpec())
+        assert field.kind == "zero" and field.is_zero and field.is_centred
+        assert field.to_dict() == {"kind": "zero"}
+        assert FieldSpec.from_dict(field.to_dict()) == field
+    # One atom is a point mass whatever its spelling; its probability is 1.
+    one_atom = FieldSpec.discrete([0.3], [1.0 - 1e-12])
+    assert one_atom == FieldSpec.point_mass(0.3)
+    assert one_atom.to_dict() == {"kind": "point_mass", "h0": 0.3}
+    assert not one_atom.is_centred
+    gaussian = FieldSpec.gaussian(0.4)
+    assert gaussian == FieldSpec(v=0.4)
+    assert gaussian.kind == "gaussian_centered"
+    assert gaussian.is_centred and not gaussian.is_zero
+    # Several atoms stay discrete, even when all of them sit at 0.
+    split = FieldSpec.discrete([0.0, 0.0], [0.5, 0.5])
+    assert split.kind == "discrete" and split.is_zero
+    assert split.to_dict() == {"kind": "discrete", "values": [0.0, 0.0],
+                               "probs": [0.5, 0.5]}
+    assert FieldSpec.from_dict(split.to_dict()) == split
+    assert split != FieldSpec.zero()
+
+
+def test_field_atoms_are_built_once_read_only_and_outside_equality():
+    field = FieldSpec.discrete([-1.0, 0.5], [0.25, 0.75])
+    values, probs = field.atoms
+    assert field.atoms[0] is values and field.atoms[1] is probs
+    assert values.tolist() == [-1.0, 0.5] and probs.tolist() == [0.25, 0.75]
+    for array in (values, probs):
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    fresh = FieldSpec.discrete([-1.0, 0.5], [0.25, 0.75])
+    assert fresh == field and hash(fresh) == hash(field)
+    assert "atoms" not in repr(field)
+
+
+def test_field_laws_that_have_no_json_form_or_no_meaning_are_refused():
+    nan = float("nan")
+    for make_field in (lambda: FieldSpec(v=0.5, values=(0.3,)),
+                       lambda: FieldSpec(v=0.5, values=(0.0, 0.0),
+                                         probs=(0.5, 0.5)),
+                       lambda: FieldSpec.gaussian(-0.1),
+                       lambda: FieldSpec.gaussian(math.inf),
+                       lambda: FieldSpec.point_mass(nan),
+                       lambda: FieldSpec.discrete([], []),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [1.0]),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [nan, 1.0]),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [1.0, nan]),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [math.inf, 1.0]),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [-0.5, 1.5]),
+                       lambda: FieldSpec.discrete([0.1, 0.2], [0.5, 0.6]),
+                       lambda: FieldSpec.discrete([0.0] * 65, [1 / 65] * 65)):
+        with pytest.raises(ValueError):
+            make_field()
+
+
 # ---------------------------------------------------------------------------
 # activities / annealed pressure
 # ---------------------------------------------------------------------------

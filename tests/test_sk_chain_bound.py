@@ -215,10 +215,20 @@ def test_maximize_certified_random_instances_match_nested_pressure():
         assert result.stationarity < 1e-8
 
 
-def test_maximize_rejects_single_layer():
-    params = make(1, (), (1.0,), (FieldSpec.gaussian(1.0),))
-    with pytest.raises(ValueError):
-        maximize_bound(params)
+def test_maximize_takes_a_single_layer():
+    # One layer has no weights to choose: the bound is the functional at
+    # the empty weight vector.
+    for field in (FieldSpec.gaussian(1.0), FieldSpec.gaussian(1e-3),
+                  FieldSpec.zero()):
+        params = make(1, (), (1.0,), (field,))
+        result = maximize_bound(params)
+        value, certified = p_dbm_functional(np.zeros(0), params)
+        assert abs(result.value - value) <= 1e-15
+        assert result.certified is certified is True
+        assert result.a.shape == (0,)
+        assert result.stationarity == 0.0
+        assert result.theta.tolist() == [0.0]
+        assert result.overlaps.shape == (1,)
 
 
 def test_maximize_uncertified_outside_is_labeled():
