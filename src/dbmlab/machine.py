@@ -143,7 +143,8 @@ class FieldSpec:
     @functools.cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Atoms ``(values, probs)`` as read-only arrays, built once."""
-        arrays = np.array(self.values), np.array(self.probs)
+        arrays = (np.array(self.values, dtype=float),
+                  np.array(self.probs, dtype=float))
         for array in arrays:
             array.setflags(write=False)
         return arrays

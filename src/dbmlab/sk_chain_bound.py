@@ -199,7 +199,8 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
 
     * the annealed-region witness when every field is zero and the model
       lies strictly inside the annealed region, where ``q = 0`` is the only
-      consistency solution;
+      consistency solution, and for a single layer, where the witness is
+      the empty vector, the only weights there are;
     * otherwise ``related_aux(q)`` for the largest consistency solution
       ``q``: ``nested_q`` when given, else :func:`rs_solver.solve_nested`
       at tolerance ``tol``, which raises :class:`rs_solver.SolverError`
@@ -208,9 +209,8 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
       steps; at the witness they start at ``1/2``.
 
     Needs strictly positive layer weights and zero or centred Gaussian
-    fields.  A single layer has no weights to choose: ``a`` is empty, the
-    bound is the layer's own pressure and ``stationarity`` is 0.
-    ``boundary_suspect`` flags ``|log a_p| > 12``.
+    fields.  For a single layer the bound is the layer's own pressure and
+    ``stationarity`` is 0.  ``boundary_suspect`` flags ``|log a_p| > 12``.
     """
     params.require_fields("the split bound", gaussian=False)
     if min(params.lam) <= 0.0:
@@ -219,7 +219,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     witness = (machine.classify_annealed(params).feasible_a
-               if params.zero_fields else None)
+               if params.zero_fields or params.K == 1 else None)
     if witness is not None:
         a = np.asarray(witness, dtype=float)
     else:

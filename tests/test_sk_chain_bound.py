@@ -219,7 +219,7 @@ def test_maximize_takes_a_single_layer():
     # One layer has no weights to choose: the bound is the functional at
     # the empty weight vector.
     for field in (FieldSpec.gaussian(1.0), FieldSpec.gaussian(1e-3),
-                  FieldSpec.zero()):
+                  FieldSpec.gaussian(5e-324), FieldSpec.zero()):
         params = make(1, (), (1.0,), (field,))
         result = maximize_bound(params)
         value, certified = p_dbm_functional(np.zeros(0), params)
