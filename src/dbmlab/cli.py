@@ -41,6 +41,9 @@ _OUTPUT_COLUMNS = {
     "certificates": ("talagrand_ok", "at_ok", "stable_at_zero"),
 }
 _DEFAULT_OUTPUTS = ("region", "rho")
+# Most interaction-matrix entries (points times K^2) in one scan stack,
+# which bounds the memory of the stacked solver's arrays.
+_STACK_ENTRIES = 1 << 16
 # Keys of the config's verify section, read by cmd_verify.
 _VERIFY_KEYS = ("sizes", "n_disorder", "sweeps", "replicas",
                 "covariance_total", "covariance_n_disorder", "n_pairs")
@@ -50,6 +53,10 @@ _AXIS_RE = re.compile(r"^(beta|lambda|fields)\[(\d+)\](\.v)?$")
 
 class ConfigError(Exception):
     """Problem with the config file or flags; maps to exit code 2."""
+
+
+class SolveFailure(Exception):
+    """A solver could not evaluate a valid model; maps to exit code 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +413,10 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     if min(params.lam) <= 0.0:
         raise ConfigError("the bound requires strictly positive layer "
                           "weights; prune zero-weight layers from the model")
-    data = sk_chain_bound.maximize_bound(params, tol).to_dict()
+    try:
+        data = sk_chain_bound.maximize_bound(params, tol).to_dict()
+    except ValueError as exc:
+        raise SolveFailure(f"the bound failed: {exc}") from exc
     p_annealed = float(machine.annealed_pressure(params))
     flags = []
     if not data["certified"]:
@@ -476,30 +486,65 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
 
 
 def cmd_scan(config: _Config, args) -> tuple[str, bool]:
+    """Tabulate the scan outputs at every grid point.
+
+    The grid's points share ``K``, so they are solved as one stack: one
+    Newton iteration (:func:`rs_solver.solve_stack`), one bound evaluation
+    (:func:`sk_chain_bound.maximize_stack`) and one certificate pass serve
+    every point, each with the bits of its own ``rs`` or ``bound`` run.  A
+    point whose solve fails gets ``rs_failed`` or ``bound_failed`` on its
+    own row, and the other points go on.  A grid with more than
+    ``_STACK_ENTRIES`` matrix entries (points times ``K^2``) is cut into
+    stacks of at most that many, solved one after the other.
+    """
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")
     scan = config.scan
     tol = _tol(args, config)
-    outputs = scan.outputs
-    need_verdict = "region" in outputs or "rho" in outputs
-    need_solution = "rs_pressure" in outputs or "certificates" in outputs
+    grid = _grid(scan.axes)
+    size = max(1, _STACK_ENTRIES // config.params.K ** 2)
+    rows = []
+    for start in range(0, len(grid), size):
+        rows += _scan_rows(config.params, scan, tol, grid[start:start + size])
+    columns = [axis.path for axis in scan.axes]
+    for name in scan.outputs:
+        columns.extend(_OUTPUT_COLUMNS[name])
+    columns.append("flags")
+    if args.format == "json":
+        return _json_text({"command": "scan", "columns": columns,
+                           "rows": rows}), True
+    return _csv_table(columns, rows), True
 
-    def worker(values):
-        params = _apply_point(config.params, scan.axes, values)
+
+def _scan_rows(base: ModelParams, scan: ScanSpec, tol: float, points) -> list:
+    """The rows of the grid ``points``, solved as one stack."""
+    outputs = scan.outputs
+    models = [_apply_point(base, scan.axes, values) for values in points]
+    verdicts = ([machine.classify_annealed(params) for params in models]
+                if "region" in outputs or "rho" in outputs else None)
+    solutions = [None] * len(models)
+    if "rs_pressure" in outputs or "certificates" in outputs:
+        solutions = rs_solver.solve_stack(
+            models, tol, rho=None if verdicts is None else
+            [verdict.rho for verdict in verdicts])
+    if "bound" in outputs:
+        bounds = sk_chain_bound.maximize_stack(
+            models, tol, verdicts=verdicts, nested_q=[
+                s.q if isinstance(s, rs_solver.RsSolution) else None
+                for s in solutions])
+    rows = []
+    for i, values in enumerate(points):
         row = {axis.path: float(v) for axis, v in zip(scan.axes, values)}
         flags = []
-        verdict = machine.classify_annealed(params) if need_verdict else None
-        solution = None
-        if need_solution:
-            try:
-                solution = rs_solver.solve_nested(params, tol)
-            except (rs_solver.SolverError, ValueError):
-                flags.append("rs_failed")
+        solution = solutions[i]
+        if isinstance(solution, Exception):
+            flags.append("rs_failed")
+            solution = None
         for name in outputs:
             if name == "region":
-                row["verdict"] = verdict.verdict
+                row["verdict"] = verdicts[i].verdict
             elif name == "rho":
-                row["rho"] = float(verdict.rho)
+                row["rho"] = float(verdicts[i].rho)
             elif name == "rs_pressure":
                 row["rs_pressure"] = (None if solution is None
                                       else float(solution.pressure))
@@ -510,30 +555,19 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
                                "stable_at_zero": None})
                 row.update(certs)
             elif name == "bound":
-                try:
-                    bound = sk_chain_bound.maximize_bound(
-                        params, tol,
-                        nested_q=None if solution is None else solution.q)
-                    value, certified = bound.value, bound.certified
-                except (rs_solver.SolverError, ValueError):
+                bound = bounds[i]
+                if isinstance(bound, Exception):
                     value, certified = None, None
                     flags.append("bound_failed")
+                else:
+                    value, certified = bound.value, bound.certified
                 row["bound_value"] = value
                 row["bound_certified"] = certified
                 if certified is False:
                     flags.append("uncertified")
         row["flags"] = ";".join(flags)
-        return row
-
-    rows = [worker(values) for values in _grid(scan.axes)]
-    columns = [axis.path for axis in scan.axes]
-    for name in outputs:
-        columns.extend(_OUTPUT_COLUMNS[name])
-    columns.append("flags")
-    if args.format == "json":
-        return _json_text({"command": "scan", "columns": columns,
-                           "rows": rows}), True
-    return _csv_table(columns, rows), True
+        rows.append(row)
+    return rows
 
 
 _HANDLERS = {
@@ -598,6 +632,9 @@ def main(argv=None) -> int:
         return 2
     except rs_solver.SolverError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
+        return 1
+    except SolveFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(text, args.out)
     return 0 if ok else 1

@@ -34,13 +34,15 @@ Layered calls
 The replica-symmetric pressure, its consistency map and the split bound
 are sums of one such integral per layer, so :func:`expect` takes a vector
 of variances and one field per layer and evaluates every layer in one
-call: the atoms of all fields go into one ``(atoms, nodes)`` array per
-rule, layers grouped by the rule their total variance picks, in blocks of
-at most ``MAX_FIELD_ATOMS`` atoms so that no array outgrows the one-layer
+call: the atoms of all fields go into ``(atoms, nodes)`` arrays, atoms
+grouped by the rule their layer's total variance picks, in blocks of at
+most ``MAX_FIELD_ATOMS`` atoms so that no array outgrows the one-layer
 call with the largest field.  Each atom's node sum is its own dot product,
 so a layer's value is bit for bit that of the one-layer call, whatever
 else shares the call.  A float ``s`` with one field is the one-layer case
-of the same body.
+of the same body.  The fields' atoms are laid out as arrays in a
+:class:`FieldTable`; a solver that evaluates the same layers at every step
+builds it once and passes it in place of the fields.
 
 Derivatives in the variance
 ---------------------------
@@ -55,6 +57,7 @@ pass, so the consistency map and its slope cost one call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +77,7 @@ __all__ = [
     "normal_trapezoid_rule",
     "default_rule",
     "expect",
+    "FieldTable",
 ]
 
 DEFAULT_ORDER = 361
@@ -182,77 +186,101 @@ def _rule_for(variance: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
+class FieldTable(tuple):
+    """A tuple of :class:`FieldSpec`, one per layer, with their laws laid
+    out as arrays for :func:`expect`.
+
+    ``v`` holds each layer's Gaussian variance, ``shifts`` and ``probs``
+    the atoms of all layers in layer order, and ``starts`` the index of
+    each layer's first atom.  :func:`expect` builds one from the fields
+    of every call; a caller that evaluates the same layers many times
+    (a solver's steps) builds it once and passes it as ``fields``.
+    """
+
+    def __new__(cls, fields):
+        table = super().__new__(cls, fields)
+        if not all(isinstance(field, FieldSpec) for field in table):
+            raise TypeError("field must be a FieldSpec")
+        atoms = [field.atoms for field in table]
+        counts = [len(field.values) for field in table]
+        table.v = np.array([field.v for field in table])
+        table.shifts = np.concatenate([values for values, _ in atoms])
+        table.probs = np.concatenate([probs for _, probs in atoms])
+        table.starts = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
+        table.counts = np.array(counts)
+        return table
+
+
+def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
+    """``(rule, atoms)`` blocks of at most ``MAX_FIELD_ATOMS`` atoms that
+    share the rule their layer's total variance picks (:func:`_rule_for`);
+    ``atoms`` is a slice or an index array into the table's atoms, and
+    ``largest`` is the largest total variance."""
+    size = table.shifts.size
+    if largest <= _DEFAULT_VARIANCE:
+        for lo in range(0, size, MAX_FIELD_ATOMS):
+            yield default_rule(), slice(lo, lo + MAX_FIELD_ATOMS)
+        return
+    rules = [_rule_for(variance) for variance in total.tolist()]
+    orders = np.repeat([rule.order for rule in rules], table.counts)
+    for rule in dict.fromkeys(rules):
+        atoms = np.flatnonzero(orders == rule.order)
+        for lo in range(0, atoms.size, MAX_FIELD_ATOMS):
+            yield rule, atoms[lo:lo + MAX_FIELD_ATOMS]
+
+
 def expect(f, s, fields):
     """``E f(z sqrt(s_p) + h_p)`` for standard Gaussian ``z``, per layer.
 
     ``s`` is a ``(K,)`` array of variances and ``fields`` a sequence of
-    ``K`` :class:`FieldSpec`; the result is a ``(K,)`` array.  A float ``s``
-    with one :class:`FieldSpec` is the one-layer case and gives a float.  A
-    kernel that returns several arrays stacked along a leading axis, such
-    as :data:`TANH_MOMENTS`, gives one row per array: ``(m, K)``, or
-    ``(m,)`` for one layer.
+    ``K`` :class:`FieldSpec`, or a :class:`FieldTable` of them; the result
+    is a ``(K,)`` array.  A float ``s`` with one :class:`FieldSpec` is the
+    one-layer case and gives a float.  A kernel that returns several
+    arrays stacked along a leading axis, such as :data:`TANH_MOMENTS`,
+    gives one row per array: ``(m, K)``, or ``(m,)`` for one layer.
 
-    The atoms of all layers go into one ``(atoms, nodes)`` evaluation per
-    rule, split into blocks of at most ``MAX_FIELD_ATOMS`` atoms; the rule
-    is picked from each layer's total variance ``s_p + v_p`` (see the
-    module docstring).  Each atom's node sum is its own dot product, so a
-    layer's value does not depend on the other layers in the call: it is
-    bit for bit the value of the one-layer call.
+    The atoms of all layers are evaluated in blocks of at most
+    ``MAX_FIELD_ATOMS`` atoms that share a rule; the rule is picked from
+    each layer's total variance ``s_p + v_p`` (see the module docstring).
+    Each atom's node sum is its own dot product, so a layer's value does
+    not depend on the other layers in the call: it is bit for bit the
+    value of the one-layer call.
     """
     single = isinstance(fields, FieldSpec)
-    if single:
-        fields = (fields,)
-    variances = np.asarray(s, dtype=float).ravel().tolist()
-    if len(variances) != len(fields):
-        raise ValueError(f"need one variance per field, got {len(variances)} "
-                         f"for {len(fields)}")
-    # Per atom its shift, probability and standard deviation, and per layer
-    # the index of its first atom.  Layers are evaluated in blocks that
-    # share a rule and hold at most MAX_FIELD_ATOMS atoms, so no array is
-    # larger than a one-layer call with the largest field needs.
-    shifts, probs, std, starts = [], [], [], []
-    blocks = []  # (rule, layers)
-    open_blocks = {}  # rule -> [layers, atom count] of its last block
-    for p, (variance, field) in enumerate(zip(variances, fields)):
-        if not 0.0 <= variance < math.inf:
-            raise ValueError("variance s must be finite and >= 0")
-        if not isinstance(field, FieldSpec):
-            raise TypeError("field must be a FieldSpec")
-        atom_shifts, atom_probs = field.atoms
-        total = variance + field.v
-        rule = _rule_for(total)
-        block = open_blocks.get(rule)
-        if block is None or block[1] + atom_shifts.size > MAX_FIELD_ATOMS:
-            block = open_blocks[rule] = [[], 0]
-            blocks.append((rule, block[0]))
-        block[0].append(p)
-        block[1] += atom_shifts.size
-        starts.append(len(std))
-        std += [math.sqrt(total)] * atom_shifts.size
-        shifts.append(atom_shifts)
-        probs.append(atom_probs)
-    ends = starts[1:] + [len(std)]
-    std = np.array(std)
-    shifts = np.concatenate(shifts)
+    table = (fields if isinstance(fields, FieldTable)
+             else FieldTable((fields,) if single else fields))
+    variances = np.asarray(s, dtype=float).ravel()
+    if variances.size != len(table):
+        raise ValueError(f"need one variance per field, got {variances.size} "
+                         f"for {len(table)}")
+    total = variances + table.v
+    # With v finite and >= 0, s + v is finite exactly when s is, short of
+    # overflow; a NaN fails both tests.
+    largest = np.maximum.reduce(total)
+    if not (np.minimum.reduce(variances) >= 0.0 and largest < math.inf):
+        raise ValueError("variance s must be finite and >= 0, and s + v "
+                         "finite")
+    std = np.sqrt(total)
+    several = table.shifts.size > len(table)
+    if several:
+        std = np.repeat(std, table.counts)
     sums = None
-    for rule, layers in blocks:
-        rows = (slice(None) if len(blocks) == 1 else np.concatenate(
-            [np.arange(starts[p], ends[p]) for p in layers]))
-        y = std[rows, None] * rule.nodes + shifts[rows, None]
+    for rule, atoms in _rule_blocks(total, largest, table):
+        y = std[atoms, None] * rule.nodes + table.shifts[atoms, None]
         vals = np.asarray(f(y), dtype=float)
         # One dot product per atom: (..., A, 1, N) @ (N, 1).
         atom_sums = np.matmul(vals[..., None, :],
                               rule.weights[:, None])[..., 0, 0]
-        if len(blocks) == 1:
-            sums = atom_sums
-        else:
-            if sums is None:
-                sums = np.empty(atom_sums.shape[:-1] + shifts.shape)
-            sums[..., rows] = atom_sums
         del y, vals  # free this block's arrays before the next one's
-    if len(std) > len(fields):
+        if sums is None and atom_sums.shape[-1] == table.shifts.size:
+            sums = atom_sums
+            continue
+        if sums is None:
+            sums = np.empty(atom_sums.shape[:-1] + table.shifts.shape)
+        sums[..., atoms] = atom_sums
+    if several:
         # Some layer has several atoms: weigh them and sum per layer.
-        sums = np.add.reduceat(np.concatenate(probs) * sums, starts, axis=-1)
+        sums = np.add.reduceat(table.probs * sums, table.starts, axis=-1)
     if not single:
         return sums
     return float(sums[0]) if sums.ndim == 1 else sums[..., 0]

@@ -39,9 +39,24 @@ the residual, taking the damped step ``q - G(q) / 2`` otherwise.  Either way the
 ``max(1e-14, tol / 100)`` once the next step, estimated with the last
 Jacobian, is within ``tol``, and fails only if its best residual stays
 above ``tol``.
+
+The nested solver, the pressure and the certificates take a stack of
+same-K models (:func:`solve_stack`), the points of a scan grid: every
+per-step array gains a leading point axis, and each Newton step makes one
+layered kernel call and one batched linear solve for every point still
+iterating, while each point stops on its own.  Every per-point product is
+a batched matmul of one row, no layer's kernel value depends on the other
+layers of its call, and a batched solve gives each system the bits of its
+own solve, so every point gets the bits of its one-model solve.
+:func:`solve_nested` is the stack of one.  A point whose solve fails gets
+its :class:`SolverError` or ``ValueError`` as its result, and the other
+points go on.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +75,7 @@ __all__ = [
     "jacobian_at_zero",
     "latala_guerra",
     "solve_nested",
+    "solve_stack",
     "check_talagrand",
     "check_at",
 ]
@@ -184,6 +200,66 @@ def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# stacks of models
+# ---------------------------------------------------------------------------
+
+
+class _Stack:
+    """Same-K models solved as one: the points of every per-step array.
+
+    ``lam`` holds the layer weights as a ``(P, K)`` array, and ``M``, built
+    on first use with one :func:`machine.build_matrices` call per model,
+    the interaction matrices as ``(P, K, K)``.  Every per-point product is
+    a batched matmul of one row, which gives the bits of the one-model
+    product: ``M q`` per row is the GEMV of ``M @ q``, and a weighted sum
+    per row the dot product of ``np.dot``.
+    """
+
+    def __init__(self, models):
+        self.models = tuple(models)
+        if len({params.K for params in self.models}) != 1:
+            raise ValueError("a stack needs at least one model and one K")
+        self.lam = np.array([params.lam for params in self.models], dtype=float)
+
+    @functools.cached_property
+    def M(self) -> np.ndarray:
+        return np.stack([machine.build_matrices(params)[2]
+                         for params in self.models])
+
+    @functools.cached_property
+    def table(self) -> ghquad.FieldTable:
+        """The fields of every point, point by point, one per layer, as a
+        table for :func:`ghquad.expect`."""
+        return ghquad.FieldTable(
+            f for params in self.models for f in params.fields)
+
+    def fields(self, rows) -> ghquad.FieldTable:
+        """The table of the fields of the distinct points ``rows``, in
+        stack order; the table of every point is built once."""
+        if len(rows) == len(self.models):
+            return self.table
+        return ghquad.FieldTable(f for i in rows for f in self.models[i].fields)
+
+
+def _mv(M, q) -> np.ndarray:
+    """``M_i q_i`` for every row ``i``: ``(n, K, K)`` by ``(n, K)``."""
+    return np.matmul(M, q[..., None])[..., 0]
+
+
+def _row_dot(a, b) -> np.ndarray:
+    """``a_i . b_i`` for every row ``i``, each its own dot product."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _expect_rows(f, s, fields) -> np.ndarray:
+    """One layered :func:`ghquad.expect` call on ``(n, K)`` variances with
+    one field per layer; the result keeps the rows, after the leading axis
+    of a stacked kernel such as ``TANH_MOMENTS``."""
+    out = ghquad.expect(f, s.ravel(), fields)
+    return out.reshape(out.shape[:-1] + s.shape)
+
+
+# ---------------------------------------------------------------------------
 # functional, consistency map, Jacobian
 # ---------------------------------------------------------------------------
 
@@ -195,10 +271,19 @@ def rs_pressure(q, params: ModelParams) -> float:
     quadratic code path, to exactly ``machine.annealed_pressure``.
     """
     q = _check_overlap(q, params.K)
-    _, _, M = machine.build_matrices(params)
-    field_term = float(np.dot(params.lam,
-                              ghquad.expect(LOG_COSH, M @ q, params.fields)))
-    return _LOG2 + field_term + machine.interaction_half_quadratic(params, 1.0 - q)
+    stack = _Stack([params])
+    return _pressures(stack, [0], q[None], _mv(stack.M, q[None]))[0]
+
+
+def _pressures(stack: _Stack, rows, q, m) -> list[float]:
+    """:func:`rs_pressure` of the points ``rows`` of ``stack`` at the
+    overlaps ``q`` with ``m = Mq`` (one row each), with one kernel call
+    for all of them."""
+    log_cosh = _expect_rows(LOG_COSH, m, stack.fields(rows))
+    field_terms = _row_dot(stack.lam[rows], log_cosh)
+    return [_LOG2 + float(term)
+            + machine.interaction_half_quadratic(stack.models[i], 1.0 - q_i)
+            for i, term, q_i in zip(rows, field_terms, q)]
 
 
 def rs_map(q, params: ModelParams) -> np.ndarray:
@@ -249,6 +334,8 @@ def _scalar_overlap(theta_sq, fields, tol: float,
     steps reports the iterate with the smallest defect.
     """
     two_t = 2.0 * np.asarray(theta_sq, dtype=float)
+    if not isinstance(fields, ghquad.FieldTable):
+        fields = ghquad.FieldTable(fields)
     K = len(fields)
     x = (np.full(K, 0.5) if start is None else
          np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
@@ -257,13 +344,16 @@ def _scalar_overlap(theta_sq, fields, tol: float,
     x[converged] = 0.0
     lo, hi = np.zeros(K), np.ones(K)
     best_x, best_defect = x.copy(), np.full(K, math.inf)
+    table = None
     for _ in range(_SCALAR_STEPS):
         active = np.flatnonzero(~converged)
         if active.size == 0:
             break
+        if table is None or len(table) != active.size:
+            table = (fields if active.size == K
+                     else ghquad.FieldTable(fields[p] for p in active))
         xa, ta = x[active], two_t[active]
-        tanh_sq, inv_cosh4 = ghquad.expect(
-            TANH_MOMENTS, ta * xa, [fields[p] for p in active])
+        tanh_sq, inv_cosh4 = ghquad.expect(TANH_MOMENTS, ta * xa, table)
         defect = tanh_sq - xa
         better = np.abs(defect) < np.abs(best_defect[active])
         best_x[active[better]] = xa[better]
@@ -355,22 +445,34 @@ def check_at(q, params: ModelParams) -> list:
     return [bool(flag) for flag in stable]
 
 
-def _certificates(q, params: ModelParams) -> Certificates:
-    tala_flags = check_talagrand(q, params)
-    if any(f is False for f in tala_flags):
-        talagrand_ok: bool | None = False
-    elif all(f is True for f in tala_flags):
-        talagrand_ok = True
+def _certificates(stack: _Stack, rows, q, m, inv_cosh4,
+                  rho=None) -> list[Certificates]:
+    """Certificates of the points ``rows`` of ``stack`` at overlaps ``q``
+    (one row each), from ``m = Mq`` and ``E cosh^-4(z sqrt(m) + h)``,
+    which the Newton iteration has evaluated at ``q`` already.
+
+    ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
+    :func:`check_talagrand`, else ``None`` when some ``q_p = 0`` leaves a
+    layer open, else ``True``.  ``at_ok`` is :func:`check_at` on points
+    with positive field variance on every layer.  ``rho`` holds each
+    point's spectral radius when the caller has it; otherwise
+    :func:`machine.spectral_radius` computes it.
+    """
+    models = [stack.models[i] for i in rows]
+    if q.shape[1] == 1:
+        talagrand = [True] * len(rows)
     else:
-        talagrand_ok = None
-    at_ok: bool | None
-    if params.gaussian_fields:
-        at_ok = all(check_at(q, params))
-    else:
-        at_ok = None
-    stable = bool(machine.spectral_radius(params) < 1.0)
-    return Certificates(talagrand_ok=talagrand_ok, at_ok=at_ok,
-                        stable_at_zero=stable)
+        fails = np.any((q > 0.0) & ~(m < 0.25 * q), axis=1)
+        open_layer = np.any(q <= 0.0, axis=1)
+        talagrand = [False if fail else None if open_ else True
+                     for fail, open_ in zip(fails, open_layer)]
+    stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
+    at_ok = [ok if params.gaussian_fields else None
+             for ok, params in zip(stable, models)]
+    if rho is None:
+        rho = [machine.spectral_radius(params) for params in models]
+    return [Certificates(talagrand_ok=t, at_ok=a, stable_at_zero=bool(r < 1.0))
+            for t, a, r in zip(talagrand, at_ok, rho)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,78 +490,252 @@ _GUARD_RESIDUAL = 1e-6
 _GUARD_SLACK = 1e-15
 
 
-def _newton_iterates(params: ModelParams):
-    """Safeguarded Newton iterates for ``G(q) = q - F(q)``.
+def _solve(systems, rhs) -> tuple[np.ndarray, np.ndarray | None]:
+    """``x_i = systems_i^{-1} rhs_i`` for every row, in one batched
+    ``np.linalg.solve``, which gives each system the bits of its own
+    solve.  Returns ``(x, solved)`` with ``solved`` None when every system
+    is regular.  Otherwise each system is solved alone: a singular one
+    gets a NaN row and ``solved`` False."""
+    try:
+        return np.linalg.solve(systems, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
+    x = np.full(rhs.shape, math.nan)
+    solved = np.zeros(len(rhs), dtype=bool)
+    for i, (system, b) in enumerate(zip(systems, rhs)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            x[i] = np.linalg.solve(system, b)
+            solved[i] = True
+    return x, solved
 
-    Centred fields (zero, or Gaussian with ``v >= 0``) start at ``q = 1``
-    under the monotone guard (see :func:`solve_nested`).  Other fields start
-    at ``q = 1/2``; a Newton step, clipped to the unit box, is kept only if
-    it lowers ``max |G|``, and otherwise the damped step
-    ``q - G(q) / 2`` is taken.  Yields ``(q, max |G(q)|, distance)`` for the
-    start and each later iterate, where ``distance`` is ``max |J^{-1} G(q)|``
-    with the Jacobian ``J`` of the previous step (``inf`` at the start or
-    after a singular ``J``), an estimate of the distance to the root that
-    costs no expectation.  The Jacobian step runs only when the caller asks
-    for the next iterate.  Raises :class:`SolverError` when a step from
-    centred fields leaves the monotone descent or is not finite.
+
+def _evaluate(M, fields, q) -> list:
+    """``[q, m, T', G, max |G|, E cosh^-4]`` per row at the iterates
+    ``q``, with ``m = Mq``, from one ``TANH_MOMENTS`` call: the slope
+    ``T' = 3 E cosh^-4 - 2 (1 - T)`` and ``G = q - T``."""
+    m = _mv(M, q)
+    f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, fields)
+    g = q - f
+    slope = 3.0 * inv_cosh4 - 2.0 * (1.0 - f)
+    return [q, m, slope, g, np.maximum.reduce(np.abs(g), axis=1), inv_cosh4]
+
+
+def _guard_error(steps, q, residual, m, fields) -> SolverError:
+    """The failure of a centred point whose Newton step ``steps`` left the
+    monotone descent, naming its largest layer variance ``m_p + v_p``."""
+    variance = max(float(m_p) + field.v for m_p, field in zip(m, fields))
+    return SolverError(
+        f"nested Newton step {steps} left the monotone descent "
+        f"at residual {residual:.3e}; the largest layer variance "
+        f"(Mq)_p + v_p is {variance:.3g}, and the quadrature is "
+        f"accurate for s + v <= {ghquad.ACCURATE_VARIANCE:g}",
+        last_q=q, residual=residual, iterations=steps)
+
+
+def _newton_iterates(stack: _Stack, tol: float, results: list):
+    """Safeguarded Newton iterates for ``G(q) = q - F(q)`` on every point
+    of ``stack`` at once, with the starts, steps, guard and stopping rule
+    of :func:`solve_nested` for each point.
+
+    Yields ``(q, res, distance)`` after each evaluation, one row per point
+    still iterating, in stack order: the iterate, ``max |G(q)|``, and
+    ``max |J^{-1} G(q)|`` with the Jacobian ``J`` of the point's previous
+    step (``inf`` at the start or after a singular ``J``), an estimate of
+    the distance to the root that costs no expectation.  A point that
+    stops leaves the rows and puts its outcome in ``results``:
+    ``(q, residual, Mq, E cosh^-4)`` for its best-residual iterate, or the
+    :class:`SolverError` it ends with, either when its step leaves the
+    monotone descent or when its best residual stays above ``tol``.
+
+    Each step makes one layered ``TANH_MOMENTS`` call for every point
+    still iterating, a second one only for the damped steps of non-centred
+    points, and one batched linear solve: every point's Jacobian for its
+    step, with its previous one for the distance.
     """
-    _, _, M = machine.build_matrices(params)
-    fields = params.fields
-    K = params.K
-    centred = all(f.is_centred for f in fields)
+    P, K = stack.lam.shape
+    rows, M, fields = np.arange(P), stack.M, stack.table
+    centred = [all(f.is_centred for f in params.fields)
+               for params in stack.models]
+    mixed = not all(centred)
     eye = np.eye(K)
+    target = max(1e-14, 0.01 * tol)
+    best: list = [None] * P  # per point (q, m, E cosh^-4) of its best iterate
+    best_res = [math.inf] * P
 
-    def evaluate(q):
-        m = M @ q
-        f, inv_cosh4 = ghquad.expect(TANH_MOMENTS, m, fields)
-        g = q - f
-        slope = 3.0 * inv_cosh4 - 2.0 * (1.0 - f)
-        return q, m, slope, g, float(np.max(np.abs(g)))
+    def finish(i, steps):
+        if best_res[i] > tol:
+            results[i] = SolverError(
+                f"nested solve stalled at residual {best_res[i]:.3e} > "
+                f"tol={tol}", last_q=best[i][0], residual=best_res[i],
+                iterations=steps)
+        else:
+            results[i] = (best[i][0], best_res[i], *best[i][1:])
 
-    q, m, slope, g, res = evaluate(np.ones(K) if centred else np.full(K, 0.5))
-    jac = None
-    steps = 0
-    while True:
-        # Every kept ``jac`` has solved a step already, so it is not singular.
-        distance = (math.inf if jac is None
-                    else float(np.max(np.abs(np.linalg.solve(jac, g)))))
+    state = _evaluate(M, fields, np.where(np.array(centred)[:, None], 1.0, 0.5)
+                      * np.ones(K))
+    jac_prev = None
+    for step in itertools.count():
+        q, m, slope, g, res, inv_cosh4 = state
+        n = rows.size
+        jac = eye - slope[:, :, None] * M
+        if jac_prev is None:
+            x, solved = _solve(jac, g)
+            distance = np.full(n, math.inf)
+        else:
+            # A singular previous Jacobian fails its solve again here.
+            x, solved = _solve(np.concatenate([jac_prev, jac]),
+                               np.concatenate([g, g]))
+            distance = np.maximum.reduce(np.abs(x[:n]), axis=1)
+            if solved is not None:
+                distance[~solved[:n]] = math.inf
+            x = x[n:]
         yield q, res, distance
-        steps += 1
-        jac = eye - slope[:, None] * M
+        new = q - x  # a singular Jacobian's row is NaN
+        finite = np.logical_and.reduce(np.isfinite(new), axis=1).tolist()
+        guard = None
+        keep = []
+        for j, (i, r, d) in enumerate(zip(rows.tolist(), res.tolist(),
+                                          distance.tolist())):
+            if r < best_res[i]:
+                best[i], best_res[i] = (q[j], m[j], inv_cosh4[j]), r
+            elif best_res[i] <= tol:  # stalled at rounding level
+                finish(i, step)
+                continue
+            if (best_res[i] <= target and d <= tol) or step == _NEWTON_STEPS:
+                finish(i, step)
+                continue
+            descends = finite[j]
+            if centred[j] and descends and r > _GUARD_RESIDUAL:
+                if guard is None:
+                    # Per row: the smallest entry, and max(new - (q +
+                    # slack)), which is <= 0 exactly when no entry climbs
+                    # past q + slack.
+                    guard = (np.minimum.reduce(new, axis=1).tolist(),
+                             np.maximum.reduce(new - (q + _GUARD_SLACK),
+                                               axis=1).tolist())
+                descends = guard[0][j] >= 0.0 and guard[1][j] <= 0.0
+            if centred[j] and not descends:
+                results[i] = _guard_error(step + 1, q[j], r, m[j],
+                                          stack.models[i].fields)
+                continue
+            keep.append(j)
+        if len(keep) < n:
+            if not keep:
+                return
+            q, g, res, new, jac, rows, M = (
+                a[keep] for a in (q, g, res, new, jac, rows, M))
+            centred = [centred[j] for j in keep]
+            finite = [finite[j] for j in keep]
+            fields = stack.fields(rows)
+        jac_prev = jac
+        # Centred points take the Newton step; the others take it only if
+        # it is finite and lowers the residual, else the damped step.
+        candidate = np.clip(new, 0.0, 1.0)
+        if not all(finite):
+            candidate = np.where(np.array(finite)[:, None], candidate,
+                                 q - 0.5 * g)
+        state = _evaluate(M, fields, candidate)
+        if mixed:
+            lowers = (state[4] < res).tolist()
+            redo = [j for j, (c, ok, lower) in enumerate(
+                zip(centred, finite, lowers)) if not (c or lower) and ok]
+            if redo:
+                again = _evaluate(M[redo], stack.fields(rows[redo]),
+                                  q[redo] - 0.5 * g[redo])
+                for part, value in zip(state, again):
+                    part[redo] = value
+
+
+def _newton(stack: _Stack, tol: float) -> list:
+    """Largest consistency solution of every point of ``stack``: per point
+    ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))``, or the
+    :class:`SolverError` it ends with.
+
+    The points run through :func:`_newton_iterates` together.  Each stops
+    on its own and keeps its best-residual iterate, so its values are
+    those of a one-point stack.  A single layer has no interaction: ``q``
+    is the layer's own ``E tanh^2(z sqrt(v) + h)``.
+    """
+    P, K = stack.lam.shape
+    if K == 1:
+        q = _expect_rows(TANH_SQ, np.zeros((P, 1)), stack.table)
+        m = _mv(stack.M, q)
+        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
+        residual = np.max(np.abs(q - f), axis=1).tolist()
+        return list(zip(q, residual, m, inv_cosh4))
+    results: list = [None] * P
+    for _ in _newton_iterates(stack, tol, results):
+        pass
+    return results
+
+
+def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
+    """:func:`solve_nested` on every model of a stack of same-K models.
+
+    One body serves the whole stack: each Newton step makes one layered
+    kernel call and one batched linear solve for every point still
+    iterating, and the pressure and the certificates take one pass each.
+    Every point gets the bits of its own :func:`solve_nested` call.
+    Returns per model its :class:`RsSolution`, or the
+    :class:`SolverError` or ``ValueError`` that :func:`solve_nested`
+    raises for it, while the other points go on.  ``rho`` holds each
+    model's spectral radius when the caller has it already (for the
+    ``stable_at_zero`` certificate).
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    models = tuple(models)
+    results: list = []
+    for params in models:
         try:
-            new = q - np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            new = np.full(K, math.nan)
-            jac = None
-        finite = bool(np.all(np.isfinite(new)))
-        if not centred:
-            state = evaluate(np.clip(new, 0.0, 1.0)) if finite else None
-            if state is None or not state[4] < res:
-                state = evaluate(q - 0.5 * g)
-            q, m, slope, g, res = state
-            continue
-        guarded = res > _GUARD_RESIDUAL
-        if not (finite and (not guarded or (
-                np.all(new >= 0.0) and np.all(new <= q + _GUARD_SLACK)))):
-            variance = max(float(m[p]) + fields[p].v for p in range(K))
-            raise SolverError(
-                f"nested Newton step {steps} left the monotone descent "
-                f"at residual {res:.3e}; the largest layer variance "
-                f"(Mq)_p + v_p is {variance:.3g}, and the quadrature is "
-                f"accurate for s + v <= {ghquad.ACCURATE_VARIANCE:g}",
-                last_q=q, residual=res, iterations=steps)
-        q, m, slope, g, res = evaluate(np.clip(new, 0.0, 1.0))
+            _require_positive_lambda(params)
+        except ValueError as exc:
+            results.append(exc)
+        else:
+            results.append(None)
+    valid = [i for i, result in enumerate(results) if result is None]
+    if not valid:
+        return results
+    stack = _Stack(models[i] for i in valid)
+    roots = _newton(stack, tol)
+    rows = [j for j, root in enumerate(roots)
+            if not isinstance(root, SolverError)]
+    for j, root in enumerate(roots):
+        results[valid[j]] = root
+    if not rows:
+        return results
+    q, m, inv_cosh4 = (np.array([roots[j][k] for j in rows]) for k in (0, 2, 3))
+    pressures = _pressures(stack, rows, q, m)
+    certificates = _certificates(
+        stack, rows, q, m, inv_cosh4,
+        None if rho is None else [rho[valid[j]] for j in rows])
+    for j, q_j, pressure, certs in zip(rows, q, pressures, certificates):
+        results[valid[j]] = RsSolution(
+            q=q_j, pressure=pressure, residual=roots[j][1],
+            method="nested", certificates=certs)
+    return results
+
+
+def _one(result):
+    """The one point of a stack's results, raising its failure."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     """Safeguarded Newton solver for the consistency equations, any field kind.
 
-    The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M`` with the
+    The one-model stack of :func:`solve_stack`; raises what that returns
+    for the model.  The Jacobian of ``G(q) = q - F(q)`` is
+    ``I - diag(T'_p) M`` with the
     slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
     ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
     integration by parts for every field kind.  A step costs one layered
     ``TANH_MOMENTS`` expectation, which gives ``T_p`` and ``E cosh^-4``
-    on every layer, and one ``K x K`` linear solve.
+    on every layer, and one batched linear solve of two ``K x K``
+    systems: the step's Jacobian for the step, and the previous step's for
+    the distance to the root.
 
     *Centred fields* (zero, or Gaussian with variance ``v >= 0``, on every
     layer).  Each ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing and
@@ -495,33 +771,4 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     :class:`SolverError`, carrying the step count, is raised when that
     residual stays above ``tol``.
     """
-    _require_positive_lambda(params)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if params.K == 1:
-        q = np.array([ghquad.expect(TANH_SQ, 0.0, params.fields[0])])
-        residual = float(np.max(np.abs(q - rs_map(q, params))))
-        return RsSolution(
-            q=q, pressure=rs_pressure(q, params),
-            residual=residual, method="nested",
-            certificates=_certificates(q, params))
-
-    target = max(1e-14, 0.01 * tol)
-    best_q, best_res = None, math.inf
-    for steps, (q, res, distance) in enumerate(_newton_iterates(params)):
-        if res < best_res:
-            best_q, best_res = q, res
-        elif best_res <= tol:
-            break  # stalled at rounding level
-        if (best_res <= target and distance <= tol) or steps == _NEWTON_STEPS:
-            break
-    if best_res > tol:
-        raise SolverError(
-            f"nested solve stalled at residual {best_res:.3e} > tol={tol}",
-            last_q=best_q, residual=best_res, iterations=steps)
-    return RsSolution(
-        q=best_q,
-        pressure=rs_pressure(best_q, params),
-        residual=best_res,
-        method="nested",
-        certificates=_certificates(best_q, params))
+    return _one(solve_stack([params], tol)[0])

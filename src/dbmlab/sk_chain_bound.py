@@ -15,7 +15,10 @@ surrogate overlap is the largest solution of the scalar consistency
 equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  The K scalar
 solves run in lockstep (:func:`rs_solver._scalar_overlap`), one layered
 kernel call per step, and the bound value and its certificate take one
-layered call each.
+layered call each.  :func:`maximize_stack` does the same for a stack of
+same-K models, the points of a scan grid, with the layers of all points
+in lockstep and each point's bits those of its own
+:func:`maximize_bound` call, which is the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
 ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` for every bond; for related pairs
@@ -35,7 +38,8 @@ import numpy as np
 from . import ghquad, machine, rs_solver
 from .ghquad import INV_COSH4, LOG_COSH
 from .machine import ModelParams
-from .rs_solver import _TALAGRAND_LINE, _scalar_overlap, _theta_sq_from_aux
+from .rs_solver import (_TALAGRAND_LINE, _expect_rows, _row_dot,
+                        _scalar_overlap, _Stack, _theta_sq_from_aux)
 
 _LOG2 = math.log(2.0)
 
@@ -66,7 +70,9 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 
     Solves ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` bond by bond, which is the
     stationarity condition of the bound in ``a`` and the matching condition
-    used by :func:`bridge_check`.
+    used by :func:`bridge_check`.  Raises ``ValueError`` when a weight
+    overflows or underflows, as it can when a layer weight or an overlap
+    is near the smallest float.
     """
     K = params.K
     q = np.asarray(q, dtype=float)
@@ -77,7 +83,12 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
     lam = np.asarray(params.lam, dtype=float)
     if np.any(lam <= 0.0):
         raise ValueError("related auxiliary weights need positive layer weights")
-    return lam[1:] * q[1:] / (lam[:-1] * q[:-1])
+    with np.errstate(all="ignore"):
+        a = lam[1:] * q[1:] / (lam[:-1] * q[:-1])
+    if not np.all((a > 0.0) & (a < math.inf)):
+        raise ValueError("related auxiliary weights leave the positive floats; "
+                         "some layer weight or overlap is too small")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -85,33 +96,58 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _functional_value(theta_sq: np.ndarray, overlaps: np.ndarray,
-                      params: ModelParams) -> float:
-    """Value of the split bound at given temperatures and overlaps."""
-    lam = np.asarray(params.lam, dtype=float)
-    layers = _LOG2 + ghquad.expect(LOG_COSH, 2.0 * overlaps * theta_sq,
-                                   params.fields)
+def _evaluate(stack: _Stack, theta_sq: np.ndarray, start=None
+              ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Bound values of the points of ``stack`` at squared temperatures
+    ``theta_sq`` (one ``(K,)`` row each), with the surrogate overlaps behind
+    them and whether every overlap solve of a point converged.
+
+    The overlap solves of all layers of all points run in lockstep
+    (:func:`rs_solver._scalar_overlap`) from ``start`` (one row per point)
+    when given, else from ``1/2``, and the bound values take one kernel
+    call."""
+    overlaps, converged = _scalar_overlap(
+        theta_sq.ravel(), stack.table, _SCALAR_TOL,
+        None if start is None else start.ravel())
+    overlaps = overlaps.reshape(theta_sq.shape)
+    values = _functional_values(stack, theta_sq, overlaps)
+    return values, overlaps, converged.reshape(theta_sq.shape).all(axis=1)
+
+
+def _functional_values(stack: _Stack, theta_sq: np.ndarray,
+                       overlaps: np.ndarray) -> list[float]:
+    """Value of the split bound of every point of ``stack`` at given
+    temperatures and overlaps (one row each)."""
+    layers = _LOG2 + _expect_rows(LOG_COSH, 2.0 * overlaps * theta_sq,
+                                  stack.table)
     layers += 0.5 * theta_sq * (1.0 - overlaps) ** 2
-    value = float(np.dot(lam, layers))
-    value -= 0.5 * float(np.dot(lam, theta_sq))
-    value += machine.interaction_half_quadratic(params, np.ones(params.K))
-    return float(value)
+    values = _row_dot(stack.lam, layers) - 0.5 * _row_dot(stack.lam, theta_sq)
+    return [float(value)
+            + machine.interaction_half_quadratic(params, np.ones(params.K))
+            for value, params in zip(values, stack.models)]
 
 
-def _certified(theta_sq: np.ndarray, overlaps: np.ndarray, converged: bool,
-               params: ModelParams) -> bool:
-    """Whether the replica-symmetric surrogate is valid on every layer.
+def _certified(stack: _Stack, theta_sq: np.ndarray, overlaps: np.ndarray,
+               converged: np.ndarray) -> list[bool]:
+    """Whether the replica-symmetric surrogate is valid on every layer, for
+    every point of ``stack``.
 
-    Needs every scalar overlap solve to have converged.  A layer then
-    passes when its temperature sits strictly below the high-temperature
-    line ``theta^2 < 1/8`` or when the scalar Almeida-Thouless criterion
-    holds at its surrogate overlap.
+    Needs every scalar overlap solve of the point to have converged.  A
+    layer then passes when its temperature sits strictly below the
+    high-temperature line ``theta^2 < 1/8`` or when the scalar
+    Almeida-Thouless criterion holds at its surrogate overlap; one kernel
+    call serves every converged point.
     """
-    if not converged:
-        return False
-    m = 2.0 * overlaps * theta_sq
-    stable = m * ghquad.expect(INV_COSH4, m, params.fields) <= overlaps
-    return bool(np.all((theta_sq < _TALAGRAND_LINE) | stable))
+    certified = [False] * len(converged)
+    rows = np.flatnonzero(converged)
+    if rows.size:
+        m = 2.0 * overlaps[rows] * theta_sq[rows]
+        stable = (m * _expect_rows(INV_COSH4, m, stack.fields(rows))
+                  <= overlaps[rows])
+        passes = np.all((theta_sq[rows] < _TALAGRAND_LINE) | stable, axis=1)
+        for i, ok in zip(rows, passes):
+            certified[i] = bool(ok)
+    return certified
 
 
 def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
@@ -126,21 +162,10 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     centred Gaussian.
     """
     params.require_fields("the split bound", gaussian=False)
-    value, overlaps, theta_sq, converged = _evaluate(a, params)
-    return value, _certified(theta_sq, overlaps, converged, params)
-
-
-def _evaluate(a, params: ModelParams, start=None
-              ) -> tuple[float, np.ndarray, np.ndarray, bool]:
-    """Bound value at ``a`` and the layer state behind it: surrogate
-    overlaps, squared temperatures, and whether every overlap solve
-    converged.  The overlap solves start at ``start`` when given (see
-    :func:`rs_solver._scalar_overlap`), else at ``1/2``."""
-    theta_sq = _theta_sq_from_aux(a, params)
-    overlaps, converged = _scalar_overlap(theta_sq, params.fields,
-                                          _SCALAR_TOL, start)
-    value = _functional_value(theta_sq, overlaps, params)
-    return value, overlaps, theta_sq, bool(np.all(converged))
+    stack = _Stack([params])
+    theta_sq = _theta_sq_from_aux(a, params)[None]
+    values, overlaps, converged = _evaluate(stack, theta_sq)
+    return values[0], _certified(stack, theta_sq, overlaps, converged)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,59 +211,124 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
     return lam_q[:-1] * a - lam_q[1:]
 
 
+def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
+                   verdicts=None) -> list:
+    """:func:`maximize_bound` on every model of a stack of same-K models.
+
+    ``nested_q`` holds per model its consistency solution or ``None``, and
+    ``verdicts`` per model its :func:`machine.classify_annealed` verdict
+    when the caller has it already.  The models that need a consistency
+    solution and have none get it from one stacked Newton solve
+    (:func:`rs_solver._newton`); then the overlap solves of every layer of
+    every point run in lockstep, and the bound values and the
+    certificates take one kernel call each.  Every point gets the bits of
+    its own :func:`maximize_bound` call.  Returns per model its
+    :class:`BoundResult`, or the :class:`rs_solver.SolverError` or
+    ``ValueError`` that :func:`maximize_bound` raises for it, while the
+    other points go on.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    models = tuple(models)
+    results: list = [None] * len(models)
+    nested_q = [None] * len(models) if nested_q is None else list(nested_q)
+    witness: list = [None] * len(models)
+    for i, params in enumerate(models):
+        try:
+            params.require_fields("the split bound", gaussian=False)
+            if min(params.lam) <= 0.0:
+                raise ValueError("the split bound requires strictly positive "
+                                 "layer weights; prune zero-weight layers "
+                                 "from the model")
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        if params.zero_fields or params.K == 1:
+            verdict = (machine.classify_annealed(params) if verdicts is None
+                       else verdicts[i])
+            witness[i] = verdict.feasible_a
+    unsolved = [i for i, result in enumerate(results) if result is None
+                and witness[i] is None and nested_q[i] is None]
+    if unsolved:
+        roots = rs_solver._newton(_Stack(models[i] for i in unsolved), tol)
+        for i, root in zip(unsolved, roots):
+            if isinstance(root, Exception):
+                results[i] = root
+            else:
+                nested_q[i] = root[0]
+    rows, aux, theta_sq, start = [], [], [], []
+    for i, params in enumerate(models):
+        if results[i] is not None:
+            continue
+        try:
+            if witness[i] is not None:
+                a = np.asarray(witness[i], dtype=float)
+            else:
+                a = related_aux(nested_q[i], params)
+            theta_sq.append(_theta_sq_from_aux(a, params))
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        rows.append(i)
+        aux.append(a)
+        # At related weights each layer's surrogate root is q_p, so the
+        # overlap solves start there; at the witness they start at 1/2.
+        start.append(np.full(params.K, 0.5) if witness[i] is not None
+                     else nested_q[i])
+    if not rows:
+        return results
+    stack = _Stack(models[i] for i in rows)
+    theta_sq = np.array(theta_sq)
+    warm = any(witness[i] is None for i in rows)
+    values, overlaps, converged = _evaluate(
+        stack, theta_sq, np.array(start) if warm else None)
+    certified = _certified(stack, theta_sq, overlaps, converged)
+    for j, i in enumerate(rows):
+        a = aux[j]
+        results[i] = BoundResult(
+            a=a,
+            value=values[j],
+            certified=certified[j],
+            boundary_suspect=bool(np.any(np.abs(np.log(a)) > _SUSPECT_WIDTH)),
+            theta=np.sqrt(theta_sq[j]),
+            overlaps=overlaps[j],
+            stationarity=float(np.max(np.abs(_matching_defect(
+                a, stack.lam[j], overlaps[j])), initial=0.0)),
+        )
+    return results
+
+
 def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
                    nested_q: np.ndarray | None = None) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
-    The maximizer is read off the consistency equations, with one
-    evaluation of the bound and no search.  If ``q`` solves them and
-    ``a = related_aux(q)``, then ``2 theta_p^2 q_p = (M q)_p``, so every
-    layer's surrogate overlap equals ``q_p``, the bond-matching conditions
-    hold, and the bound's gradient in ``a`` vanishes by the envelope
-    identity.  The point evaluated is
+    The one-model stack of :func:`maximize_stack`; raises what that
+    returns for the model.  The maximizer is read off the consistency
+    equations, with one evaluation of the bound and no search.  If ``q``
+    solves them and ``a = related_aux(q)``, then ``2 theta_p^2 q_p = (M
+    q)_p``, so every layer's surrogate overlap equals ``q_p``, the
+    bond-matching conditions hold, and the bound's gradient in ``a``
+    vanishes by the envelope identity.  The point evaluated is
 
     * the annealed-region witness when every field is zero and the model
       lies strictly inside the annealed region, where ``q = 0`` is the only
       consistency solution, and for a single layer, where the witness is
       the empty vector, the only weights there are;
     * otherwise ``related_aux(q)`` for the largest consistency solution
-      ``q``: ``nested_q`` when given, else :func:`rs_solver.solve_nested`
-      at tolerance ``tol``, which raises :class:`rs_solver.SolverError`
-      when it fails.  There ``q_p`` is each layer's surrogate root, so the
-      scalar solves start at ``q`` (clipped into ``(0, 1)``) and need few
-      steps; at the witness they start at ``1/2``.
+      ``q``: ``nested_q`` when given, else that of
+      :func:`rs_solver.solve_nested` at tolerance ``tol``, with its
+      :class:`rs_solver.SolverError` when it fails.  There ``q_p`` is each
+      layer's surrogate root, so the scalar solves start at ``q`` (clipped
+      into ``(0, 1)``) and need few steps; at the witness they start at
+      ``1/2``.
 
     Needs strictly positive layer weights and zero or centred Gaussian
-    fields.  For a single layer the bound is the layer's own pressure and
-    ``stationarity`` is 0.  ``boundary_suspect`` flags ``|log a_p| > 12``.
+    fields, and raises ``ValueError`` otherwise or when the related
+    weights are not positive floats.  For a single layer the bound is the
+    layer's own pressure and ``stationarity`` is 0.  ``boundary_suspect``
+    flags ``|log a_p| > 12``.
     """
-    params.require_fields("the split bound", gaussian=False)
-    if min(params.lam) <= 0.0:
-        raise ValueError("the split bound requires strictly positive layer "
-                         "weights; prune zero-weight layers from the model")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    witness = (machine.classify_annealed(params).feasible_a
-               if params.zero_fields or params.K == 1 else None)
-    if witness is not None:
-        a = np.asarray(witness, dtype=float)
-    else:
-        if nested_q is None:
-            nested_q = rs_solver.solve_nested(params, tol).q
-        a = related_aux(nested_q, params)
-    value, overlaps, theta_sq, converged = _evaluate(
-        a, params, None if witness is not None else nested_q)
-    lam = np.asarray(params.lam, dtype=float)
-    return BoundResult(
-        a=a,
-        value=value,
-        certified=_certified(theta_sq, overlaps, converged, params),
-        boundary_suspect=bool(np.any(np.abs(np.log(a)) > _SUSPECT_WIDTH)),
-        theta=np.sqrt(theta_sq),
-        overlaps=overlaps,
-        stationarity=float(np.max(np.abs(_matching_defect(a, lam, overlaps)),
-                                  initial=0.0)),
-    )
+    return rs_solver._one(maximize_stack([params], tol, nested_q=[nested_q])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +361,6 @@ def bridge_check(q, a, params: ModelParams) -> tuple[bool, float]:
         a = np.asarray(a, dtype=float)
         lam = np.asarray(params.lam, dtype=float)
         related = bool(np.max(np.abs(_matching_defect(a, lam, q))) <= _RELATED_TOL)
-    surrogate = _functional_value(theta_sq, q, params)
+    surrogate = _functional_values(_Stack([params]), theta_sq[None], q[None])[0]
     gap = rs_solver.rs_pressure(q, params) - surrogate
     return related, float(gap)

@@ -13,11 +13,11 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from dbmlab import ghquad
+from dbmlab import ghquad, machine
 from dbmlab.ghquad import QuadratureRule
 from dbmlab.rs_solver import (RsSolution, SolverError, _certificates,
                               _check_overlap, _require_positive_lambda,
-                              rs_map, rs_pressure)
+                              _Stack, rs_map, rs_pressure)
 
 # ---------------------------------------------------------------------------
 # Chain matching polynomials
@@ -210,12 +210,15 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
         f = rs_map(q, params)
         residual = float(np.max(np.abs(q - f)))
         if residual < tol:
+            m = machine.build_matrices(params)[2] @ q
             return RsSolution(
                 q=q.copy(),
                 pressure=rs_pressure(q, params),
                 residual=residual,
                 method="fixed_point",
-                certificates=_certificates(q, params),
+                certificates=_certificates(
+                    _Stack([params]), [0], q[None], m[None],
+                    ghquad.expect(ghquad.INV_COSH4, m, params.fields)[None])[0],
             )
         q = (1.0 - damping) * q + damping * f
     raise SolverError(

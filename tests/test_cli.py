@@ -670,6 +670,23 @@ def test_scan_flags_a_failed_bound_solve_and_goes_on(tmp_path):
     assert "bound_failed" not in first["flags"]
 
 
+def test_bound_with_weights_past_the_floats_exits_one_with_one_line(
+        tmp_path, capsys):
+    # A layer weight near the smallest float sends the related weights past
+    # the positive floats; the bound fails with one line and no warning,
+    # as a scan flags the point bound_failed, while rs solves the model.
+    cfg = write_config(tmp_path, model_dict(3, (1.6, 1.6), (1e-320, 0.5, 0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["bound", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the bound failed: related auxiliary "
+                              "weights")
+        assert err.count("\n") == 1
+        assert cli.main(["rs", "--config", cfg]) == 0
+        capsys.readouterr()
+
+
 def test_zero_width_layers_fail_the_bound(tmp_path, capsys):
     model = model_dict(3, (0.5, 0.5), (0.5, 0.0, 0.5))
     assert cli.main(["bound", "--config", write_config(tmp_path, model)]) == 2

@@ -488,6 +488,15 @@ def test_nested_solves_the_collapsing_chain():
     np.testing.assert_allclose(sol.q, fp.q, rtol=0.0, atol=1e-12)
 
 
+def _newton_iterates(params, count):
+    """The first ``count`` ``(q, res, distance)`` Newton iterates of one
+    model, from the one-model stack of the stacked iteration."""
+    iterates = rs_solver._newton_iterates(rs_solver._Stack([params]), 1e-10,
+                                          [None])
+    return [(q[0], res[0], distance[0])
+            for q, res, distance in itertools.islice(iterates, count)]
+
+
 @st.composite
 def gaussian_chains(draw, k_range=(2, 16)):
     """Chains with centred Gaussian fields and positive weights on every layer."""
@@ -510,7 +519,7 @@ def test_nested_newton_is_monotone_and_matches_fixed_point_property(params):
     assert np.max(np.abs(sol.q - rs_map(sol.q, params))) == sol.residual
     # While the guard is on, every Newton iterate lies in the unit box and
     # no coordinate grows beyond rounding.
-    iterates = list(itertools.islice(rs_solver._newton_iterates(params), 8))
+    iterates = _newton_iterates(params, 8)
     for (q, res, _), (nxt, _, _) in zip(iterates, iterates[1:]):
         if res <= rs_solver._GUARD_RESIDUAL:
             break
@@ -537,7 +546,7 @@ def test_nested_takes_the_damped_step_where_newton_does_not_lower_the_residual(
     _coarse_expect(monkeypatch, 9)
     params = make(2, (2.0,), (0.5, 0.5),
                   (FieldSpec.point_mass(1.0), FieldSpec.zero()))
-    iterates = list(itertools.islice(rs_solver._newton_iterates(params), 12))
+    iterates = _newton_iterates(params, 12)
     damped = 0
     for (q, res, _), (nxt, nxt_res, _) in zip(iterates, iterates[1:]):
         assert np.all(nxt >= 0.0) and np.all(nxt <= 1.0)

@@ -45,6 +45,24 @@ def test_example_configs_run_through_the_cli(tmp_path):
         assert row["bound_certified"] in ("true", "false")
         assert row["at_ok"] in ("true", "false")
 
+    # A stacked scan with failing points: its zero-width rows fail both
+    # solves and the other rows solve.
+    edges = tmp_path / "scan_edges.csv"
+    assert cli.main(["scan", "--config", str(ROOT / "examples" / "scan_edges.json"),
+                     "--out", str(edges)]) == 0
+    with edges.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 12
+    for row in rows:
+        if float(row["lambda[1]"]) == 0.0:
+            assert row["flags"] == "rs_failed;bound_failed"
+            assert row["rs_pressure"] == row["bound_value"] == ""
+        else:
+            assert "failed" not in row["flags"]
+            for column in ("rs_pressure", "bound_value"):
+                float(row[column])
+    assert sum(float(row["lambda[1]"]) == 0.0 for row in rows) == 4
+
     report = tmp_path / "trend.json"
     assert cli.main(["verify", "--config", str(ROOT / "examples" / "trend.json"),
                      "--seed", "2", "--format", "json", "--out", str(report)]) == 0

@@ -32,6 +32,17 @@ def gaussian_params(rng, K=None, k_range=(2, 6), beta_range=(0.2, 1.5),
                          lam_floor=0.02, field_kind="gaussian", v_range=v_range)
 
 
+def evaluate_at(a, params):
+    """``(value, overlaps, theta_sq, converged, certified)`` of the split
+    bound of one model at weights ``a``, cold-started: the one-model stack
+    of the bound's evaluation."""
+    stack = rs_solver._Stack([params])
+    theta_sq = rs_solver._theta_sq_from_aux(a, params)[None]
+    values, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
+    certified = sk_chain_bound._certified(stack, theta_sq, overlaps, converged)
+    return values[0], overlaps[0], theta_sq[0], bool(converged[0]), certified[0]
+
+
 def inside_zero_field_params(rng, k_range=(2, 6)):
     """Random zero-field instance strictly inside the annealed region."""
     while True:
@@ -371,14 +382,13 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
         side[0] = "warm"
         warm = maximize_bound(params, nested_q=q)
         side[0] = "cold"
-        value, overlaps, theta_sq, converged = sk_chain_bound._evaluate(
+        value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
         assert converged
         np.testing.assert_allclose(warm.overlaps, overlaps, rtol=0.0,
                                    atol=1e-12)
         assert warm.value == pytest.approx(value, rel=0.0, abs=1e-12)
-        assert warm.certified == sk_chain_bound._certified(
-            theta_sq, overlaps, converged, params)
+        assert warm.certified == certified
     # The cold side skips the certificate's call; the warm solves save more.
     assert calls["warm"] < calls["cold"]
 
@@ -438,7 +448,7 @@ def every_start_oracle(params, seed, n_random_starts=8):
         # Envelope identity: each one-layer pressure has slope (1 - x_p^2) / 2
         # in theta_p^2 at its own overlap, so only the explicit terms remain.
         a = np.exp(u)
-        value, overlaps = sk_chain_bound._evaluate(a, params)[:2]
+        value, overlaps = evaluate_at(a, params)[:2]
         lam_q = lam * overlaps
         grad = 0.5 * beta_sq * (lam_q[1:] ** 2 / a - lam_q[:-1] ** 2 * a)
         return -value, -grad
@@ -447,10 +457,7 @@ def every_start_oracle(params, seed, n_random_starts=8):
     for u0 in starts:
         run = minimize(objective, u0, jac=True, method="L-BFGS-B",
                        bounds=[(-30.0, 30.0)] * u0.size, options=_LBFGSB_OPTIONS)
-        _, overlaps, theta_sq, converged = sk_chain_bound._evaluate(
-            np.exp(run.x), params)
-        certified = sk_chain_bound._certified(theta_sq, overlaps, converged,
-                                              params)
+        certified = evaluate_at(np.exp(run.x), params)[4]
         out.append((-float(run.fun), certified))
     return out
 
@@ -513,20 +520,22 @@ def test_scan_bound_reuses_the_nested_solution(tmp_path, monkeypatch):
     }
     path = tmp_path / "scan.json"
     path.write_text(json.dumps(config))
-    nested_calls = []
-    real_solve_nested = rs_solver.solve_nested
+    # Points per nested Newton solve: the scan solves the grid as one
+    # stack, and the bound takes its solutions without solving again.
+    nested_points = []
+    real_newton = rs_solver._newton
 
-    def counted(*args, **kwargs):
-        nested_calls.append(1)
-        return real_solve_nested(*args, **kwargs)
+    def counted(stack, tol):
+        nested_points.append(len(stack.models))
+        return real_newton(stack, tol)
 
-    monkeypatch.setattr(rs_solver, "solve_nested", counted)
+    monkeypatch.setattr(rs_solver, "_newton", counted)
     out = tmp_path / "scan_out.json"
     assert cli.main(["scan", "--config", str(path), "--format", "json",
                      "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 6
-    assert len(nested_calls) == len(rows)
+    assert nested_points == [len(rows)]
 
     for row in rows:
         fields = list(model.fields)
