@@ -143,6 +143,9 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
     if not isinstance(axes_raw, list) or not 1 <= len(axes_raw) <= 2:
         raise ConfigError("scan needs an axes list with one or two entries")
     axes = tuple(_parse_axis(a, params) for a in axes_raw)
+    if len({(axis.kind, axis.index) for axis in axes}) < len(axes):
+        raise ConfigError(f"repeated scan axis '{axes[-1].path}'; "
+                          "scan each parameter on one axis")
     outputs = obj.get("outputs", list(_DEFAULT_OUTPUTS))
     if not (isinstance(outputs, list)
             and all(isinstance(o, str) for o in outputs)):
@@ -267,24 +270,8 @@ def _kv_csv(pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
 def _json_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _flatten_kv(prefix: str, value) -> list[tuple[str, object]]:
@@ -529,7 +516,7 @@ def _scan_rows(base: ModelParams, scan: ScanSpec, tol: float, points) -> list:
             [verdict.rho for verdict in verdicts])
     if "bound" in outputs:
         bounds = sk_chain_bound.maximize_stack(
-            models, tol, verdicts=verdicts, nested_q=[
+            models, tol, nested_q=[
                 s.q if isinstance(s, rs_solver.RsSolution) else None
                 for s in solutions])
     rows = []

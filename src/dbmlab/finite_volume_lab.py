@@ -188,10 +188,9 @@ def _draw_field(gen: np.random.Generator, field: FieldSpec, n: int) -> np.ndarra
     """``n`` independent draws from the field's law."""
     if field.v > 0.0:
         return math.sqrt(field.v) * gen.standard_normal(n)
-    values, probs = field.atoms
-    if values.size == 1:
-        return np.full(n, values[0])
-    return gen.choice(values, size=n, p=probs)
+    if len(field.values) == 1:
+        return np.full(n, field.values[0])
+    return gen.choice(field.values, size=n, p=field.probs)
 
 
 def sample_disorder(assignment: LayerAssignment, params: ModelParams,

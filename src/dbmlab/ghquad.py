@@ -7,8 +7,8 @@ of the smooth bounded (or log-growth) kernels ``tanh^2``, ``log cosh``,
 A field is its law ``h = sqrt(v) z'' + X`` with ``X`` discrete: the exact
 reduction ``z sqrt(s) + sqrt(v) z'' ~ z' sqrt(s + v)`` folds its Gaussian
 part into the variance, and the outer expectation is a finite sum over the
-atoms of ``X`` (:attr:`~dbmlab.machine.FieldSpec.atoms`).  So the kernel
-reads ``v`` and the atoms of every field alike, whatever its kind.
+atoms of ``X`` (the field's ``values`` and ``probs``).  So the kernel reads
+``v`` and the atoms of every field alike, whatever its kind.
 
 Quadrature
 ----------
@@ -190,22 +190,26 @@ class FieldTable(tuple):
     """A tuple of :class:`FieldSpec`, one per layer, with their laws laid
     out as arrays for :func:`expect`.
 
-    ``v`` holds each layer's Gaussian variance, ``shifts`` and ``probs``
-    the atoms of all layers in layer order, and ``starts`` the index of
-    each layer's first atom.  :func:`expect` builds one from the fields
-    of every call; a caller that evaluates the same layers many times
-    (a solver's steps) builds it once and passes it as ``fields``.
+    This is the one array layout of the fields' laws: ``v`` holds each
+    layer's Gaussian variance, ``shifts`` and ``probs`` the atoms of all
+    layers in layer order, filled from each field's ``values`` and
+    ``probs``, and ``starts`` the index of each layer's first atom.
+    :func:`expect` builds one from the fields of every call; a caller that
+    evaluates the same layers many times (a solver's steps) builds it once
+    and passes it as ``fields``.
     """
 
     def __new__(cls, fields):
         table = super().__new__(cls, fields)
         if not all(isinstance(field, FieldSpec) for field in table):
             raise TypeError("field must be a FieldSpec")
-        atoms = [field.atoms for field in table]
         counts = [len(field.values) for field in table]
+        size = sum(counts)
         table.v = np.array([field.v for field in table])
-        table.shifts = np.concatenate([values for values, _ in atoms])
-        table.probs = np.concatenate([probs for _, probs in atoms])
+        table.shifts = np.fromiter(itertools.chain.from_iterable(
+            field.values for field in table), float, size)
+        table.probs = np.fromiter(itertools.chain.from_iterable(
+            field.probs for field in table), float, size)
         table.starts = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
         table.counts = np.array(counts)
         return table

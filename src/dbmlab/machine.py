@@ -20,7 +20,6 @@ positive.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -139,15 +138,6 @@ class FieldSpec:
                          probs=tuple(float(p) for p in probs))
 
     # -- the law ------------------------------------------------------------
-
-    @functools.cached_property
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms ``(values, probs)`` as read-only arrays, built once."""
-        arrays = (np.array(self.values, dtype=float),
-                  np.array(self.probs, dtype=float))
-        for array in arrays:
-            array.setflags(write=False)
-        return arrays
 
     @property
     def kind(self) -> str:
@@ -287,8 +277,9 @@ class RegionVerdict:
     ``|rho - 1|`` is within :func:`classify_annealed`'s ``boundary_tol``);
     ``z_chain`` holds the chain values ``(z_0, ..., z_K)`` at ``x = 1``;
     ``feasible_a`` is the witness for the layer inequality system when inside
-    (``None`` when outside, on the boundary, or when some layer width
-    vanishes; the empty tuple for K = 1).
+    (``None`` when outside, on the boundary, when some layer width
+    vanishes, or when some entry is not a positive finite float; the empty
+    tuple for K = 1).
     The witness saturates the first ``K - 1`` inequalities exactly and
     satisfies the last one strictly; strict interior witnesses follow by an
     arbitrarily small perturbation.
@@ -400,17 +391,14 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
             lam = params.lam
             beta_sq = np.asarray(params.beta) ** 2
             a = np.empty(K - 1)
-            a[0] = 1.0 / (2.0 * lam[0] * beta_sq[0])
-            ok = a[0] > 0.0
-            for p in range(1, K - 1):
-                a[p] = 1.0 / (2.0 * lam[p] * beta_sq[p]) - (beta_sq[p - 1] / beta_sq[p]) / a[p - 1]
-                if a[p] <= 0.0:
-                    ok = False
-                    break
-            if ok:
+            # Tiny weights or temperatures overflow the recursion, and a
+            # witness is reported only where every entry is a positive float.
+            with np.errstate(all="ignore"):
+                a[0] = 1.0 / (2.0 * lam[0] * beta_sq[0])
+                for p in range(1, K - 1):
+                    a[p] = 1.0 / (2.0 * lam[p] * beta_sq[p]) - (beta_sq[p - 1] / beta_sq[p]) / a[p - 1]
                 final = 1.0 / (2.0 * lam[K - 1]) - beta_sq[K - 2] / a[K - 2]
-                ok = final > 0.0
-            if ok:
+            if np.all((a > 0.0) & (a < math.inf)) and final > 0.0:
                 feasible_a = tuple(float(v) for v in a)
     return RegionVerdict(
         verdict=verdict,

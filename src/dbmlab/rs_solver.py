@@ -532,45 +532,41 @@ def _guard_error(steps, q, residual, m, fields) -> SolverError:
         last_q=q, residual=residual, iterations=steps)
 
 
-def _newton_iterates(stack: _Stack, tol: float, results: list):
-    """Safeguarded Newton iterates for ``G(q) = q - F(q)`` on every point
-    of ``stack`` at once, with the starts, steps, guard and stopping rule
-    of :func:`solve_nested` for each point.
+def _newton(stack: _Stack, tol: float) -> list:
+    """Largest consistency solution of every point of ``stack``: per point
+    ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))`` at its best-residual
+    iterate, or the :class:`SolverError` it ends with, either when its
+    step leaves the monotone descent or when its best residual stays above
+    ``tol``.
 
-    Yields ``(q, res, distance)`` after each evaluation, one row per point
-    still iterating, in stack order: the iterate, ``max |G(q)|``, and
-    ``max |J^{-1} G(q)|`` with the Jacobian ``J`` of the point's previous
-    step (``inf`` at the start or after a singular ``J``), an estimate of
-    the distance to the root that costs no expectation.  A point that
-    stops leaves the rows and puts its outcome in ``results``:
-    ``(q, residual, Mq, E cosh^-4)`` for its best-residual iterate, or the
-    :class:`SolverError` it ends with, either when its step leaves the
-    monotone descent or when its best residual stays above ``tol``.
-
-    Each step makes one layered ``TANH_MOMENTS`` call for every point
-    still iterating, a second one only for the damped steps of non-centred
-    points, and one batched linear solve: every point's Jacobian for its
-    step, with its previous one for the distance.
+    Safeguarded Newton on ``G(q) = q - F(q)``, with the starts, steps,
+    guard and stopping rule of :func:`solve_nested`, for every point at
+    once.  Each step makes one layered ``TANH_MOMENTS`` call for every
+    point still iterating, a second one only for the damped steps of
+    non-centred points, and one batched linear solve: every point's
+    Jacobian for its step, with its previous one for the distance to the
+    root, ``max |J^{-1} G(q)|`` (``inf`` at the start or after a singular
+    ``J``), an estimate that costs no expectation.  A point that stops
+    leaves the rows, so its values are those of a one-point stack.  A
+    single layer has no interaction: ``q`` is the layer's own ``E tanh^2(z
+    sqrt(v) + h)``.
     """
     P, K = stack.lam.shape
+    if K == 1:
+        q = _expect_rows(TANH_SQ, np.zeros((P, 1)), stack.table)
+        m = _mv(stack.M, q)
+        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
+        residual = np.max(np.abs(q - f), axis=1).tolist()
+        return list(zip(q, residual, m, inv_cosh4))
     rows, M, fields = np.arange(P), stack.M, stack.table
     centred = [all(f.is_centred for f in params.fields)
                for params in stack.models]
     mixed = not all(centred)
     eye = np.eye(K)
     target = max(1e-14, 0.01 * tol)
-    best: list = [None] * P  # per point (q, m, E cosh^-4) of its best iterate
+    results: list = [None] * P
+    best: list = [None] * P  # per point (q, residual, m, E cosh^-4)
     best_res = [math.inf] * P
-
-    def finish(i, steps):
-        if best_res[i] > tol:
-            results[i] = SolverError(
-                f"nested solve stalled at residual {best_res[i]:.3e} > "
-                f"tol={tol}", last_q=best[i][0], residual=best_res[i],
-                iterations=steps)
-        else:
-            results[i] = (best[i][0], best_res[i], *best[i][1:])
-
     state = _evaluate(M, fields, np.where(np.array(centred)[:, None], 1.0, 0.5)
                       * np.ones(K))
     jac_prev = None
@@ -589,20 +585,24 @@ def _newton_iterates(stack: _Stack, tol: float, results: list):
             if solved is not None:
                 distance[~solved[:n]] = math.inf
             x = x[n:]
-        yield q, res, distance
         new = q - x  # a singular Jacobian's row is NaN
         finite = np.logical_and.reduce(np.isfinite(new), axis=1).tolist()
         guard = None
         keep = []
         for j, (i, r, d) in enumerate(zip(rows.tolist(), res.tolist(),
                                           distance.tolist())):
-            if r < best_res[i]:
-                best[i], best_res[i] = (q[j], m[j], inv_cosh4[j]), r
-            elif best_res[i] <= tol:  # stalled at rounding level
-                finish(i, step)
-                continue
-            if (best_res[i] <= target and d <= tol) or step == _NEWTON_STEPS:
-                finish(i, step)
+            lowered = r < best_res[i]
+            if lowered:
+                best[i], best_res[i] = (q[j], r, m[j], inv_cosh4[j]), r
+            # A step that no longer lowers a residual within tol has
+            # stalled at rounding level.
+            if ((not lowered and best_res[i] <= tol)
+                    or (best_res[i] <= target and d <= tol)
+                    or step == _NEWTON_STEPS):
+                results[i] = best[i] if best_res[i] <= tol else SolverError(
+                    f"nested solve stalled at residual {best_res[i]:.3e} > "
+                    f"tol={tol}", last_q=best[i][0], residual=best_res[i],
+                    iterations=step)
                 continue
             descends = finite[j]
             if centred[j] and descends and r > _GUARD_RESIDUAL:
@@ -621,7 +621,7 @@ def _newton_iterates(stack: _Stack, tol: float, results: list):
             keep.append(j)
         if len(keep) < n:
             if not keep:
-                return
+                return results
             q, g, res, new, jac, rows, M = (
                 a[keep] for a in (q, g, res, new, jac, rows, M))
             centred = [centred[j] for j in keep]
@@ -644,29 +644,6 @@ def _newton_iterates(stack: _Stack, tol: float, results: list):
                                   q[redo] - 0.5 * g[redo])
                 for part, value in zip(state, again):
                     part[redo] = value
-
-
-def _newton(stack: _Stack, tol: float) -> list:
-    """Largest consistency solution of every point of ``stack``: per point
-    ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))``, or the
-    :class:`SolverError` it ends with.
-
-    The points run through :func:`_newton_iterates` together.  Each stops
-    on its own and keeps its best-residual iterate, so its values are
-    those of a one-point stack.  A single layer has no interaction: ``q``
-    is the layer's own ``E tanh^2(z sqrt(v) + h)``.
-    """
-    P, K = stack.lam.shape
-    if K == 1:
-        q = _expect_rows(TANH_SQ, np.zeros((P, 1)), stack.table)
-        m = _mv(stack.M, q)
-        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
-        residual = np.max(np.abs(q - f), axis=1).tolist()
-        return list(zip(q, residual, m, inv_cosh4))
-    results: list = [None] * P
-    for _ in _newton_iterates(stack, tol, results):
-        pass
-    return results
 
 
 def solve_stack(models, tol: float = 1e-10, rho=None) -> list:

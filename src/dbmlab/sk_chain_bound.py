@@ -211,16 +211,14 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
     return lam_q[:-1] * a - lam_q[1:]
 
 
-def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
-                   verdicts=None) -> list:
+def maximize_stack(models, tol: float = 1e-10, *, nested_q=None) -> list:
     """:func:`maximize_bound` on every model of a stack of same-K models.
 
-    ``nested_q`` holds per model its consistency solution or ``None``, and
-    ``verdicts`` per model its :func:`machine.classify_annealed` verdict
-    when the caller has it already.  The models that need a consistency
-    solution and have none get it from one stacked Newton solve
-    (:func:`rs_solver._newton`); then the overlap solves of every layer of
-    every point run in lockstep, and the bound values and the
+    ``nested_q`` holds per model its consistency solution or ``None``.  The
+    models without a witness (:func:`machine.classify_annealed`) that need
+    a consistency solution and have none get it from one stacked Newton
+    solve (:func:`rs_solver._newton`); then the overlap solves of every
+    layer of every point run in lockstep, and the bound values and the
     certificates take one kernel call each.  Every point gets the bits of
     its own :func:`maximize_bound` call.  Returns per model its
     :class:`BoundResult`, or the :class:`rs_solver.SolverError` or
@@ -244,9 +242,7 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
             results[i] = exc
             continue
         if params.zero_fields or params.K == 1:
-            verdict = (machine.classify_annealed(params) if verdicts is None
-                       else verdicts[i])
-            witness[i] = verdict.feasible_a
+            witness[i] = machine.classify_annealed(params).feasible_a
     unsolved = [i for i, result in enumerate(results) if result is None
                 and witness[i] is None and nested_q[i] is None]
     if unsolved:

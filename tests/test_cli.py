@@ -529,6 +529,20 @@ def test_scan_outputs_must_not_repeat(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["scan", "region"])
+def test_scan_axes_must_not_repeat(tmp_path, capsys, command):
+    data = balanced2()
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
+                              "steps": 2},
+                             {"path": "beta[0]", "min": 0.5, "max": 0.7,
+                              "steps": 3}]}
+    assert cli.main([command, "--config", write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: repeated scan axis 'beta[0]'; scan each "
+                            "parameter on one axis\n")
+
+
 def test_scan_solver_and_bound_outputs(tmp_path):
     data = gauss2()
     data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
@@ -687,6 +701,51 @@ def test_bound_with_weights_past_the_floats_exits_one_with_one_line(
         capsys.readouterr()
 
 
+# Zero fields strictly inside the annealed region, with a subnormal first
+# layer weight: the witness recursion overflows to inf.
+_SUBNORMAL_WEIGHT_MODEL = model_dict(3, (0.5, 0.5), (1e-320, 0.5, 0.5))
+
+
+def test_a_witness_past_the_floats_is_null_and_the_bound_fails_with_one_line(
+        tmp_path, capsys):
+    cfg = write_config(tmp_path, _SUBNORMAL_WEIGHT_MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["region", "--config", cfg, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["verdict"] == "inside" and row["witness"] is None
+        assert cli.main(["bound", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the bound failed: ")
+        assert captured.err.count("\n") == 1
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON that has no ``NaN`` or ``Infinity``."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("model, failing", [
+    (verify_config(), ()),
+    # verify cannot check the witness criterion without a witness.
+    (_SUBNORMAL_WEIGHT_MODEL, ("bound", "verify")),
+])
+def test_json_output_is_strict_json(tmp_path, capsys, model, failing):
+    model = dict(model, scan={
+        "axes": [{"path": "beta[0]", "min": 0.3, "max": 0.6, "steps": 2}],
+        "outputs": ["region", "rho", "rs_pressure", "bound", "certificates"]})
+    cfg = write_config(tmp_path, model)
+    for command in ("region", "poly", "rs", "bound", "scan", "verify"):
+        code = cli.main([command, "--config", cfg, "--format", "json"])
+        out = capsys.readouterr().out
+        assert (code == 0) == (command not in failing)
+        if out:
+            assert _strict_json(out)["command"] == command
+
+
 def test_zero_width_layers_fail_the_bound(tmp_path, capsys):
     model = model_dict(3, (0.5, 0.5), (0.5, 0.0, 0.5))
     assert cli.main(["bound", "--config", write_config(tmp_path, model)]) == 2
@@ -809,8 +868,9 @@ def test_every_spelling_of_the_zero_law_gives_the_same_bytes_property(
     axes = [{"path": "beta[0]", "min": 0.4, "max": 1.6, "steps": 2}
             if model["K"] > 1 else
             {"path": "fields[0].v", "min": 0.0, "max": 0.5, "steps": 2}]
-    if zero_layers:
+    if zero_layers and model["K"] > 1:
         # A variance axis on a zero layer: every spelling is a centred base.
+        # One layer has it already, and an axis may not repeat.
         axes.append({"path": f"fields[{zero_layers[-1]}].v", "min": 0.0,
                      "max": 0.5, "steps": 2})
     outputs = []

@@ -109,17 +109,15 @@ def test_a_field_is_its_law():
     assert split != FieldSpec.zero()
 
 
-def test_field_atoms_are_built_once_read_only_and_outside_equality():
-    field = FieldSpec.discrete([-1.0, 0.5], [0.25, 0.75])
-    values, probs = field.atoms
-    assert field.atoms[0] is values and field.atoms[1] is probs
-    assert values.tolist() == [-1.0, 0.5] and probs.tolist() == [0.25, 0.75]
-    for array in (values, probs):
-        with pytest.raises(ValueError):
-            array[0] = 2.0
-    fresh = FieldSpec.discrete([-1.0, 0.5], [0.25, 0.75])
-    assert fresh == field and hash(fresh) == hash(field)
-    assert "atoms" not in repr(field)
+@pytest.mark.parametrize("beta, lam", [
+    ((0.5, 0.5), (1e-320, 0.5, 0.5)),    # a_1 overflows to inf
+    ((1e-200, 1e-200), (0.3, 0.4, 0.3)),  # beta^2 underflows to 0
+])
+def test_a_witness_past_the_floats_is_none_without_a_warning(beta, lam):
+    # RuntimeWarnings are errors here, so an overflow in the recursion fails.
+    verdict = machine.classify_annealed(ModelParams(K=3, beta=beta, lam=lam))
+    assert verdict.verdict == "inside"
+    assert verdict.feasible_a is None
 
 
 def test_field_laws_that_have_no_json_form_or_no_meaning_are_refused():

@@ -96,8 +96,7 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             np.testing.assert_array_equal(solution.q, solo.q)
             assert solo.pressure == _one_model_pressure(solo.q, params)
     nested_q = [None if isinstance(s, Exception) else s.q for s in solutions]
-    for bounds in (sk_chain_bound.maximize_stack(models, tol, nested_q=nested_q,
-                                                 verdicts=verdicts),
+    for bounds in (sk_chain_bound.maximize_stack(models, tol, nested_q=nested_q),
                    sk_chain_bound.maximize_stack(models, tol)):
         for params, bound in zip(models, bounds):
             _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
