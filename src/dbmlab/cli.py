@@ -355,13 +355,15 @@ def cmd_region(config: _Config, args) -> tuple[str, bool]:
 def cmd_poly(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     t = machine.activities(params)
+    # The largest zero is the spectral radius of the interaction matrix.
+    zeros = [float(z) for z in chainpoly.zeros(t)]
     payload = {
         "command": "poly",
         "activities": [float(x) for x in t],
         "coefficients": [float(c) for c in chainpoly.coefficients(t)],
-        "zeros": [float(z) for z in chainpoly.zeros(t)],
-        "largest_zero": float(chainpoly.largest_zero(t)),
-        "spectral_radius": float(machine.spectral_radius(params)),
+        "zeros": zeros,
+        "largest_zero": zeros[-1],
+        "spectral_radius": zeros[-1],
         "interlacing_ok": bool(chainpoly.interlacing_check(t)),
     }
     if args.format == "json":
@@ -421,13 +423,19 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
 
 
 def _criteria_consistent(params: ModelParams) -> bool:
-    """Whether the spectral, chain-positivity and witness criteria agree."""
+    """Whether the spectral, chain-positivity and witness criteria agree.
+
+    A witness withheld only because its recursion left the floats (an
+    entry overflowed to ``inf`` or is not a number, and none is zero or
+    negative) says nothing, so it agrees.
+    """
     verdict = machine.classify_annealed(params)
     inside = verdict.rho < 1.0
     return verdict.verdict == "boundary" or (
         inside == all(z > 0.0 for z in verdict.z_chain)
         and (min(params.lam) <= 0.0
-             or inside == (verdict.feasible_a is not None)))
+             or inside == (verdict.feasible_a is not None)
+             or not np.any(machine.witness_recursion(params) <= 0.0)))
 
 
 def cmd_verify(config: _Config, args) -> tuple[str, bool]:
@@ -469,7 +477,9 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
             "ok": ok,
         }
         return _json_text(payload), ok
-    return report.to_csv(), ok
+    rows = [dict(row.to_dict(), flags=";".join(row.flags)) for row in report.rows]
+    return _csv_table(("N", "method", "mean", "std_error", "p_annealed", "gap",
+                       "flags"), rows), ok
 
 
 def cmd_scan(config: _Config, args) -> tuple[str, bool]:

@@ -11,9 +11,11 @@ region.
 The layered chain is bipartite: given the even-indexed layers, the spins
 of the odd-indexed layers are independent, and vice versa.  Exact
 enumeration uses that to sum one parity class of layers in closed form.
-All three estimators (exact enumeration, Monte Carlo and the covariance
-check) draw their disorder as stacks of consecutive samples with a leading
-array axis (see :class:`DisorderSample`), and reduce one stack at a time.
+A disorder sample is always a stack: a :class:`DisorderSample` holds
+consecutive samples along a leading array axis, one sample being a stack of
+one, and :func:`sample_disorder` is the one function that draws them.  All
+three estimators (exact enumeration, Monte Carlo and the covariance check)
+reduce one stack at a time.
 
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.special import expit, logsumexp, stdtrit
 
 from . import machine
-from .machine import FieldSpec, ModelParams
+from .machine import ModelParams
 
 _LOG2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -103,13 +105,14 @@ class LayerAssignment:
 
 @dataclass(frozen=True, eq=False)
 class DisorderSample:
-    """Couplings and fields for a finite assignment: one sample or a stack.
+    """Couplings and fields of ``D`` consecutive disorder samples.
 
-    ``couplings[p]`` is the ``N_p x N_{p+1}`` standard-Gaussian block of
-    bond ``p``; ``fields[p]`` holds the per-spin external fields of layer
-    ``p``.  A stack of ``D`` consecutive samples puts a leading axis of
-    length ``D`` on every block and field vector, and ``index`` is its first
-    sample.  Reproducible from ``(seed, index)``.
+    ``couplings[p]`` is the ``(D, N_p, N_{p+1})`` stack of standard-Gaussian
+    blocks of bond ``p``; ``fields[p]`` is the ``(D, N_p)`` stack of the
+    per-spin external fields of layer ``p``.  ``index`` is the first
+    sample, so sample ``index + d`` is row ``d`` of every array, and each
+    is reproducible from ``(seed, index + d)``.  One sample is a stack of
+    one.
     """
 
     assignment: LayerAssignment
@@ -124,21 +127,14 @@ class DisorderSample:
             raise ValueError("need one coupling block per adjacent layer pair")
         if len(self.fields) != len(sizes):
             raise ValueError("need one field vector per layer")
-        batch = self.batch_shape
-        if len(batch) > 1:
-            raise ValueError("a stack of samples has one leading axis")
+        D = len(self.fields[0])
         for p, block in enumerate(self.couplings):
-            if block.shape != batch + (sizes[p], sizes[p + 1]):
+            if block.shape != (D, sizes[p], sizes[p + 1]):
                 raise ValueError(f"coupling block {p} must have shape "
-                                 f"{batch + (sizes[p], sizes[p + 1])}")
+                                 f"{(D, sizes[p], sizes[p + 1])}")
         for p, h in enumerate(self.fields):
-            if h.shape != batch + (sizes[p],):
-                raise ValueError(f"field vector {p} must have shape {batch + (sizes[p],)}")
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        """``()`` for one sample, ``(D,)`` for a stack of ``D``."""
-        return self.fields[0].shape[:-1]
+            if h.shape != (D, sizes[p]):
+                raise ValueError(f"field vector {p} must have shape {(D, sizes[p])}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +146,15 @@ class PressureEstimate:
     n_samples: int
     method: str
     flags: tuple[str, ...] = ()
+
+    @staticmethod
+    def from_values(values: np.ndarray, method: str,
+                    flags: tuple[str, ...] = ()) -> "PressureEstimate":
+        """Mean and standard error (``0`` for one sample) of ``values``."""
+        n = values.size
+        std_error = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return PressureEstimate(mean=float(np.mean(values)), std_error=std_error,
+                                n_samples=n, method=method, flags=flags)
 
     def to_dict(self) -> dict:
         return {
@@ -166,56 +171,54 @@ class PressureEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _generator(seed: int, index: int, stream: int,
-               philox: np.random.Philox | None = None) -> np.random.Generator:
-    """Generator on the Philox stream keyed by ``(seed, index, stream)``.
+def _stream_state(seed: int, index: int, stream: int) -> dict:
+    """Philox state at the start of the stream keyed by ``(seed, index, stream)``."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, 0, stream & _MASK64], dtype=np.uint64),
+                      "key": np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
 
-    Given ``philox``, that bit generator is re-keyed in place of building a
-    new one: the stream is the same, at a fraction of the cost.
-    """
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, 0, stream & _MASK64], dtype=np.uint64)
-    if philox is None:
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
-    philox.state = {"bit_generator": "Philox",
-                    "state": {"counter": counter, "key": key},
-                    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
+
+def _generator(seed: int, index: int, stream: int) -> np.random.Generator:
+    """Generator on the Philox stream keyed by ``(seed, index, stream)``."""
+    philox = np.random.Philox(0)
+    philox.state = _stream_state(seed, index, stream)
     return np.random.Generator(philox)
 
 
-def _draw_field(gen: np.random.Generator, field: FieldSpec, n: int) -> np.ndarray:
-    """``n`` independent draws from the field's law."""
-    if field.v > 0.0:
-        return math.sqrt(field.v) * gen.standard_normal(n)
-    if len(field.values) == 1:
-        return np.full(n, field.values[0])
-    return gen.choice(field.values, size=n, p=field.probs)
-
-
 def sample_disorder(assignment: LayerAssignment, params: ModelParams,
-                    seed: int, index: int = 0, *,
-                    philox: np.random.Philox | None = None) -> DisorderSample:
-    """Draw the disorder sample keyed by ``(seed, index)``.
+                    seed: int, index: int = 0, count: int = 1) -> DisorderSample:
+    """Draw the ``count`` disorder samples keyed by ``(seed, index)`` onwards.
 
-    Couplings are drawn bond by bond, then fields layer by layer, from a
-    dedicated counter-based stream, so the draw is independent of any
-    other randomness in the process.  A field is drawn from its law: a
-    Gaussian draw when ``v > 0``, the atom itself when there is one, and
-    a draw among the atoms otherwise, so a layer whose field is constant
-    takes nothing from the stream.  A caller drawing many samples may
-    pass one ``philox`` bit generator to re-key for each; the draws are
-    the same.
+    This is the one place that draws disorder.  Sample ``index + d`` is
+    drawn into row ``d`` of the stack from its own counter-based stream,
+    so it is independent of any other randomness in the process and of how
+    the samples are stacked: one Philox bit generator is re-keyed for
+    each.  Couplings are drawn bond by bond, then fields layer by layer.
+    A field is drawn from its law: a Gaussian draw when ``v > 0``, the
+    atom itself when there is one, and a draw among the atoms otherwise,
+    so a layer whose field is constant takes nothing from the stream.
     """
     sizes = assignment.sizes
     if params.K != len(sizes):
         raise ValueError("assignment and parameters disagree on the layer count")
-    gen = _generator(seed, index, _STREAM_DISORDER, philox)
-    couplings = tuple(
-        gen.standard_normal((sizes[p], sizes[p + 1]))
-        for p in range(len(sizes) - 1))
-    fields = tuple(
-        _draw_field(gen, params.fields[p], sizes[p]) for p in range(len(sizes)))
+    couplings = tuple(np.empty((count, a, b)) for a, b in zip(sizes, sizes[1:]))
+    fields = tuple(np.empty((count, n)) for n in sizes)
+    philox = np.random.Philox(0)
+    gen = np.random.Generator(philox)
+    for d in range(count):
+        philox.state = _stream_state(seed, index + d, _STREAM_DISORDER)
+        for block in couplings:
+            gen.standard_normal(out=block[d])
+        for field, row in zip(params.fields, fields):
+            if field.v > 0.0:
+                gen.standard_normal(out=row[d])
+                row[d] *= math.sqrt(field.v)
+            elif len(field.values) == 1:
+                row[d] = field.values[0]
+            else:
+                row[d] = gen.choice(field.values, size=row.shape[1], p=field.probs)
     return DisorderSample(assignment=assignment, couplings=couplings,
                           fields=fields, seed=seed, index=index)
 
@@ -231,19 +234,9 @@ def _disorder_stacks(assignment: LayerAssignment, params: ModelParams,
     sizes = assignment.sizes
     per_sample = sum(a * b for a, b in zip(sizes, sizes[1:])) + work_entries
     width = max(1, _CHUNK_ENTRIES // max(1, per_sample))
-    philox = np.random.Philox(0)
     for start in range(0, n_disorder, width):
-        D = min(width, n_disorder - start)
-        couplings = [np.empty((D, a, b)) for a, b in zip(sizes, sizes[1:])]
-        fields = [np.empty((D, n)) for n in sizes]
-        for d in range(D):
-            sample = sample_disorder(assignment, params, seed, start + d,
-                                     philox=philox)
-            for stack, block in zip(couplings + fields,
-                                    sample.couplings + sample.fields):
-                stack[d] = block
-        yield DisorderSample(assignment=assignment, couplings=tuple(couplings),
-                             fields=tuple(fields), seed=seed, index=start)
+        yield sample_disorder(assignment, params, seed, start,
+                              min(width, n_disorder - start))
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +261,20 @@ def hamiltonian(sample: DisorderSample, sigma, params: ModelParams):
     """Interaction energy ``-sqrt(2/N) sum_p beta_p sigma_p . J_p sigma_{p+1}``.
 
     Fields enter ``Z`` separately.  ``sigma`` is one configuration of shape
-    ``(N,)`` or a stack of shape ``(n, N)``, and ``sample`` one sample or a
-    stack of ``D``.  The energies have the sample's batch shape followed by
-    the configurations': one configuration of one sample gives a ``float``,
-    ``n`` configurations of a stack a ``(D, n)`` array.  Each stacked sample
-    goes through the same matrix product and per-row reduction as a single
-    one, so its energies keep their bits.
+    ``(N,)`` or a stack of shape ``(n, N)``, and ``sample`` a stack of ``D``
+    samples.  The energies have shape ``(D,)`` for one configuration and
+    ``(D, n)`` for ``n``.  Each sample goes through its own matrix product
+    and per-row reduction, so its energies have the same bits in a stack of
+    any width.
     """
     if params.K != len(sample.assignment.sizes):
         raise ValueError("sample and parameters disagree on the layer count")
     parts = _split_layers(sample.assignment, sigma)
-    total = np.zeros(sample.batch_shape + parts[0].shape[:-1])
+    total = np.zeros((len(sample.fields[0]),) + parts[0].shape[:-1])
     for p, block in enumerate(sample.couplings):
         total += params.beta[p] * np.einsum("...i,...i->...", parts[p] @ block,
                                             parts[p + 1])
-    energy = -math.sqrt(2.0 / sample.assignment.N) * total
-    return float(energy) if energy.ndim == 0 else energy
+    return -math.sqrt(2.0 / sample.assignment.N) * total
 
 
 def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
@@ -327,8 +318,7 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     fields of the summed spins, so all rows come from one product of the
     configuration table with a matrix.  A stack of ``D`` samples takes one
     such product per sample and one ``scipy.special.logsumexp`` call over
-    all its rows, and gives an array of ``D`` values; one sample gives a
-    ``float``.
+    all its rows, and gives an array of ``D`` values.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -342,8 +332,7 @@ def log_partition(sample: DisorderSample, params: ModelParams):
             "use the Monte Carlo estimator for larger systems")
     if K == 1:
         h = sample.fields[0]
-        values = np.sum(np.logaddexp(h, -h), axis=-1)
-        return float(values) if values.ndim == 0 else values
+        return np.sum(np.logaddexp(h, -h), axis=-1)
     scale = math.sqrt(2.0 / N)
     first = 0 if sum(sizes[0::2]) <= sum(sizes[1::2]) else 1
     enumerated = range(first, K, 2)
@@ -353,7 +342,7 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     # Layer p is number p // 2 of its class.  Row block rows[p // 2] holds an
     # enumerated layer's spins; column 0 takes their fields and column block
     # cols[p // 2] the coupling part of summed layer p's local fields.
-    linear = np.zeros(sample.batch_shape + (rows[-1], cols[-1]))
+    linear = np.zeros((len(sample.fields[0]), rows[-1], cols[-1]))
     linear[..., 0] = np.concatenate([sample.fields[p] for p in enumerated], axis=-1)
     for p in summed:
         c = slice(cols[p // 2], cols[p // 2 + 1])
@@ -369,8 +358,7 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     local = np.abs(table[..., 1:] + summed_fields[..., None, :])
     log_weights = table[..., 0] + np.sum(
         local + np.log1p(np.exp(-2.0 * local)), axis=-1)
-    values = logsumexp(log_weights, axis=-1)
-    return float(values) if values.ndim == 0 else values
+    return logsumexp(log_weights, axis=-1)
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -394,11 +382,7 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
         log_partition(stack, params)
         for stack in _disorder_stacks(assignment, params, seed, n_disorder,
                                       4 * table)]) / assignment.N
-    std_error = (
-        float(np.std(values, ddof=1) / math.sqrt(n_disorder))
-        if n_disorder > 1 else 0.0)
-    return PressureEstimate(mean=float(np.mean(values)), std_error=std_error,
-                            n_samples=n_disorder, method="exact_enum")
+    return PressureEstimate.from_values(values, "exact_enum")
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +543,8 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
         integral = (mean_gain[:, None, :] @ weights[:, None])[:, 0, 0]
         values[start:start + D] = anchor + integral / N
     drifted = _drift_detected(records.transpose(1, 0, 2))
-    std_error = (
-        float(np.std(values, ddof=1) / math.sqrt(n_disorder))
-        if n_disorder > 1 else 0.0)
-    return PressureEstimate(mean=float(np.mean(values)), std_error=std_error,
-                            n_samples=n_disorder, method="monte_carlo",
-                            flags=("nonequilibrated",) if drifted else ())
+    return PressureEstimate.from_values(
+        values, "monte_carlo", ("nonequilibrated",) if drifted else ())
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +686,6 @@ class TrendReport:
             "jensen_ok": bool(self.jensen_ok),
             "gap_decreasing": bool(self.gap_decreasing),
         }
-
-    def to_csv(self) -> str:
-        lines = ["N,method,mean,std_error,p_annealed,gap,flags"]
-        for row in self.rows:
-            lines.append(",".join([
-                str(row.N), row.method, repr(row.mean), repr(row.std_error),
-                repr(row.p_annealed), repr(row.gap), ";".join(row.flags)]))
-        return "\n".join(lines) + "\n"
 
 
 def annealed_trend(params: ModelParams, sizes, n_disorder: int = 200,

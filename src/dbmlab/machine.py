@@ -40,6 +40,7 @@ __all__ = [
     "build_matrices",
     "spectral_radius",
     "classify_annealed",
+    "witness_recursion",
     "extremal_lambda",
     "chain_quadratic_bound",
     "config_number",
@@ -359,18 +360,40 @@ def spectral_radius(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 
 
+def witness_recursion(params: ModelParams) -> np.ndarray:
+    """The witness entries ``a_1, ..., a_{K-1}`` and the last slack, in floats.
+
+    The forward recursion
+
+        a_1 = 1 / (2 lam_1 beta_1^2),
+        a_p = 1 / (2 lam_p beta_p^2) - (beta_{p-1}^2 / beta_p^2) / a_{p-1},
+
+    gives ``a_p = z_p / (2 lam_p beta_p^2 z_{p-1})``, and the last slack is
+    ``1 / (2 lam_K) - beta_{K-1}^2 / a_{K-1}``.  Tiny weights or
+    temperatures make it leave the floats, without a warning: entries come
+    back as ``inf`` or ``nan``.  Needs ``K >= 2``.
+    """
+    lam = params.lam
+    beta_sq = np.asarray(params.beta) ** 2
+    K = params.K
+    out = np.empty(K)
+    with np.errstate(all="ignore"):
+        out[0] = 1.0 / (2.0 * lam[0] * beta_sq[0])
+        for p in range(1, K - 1):
+            out[p] = 1.0 / (2.0 * lam[p] * beta_sq[p]) - (beta_sq[p - 1] / beta_sq[p]) / out[p - 1]
+        out[K - 1] = 1.0 / (2.0 * lam[K - 1]) - beta_sq[K - 2] / out[K - 2]
+    return out
+
+
 def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> RegionVerdict:
     """Classify the parameters against the annealed region.
 
     Computes the spectral radius ``rho``, the chain values
     ``z_p = Delta_p(1; t)``, and — strictly inside with all layer widths
-    positive — the feasibility witness from the forward recursion
-
-        a_1 = 1 / (2 lam_1 beta_1^2),
-        a_p = 1 / (2 lam_p beta_p^2) - (beta_{p-1}^2 / beta_p^2) / a_{p-1},
-
-    equal to ``z_p / (2 lam_p beta_p^2 z_{p-1})``.  Verdicts within
-    ``boundary_tol`` of ``rho = 1`` are reported as ``boundary``.
+    positive — the feasibility witness: the entries of
+    :func:`witness_recursion`, given only when they are finite and they and
+    the last slack are positive.  Verdicts within ``boundary_tol`` of
+    ``rho = 1`` are reported as ``boundary``.
     """
     t = activities(params)
     rho = chainpoly.largest_zero(t)
@@ -388,17 +411,8 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
         if K == 1:
             feasible_a = ()
         elif all(l > 0.0 for l in params.lam):
-            lam = params.lam
-            beta_sq = np.asarray(params.beta) ** 2
-            a = np.empty(K - 1)
-            # Tiny weights or temperatures overflow the recursion, and a
-            # witness is reported only where every entry is a positive float.
-            with np.errstate(all="ignore"):
-                a[0] = 1.0 / (2.0 * lam[0] * beta_sq[0])
-                for p in range(1, K - 1):
-                    a[p] = 1.0 / (2.0 * lam[p] * beta_sq[p]) - (beta_sq[p - 1] / beta_sq[p]) / a[p - 1]
-                final = 1.0 / (2.0 * lam[K - 1]) - beta_sq[K - 2] / a[K - 2]
-            if np.all((a > 0.0) & (a < math.inf)) and final > 0.0:
+            *a, final = witness_recursion(params)
+            if all(0.0 < v < math.inf for v in a) and final > 0.0:
                 feasible_a = tuple(float(v) for v in a)
     return RegionVerdict(
         verdict=verdict,

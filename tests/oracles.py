@@ -261,6 +261,30 @@ def central_fd_gradient(fun, q0: np.ndarray, eps: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def reference_disorder(sizes, params, seed: int, index: int):
+    """(couplings, fields) of disorder sample ``index``, drawn on its own.
+
+    A fresh Philox keyed by ``(seed, index)`` at counter zero draws each
+    bond's ``(N_p, N_{p+1})`` block with one ``standard_normal`` call, then
+    each layer's fields: ``sqrt(v)`` times a standard normal vector when
+    ``v > 0``, the atom when there is one, else a ``choice`` among the atoms.
+    """
+    mask = (1 << 64) - 1
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed & mask, index & mask], dtype=np.uint64),
+        counter=np.zeros(4, dtype=np.uint64)))
+    couplings = [gen.standard_normal((a, b)) for a, b in zip(sizes, sizes[1:])]
+    fields = []
+    for field, n in zip(params.fields, sizes):
+        if field.v > 0.0:
+            fields.append(math.sqrt(field.v) * gen.standard_normal(n))
+        elif len(field.values) == 1:
+            fields.append(np.full(n, field.values[0]))
+        else:
+            fields.append(gen.choice(field.values, size=n, p=field.probs))
+    return couplings, fields
+
+
 def all_spin_configs(n: int) -> np.ndarray:
     """(2^n, n) array of all +-1 configurations (bit order: spin i = bit i)."""
     if n > 20:
@@ -349,8 +373,7 @@ def _sample_tempering_sweep(layers, coupled, slope, fields2, draws):
 def per_sample_mc_pressure(assignment, params, n_disorder, sweeps, replicas,
                            seed):
     """(mean, std_error) of the tempering pressure, one chain set per sample."""
-    from dbmlab.finite_volume_lab import (_STREAM_DYNAMICS, _generator,
-                                          sample_disorder)
+    from dbmlab.finite_volume_lab import _STREAM_DYNAMICS, _generator
 
     x, w = np.polynomial.legendre.leggauss(replicas)
     nodes = 0.5 * (x + 1.0)
@@ -364,12 +387,11 @@ def per_sample_mc_pressure(assignment, params, n_disorder, sweeps, replicas,
     slope = (2.0 * nodes)[:, None]
     values = np.empty(n_disorder)
     for j in range(n_disorder):
-        sample = sample_disorder(assignment, params, seed, j)
+        couplings, fields = reference_disorder(sizes, params, seed, j)
         gen = _generator(seed, j, _STREAM_DYNAMICS)
-        h_all = np.concatenate(sample.fields)
-        coupled = [(scale * params.beta[p]) * sample.couplings[p]
-                   for p in range(K - 1)]
-        fields2 = [2.0 * h for h in sample.fields]
+        h_all = np.concatenate(fields)
+        coupled = [(scale * params.beta[p]) * couplings[p] for p in range(K - 1)]
+        fields2 = [2.0 * h for h in fields]
         states = gen.integers(0, 2, size=(R, N)).astype(float) * 2.0 - 1.0
         layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(K)]
         burn_in = sweeps // 2

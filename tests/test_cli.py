@@ -404,6 +404,73 @@ def test_verify_criteria_stay_consistent_on_overflowing_chains():
         assert cli._criteria_consistent(params)
 
 
+@pytest.mark.parametrize("beta, lam", [
+    ((0.5, 0.5), (1e-320, 0.5, 0.5)),  # rho = 0.25, the witness overflows
+    ((1e-200, 1e-200), (0.3, 0.4, 0.3)),  # rho = 0, beta^2 underflows
+])
+def test_verify_counts_a_witness_past_the_floats_as_consistent(tmp_path, beta, lam):
+    # Strictly inside, where classify_annealed withholds the witness only
+    # because its recursion left the floats.
+    params = ModelParams(K=3, beta=beta, lam=lam, fields=())
+    verdict = machine.classify_annealed(params)
+    assert verdict.verdict == "inside" and verdict.feasible_a is None
+    assert cli._criteria_consistent(params)
+    data = dict(verify_config(), **model_dict(3, beta, lam))
+    out = str(tmp_path / "verify.json")
+    assert cli.main(["verify", "--config", write_config(tmp_path, data),
+                     "--format", "json", "--out", out]) == 0
+    report = read_json(out)
+    assert report["criteria_consistent"] is True
+    assert report["ok"] is True
+
+
+@pytest.mark.parametrize("entries", [(1.0, -1.0, 1.0), (math.inf, -math.inf, 1.0)])
+def test_verify_flags_a_witness_entry_that_fails(monkeypatch, entries):
+    # A zero or negative witness entry inside the region is a disagreement,
+    # also when another entry left the floats.
+    params = ModelParams(K=3, beta=(0.5, 0.5), lam=(0.3, 0.4, 0.3), fields=())
+    assert cli._criteria_consistent(params)
+    monkeypatch.setattr(machine, "witness_recursion",
+                        lambda params: np.array(entries))
+    assert machine.classify_annealed(params).feasible_a is None
+    assert not cli._criteria_consistent(params)
+
+
+def test_verify_csv_writes_the_trend_rows(tmp_path):
+    data = verify_config()
+    out = str(tmp_path / "verify.csv")
+    assert cli.main(["verify", "--config", write_config(tmp_path, data),
+                     "--seed", "8", "--out", out]) == 0
+    params = ModelParams.from_dict(data)
+    report = finite_volume_lab.annealed_trend(
+        params, [finite_volume_lab.LayerAssignment.from_weights(params.lam, n)
+                 for n in data["verify"]["sizes"]], data["verify"]["n_disorder"], 8)
+    lines = (tmp_path / "verify.csv").read_text().splitlines()
+    assert lines[0] == "N,method,mean,std_error,p_annealed,gap,flags"
+    assert lines[1:] == [
+        ",".join([str(row.N), row.method, repr(row.mean), repr(row.std_error),
+                  repr(row.p_annealed), repr(row.gap), ";".join(row.flags)])
+        for row in report.rows]
+    assert report.to_dict()["jensen_ok"] is True
+    assert len(report.to_dict()["rows"]) == 2
+    assert float(report.to_dict()["rows"][0]["mean"]) == report.rows[0].mean
+
+
+def test_verify_csv_joins_a_row_s_flags_with_semicolons(tmp_path, monkeypatch):
+    row = TrendRow(N=30, method="monte_carlo", mean=0.9, std_error=0.0,
+                   p_annealed=0.8, gap=-0.1,
+                   flags=("nonequilibrated", "jensen_violation"))
+    fake = TrendReport(rows=(row,), p_annealed=0.8, jensen_ok=False,
+                       gap_decreasing=False)
+    monkeypatch.setattr(cli.finite_volume_lab, "annealed_trend",
+                        lambda *a, **k: fake)
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--config", write_config(tmp_path, verify_config()),
+                     "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[1] == \
+        "30,monte_carlo,0.9,0.0,0.8,-0.1,nonequilibrated;jensen_violation"
+
+
 def test_verify_exit_one_on_hard_invariant_failure(tmp_path, monkeypatch):
     row = TrendRow(N=6, method="exact_enum", mean=0.9, std_error=0.0,
                    p_annealed=0.8, gap=-0.1, flags=("jensen_violation",))
@@ -730,8 +797,7 @@ def _strict_json(text):
 
 @pytest.mark.parametrize("model, failing", [
     (verify_config(), ()),
-    # verify cannot check the witness criterion without a witness.
-    (_SUBNORMAL_WEIGHT_MODEL, ("bound", "verify")),
+    (_SUBNORMAL_WEIGHT_MODEL, ("bound",)),
 ])
 def test_json_output_is_strict_json(tmp_path, capsys, model, failing):
     model = dict(model, scan={

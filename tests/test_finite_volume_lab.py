@@ -1,8 +1,10 @@
 """Tests for finite-size ground truth: enumeration, Monte Carlo, covariance."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dbmlab import finite_volume_lab as fvl
 from dbmlab import machine
@@ -21,7 +23,9 @@ from dbmlab.finite_volume_lab import (
 )
 from dbmlab.machine import FieldSpec, ModelParams
 
-from oracles import all_spin_configs, bruteforce_log_partition, per_sample_mc_pressure
+from helpers import random_field
+from oracles import (all_spin_configs, bruteforce_log_partition, per_sample_mc_pressure,
+                     reference_disorder)
 
 LOG2 = math.log(2.0)
 
@@ -80,9 +84,55 @@ def test_sample_field_kinds():
     params = make(2, (1.0,), (0.5, 0.5),
                   (FieldSpec.point_mass(0.7), FieldSpec.discrete((-1.0, 2.0), (0.5, 0.5))))
     s = sample_disorder(assignment, params, seed=0, index=0)
-    np.testing.assert_array_equal(s.fields[0], np.full(4, 0.7))
+    np.testing.assert_array_equal(s.fields[0], np.full((1, 4), 0.7))
     assert set(np.unique(s.fields[1])) <= {-1.0, 2.0}
-    assert s.couplings[0].shape == (4, 4)
+    assert s.couplings[0].shape == (1, 4, 4)
+
+
+_FIELD_KINDS = ("zero", "gaussian", "point_mass", "discrete")
+
+
+def _assert_rows_match_reference(stack, params, seed):
+    sizes = stack.assignment.sizes
+    for d in range(len(stack.fields[0])):
+        couplings, fields = reference_disorder(sizes, params, seed, stack.index + d)
+        for block, want in zip(stack.couplings, couplings):
+            assert np.array_equal(block[d], want)
+        for h, want in zip(stack.fields, fields):
+            assert np.array_equal(h[d], want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(_FIELD_KINDS)),
+                       min_size=1, max_size=4).filter(lambda ls: sum(n for n, _ in ls) > 0),
+       field_seed=st.integers(0, 2**32 - 1),
+       seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**40))
+@example(layers=[(4, "gaussian")], field_seed=0, seed=3, index=0)
+@example(layers=[(3, "zero"), (0, "gaussian"), (2, "point_mass"), (3, "discrete")],
+         field_seed=1, seed=7, index=5)
+def test_disorder_stacks_equal_the_reference_draw_property(layers, field_seed, seed,
+                                                           index):
+    # Every sample of every stack, whatever its width, is the sample a
+    # fresh generator keyed by (seed, index) draws on its own.
+    rng = np.random.default_rng(field_seed)
+    sizes = tuple(n for n, _ in layers)
+    K = len(sizes)
+    params = make(K, (0.7,) * (K - 1), (1.0 / K,) * K,
+                  [random_field(rng, kind) for _, kind in layers])
+    assignment = LayerAssignment(sizes)
+    for width in (1, 3):
+        stack = sample_disorder(assignment, params, seed, index, width)
+        assert (stack.seed, stack.index, len(stack.fields[0])) == (seed, index, width)
+        _assert_rows_match_reference(stack, params, seed)
+    n_disorder = 5
+    per_sample = max(1, sum(a * b for a, b in zip(sizes, sizes[1:])))
+    for width in range(1, n_disorder + 1):
+        with mock.patch.object(fvl, "_CHUNK_ENTRIES", width * per_sample):
+            stacks = list(fvl._disorder_stacks(assignment, params, seed, n_disorder, 0))
+        assert [stack.index for stack in stacks] == list(range(0, n_disorder, width))
+        assert sum(len(stack.fields[0]) for stack in stacks) == n_disorder
+        for stack in stacks:
+            _assert_rows_match_reference(stack, params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +143,19 @@ def test_sample_field_kinds():
 def test_hamiltonian_zero_couplings():
     assignment = LayerAssignment((2, 2))
     params = make(2, (1.3,), (0.5, 0.5))
-    sample = DisorderSample(assignment=assignment, couplings=(np.zeros((2, 2)),),
-                            fields=(np.zeros(2), np.zeros(2)), seed=0, index=0)
-    assert hamiltonian(sample, np.array([1.0, -1.0, 1.0, 1.0]), params) == 0.0
+    sample = DisorderSample(assignment=assignment, couplings=(np.zeros((1, 2, 2)),),
+                            fields=(np.zeros((1, 2)), np.zeros((1, 2))), seed=0, index=0)
+    assert hamiltonian(sample, np.array([1.0, -1.0, 1.0, 1.0]), params).tolist() == [0.0]
 
 
 def test_hamiltonian_single_bond_value():
     assignment = LayerAssignment((1, 1))
     params = make(2, (0.75,), (0.5, 0.5))
-    sample = DisorderSample(assignment=assignment, couplings=(np.array([[1.4]]),),
-                            fields=(np.zeros(1), np.zeros(1)), seed=0, index=0)
+    sample = DisorderSample(assignment=assignment, couplings=(np.array([[[1.4]]]),),
+                            fields=(np.zeros((1, 1)), np.zeros((1, 1))), seed=0, index=0)
     got = hamiltonian(sample, np.array([1.0, 1.0]), params)
-    assert got == pytest.approx(-0.75 * 1.4, rel=1e-15)
+    assert got.shape == (1,)
+    assert got[0] == pytest.approx(-0.75 * 1.4, rel=1e-15)
 
 
 def test_hamiltonian_layer_flip_negates():
@@ -114,8 +165,8 @@ def test_hamiltonian_layer_flip_negates():
     sigma = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
     flipped = sigma.copy()
     flipped[3:] *= -1.0
-    h0 = hamiltonian(sample, sigma, params)
-    assert hamiltonian(sample, flipped, params) == pytest.approx(-h0, rel=1e-14)
+    h0 = hamiltonian(sample, sigma, params)[0]
+    assert hamiltonian(sample, flipped, params)[0] == pytest.approx(-h0, rel=1e-14)
 
 
 def test_hamiltonian_validation():
@@ -134,10 +185,11 @@ def test_hamiltonian_validation():
 
 
 def _loop_hamiltonian(sample, sigma, params):
-    """One configuration's energy, bond by bond with vector-matrix-vector products."""
+    """Energy of one configuration under the first sample of ``sample``,
+    bond by bond with vector-matrix-vector products."""
     bounds = np.cumsum((0,) + sample.assignment.sizes)
     parts = [sigma[bounds[p]:bounds[p + 1]] for p in range(params.K)]
-    total = sum(params.beta[p] * float(parts[p] @ sample.couplings[p] @ parts[p + 1])
+    total = sum(params.beta[p] * float(parts[p] @ sample.couplings[p][0] @ parts[p + 1])
                 for p in range(params.K - 1))
     return -math.sqrt(2.0 / sample.assignment.N) * total
 
@@ -151,17 +203,16 @@ def test_hamiltonian_stack_matches_scalar_calls():
         rng = np.random.default_rng(sum(sizes))
         stack = rng.choice((-1.0, 1.0), size=(7, assignment.N))
         energies = hamiltonian(sample, stack, params)
-        assert energies.shape == (7,)
-        for row, energy in zip(stack, energies):
+        assert energies.shape == (1, 7)
+        for row, energy in zip(stack, energies[0]):
             single = hamiltonian(sample, row, params)
-            assert isinstance(single, float)
-            assert abs(energy - single) <= 1e-13
+            assert single.shape == (1,)
+            assert abs(energy - single[0]) <= 1e-13
             assert abs(energy - _loop_hamiltonian(sample, row, params)) <= 1e-13
-        assert hamiltonian(sample, stack[:0], params).shape == (0,)
+        assert hamiltonian(sample, stack[:0], params).shape == (1, 0)
     single_layer = LayerAssignment((5,))
     sample = sample_disorder(single_layer, make(1, (), (1.0,)), seed=0)
-    np.testing.assert_array_equal(
-        hamiltonian(sample, np.ones((3, 5)), make(1, (), (1.0,))), np.zeros(3))
+    assert hamiltonian(sample, np.ones((3, 5)), make(1, (), (1.0,))).tolist() == [[0.0] * 3]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +226,12 @@ def test_log_partition_matches_bruteforce_oracle():
                   (FieldSpec.gaussian(0.4), FieldSpec.point_mass(-0.3)))
     sample = sample_disorder(assignment, params, seed=7, index=2)
     got = log_partition(sample, params)
+    assert got.shape == (1,)
     layer_index = np.array([0, 0, 1, 1])
-    h = np.concatenate(sample.fields)
-    want = bruteforce_log_partition(layer_index, params.beta, sample.couplings, h)
-    assert got == pytest.approx(want, abs=1e-12)
+    h = np.concatenate([h[0] for h in sample.fields])
+    want = bruteforce_log_partition(layer_index, params.beta,
+                                    [c[0] for c in sample.couplings], h)
+    assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_log_partition_three_layers_vs_bruteforce():
@@ -187,22 +240,25 @@ def test_log_partition_three_layers_vs_bruteforce():
                   (FieldSpec.zero(), FieldSpec.gaussian(0.2), FieldSpec.point_mass(0.5)))
     sample = sample_disorder(assignment, params, seed=19, index=0)
     got = log_partition(sample, params)
+    assert got.shape == (1,)
     layer_index = np.array([0, 0, 1, 1, 1, 2])
-    h = np.concatenate(sample.fields)
-    want = bruteforce_log_partition(layer_index, params.beta, sample.couplings, h)
-    assert got == pytest.approx(want, abs=1e-12)
+    h = np.concatenate([h[0] for h in sample.fields])
+    want = bruteforce_log_partition(layer_index, params.beta,
+                                    [c[0] for c in sample.couplings], h)
+    assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def _fsum_log_partition(sample, params):
-    """``log Z`` by enumerating all ``2^N`` states, summed with ``math.fsum``."""
+    """``log Z`` of the first sample of ``sample`` by enumerating all ``2^N``
+    states, summed with ``math.fsum``."""
     sizes = sample.assignment.sizes
     N = sample.assignment.N
     spins = all_spin_configs(N)
     bounds = np.cumsum((0,) + sizes)
     layers = [spins[:, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
-    energy = spins @ np.concatenate(sample.fields)
+    energy = spins @ np.concatenate([h[0] for h in sample.fields])
     for p in range(len(sizes) - 1):
-        bonds = np.einsum("ci,ij,cj->c", layers[p], sample.couplings[p],
+        bonds = np.einsum("ci,ij,cj->c", layers[p], sample.couplings[p][0],
                           layers[p + 1])
         energy += math.sqrt(2.0 / N) * params.beta[p] * bonds
     top = float(energy.max())
@@ -226,11 +282,12 @@ def test_log_partition_matches_fsum_enumeration(sizes):
     for index in range(3):
         sample = sample_disorder(assignment, params, seed=13, index=index)
         want = _fsum_log_partition(sample, params)
-        singles.append(log_partition(sample, params))
-        assert isinstance(singles[-1], float)
+        single = log_partition(sample, params)
+        assert single.shape == (1,)
+        singles.append(single[0])
         assert abs(singles[-1] - want) <= 1e-12 * max(1.0, abs(want))
     # A stack runs each sample through the same product and reductions as a
-    # lone sample, so every value keeps its bits.
+    # stack of one, so every value keeps its bits.
     stack, = fvl._disorder_stacks(assignment, params, 13, 3, 0)
     assert log_partition(stack, params).tolist() == singles
 
@@ -241,7 +298,7 @@ def test_exact_pressure_is_independent_of_stacking(monkeypatch):
     whole = exact_pressure(assignment, params, n_disorder=9, seed=2)
     monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", 1)
     assert exact_pressure(assignment, params, n_disorder=9, seed=2) == whole
-    values = [log_partition(sample_disorder(assignment, params, 2, j), params) / 10
+    values = [log_partition(sample_disorder(assignment, params, 2, j), params)[0] / 10
               for j in range(9)]
     assert whole.mean == float(np.mean(values))
 
@@ -251,21 +308,26 @@ def test_stacked_sample_shapes():
     couplings, fields = (np.zeros((4, 2, 3)),), (np.zeros((4, 2)), np.zeros((4, 3)))
     stack = DisorderSample(assignment=assignment, couplings=couplings,
                            fields=fields, seed=0, index=8)
-    assert stack.batch_shape == (4,)
-    np.testing.assert_array_equal(
-        hamiltonian(stack, np.ones(5), make(2, (1.0,), (0.4, 0.6))), np.zeros(4))
+    assert hamiltonian(stack, np.ones(5), make(2, (1.0,), (0.4, 0.6))).tolist() == [0.0] * 4
     for bad in ((np.zeros((3, 2, 3)),), (np.zeros((2, 3)),)):
         with pytest.raises(ValueError, match="coupling block 0"):
             DisorderSample(assignment=assignment, couplings=bad, fields=fields,
                            seed=0, index=0)
-    with pytest.raises(ValueError, match="one leading axis"):
+    with pytest.raises(ValueError, match="coupling block 0"):
         DisorderSample(assignment=assignment, couplings=(np.zeros((1, 4, 2, 3)),),
                        fields=(np.zeros((1, 4, 2)), np.zeros((1, 4, 3))),
                        seed=0, index=0)
+    # One sample without its leading axis is refused, not read as a stack.
+    with pytest.raises(ValueError, match="coupling block 0"):
+        DisorderSample(assignment=assignment, couplings=(np.zeros((2, 3)),),
+                       fields=(np.zeros(2), np.zeros(3)), seed=0, index=0)
+    with pytest.raises(ValueError, match="field vector 1"):
+        DisorderSample(assignment=assignment, couplings=couplings,
+                       fields=(np.zeros((4, 2)), np.zeros((3, 3))), seed=0, index=0)
     single_layer = LayerAssignment((5,))
     stack, = fvl._disorder_stacks(single_layer, make(1, (), (1.0,)), 0, 3, 0)
-    np.testing.assert_array_equal(
-        hamiltonian(stack, np.ones((2, 5)), make(1, (), (1.0,))), np.zeros((3, 2)))
+    assert hamiltonian(stack, np.ones((2, 5)), make(1, (), (1.0,))).tolist() == \
+        [[0.0] * 2] * 3
 
 
 # Inverse temperatures must be strictly positive, so the decoupled limit is
@@ -301,7 +363,7 @@ def test_exact_pressure_single_layer_field_formula():
     vals = []
     for j in range(n):
         s = sample_disorder(assignment, params, seed=5, index=j)
-        vals.append(LOG2 + float(np.mean(logcosh(s.fields[0]))))
+        vals.append(LOG2 + float(np.mean(logcosh(s.fields[0][0]))))
     vals = np.asarray(vals)
     assert est.mean == pytest.approx(float(np.mean(vals)), abs=1e-12)
     want_se = float(np.std(vals, ddof=1) / math.sqrt(n))
@@ -400,22 +462,22 @@ def test_mc_sweep_gain_is_minus_hamiltonian():
                   (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.point_mass(0.2)))
     for sizes in ((4, 5, 3), (4, 0, 3)):
         assignment = LayerAssignment(sizes)
-        samples = [sample_disorder(assignment, params, seed=9, index=j) for j in range(3)]
+        samples = sample_disorder(assignment, params, seed=9, index=0, count=3)
         rng = np.random.default_rng(1)
-        D, R, N = len(samples), 4, assignment.N
+        D, R, N = 3, 4, assignment.N
         states = rng.choice((-1.0, 1.0), size=(D, R, N))
         bounds = np.cumsum((0,) + sizes)
         layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(3)]
-        coupled = [math.sqrt(2.0 / N) * params.beta[p]
-                   * np.stack([s.couplings[p] for s in samples]) for p in range(2)]
+        coupled = [math.sqrt(2.0 / N) * params.beta[p] * samples.couplings[p]
+                   for p in range(2)]
         slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
-        fields2 = [2.0 * np.stack([s.fields[p] for s in samples])[:, None, :]
-                   for p in range(3)]
+        fields2 = [2.0 * h[:, None, :] for h in samples.fields]
         for _ in range(3):
             gain = fvl._tempering_sweep(layers, coupled, slope, fields2,
                                         rng.random((D, R * N)))
-            for d, sample in enumerate(samples):
-                np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params),
+            for d in range(D):
+                sample = sample_disorder(assignment, params, seed=9, index=d)
+                np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params)[0],
                                            rtol=0.0, atol=1e-13)
 
 
@@ -576,7 +638,7 @@ def test_covariance_energies_equal_per_sample_hamiltonian(monkeypatch, split):
         configs = np.array([gen.integers(0, 2, assignment.N).astype(float) * 2.0 - 1.0
                             for _ in range(8)])
         energies = np.array([
-            hamiltonian(sample_disorder(assignment, params, 5, j), configs, params)
+            hamiltonian(sample_disorder(assignment, params, 5, j), configs, params)[0]
             for j in range(n)]).T.reshape(4, 2, n)
         assert [(row.empirical, row.std_error) for row in rows] == \
             _covariance_rows_from(energies, n)
@@ -585,7 +647,7 @@ def test_covariance_energies_equal_per_sample_hamiltonian(monkeypatch, split):
             stacked = hamiltonian(stack, configs, params)
             for d in range(stacked.shape[0]):
                 sample = sample_disorder(assignment, params, 5, stack.index + d)
-                assert np.array_equal(stacked[d], hamiltonian(sample, configs, params))
+                assert np.array_equal(stacked[d], hamiltonian(sample, configs, params)[0])
         assert (len(stacks) > 1) == split
 
 
@@ -603,7 +665,7 @@ def test_covariance_refuses_systems_past_the_spin_cap(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("allocated before the cap check")
 
-    for name in ("_generator", "_disorder_stacks", "hamiltonian"):
+    for name in ("_generator", "sample_disorder", "_disorder_stacks", "hamiltonian"):
         monkeypatch.setattr(fvl, name, unreachable)
     n = fvl.MC_SPIN_CAP + 1
     assignment = LayerAssignment.from_weights((0.25, 0.5, 0.25), n)
@@ -663,17 +725,3 @@ def test_annealed_trend_refusals():
     shrinking = [LayerAssignment.from_weights(inside.lam, n) for n in (12, 8)]
     with pytest.raises(ValueError):
         annealed_trend(inside, shrinking, n_disorder=2, seed=0)
-
-
-def test_trend_report_serialization():
-    params = make(2, (0.4,), (0.5, 0.5))
-    sizes = [LayerAssignment.from_weights(params.lam, n) for n in (6, 10)]
-    report = annealed_trend(params, sizes, n_disorder=5, seed=8)
-    table = report.to_csv()
-    lines = table.strip().splitlines()
-    assert lines[0] == "N,method,mean,std_error,p_annealed,gap,flags"
-    assert len(lines) == 3
-    data = report.to_dict()
-    assert data["jensen_ok"] is True
-    assert len(data["rows"]) == 2
-    assert float(data["rows"][0]["mean"]) == report.rows[0].mean
