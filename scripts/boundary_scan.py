@@ -3,10 +3,11 @@
 
 For a K-layer model with equal layer weights, equal couplings ``beta`` and
 no external fields, prints one CSV row per sweep point (beta, spectral
-radius, verdict) and then bisects for the critical coupling where the
-spectral radius crosses one.
+radius, verdict) and then the critical coupling where the spectral radius
+crosses one.
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -19,18 +20,13 @@ def symmetric_params(K: int, beta: float) -> ModelParams:
                        fields=())
 
 
-def critical_coupling(K: int, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisect for the coupling where the spectral radius equals one."""
-    f = lambda b: machine.spectral_radius(symmetric_params(K, b)) - 1.0
-    if f(lo) >= 0.0 or f(hi) <= 0.0:
-        raise ValueError("bracket does not straddle the boundary")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def critical_coupling(K: int) -> float:
+    """The coupling where the spectral radius equals one.
+
+    ``M`` is quadratic in a common coupling, so ``rho(beta) = beta^2
+    rho(1)`` and the crossing is ``1 / sqrt(rho(1))``.
+    """
+    return 1.0 / math.sqrt(machine.spectral_radius(symmetric_params(K, 1.0)))
 
 
 def main() -> None:
@@ -47,7 +43,7 @@ def main() -> None:
                                                              float(beta)))
         print(f"{float(beta)!r},{float(verdict.rho)!r},{verdict.verdict}")
 
-    crit = critical_coupling(args.layers, args.lo, args.hi)
+    crit = critical_coupling(args.layers)
     print(f"# critical coupling for K={args.layers}: {crit!r}")
     rho = machine.spectral_radius(symmetric_params(args.layers, crit))
     print(f"# spectral radius there: {rho!r}")

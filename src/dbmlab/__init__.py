@@ -15,7 +15,7 @@ rs_solver
     Replica-symmetric consistency equations: pressure functional, the nested
     Newton solver, stability and high-temperature certificates.
 sk_chain_bound
-    Layer-decoupled SK pressure bound: theta map, bound functional, bound
+    Layer-decoupled SK pressure bound: bound functional, bound
     maximisation, and the bridge identity to the RS pressure.
 finite_volume_lab
     Finite-volume experiments: exact enumeration, Monte Carlo pressure with
@@ -23,11 +23,12 @@ finite_volume_lab
     annealed-gap trends.
 cli
     Command-line interface over the above (region / poly / rs / bound /
-    verify / scan).
+    verify / scan), the ``dbmlab`` command.  It is not imported with the
+    package, so ``python -m dbmlab.cli`` runs it as a fresh module.
 """
 from __future__ import annotations
 
-from . import (chainpoly, cli, finite_volume_lab, ghquad, machine, rs_solver,
+from . import (chainpoly, finite_volume_lab, ghquad, machine, rs_solver,
                sk_chain_bound)
 from .machine import (FieldSpec, ModelParams, annealed_pressure,
                       classify_annealed, spectral_radius)
@@ -40,7 +41,6 @@ __all__ = [
     "annealed_pressure",
     "chainpoly",
     "classify_annealed",
-    "cli",
     "finite_volume_lab",
     "ghquad",
     "machine",

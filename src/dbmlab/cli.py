@@ -44,6 +44,9 @@ _DEFAULT_OUTPUTS = ("region", "rho")
 # Most interaction-matrix entries (points times K^2) in one scan stack,
 # which bounds the memory of the stacked solver's arrays.
 _STACK_ENTRIES = 1 << 16
+# Most points in one scan grid (the product of its axis steps), checked
+# before any work starts.
+_SCAN_POINTS = 10**6
 # Keys of the config's verify section, read by cmd_verify.
 _VERIFY_KEYS = ("sizes", "n_disorder", "sweeps", "replicas",
                 "covariance_total", "covariance_n_disorder", "n_pairs")
@@ -146,6 +149,9 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
     if len({(axis.kind, axis.index) for axis in axes}) < len(axes):
         raise ConfigError(f"repeated scan axis '{axes[-1].path}'; "
                           "scan each parameter on one axis")
+    if math.prod(axis.steps for axis in axes) > _SCAN_POINTS:
+        raise ConfigError(f"the scan grid has more than {_SCAN_POINTS} "
+                          "points; lower the axis steps")
     outputs = obj.get("outputs", list(_DEFAULT_OUTPUTS))
     if not (isinstance(outputs, list)
             and all(isinstance(o, str) for o in outputs)):

@@ -42,7 +42,6 @@ __all__ = [
     "classify_annealed",
     "witness_recursion",
     "extremal_lambda",
-    "chain_quadratic_bound",
     "config_number",
     "config_numbers",
 ]
@@ -423,7 +422,7 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
 
 
 # ---------------------------------------------------------------------------
-# extremal layer widths and the quadratic chain bound
+# extremal layer widths
 # ---------------------------------------------------------------------------
 
 
@@ -456,22 +455,3 @@ def extremal_lambda(beta: Sequence[float]) -> ExtremalLambda:
             lam[p - 1], lam[p], lam[p + 1] = 0.25, 0.5, 0.25
             maximizers.append(tuple(lam))
     return ExtremalLambda(value=value, maximizers=tuple(maximizers))
-
-
-def chain_quadratic_bound(b: Sequence[float], x: Sequence[float]) -> tuple[float, float, bool]:
-    """Evaluate ``4 sum_p b_p x_p x_{p+1}`` against ``max(b) * (sum x)^2``.
-
-    Returns ``(lhs, rhs, tight)`` for nonnegative weights ``b`` and
-    nonnegative ``x``; the inequality ``lhs <= rhs`` always holds, with
-    equality exactly on the extremal width configurations.
-    """
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if b.ndim != 1 or x.ndim != 1 or x.size != b.size + 1 or b.size < 1:
-        raise ValueError("need len(x) = len(b) + 1 >= 2")
-    if np.any(b < 0.0) or np.any(x < 0.0):
-        raise ValueError("b and x must be nonnegative")
-    lhs = float(4.0 * np.sum(b * x[:-1] * x[1:]))
-    rhs = float(b.max() * x.sum() ** 2)
-    tight = abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    return lhs, rhs, tight

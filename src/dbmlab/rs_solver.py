@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine
-from .ghquad import INV_COSH4, LOG_COSH, TANH_MOMENTS, TANH_SQ
+from .ghquad import LOG_COSH, TANH_MOMENTS, TANH_SQ
 from .machine import FieldSpec, ModelParams
 
 __all__ = [
@@ -76,15 +76,11 @@ __all__ = [
     "latala_guerra",
     "solve_nested",
     "solve_stack",
-    "check_talagrand",
-    "check_at",
 ]
 
 _LOG2 = math.log(2.0)
 # Newton steps allowed to one scalar overlap solve.
 _SCALAR_STEPS = 60
-# High-temperature line: a layer with theta^2 below it is certified outright.
-_TALAGRAND_LINE = 0.125
 
 
 class SolverError(RuntimeError):
@@ -171,32 +167,6 @@ def _require_positive_lambda(params: ModelParams) -> None:
         raise ValueError(
             "solvers require strictly positive layer weights; prune "
             "zero-weight layers from the model first")
-
-
-def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
-    """Effective squared layer temperatures induced by auxiliary variables.
-
-    theta_1^2 = lam_1 a_1 beta_1^2, interior
-    theta_p^2 = lam_p (beta_{p-1}^2 / a_{p-1} + a_p beta_p^2), and
-    theta_K^2 = lam_K beta_{K-1}^2 / a_{K-1}.  A single layer has no
-    interaction, so theta = (0,).
-    """
-    K = params.K
-    a = np.asarray(a, dtype=float)
-    if a.shape != (K - 1,):
-        raise ValueError(f"auxiliary vector must have shape ({K - 1},)")
-    if K == 1:
-        return np.zeros(1)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("auxiliary entries must be positive and finite")
-    lam = np.asarray(params.lam)
-    beta_sq = np.asarray(params.beta, dtype=float) ** 2
-    theta_sq = np.empty(K)
-    theta_sq[0] = lam[0] * a[0] * beta_sq[0]
-    for p in range(1, K - 1):
-        theta_sq[p] = lam[p] * (beta_sq[p - 1] / a[p - 1] + a[p] * beta_sq[p])
-    theta_sq[K - 1] = lam[K - 1] * beta_sq[K - 2] / a[K - 2]
-    return theta_sq
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +356,8 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
         raise ValueError("field variance v must be positive")
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     field = FieldSpec.gaussian(v)
     x, converged = _scalar_overlap(np.array([beta * beta]), (field,), tol)
     q = float(x[0])
@@ -403,48 +375,6 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 
-def check_talagrand(q, params: ModelParams, a=None) -> list:
-    """Per-layer high-temperature flags ``(Mq)_p < q_p / 4``.
-
-    For ``q_p > 0`` the flag is the overlap-form inequality above.  A
-    ``q_p = 0`` layer carries no overlap scale, so the equivalent
-    effective-temperature form ``theta_p(a)^2 < 1/8`` is used when the
-    auxiliary vector ``a`` is supplied; otherwise the layer is marked
-    ``None`` (indeterminate).  A single layer has no interaction and is
-    vacuously ``True``.
-    """
-    q = _check_overlap(q, params.K)
-    if params.K == 1:
-        return [True]
-    theta_sq = _theta_sq_from_aux(a, params) if a is not None else None
-    _, _, M = machine.build_matrices(params)
-    m = M @ q
-    flags: list = []
-    for p in range(params.K):
-        if q[p] > 0.0:
-            flags.append(bool(m[p] < 0.25 * q[p]))
-        elif theta_sq is not None:
-            flags.append(bool(theta_sq[p] < _TALAGRAND_LINE))
-        else:
-            flags.append(None)
-    return flags
-
-
-def check_at(q, params: ModelParams) -> list:
-    """Per-layer de Almeida--Thouless stability flags (Gaussian fields).
-
-    Layer ``p`` passes when
-    ``(Mq)_p * E cosh^{-4}(z sqrt((Mq)_p + v_p)) <= q_p``; a decoupled
-    layer (``(Mq)_p = 0``) passes trivially.
-    """
-    q = _check_overlap(q, params.K)
-    params.require_fields("check_at", gaussian=True)
-    _, _, M = machine.build_matrices(params)
-    m = M @ q
-    stable = m * ghquad.expect(INV_COSH4, m, params.fields) <= q
-    return [bool(flag) for flag in stable]
-
-
 def _certificates(stack: _Stack, rows, q, m, inv_cosh4,
                   rho=None) -> list[Certificates]:
     """Certificates of the points ``rows`` of ``stack`` at overlaps ``q``
@@ -452,11 +382,13 @@ def _certificates(stack: _Stack, rows, q, m, inv_cosh4,
     which the Newton iteration has evaluated at ``q`` already.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
-    :func:`check_talagrand`, else ``None`` when some ``q_p = 0`` leaves a
-    layer open, else ``True``.  ``at_ok`` is :func:`check_at` on points
-    with positive field variance on every layer.  ``rho`` holds each
-    point's spectral radius when the caller has it; otherwise
-    :func:`machine.spectral_radius` computes it.
+    the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
+    some ``q_p = 0`` leaves a layer open, else ``True``; a single layer
+    has no interaction and passes.  ``at_ok`` is the de Almeida--Thouless
+    test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer,
+    for points with positive field variance on every layer, and ``None``
+    for the others.  ``rho`` holds each point's spectral radius when the
+    caller has it; otherwise :func:`machine.spectral_radius` computes it.
     """
     models = [stack.models[i] for i in rows]
     if q.shape[1] == 1:
@@ -659,7 +591,7 @@ def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     model's spectral radius when the caller has it already (for the
     ``stable_at_zero`` certificate).
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     models = tuple(models)
     results: list = []

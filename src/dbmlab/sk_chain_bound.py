@@ -2,12 +2,12 @@
 
 Every vector of positive auxiliary weights ``a = (a_1, ..., a_{K-1})``
 splits the inter-layer interaction into independent one-layer models with
-effective squared temperatures ``theta_p^2`` (see
-:func:`theta_map`).  Evaluating each layer's one-layer replica-symmetric
-pressure at its own surrogate overlap and re-adding the exchanged
-quadratic terms yields a lower bound for the pressure of the full model,
-valid for every admissible ``a``; maximizing over ``a`` gives the best
-bound of this family.
+effective squared temperatures ``theta_p^2 = lam_p (beta_{p-1}^2 / a_{p-1}
++ a_p beta_p^2)``, with one term at either end of the chain.  Evaluating
+each layer's one-layer replica-symmetric pressure at its own surrogate
+overlap and re-adding the exchanged quadratic terms yields a lower bound
+for the pressure of the full model, valid for every admissible ``a``;
+maximizing over ``a`` gives the best bound of this family.
 
 The surrogate for layer ``p`` couples to the rest of the chain only
 through ``theta_p``; with centred Gaussian (or zero) external fields the
@@ -38,11 +38,12 @@ import numpy as np
 from . import ghquad, machine, rs_solver
 from .ghquad import INV_COSH4, LOG_COSH
 from .machine import ModelParams
-from .rs_solver import (_TALAGRAND_LINE, _expect_rows, _row_dot,
-                        _scalar_overlap, _Stack, _theta_sq_from_aux)
+from .rs_solver import _expect_rows, _row_dot, _scalar_overlap, _Stack
 
 _LOG2 = math.log(2.0)
 
+# High-temperature line: a layer with theta^2 below it is certified outright.
+_TALAGRAND_LINE = 0.125
 # Relatedness tolerance for (overlap, auxiliary) pairs.
 _RELATED_TOL = 1e-10
 # Scalar consistency solves stop at this defect.
@@ -56,13 +57,30 @@ _SUSPECT_WIDTH = 12.0
 # ---------------------------------------------------------------------------
 
 
-def theta_map(a, params: ModelParams) -> np.ndarray:
-    """Effective one-layer temperatures ``theta_p`` for auxiliary weights.
+def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
+    """Effective squared layer temperatures induced by auxiliary variables.
 
-    ``a`` must be a positive vector of length ``K - 1``; a single layer has
-    no bonds and maps to ``theta = (0,)``.
+    theta_1^2 = lam_1 a_1 beta_1^2, interior
+    theta_p^2 = lam_p (beta_{p-1}^2 / a_{p-1} + a_p beta_p^2), and
+    theta_K^2 = lam_K beta_{K-1}^2 / a_{K-1}.  A single layer has no
+    interaction, so theta = (0,).
     """
-    return np.sqrt(_theta_sq_from_aux(a, params))
+    K = params.K
+    a = np.asarray(a, dtype=float)
+    if a.shape != (K - 1,):
+        raise ValueError(f"auxiliary vector must have shape ({K - 1},)")
+    if K == 1:
+        return np.zeros(1)
+    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
+        raise ValueError("auxiliary entries must be positive and finite")
+    lam = np.asarray(params.lam)
+    beta_sq = np.asarray(params.beta, dtype=float) ** 2
+    theta_sq = np.empty(K)
+    theta_sq[0] = lam[0] * a[0] * beta_sq[0]
+    for p in range(1, K - 1):
+        theta_sq[p] = lam[p] * (beta_sq[p - 1] / a[p - 1] + a[p] * beta_sq[p])
+    theta_sq[K - 1] = lam[K - 1] * beta_sq[K - 2] / a[K - 2]
+    return theta_sq
 
 
 def related_aux(q, params: ModelParams) -> np.ndarray:
@@ -294,8 +312,7 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None) -> list:
     return results
 
 
-def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
-                   nested_q: np.ndarray | None = None) -> BoundResult:
+def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
     The one-model stack of :func:`maximize_stack`; raises what that
@@ -311,12 +328,11 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
       consistency solution, and for a single layer, where the witness is
       the empty vector, the only weights there are;
     * otherwise ``related_aux(q)`` for the largest consistency solution
-      ``q``: ``nested_q`` when given, else that of
-      :func:`rs_solver.solve_nested` at tolerance ``tol``, with its
-      :class:`rs_solver.SolverError` when it fails.  There ``q_p`` is each
-      layer's surrogate root, so the scalar solves start at ``q`` (clipped
-      into ``(0, 1)``) and need few steps; at the witness they start at
-      ``1/2``.
+      ``q``, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
+      with its :class:`rs_solver.SolverError` when it fails.  There
+      ``q_p`` is each layer's surrogate root, so the scalar solves start
+      at ``q`` (clipped into ``(0, 1)``) and need few steps; at the
+      witness they start at ``1/2``.
 
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related
@@ -324,7 +340,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10, *,
     layer's own pressure and ``stationarity`` is 0.  ``boundary_suspect``
     flags ``|log a_p| > 12``.
     """
-    return rs_solver._one(maximize_stack([params], tol, nested_q=[nested_q])[0])
+    return rs_solver._one(maximize_stack([params], tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,17 @@ def trapezoid_log_cosh(total_variance: float, shift: float = 0.0, n: int = 200_0
     return trapezoid_gauss_expect(stable_log_cosh, math.sqrt(total_variance), shift, n=n)
 
 
+def trapezoid_inv_cosh4(s: float, field, n: int = 200_001) -> float:
+    """E cosh^-4(z sqrt(s) + h) for a field law ``h = sqrt(v) z' + X``,
+    summed atom by atom over ``X``."""
+    def sech4(y):
+        e = np.exp(-np.abs(y))
+        return (2.0 * e / (1.0 + e * e)) ** 4
+    std = math.sqrt(s + field.v)
+    return sum(prob * trapezoid_gauss_expect(sech4, std, x, n=n)
+               for x, prob in zip(field.values, field.probs))
+
+
 # ---------------------------------------------------------------------------
 # Single-layer consistency equation (grid-scan oracle)
 # ---------------------------------------------------------------------------

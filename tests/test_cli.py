@@ -610,6 +610,33 @@ def test_scan_axes_must_not_repeat(tmp_path, capsys, command):
                             "parameter on one axis\n")
 
 
+@pytest.mark.parametrize("command", ["scan", "region"])
+def test_scan_grid_past_the_point_cap_is_usage_error(tmp_path, capsys, command):
+    # 1e308 steps once reached np.linspace and left a traceback.
+    data = balanced2()
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,
+                              "steps": 1e308}]}
+    assert cli.main([command, "--config", write_config(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the scan grid has more than 1000000 "
+                            "points; lower the axis steps\n")
+
+
+def test_scan_point_cap_counts_the_product_of_the_axes(tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli, "_SCAN_POINTS", 6)
+    data = model_dict(3, (0.5, 0.5), (0.3, 0.4, 0.3))
+    for steps, code in (((3, 2), 0), ((2, 3), 0), ((4, 2), 2), ((7,), 2)):
+        data["scan"] = {"axes": [
+            {"path": f"beta[{i}]", "min": 0.4, "max": 0.6, "steps": n}
+            for i, n in enumerate(steps)]}
+        assert cli.main(["region", "--config",
+                         write_config(tmp_path, data)]) == code
+        err = capsys.readouterr().err
+        assert ("more than 6 points" in err) == (code == 2)
+
+
 def test_scan_solver_and_bound_outputs(tmp_path):
     data = gauss2()
     data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.4, "max": 0.6,

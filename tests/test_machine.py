@@ -406,29 +406,3 @@ def test_extremal_value_is_an_upper_bound_over_random_lambda():
         value = machine.extremal_lambda(beta).value
         params = make(K, beta, random_lambda(rng, K))
         assert machine.spectral_radius(params) <= value + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# chain quadratic bound
-# ---------------------------------------------------------------------------
-
-
-def test_chain_quadratic_bound_frozen_cases():
-    lhs, rhs, tight = machine.chain_quadratic_bound((1.0,), (0.5, 0.5))
-    assert (lhs, rhs, tight) == (pytest.approx(1.0), pytest.approx(1.0), True)
-    lhs, rhs, tight = machine.chain_quadratic_bound((1.0, 1.0), (0.25, 0.5, 0.25))
-    assert (lhs, rhs, tight) == (pytest.approx(1.0), pytest.approx(1.0), True)
-    lhs, rhs, tight = machine.chain_quadratic_bound((1.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    assert lhs == pytest.approx(8.0 / 9.0, rel=1e-14)
-    assert rhs == pytest.approx(1.0, rel=1e-14)
-    assert not tight
-
-
-def test_chain_quadratic_bound_holds_on_random_input():
-    rng = np.random.default_rng(39)
-    for _ in range(10_000):
-        n = int(rng.integers(2, 8))
-        b = rng.uniform(0.0, 3.0, size=n - 1)
-        x = rng.uniform(0.0, 2.0, size=n)
-        lhs, rhs, _ = machine.chain_quadratic_bound(b, x)
-        assert lhs <= rhs + 1e-12 * max(1.0, rhs)

@@ -12,8 +12,6 @@ from dbmlab.ghquad import LOG_COSH, TANH_SQ
 from dbmlab.machine import FieldSpec, ModelParams
 from dbmlab.rs_solver import (
     SolverError,
-    check_at,
-    check_talagrand,
     jacobian_at_zero,
     latala_guerra,
     rs_map,
@@ -29,6 +27,7 @@ from oracles import (
     interaction_image,
     lg_root_grid_scan,
     rule_expect,
+    trapezoid_inv_cosh4,
     trapezoid_log_cosh,
     trapezoid_tanh_sq,
 )
@@ -450,6 +449,19 @@ def test_nested_rejects_zero_lambda_layers():
         solve_nested(params)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+def test_solvers_reject_a_tolerance_that_is_not_positive(tol):
+    # A NaN tolerance once ran every solve to its step limit and failed
+    # with "residual 0.000e+00 > tol=nan".
+    params = make(2, (0.7,), (0.5, 0.5),
+                  (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.5)))
+    for solve in (lambda: solve_nested(params, tol),
+                  lambda: sk_chain_bound.maximize_bound(params, tol),
+                  lambda: latala_guerra(0.7, 0.5, tol)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve()
+
+
 def test_nested_overlaps_are_strictly_positive():
     rng = np.random.default_rng(22)
     for _ in range(5):
@@ -601,7 +613,8 @@ def test_nested_lands_on_the_root_just_past_a_critical_line(excess):
     params = make(3, (beta, beta), lam)
     sol = solve_nested(params)
     assert sol.residual <= 1e-10
-    overlaps = sk_chain_bound.maximize_bound(params, nested_q=sol.q).overlaps
+    overlaps = sk_chain_bound.maximize_stack([params],
+                                             nested_q=[sol.q])[0].overlaps
     np.testing.assert_allclose(sol.q, overlaps, rtol=1e-4, atol=0.0)
 
 
@@ -669,77 +682,119 @@ def test_nested_matches_the_damped_iteration_at_large_beta_property(params):
 
 
 # ---------------------------------------------------------------------------
-# check_talagrand / check_at
+# certificates against their defining inequalities
 # ---------------------------------------------------------------------------
 
 
+def talagrand_oracle(params, q):
+    """The high-temperature verdict from ``(Mq)_p < q_p / 4``: False when a
+    layer with ``q_p > 0`` fails it, else None when some ``q_p = 0``, else
+    True; a single layer has no interaction and passes."""
+    if params.K == 1:
+        return True
+    m = interaction_image(params, q)
+    if any(q_p > 0.0 and not m_p < 0.25 * q_p for m_p, q_p in zip(m, q)):
+        return False
+    return None if np.any(q == 0.0) else True
+
+
+def at_oracle(params, q):
+    """``all`` of ``m_p E cosh^-4(z sqrt(m_p) + h_p) <= q_p`` with ``m =
+    Mq``, or None unless every layer has positive field variance."""
+    if not all(f.v > 0.0 for f in params.fields):
+        return None
+    m = interaction_image(params, q)
+    return all(m_p * trapezoid_inv_cosh4(m_p, field) <= q_p
+               for m_p, q_p, field in zip(m, q, params.fields))
+
+
 def test_talagrand_single_layer_is_vacuous():
-    params = make(1, (), (1.0,), (FieldSpec.gaussian(0.5),))
-    assert check_talagrand(np.array([0.7]), params) == [True]
-    assert check_talagrand(np.array([0.0]), params) == [True]
+    # One layer has no interaction, so it passes whatever its overlap.
+    sol = solve_nested(make(1, (), (1.0,), (FieldSpec.gaussian(0.5),)))
+    assert sol.q[0] > 0.0
+    assert sol.certificates.talagrand_ok is True
+    sol = solve_nested(make(1, (), (1.0,)))
+    np.testing.assert_array_equal(sol.q, [0.0])
+    assert sol.certificates.talagrand_ok is True
 
 
 def test_talagrand_zero_overlap_indeterminate_without_witness():
-    params = make(3, (0.4, 0.4), (1 / 3, 1 / 3, 1 / 3))
-    flags = check_talagrand(np.zeros(3), params)
-    assert flags == [None, None, None]
-
-
-def test_talagrand_zero_overlap_with_witness_uses_theta_form():
-    params = make(2, (0.4,), (0.5, 0.5))
-    verdict = machine.classify_annealed(params)
-    assert verdict.verdict == "inside" and verdict.feasible_a is not None
-    flags = check_talagrand(np.zeros(2), params, a=verdict.feasible_a)
-    lam = np.asarray(params.lam)
-    beta_sq = np.asarray(params.beta) ** 2
-    a = np.asarray(verdict.feasible_a)
-    theta_sq = np.array([lam[0] * a[0] * beta_sq[0], lam[1] * beta_sq[0] / a[0]])
-    assert flags == [bool(t < 0.125) for t in theta_sq]
+    # beta^2 underflows to 0, so M = 0 and a zero-field layer solves at
+    # q_p = 0, which leaves the high-temperature test open.
+    params = make(2, (1e-200,), (0.5, 0.5))
+    assert np.all(machine.build_matrices(params)[2] == 0.0)
+    sol = solve_nested(params)
+    np.testing.assert_array_equal(sol.q, [0.0, 0.0])
+    assert sol.certificates.talagrand_ok is talagrand_oracle(params, sol.q)
+    assert sol.certificates.talagrand_ok is None
+    params = make(3, (1e-200, 1e-200), (0.3, 0.4, 0.3),
+                  (FieldSpec.gaussian(1.0), FieldSpec.zero(),
+                   FieldSpec.gaussian(0.2)))
+    sol = solve_nested(params)
+    assert sol.q[1] == 0.0 and sol.q[0] > 0.0 and sol.q[2] > 0.0
+    assert sol.certificates.talagrand_ok is None
 
 
 def test_talagrand_positive_overlap_uses_interaction_form():
     rng = np.random.default_rng(23)
-    for _ in range(5):
+    verdicts = set()
+    for _ in range(12):
         params = gaussian_params(rng, k_range=(2, 5))
         sol = solve_nested(params)
-        m = interaction_image(params, sol.q)
-        want = [bool(m[p] < 0.25 * sol.q[p]) for p in range(params.K)]
-        assert check_talagrand(sol.q, params) == want
+        assert np.all(sol.q > 0.0)
+        want = talagrand_oracle(params, sol.q)
+        assert sol.certificates.talagrand_ok is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_at_condition_zero_interaction_is_true():
-    params = make(2, (0.7,), (0.5, 0.5),
+    # With M = 0 every layer decouples, and m = 0 passes the test.
+    params = make(2, (1e-200,), (0.5, 0.5),
                   (FieldSpec.gaussian(1.0), FieldSpec.gaussian(1.0)))
-    assert check_at(np.zeros(2), params) == [True, True]
-    params1 = make(1, (), (1.0,), (FieldSpec.gaussian(1.0),))
-    assert check_at(np.array([0.4]), params1) == [True]
+    sol = solve_nested(params)
+    assert sol.certificates.at_ok is True
+    assert sol.certificates.talagrand_ok is True
+    sol = solve_nested(make(1, (), (1.0,), (FieldSpec.gaussian(1.0),)))
+    assert sol.certificates.at_ok is True
 
 
 def test_at_condition_small_beta_instance_all_true():
     params = make(2, (0.3,), (0.5, 0.5),
                   (FieldSpec.gaussian(1.0), FieldSpec.gaussian(1.0)))
     sol = solve_nested(params)
-    assert check_at(sol.q, params) == [True, True]
+    assert at_oracle(params, sol.q) is True
     assert sol.certificates.at_ok is True
 
 
 def test_at_condition_matches_direct_quadrature_evaluation():
     rng = np.random.default_rng(24)
-    from dbmlab.ghquad import INV_COSH4
-    for _ in range(5):
-        params = gaussian_params(rng, k_range=(2, 5))
+    models = [gaussian_params(rng, k_range=(2, 5)) for _ in range(5)]
+    # Over a weak field, m E cosh^-4 / q is 0.985 at beta = 1.3 and 1.013
+    # at beta = 1.35, on either side of the stability line.
+    models += [make(2, (beta,), (0.5, 0.5),
+                    (FieldSpec.gaussian(0.05), FieldSpec.gaussian(0.05)))
+               for beta in (1.3, 1.35)]
+    verdicts = set()
+    for params in models:
         sol = solve_nested(params)
-        m = interaction_image(params, sol.q)
-        flags = check_at(sol.q, params)
-        for p in range(params.K):
-            ec4 = ghquad.expect(INV_COSH4, m[p], params.fields[p])
-            assert flags[p] == bool(m[p] * ec4 <= sol.q[p])
+        want = at_oracle(params, sol.q)
+        assert sol.certificates.at_ok is want
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
-def test_at_condition_rejects_non_gaussian_fields():
-    params = make(2, (0.7,), (0.5, 0.5))
-    with pytest.raises(ValueError):
-        check_at(np.zeros(2), params)
+def test_at_condition_is_none_without_gaussian_fields():
+    # The test needs positive field variance on every layer.
+    for fields in [(),
+                   (FieldSpec.point_mass(0.3), FieldSpec.point_mass(-0.2)),
+                   (FieldSpec.gaussian(0.5),
+                    FieldSpec.discrete([-1.0, 1.0], [0.5, 0.5])),
+                   (FieldSpec.gaussian(0.5), FieldSpec.zero())]:
+        sol = solve_nested(make(2, (0.7,), (0.5, 0.5), fields))
+        assert sol.certificates.at_ok is None
+    sol = solve_nested(make(1, (), (1.0,)))
+    assert sol.certificates.at_ok is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dbmlab import cli
+from dbmlab import cli, machine
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
@@ -17,18 +18,44 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs_and_prints_its_csv_header(script):
-    args, header = SCRIPTS[script]
+def _env():
+    """The environment with the package's source first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs_and_prints_its_csv_header(script):
+    args, header = SCRIPTS[script]
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_boundary_scan_critical_coupling_puts_rho_at_one():
+    script = runpy.run_path(str(ROOT / "scripts" / "boundary_scan.py"))
+    for K in (2, 3, 5, 8):
+        crit = script["critical_coupling"](K)
+        rho = machine.spectral_radius(script["symmetric_params"](K, crit))
+        assert abs(rho - 1.0) <= 1e-12
+
+
+def test_cli_runs_as_a_module_without_warnings(capsys):
+    # The package does not import cli, so runpy finds no earlier copy of
+    # the module and prints no RuntimeWarning.
+    config = str(ROOT / "examples" / "bound_vs_rs.json")
+    done = subprocess.run(
+        [sys.executable, "-m", "dbmlab.cli", "region", "--config", config],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert cli.main(["region", "--config", config]) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_example_configs_run_through_the_cli(tmp_path):

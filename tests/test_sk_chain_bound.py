@@ -1,4 +1,4 @@
-"""Tests for the variational chain bound: theta map, functional, optimizer, bridge."""
+"""Tests for the variational chain bound: temperatures, functional, optimizer, bridge."""
 import json
 import math
 
@@ -9,17 +9,16 @@ from scipy.optimize import minimize
 
 from dbmlab import cli, machine, rs_solver, sk_chain_bound
 from dbmlab.machine import FieldSpec, ModelParams
-from dbmlab.rs_solver import check_at, check_talagrand, solve_nested
+from dbmlab.rs_solver import solve_nested
 from dbmlab.sk_chain_bound import (
     bridge_check,
     maximize_bound,
     p_dbm_functional,
     related_aux,
-    theta_map,
 )
 
 from helpers import random_params
-from oracles import interaction_image, trapezoid_log_cosh
+from oracles import interaction_image, trapezoid_inv_cosh4, trapezoid_log_cosh
 
 
 def make(K, beta, lam, fields=()):
@@ -37,7 +36,7 @@ def evaluate_at(a, params):
     bound of one model at weights ``a``, cold-started: the one-model stack
     of the bound's evaluation."""
     stack = rs_solver._Stack([params])
-    theta_sq = rs_solver._theta_sq_from_aux(a, params)[None]
+    theta_sq = sk_chain_bound._theta_sq_from_aux(a, params)[None]
     values, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
     certified = sk_chain_bound._certified(stack, theta_sq, overlaps, converged)
     return values[0], overlaps[0], theta_sq[0], bool(converged[0]), certified[0]
@@ -54,36 +53,36 @@ def inside_zero_field_params(rng, k_range=(2, 6)):
 
 
 # ---------------------------------------------------------------------------
-# theta_map
+# theta map: the squared temperatures theta_p(a)^2
 # ---------------------------------------------------------------------------
 
 
 def test_theta_map_frozen_two_layer():
     params = make(2, (1.0,), (0.5, 0.5))
-    got = theta_map(np.array([1.0]), params)
-    np.testing.assert_allclose(got, [math.sqrt(0.5), math.sqrt(0.5)], rtol=1e-15)
+    got = sk_chain_bound._theta_sq_from_aux(np.array([1.0]), params)
+    np.testing.assert_allclose(got, [0.5, 0.5], rtol=1e-15)
 
 
 def test_theta_map_frozen_three_layer():
     params = make(3, (1.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
-    got = theta_map(np.array([1.0, 1.0]), params)
-    want = [math.sqrt(1 / 3), math.sqrt(2 / 3), math.sqrt(1 / 3)]
-    np.testing.assert_allclose(got, want, rtol=1e-14)
+    got = sk_chain_bound._theta_sq_from_aux(np.array([1.0, 1.0]), params)
+    np.testing.assert_allclose(got, [1 / 3, 2 / 3, 1 / 3], rtol=1e-14)
 
 
 def test_theta_map_single_layer_is_zero():
     params = make(1, (), (1.0,))
-    np.testing.assert_array_equal(theta_map(np.zeros(0), params), [0.0])
+    got = sk_chain_bound._theta_sq_from_aux(np.zeros(0), params)
+    np.testing.assert_array_equal(got, [0.0])
 
 
 def test_theta_map_rejects_bad_aux():
     params = make(2, (1.0,), (0.5, 0.5))
     with pytest.raises(ValueError):
-        theta_map(np.array([0.0]), params)
+        sk_chain_bound._theta_sq_from_aux(np.array([0.0]), params)
     with pytest.raises(ValueError):
-        theta_map(np.array([-1.0]), params)
+        sk_chain_bound._theta_sq_from_aux(np.array([-1.0]), params)
     with pytest.raises(ValueError):
-        theta_map(np.array([1.0, 1.0]), params)
+        sk_chain_bound._theta_sq_from_aux(np.array([1.0, 1.0]), params)
 
 
 def test_theta_interaction_identity_for_related_pairs():
@@ -94,8 +93,8 @@ def test_theta_interaction_identity_for_related_pairs():
                                field_kind="mixed")
         q = rng.uniform(0.05, 1.0, params.K)
         a = related_aux(q, params)
-        theta = theta_map(a, params)
-        np.testing.assert_allclose(2.0 * q * theta**2,
+        theta_sq = sk_chain_bound._theta_sq_from_aux(a, params)
+        np.testing.assert_allclose(2.0 * q * theta_sq,
                                    interaction_image(params, q), atol=1e-12)
 
 
@@ -161,7 +160,7 @@ def test_functional_unconverged_layer_solve_is_uncertified(monkeypatch):
     params = make(2, (0.3,), (0.5, 0.5),
                   (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.5)))
     a = np.array([1.0])
-    assert np.all(theta_map(a, params) ** 2 < 0.125)
+    assert np.all(sk_chain_bound._theta_sq_from_aux(a, params) < 0.125)
     assert p_dbm_functional(a, params)[1] is True
     expect = sk_chain_bound.ghquad.expect
     monkeypatch.setattr(sk_chain_bound.ghquad, "expect",
@@ -294,13 +293,18 @@ def test_maximize_result_serializes_to_json():
 
 
 def test_maximize_certification_rederivable_from_checks():
+    # A layer passes below the high-temperature line theta^2 < 1/8 or by
+    # the scalar stability test at m = 2 theta^2 x for its overlap x.
     rng = np.random.default_rng(37)
     for _ in range(3):
         params = gaussian_params(rng, k_range=(2, 4), beta_range=(0.2, 0.9))
         result = maximize_bound(params)
-        tala = check_talagrand(result.overlaps, params, a=result.a)
-        at = check_at(result.overlaps, params)
-        rederived = all((t is True) or (x is True) for t, x in zip(tala, at))
+        theta_sq = sk_chain_bound._theta_sq_from_aux(result.a, params)
+        m = 2.0 * theta_sq * result.overlaps
+        rederived = all(
+            t < 0.125 or m_p * trapezoid_inv_cosh4(m_p, field) <= x
+            for t, m_p, x, field in zip(theta_sq, m, result.overlaps,
+                                        params.fields))
         assert rederived == result.certified
 
 
@@ -380,7 +384,7 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
         side[0] = "nested"
         q = solve_nested(params).q
         side[0] = "warm"
-        warm = maximize_bound(params, nested_q=q)
+        warm = sk_chain_bound.maximize_stack([params], nested_q=[q])[0]
         side[0] = "cold"
         value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
@@ -406,7 +410,7 @@ def test_maximize_starts_the_surrogate_solves_at_the_consistency_solution(
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
     q = solve_nested(params).q
-    maximize_bound(params, nested_q=q)
+    sk_chain_bound.maximize_stack([params], nested_q=[q])
     maximize_bound(params)
     assert len(starts) == 2
     for start in starts:

@@ -65,7 +65,7 @@ def _one_model_pressure(q, params):
 def _one_model_bound(bound, params):
     """The split bound at a result's weights and overlaps by the one-model
     products."""
-    theta_sq = rs_solver._theta_sq_from_aux(bound.a, params)
+    theta_sq = sk_chain_bound._theta_sq_from_aux(bound.a, params)
     layers = math.log(2.0) + ghquad.expect(
         ghquad.LOG_COSH, 2.0 * bound.overlaps * theta_sq, params.fields)
     layers += 0.5 * theta_sq * (1.0 - bound.overlaps) ** 2
@@ -177,7 +177,7 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
     for params in _grid_models(path):
         calls.clear()
         q = rs_solver.solve_nested(params).q
-        sk_chain_bound.maximize_bound(params, nested_q=q)
+        sk_chain_bound.maximize_stack([params], nested_q=[q])
         solo.append(dict(calls))
     # Each Newton step and each lockstep scalar step is one call for the
     # whole grid, so the grid takes the steps of its slowest point.  The
