@@ -18,6 +18,17 @@ polynomials interlace.  The largest zero of ``Delta_K`` is the spectral radius
 of that matrix, and localisation of all zeros inside ``(-r, r)`` is equivalent
 to positivity of every ``Delta_p(r)``.
 
+Chains of up to 32 vertices are solved by NumPy alone: :func:`zeros`
+hands the dense symmetric matrix to ``numpy.linalg.eigvalsh`` (LAPACK
+``dsyevd``).  That routine scales an out-of-range matrix by the same factor
+as ``dstevd`` (behind ``scipy.linalg.eigh_tridiagonal``) does.  Its
+reduction to tridiagonal form then changes nothing: every column below the
+first sub-diagonal entry is already zero, so every Householder factor
+``tau`` is 0.  Both end in ``dsterf`` on the same diagonal and
+off-diagonal, so the zeros agree bit for bit.  Longer chains, where the
+dense solve's ``O(K^3)`` cost overtakes, import SciPy and call
+``eigh_tridiagonal``; nothing else here needs SciPy.
+
 Chains are capped at ``MAX_LAYERS`` vertices; values are plain float64, which
 can overflow for deep chains at large ``|x|``.  At ``x = 1``, where the
 annealed-region test evaluates the chain, ``Delta_{p+1} = Delta_p - t_p
@@ -30,7 +41,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "MAX_LAYERS",
@@ -45,6 +55,9 @@ __all__ = [
 ]
 
 MAX_LAYERS = 512
+# Longest chain solved densely by NumPy; longer ones take SciPy's
+# tridiagonal solver, which is faster from about 48 vertices on.
+_DENSE_LAYERS = 32
 
 
 def _check_activities(t: Sequence[float]) -> np.ndarray:
@@ -112,13 +125,22 @@ def zeros(t: Sequence[float]) -> np.ndarray:
     """Sorted real zeros of ``Delta_K``.
 
     Computed as the eigenvalues of the symmetric tridiagonal matrix with zero
-    diagonal and off-diagonals ``sqrt(t_p)``.
+    diagonal and off-diagonals ``sqrt(t_p)``: through the dense matrix and
+    ``numpy.linalg.eigvalsh`` for ``K <= 32``, and through
+    ``scipy.linalg.eigh_tridiagonal`` above, imported here so that short
+    chains never load SciPy.  Both reach LAPACK ``dsterf`` with the same
+    tridiagonal, so the zeros do not depend on the path taken (see the
+    module docstring).
     """
     t = _check_activities(t)
     K = t.size + 1
     if K == 1:
         return np.zeros(1)
-    return eigh_tridiagonal(np.zeros(K), np.sqrt(t), eigvals_only=True)
+    off = np.sqrt(t)
+    if K <= _DENSE_LAYERS:
+        return np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(np.zeros(K), off, eigvals_only=True)
 
 
 def zeros_sequence(t: Sequence[float]) -> list[np.ndarray]:

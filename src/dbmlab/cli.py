@@ -457,6 +457,13 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
     cov_total = _setting(section, "covariance_total", 12, int)
     cov_n = _setting(section, "covariance_n_disorder", 1000, int)
     n_pairs = _setting(section, "n_pairs", 10, int)
+    # Every system size is checked before the first one is computed.
+    cap = finite_volume_lab.MC_SPIN_CAP
+    for what, counts in (("'sizes' entries", totals),
+                         ("'covariance_total'", [cov_total])):
+        if not all(1 <= n <= cap for n in counts):
+            raise ConfigError(f"invalid value: {what} must lie between 1 "
+                              f"and {cap}: verify is capped at {cap} spins")
     try:
         assignments = [
             finite_volume_lab.LayerAssignment.from_weights(params.lam, n)

@@ -17,6 +17,11 @@ one, and :func:`sample_disorder` is the one function that draws them.  All
 three estimators (exact enumeration, Monte Carlo and the covariance check)
 reduce one stack at a time.
 
+SciPy's special functions are imported inside the three functions that use
+them (:func:`log_partition`, :func:`_drift_detected` and the tempering
+sweep), so the commands that never reach this module's estimators start
+without loading SciPy.
+
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
 results are bit-identical regardless of evaluation order or parallelism.
@@ -28,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp, stdtrit
 
 from . import machine
 from .machine import ModelParams
@@ -95,6 +99,10 @@ class LayerAssignment:
         if N < 1:
             raise ValueError("total spin count must be at least 1")
         raw = lam / lam.sum() * N
+        # Counts past int64, inf and nan would not survive the cast below.
+        if not np.all(raw < 2.0 ** 63):
+            raise ValueError("total spin count is too large to split into "
+                             "layers")
         base = np.floor(raw).astype(int)
         leftover = N - int(base.sum())
         order = np.argsort(-(raw - base), kind="stable")
@@ -320,6 +328,9 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     such product per sample and one ``scipy.special.logsumexp`` call over
     all its rows, and gives an array of ``D`` values.
     """
+    # Imported here, not at module level, so that only verify loads SciPy.
+    from scipy.special import logsumexp
+
     assignment = sample.assignment
     sizes = assignment.sizes
     N = assignment.N
@@ -405,6 +416,9 @@ def _drift_detected(records: np.ndarray) -> bool:
     probability at most ``_DRIFT_LEVEL``.  Series shorter than 20 sweeps
     are never flagged.
     """
+    # Imported here, not at module level, so that only verify loads SciPy.
+    from scipy.special import stdtrit
+
     records = np.asarray(records, dtype=float)
     length = records.shape[0] // _DRIFT_BATCHES
     if length < 2:
@@ -441,6 +455,9 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
     updated layer ``p + 1``, bond ``p``'s share of ``-H``.  Returns ``-H``
     per sample and rung, shape ``(D, R)``.
     """
+    # Imported here, not at module level, so that only verify loads SciPy.
+    from scipy.special import expit
+
     D, R = layers[0].shape[:2]
     K = len(layers)
     gain = np.zeros((D, R))

@@ -35,14 +35,18 @@ The replica-symmetric pressure, its consistency map and the split bound
 are sums of one such integral per layer, so :func:`expect` takes a vector
 of variances and one field per layer and evaluates every layer in one
 call: the atoms of all fields go into ``(atoms, nodes)`` arrays, atoms
-grouped by the rule their layer's total variance picks, in blocks of at
-most ``MAX_FIELD_ATOMS`` atoms so that no array outgrows the one-layer
-call with the largest field.  Each atom's node sum is its own dot product,
-so a layer's value is bit for bit that of the one-layer call, whatever
-else shares the call.  A float ``s`` with one field is the one-layer case
-of the same body.  The fields' atoms are laid out as arrays in a
-:class:`FieldTable`; a solver that evaluates the same layers at every step
-builds it once and passes it in place of the fields.
+grouped by the rule their layer's total variance picks, in blocks bounded
+by entries: at most ``_BLOCK_ENTRIES`` (8192) atom-node entries per
+kernel row, or one atom when its rule alone has more nodes.  Arrays of that
+size (64 KiB per row) stay on the C allocator's heap, which the next block
+and the next call reuse, where larger ones are mapped from the operating
+system and faulted in afresh every time.  Each atom's node sum is its own
+dot product, so a layer's value is bit for bit that of the one-layer call,
+whatever else shares the call or however the atoms are blocked.  A float
+``s`` with one field is the one-layer case of the same body.  The fields'
+atoms are laid out as arrays in a :class:`FieldTable`; a solver that
+evaluates the same layers at every step builds it once and passes it in
+place of the fields.
 
 Derivatives in the variance
 ---------------------------
@@ -63,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import MAX_FIELD_ATOMS, FieldSpec
+from .machine import FieldSpec
 
 __all__ = [
     "ACCURATE_VARIANCE",
@@ -89,6 +93,9 @@ _DEFAULT_VARIANCE = 25.0
 _MAX_DOUBLINGS = 6
 ACCURATE_VARIANCE = _DEFAULT_VARIANCE * 4.0 ** _MAX_DOUBLINGS
 _LOG2 = math.log(2.0)
+# Most atom-node entries per kernel row of an expect block: 64 KiB of
+# float64, under glibc's 128 KiB threshold for serving an allocation by mmap.
+_BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,21 +223,25 @@ class FieldTable(tuple):
 
 
 def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
-    """``(rule, atoms)`` blocks of at most ``MAX_FIELD_ATOMS`` atoms that
-    share the rule their layer's total variance picks (:func:`_rule_for`);
-    ``atoms`` is a slice or an index array into the table's atoms, and
-    ``largest`` is the largest total variance."""
+    """``(rule, atoms)`` blocks of atoms that share the rule their layer's
+    total variance picks (:func:`_rule_for`), as many atoms as fit in
+    ``_BLOCK_ENTRIES`` entries and at least one; ``atoms`` is a slice or an
+    index array into the table's atoms, and ``largest`` is the largest
+    total variance."""
     size = table.shifts.size
     if largest <= _DEFAULT_VARIANCE:
-        for lo in range(0, size, MAX_FIELD_ATOMS):
-            yield default_rule(), slice(lo, lo + MAX_FIELD_ATOMS)
+        rule = default_rule()
+        step = _BLOCK_ENTRIES // rule.order
+        for lo in range(0, size, step):
+            yield rule, slice(lo, lo + step)
         return
     rules = [_rule_for(variance) for variance in total.tolist()]
     orders = np.repeat([rule.order for rule in rules], table.counts)
     for rule in dict.fromkeys(rules):
         atoms = np.flatnonzero(orders == rule.order)
-        for lo in range(0, atoms.size, MAX_FIELD_ATOMS):
-            yield rule, atoms[lo:lo + MAX_FIELD_ATOMS]
+        step = max(1, _BLOCK_ENTRIES // rule.order)
+        for lo in range(0, atoms.size, step):
+            yield rule, atoms[lo:lo + step]
 
 
 def expect(f, s, fields):
@@ -243,9 +254,9 @@ def expect(f, s, fields):
     arrays stacked along a leading axis, such as :data:`TANH_MOMENTS`,
     gives one row per array: ``(m, K)``, or ``(m,)`` for one layer.
 
-    The atoms of all layers are evaluated in blocks of at most
-    ``MAX_FIELD_ATOMS`` atoms that share a rule; the rule is picked from
-    each layer's total variance ``s_p + v_p`` (see the module docstring).
+    The atoms of all layers are evaluated in blocks of atoms that share a
+    rule, bounded by entries; the rule is picked from each layer's total
+    variance ``s_p + v_p`` (see the module docstring).
     Each atom's node sum is its own dot product, so a layer's value does
     not depend on the other layers in the call: it is bit for bit the
     value of the one-layer call.

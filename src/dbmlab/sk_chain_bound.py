@@ -42,8 +42,6 @@ from .rs_solver import _expect_rows, _row_dot, _scalar_overlap, _Stack
 
 _LOG2 = math.log(2.0)
 
-# High-temperature line: a layer with theta^2 below it is certified outright.
-_TALAGRAND_LINE = 0.125
 # Relatedness tolerance for (overlap, auxiliary) pairs.
 _RELATED_TOL = 1e-10
 # Scalar consistency solves stop at this defect.
@@ -151,10 +149,12 @@ def _certified(stack: _Stack, theta_sq: np.ndarray, overlaps: np.ndarray,
     every point of ``stack``.
 
     Needs every scalar overlap solve of the point to have converged.  A
-    layer then passes when its temperature sits strictly below the
-    high-temperature line ``theta^2 < 1/8`` or when the scalar
-    Almeida-Thouless criterion holds at its surrogate overlap; one kernel
-    call serves every converged point.
+    layer then passes when the scalar Almeida-Thouless criterion
+    ``m E cosh^-4 <= x`` holds at its surrogate overlap ``x``, with
+    ``m = 2 theta^2 x``; one kernel call serves every converged point.
+    Below the high-temperature line ``theta^2 < 1/8`` no separate test is
+    needed: there ``m <= x / 4`` and ``E cosh^-4 <= 1``, so the criterion
+    holds.
     """
     certified = [False] * len(converged)
     rows = np.flatnonzero(converged)
@@ -162,8 +162,7 @@ def _certified(stack: _Stack, theta_sq: np.ndarray, overlaps: np.ndarray,
         m = 2.0 * overlaps[rows] * theta_sq[rows]
         stable = (m * _expect_rows(INV_COSH4, m, stack.fields(rows))
                   <= overlaps[rows])
-        passes = np.all((theta_sq[rows] < _TALAGRAND_LINE) | stable, axis=1)
-        for i, ok in zip(rows, passes):
+        for i, ok in zip(rows, np.all(stable, axis=1)):
             certified[i] = bool(ok)
     return certified
 

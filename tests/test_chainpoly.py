@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dbmlab import chainpoly
 
@@ -157,6 +157,30 @@ def test_zeros_real_and_simple_for_positive_activities():
         z = chainpoly.zeros(t)
         assert z.size == K
         assert np.all(np.diff(z) > 0.0)
+
+
+# Zero activities, ordinary ones and activities from 1e-300 to 1e300,
+# whose matrices LAPACK rescales before solving.
+_ACTIVITIES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 3.0),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(1.0, 9.99), st.integers(-300, 299)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(t=st.lists(_ACTIVITIES, min_size=1, max_size=39))
+@example(t=[1.0] * (chainpoly._DENSE_LAYERS - 1))  # the longest dense chain
+@example(t=[1.0] * chainpoly._DENSE_LAYERS)  # the shortest tridiagonal one
+@example(t=[1e-300] * 20)
+@example(t=[1e300, 0.0, 1e300, 1e-300])
+def test_zeros_are_bit_identical_to_the_tridiagonal_solver(t):
+    # Short chains take NumPy's dense eigvalsh and long ones SciPy's
+    # tridiagonal solver: both end in LAPACK dsterf on the same matrix.
+    from scipy.linalg import eigh_tridiagonal
+    expected = eigh_tridiagonal(np.zeros(len(t) + 1), np.sqrt(t),
+                                eigvals_only=True)
+    assert np.array_equal(chainpoly.zeros(t), expected)
 
 
 # ---------------------------------------------------------------------------

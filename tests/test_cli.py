@@ -375,6 +375,28 @@ def test_verify_refuses_a_covariance_check_past_the_spin_cap(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("covariance_total", 1e308), ("covariance_total", 0),
+    ("sizes", [6, 1e308]), ("sizes", [6, finite_volume_lab.MC_SPIN_CAP + 1]),
+    ("sizes", [0, 10]), ("sizes", [-6, 10]),
+])
+def test_verify_checks_every_size_before_any_work(tmp_path, capsys,
+                                                   monkeypatch, key, value):
+    # A size past the cap used to fail only after the smaller sizes (or the
+    # whole trend) had run, and 1e308 warned in a cast before exiting 2.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify computed before checking its sizes")
+    monkeypatch.setattr(finite_volume_lab, "annealed_trend", refuse)
+    data = verify_config()
+    data["verify"][key] = value
+    assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: invalid value: '{key}'"
+                   f"{' entries' if key == 'sizes' else ''} must lie between "
+                   f"1 and {finite_volume_lab.MC_SPIN_CAP}: verify is capped "
+                   f"at {finite_volume_lab.MC_SPIN_CAP} spins\n")
+
+
 def test_verify_refuses_unknown_settings(tmp_path, capsys):
     # A misspelt key would otherwise run at the default it meant to change.
     data = verify_config()

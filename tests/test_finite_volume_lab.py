@@ -61,6 +61,13 @@ def test_assignment_validation():
         LayerAssignment((2, -1))
 
 
+def test_assignment_from_weights_refuses_counts_past_the_integers():
+    # Refused before the cast to integers, which would warn and wrap.
+    for N in (10**308, 2**64, math.inf, math.nan):
+        with pytest.raises(ValueError, match="too large to split"):
+            LayerAssignment.from_weights((0.5, 0.5), N)
+
+
 # ---------------------------------------------------------------------------
 # disorder samples
 # ---------------------------------------------------------------------------

@@ -339,11 +339,40 @@ def test_layered_expect_mixes_every_field_kind_and_rule():
     assert len({ghquad._rule_for(s_p + f.v).order
                 for s_p, f in zip(s, fields)}) >= 3
     _assert_layered_matches_one_layer_calls(s, fields)
-    # Wide discrete fields overflow one block of MAX_FIELD_ATOMS atoms.
+    # Wide discrete fields span several blocks.
     wide = FieldSpec.discrete(np.linspace(-2.0, 2.0, 40), np.full(40, 1 / 40))
     fields = [wide, FieldSpec.gaussian(0.3), wide, wide, FieldSpec.zero()]
     _assert_layered_matches_one_layer_calls([0.5, 1.0, 2.0, 40.0, 3.0],
                                             fields)
+
+
+def test_expect_blocks_are_bounded_by_entries():
+    # Every array a kernel sees holds at most _BLOCK_ENTRIES entries per
+    # kernel row, or one atom whose rule alone has more nodes, and the
+    # blocks are as full as that allows.
+    wide = FieldSpec.discrete(np.linspace(-2.0, 2.0, 64), np.full(64, 1 / 64))
+    shapes = []
+
+    def recording(y):
+        shapes.append(y.shape)
+        return TANH_MOMENTS(y)
+
+    # The default rule, a refined one and the finest, past the cap alone.
+    orders = []
+    for s in (0.5, 100.0, 2.0 * ghquad.ACCURATE_VARIANCE):
+        order = ghquad._rule_for(s).order
+        orders.append(order)
+        for fields in ([wide], [wide, FieldSpec.gaussian(0.3), wide]):
+            shapes.clear()
+            ghquad.expect(recording, np.full(len(fields), s), fields)
+            assert sum(atoms for atoms, _ in shapes) == sum(
+                len(field.values) for field in fields)
+            for atoms, nodes in shapes:
+                assert atoms * nodes <= max(ghquad._BLOCK_ENTRIES, nodes)
+            assert max(atoms for atoms, nodes in shapes if nodes == order) \
+                == max(1, min(64, ghquad._BLOCK_ENTRIES // order))
+    assert orders[0] == ghquad.DEFAULT_ORDER
+    assert ghquad.DEFAULT_ORDER < orders[1] < ghquad._BLOCK_ENTRIES < orders[2]
 
 
 def test_tanh_moments_are_the_two_kernels_bit_for_bit():

@@ -102,3 +102,28 @@ def test_example_configs_run_through_the_cli(tmp_path):
     assert trend["jensen_ok"] is True
     assert trend["gap_decreasing"] is True
     assert data["covariance"]["worst"] < 5.0
+
+
+_LOADED_SCIPY = """
+import os, sys
+from dbmlab import cli
+config, trend = sys.argv[1:]
+loaded = lambda: sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))
+for command in ("region", "poly", "rs", "bound", "scan"):
+    assert cli.main([command, "--config", config, "--out", os.devnull]) == 0
+print(loaded())
+cli.main(["verify", "--config", trend, "--out", os.devnull])
+print(loaded())
+"""
+
+
+def test_only_verify_loads_scipy():
+    # Chains of up to 32 layers take NumPy's eigensolve, and only the
+    # finite-volume estimators import SciPy's special functions.
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCIPY,
+         str(ROOT / "examples" / "bound_vs_rs.json"),
+         str(ROOT / "examples" / "trend.json")],
+        capture_output=True, text=True, env=_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['scipy.special']"]

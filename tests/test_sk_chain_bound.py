@@ -292,6 +292,26 @@ def test_maximize_result_serializes_to_json():
     assert data["certified"] is True
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(layers=st.lists(
+    st.tuples(st.floats(0.0, 0.125, exclude_max=True),
+              st.one_of(st.just(0.0), st.floats(0.0, 2.0),
+                        st.floats(2.0, 1e6))),
+    min_size=2, max_size=4))
+def test_at_test_holds_below_the_high_temperature_line(layers):
+    # At a converged overlap x, m = 2 theta^2 x <= x / 4 and E cosh^-4 <= 1,
+    # so the scalar AT test alone certifies every layer with theta^2 < 1/8.
+    theta_sq = np.array([[t for t, _ in layers]])
+    fields = tuple(FieldSpec.gaussian(v) for _, v in layers)
+    K = len(fields)
+    stack = rs_solver._Stack([make(K, (1.0,) * (K - 1), (1 / K,) * K, fields)])
+    overlaps, converged = rs_solver._scalar_overlap(
+        theta_sq.ravel(), stack.table, sk_chain_bound._SCALAR_TOL)
+    assert converged.all()
+    assert sk_chain_bound._certified(stack, theta_sq, overlaps[None],
+                                     converged[None].all(axis=1)) == [True]
+
+
 def test_maximize_certification_rederivable_from_checks():
     # A layer passes below the high-temperature line theta^2 < 1/8 or by
     # the scalar stability test at m = 2 theta^2 x for its overlap x.
