@@ -457,13 +457,29 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
     cov_total = _setting(section, "covariance_total", 12, int)
     cov_n = _setting(section, "covariance_n_disorder", 1000, int)
     n_pairs = _setting(section, "n_pairs", 10, int)
-    # Every system size is checked before the first one is computed.
+    # Every size and count is checked before the first size is computed.
     cap = finite_volume_lab.MC_SPIN_CAP
     for what, counts in (("'sizes' entries", totals),
                          ("'covariance_total'", [cov_total])):
         if not all(1 <= n <= cap for n in counts):
             raise ConfigError(f"invalid value: {what} must lie between 1 "
                               f"and {cap}: verify is capped at {cap} spins")
+    for key, n, low, high in (
+            ("n_disorder", n_disorder, 1, finite_volume_lab.COUNT_CAP),
+            ("sweeps", sweeps, 2, finite_volume_lab.COUNT_CAP),
+            ("replicas", replicas, 1, finite_volume_lab.REPLICA_CAP),
+            ("covariance_n_disorder", cov_n, 3, finite_volume_lab.COUNT_CAP),
+            ("n_pairs", n_pairs, 1, finite_volume_lab.PAIR_CAP)):
+        if not low <= n <= high:
+            raise ConfigError(f"invalid value: '{key}' must lie between "
+                              f"{low} and {high}")
+    records = n_disorder * (sweeps - sweeps // 2) * replicas
+    if (max(totals, default=0) > finite_volume_lab.EXACT_SPIN_CAP
+            and records > finite_volume_lab.MC_RECORD_CAP):
+        raise ConfigError(
+            f"invalid value: the Monte Carlo records of n_disorder x "
+            f"(sweeps - sweeps // 2) x replicas = {records} entries exceed "
+            f"{finite_volume_lab.MC_RECORD_CAP}")
     try:
         assignments = [
             finite_volume_lab.LayerAssignment.from_weights(params.lam, n)

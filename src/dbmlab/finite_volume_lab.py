@@ -17,18 +17,24 @@ one, and :func:`sample_disorder` is the one function that draws them.  All
 three estimators (exact enumeration, Monte Carlo and the covariance check)
 reduce one stack at a time.
 
-SciPy's special functions are imported inside the three functions that use
-them (:func:`log_partition`, :func:`_drift_detected` and the tempering
-sweep), so the commands that never reach this module's estimators start
-without loading SciPy.
+SciPy's special functions are imported inside the two Monte Carlo
+functions that use them (:func:`_drift_detected` and the tempering sweep),
+so the commands that never run the Monte Carlo estimator start without
+loading SciPy; enumeration takes its ``logsumexp`` from :func:`_logsumexp`,
+a NumPy transcription of SciPy's algorithm with the same bits.
 
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
 results are bit-identical regardless of evaluation order or parallelism.
+The Monte Carlo chains take their uniforms in blocks of sweeps, one call
+per sample and block; a Philox double consumes one 64-bit output in stream
+order, so a block holds exactly the uniforms the sweeps would draw one by
+one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +48,14 @@ _MASK64 = (1 << 64) - 1
 
 EXACT_SPIN_CAP = 24
 MC_SPIN_CAP = 4096
+
+# Caps on the counts of one verify run, checked before any work: disorder
+# samples and sweeps, tempering rungs, covariance pairs, and the entries of
+# the Monte Carlo record array (samples x recorded sweeps x rungs).
+COUNT_CAP = 10**6
+REPLICA_CAP = 1024
+PAIR_CAP = 10**4
+MC_RECORD_CAP = 1 << 24
 
 # Stream ids within one (seed, index) Philox key.
 _STREAM_DISORDER = 0
@@ -98,8 +112,10 @@ class LayerAssignment:
             raise ValueError("weights must be non-negative with positive sum")
         if N < 1:
             raise ValueError("total spin count must be at least 1")
-        raw = lam / lam.sum() * N
-        # Counts past int64, inf and nan would not survive the cast below.
+        # Counts of 2^63 or more, inf and nan would not survive the cast to
+        # integers below (a Python int past the floats not even the product),
+        # and rounding can carry a share of a smaller count up to 2^63.
+        raw = lam / lam.sum() * N if N < 2**63 else np.inf
         if not np.all(raw < 2.0 ** 63):
             raise ValueError("total spin count is too large to split into "
                              "layers")
@@ -206,27 +222,36 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
     each.  Couplings are drawn bond by bond, then fields layer by layer.
     A field is drawn from its law: a Gaussian draw when ``v > 0``, the
     atom itself when there is one, and a draw among the atoms otherwise,
-    so a layer whose field is constant takes nothing from the stream.
+    so a layer whose field is constant takes nothing from the stream and
+    is filled once for the whole stack.
     """
     sizes = assignment.sizes
     if params.K != len(sizes):
         raise ValueError("assignment and parameters disagree on the layer count")
     couplings = tuple(np.empty((count, a, b)) for a, b in zip(sizes, sizes[1:]))
     fields = tuple(np.empty((count, n)) for n in sizes)
+    drawn = []
+    for field, rows in zip(params.fields, fields):
+        if field.v == 0.0 and len(field.values) == 1:
+            rows[...] = field.values[0]
+        else:
+            drawn.append((field, rows))
     philox = np.random.Philox(0)
     gen = np.random.Generator(philox)
+    # One state, re-keyed in place for each sample.
+    state = _stream_state(seed, index, _STREAM_DISORDER)
+    key = state["state"]["key"]
     for d in range(count):
-        philox.state = _stream_state(seed, index + d, _STREAM_DISORDER)
+        key[1] = (index + d) & _MASK64
+        philox.state = state
         for block in couplings:
             gen.standard_normal(out=block[d])
-        for field, row in zip(params.fields, fields):
+        for field, rows in drawn:
             if field.v > 0.0:
-                gen.standard_normal(out=row[d])
-                row[d] *= math.sqrt(field.v)
-            elif len(field.values) == 1:
-                row[d] = field.values[0]
+                gen.standard_normal(out=rows[d])
+                rows[d] *= math.sqrt(field.v)
             else:
-                row[d] = gen.choice(field.values, size=row.shape[1], p=field.probs)
+                rows[d] = gen.choice(field.values, size=rows.shape[1], p=field.probs)
     return DisorderSample(assignment=assignment, couplings=couplings,
                           fields=fields, seed=seed, index=index)
 
@@ -298,19 +323,38 @@ def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _spin_table(n: int) -> np.ndarray:
     """All ``2^n`` configurations of ``n`` spins, shape ``(2^n, n)``.
 
     Row ``c`` has spin ``i`` equal to ``+1`` where bit ``i`` of ``c`` is set;
     the rows from ``2^i`` to ``2^(i+1) - 1`` repeat the first ``2^i`` rows
-    with spin ``i`` up.
+    with spin ``i`` up.  Cached and read-only: :func:`log_partition` asks for
+    at most 13 sizes, the largest of ``2^12`` rows.
     """
     table = np.full((1 << n, n), -1.0)
     for i in range(n):
         half = 1 << i
         table[half:2 * half, :i] = table[:half, :i]
         table[half:2 * half, i] = 1.0
+    table.flags.writeable = False
     return table
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a)))`` over the last axis of a finite array.
+
+    A transcription of ``scipy.special.logsumexp``'s algorithm, bit for bit
+    without its per-call dispatch: the ``m`` entries equal to the maximum
+    are split out of the sum of the shifted exponentials ``s``, and the
+    result is ``log1p(s / m) + log(m) + max``.
+    """
+    top = np.max(a, axis=-1, keepdims=True)
+    ties = a == top
+    shifted = np.exp(a - top)
+    shifted[ties] = 0.0
+    m = np.count_nonzero(ties, axis=-1)
+    return np.log1p(np.sum(shifted, axis=-1) / m) + np.log(m) + top[..., 0]
 
 
 def log_partition(sample: DisorderSample, params: ModelParams):
@@ -325,12 +369,11 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     enumerated spins enter linearly, through their own fields and the local
     fields of the summed spins, so all rows come from one product of the
     configuration table with a matrix.  A stack of ``D`` samples takes one
-    such product per sample and one ``scipy.special.logsumexp`` call over
-    all its rows, and gives an array of ``D`` values.
+    such product per sample and one :func:`_logsumexp` call over all its
+    rows, and gives an array of ``D`` values.  Its working set is three
+    tables of the product's shape: the product, the local fields and their
+    ``log1p(exp(-2|g|))`` terms, each computed in place.
     """
-    # Imported here, not at module level, so that only verify loads SciPy.
-    from scipy.special import logsumexp
-
     assignment = sample.assignment
     sizes = assignment.sizes
     N = assignment.N
@@ -366,10 +409,13 @@ def log_partition(sample: DisorderSample, params: ModelParams):
                                  * np.swapaxes(sample.couplings[p], -1, -2))
     table = _spin_table(rows[-1]) @ linear
     summed_fields = np.concatenate([sample.fields[p] for p in summed], axis=-1)
-    local = np.abs(table[..., 1:] + summed_fields[..., None, :])
-    log_weights = table[..., 0] + np.sum(
-        local + np.log1p(np.exp(-2.0 * local)), axis=-1)
-    return logsumexp(log_weights, axis=-1)
+    local = table[..., 1:] + summed_fields[..., None, :]
+    np.abs(local, out=local)
+    soft = np.multiply(local, -2.0)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    soft += local
+    return _logsumexp(table[..., 0] + np.sum(soft, axis=-1))
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -377,9 +423,9 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
     """Quenched pressure by full enumeration over seeded disorder samples.
 
     The samples are enumerated a stack at a time; a stack's working entries
-    are four times the entries of :func:`log_partition`'s configuration
-    table (the table and its temporaries), so the largest systems go one
-    sample per stack.
+    are three times the entries of :func:`log_partition`'s configuration
+    table (the table, its local fields and their soft terms), so the
+    largest systems go one sample per stack.
     """
     if assignment.N > EXACT_SPIN_CAP:
         raise ValueError(
@@ -392,7 +438,7 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
     values = np.concatenate([
         log_partition(stack, params)
         for stack in _disorder_stacks(assignment, params, seed, n_disorder,
-                                      4 * table)]) / assignment.N
+                                      3 * table)]) / assignment.N
     return PressureEstimate.from_values(values, "exact_enum")
 
 
@@ -416,7 +462,8 @@ def _drift_detected(records: np.ndarray) -> bool:
     probability at most ``_DRIFT_LEVEL``.  Series shorter than 20 sweeps
     are never flagged.
     """
-    # Imported here, not at module level, so that only verify loads SciPy.
+    # Imported here, not at module level, so that only the Monte Carlo
+    # estimator loads SciPy.
     from scipy.special import stdtrit
 
     records = np.asarray(records, dtype=float)
@@ -437,46 +484,59 @@ def _drift_detected(records: np.ndarray) -> bool:
 
 
 def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
-                     slope: np.ndarray, fields2: list[np.ndarray],
-                     draws: np.ndarray) -> np.ndarray:
+                     coupled_t: list[np.ndarray], slope: np.ndarray,
+                     fields2: list[np.ndarray], draws: np.ndarray) -> np.ndarray:
     """One heat-bath sweep over every layer, rung and stacked sample.
 
     ``layers[p]`` is the ``(D, R, N_p)`` view of layer ``p`` in the states
-    of ``D`` disorder samples at ``R`` rungs, updated in place, and
+    of ``D`` disorder samples at ``R`` rungs, updated in place;
     ``coupled[p]`` is the ``(D, N_p, N_{p+1})`` stack of
-    ``sqrt(2/N) beta_p J_p``.  A spin of layer ``p`` with coupling field
-    ``g`` at rung ``r`` becomes ``+1`` with probability
+    ``sqrt(2/N) beta_p J_p`` and ``coupled_t[p]`` its transpose, a
+    contiguous ``(D, N_{p+1}, N_p)`` stack.  A spin of layer ``p`` with
+    coupling field ``g`` at rung ``r`` becomes ``+1`` with probability
     ``expit(slope[r] * g + fields2[p])``, where ``slope`` (shape ``(R, 1)``)
     is twice the rung's coupling scale and ``fields2[p]`` (shape
-    ``(D, 1, N_p)``) twice the layer's fields.  Row ``d`` of ``draws`` starts
-    with sample ``d``'s ``R * N`` uniforms, layer by layer.  The product
-    ``layers[p] @ coupled[p]`` taken after layer ``p`` updates is both the
-    left part of layer ``p + 1``'s coupling field and, contracted with the
-    updated layer ``p + 1``, bond ``p``'s share of ``-H``.  Returns ``-H``
-    per sample and rung, shape ``(D, R)``.
+    ``(D, 1, N_p)``) twice the layer's fields.  Row ``d`` of ``draws`` (shape
+    ``(D, >= R * N)``, rows of any stride) starts with sample ``d``'s
+    ``R * N`` uniforms, layer by layer.  The product ``layers[p] @
+    coupled[p]`` taken after layer ``p`` updates is both the left part of
+    layer ``p + 1``'s coupling field and, contracted with the updated layer
+    ``p + 1``, bond ``p``'s share of ``-H``.  Each layer's field array is
+    scaled, shifted, mapped and tested in place, and holds the new spins
+    before they are written to the layer.  Returns ``-H`` per sample and
+    rung, shape ``(D, R)``.
     """
-    # Imported here, not at module level, so that only verify loads SciPy.
+    # Imported here, not at module level, so that only the Monte Carlo
+    # estimator loads SciPy.
     from scipy.special import expit
 
     D, R = layers[0].shape[:2]
     K = len(layers)
     gain = np.zeros((D, R))
-    local = np.zeros(layers[0].shape)
     start = 0
     for p in range(K):
         layer = layers[p]
-        if p < K - 1:
-            local = local + layers[p + 1] @ coupled[p].transpose(0, 2, 1)
+        if p == 0:
+            local = layers[1] @ coupled_t[0] if K > 1 else np.zeros(layer.shape)
+        elif p < K - 1:
+            local = below + layers[p + 1] @ coupled_t[p]
+        else:
+            # A copy: below enters the bond's share of -H after the update.
+            local = below.copy()
         stop = start + R * layer.shape[2]
         uniforms = draws[:, start:stop].reshape(layer.shape)
         start = stop
-        layer[...] = np.where(uniforms < expit(slope * local + fields2[p]),
-                              1.0, -1.0)
+        local *= slope
+        local += fields2[p]
+        expit(local, out=local)
+        # The spins in local first: the layer is a strided view of states.
+        np.less(uniforms, local, out=local)
+        local *= 2.0
+        np.subtract(local, 1.0, out=layer)
         if p > 0:
             gain += np.einsum("dri,dri->dr", below, layer)
         if p < K - 1:
             below = layer @ coupled[p]
-            local = below
     return gain
 
 
@@ -497,7 +557,12 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     leading axis (a few samples at a time for large systems, see
     :func:`_disorder_stacks`).  Each sample still draws from its own keyed
     random stream, in the order a chain run alone would, so the estimate
-    is reproducible regardless of how samples are stacked.  A
+    is reproducible regardless of how samples are stacked.  The uniforms
+    come in blocks of an even number of sweeps, at most
+    :data:`_CHUNK_ENTRIES` entries for the stack (two sweeps at least):
+    one call per sample fills its row of a buffer allocated once per stack,
+    with the uniforms its sweeps would draw one by one, and the swap tests
+    of the block take their logarithms in one call.  A
     ``nonequilibrated`` flag is attached when :func:`_drift_detected`
     finds a drift in any rung's recorded energy series.
     """
@@ -521,6 +586,13 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     scale = math.sqrt(2.0 / N)
     slope = (2.0 * nodes)[:, None]
     burn_in = sweeps // 2
+    # Per parity of the sweep: the lower rungs of the pairs proposing swaps,
+    # the node gaps scaling their log acceptance, the sweep's count of
+    # uniforms, and its columns among a block's swap logarithms.
+    lo = [np.arange(parity, R - 1, 2) for parity in (0, 1)]
+    gap = [nodes[pairs + 1] - nodes[pairs] for pairs in lo]
+    width = [R * N + pairs.size for pairs in lo]
+    swap_cut = [slice(0, lo[0].size), slice(lo[0].size, None)]
     # Sample-major, so that each sample's (sweep, rung) block reduces in the
     # order of a single chain's records.
     records = np.empty((n_disorder, sweeps - burn_in, R))
@@ -534,24 +606,43 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
         layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
         coupled = [(scale * params.beta[p]) * block
                    for p, block in enumerate(stack.couplings)]
+        coupled_t = [np.ascontiguousarray(block.transpose(0, 2, 1))
+                     for block in coupled]
         fields2 = [2.0 * h[:, None, :] for h in fields]
-        draws = np.empty((D, R * N + R // 2))
-        for sweep in range(sweeps):
-            lo = np.arange(sweep % 2, R - 1, 2)
-            width = R * N + lo.size
+        # draws[d, k] holds sample d's uniforms for the k-th even sweep of
+        # the block, then for the odd sweep after it.  Zeros, not garbage,
+        # where a part block leaves its last odd sweep unfilled: the swap
+        # logarithms are taken over whole pairs.
+        pair_width = width[0] + width[1]
+        per_block = max(2, 2 * (_CHUNK_ENTRIES // (D * pair_width)))
+        per_block = min(per_block, sweeps + sweeps % 2)
+        draws = np.zeros((D, per_block // 2, pair_width))
+        rows = draws.reshape(D, -1)
+        for first in range(0, sweeps, per_block):
+            count = min(per_block, sweeps - first)
+            filled = count // 2 * pair_width + count % 2 * width[0]
             for d, gen in enumerate(gens):
-                gen.random(out=draws[d, :width])
-            gain = _tempering_sweep(layers, coupled, slope, fields2, draws)
-            log_accept = (nodes[lo + 1] - nodes[lo]) * (gain[:, lo] - gain[:, lo + 1])
+                gen.random(out=rows[d, :filled])
+            used = draws[:, :(count + 1) // 2]
             # libm's log, as a single chain's scalar test takes it: NumPy's
             # vectorised log may round differently in the last place.
-            log_u = _libm_log(np.maximum(draws[:, R * N:width], 1e-300))
-            d, r = np.nonzero(log_u < log_accept)
-            r = lo[r]
-            states[d, r], states[d, r + 1] = states[d, r + 1], states[d, r]
-            gain[d, r], gain[d, r + 1] = gain[d, r + 1], gain[d, r]
-            if sweep >= burn_in:
-                records[start:start + D, sweep - burn_in] = gain
+            log_u = _libm_log(np.maximum(np.concatenate(
+                (used[..., R * N:width[0]], used[..., width[0] + R * N:]),
+                axis=-1), 1e-300))
+            for sweep in range(first, first + count):
+                parity, k = sweep % 2, (sweep - first) // 2
+                offset = parity * width[0]
+                gain = _tempering_sweep(layers, coupled, coupled_t, slope, fields2,
+                                        draws[:, k, offset:offset + width[parity]])
+                pairs = lo[parity]
+                log_accept = gap[parity] * (gain[:, pairs] - gain[:, pairs + 1])
+                d, r = np.nonzero(log_u[:, k, swap_cut[parity]] < log_accept)
+                if d.size:
+                    r = pairs[r]
+                    states[d, r], states[d, r + 1] = states[d, r + 1], states[d, r]
+                    gain[d, r], gain[d, r + 1] = gain[d, r + 1], gain[d, r]
+                if sweep >= burn_in:
+                    records[start:start + D, sweep - burn_in] = gain
         h_all = np.concatenate(fields, axis=1)
         anchor = np.sum(np.logaddexp(h_all, -h_all), axis=1) / N
         mean_gain = records[start:start + D].mean(axis=1)

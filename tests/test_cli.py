@@ -397,6 +397,55 @@ def test_verify_checks_every_size_before_any_work(tmp_path, capsys,
                    f"at {finite_volume_lab.MC_SPIN_CAP} spins\n")
 
 
+@pytest.mark.parametrize("key, value, low, high", [
+    ("covariance_n_disorder", 1e308, 3, finite_volume_lab.COUNT_CAP),
+    ("covariance_n_disorder", 2, 3, finite_volume_lab.COUNT_CAP),
+    ("n_disorder", finite_volume_lab.COUNT_CAP + 1, 1, finite_volume_lab.COUNT_CAP),
+    ("n_disorder", 0, 1, finite_volume_lab.COUNT_CAP),
+    ("sweeps", finite_volume_lab.COUNT_CAP + 1, 2, finite_volume_lab.COUNT_CAP),
+    ("sweeps", 1, 2, finite_volume_lab.COUNT_CAP),
+    ("replicas", finite_volume_lab.REPLICA_CAP + 1, 1, finite_volume_lab.REPLICA_CAP),
+    ("n_pairs", finite_volume_lab.PAIR_CAP + 1, 1, finite_volume_lab.PAIR_CAP),
+])
+def test_verify_caps_every_count_before_any_work(tmp_path, capsys, monkeypatch,
+                                                 key, value, low, high):
+    # "covariance_n_disorder": 1e308 used to run until the process was killed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify computed before checking its counts")
+    monkeypatch.setattr(finite_volume_lab, "annealed_trend", refuse)
+    monkeypatch.setattr(finite_volume_lab, "covariance_report", refuse)
+    data = verify_config()
+    data["verify"][key] = value
+    assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid value: '{key}' must lie between {low} and {high}\n")
+
+
+def test_verify_caps_the_monte_carlo_records(tmp_path, capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+    monkeypatch.setattr(finite_volume_lab, "annealed_trend", reached)
+    monkeypatch.setattr(finite_volume_lab, "covariance_report", reached)
+    data = verify_config()
+    # 1000 samples x 200 recorded sweeps x 84 rungs: one entry past the cap
+    # would take 16 800 000 > 2^24; one rung fewer fits.
+    data["verify"].update({"sizes": [6, 30], "n_disorder": 1000, "sweeps": 400,
+                           "replicas": 84})
+    assert cli.main(["verify", "--config", write_config(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid value: the Monte Carlo records of n_disorder x "
+        "(sweeps - sweeps // 2) x replicas = 16800000 entries exceed "
+        f"{finite_volume_lab.MC_RECORD_CAP}\n")
+    for sizes, replicas in (([6, 30], 83), ([6, 24], 84)):
+        # Below the cap, or with no size past enumeration, the trend runs.
+        data["verify"].update({"sizes": sizes, "replicas": replicas})
+        with pytest.raises(Reached):
+            cli.main(["verify", "--config", write_config(tmp_path, data)])
+
+
 def test_verify_refuses_unknown_settings(tmp_path, capsys):
     # A misspelt key would otherwise run at the default it meant to change.
     data = verify_config()

@@ -62,8 +62,9 @@ def test_assignment_validation():
 
 
 def test_assignment_from_weights_refuses_counts_past_the_integers():
-    # Refused before the cast to integers, which would warn and wrap.
-    for N in (10**308, 2**64, math.inf, math.nan):
+    # Refused before the cast to integers, which would warn and wrap, and
+    # 10**400 before its product with the weights, which would overflow.
+    for N in (10**308, 10**400, 2**64, 2**63, math.inf, math.nan):
         with pytest.raises(ValueError, match="too large to split"):
             LayerAssignment.from_weights((0.5, 0.5), N)
 
@@ -299,6 +300,25 @@ def test_log_partition_matches_fsum_enumeration(sizes):
     assert log_partition(stack, params).tolist() == singles
 
 
+def test_logsumexp_has_the_bits_of_scipy():
+    scipy = pytest.importorskip("scipy")
+    from scipy.special import logsumexp
+    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15):
+        pytest.skip("SciPy before 1.15 does not split the maximum out of "
+                    "logsumexp's sum, so the bits are not comparable")
+    rng = np.random.default_rng(24)
+    stacks = [
+        rng.normal(0.0, 1.0, (300, 64)),
+        rng.normal(0.0, 1e3, (3, 100, 16)),  # a wide spread: underflowing terms
+        rng.integers(-2, 3, (300, 9)).astype(float),  # ties at the maximum
+        np.full((4, 7), -3.25),  # every entry a tie
+        rng.normal(5.0, 1e-13, (300, 40)),  # nearly equal entries
+        rng.normal(0.0, 1.0, (5, 1)),
+    ]
+    for a in stacks:
+        assert fvl._logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()
+
+
 def test_exact_pressure_is_independent_of_stacking(monkeypatch):
     assignment = LayerAssignment((3, 4, 3))
     params = make(3, (0.9, 0.7), (0.3, 0.4, 0.3), (FieldSpec.gaussian(0.4),) * 3)
@@ -477,11 +497,13 @@ def test_mc_sweep_gain_is_minus_hamiltonian():
         layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(3)]
         coupled = [math.sqrt(2.0 / N) * params.beta[p] * samples.couplings[p]
                    for p in range(2)]
+        coupled_t = [np.ascontiguousarray(block.transpose(0, 2, 1))
+                     for block in coupled]
         slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
         fields2 = [2.0 * h[:, None, :] for h in samples.fields]
         for _ in range(3):
-            gain = fvl._tempering_sweep(layers, coupled, slope, fields2,
-                                        rng.random((D, R * N)))
+            gain = fvl._tempering_sweep(layers, coupled, coupled_t, slope,
+                                        fields2, rng.random((D, R * N)))
             for d in range(D):
                 sample = sample_disorder(assignment, params, seed=9, index=d)
                 np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params)[0],
@@ -500,16 +522,33 @@ STACKED_CASES = {
                                      FieldSpec.gaussian(0.3))), 8, 60, 5),
     "one-rung": ((3, 4, 2, 3), make(4, (1.2, 0.8, 0.5), (0.25,) * 4), 4, 30, 1),
     "several-chunks": ((1000, 1000), make(2, (0.5,), (0.5, 0.5)), 5, 4, 3),
+    "several-blocks": ((4, 5), make(2, (0.8,), (0.5, 0.5),
+                                    (FieldSpec.gaussian(0.4), FieldSpec.zero())),
+                       12, 29, 4),
 }
+
+# Entries per stack for "several-blocks": stacks of 10 and 2 samples, whose
+# uniforms come in blocks of 2 and 12 sweeps, so 29 sweeps end in a part block.
+BLOCK_CHUNK_ENTRIES = 1000
 
 
 @pytest.mark.parametrize("case", sorted(STACKED_CASES))
-def test_mc_pressure_equals_per_sample_chains(case):
+def test_mc_pressure_equals_per_sample_chains(case, monkeypatch):
     sizes, params, n_disorder, sweeps, replicas = STACKED_CASES[case]
     assignment = LayerAssignment(sizes)
     if case == "several-chunks":
         per_sample = 1000 * 1000 + 2 * replicas * assignment.N
         assert fvl._CHUNK_ENTRIES // per_sample < n_disorder
+    if case == "several-blocks":
+        monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", BLOCK_CHUNK_ENTRIES)
+        per_sample = 4 * 5 + 2 * replicas * assignment.N
+        width = BLOCK_CHUNK_ENTRIES // per_sample
+        assert (width, n_disorder - width) == (10, 2)
+        # Uniforms of an even and an odd sweep: R N spins plus the swaps.
+        pair_width = 2 * replicas * assignment.N + replicas - 1
+        for D, block in ((10, 2), (2, 12)):
+            assert 2 * (BLOCK_CHUNK_ENTRIES // (D * pair_width)) == block
+            assert sweeps > block and sweeps % block
     est = mc_pressure(assignment, params, n_disorder=n_disorder, sweeps=sweeps,
                       replicas=replicas, seed=3)
     mean, std_error = per_sample_mc_pressure(assignment, params, n_disorder,

@@ -107,23 +107,31 @@ def test_example_configs_run_through_the_cli(tmp_path):
 _LOADED_SCIPY = """
 import os, sys
 from dbmlab import cli
-config, trend = sys.argv[1:]
+config, trend, monte_carlo = sys.argv[1:]
 loaded = lambda: sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))
 for command in ("region", "poly", "rs", "bound", "scan"):
     assert cli.main([command, "--config", config, "--out", os.devnull]) == 0
 print(loaded())
-cli.main(["verify", "--config", trend, "--out", os.devnull])
+assert cli.main(["verify", "--config", trend, "--out", os.devnull]) == 0
+print(loaded())
+assert cli.main(["verify", "--config", monte_carlo, "--out", os.devnull]) == 0
 print(loaded())
 """
 
 
-def test_only_verify_loads_scipy():
-    # Chains of up to 32 layers take NumPy's eigensolve, and only the
-    # finite-volume estimators import SciPy's special functions.
+def test_only_verify_loads_scipy(tmp_path):
+    # Chains of up to 32 layers take NumPy's eigensolve, enumeration takes
+    # its logsumexp from NumPy, and only the Monte Carlo estimator imports
+    # SciPy's special functions.
+    trend = json.loads((ROOT / "examples" / "trend.json").read_text())
+    trend["verify"].update({"sizes": [12, 32], "n_disorder": 4, "sweeps": 20,
+                            "replicas": 3, "covariance_n_disorder": 20})
+    monte_carlo = tmp_path / "monte_carlo.json"
+    monte_carlo.write_text(json.dumps(trend))
     done = subprocess.run(
         [sys.executable, "-c", _LOADED_SCIPY,
          str(ROOT / "examples" / "bound_vs_rs.json"),
-         str(ROOT / "examples" / "trend.json")],
+         str(ROOT / "examples" / "trend.json"), str(monte_carlo)],
         capture_output=True, text=True, env=_env(), timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "['scipy.special']"]
+    assert done.stdout.splitlines() == ["[]", "[]", "['scipy.special']"]
