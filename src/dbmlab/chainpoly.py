@@ -60,12 +60,15 @@ MAX_LAYERS = 512
 _DENSE_LAYERS = 32
 
 
-def _check_activities(t: Sequence[float]) -> np.ndarray:
+def _check_activities(t: Sequence[float], stack: bool = False) -> np.ndarray:
+    """``t`` as a float array: one chain, or with ``stack`` also a
+    ``(P, K - 1)`` array of ``P`` chains of one length."""
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1:
-        raise ValueError("activities must be a one-dimensional sequence")
-    if t.size + 1 > MAX_LAYERS:
-        raise ValueError(f"chain length {t.size + 1} exceeds MAX_LAYERS = {MAX_LAYERS}")
+    if not (t.ndim == 1 or stack and t.ndim == 2):
+        raise ValueError("activities must be a one-dimensional sequence"
+                         + (" or a stack of them" if stack else ""))
+    if t.shape[-1] + 1 > MAX_LAYERS:
+        raise ValueError(f"chain length {t.shape[-1] + 1} exceeds MAX_LAYERS = {MAX_LAYERS}")
     if not np.isfinite(t).all():
         raise ValueError("activities must be finite")
     if (t < 0.0).any():
@@ -74,20 +77,21 @@ def _check_activities(t: Sequence[float]) -> np.ndarray:
 
 
 def eval_sequence(x: float, t: Sequence[float]) -> np.ndarray:
-    """Values ``(Delta_0(x), ..., Delta_K(x))`` with ``K = len(t) + 1``.
+    """Values ``(Delta_0(x), ..., Delta_K(x))`` with ``K = len(t) + 1``;
+    for a ``(P, K - 1)`` stack of chains, one row of values per chain.
 
     Plain float64 recursion; deep chains at large ``|x|`` overflow to ``inf``
     and ``nan``, but not at ``x = 1`` (see the module docstring).
     """
-    t = _check_activities(t)
-    K = t.size + 1
-    vals = np.empty(K + 1)
+    t = _check_activities(t, stack=True).T
+    K = t.shape[0] + 1
+    vals = np.empty((K + 1,) + t.shape[1:])
     vals[0] = 1.0
     vals[1] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(1, K):
             vals[p + 1] = x * vals[p] - t[p - 1] * vals[p - 1]
-    return vals
+    return vals.T
 
 
 def matching_sums(t: Sequence[float]) -> np.ndarray:
@@ -122,7 +126,8 @@ def coefficients(t: Sequence[float]) -> np.ndarray:
 
 
 def zeros(t: Sequence[float]) -> np.ndarray:
-    """Sorted real zeros of ``Delta_K``.
+    """Sorted real zeros of ``Delta_K``; for a ``(P, K - 1)`` stack of
+    chains, one sorted row per chain.
 
     Computed as the eigenvalues of the symmetric tridiagonal matrix with zero
     diagonal and off-diagonals ``sqrt(t_p)``: through the dense matrix and
@@ -130,17 +135,24 @@ def zeros(t: Sequence[float]) -> np.ndarray:
     ``scipy.linalg.eigh_tridiagonal`` above, imported here so that short
     chains never load SciPy.  Both reach LAPACK ``dsterf`` with the same
     tridiagonal, so the zeros do not depend on the path taken (see the
-    module docstring).
+    module docstring).  A stack takes one batched ``eigvalsh`` call, which
+    hands each matrix to LAPACK alone, or one ``eigh_tridiagonal`` call per
+    chain, so each row has the bits of its own chain's call.
     """
-    t = _check_activities(t)
-    K = t.size + 1
+    t = _check_activities(t, stack=True)
+    K = t.shape[-1] + 1
     if K == 1:
-        return np.zeros(1)
+        return np.zeros(t.shape[:-1] + (1,))
     off = np.sqrt(t)
     if K <= _DENSE_LAYERS:
-        return np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+        # The off-diagonals, (p, p + 1) and (p + 1, p), as strides of the
+        # flattened matrix.
+        dense = np.zeros(t.shape[:-1] + (K * K,))
+        dense[..., 1::K + 1] = dense[..., K::K + 1] = off
+        return np.linalg.eigvalsh(dense.reshape(t.shape[:-1] + (K, K)))
     from scipy.linalg import eigh_tridiagonal
-    return eigh_tridiagonal(np.zeros(K), off, eigvals_only=True)
+    return np.array([eigh_tridiagonal(np.zeros(K), row, eigvals_only=True)
+                     for row in off.reshape(-1, K - 1)]).reshape(t.shape[:-1] + (K,))
 
 
 def zeros_sequence(t: Sequence[float]) -> list[np.ndarray]:
@@ -149,9 +161,11 @@ def zeros_sequence(t: Sequence[float]) -> list[np.ndarray]:
     return [zeros(t[: p - 1]) for p in range(1, t.size + 2)]
 
 
-def largest_zero(t: Sequence[float]) -> float:
-    """Largest zero of ``Delta_K`` (= max ``|zero|`` by sign symmetry)."""
-    return float(zeros(t)[-1])
+def largest_zero(t: Sequence[float]):
+    """Largest zero of ``Delta_K`` (= max ``|zero|`` by sign symmetry); for a
+    stack of chains, an array of one per chain."""
+    top = zeros(t)[..., -1]
+    return float(top) if top.ndim == 0 else top
 
 
 def interlacing_check(t: Sequence[float], strict: bool = False, tol: float = 1e-12) -> bool:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -30,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chainpoly, finite_volume_lab, machine, rs_solver, sk_chain_bound
+from . import (chainpoly, finite_volume_lab, ghquad, machine, rs_solver,
+               sk_chain_bound)
 from .machine import FieldSpec, ModelParams
 
 _OUTPUT_COLUMNS = {
@@ -200,49 +200,82 @@ def _load_config(path: str) -> _Config:
     return _Config(params=params, scan=scan, solver=solver, verify=verify)
 
 
-def _apply_point(base: ModelParams, axes, values) -> ModelParams:
-    """Model at one grid point; scanned layer weights renormalize the rest."""
-    beta = list(base.beta)
-    lam = list(base.lam)
+def _grid_stack(base: ModelParams, axes, start: int, stop: int):
+    """The grid points ``start`` to ``stop`` (in ``itertools.product``
+    order): their axis values, a row per point, and their models as one
+    :class:`rs_solver._Stack`, written straight from the axes.
+
+    Scanned values replace the base model's, a field axis gives its layer
+    a centred Gaussian field, and scanned layer weights renormalize the
+    rest (in proportion, or equally when the rest has no mass).  The base
+    model and the axis ranges are checked already; the first invalid point
+    raises :class:`ConfigError` with its own ``ModelParams`` message.
+    """
+    K = base.K
+    n = stop - start
+    index = np.unravel_index(np.arange(start, stop),
+                             [axis.steps for axis in axes])
+    points = np.empty((n, len(axes)))
+    for k, (axis, i) in enumerate(zip(axes, index)):
+        points[:, k] = axis.values()[i]
     fields = list(base.fields)
-    scanned_lam: dict[int, float] = {}
-    for axis, value in zip(axes, values):
-        value = float(value)
+    beta, lam, v = np.empty((n, K - 1)), np.empty((n, K)), np.empty((n, K))
+    beta[:], lam[:], v[:] = base.beta, base.lam, [field.v for field in fields]
+    scanned: dict[int, np.ndarray] = {}
+    for axis, column in zip(axes, points.T):
         if axis.kind == "beta":
-            beta[axis.index] = value
+            beta[:, axis.index] = column
         elif axis.kind == "field_v":
-            fields[axis.index] = FieldSpec.gaussian(value)
+            fields[axis.index] = FieldSpec.zero()
+            v[:, axis.index] = column
         else:
-            scanned_lam[axis.index] = value
-    if scanned_lam:
-        total = sum(scanned_lam.values())
-        rest = [i for i in range(len(lam)) if i not in scanned_lam]
-        for i, value in scanned_lam.items():
-            lam[i] = value
+            scanned[axis.index] = column
+    lam_error = np.zeros(n, dtype=bool)
+    if scanned:
+        total = sum(scanned.values())
+        for i, column in scanned.items():
+            lam[:, i] = column
+        rest = [i for i in range(K) if i not in scanned]
         remaining = 1.0 - total
         if rest:
-            if remaining < -1e-12:
-                raise ConfigError(
-                    f"scanned layer weights sum to {total} > 1 at a grid point")
-            rest_mass = sum(lam[i] for i in rest)
+            lam_error = remaining < -1e-12
+            rest_mass = sum(base.lam[i] for i in rest)
             if rest_mass > 0.0:
-                for i in rest:
-                    lam[i] = lam[i] * remaining / rest_mass
+                lam[:, rest] = (np.asarray(base.lam)[rest] * remaining[:, None]
+                                / rest_mass)
             else:
-                for i in rest:
-                    lam[i] = remaining / len(rest)
-        elif abs(total - 1.0) > 1e-9:
+                lam[:, rest] = (remaining / len(rest))[:, None]
+        else:
+            lam_error = np.abs(total - 1.0) > 1e-9
+    with np.errstate(over="ignore"):
+        valid = (np.logical_and.reduce(
+            (beta > 0.0) & np.isfinite(4.0 * beta * beta * beta * beta), axis=1)
+                 & np.logical_and.reduce(np.isfinite(lam) & (lam >= 0.0), axis=1)
+                 & (np.abs(lam.sum(axis=1) - 1.0) <= 1e-9))
+    for i in np.flatnonzero(lam_error | ~valid).tolist():
+        if lam_error[i]:
+            if rest:
+                raise ConfigError(f"scanned layer weights sum to "
+                                  f"{float(total[i])} > 1 at a grid point")
             raise ConfigError(
                 "scanning every layer weight requires the values to sum to one")
-    try:
-        return ModelParams(K=base.K, beta=tuple(beta), lam=tuple(lam),
-                           fields=tuple(fields))
-    except ValueError as exc:
-        raise ConfigError(f"invalid model at a grid point: {exc}") from exc
+        try:
+            ModelParams(K=K, beta=tuple(beta[i].tolist()),
+                        lam=tuple(lam[i].tolist()))
+        except ValueError as exc:
+            raise ConfigError(f"invalid model at a grid point: {exc}") from exc
+    table = ghquad.FieldTable(fields).take(np.arange(n * K) % K, v.ravel())
+    return points, rs_solver._Stack.rows(beta, lam, table)
 
 
-def _grid(axes) -> list[tuple]:
-    return list(itertools.product(*(axis.values() for axis in axes)))
+def _grid_stacks(base: ModelParams, axes):
+    """The scan grid as :func:`_grid_stack` stacks of at most
+    ``_STACK_ENTRIES`` matrix entries (points times ``K^2``), in grid
+    order."""
+    points = math.prod(axis.steps for axis in axes)
+    size = max(1, _STACK_ENTRIES // base.K ** 2)
+    for start in range(0, points, size):
+        yield _grid_stack(base, axes, start, min(start + size, points))
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +372,22 @@ def _tol(args, config: _Config) -> float:
 
 def cmd_region(config: _Config, args) -> tuple[str, bool]:
     axes = config.scan.axes if config.scan is not None else ()
-    grid = _grid(axes) if axes else [()]
-
-    def worker(values):
-        params = _apply_point(config.params, axes, values)
-        verdict = machine.classify_annealed(params)
-        row = {axis.path: float(v) for axis, v in zip(axes, values)}
-        row["rho"] = float(verdict.rho)
-        row["verdict"] = verdict.verdict
-        row["witness"] = (None if verdict.feasible_a is None
-                          else [float(x) for x in verdict.feasible_a])
-        return row
-
-    rows = [worker(values) for values in grid]
+    paths = [axis.path for axis in axes]
+    grid = ([(points.tolist(), machine.classify_annealed(stack))
+             for points, stack in _grid_stacks(config.params, axes)] if axes
+            else [([[]], [machine.classify_annealed(config.params)])])
+    rows = []
+    for points, verdicts in grid:
+        for point, verdict in zip(points, verdicts):
+            row = dict(zip(paths, point))
+            row["rho"] = verdict.rho
+            row["verdict"] = verdict.verdict
+            row["witness"] = (None if verdict.feasible_a is None
+                              else list(verdict.feasible_a))
+            rows.append(row)
     if args.format == "json":
         return _json_text({"command": "region", "rows": rows}), True
-    columns = [axis.path for axis in axes] + ["rho", "verdict"]
+    columns = paths + ["rho", "verdict"]
     return _csv_table(columns, rows), True
 
 
@@ -514,24 +547,26 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
 def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     """Tabulate the scan outputs at every grid point.
 
-    The grid's points share ``K``, so they are solved as one stack: one
-    Newton iteration (:func:`rs_solver.solve_stack`), one bound evaluation
-    (:func:`sk_chain_bound.maximize_stack`) and one certificate pass serve
-    every point, each with the bits of its own ``rs`` or ``bound`` run.  A
-    point whose solve fails gets ``rs_failed`` or ``bound_failed`` on its
-    own row, and the other points go on.  A grid with more than
-    ``_STACK_ENTRIES`` matrix entries (points times ``K^2``) is cut into
-    stacks of at most that many, solved one after the other.
+    The grid's points share ``K``, so they are held as one stack of arrays,
+    a point per row, written straight from the axes (:func:`_grid_stack`),
+    and built, classified and solved as one: one
+    :func:`machine.classify_annealed` call, one Newton iteration
+    (:func:`rs_solver.solve_stack`), one bound evaluation
+    (:func:`sk_chain_bound.maximize_stack`, which takes the witnesses of the
+    classification) and one certificate pass serve every point, each with
+    the bits of its own ``region``, ``rs`` or ``bound`` run.  A point whose
+    solve fails gets ``rs_failed`` or ``bound_failed`` on its own row, and
+    the other points go on.  A grid with more than ``_STACK_ENTRIES``
+    matrix entries (points times ``K^2``) is cut into stacks of at most
+    that many, solved one after the other.
     """
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")
     scan = config.scan
     tol = _tol(args, config)
-    grid = _grid(scan.axes)
-    size = max(1, _STACK_ENTRIES // config.params.K ** 2)
     rows = []
-    for start in range(0, len(grid), size):
-        rows += _scan_rows(config.params, scan, tol, grid[start:start + size])
+    for points, stack in _grid_stacks(config.params, scan.axes):
+        rows += _scan_rows(scan, tol, points, stack)
     columns = [axis.path for axis in scan.axes]
     for name in scan.outputs:
         columns.extend(_OUTPUT_COLUMNS[name])
@@ -542,25 +577,25 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     return _csv_table(columns, rows), True
 
 
-def _scan_rows(base: ModelParams, scan: ScanSpec, tol: float, points) -> list:
-    """The rows of the grid ``points``, solved as one stack."""
+def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
+    """The rows of the grid points of ``stack``, whose axis values are the
+    rows of ``points``, solved as one stack."""
     outputs = scan.outputs
-    models = [_apply_point(base, scan.axes, values) for values in points]
-    verdicts = ([machine.classify_annealed(params) for params in models]
-                if "region" in outputs or "rho" in outputs else None)
-    solutions = [None] * len(models)
+    verdicts = machine.classify_annealed(stack)
+    solutions = [None] * len(stack)
     if "rs_pressure" in outputs or "certificates" in outputs:
         solutions = rs_solver.solve_stack(
-            models, tol, rho=None if verdicts is None else
-            [verdict.rho for verdict in verdicts])
+            stack, tol, rho=[verdict.rho for verdict in verdicts])
     if "bound" in outputs:
         bounds = sk_chain_bound.maximize_stack(
-            models, tol, nested_q=[
+            stack, tol, nested_q=[
                 s.q if isinstance(s, rs_solver.RsSolution) else None
-                for s in solutions])
+                for s in solutions],
+            witness=[verdict.feasible_a for verdict in verdicts])
+    paths = [axis.path for axis in scan.axes]
     rows = []
-    for i, values in enumerate(points):
-        row = {axis.path: float(v) for axis, v in zip(scan.axes, values)}
+    for i, values in enumerate(points.tolist()):
+        row = dict(zip(paths, values))
         flags = []
         solution = solutions[i]
         if isinstance(solution, Exception):
@@ -570,7 +605,7 @@ def _scan_rows(base: ModelParams, scan: ScanSpec, tol: float, points) -> list:
             if name == "region":
                 row["verdict"] = verdicts[i].verdict
             elif name == "rho":
-                row["rho"] = float(verdicts[i].rho)
+                row["rho"] = verdicts[i].rho
             elif name == "rs_pressure":
                 row["rs_pressure"] = (None if solution is None
                                       else float(solution.pressure))

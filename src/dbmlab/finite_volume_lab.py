@@ -496,7 +496,9 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
     coupling field ``g`` at rung ``r`` becomes ``+1`` with probability
     ``expit(slope[r] * g + fields2[p])``, where ``slope`` (shape ``(R, 1)``)
     is twice the rung's coupling scale and ``fields2[p]`` (shape
-    ``(D, 1, N_p)``) twice the layer's fields.  Row ``d`` of ``draws`` (shape
+    ``(D, 1, N_p)``) twice the layer's fields; ``fields2`` is ``None`` when
+    every field of the stack is zero, where adding it would change no
+    probability.  Row ``d`` of ``draws`` (shape
     ``(D, >= R * N)``, rows of any stride) starts with sample ``d``'s
     ``R * N`` uniforms, layer by layer.  The product ``layers[p] @
     coupled[p]`` taken after layer ``p`` updates is both the left part of
@@ -527,7 +529,8 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
         uniforms = draws[:, start:stop].reshape(layer.shape)
         start = stop
         local *= slope
-        local += fields2[p]
+        if fields2 is not None:
+            local += fields2[p]
         expit(local, out=local)
         # The spins in local first: the layer is a strided view of states.
         np.less(uniforms, local, out=local)
@@ -608,7 +611,9 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
                    for p, block in enumerate(stack.couplings)]
         coupled_t = [np.ascontiguousarray(block.transpose(0, 2, 1))
                      for block in coupled]
-        fields2 = [2.0 * h[:, None, :] for h in fields]
+        # Zero fields add nothing but a sign to a zero: expit(-0.0) is 0.5.
+        fields2 = ([2.0 * h[:, None, :] for h in fields]
+                   if any(h.any() for h in fields) else None)
         # draws[d, k] holds sample d's uniforms for the k-th even sweep of
         # the block, then for the odd sweep after it.  Zeros, not garbage,
         # where a part block leaves its last odd sweep unfilled: the swap
@@ -638,9 +643,14 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
                 log_accept = gap[parity] * (gain[:, pairs] - gain[:, pairs + 1])
                 d, r = np.nonzero(log_u[:, k, swap_cut[parity]] < log_accept)
                 if d.size:
+                    # Each accepted pair (r, r + 1) trades places: one gather
+                    # and one scatter per array.  Pairs of a sweep share no
+                    # rung.
                     r = pairs[r]
-                    states[d, r], states[d, r + 1] = states[d, r + 1], states[d, r]
-                    gain[d, r], gain[d, r + 1] = gain[d, r + 1], gain[d, r]
+                    d = np.concatenate((d, d))
+                    to, source = np.concatenate((r, r + 1)), np.concatenate((r + 1, r))
+                    states[d, to] = states[d, source]
+                    gain[d, to] = gain[d, source]
                 if sweep >= burn_in:
                     records[start:start + D, sweep - burn_in] = gain
         h_all = np.concatenate(fields, axis=1)

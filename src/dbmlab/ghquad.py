@@ -193,32 +193,66 @@ def _rule_for(variance: float) -> QuadratureRule:
 # ---------------------------------------------------------------------------
 
 
-class FieldTable(tuple):
-    """A tuple of :class:`FieldSpec`, one per layer, with their laws laid
+class FieldTable:
+    """The laws of a sequence of :class:`FieldSpec`, one per layer, laid
     out as arrays for :func:`expect`.
 
     This is the one array layout of the fields' laws: ``v`` holds each
     layer's Gaussian variance, ``shifts`` and ``probs`` the atoms of all
     layers in layer order, filled from each field's ``values`` and
-    ``probs``, and ``starts`` the index of each layer's first atom.
-    :func:`expect` builds one from the fields of every call; a caller that
-    evaluates the same layers many times (a solver's steps) builds it once
-    and passes it as ``fields``.
+    ``probs``, ``starts`` the index of each layer's first atom and
+    ``counts`` the number of its atoms.  :func:`expect` builds one from the
+    fields of every call; a caller that evaluates the same layers many
+    times (a solver's steps) builds it once and passes it as ``fields``,
+    and takes the table of some of its layers with :meth:`take`.
     """
 
-    def __new__(cls, fields):
-        table = super().__new__(cls, fields)
-        if not all(isinstance(field, FieldSpec) for field in table):
+    def __init__(self, fields):
+        fields = tuple(fields)
+        if not all(isinstance(field, FieldSpec) for field in fields):
             raise TypeError("field must be a FieldSpec")
-        counts = [len(field.values) for field in table]
+        counts = [len(field.values) for field in fields]
         size = sum(counts)
-        table.v = np.array([field.v for field in table])
-        table.shifts = np.fromiter(itertools.chain.from_iterable(
-            field.values for field in table), float, size)
-        table.probs = np.fromiter(itertools.chain.from_iterable(
-            field.probs for field in table), float, size)
-        table.starts = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
-        table.counts = np.array(counts)
+        self.v = np.array([field.v for field in fields])
+        self.shifts = np.fromiter(itertools.chain.from_iterable(
+            field.values for field in fields), float, size)
+        self.probs = np.fromiter(itertools.chain.from_iterable(
+            field.probs for field in fields), float, size)
+        self.starts = np.array(list(itertools.accumulate(counts[:-1], initial=0)))
+        self.counts = np.array(counts)
+
+    def __len__(self) -> int:
+        return self.v.size
+
+    def __iter__(self):
+        return map(self.field, range(len(self)))
+
+    @property
+    def centred(self) -> np.ndarray:
+        """Per layer, whether every atom is 0 (:attr:`FieldSpec.is_centred`)."""
+        return np.logical_and.reduceat(self.shifts == 0.0, self.starts)
+
+    def field(self, layer: int) -> FieldSpec:
+        """The field of one layer."""
+        lo = int(self.starts[layer])
+        hi = lo + int(self.counts[layer])
+        return FieldSpec(v=float(self.v[layer]),
+                         values=tuple(self.shifts[lo:hi].tolist()),
+                         probs=tuple(self.probs[lo:hi].tolist()))
+
+    def take(self, layers, v=None) -> "FieldTable":
+        """The table of the fields of ``layers`` (an index array, repeats
+        allowed), in that order, with the variances ``v`` in place of
+        theirs when given."""
+        layers = np.asarray(layers, dtype=np.intp)
+        table = object.__new__(FieldTable)
+        table.v = self.v[layers] if v is None else np.asarray(v, dtype=float)
+        table.counts = self.counts[layers]
+        table.starts = np.concatenate(([0], np.cumsum(table.counts[:-1])))
+        atoms = (np.repeat(self.starts[layers] - table.starts, table.counts)
+                 + np.arange(table.counts.sum()))
+        table.shifts = self.shifts[atoms]
+        table.probs = self.probs[atoms]
         return table
 
 

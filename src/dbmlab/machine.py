@@ -17,6 +17,12 @@ annealed region is the set of parameters where ``rho(M) < 1`` — equivalently
 where the chain values ``z_p = Delta_p(1; t)`` stay positive, equivalently
 where the forward witness recursion for the layer inequality system stays
 positive.
+
+The functions of the parameters below also take a stack of ``P`` same-``K``
+points, any object with ``beta`` ``(P, K - 1)`` and ``lam`` ``(P, K)``
+arrays (a scan grid's rows), and give a row or an entry per point.  Their
+arithmetic is element-wise and each sum runs along its own row, so every
+point gets the bits of its own call.
 """
 from __future__ import annotations
 
@@ -311,24 +317,30 @@ class ExtremalLambda:
 
 
 def activities(params: ModelParams) -> np.ndarray:
-    """Chain activities ``t_p = 4 lam_p beta_p^4 lam_{p+1}``."""
+    """Chain activities ``t_p = 4 lam_p beta_p^4 lam_{p+1}``; one row per
+    point for a stack."""
     lam = np.asarray(params.lam)
     beta = np.asarray(params.beta)
-    return 4.0 * lam[:-1] * beta**4 * lam[1:]
+    return 4.0 * lam[..., :-1] * beta**4 * lam[..., 1:]
 
 
-def interaction_half_quadratic(params: ModelParams, u: Sequence[float]) -> float:
+def interaction_half_quadratic(params: ModelParams, u: Sequence[float]):
     """``(1/2) u^T M1 u = sum_p lam_p beta_p^2 lam_{p+1} u_p u_{p+1}``.
 
     Shared by the annealed pressure (``u = 1``) and the replica-symmetric
     pressure functional, so that the two agree exactly where they should.
+    A float for one model; for a stack, ``u`` has one row per point and
+    the result one entry per point, each the sum of its own row.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (params.K,):
-        raise ValueError("u must have one entry per layer")
     lam = np.asarray(params.lam)
+    if u.shape != lam.shape:
+        raise ValueError("u must have one entry per layer")
     beta = np.asarray(params.beta)
-    return float(np.sum(lam[:-1] * beta**2 * lam[1:] * u[:-1] * u[1:]))
+    terms = lam[..., :-1] * beta**2 * lam[..., 1:] * u[..., :-1] * u[..., 1:]
+    # A sum along the last axis adds each row in the order of a row alone.
+    total = np.sum(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def annealed_pressure(params: ModelParams) -> float:
@@ -337,20 +349,28 @@ def annealed_pressure(params: ModelParams) -> float:
 
 
 def build_matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interaction matrices ``(M0, M1, M)`` (see the module docstring)."""
-    K = params.K
-    M0 = np.zeros((K, K))
-    beta_sq = np.asarray(params.beta) ** 2
-    for p in range(K - 1):
-        M0[p, p + 1] = M0[p + 1, p] = beta_sq[p]
-    D = np.diag(params.lam)
-    M1 = D @ M0 @ D
-    M = 2.0 * M0 @ D
+    """Interaction matrices ``(M0, M1, M)`` (see the module docstring),
+    ``(K, K)`` each, or ``(P, K, K)`` for a stack of ``P`` points.
+
+    With ``D = diag(lam)``, ``M1 = D M0 D`` and ``M = 2 M0 D`` are
+    scalings of ``M0``'s entries, ``M1_ij = lam_i M0_ij lam_j`` and
+    ``M_ij = 2 M0_ij lam_j``; every other term of the matrix products is
+    an exact zero, so the scalings have the products' bits.
+    """
+    lam = np.asarray(params.lam, dtype=float)
+    beta_sq = np.asarray(params.beta, dtype=float) ** 2
+    K = lam.shape[-1]
+    M0 = np.zeros(lam.shape[:-1] + (K, K))
+    bonds = np.arange(K - 1)
+    M0[..., bonds, bonds + 1] = M0[..., bonds + 1, bonds] = beta_sq
+    M1 = lam[..., :, None] * M0 * lam[..., None, :]
+    M = 2.0 * M0 * lam[..., None, :]
     return M0, M1, M
 
 
-def spectral_radius(params: ModelParams) -> float:
-    """Spectral radius of ``M`` (the largest matching-polynomial zero)."""
+def spectral_radius(params: ModelParams):
+    """Spectral radius of ``M`` (the largest matching-polynomial zero); one
+    per point for a stack."""
     return chainpoly.largest_zero(activities(params))
 
 
@@ -360,7 +380,8 @@ def spectral_radius(params: ModelParams) -> float:
 
 
 def witness_recursion(params: ModelParams) -> np.ndarray:
-    """The witness entries ``a_1, ..., a_{K-1}`` and the last slack, in floats.
+    """The witness entries ``a_1, ..., a_{K-1}`` and the last slack, in
+    floats; one row per point for a stack.
 
     The forward recursion
 
@@ -372,19 +393,19 @@ def witness_recursion(params: ModelParams) -> np.ndarray:
     temperatures make it leave the floats, without a warning: entries come
     back as ``inf`` or ``nan``.  Needs ``K >= 2``.
     """
-    lam = params.lam
-    beta_sq = np.asarray(params.beta) ** 2
-    K = params.K
-    out = np.empty(K)
+    lam = np.asarray(params.lam, dtype=float).T
+    beta_sq = np.asarray(params.beta, dtype=float).T ** 2
+    K = lam.shape[0]
+    out = np.empty(lam.shape)
     with np.errstate(all="ignore"):
         out[0] = 1.0 / (2.0 * lam[0] * beta_sq[0])
         for p in range(1, K - 1):
             out[p] = 1.0 / (2.0 * lam[p] * beta_sq[p]) - (beta_sq[p - 1] / beta_sq[p]) / out[p - 1]
         out[K - 1] = 1.0 / (2.0 * lam[K - 1]) - beta_sq[K - 2] / out[K - 2]
-    return out
+    return out.T
 
 
-def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> RegionVerdict:
+def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9):
     """Classify the parameters against the annealed region.
 
     Computes the spectral radius ``rho``, the chain values
@@ -393,32 +414,40 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9) -> Region
     :func:`witness_recursion`, given only when they are finite and they and
     the last slack are positive.  Verdicts within ``boundary_tol`` of
     ``rho = 1`` are reported as ``boundary``.
+
+    Returns a :class:`RegionVerdict`, or for a stack of same-``K`` points
+    (an object with ``beta`` ``(P, K-1)`` and ``lam`` ``(P, K)`` arrays)
+    the list of the points' verdicts.  A stack takes one
+    :func:`chainpoly.largest_zero` call, one chain recursion and one
+    witness recursion, each a row expression, so every point gets the
+    verdict of its own call.
     """
     t = activities(params)
     rho = chainpoly.largest_zero(t)
-    K = params.K
     z = chainpoly.eval_sequence(1.0, t)
-    if rho < 1.0 - boundary_tol:
-        verdict = "inside"
-    elif rho > 1.0 + boundary_tol:
-        verdict = "outside"
-    else:
-        verdict = "boundary"
-
-    feasible_a: tuple[float, ...] | None = None
-    if verdict == "inside":
-        if K == 1:
-            feasible_a = ()
-        elif all(l > 0.0 for l in params.lam):
-            *a, final = witness_recursion(params)
-            if all(0.0 < v < math.inf for v in a) and final > 0.0:
-                feasible_a = tuple(float(v) for v in a)
-    return RegionVerdict(
-        verdict=verdict,
-        rho=float(rho),
-        z_chain=tuple(float(v) for v in z),
-        feasible_a=feasible_a,
-    )
+    one = t.ndim == 1
+    rho = [rho] if one else rho.tolist()
+    inside = [r < 1.0 - boundary_tol for r in rho]
+    verdicts = ["inside" if ok else "outside" if r > 1.0 + boundary_tol
+                else "boundary" for ok, r in zip(inside, rho)]
+    lam = np.asarray(params.lam, dtype=float)
+    K = lam.shape[-1]
+    witness = [() if ok and K == 1 else None for ok in inside]
+    if K > 1 and any(inside):
+        entries = witness_recursion(params).reshape(len(rho), K)
+        a = entries[:, :-1]
+        valid = (np.logical_and.reduce((0.0 < a) & (a < math.inf), axis=1)
+                 & (entries[:, -1] > 0.0)
+                 & (np.minimum.reduce(lam, axis=-1) > 0.0)).tolist()
+        for i, (ok, within) in enumerate(zip(valid, inside)):
+            if ok and within:
+                witness[i] = tuple(a[i].tolist())
+    out = [RegionVerdict(verdict=verdict, rho=r, z_chain=tuple(chain),
+                         feasible_a=a)
+           for verdict, r, chain, a in zip(verdicts, rho,
+                                           z.reshape(len(rho), K + 1).tolist(),
+                                           witness)]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

@@ -162,53 +162,96 @@ def _check_overlap(q, K: int) -> np.ndarray:
     return q
 
 
-def _require_positive_lambda(params: ModelParams) -> None:
-    if any(lam <= 0.0 for lam in params.lam):
-        raise ValueError(
-            "solvers require strictly positive layer weights; prune "
-            "zero-weight layers from the model first")
-
-
 # ---------------------------------------------------------------------------
 # stacks of models
 # ---------------------------------------------------------------------------
 
 
 class _Stack:
-    """Same-K models solved as one: the points of every per-step array.
+    """Same-K models solved as one, held as arrays: a point is a row.
 
-    ``lam`` holds the layer weights as a ``(P, K)`` array, and ``M``, built
-    on first use with one :func:`machine.build_matrices` call per model,
-    the interaction matrices as ``(P, K, K)``.  Every per-point product is
-    a batched matmul of one row, which gives the bits of the one-model
-    product: ``M q`` per row is the GEMV of ``M @ q``, and a weighted sum
-    per row the dot product of ``np.dot``.
+    ``beta`` holds the inverse temperatures as a ``(P, K - 1)`` array,
+    ``lam`` the layer weights as ``(P, K)`` and ``table`` the fields of
+    every point, point by point, one per layer, as one
+    :class:`ghquad.FieldTable`.  ``M``, the interaction matrices as ``(P,
+    K, K)``, is built on first use by one :func:`machine.build_matrices`
+    call, a row expression like every per-point quantity of the stack.
+    Every per-point product is a batched matmul of one row, which gives
+    the bits of the one-model product: ``M q`` per row is the GEMV of ``M
+    @ q``, and a weighted sum per row the dot product of ``np.dot``.
+
+    ``_Stack(models)`` stacks same-K :class:`ModelParams`; a scan grid
+    builds its rows directly with :meth:`rows`.
     """
 
     def __init__(self, models):
-        self.models = tuple(models)
-        if len({params.K for params in self.models}) != 1:
+        models = tuple(models)
+        if len({params.K for params in models}) != 1:
             raise ValueError("a stack needs at least one model and one K")
-        self.lam = np.array([params.lam for params in self.models], dtype=float)
+        K = models[0].K
+        self._set(np.array([params.beta for params in models],
+                           dtype=float).reshape(len(models), K - 1),
+                  np.array([params.lam for params in models], dtype=float),
+                  ghquad.FieldTable(f for params in models
+                                    for f in params.fields))
+
+    @classmethod
+    def rows(cls, beta, lam, table: ghquad.FieldTable) -> "_Stack":
+        """The stack of the points whose parameters are the rows of
+        ``beta`` and ``lam``, with the fields ``table``."""
+        stack = cls.__new__(cls)
+        stack._set(beta, lam, table)
+        return stack
+
+    def _set(self, beta, lam, table) -> None:
+        self.beta, self.lam, self.table = beta, lam, table
+        centred = table.centred.reshape(lam.shape)
+        # Per point: every layer's field centred, Gaussian with positive
+        # variance, or zero.
+        self.centred = np.logical_and.reduce(centred, axis=1)
+        v = table.v.reshape(lam.shape)
+        self.gaussian = np.logical_and.reduce(v > 0.0, axis=1)
+        self.zero_fields = np.logical_and.reduce(centred & (v == 0.0), axis=1)
+
+    def __len__(self) -> int:
+        return len(self.lam)
 
     @functools.cached_property
     def M(self) -> np.ndarray:
-        return np.stack([machine.build_matrices(params)[2]
-                         for params in self.models])
-
-    @functools.cached_property
-    def table(self) -> ghquad.FieldTable:
-        """The fields of every point, point by point, one per layer, as a
-        table for :func:`ghquad.expect`."""
-        return ghquad.FieldTable(
-            f for params in self.models for f in params.fields)
+        return machine.build_matrices(self)[2]
 
     def fields(self, rows) -> ghquad.FieldTable:
         """The table of the fields of the distinct points ``rows``, in
-        stack order; the table of every point is built once."""
-        if len(rows) == len(self.models):
+        stack order."""
+        if len(rows) == len(self):
             return self.table
-        return ghquad.FieldTable(f for i in rows for f in self.models[i].fields)
+        K = self.lam.shape[1]
+        return self.table.take(
+            (np.asarray(rows)[:, None] * K + np.arange(K)).ravel())
+
+    def take(self, rows) -> "_Stack":
+        """The stack of the distinct points ``rows``, in stack order."""
+        if len(rows) == len(self):
+            return self
+        stack = _Stack.rows(self.beta[rows], self.lam[rows], self.fields(rows))
+        if "M" in self.__dict__:
+            stack.M = self.M[rows]
+        return stack
+
+    def model(self, i: int) -> ModelParams:
+        """The :class:`ModelParams` of point ``i``."""
+        return ModelParams(K=self.lam.shape[1], beta=tuple(self.beta[i].tolist()),
+                           lam=tuple(self.lam[i].tolist()),
+                           fields=tuple(self.fields([i])))
+
+
+def _stack_of(models) -> _Stack | None:
+    """``models`` as a stack: a :class:`_Stack` as it is, a sequence of
+    same-K models stacked, and ``None`` for no models."""
+    if isinstance(models, _Stack):
+        return models
+    models = tuple(models)
+    return _Stack(models) if models else None
 
 
 def _mv(M, q) -> np.ndarray:
@@ -242,18 +285,17 @@ def rs_pressure(q, params: ModelParams) -> float:
     """
     q = _check_overlap(q, params.K)
     stack = _Stack([params])
-    return _pressures(stack, [0], q[None], _mv(stack.M, q[None]))[0]
+    return _pressures(stack, q[None], _mv(stack.M, q[None]))[0]
 
 
-def _pressures(stack: _Stack, rows, q, m) -> list[float]:
-    """:func:`rs_pressure` of the points ``rows`` of ``stack`` at the
-    overlaps ``q`` with ``m = Mq`` (one row each), with one kernel call
-    for all of them."""
-    log_cosh = _expect_rows(LOG_COSH, m, stack.fields(rows))
-    field_terms = _row_dot(stack.lam[rows], log_cosh)
-    return [_LOG2 + float(term)
-            + machine.interaction_half_quadratic(stack.models[i], 1.0 - q_i)
-            for i, term, q_i in zip(rows, field_terms, q)]
+def _pressures(stack: _Stack, q, m) -> list[float]:
+    """:func:`rs_pressure` of the points of ``stack`` at the overlaps ``q``
+    with ``m = Mq`` (one row each), with one kernel call for all of
+    them."""
+    log_cosh = _expect_rows(LOG_COSH, m, stack.table)
+    field_terms = _row_dot(stack.lam, log_cosh)
+    return ((_LOG2 + field_terms)
+            + machine.interaction_half_quadratic(stack, 1.0 - q)).tolist()
 
 
 def rs_map(q, params: ModelParams) -> np.ndarray:
@@ -309,8 +351,7 @@ def _scalar_overlap(theta_sq, fields, tol: float,
     K = len(fields)
     x = (np.full(K, 0.5) if start is None else
          np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
-    converged = np.array([f.is_zero and t <= 1.0
-                          for f, t in zip(fields, two_t)])
+    converged = (fields.v == 0.0) & fields.centred & (two_t <= 1.0)
     x[converged] = 0.0
     lo, hi = np.zeros(K), np.ones(K)
     best_x, best_defect = x.copy(), np.full(K, math.inf)
@@ -320,8 +361,7 @@ def _scalar_overlap(theta_sq, fields, tol: float,
         if active.size == 0:
             break
         if table is None or len(table) != active.size:
-            table = (fields if active.size == K
-                     else ghquad.FieldTable(fields[p] for p in active))
+            table = fields if active.size == K else fields.take(active)
         xa, ta = x[active], two_t[active]
         tanh_sq, inv_cosh4 = ghquad.expect(TANH_MOMENTS, ta * xa, table)
         defect = tanh_sq - xa
@@ -375,11 +415,11 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _certificates(stack: _Stack, rows, q, m, inv_cosh4,
+def _certificates(stack: _Stack, q, m, inv_cosh4,
                   rho=None) -> list[Certificates]:
-    """Certificates of the points ``rows`` of ``stack`` at overlaps ``q``
-    (one row each), from ``m = Mq`` and ``E cosh^-4(z sqrt(m) + h)``,
-    which the Newton iteration has evaluated at ``q`` already.
+    """Certificates of the points of ``stack`` at overlaps ``q`` (one row
+    each), from ``m = Mq`` and ``E cosh^-4(z sqrt(m) + h)``, which the
+    Newton iteration has evaluated at ``q`` already.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
     the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
@@ -388,23 +428,24 @@ def _certificates(stack: _Stack, rows, q, m, inv_cosh4,
     test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer,
     for points with positive field variance on every layer, and ``None``
     for the others.  ``rho`` holds each point's spectral radius when the
-    caller has it; otherwise :func:`machine.spectral_radius` computes it.
+    caller has it; otherwise one :func:`machine.spectral_radius` call on
+    the stack computes them.
     """
-    models = [stack.models[i] for i in rows]
     if q.shape[1] == 1:
-        talagrand = [True] * len(rows)
+        talagrand = [True] * len(q)
     else:
         fails = np.any((q > 0.0) & ~(m < 0.25 * q), axis=1)
         open_layer = np.any(q <= 0.0, axis=1)
         talagrand = [False if fail else None if open_ else True
                      for fail, open_ in zip(fails, open_layer)]
     stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
-    at_ok = [ok if params.gaussian_fields else None
-             for ok, params in zip(stable, models)]
+    at_ok = [ok if gaussian else None
+             for ok, gaussian in zip(stable, stack.gaussian.tolist())]
     if rho is None:
-        rho = [machine.spectral_radius(params) for params in models]
-    return [Certificates(talagrand_ok=t, at_ok=a, stable_at_zero=bool(r < 1.0))
-            for t, a, r in zip(talagrand, at_ok, rho)]
+        rho = np.atleast_1d(machine.spectral_radius(stack))
+    stable_at_zero = (np.asarray(rho) < 1.0).tolist()
+    return [Certificates(talagrand_ok=t, at_ok=a, stable_at_zero=r)
+            for t, a, r in zip(talagrand, at_ok, stable_at_zero)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +493,11 @@ def _evaluate(M, fields, q) -> list:
     return [q, m, slope, g, np.maximum.reduce(np.abs(g), axis=1), inv_cosh4]
 
 
-def _guard_error(steps, q, residual, m, fields) -> SolverError:
+def _guard_error(steps, q, residual, m, v) -> SolverError:
     """The failure of a centred point whose Newton step ``steps`` left the
-    monotone descent, naming its largest layer variance ``m_p + v_p``."""
-    variance = max(float(m_p) + field.v for m_p, field in zip(m, fields))
+    monotone descent, naming its largest layer variance ``m_p + v_p``
+    (``v`` the field variances)."""
+    variance = max(m_p + v_p for m_p, v_p in zip(m.tolist(), v.tolist()))
     return SolverError(
         f"nested Newton step {steps} left the monotone descent "
         f"at residual {residual:.3e}; the largest layer variance "
@@ -491,8 +533,7 @@ def _newton(stack: _Stack, tol: float) -> list:
         residual = np.max(np.abs(q - f), axis=1).tolist()
         return list(zip(q, residual, m, inv_cosh4))
     rows, M, fields = np.arange(P), stack.M, stack.table
-    centred = [all(f.is_centred for f in params.fields)
-               for params in stack.models]
+    centred = stack.centred.tolist()
     mixed = not all(centred)
     eye = np.eye(K)
     target = max(1e-14, 0.01 * tol)
@@ -548,7 +589,7 @@ def _newton(stack: _Stack, tol: float) -> list:
                 descends = guard[0][j] >= 0.0 and guard[1][j] <= 0.0
             if centred[j] and not descends:
                 results[i] = _guard_error(step + 1, q[j], r, m[j],
-                                          stack.models[i].fields)
+                                          stack.table.v[i * K:(i + 1) * K])
                 continue
             keep.append(j)
         if len(keep) < n:
@@ -581,45 +622,47 @@ def _newton(stack: _Stack, tol: float) -> list:
 def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     """:func:`solve_nested` on every model of a stack of same-K models.
 
-    One body serves the whole stack: each Newton step makes one layered
-    kernel call and one batched linear solve for every point still
-    iterating, and the pressure and the certificates take one pass each.
-    Every point gets the bits of its own :func:`solve_nested` call.
-    Returns per model its :class:`RsSolution`, or the
-    :class:`SolverError` or ``ValueError`` that :func:`solve_nested`
-    raises for it, while the other points go on.  ``rho`` holds each
-    model's spectral radius when the caller has it already (for the
-    ``stable_at_zero`` certificate).
+    ``models`` is a :class:`_Stack` or a sequence of same-K
+    :class:`ModelParams`.  One body serves the whole stack: each Newton
+    step makes one layered kernel call and one batched linear solve for
+    every point still iterating, and the pressure and the certificates
+    take one pass each.  Every point gets the bits of its own
+    :func:`solve_nested` call.  Returns per model its
+    :class:`RsSolution`, or the :class:`SolverError` or ``ValueError``
+    that :func:`solve_nested` raises for it, while the other points go
+    on.  ``rho`` holds each model's spectral radius when the caller has it
+    already (for the ``stable_at_zero`` certificate).
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    models = tuple(models)
-    results: list = []
-    for params in models:
-        try:
-            _require_positive_lambda(params)
-        except ValueError as exc:
-            results.append(exc)
-        else:
-            results.append(None)
-    valid = [i for i, result in enumerate(results) if result is None]
-    if not valid:
+    stack = _stack_of(models)
+    if stack is None:
+        return []
+    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
+    results: list = [None] * len(stack)
+    for i in np.flatnonzero(~positive).tolist():
+        results[i] = ValueError(
+            "solvers require strictly positive layer weights; prune "
+            "zero-weight layers from the model first")
+    valid = np.flatnonzero(positive)
+    if not valid.size:
         return results
-    stack = _Stack(models[i] for i in valid)
+    stack = stack.take(valid)
     roots = _newton(stack, tol)
     rows = [j for j, root in enumerate(roots)
             if not isinstance(root, SolverError)]
-    for j, root in enumerate(roots):
-        results[valid[j]] = root
+    for i, root in zip(valid.tolist(), roots):
+        results[i] = root
     if not rows:
         return results
     q, m, inv_cosh4 = (np.array([roots[j][k] for j in rows]) for k in (0, 2, 3))
-    pressures = _pressures(stack, rows, q, m)
+    solved = stack.take(rows)
+    pressures = _pressures(solved, q, m)
     certificates = _certificates(
-        stack, rows, q, m, inv_cosh4,
-        None if rho is None else [rho[valid[j]] for j in rows])
+        solved, q, m, inv_cosh4,
+        None if rho is None else np.asarray(rho)[valid[rows]])
     for j, q_j, pressure, certs in zip(rows, q, pressures, certificates):
-        results[valid[j]] = RsSolution(
+        results[int(valid[j])] = RsSolution(
             q=q_j, pressure=pressure, residual=roots[j][1],
             method="nested", certificates=certs)
     return results

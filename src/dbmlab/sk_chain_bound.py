@@ -61,24 +61,45 @@ def _theta_sq_from_aux(a, params: ModelParams) -> np.ndarray:
     theta_1^2 = lam_1 a_1 beta_1^2, interior
     theta_p^2 = lam_p (beta_{p-1}^2 / a_{p-1} + a_p beta_p^2), and
     theta_K^2 = lam_K beta_{K-1}^2 / a_{K-1}.  A single layer has no
-    interaction, so theta = (0,).
+    interaction, so theta = (0,).  For a stack, ``a`` has one row per
+    point and so has the result.
     """
-    K = params.K
+    lam = np.asarray(params.lam, dtype=float)
+    K = lam.shape[-1]
     a = np.asarray(a, dtype=float)
-    if a.shape != (K - 1,):
+    if a.shape != lam.shape[:-1] + (K - 1,):
         raise ValueError(f"auxiliary vector must have shape ({K - 1},)")
     if K == 1:
-        return np.zeros(1)
+        return np.zeros(lam.shape)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("auxiliary entries must be positive and finite")
-    lam = np.asarray(params.lam)
     beta_sq = np.asarray(params.beta, dtype=float) ** 2
-    theta_sq = np.empty(K)
-    theta_sq[0] = lam[0] * a[0] * beta_sq[0]
-    for p in range(1, K - 1):
-        theta_sq[p] = lam[p] * (beta_sq[p - 1] / a[p - 1] + a[p] * beta_sq[p])
-    theta_sq[K - 1] = lam[K - 1] * beta_sq[K - 2] / a[K - 2]
+    theta_sq = np.empty(lam.shape)
+    theta_sq[..., 0] = lam[..., 0] * a[..., 0] * beta_sq[..., 0]
+    theta_sq[..., 1:-1] = lam[..., 1:-1] * (beta_sq[..., :-1] / a[..., :-1]
+                                            + a[..., 1:] * beta_sq[..., 1:])
+    theta_sq[..., -1] = lam[..., -1] * beta_sq[..., -1] / a[..., -1]
     return theta_sq
+
+
+def _related_rows(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, list]:
+    """:func:`related_aux` of every row of the overlaps ``q`` with the
+    layer weights ``lam``: the weights, one row each, and per row ``None``
+    or the ``ValueError`` that :func:`related_aux` raises for it."""
+    with np.errstate(all="ignore"):
+        a = lam[:, 1:] * q[:, 1:] / (lam[:, :-1] * q[:, :-1])
+    checks = ((np.all(q > 0.0, axis=1),
+               "related auxiliary weights need strictly positive overlaps"),
+              (np.all(lam > 0.0, axis=1),
+               "related auxiliary weights need positive layer weights"),
+              (np.all((a > 0.0) & (a < math.inf), axis=1),
+               "related auxiliary weights leave the positive floats; "
+               "some layer weight or overlap is too small"))
+    errors: list = [None] * len(q)
+    for ok, message in checks:
+        for i in np.flatnonzero(~ok).tolist():
+            errors[i] = errors[i] or ValueError(message)
+    return a, errors
 
 
 def related_aux(q, params: ModelParams) -> np.ndarray:
@@ -94,17 +115,10 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (K,) or not np.all(np.isfinite(q)):
         raise ValueError(f"overlap vector must be finite with shape ({K},)")
-    if np.any(q <= 0.0):
-        raise ValueError("related auxiliary weights need strictly positive overlaps")
-    lam = np.asarray(params.lam, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("related auxiliary weights need positive layer weights")
-    with np.errstate(all="ignore"):
-        a = lam[1:] * q[1:] / (lam[:-1] * q[:-1])
-    if not np.all((a > 0.0) & (a < math.inf)):
-        raise ValueError("related auxiliary weights leave the positive floats; "
-                         "some layer weight or overlap is too small")
-    return a
+    a, errors = _related_rows(q[None], np.asarray(params.lam, dtype=float)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return a[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +152,8 @@ def _functional_values(stack: _Stack, theta_sq: np.ndarray,
                                   stack.table)
     layers += 0.5 * theta_sq * (1.0 - overlaps) ** 2
     values = _row_dot(stack.lam, layers) - 0.5 * _row_dot(stack.lam, theta_sq)
-    return [float(value)
-            + machine.interaction_half_quadratic(params, np.ones(params.K))
-            for value, params in zip(values, stack.models)]
+    return (values + machine.interaction_half_quadratic(
+        stack, np.ones(stack.lam.shape))).tolist()
 
 
 def _certified(stack: _Stack, theta_sq: np.ndarray, overlaps: np.ndarray,
@@ -223,91 +236,104 @@ class BoundResult:
 
 
 def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Bond-wise residuals of the relatedness equations."""
+    """Bond-wise residuals of the relatedness equations; one row per point
+    for a stack."""
     lam_q = lam * overlaps
-    return lam_q[:-1] * a - lam_q[1:]
+    return lam_q[..., :-1] * a - lam_q[..., 1:]
 
 
-def maximize_stack(models, tol: float = 1e-10, *, nested_q=None) -> list:
+def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
+                   witness=None) -> list:
     """:func:`maximize_bound` on every model of a stack of same-K models.
 
-    ``nested_q`` holds per model its consistency solution or ``None``.  The
-    models without a witness (:func:`machine.classify_annealed`) that need
-    a consistency solution and have none get it from one stacked Newton
-    solve (:func:`rs_solver._newton`); then the overlap solves of every
-    layer of every point run in lockstep, and the bound values and the
-    certificates take one kernel call each.  Every point gets the bits of
-    its own :func:`maximize_bound` call.  Returns per model its
-    :class:`BoundResult`, or the :class:`rs_solver.SolverError` or
-    ``ValueError`` that :func:`maximize_bound` raises for it, while the
+    ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
+    :class:`ModelParams`.  ``nested_q`` holds per model its consistency
+    solution or ``None``, and ``witness`` per model its annealed-region
+    witness (``classify_annealed(...).feasible_a``) when the caller has
+    classified the models already; otherwise one
+    :func:`machine.classify_annealed` call classifies the zero-field and
+    one-layer models, the only ones whose witness is used.  The models
+    without a witness that need a consistency solution and have none get
+    it from one stacked Newton solve (:func:`rs_solver._newton`); then the
+    related weights and the temperatures are row expressions, the overlap
+    solves of every layer of every point run in lockstep, and the bound
+    values and the certificates take one kernel call each.  Every point
+    gets the bits of its own :func:`maximize_bound` call.  Returns per
+    model its :class:`BoundResult`, or the :class:`rs_solver.SolverError`
+    or ``ValueError`` that :func:`maximize_bound` raises for it, while the
     other points go on.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    models = tuple(models)
-    results: list = [None] * len(models)
-    nested_q = [None] * len(models) if nested_q is None else list(nested_q)
-    witness: list = [None] * len(models)
-    for i, params in enumerate(models):
+    stack = rs_solver._stack_of(models)
+    if stack is None:
+        return []
+    P, K = stack.lam.shape
+    results: list = [None] * P
+    for i in np.flatnonzero(~stack.centred).tolist():
         try:
-            params.require_fields("the split bound", gaussian=False)
-            if min(params.lam) <= 0.0:
-                raise ValueError("the split bound requires strictly positive "
-                                 "layer weights; prune zero-weight layers "
-                                 "from the model")
+            stack.model(i).require_fields("the split bound", gaussian=False)
         except ValueError as exc:
             results[i] = exc
-            continue
-        if params.zero_fields or params.K == 1:
-            witness[i] = machine.classify_annealed(params).feasible_a
-    unsolved = [i for i, result in enumerate(results) if result is None
-                and witness[i] is None and nested_q[i] is None]
+    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
+    for i in np.flatnonzero(stack.centred & ~positive).tolist():
+        results[i] = ValueError("the split bound requires strictly positive "
+                                "layer weights; prune zero-weight layers "
+                                "from the model")
+    valid = stack.centred & positive
+    # Only zero-field and one-layer points take their witness.
+    wants = valid & (stack.zero_fields | (K == 1))
+    if witness is None:
+        witness = [None] * P
+        rows = np.flatnonzero(wants)
+        if rows.size:
+            verdicts = machine.classify_annealed(stack.take(rows))
+            for i, verdict in zip(rows.tolist(), verdicts):
+                witness[i] = verdict.feasible_a
+    use_witness = [w and a is not None for w, a in zip(wants.tolist(), witness)]
+    nested_q = [None] * P if nested_q is None else list(nested_q)
+    unsolved = [i for i in np.flatnonzero(valid).tolist()
+                if not use_witness[i] and nested_q[i] is None]
     if unsolved:
-        roots = rs_solver._newton(_Stack(models[i] for i in unsolved), tol)
+        roots = rs_solver._newton(stack.take(unsolved), tol)
         for i, root in zip(unsolved, roots):
             if isinstance(root, Exception):
                 results[i] = root
             else:
                 nested_q[i] = root[0]
-    rows, aux, theta_sq, start = [], [], [], []
-    for i, params in enumerate(models):
-        if results[i] is not None:
-            continue
-        try:
-            if witness[i] is not None:
-                a = np.asarray(witness[i], dtype=float)
-            else:
-                a = related_aux(nested_q[i], params)
-            theta_sq.append(_theta_sq_from_aux(a, params))
-        except ValueError as exc:
-            results[i] = exc
-            continue
-        rows.append(i)
-        aux.append(a)
-        # At related weights each layer's surrogate root is q_p, so the
-        # overlap solves start there; at the witness they start at 1/2.
-        start.append(np.full(params.K, 0.5) if witness[i] is not None
-                     else nested_q[i])
-    if not rows:
-        return results
-    stack = _Stack(models[i] for i in rows)
-    theta_sq = np.array(theta_sq)
-    warm = any(witness[i] is None for i in rows)
-    values, overlaps, converged = _evaluate(
-        stack, theta_sq, np.array(start) if warm else None)
-    certified = _certified(stack, theta_sq, overlaps, converged)
+    rows = [i for i in range(P) if results[i] is None]
+    # At related weights each layer's surrogate root is q_p, so the overlap
+    # solves start there; at the witness they start at 1/2, as they do with
+    # no start, which a stack of witness points passes.
+    start = np.full((len(rows), K), 0.5)
     for j, i in enumerate(rows):
-        a = aux[j]
+        if not use_witness[i]:
+            start[j] = nested_q[i]
+    aux, errors = _related_rows(start, stack.lam[rows])
+    for j, i in enumerate(rows):
+        if use_witness[i]:
+            aux[j] = witness[i]
+        else:
+            results[i] = errors[j]
+    kept = [j for j, i in enumerate(rows) if results[i] is None]
+    if not kept:
+        return results
+    rows = [rows[j] for j in kept]
+    stack, aux, start = stack.take(rows), aux[kept], start[kept]
+    theta_sq = _theta_sq_from_aux(aux, stack)
+    warm = not all(use_witness[i] for i in rows)
+    values, overlaps, converged = _evaluate(stack, theta_sq,
+                                            start if warm else None)
+    certified = _certified(stack, theta_sq, overlaps, converged)
+    suspect = np.any(np.abs(np.log(aux)) > _SUSPECT_WIDTH, axis=1).tolist()
+    theta = np.sqrt(theta_sq)
+    stationarity = np.max(np.abs(_matching_defect(aux, stack.lam, overlaps)),
+                          axis=1, initial=0.0).tolist()
+    for j, i in enumerate(rows):
         results[i] = BoundResult(
-            a=a,
-            value=values[j],
-            certified=certified[j],
-            boundary_suspect=bool(np.any(np.abs(np.log(a)) > _SUSPECT_WIDTH)),
-            theta=np.sqrt(theta_sq[j]),
-            overlaps=overlaps[j],
-            stationarity=float(np.max(np.abs(_matching_defect(
-                a, stack.lam[j], overlaps[j])), initial=0.0)),
-        )
+            a=aux[j], value=values[j], certified=certified[j],
+            boundary_suspect=suspect[j], theta=theta[j],
+            overlaps=overlaps[j], stationarity=stationarity[j])
     return results
 
 

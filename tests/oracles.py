@@ -16,8 +16,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from dbmlab import ghquad, machine
 from dbmlab.ghquad import QuadratureRule
 from dbmlab.rs_solver import (RsSolution, SolverError, _certificates,
-                              _check_overlap, _require_positive_lambda,
-                              _Stack, rs_map, rs_pressure)
+                              _check_overlap, _Stack, rs_map, rs_pressure)
 
 # ---------------------------------------------------------------------------
 # Chain matching polynomials
@@ -114,7 +113,7 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
     sum under any rule, layer by layer and atom by atom, so tests can
     compare rules or stand a coarse one in for ``ghquad.expect``.
     """
-    single = not isinstance(fields, (list, tuple))
+    single = isinstance(fields, machine.FieldSpec)
     layers = [fields] if single else list(fields)
     variances = np.asarray(s, dtype=float).reshape(-1)
     out = []
@@ -210,7 +209,9 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
     when ``max_iter`` iterations do not reach ``tol``.  A different
     algorithm from the package's Newton solver, and its reference.
     """
-    _require_positive_lambda(params)
+    if min(params.lam) <= 0.0:
+        raise ValueError("the fixed-point oracle requires strictly positive "
+                         "layer weights; prune zero-weight layers first")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     if tol <= 0.0 or max_iter < 1:
@@ -228,7 +229,7 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
                 residual=residual,
                 method="fixed_point",
                 certificates=_certificates(
-                    _Stack([params]), [0], q[None], m[None],
+                    _Stack([params]), q[None], m[None],
                     ghquad.expect(ghquad.INV_COSH4, m, params.fields)[None])[0],
             )
         q = (1.0 - damping) * q + damping * f

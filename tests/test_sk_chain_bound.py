@@ -550,7 +550,7 @@ def test_scan_bound_reuses_the_nested_solution(tmp_path, monkeypatch):
     real_newton = rs_solver._newton
 
     def counted(stack, tol):
-        nested_points.append(len(stack.models))
+        nested_points.append(len(stack))
         return real_newton(stack, tol)
 
     monkeypatch.setattr(rs_solver, "_newton", counted)

@@ -1,6 +1,7 @@
 """Stacked solves: a scan grid solved as one stack gives every point the
 bits of its own ``rs`` and ``bound`` runs, with fewer kernel calls."""
 import collections
+import itertools
 import json
 import math
 from pathlib import Path
@@ -134,10 +135,36 @@ _GRID_MODEL = {
 }
 
 
+def _point_model(base, axes, values):
+    """The model at one grid point, built by hand: scanned values replace
+    the base model's, and scanned layer weights renormalize the rest."""
+    beta, lam, fields = list(base.beta), list(base.lam), list(base.fields)
+    scanned = {}
+    for axis, value in zip(axes, values):
+        if axis.kind == "beta":
+            beta[axis.index] = value
+        elif axis.kind == "field_v":
+            fields[axis.index] = FieldSpec.gaussian(value)
+        else:
+            scanned[axis.index] = value
+    if scanned:
+        rest = [i for i in range(base.K) if i not in scanned]
+        remaining = 1.0 - sum(scanned.values())
+        rest_mass = sum(lam[i] for i in rest)
+        for i in rest:
+            lam[i] = (lam[i] * remaining / rest_mass if rest_mass > 0.0
+                      else remaining / len(rest))
+        lam = [scanned.get(i, x) for i, x in enumerate(lam)]
+    return ModelParams(K=base.K, beta=tuple(beta), lam=tuple(lam),
+                       fields=tuple(fields))
+
+
 def _grid_models(path):
     config = cli._load_config(str(path))
-    return [cli._apply_point(config.params, config.scan.axes, values)
-            for values in cli._grid(config.scan.axes)]
+    axes = config.scan.axes
+    return [_point_model(config.params, axes, values)
+            for values in itertools.product(*(axis.values().tolist()
+                                              for axis in axes))]
 
 
 def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
@@ -192,6 +219,9 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
 
 def test_matrices_and_spectral_radius_are_computed_once_per_point(
         tmp_path, monkeypatch):
+    # A scan builds the matrices and the spectral radii of its whole grid
+    # in one call each, a stack's row expressions; a one-model command is
+    # the stack of one.
     counts = collections.Counter()
 
     def counted(name, module):
@@ -208,7 +238,7 @@ def test_matrices_and_spectral_radius_are_computed_once_per_point(
     path.write_text(json.dumps(_GRID_MODEL))
     assert cli.main(["scan", "--config", str(path), "--out",
                      str(tmp_path / "grid.csv")]) == 0
-    assert counts == {"build_matrices": 24, "largest_zero": 24}
+    assert counts == {"build_matrices": 1, "largest_zero": 1}
     counts.clear()
     model = {key: value for key, value in _GRID_MODEL.items() if key != "scan"}
     path.write_text(json.dumps(model))
@@ -284,7 +314,7 @@ def test_a_large_grid_is_solved_in_stacks_of_bounded_size(tmp_path, monkeypatch)
     newton = rs_solver._newton
 
     def counted(stack, tol):
-        sizes.append(len(stack.models))
+        sizes.append(len(stack))
         return newton(stack, tol)
 
     # K = 3: 40 entries hold four points of nine matrix entries each.
@@ -313,3 +343,144 @@ def test_batched_solve_keeps_each_systems_bits_and_marks_singular_ones():
     assert np.all(np.isnan(x[2]))
     for i in (0, 1, 3, 4):
         np.testing.assert_array_equal(x[i], np.linalg.solve(systems[i], rhs[i]))
+
+
+@st.composite
+def chains(draw):
+    """Same-K chains, K from 1 to 40, with zero-width layers, widths near
+    the smallest float (witnesses that leave the floats) and temperatures
+    up to the largest that keeps 4 beta^4 finite."""
+    K = draw(st.integers(1, 40))
+    beta = st.one_of(st.floats(0.05, 3.0), st.floats(1e-100, 1e76))
+    width = st.one_of(st.floats(0.01, 1.0), st.just(0.0), st.just(1e-320))
+    models = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = draw(st.lists(width, min_size=K, max_size=K))
+        if sum(weights) < 0.01:
+            weights[0] = 1.0
+        total = sum(weights)
+        models.append(ModelParams(
+            K=K, beta=tuple(draw(st.lists(beta, min_size=K - 1,
+                                          max_size=K - 1))),
+            lam=tuple(w / total for w in weights)))
+    return models
+
+
+def _verdict_bits(verdict):
+    """A verdict with its floats as bytes, so that NaN chain values
+    compare."""
+    return (verdict.verdict, np.float64(verdict.rho).tobytes(),
+            np.array(verdict.z_chain).tobytes(),
+            None if verdict.feasible_a is None
+            else np.array(verdict.feasible_a).tobytes())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(models=chains())
+def test_stacked_classification_equals_each_chains_own_property(models):
+    # One batched eigensolve (K <= 32) or one tridiagonal solve per chain
+    # (K = 33-40), one chain recursion and one witness recursion give every
+    # chain the verdict, radius, chain values and witness of its own call.
+    stack = rs_solver._Stack(models)
+    stacked = machine.classify_annealed(stack)
+    assert len(stacked) == len(models)
+    for verdict, params in zip(stacked, models):
+        solo = machine.classify_annealed(params)
+        assert _verdict_bits(verdict) == _verdict_bits(solo)
+        if not np.isnan(solo.z_chain).any():
+            assert verdict == solo
+    zeros = chainpoly.zeros(machine.activities(stack))
+    for row, params in zip(zeros, models):
+        assert row.tobytes() == chainpoly.zeros(machine.activities(params)).tobytes()
+
+
+def test_stacked_classification_covers_both_eigensolvers_and_lost_witnesses():
+    # The property's edges, pinned: K = 32 and K = 33 on either side of the
+    # dense solver, a zero-width layer, and a witness withheld because a
+    # width of 1e-320 sends its recursion out of the floats.
+    for K in (1, 2, 32, 33, 40):
+        lam = (1.0 / K,) * K
+        models = [ModelParams(K=K, beta=(0.3,) * (K - 1), lam=lam),
+                  ModelParams(K=K, beta=(math.sqrt(K),) * (K - 1), lam=lam)]
+        if K > 2:
+            models.append(ModelParams(
+                K=K, beta=(0.3,) * (K - 1),
+                lam=(0.0,) + (1.0 / (K - 1),) * (K - 1)))
+            models.append(ModelParams(
+                K=K, beta=(0.3,) * (K - 1),
+                lam=(1e-320,) + (1.0 / (K - 1),) * (K - 1)))
+        stacked = machine.classify_annealed(rs_solver._Stack(models))
+        solo = [machine.classify_annealed(params) for params in models]
+        assert stacked == solo
+        assert [v.verdict for v in solo[:2]] == (
+            ["inside"] * 2 if K == 1 else ["inside", "outside"])
+        if K > 2:
+            assert solo[2].verdict == solo[3].verdict == "inside"
+            assert solo[2].feasible_a is None and solo[3].feasible_a is None
+            assert not np.all(np.isfinite(
+                machine.witness_recursion(models[3])[:-1]))
+
+
+def _grid_rows(base, axes):
+    """Every row model of the grid that ``scan`` builds, in grid order."""
+    return [stack.model(i) for _, stack in cli._grid_stacks(base, axes)
+            for i in range(len(stack))]
+
+
+def _axes(base, *specs):
+    return tuple(cli._parse_axis({"path": path, "min": lo, "max": hi,
+                                  "steps": steps}, base)
+                 for path, lo, hi, steps in specs)
+
+
+def test_scan_rows_equal_hand_built_models(monkeypatch):
+    # Stacks of two points, so the rows cross stack boundaries.
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", 2 * 4 ** 2)
+    base = ModelParams(K=4, beta=(0.6, 0.9, 0.7), lam=(0.1, 0.2, 0.3, 0.4),
+                       fields=(FieldSpec.gaussian(0.3), FieldSpec.zero(),
+                               FieldSpec.discrete((0.0, 0.0), (0.5, 0.5)),
+                               FieldSpec.gaussian(0.2)))
+    rest_free = ModelParams(K=3, beta=(0.6, 0.9), lam=(0.5, 0.5, 0.0))
+    grids = [
+        (base, _axes(base, ("beta[1]", 0.2, 2.0, 3),
+                     ("fields[2].v", 0.0, 0.8, 3))),
+        # Two scanned weights renormalize the other two.
+        (base, _axes(base, ("lambda[0]", 0.0, 0.5, 3),
+                     ("lambda[3]", 0.1, 0.4, 4))),
+        (base, _axes(base, ("fields[1].v", 0.1, 0.4, 2),
+                     ("lambda[2]", 0.2, 0.9, 5))),
+        # The rest has no mass: it shares the remainder equally.
+        (rest_free, _axes(rest_free, ("lambda[0]", 0.2, 1.0, 5))),
+    ]
+    for params, axes in grids:
+        rows = _grid_rows(params, axes)
+        points = list(itertools.product(*(axis.values().tolist()
+                                          for axis in axes)))
+        assert rows == [_point_model(params, axes, point) for point in points]
+
+
+def test_scan_row_errors_name_the_first_bad_point(tmp_path, capsys):
+    base = {"K": 3, "beta": [0.8, 0.6], "lambda": [0.4, 0.2, 0.4]}
+    cases = [
+        # (0.4, 0.7) is the first point in grid order whose sum passes one.
+        ([{"path": "lambda[0]", "min": 0.2, "max": 0.6, "steps": 3},
+          {"path": "lambda[1]", "min": 0.3, "max": 0.7, "steps": 2}],
+         "error: scanned layer weights sum to 1.1 > 1 at a grid point\n"),
+        ([{"path": "beta[0]", "min": 0.5, "max": 1e80, "steps": 3}],
+         "error: invalid model at a grid point: beta entries must keep "
+         "4 beta^4 finite (it bounds the chain activities)\n"),
+    ]
+    two = {"K": 2, "beta": [0.8], "lambda": [0.5, 0.5]}
+    cases.append(([{"path": "lambda[0]", "min": 0.2, "max": 0.6, "steps": 2},
+                   {"path": "lambda[1]", "min": 0.4, "max": 0.8, "steps": 2}],
+                  "error: scanning every layer weight requires the values "
+                  "to sum to one\n"))
+    for i, (axes, message) in enumerate(cases):
+        config = dict(two if "every" in message else base,
+                      scan={"axes": axes, "outputs": ["rho"]})
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(config))
+        for command in ("scan", "region"):
+            assert cli.main([command, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
