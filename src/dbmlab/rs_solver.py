@@ -13,15 +13,15 @@ Stationary points solve the consistency equations
     q_p = E tanh^2(z sqrt((M q)_p) + h_p),          p = 1..K.
 
 This module provides the functional, the consistency map and its Jacobian
-at ``q = 0``, the scalar overlap solver (the classical Latala--Guerra
-uniqueness argument), which solves every layer of a split model in
-lockstep, the nested Newton solver for every field kind, which is the one
-consistency solver, and the Talagrand / de Almeida--Thouless sufficient
-conditions used to certify the scalar surrogate downstream.  Every
-per-layer quantity comes from one layered :func:`ghquad.expect` call: the
-pressure, the map, the stability test, and each Newton or scalar step,
-whose map and slope come together from the fused
-:data:`~dbmlab.ghquad.TANH_MOMENTS` kernel.
+at ``q = 0``, the nested Newton solver for every field kind, which is the
+one overlap solver, and the Talagrand / de Almeida--Thouless sufficient
+conditions used to certify the scalar surrogate downstream.  The same
+Newton body solves a one-layer equation ``x = E tanh^2(z sqrt(2 theta^2 x)
++ h)`` (the classical Latala--Guerra root) as a 1 x 1 system with
+self-coupling ``M = 2 theta^2``.  Every per-layer quantity comes from one
+layered :func:`ghquad.expect` call: the pressure, the map, the stability
+test, and each Newton step, whose map and slope come together from the
+fused :data:`~dbmlab.ghquad.TANH_MOMENTS` kernel.
 
 The nested solver is Newton's method on ``G(q) = q - F(q)`` with the
 analytic Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 -
@@ -79,8 +79,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-# Newton steps allowed to one scalar overlap solve.
-_SCALAR_STEPS = 60
 
 
 class SolverError(RuntimeError):
@@ -220,29 +218,22 @@ class _Stack:
     def M(self) -> np.ndarray:
         return machine.build_matrices(self)[2]
 
-    def fields(self, rows) -> ghquad.FieldTable:
-        """The table of the fields of the distinct points ``rows``, in
-        stack order."""
-        if len(rows) == len(self):
-            return self.table
-        K = self.lam.shape[1]
-        return self.table.take(
-            (np.asarray(rows)[:, None] * K + np.arange(K)).ravel())
-
     def take(self, rows) -> "_Stack":
         """The stack of the distinct points ``rows``, in stack order."""
         if len(rows) == len(self):
             return self
-        stack = _Stack.rows(self.beta[rows], self.lam[rows], self.fields(rows))
+        stack = _Stack.rows(self.beta[rows], self.lam[rows],
+                            _row_fields(self.table, self.lam.shape[1], rows))
         if "M" in self.__dict__:
             stack.M = self.M[rows]
         return stack
 
     def model(self, i: int) -> ModelParams:
         """The :class:`ModelParams` of point ``i``."""
-        return ModelParams(K=self.lam.shape[1], beta=tuple(self.beta[i].tolist()),
+        K = self.lam.shape[1]
+        return ModelParams(K=K, beta=tuple(self.beta[i].tolist()),
                            lam=tuple(self.lam[i].tolist()),
-                           fields=tuple(self.fields([i])))
+                           fields=tuple(_row_fields(self.table, K, [i])))
 
 
 def _stack_of(models) -> _Stack | None:
@@ -252,6 +243,14 @@ def _stack_of(models) -> _Stack | None:
         return models
     models = tuple(models)
     return _Stack(models) if models else None
+
+
+def _row_fields(table: ghquad.FieldTable, K: int, rows) -> ghquad.FieldTable:
+    """The table of the fields of the distinct rows ``rows`` of ``table``,
+    which holds ``K`` layers per row, in row order."""
+    if len(rows) * K == len(table):
+        return table
+    return table.take((np.asarray(rows)[:, None] * K + np.arange(K)).ravel())
 
 
 def _mv(M, q) -> np.ndarray:
@@ -316,98 +315,6 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
         raise ValueError("jacobian_at_zero supports zero external fields only")
     _, _, M = machine.build_matrices(params)
     return M
-
-
-# ---------------------------------------------------------------------------
-# scalar single-layer solver
-# ---------------------------------------------------------------------------
-
-
-def _scalar_overlap(theta_sq, fields, tol: float,
-                    start=None) -> tuple[np.ndarray, np.ndarray]:
-    """Largest root of ``x_p = E tanh^2(z sqrt(2 x_p theta_sq_p) + h_p)`` in
-    ``[0, 1)`` for every layer ``p``, all layers in lockstep.
-
-    For zero-like fields the root is ``0`` up to the critical line
-    ``2 theta_sq = 1`` and the positive branch beyond it.  For centred
-    Gaussian fields with positive variance the positive root is unique
-    (the Latala--Guerra argument: ``F(x)/x`` is strictly decreasing on
-    ``(0, 1]``).  Each layer runs bracketed Newton iteration from ``x =
-    1/2``, or from ``start`` clipped into ``(0, 1)`` when given, and stops
-    once both the defect ``|F(x) - x|`` and the Newton step
-    ``|(F(x) - x) / (1 - F'(x))|`` are below ``tol``.  The step bounds the
-    distance to the root; near the critical line ``F'`` tends to one, and a
-    small defect alone can leave ``x`` far from it.  The slope comes with
-    the defect from one :data:`~dbmlab.ghquad.TANH_MOMENTS` call, ``F' =
-    2 theta_sq (3 E cosh^-4 - 2 (1 - F))`` by Gaussian integration by
-    parts, and one call per step serves every layer still iterating, so
-    each layer takes the steps of its own one-layer solve.  Returns
-    ``(x, converged)`` per layer; a layer that does not converge within 60
-    steps reports the iterate with the smallest defect.
-    """
-    two_t = 2.0 * np.asarray(theta_sq, dtype=float)
-    if not isinstance(fields, ghquad.FieldTable):
-        fields = ghquad.FieldTable(fields)
-    K = len(fields)
-    x = (np.full(K, 0.5) if start is None else
-         np.clip(start, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
-    converged = (fields.v == 0.0) & fields.centred & (two_t <= 1.0)
-    x[converged] = 0.0
-    lo, hi = np.zeros(K), np.ones(K)
-    best_x, best_defect = x.copy(), np.full(K, math.inf)
-    table = None
-    for _ in range(_SCALAR_STEPS):
-        active = np.flatnonzero(~converged)
-        if active.size == 0:
-            break
-        if table is None or len(table) != active.size:
-            table = fields if active.size == K else fields.take(active)
-        xa, ta = x[active], two_t[active]
-        tanh_sq, inv_cosh4 = ghquad.expect(TANH_MOMENTS, ta * xa, table)
-        defect = tanh_sq - xa
-        better = np.abs(defect) < np.abs(best_defect[active])
-        best_x[active[better]] = xa[better]
-        best_defect[active[better]] = defect[better]
-        lo[active] = np.where(defect > 0.0, xa, lo[active])
-        hi[active] = np.where(defect > 0.0, hi[active], xa)
-        slope = ta * (3.0 * inv_cosh4 - 2.0 * (1.0 - tanh_sq))
-        newton = slope < 1.0
-        step = defect / np.where(newton, 1.0 - slope, 1.0)
-        done = newton & (np.abs(defect) < tol) & (np.abs(step) < tol)
-        converged[active[done]] = True
-        mid = 0.5 * (lo[active] + hi[active])
-        candidate = np.where(newton, xa + step, mid)
-        inside = (lo[active] < candidate) & (candidate < hi[active])
-        x[active] = np.where(done, xa, np.where(inside, candidate, mid))
-    return np.where(converged, x, best_x), converged
-
-
-def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
-    """Unique positive root of ``q = E tanh^2(z sqrt(2 q beta^2 + v))``.
-
-    Validating entry to the scalar overlap solver with ``theta^2 = beta^2``
-    and a centred Gaussian field of variance ``v > 0``, where the root is
-    unique.  Stops when ``|q - F(q)|`` and the Newton step are below
-    ``tol`` and raises :class:`SolverError` when that is not reached.
-    """
-    beta = float(beta)
-    v = float(v)
-    if v <= 0.0:
-        raise ValueError("field variance v must be positive")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    field = FieldSpec.gaussian(v)
-    x, converged = _scalar_overlap(np.array([beta * beta]), (field,), tol)
-    q = float(x[0])
-    if not converged[0]:
-        residual = abs(q - ghquad.expect(TANH_SQ, 2.0 * beta * beta * q, field))
-        raise SolverError(
-            f"scalar overlap solve did not reach tol={tol} "
-            f"(residual {residual:.3e})",
-            last_q=np.array([q]), residual=residual, iterations=_SCALAR_STEPS)
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -506,40 +413,35 @@ def _guard_error(steps, q, residual, m, v) -> SolverError:
         last_q=q, residual=residual, iterations=steps)
 
 
-def _newton(stack: _Stack, tol: float) -> list:
-    """Largest consistency solution of every point of ``stack``: per point
-    ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))`` at its best-residual
-    iterate, or the :class:`SolverError` it ends with, either when its
-    step leaves the monotone descent or when its best residual stays above
-    ``tol``.
+def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
+    """Largest consistency solution ``q = E tanh^2(z sqrt(Mq) + h)`` of
+    every row: ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))`` at its
+    best-residual iterate, or the :class:`SolverError` it ends with, either
+    when its step leaves the monotone descent or when its best residual
+    stays above ``tol``.
 
-    Safeguarded Newton on ``G(q) = q - F(q)``, with the starts, steps,
-    guard and stopping rule of :func:`solve_nested`, for every point at
-    once.  Each step makes one layered ``TANH_MOMENTS`` call for every
-    point still iterating, a second one only for the damped steps of
-    non-centred points, and one batched linear solve: every point's
-    Jacobian for its step, with its previous one for the distance to the
-    root, ``max |J^{-1} G(q)|`` (``inf`` at the start or after a singular
-    ``J``), an estimate that costs no expectation.  A point that stops
-    leaves the rows, so its values are those of a one-point stack.  A
-    single layer has no interaction: ``q`` is the layer's own ``E tanh^2(z
-    sqrt(v) + h)``.
+    ``M`` holds the rows' matrices as ``(n, K, K)`` and ``table`` their
+    fields, ``K`` layers per row; a row is centred when all its fields
+    are.  A row is a point of a stack, or a one-layer equation ``x = E
+    tanh^2(z sqrt(2 theta^2 x) + h)`` with ``M = 2 theta^2``.  Safeguarded
+    Newton on ``G(q) = q - F(q)``, with the starts, steps, guard and
+    stopping rule of :func:`solve_nested`, for every row at once.  Each
+    step makes one layered ``TANH_MOMENTS`` call for every row still
+    iterating, a second one only for the damped steps of non-centred rows,
+    and one batched linear solve: every row's Jacobian for its step, with
+    its previous one for the distance to the root, ``max |J^{-1} G(q)|``
+    (``inf`` at the start or after a singular ``J``).  A row that stops
+    leaves the rows, so its values are those of a one-row solve.
     """
-    P, K = stack.lam.shape
-    if K == 1:
-        q = _expect_rows(TANH_SQ, np.zeros((P, 1)), stack.table)
-        m = _mv(stack.M, q)
-        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
-        residual = np.max(np.abs(q - f), axis=1).tolist()
-        return list(zip(q, residual, m, inv_cosh4))
-    rows, M, fields = np.arange(P), stack.M, stack.table
-    centred = stack.centred.tolist()
+    n, K = M.shape[:2]
+    rows, fields = np.arange(n), table
+    centred = np.logical_and.reduce(table.centred.reshape(n, K), axis=1).tolist()
     mixed = not all(centred)
     eye = np.eye(K)
     target = max(1e-14, 0.01 * tol)
-    results: list = [None] * P
-    best: list = [None] * P  # per point (q, residual, m, E cosh^-4)
-    best_res = [math.inf] * P
+    results: list = [None] * n
+    best: list = [None] * n  # per row (q, residual, m, E cosh^-4)
+    best_res = [math.inf] * n
     state = _evaluate(M, fields, np.where(np.array(centred)[:, None], 1.0, 0.5)
                       * np.ones(K))
     jac_prev = None
@@ -589,7 +491,7 @@ def _newton(stack: _Stack, tol: float) -> list:
                 descends = guard[0][j] >= 0.0 and guard[1][j] <= 0.0
             if centred[j] and not descends:
                 results[i] = _guard_error(step + 1, q[j], r, m[j],
-                                          stack.table.v[i * K:(i + 1) * K])
+                                          table.v[i * K:(i + 1) * K])
                 continue
             keep.append(j)
         if len(keep) < n:
@@ -599,10 +501,10 @@ def _newton(stack: _Stack, tol: float) -> list:
                 a[keep] for a in (q, g, res, new, jac, rows, M))
             centred = [centred[j] for j in keep]
             finite = [finite[j] for j in keep]
-            fields = stack.fields(rows)
+            fields = _row_fields(table, K, rows)
         jac_prev = jac
-        # Centred points take the Newton step; the others take it only if
-        # it is finite and lowers the residual, else the damped step.
+        # Centred rows take the Newton step; the others take it only if it
+        # is finite and lowers the residual, else the damped step.
         candidate = np.clip(new, 0.0, 1.0)
         if not all(finite):
             candidate = np.where(np.array(finite)[:, None], candidate,
@@ -613,10 +515,22 @@ def _newton(stack: _Stack, tol: float) -> list:
             redo = [j for j, (c, ok, lower) in enumerate(
                 zip(centred, finite, lowers)) if not (c or lower) and ok]
             if redo:
-                again = _evaluate(M[redo], stack.fields(rows[redo]),
+                again = _evaluate(M[redo], _row_fields(table, K, rows[redo]),
                                   q[redo] - 0.5 * g[redo])
                 for part, value in zip(state, again):
                     part[redo] = value
+
+
+def _largest_roots(stack: _Stack, tol: float) -> list:
+    """:func:`_newton` on the points of ``stack``.  A single layer has no
+    interaction: ``q`` is the layer's own ``E tanh^2(z sqrt(v) + h)``."""
+    if stack.lam.shape[1] > 1:
+        return _newton(stack.M, stack.table, tol)
+    q = _expect_rows(TANH_SQ, np.zeros((len(stack), 1)), stack.table)
+    m = _mv(stack.M, q)
+    f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
+    residual = np.max(np.abs(q - f), axis=1).tolist()
+    return list(zip(q, residual, m, inv_cosh4))
 
 
 def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
@@ -648,7 +562,7 @@ def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     if not valid.size:
         return results
     stack = stack.take(valid)
-    roots = _newton(stack, tol)
+    roots = _largest_roots(stack, tol)
     rows = [j for j, root in enumerate(roots)
             if not isinstance(root, SolverError)]
     for i, root in zip(valid.tolist(), roots):
@@ -724,3 +638,26 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     residual stays above ``tol``.
     """
     return _one(solve_stack([params], tol)[0])
+
+
+def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
+    """Unique positive root of ``q = E tanh^2(z sqrt(2 q beta^2 + v))``.
+
+    The one-layer equation with a centred Gaussian field of variance ``v >
+    0``, where the root is unique (the Latala--Guerra argument: ``F(q)/q``
+    is strictly decreasing on ``(0, 1]``), solved as a ``1 x 1`` row of the
+    nested Newton iteration with self-coupling ``M = 2 beta^2``, from ``q =
+    1``, with its stopping rule at ``tol``.  Raises :class:`SolverError`
+    when that is not reached.
+    """
+    beta = float(beta)
+    v = float(v)
+    if v <= 0.0:
+        raise ValueError("field variance v must be positive")
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    root = _newton(np.full((1, 1, 1), 2.0 * beta * beta),
+                   ghquad.FieldTable([FieldSpec.gaussian(v)]), tol)[0]
+    return float(_one(root)[0][0])

@@ -12,12 +12,15 @@ maximizing over ``a`` gives the best bound of this family.
 The surrogate for layer ``p`` couples to the rest of the chain only
 through ``theta_p``; with centred Gaussian (or zero) external fields the
 surrogate overlap is the largest solution of the scalar consistency
-equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  The K scalar
-solves run in lockstep (:func:`rs_solver._scalar_overlap`), one layered
-kernel call per step, and the bound value and its certificate take one
-layered call each.  :func:`maximize_stack` does the same for a stack of
-same-K models, the points of a scan grid, with the layers of all points
-in lockstep and each point's bits those of its own
+equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  At free weights
+the K scalar equations are ``1 x 1`` rows of the one Newton body,
+:func:`rs_solver._newton`, solved together.  At the maximizer no scalar
+equation is solved: the weights are related to a consistency solution
+``q``, whose entries are the surrogate overlaps, or they are the
+annealed-region witness, where every surrogate overlap is 0.  The bound
+value and its certificate take one layered kernel call each.
+:func:`maximize_stack` does the same for a stack of same-K models, the
+points of a scan grid, each point's bits those of its own
 :func:`maximize_bound` call, which is the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
@@ -38,13 +41,13 @@ import numpy as np
 from . import ghquad, machine, rs_solver
 from .ghquad import INV_COSH4, LOG_COSH
 from .machine import ModelParams
-from .rs_solver import _expect_rows, _row_dot, _scalar_overlap, _Stack
+from .rs_solver import _expect_rows, _row_dot, _Stack
 
 _LOG2 = math.log(2.0)
 
 # Relatedness tolerance for (overlap, auxiliary) pairs.
 _RELATED_TOL = 1e-10
-# Scalar consistency solves stop at this defect.
+# Tolerance of the scalar consistency solves at free weights.
 _SCALAR_TOL = 1e-13
 # Maximizers with some |log a_p| above this are flagged boundary-suspect.
 _SUSPECT_WIDTH = 12.0
@@ -126,19 +129,27 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(stack: _Stack, theta_sq: np.ndarray, start=None
+def _evaluate(stack: _Stack, theta_sq: np.ndarray
               ) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Bound values of the points of ``stack`` at squared temperatures
     ``theta_sq`` (one ``(K,)`` row each), with the surrogate overlaps behind
     them and whether every overlap solve of a point converged.
 
-    The overlap solves of all layers of all points run in lockstep
-    (:func:`rs_solver._scalar_overlap`) from ``start`` (one row per point)
-    when given, else from ``1/2``, and the bound values take one kernel
-    call."""
-    overlaps, converged = _scalar_overlap(
-        theta_sq.ravel(), stack.table, _SCALAR_TOL,
-        None if start is None else start.ravel())
+    Each layer's overlap is the largest root of ``x = E tanh^2(z sqrt(2
+    theta^2 x) + h)``, a ``1 x 1`` row of :func:`rs_solver._newton` with
+    self-coupling ``2 theta^2``, all layers of all points in one call.  A
+    zero-field layer with ``2 theta^2 <= 1`` has no root but 0, and no
+    solve.  The bound values take one kernel call."""
+    two_t = 2.0 * theta_sq.ravel()
+    overlaps = np.zeros(two_t.size)
+    converged = np.ones(two_t.size, dtype=bool)
+    rows = np.flatnonzero((stack.table.v > 0.0) | (two_t > 1.0))
+    roots = rs_solver._newton(two_t[rows, None, None], stack.table.take(rows),
+                              _SCALAR_TOL) if rows.size else []
+    for r, root in zip(rows.tolist(), roots):
+        failed = isinstance(root, rs_solver.SolverError)
+        overlaps[r] = root.last_q[0] if failed else root[0][0]
+        converged[r] = not failed
     overlaps = overlaps.reshape(theta_sq.shape)
     values = _functional_values(stack, theta_sq, overlaps)
     return values, overlaps, converged.reshape(theta_sq.shape).all(axis=1)
@@ -156,28 +167,20 @@ def _functional_values(stack: _Stack, theta_sq: np.ndarray,
         stack, np.ones(stack.lam.shape))).tolist()
 
 
-def _certified(stack: _Stack, theta_sq: np.ndarray, overlaps: np.ndarray,
-               converged: np.ndarray) -> list[bool]:
+def _certified(stack: _Stack, theta_sq: np.ndarray,
+               overlaps: np.ndarray) -> list[bool]:
     """Whether the replica-symmetric surrogate is valid on every layer, for
     every point of ``stack``.
 
-    Needs every scalar overlap solve of the point to have converged.  A
-    layer then passes when the scalar Almeida-Thouless criterion
-    ``m E cosh^-4 <= x`` holds at its surrogate overlap ``x``, with
-    ``m = 2 theta^2 x``; one kernel call serves every converged point.
-    Below the high-temperature line ``theta^2 < 1/8`` no separate test is
-    needed: there ``m <= x / 4`` and ``E cosh^-4 <= 1``, so the criterion
-    holds.
+    A layer passes when the scalar Almeida-Thouless criterion ``m E
+    cosh^-4 <= x`` holds at its surrogate overlap ``x``, with ``m = 2
+    theta^2 x``; one kernel call serves every point.  Below the
+    high-temperature line ``theta^2 < 1/8`` no separate test is needed:
+    there ``m <= x / 4`` and ``E cosh^-4 <= 1``, so the criterion holds.
     """
-    certified = [False] * len(converged)
-    rows = np.flatnonzero(converged)
-    if rows.size:
-        m = 2.0 * overlaps[rows] * theta_sq[rows]
-        stable = (m * _expect_rows(INV_COSH4, m, stack.fields(rows))
-                  <= overlaps[rows])
-        for i, ok in zip(rows, np.all(stable, axis=1)):
-            certified[i] = bool(ok)
-    return certified
+    m = 2.0 * overlaps * theta_sq
+    stable = m * _expect_rows(INV_COSH4, m, stack.table) <= overlaps
+    return np.logical_and.reduce(stable, axis=1).tolist()
 
 
 def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
@@ -188,14 +191,17 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     decoupled layer passed its replica-symmetric validity check, so that
     the one-layer pressures entering the bound are exact rather than
     merely bounds themselves; a layer whose overlap solve did not
-    converge leaves the value uncertified.  Fields must be zero or
-    centred Gaussian.
+    converge leaves the value uncertified.  Each surrogate overlap is the
+    largest root of its layer's scalar consistency equation, a ``1 x 1``
+    row of the nested Newton iteration started at 1.  Fields must be zero
+    or centred Gaussian.
     """
     params.require_fields("the split bound", gaussian=False)
     stack = _Stack([params])
     theta_sq = _theta_sq_from_aux(a, params)[None]
     values, overlaps, converged = _evaluate(stack, theta_sq)
-    return values[0], _certified(stack, theta_sq, overlaps, converged)[0]
+    return values[0], bool(converged[0]) and _certified(stack, theta_sq,
+                                                        overlaps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +259,14 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
     classified the models already; otherwise one
     :func:`machine.classify_annealed` call classifies the zero-field and
     one-layer models, the only ones whose witness is used.  The models
-    without a witness that need a consistency solution and have none get
-    it from one stacked Newton solve (:func:`rs_solver._newton`); then the
-    related weights and the temperatures are row expressions, the overlap
-    solves of every layer of every point run in lockstep, and the bound
-    values and the certificates take one kernel call each.  Every point
-    gets the bits of its own :func:`maximize_bound` call.  Returns per
+    that need a consistency solution (those without a witness, and every
+    one-layer model) and have none get it from one stacked Newton solve
+    (:func:`rs_solver._newton`).  The surrogate overlaps are read off, with
+    no solve: the consistency solution at related weights and for a single
+    layer, and 0 at the witness.  The related weights and the temperatures
+    are row expressions, and the bound values and the certificates take
+    one kernel call each.  Every point gets the bits of its own
+    :func:`maximize_bound` call.  Returns per
     model its :class:`BoundResult`, or the :class:`rs_solver.SolverError`
     or ``ValueError`` that :func:`maximize_bound` raises for it, while the
     other points go on.
@@ -292,24 +300,26 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
                 witness[i] = verdict.feasible_a
     use_witness = [w and a is not None for w, a in zip(wants.tolist(), witness)]
     nested_q = [None] * P if nested_q is None else list(nested_q)
+    # A single layer's overlap is its consistency solution, witness or not.
+    reads_q = [K == 1 or not w for w in use_witness]
     unsolved = [i for i in np.flatnonzero(valid).tolist()
-                if not use_witness[i] and nested_q[i] is None]
+                if reads_q[i] and nested_q[i] is None]
     if unsolved:
-        roots = rs_solver._newton(stack.take(unsolved), tol)
+        roots = rs_solver._largest_roots(stack.take(unsolved), tol)
         for i, root in zip(unsolved, roots):
             if isinstance(root, Exception):
                 results[i] = root
             else:
                 nested_q[i] = root[0]
     rows = [i for i in range(P) if results[i] is None]
-    # At related weights each layer's surrogate root is q_p, so the overlap
-    # solves start there; at the witness they start at 1/2, as they do with
-    # no start, which a stack of witness points passes.
-    start = np.full((len(rows), K), 0.5)
+    # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
+    # surrogate root is q_p.  The witness puts every zero-field layer at
+    # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
+    overlaps = np.zeros((len(rows), K))
     for j, i in enumerate(rows):
-        if not use_witness[i]:
-            start[j] = nested_q[i]
-    aux, errors = _related_rows(start, stack.lam[rows])
+        if reads_q[i]:
+            overlaps[j] = nested_q[i]
+    aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
         if use_witness[i]:
             aux[j] = witness[i]
@@ -319,12 +329,10 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
     if not kept:
         return results
     rows = [rows[j] for j in kept]
-    stack, aux, start = stack.take(rows), aux[kept], start[kept]
+    stack, aux, overlaps = stack.take(rows), aux[kept], overlaps[kept]
     theta_sq = _theta_sq_from_aux(aux, stack)
-    warm = not all(use_witness[i] for i in rows)
-    values, overlaps, converged = _evaluate(stack, theta_sq,
-                                            start if warm else None)
-    certified = _certified(stack, theta_sq, overlaps, converged)
+    values = _functional_values(stack, theta_sq, overlaps)
+    certified = _certified(stack, theta_sq, overlaps)
     suspect = np.any(np.abs(np.log(aux)) > _SUSPECT_WIDTH, axis=1).tolist()
     theta = np.sqrt(theta_sq)
     stationarity = np.max(np.abs(_matching_defect(aux, stack.lam, overlaps)),
@@ -354,10 +362,11 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
       the empty vector, the only weights there are;
     * otherwise ``related_aux(q)`` for the largest consistency solution
       ``q``, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
-      with its :class:`rs_solver.SolverError` when it fails.  There
-      ``q_p`` is each layer's surrogate root, so the scalar solves start
-      at ``q`` (clipped into ``(0, 1)``) and need few steps; at the
-      witness they start at ``1/2``.
+      with its :class:`rs_solver.SolverError` when it fails.
+
+    The surrogate overlaps are read off with no scalar solve: ``q`` at
+    related weights and for a single layer, 0 at the witness, where every
+    layer has ``2 theta_p^2 <= 1`` up to rounding.
 
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related

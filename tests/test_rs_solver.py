@@ -19,7 +19,7 @@ from dbmlab.rs_solver import (
     solve_nested,
 )
 
-from helpers import field_specs, model_params, random_params
+from helpers import model_params, random_params
 from oracles import (
     central_fd_gradient,
     central_fd_jacobian,
@@ -242,49 +242,59 @@ def test_scalar_solver_residual_and_range():
         cases.append((beta, FieldSpec.gaussian(v),
                       latala_guerra(beta, v, tol=1e-12)))
     # Zero field beyond the critical line 2 beta^2 = 1: the roots are 0 and
-    # one positive value, and the solver must return the positive one.
+    # one positive value, and the 1 x 1 Newton row with self-coupling
+    # 2 beta^2, started at 1, must return the positive one.
     for beta in (0.75, 1.0, 1.5, 2.0):
-        q, converged = rs_solver._scalar_overlap(
-            np.array([beta * beta]), (FieldSpec.zero(),), 1e-12)
-        assert converged.tolist() == [True]
-        cases.append((beta, FieldSpec.zero(), float(q[0])))
+        root, = rs_solver._newton(np.full((1, 1, 1), 2.0 * beta * beta),
+                                  ghquad.FieldTable([FieldSpec.zero()]), 1e-12)
+        assert not isinstance(root, SolverError)
+        cases.append((beta, FieldSpec.zero(), float(root[0][0])))
     for beta, field, q in cases:
         assert 0.0 < q < 1.0
         resid = abs(q - ghquad.expect(TANH_SQ, 2.0 * q * beta * beta, field))
         assert resid < 1e-12
 
 
-def _one_layer_solves(theta_sq, fields, tol, start=None):
-    """``_scalar_overlap`` run on each layer alone."""
-    solves = [rs_solver._scalar_overlap(
-        theta_sq[p:p + 1], fields[p:p + 1], tol,
-        None if start is None else start[p:p + 1])
-        for p in range(len(fields))]
-    return (np.array([x[0] for x, _ in solves]),
-            np.array([c[0] for _, c in solves]))
+def _one_layer_rows(theta_sq, fields, tol):
+    """``rs_solver._newton`` on one-layer equations ``x = E tanh^2(z sqrt(2
+    theta^2 x) + h)``: ``1 x 1`` rows with self-coupling ``2 theta^2``."""
+    return rs_solver._newton(2.0 * np.asarray(theta_sq)[:, None, None],
+                             ghquad.FieldTable(fields), tol)
+
+
+def _assert_same_root(got, want):
+    if isinstance(want, SolverError):
+        assert isinstance(got, SolverError) and str(got) == str(want)
+        np.testing.assert_array_equal(got.last_q, want.last_q)
+    else:
+        assert not isinstance(got, SolverError)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+_ONE_LAYER_FIELDS = st.one_of(st.just(FieldSpec.zero()),
+                              st.floats(0.0, 5.0).map(FieldSpec.gaussian))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(layers=st.lists(st.tuples(st.floats(0.0, 3.0), field_specs(),
-                                 st.floats(0.0, 1.0)),
-                       min_size=1, max_size=8),
-       warm=st.booleans())
-def test_lockstep_scalar_solver_matches_one_layer_solves_property(layers, warm):
-    # Each layer takes the steps of its own solve and stops by its own rule,
-    # whatever the other layers in the call do.
-    theta_sq = np.array([t for t, _, _ in layers])
-    fields = tuple(f for _, f, _ in layers)
-    start = np.array([x for _, _, x in layers]) if warm else None
-    x, converged = rs_solver._scalar_overlap(theta_sq, fields, 1e-13, start)
-    one_x, one_converged = _one_layer_solves(theta_sq, fields, 1e-13, start)
-    np.testing.assert_array_equal(x, one_x)
-    np.testing.assert_array_equal(converged, one_converged)
+@given(layers=st.lists(st.tuples(st.floats(0.0, 3.0), _ONE_LAYER_FIELDS),
+                       min_size=1, max_size=8))
+def test_lockstep_scalar_solver_matches_one_layer_solves_property(layers):
+    # Each 1 x 1 row takes the steps of its own solve and stops by its own
+    # rule, whatever the other rows in the call do.
+    theta_sq = np.array([t for t, _ in layers])
+    fields = [f for _, f in layers]
+    roots = _one_layer_rows(theta_sq, fields, 1e-13)
+    for p, root in enumerate(roots):
+        _assert_same_root(root, _one_layer_rows(theta_sq[p:p + 1],
+                                                fields[p:p + 1], 1e-13)[0])
 
 
 def test_lockstep_scalar_solver_makes_one_kernel_call_per_step(monkeypatch):
-    theta_sq = np.array([0.3, 1.2, 0.4, 2.5, 0.05])
-    fields = (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.zero(),
-              FieldSpec.gaussian(2.0), FieldSpec.gaussian(0.01))
+    theta_sq = np.array([0.3, 1.2, 0.4, 2.5, 0.05, 0.0])
+    fields = [FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.zero(),
+              FieldSpec.gaussian(2.0), FieldSpec.gaussian(0.01),
+              FieldSpec.gaussian(0.7)]
     expect = ghquad.expect
     calls = []
 
@@ -293,17 +303,16 @@ def test_lockstep_scalar_solver_makes_one_kernel_call_per_step(monkeypatch):
         return expect(f, s, fields)
 
     monkeypatch.setattr(ghquad, "expect", counting)
-    rs_solver._scalar_overlap(theta_sq, fields, 1e-13)
-    lockstep = list(calls)
-    one_layer = []
+    _one_layer_rows(theta_sq, fields, 1e-13)
+    stacked = list(calls)
+    one_row = []
     for p in range(len(fields)):
         calls.clear()
-        rs_solver._scalar_overlap(theta_sq[p:p + 1], fields[p:p + 1], 1e-13)
-        one_layer.append(len(calls))
-    # The zero-field layer below its critical line is never evaluated.
-    assert one_layer[2] == 0
-    assert len(lockstep) == max(one_layer)
-    assert sum(lockstep) == sum(one_layer)
+        _one_layer_rows(theta_sq[p:p + 1], fields[p:p + 1], 1e-13)
+        one_row.append(len(calls))
+    assert min(one_row) >= 2 and len(set(one_row)) > 1
+    assert len(stacked) == max(one_row)
+    assert sum(stacked) == sum(one_row)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ def evaluate_at(a, params):
     stack = rs_solver._Stack([params])
     theta_sq = sk_chain_bound._theta_sq_from_aux(a, params)[None]
     values, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
-    certified = sk_chain_bound._certified(stack, theta_sq, overlaps, converged)
-    return values[0], overlaps[0], theta_sq[0], bool(converged[0]), certified[0]
+    certified = bool(converged[0]) and sk_chain_bound._certified(
+        stack, theta_sq, overlaps)[0]
+    return values[0], overlaps[0], theta_sq[0], bool(converged[0]), certified
 
 
 def inside_zero_field_params(rng, k_range=(2, 6)):
@@ -305,11 +306,9 @@ def test_at_test_holds_below_the_high_temperature_line(layers):
     fields = tuple(FieldSpec.gaussian(v) for _, v in layers)
     K = len(fields)
     stack = rs_solver._Stack([make(K, (1.0,) * (K - 1), (1 / K,) * K, fields)])
-    overlaps, converged = rs_solver._scalar_overlap(
-        theta_sq.ravel(), stack.table, sk_chain_bound._SCALAR_TOL)
+    _, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
     assert converged.all()
-    assert sk_chain_bound._certified(stack, theta_sq, overlaps[None],
-                                     converged[None].all(axis=1)) == [True]
+    assert sk_chain_bound._certified(stack, theta_sq, overlaps) == [True]
 
 
 def test_maximize_certification_rederivable_from_checks():
@@ -417,29 +416,99 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
     assert calls["warm"] < calls["cold"]
 
 
-def test_maximize_starts_the_surrogate_solves_at_the_consistency_solution(
+def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
         monkeypatch):
-    starts = []
-    solve = sk_chain_bound._scalar_overlap
+    # At weights related to the consistency solution q, 2 theta_p^2 q_p =
+    # (Mq)_p, so q_p is each layer's surrogate root and the bound reports q
+    # as its overlaps; at the annealed witness it reports 0.  Neither makes
+    # a one-layer solve, a 1 x 1 row of the Newton iteration.
+    shapes = []
+    newton = rs_solver._newton
 
-    def recording(theta_sq, fields, tol, start=None):
-        starts.append(None if start is None else np.array(start))
-        return solve(theta_sq, fields, tol, start)
+    def recording(M, table, tol):
+        shapes.append(M.shape[1:])
+        return newton(M, table, tol)
 
-    monkeypatch.setattr(sk_chain_bound, "_scalar_overlap", recording)
+    monkeypatch.setattr(rs_solver, "_newton", recording)
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
     q = solve_nested(params).q
-    sk_chain_bound.maximize_stack([params], nested_q=[q])
-    maximize_bound(params)
-    assert len(starts) == 2
-    for start in starts:
-        np.testing.assert_array_equal(start, q)
-    # The annealed witness and free weights keep the cold start at 1/2.
+    warm = sk_chain_bound.maximize_stack([params], nested_q=[q])[0]
+    np.testing.assert_array_equal(warm.overlaps, q)
+    np.testing.assert_array_equal(maximize_bound(params).overlaps, q)
+    outside, = _zero_field_chains_outside(np.random.default_rng(3), 1)
+    np.testing.assert_array_equal(maximize_bound(outside).overlaps,
+                                  solve_nested(outside).q)
     inside, _ = inside_zero_field_params(np.random.default_rng(3))
-    maximize_bound(inside)
+    assert maximize_bound(inside).overlaps.tolist() == [0.0] * inside.K
+    single = make(1, (), (1.0,), (FieldSpec.gaussian(0.4),))
+    np.testing.assert_array_equal(maximize_bound(single).overlaps,
+                                  solve_nested(single).q)
+    assert shapes and (1, 1) not in shapes
+    # Free weights still solve every layer's equation, all in one call.
+    shapes.clear()
     p_dbm_functional(np.ones(2), params)
-    assert starts[2:] == [None, None]
+    assert shapes == [(1, 1)]
+
+
+def test_witness_overlaps_are_exactly_zero():
+    # The annealed witness puts every layer at 2 theta_p^2 = 1 up to
+    # rounding.  Where the float 2 theta_p^2 lands an ulp above 1 the
+    # zero-field root is about 1e-16; the bound reports exactly 0 there, not
+    # the artefact near 1e-13 at which a scalar solve with tolerance 1e-13
+    # stops.
+    rng = np.random.default_rng(5)
+    above = 0
+    for _ in range(150):
+        params, verdict = inside_zero_field_params(rng, k_range=(2, 8))
+        theta_sq = sk_chain_bound._theta_sq_from_aux(
+            np.array(verdict.feasible_a), params)
+        above += bool(np.any(2.0 * theta_sq > 1.0))
+        result = maximize_bound(params)
+        assert result.overlaps.tolist() == [0.0] * params.K
+        assert result.certified is True
+        assert abs(result.value - machine.annealed_pressure(params)) <= 4.4e-16
+    assert above >= 40
+
+
+_ULP = 2.0 ** -52
+
+
+@pytest.mark.parametrize("delta, value", [
+    # value: the bound at a = 1 + delta as computed by the former scalar
+    # solver, whose overlaps carried stopping-rule artefacts near 1e-13.
+    (0.0, 0.9431471805599453),
+    (_ULP, 0.9431471805599453),
+    (2 * _ULP, 0.9431471805599453),
+    (4 * _ULP, 0.9431471805599453),
+    (1e-12, 0.9431471805599453),
+    (1e-8, 0.9431471805599453),
+    (1e-4, 0.9431471805599349),
+])
+def test_near_critical_zero_field_layer(monkeypatch, delta, value):
+    # K = 2, lam = (1/2, 1/2), beta = 1 and a = 1 + delta put the first
+    # layer at 2 theta_1^2 = 1 + delta and the second at 1 / (1 + delta).
+    # Past the critical line the 1 x 1 Newton row converges onto the
+    # positive root (about delta / 2) within its step limit; at and below
+    # it a zero-field layer's only root is 0 and takes no solve.
+    rows = []
+    newton = rs_solver._newton
+
+    def recording(M, table, tol):
+        rows.append(len(M))
+        return newton(M, table, tol)
+
+    monkeypatch.setattr(rs_solver, "_newton", recording)
+    params = make(2, (1.0,), (0.5, 0.5))
+    a = np.array([1.0 + delta])
+    got, overlaps, theta_sq, converged, _ = evaluate_at(a, params)
+    assert 2.0 * theta_sq[0] == 1.0 + delta
+    assert converged
+    assert rows == ([1] if delta > 0.0 else [])
+    assert overlaps[1] == 0.0
+    assert (overlaps[0] > 0.0) == (delta > 0.0)
+    assert abs(got - value) <= math.ulp(value)
+    assert p_dbm_functional(a, params)[0] == got
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +618,9 @@ def test_scan_bound_reuses_the_nested_solution(tmp_path, monkeypatch):
     nested_points = []
     real_newton = rs_solver._newton
 
-    def counted(stack, tol):
-        nested_points.append(len(stack))
-        return real_newton(stack, tol)
+    def counted(M, table, tol):
+        nested_points.append(len(M))
+        return real_newton(M, table, tol)
 
     monkeypatch.setattr(rs_solver, "_newton", counted)
     out = tmp_path / "scan_out.json"

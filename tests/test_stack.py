@@ -188,11 +188,15 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
                 phase[0] = "pass"
         return wrapped
 
+    shapes = set()
+    newton = in_phase("newton", rs_solver._newton)
+
+    def recording(M, table, tol):
+        shapes.add(M.shape[1:])
+        return newton(M, table, tol)
+
     monkeypatch.setattr(ghquad, "expect", counting)
-    monkeypatch.setattr(rs_solver, "_newton",
-                        in_phase("newton", rs_solver._newton))
-    monkeypatch.setattr(sk_chain_bound, "_scalar_overlap",
-                        in_phase("scalar", sk_chain_bound._scalar_overlap))
+    monkeypatch.setattr(rs_solver, "_newton", recording)
     out = tmp_path / "grid_out.json"
     assert cli.main(["scan", "--config", str(path), "--format", "json",
                      "--out", str(out)]) == 0
@@ -206,12 +210,14 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
         q = rs_solver.solve_nested(params).q
         sk_chain_bound.maximize_stack([params], nested_q=[q])
         solo.append(dict(calls))
-    # Each Newton step and each lockstep scalar step is one call for the
-    # whole grid, so the grid takes the steps of its slowest point.  The
-    # pressure, the bound value and its certificate are one call each; the
-    # rs certificates reuse the last Newton evaluation.
+    # Each Newton step is one call for the whole grid, so the grid takes the
+    # steps of its slowest point.  The pressure, the bound value and its
+    # certificate are one call each; the rs certificates reuse the last
+    # Newton evaluation, and the bound reads its overlaps off the Newton
+    # solution with no one-layer solve.
+    assert shapes == {(4, 4)}
+    assert set(stacked) == {"newton", "pass"}
     assert stacked["newton"] == max(counts["newton"] for counts in solo)
-    assert stacked["scalar"] == max(counts["scalar"] for counts in solo)
     assert stacked["pass"] == 3
     assert all(counts["pass"] == 3 for counts in solo)
     assert sum(stacked.values()) * 10 < sum(sum(c.values()) for c in solo)
@@ -313,9 +319,9 @@ def test_a_large_grid_is_solved_in_stacks_of_bounded_size(tmp_path, monkeypatch)
     sizes = []
     newton = rs_solver._newton
 
-    def counted(stack, tol):
-        sizes.append(len(stack))
-        return newton(stack, tol)
+    def counted(M, table, tol):
+        sizes.append(len(M))
+        return newton(M, table, tol)
 
     # K = 3: 40 entries hold four points of nine matrix entries each.
     monkeypatch.setattr(cli, "_STACK_ENTRIES", 40)
