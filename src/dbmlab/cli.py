@@ -553,7 +553,8 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     :func:`machine.classify_annealed` call, one Newton iteration
     (:func:`rs_solver.solve_stack`), one bound evaluation
     (:func:`sk_chain_bound.maximize_stack`, which takes the witnesses of the
-    classification) and one certificate pass serve every point, each with
+    classification and reads the bound at related weights off the Newton
+    solutions) and one certificate pass serve every point, each with
     the bits of its own ``region``, ``rs`` or ``bound`` run.  A point whose
     solve fails gets ``rs_failed`` or ``bound_failed`` on its own row, and
     the other points go on.  A grid with more than ``_STACK_ENTRIES``
@@ -582,15 +583,13 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     rows of ``points``, solved as one stack."""
     outputs = scan.outputs
     verdicts = machine.classify_annealed(stack)
-    solutions = [None] * len(stack)
+    solutions, nested = [None] * len(stack), None
     if "rs_pressure" in outputs or "certificates" in outputs:
-        solutions = rs_solver.solve_stack(
+        solutions, nested = rs_solver._solve_stack(
             stack, tol, rho=[verdict.rho for verdict in verdicts])
     if "bound" in outputs:
         bounds = sk_chain_bound.maximize_stack(
-            stack, tol, nested_q=[
-                s.q if isinstance(s, rs_solver.RsSolution) else None
-                for s in solutions],
+            stack, tol, nested=nested,
             witness=[verdict.feasible_a for verdict in verdicts])
     paths = [axis.path for axis in scan.axes]
     rows = []

@@ -42,7 +42,10 @@ size (64 KiB per row) stay on the C allocator's heap, which the next block
 and the next call reuse, where larger ones are mapped from the operating
 system and faulted in afresh every time.  Each atom's node sum is its own
 dot product, so a layer's value is bit for bit that of the one-layer call,
-whatever else shares the call or however the atoms are blocked.  A float
+whatever else shares the call or however the atoms are blocked.  When
+every atom of a call is 0 (zero and centred Gaussian fields), the call
+skips adding the atoms to the nodes: that would add 0.0, which changes no
+bit but turns ``-0.0`` into ``0.0``, where every kernel agrees.  A float
 ``s`` with one field is the one-layer case of the same body.  The fields'
 atoms are laid out as arrays in a :class:`FieldTable`; a solver that
 evaluates the same layers at every step builds it once and passes it in
@@ -108,9 +111,16 @@ class QuadratureRule:
 
 
 def logcosh(y):
-    """Overflow-safe ``log cosh y = |y| + log1p(e^(-2|y|)) - log 2``."""
+    """Overflow-safe ``log cosh y = |y| + log1p(e^(-2|y|)) - log 2``.
+
+    ``e^(-2|y|)`` is 0 in floats from ``|y| = 373``; taking it at
+    ``min(|y|, 400)`` keeps every bit and keeps ``-2|y|`` from overflowing
+    near the largest float."""
     a = np.abs(y)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LOG2
+    tail = np.log1p(np.exp(-2.0 * np.minimum(a, 400.0)))
+    tail += a
+    tail -= _LOG2
+    return tail
 
 
 def _tanh_sq(y):
@@ -290,7 +300,8 @@ def expect(f, s, fields):
 
     The atoms of all layers are evaluated in blocks of atoms that share a
     rule, bounded by entries; the rule is picked from each layer's total
-    variance ``s_p + v_p`` (see the module docstring).
+    variance ``s_p + v_p`` (see the module docstring), and the atoms are
+    added to the scaled nodes only when some atom is nonzero.
     Each atom's node sum is its own dot product, so a layer's value does
     not depend on the other layers in the call: it is bit for bit the
     value of the one-layer call.
@@ -314,8 +325,11 @@ def expect(f, s, fields):
     if several:
         std = np.repeat(std, table.counts)
     sums = None
+    shifted = table.shifts.any()
     for rule, atoms in _rule_blocks(total, largest, table):
-        y = std[atoms, None] * rule.nodes + table.shifts[atoms, None]
+        y = std[atoms, None] * rule.nodes
+        if shifted:
+            y += table.shifts[atoms, None]
         vals = np.asarray(f(y), dtype=float)
         # One dot product per atom: (..., A, 1, N) @ (N, 1).
         atom_sums = np.matmul(vals[..., None, :],

@@ -59,6 +59,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,21 +323,21 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _certificates(stack: _Stack, q, m, inv_cosh4,
+def _certificates(stack: _Stack, q, m, stable,
                   rho=None) -> list[Certificates]:
     """Certificates of the points of ``stack`` at overlaps ``q`` (one row
-    each), from ``m = Mq`` and ``E cosh^-4(z sqrt(m) + h)``, which the
-    Newton iteration has evaluated at ``q`` already.
+    each), from ``m = Mq`` and each point's de Almeida--Thouless test
+    ``stable`` (:attr:`_Solved.stable`), which the solver has evaluated at
+    ``q`` already.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
     the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
     some ``q_p = 0`` leaves a layer open, else ``True``; a single layer
-    has no interaction and passes.  ``at_ok`` is the de Almeida--Thouless
-    test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer,
-    for points with positive field variance on every layer, and ``None``
-    for the others.  ``rho`` holds each point's spectral radius when the
-    caller has it; otherwise one :func:`machine.spectral_radius` call on
-    the stack computes them.
+    has no interaction and passes.  ``at_ok`` is ``stable`` for points
+    with positive field variance on every layer, and ``None`` for the
+    others.  ``rho`` holds each point's spectral radius when the caller
+    has it; otherwise one :func:`machine.spectral_radius` call on the
+    stack computes them.
     """
     if q.shape[1] == 1:
         talagrand = [True] * len(q)
@@ -345,7 +346,6 @@ def _certificates(stack: _Stack, q, m, inv_cosh4,
         open_layer = np.any(q <= 0.0, axis=1)
         talagrand = [False if fail else None if open_ else True
                      for fail, open_ in zip(fails, open_layer)]
-    stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
     at_ok = [ok if gaussian else None
              for ok, gaussian in zip(stable, stack.gaussian.tolist())]
     if rho is None:
@@ -533,6 +533,73 @@ def _largest_roots(stack: _Stack, tol: float) -> list:
     return list(zip(q, residual, m, inv_cosh4))
 
 
+class _Solved(NamedTuple):
+    """A point's largest consistency solution ``q`` with its residual,
+    ``m = Mq``, its pressure and its de Almeida--Thouless test ``stable``:
+    ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer, for
+    every field kind, from the Newton iteration's evaluation at ``q``."""
+
+    q: np.ndarray
+    residual: float
+    m: np.ndarray
+    pressure: float
+    stable: bool
+
+
+def _solved(stack: _Stack, tol: float) -> list:
+    """:func:`_largest_roots` of the points of ``stack``: per point its
+    :class:`_Solved`, with one kernel call for the pressures, or its
+    :class:`SolverError`."""
+    roots = _largest_roots(stack, tol)
+    rows = [j for j, root in enumerate(roots)
+            if not isinstance(root, SolverError)]
+    if not rows:
+        return roots
+    q, m, inv_cosh4 = (np.array([roots[j][k] for j in rows]) for k in (0, 2, 3))
+    pressures = _pressures(stack.take(rows), q, m)
+    stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
+    for j, q_j, m_j, pressure, ok in zip(rows, q, m, pressures, stable):
+        roots[j] = _Solved(q_j, roots[j][1], m_j, pressure, ok)
+    return roots
+
+
+def _solve_stack(models, tol: float, rho=None) -> tuple[list, list]:
+    """:func:`solve_stack`'s results, and per model its :class:`_Solved`
+    or the failure it has instead: the solutions before certification,
+    with the pressure and the de Almeida--Thouless test that the split
+    bound at weights related to ``q`` reads off
+    (:func:`sk_chain_bound.maximize_stack`)."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    stack = _stack_of(models)
+    if stack is None:
+        return [], []
+    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
+    solved: list = [None] * len(stack)
+    for i in np.flatnonzero(~positive).tolist():
+        solved[i] = ValueError(
+            "solvers require strictly positive layer weights; prune "
+            "zero-weight layers from the model first")
+    valid = np.flatnonzero(positive)
+    if valid.size:
+        for i, point in zip(valid.tolist(), _solved(stack.take(valid), tol)):
+            solved[i] = point
+    results = list(solved)
+    rows = [i for i, point in enumerate(solved) if isinstance(point, _Solved)]
+    if rows:
+        certificates = _certificates(
+            stack.take(rows), np.array([solved[i].q for i in rows]),
+            np.array([solved[i].m for i in rows]),
+            [solved[i].stable for i in rows],
+            None if rho is None else np.asarray(rho)[rows])
+        for i, certs in zip(rows, certificates):
+            results[i] = RsSolution(
+                q=solved[i].q, pressure=solved[i].pressure,
+                residual=solved[i].residual, method="nested",
+                certificates=certs)
+    return results, solved
+
+
 def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     """:func:`solve_nested` on every model of a stack of same-K models.
 
@@ -547,39 +614,7 @@ def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     on.  ``rho`` holds each model's spectral radius when the caller has it
     already (for the ``stable_at_zero`` certificate).
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    stack = _stack_of(models)
-    if stack is None:
-        return []
-    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
-    results: list = [None] * len(stack)
-    for i in np.flatnonzero(~positive).tolist():
-        results[i] = ValueError(
-            "solvers require strictly positive layer weights; prune "
-            "zero-weight layers from the model first")
-    valid = np.flatnonzero(positive)
-    if not valid.size:
-        return results
-    stack = stack.take(valid)
-    roots = _largest_roots(stack, tol)
-    rows = [j for j, root in enumerate(roots)
-            if not isinstance(root, SolverError)]
-    for i, root in zip(valid.tolist(), roots):
-        results[i] = root
-    if not rows:
-        return results
-    q, m, inv_cosh4 = (np.array([roots[j][k] for j in rows]) for k in (0, 2, 3))
-    solved = stack.take(rows)
-    pressures = _pressures(solved, q, m)
-    certificates = _certificates(
-        solved, q, m, inv_cosh4,
-        None if rho is None else np.asarray(rho)[valid[rows]])
-    for j, q_j, pressure, certs in zip(rows, q, pressures, certificates):
-        results[int(valid[j])] = RsSolution(
-            q=q_j, pressure=pressure, residual=roots[j][1],
-            method="nested", certificates=certs)
-    return results
+    return _solve_stack(models, tol, rho)[0]
 
 
 def _one(result):

@@ -17,8 +17,11 @@ the K scalar equations are ``1 x 1`` rows of the one Newton body,
 :func:`rs_solver._newton`, solved together.  At the maximizer no scalar
 equation is solved: the weights are related to a consistency solution
 ``q``, whose entries are the surrogate overlaps, or they are the
-annealed-region witness, where every surrogate overlap is 0.  The bound
-value and its certificate take one layered kernel call each.
+annealed-region witness, where every surrogate overlap is 0.  At related
+weights the bound is the replica-symmetric pressure at ``q`` and each
+layer's validity test is the de Almeida--Thouless test at ``(Mq)_p``, so
+the value and the certificate are read off the consistency solution with
+no kernel call; at the witness they take one layered kernel call each.
 :func:`maximize_stack` does the same for a stack of same-K models, the
 points of a scan grid, each point's bits those of its own
 :func:`maximize_bound` call, which is the stack of one.
@@ -248,25 +251,27 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
     return lam_q[..., :-1] * a - lam_q[..., 1:]
 
 
-def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
+def maximize_stack(models, tol: float = 1e-10, *, nested=None,
                    witness=None) -> list:
     """:func:`maximize_bound` on every model of a stack of same-K models.
 
     ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
-    :class:`ModelParams`.  ``nested_q`` holds per model its consistency
-    solution or ``None``, and ``witness`` per model its annealed-region
-    witness (``classify_annealed(...).feasible_a``) when the caller has
+    :class:`ModelParams`.  ``nested`` holds per model its consistency
+    solution as :func:`rs_solver._solve_stack` returns it (a
+    :class:`rs_solver._Solved` or the failure in its place), and
+    ``witness`` per model its annealed-region witness
+    (``classify_annealed(...).feasible_a``), when the caller has solved or
     classified the models already; otherwise one
     :func:`machine.classify_annealed` call classifies the zero-field and
-    one-layer models, the only ones whose witness is used.  The models
+    one-layer models, the only ones whose witness is used, and the models
     that need a consistency solution (those without a witness, and every
-    one-layer model) and have none get it from one stacked Newton solve
-    (:func:`rs_solver._newton`).  The surrogate overlaps are read off, with
-    no solve: the consistency solution at related weights and for a single
-    layer, and 0 at the witness.  The related weights and the temperatures
-    are row expressions, and the bound values and the certificates take
-    one kernel call each.  Every point gets the bits of its own
-    :func:`maximize_bound` call.  Returns per
+    one-layer model) get it from one stacked Newton solve.  Those points
+    read their bound off the solution, with no kernel call: the overlaps
+    are ``q``, the value is the pressure at ``q`` and the certificate is
+    its de Almeida--Thouless test.  At the witness the overlaps are 0, and
+    the bound values and the certificates take one kernel call each.  The
+    related weights and the temperatures are row expressions.  Every point
+    gets the bits of its own :func:`maximize_bound` call.  Returns per
     model its :class:`BoundResult`, or the :class:`rs_solver.SolverError`
     or ``ValueError`` that :func:`maximize_bound` raises for it, while the
     other points go on.
@@ -299,18 +304,18 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
             for i, verdict in zip(rows.tolist(), verdicts):
                 witness[i] = verdict.feasible_a
     use_witness = [w and a is not None for w, a in zip(wants.tolist(), witness)]
-    nested_q = [None] * P if nested_q is None else list(nested_q)
     # A single layer's overlap is its consistency solution, witness or not.
     reads_q = [K == 1 or not w for w in use_witness]
-    unsolved = [i for i in np.flatnonzero(valid).tolist()
-                if reads_q[i] and nested_q[i] is None]
-    if unsolved:
-        roots = rs_solver._largest_roots(stack.take(unsolved), tol)
-        for i, root in zip(unsolved, roots):
-            if isinstance(root, Exception):
-                results[i] = root
-            else:
-                nested_q[i] = root[0]
+    reading = [i for i in np.flatnonzero(valid).tolist() if reads_q[i]]
+    if nested is None:
+        nested = [None] * P
+        if reading:
+            for i, point in zip(reading, rs_solver._solved(
+                    stack.take(reading), tol)):
+                nested[i] = point
+    for i in reading:
+        if isinstance(nested[i], Exception):
+            results[i] = nested[i]
     rows = [i for i in range(P) if results[i] is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
@@ -318,7 +323,7 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
     overlaps = np.zeros((len(rows), K))
     for j, i in enumerate(rows):
         if reads_q[i]:
-            overlaps[j] = nested_q[i]
+            overlaps[j] = nested[i].q
     aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
         if use_witness[i]:
@@ -331,8 +336,21 @@ def maximize_stack(models, tol: float = 1e-10, *, nested_q=None,
     rows = [rows[j] for j in kept]
     stack, aux, overlaps = stack.take(rows), aux[kept], overlaps[kept]
     theta_sq = _theta_sq_from_aux(aux, stack)
-    values = _functional_values(stack, theta_sq, overlaps)
-    certified = _certified(stack, theta_sq, overlaps)
+    # By the bridge identity the bound at weights related to q is the
+    # pressure at q, and each layer's test at m = 2 theta_p^2 q_p = (Mq)_p
+    # is that of the consistency solution.
+    values = [nested[i].pressure if reads_q[i] else None for i in rows]
+    certified = [nested[i].stable if reads_q[i] else None for i in rows]
+    at_witness = [j for j, i in enumerate(rows) if not reads_q[i]]
+    if at_witness:
+        points = stack.take(at_witness)
+        for j, value, ok in zip(
+                at_witness,
+                _functional_values(points, theta_sq[at_witness],
+                                   overlaps[at_witness]),
+                _certified(points, theta_sq[at_witness],
+                           overlaps[at_witness])):
+            values[j], certified[j] = value, ok
     suspect = np.any(np.abs(np.log(aux)) > _SUSPECT_WIDTH, axis=1).tolist()
     theta = np.sqrt(theta_sq)
     stationarity = np.max(np.abs(_matching_defect(aux, stack.lam, overlaps)),
@@ -366,7 +384,16 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
 
     The surrogate overlaps are read off with no scalar solve: ``q`` at
     related weights and for a single layer, 0 at the witness, where every
-    layer has ``2 theta_p^2 <= 1`` up to rounding.
+    layer has ``2 theta_p^2 <= 1`` up to rounding.  At related weights and
+    for a single layer the value and the certificate are read off too: by
+    the bridge identity (:func:`bridge_check`) the bound there is the
+    replica-symmetric pressure at ``q``, the ``pressure`` of
+    :func:`rs_solver.solve_nested` bit for bit, and each layer's validity
+    test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is the solution's de
+    Almeida--Thouless test, which ``solve_nested`` reports as ``at_ok``
+    when every layer has Gaussian variance.  So the bound costs the
+    kernel calls of that solve and no more.  At the witness the value and
+    the certificate take one kernel call each.
 
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related

@@ -223,6 +223,7 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
         residual = float(np.max(np.abs(q - f)))
         if residual < tol:
             m = machine.build_matrices(params)[2] @ q
+            inv_cosh4 = ghquad.expect(ghquad.INV_COSH4, m, params.fields)
             return RsSolution(
                 q=q.copy(),
                 pressure=rs_pressure(q, params),
@@ -230,7 +231,7 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
                 method="fixed_point",
                 certificates=_certificates(
                     _Stack([params]), q[None], m[None],
-                    ghquad.expect(ghquad.INV_COSH4, m, params.fields)[None])[0],
+                    [bool(np.all(m * inv_cosh4 <= q))])[0],
             )
         q = (1.0 - damping) * q + damping * f
     raise SolverError(

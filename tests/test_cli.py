@@ -962,6 +962,32 @@ def test_infinite_sweep_signals_raise_no_warning(tmp_path, capsys):
     assert captured.out.startswith("key,value\nnested.q[0],")
 
 
+@pytest.mark.parametrize("h0", [1e308, -1.7976931348623157e308])
+def test_fields_near_the_largest_float_raise_no_warning(tmp_path, capsys, h0):
+    # An atom past 9e307 once overflowed -2|y| in log cosh to -inf: the
+    # value was right, but the overflow warning reached stderr.
+    model = model_dict(2, (0.5,), (0.5, 0.5),
+                       (FieldSpec.point_mass(h0), FieldSpec.zero()))
+    model["scan"] = {"axes": [{"path": "beta[0]", "min": 0.2, "max": 1.4,
+                               "steps": 3}],
+                     "outputs": ["rs_pressure"]}
+    cfg = write_config(tmp_path, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("rs", "scan"):
+            assert cli.main([command, "--config", cfg, "--format",
+                             "json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            pressures = ([s["pressure"] for s in report["solutions"]]
+                         if command == "rs" else
+                         [row["rs_pressure"] for row in report["rows"]])
+            # Half the field's log cosh: lam_1 |h0|.
+            assert pressures == [pytest.approx(0.5 * abs(h0), rel=1e-15)
+                                 ] * len(pressures)
+
+
 def test_default_output_is_stdout(tmp_path, capsys):
     cfg = write_config(tmp_path, balanced2())
     rc = cli.main(["region", "--config", cfg])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ def test_logcosh_matches_naive_form_in_safe_range():
 def test_logcosh_stable_for_large_arguments():
     for y in (50.0, -50.0, 800.0, -800.0):
         assert ghquad.logcosh(y) == pytest.approx(abs(y) - math.log(2.0), rel=1e-15)
+
+
+def test_logcosh_keeps_its_bits_and_raises_no_warning_near_the_largest_float():
+    # e^(-2|y|) is 0 from |y| = 373 on, so taking it at min(|y|, 400) keeps
+    # the bits of the plain formula, whose -2|y| overflows past 9e307.
+    big = np.finfo(float).max
+    y = np.array([0.0, -0.0, 1e-300, 0.3, -20.0, 372.0, 373.0, 399.5, 400.0,
+                  400.5, 1e5, 8.9e307, 9e307, 1e308, -1e308, big, -big,
+                  np.inf, -np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        a = np.abs(y)
+        plain = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ghquad.logcosh(y).tobytes() == plain.tobytes()
+        for value, expected in zip(y.tolist(), plain.tolist()):
+            assert np.float64(ghquad.logcosh(value)).tobytes() == (
+                np.float64(expected).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +303,39 @@ def _fresh_atom_expect(f, s, field, rule):
     vals = np.asarray(f(y), dtype=float)
     return float(np.sum(probs * np.array([np.dot(row, rule.weights)
                                           for row in vals])))
+
+
+_CENTRED_FIELDS = st.one_of(
+    st.just(FieldSpec.zero()),
+    st.floats(0.0, 5.0).map(FieldSpec.gaussian),
+    st.just(FieldSpec.discrete((0.0, 0.0), (0.25, 0.75))))
+_SHIFTED_FIELDS = st.one_of(
+    st.floats(-3.0, 3.0).filter(bool).map(FieldSpec.point_mass),
+    st.floats(0.01, 2.0).map(
+        lambda h: FieldSpec.discrete((0.0, h), (0.5, 0.5))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+                                 _CENTRED_FIELDS), min_size=1, max_size=6),
+       shifted=st.tuples(st.floats(0.0, 30.0), _SHIFTED_FIELDS),
+       at=st.integers(0, 6))
+def test_centred_layers_keep_their_bytes_beside_a_shifted_layer_property(
+        layers, shifted, at):
+    # A call whose atoms are all 0 skips adding the shifts, where a call
+    # with a shifted layer adds 0.0 to the centred ones; that changes no
+    # bit but the sign of y = 0 * x = -0.0 (zero variance at s = 0), where
+    # every kernel agrees.
+    s = [variance for variance, _ in layers]
+    fields = [field for _, field in layers]
+    at = min(at, len(layers))
+    mixed_s = s[:at] + [shifted[0]] + s[at:]
+    mixed_fields = fields[:at] + [shifted[1]] + fields[at:]
+    centred = [i for i in range(len(mixed_s)) if i != at]
+    for kernel in (TANH_SQ, LOG_COSH, INV_COSH4, TANH_MOMENTS):
+        alone = ghquad.expect(kernel, np.array(s), fields)
+        beside = ghquad.expect(kernel, np.array(mixed_s), mixed_fields)
+        assert alone.tobytes() == beside[..., centred].tobytes()
 
 
 def test_table_atoms_are_bit_identical_to_fresh_atoms():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from dbmlab import cli, machine, rs_solver, sk_chain_bound
+from dbmlab import cli, ghquad, machine, rs_solver, sk_chain_bound
+from dbmlab.ghquad import INV_COSH4
 from dbmlab.machine import FieldSpec, ModelParams
 from dbmlab.rs_solver import solve_nested
 from dbmlab.sk_chain_bound import (
@@ -401,9 +402,10 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
     chains += _zero_field_chains_outside(rng, 12)
     for params in chains:
         side[0] = "nested"
-        q = solve_nested(params).q
+        nested = rs_solver._solve_stack([params], 1e-10)[1]
+        q = nested[0].q
         side[0] = "warm"
-        warm = sk_chain_bound.maximize_stack([params], nested_q=[q])[0]
+        warm = sk_chain_bound.maximize_stack([params], nested=nested)[0]
         side[0] = "cold"
         value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
@@ -432,8 +434,9 @@ def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
     monkeypatch.setattr(rs_solver, "_newton", recording)
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
+    nested = rs_solver._solve_stack([params], 1e-10)[1]
     q = solve_nested(params).q
-    warm = sk_chain_bound.maximize_stack([params], nested_q=[q])[0]
+    warm = sk_chain_bound.maximize_stack([params], nested=nested)[0]
     np.testing.assert_array_equal(warm.overlaps, q)
     np.testing.assert_array_equal(maximize_bound(params).overlaps, q)
     outside, = _zero_field_chains_outside(np.random.default_rng(3), 1)
@@ -449,6 +452,59 @@ def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
     shapes.clear()
     p_dbm_functional(np.ones(2), params)
     assert shapes == [(1, 1)]
+
+
+def _at_test(params, q):
+    """The de Almeida--Thouless test ``m E cosh^-4(z sqrt(m) + h) <= q`` on
+    every layer at ``m = Mq``, by the one-model products."""
+    m = machine.build_matrices(params)[2] @ q
+    return bool(np.all(m * ghquad.expect(INV_COSH4, m, params.fields) <= q))
+
+
+def test_bound_reads_its_value_and_certificate_off_the_consistency_solution(
+        monkeypatch):
+    # By the bridge identity the bound at weights related to the
+    # consistency solution q is the pressure at q, and each layer's test at
+    # m = 2 theta_p^2 q_p = (Mq)_p is the solution's own.  So the value is
+    # rs's pressure bit for bit, the certificate is the AT test at Mq for
+    # every centred field (where rs reports at_ok only for Gaussian ones),
+    # and the bound costs the kernel calls of the solve and no more.
+    expect = ghquad.expect
+    calls = [0]
+
+    def counting(f, s, fields):
+        calls[0] += 1
+        return expect(f, s, fields)
+
+    rng = np.random.default_rng(43)
+    chains = [gaussian_params(rng, beta_range=(0.2, 2.5)) for _ in range(20)]
+    chains += _zero_field_chains_outside(rng, 10)
+    for _ in range(10):
+        K = int(rng.integers(2, 6))
+        chains.append(make(K, rng.uniform(0.5, 2.0, K - 1), (1 / K,) * K,
+                           [FieldSpec.gaussian(v) for v in
+                            rng.choice([0.0, 0.3], K)]))
+    outcomes = set()
+    for params in chains:
+        monkeypatch.setattr(ghquad, "expect", counting)
+        calls[0] = 0
+        solution = solve_nested(params)
+        solve_calls = calls[0]
+        calls[0] = 0
+        result = maximize_bound(params)
+        assert calls[0] == solve_calls
+        monkeypatch.undo()
+        assert np.any(result.overlaps > 0.0)
+        assert (np.float64(result.value).tobytes()
+                == np.float64(solution.pressure).tobytes())
+        stable = _at_test(params, solution.q)
+        assert result.certified is stable
+        gaussian = all(field.v > 0.0 for field in params.fields)
+        assert solution.certificates.at_ok is (stable if gaussian else None)
+        outcomes.add((gaussian, stable))
+    # A zero-field layer at m > 0 fails the test, as the one-layer model
+    # at zero field does at every temperature below its critical one.
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_witness_overlaps_are_exactly_zero():

@@ -4,6 +4,7 @@ import collections
 import itertools
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,8 @@ def _solo(call, *args, **kwargs):
 def test_stacked_points_equal_their_solo_runs_property(models):
     tol = 1e-10
     verdicts = [machine.classify_annealed(params) for params in models]
-    solutions = rs_solver.solve_stack(models, tol,
-                                      rho=[v.rho for v in verdicts])
+    solutions, nested = rs_solver._solve_stack(models, tol,
+                                               rho=[v.rho for v in verdicts])
     assert len(solutions) == len(models)
     for params, solution in zip(models, solutions):
         solo = _solo(rs_solver.solve_nested, params, tol)
@@ -96,12 +97,18 @@ def test_stacked_points_equal_their_solo_runs_property(models):
         if not isinstance(solo, Exception):
             np.testing.assert_array_equal(solution.q, solo.q)
             assert solo.pressure == _one_model_pressure(solo.q, params)
-    nested_q = [None if isinstance(s, Exception) else s.q for s in solutions]
-    for bounds in (sk_chain_bound.maximize_stack(models, tol, nested_q=nested_q),
+    for bounds in (sk_chain_bound.maximize_stack(models, tol, nested=nested),
                    sk_chain_bound.maximize_stack(models, tol)):
         for params, bound in zip(models, bounds):
             _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
-            if not isinstance(bound, Exception):
+            if isinstance(bound, Exception):
+                continue
+            # Related weights and a single layer read the bound off the
+            # consistency solution; the witness evaluates it at overlaps 0.
+            if params.K == 1 or np.any(bound.overlaps > 0.0):
+                assert bound.value == _one_model_pressure(bound.overlaps,
+                                                          params)
+            else:
                 assert bound.value == _one_model_bound(bound, params)
 
 
@@ -207,19 +214,19 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
     solo = []
     for params in _grid_models(path):
         calls.clear()
-        q = rs_solver.solve_nested(params).q
-        sk_chain_bound.maximize_stack([params], nested_q=[q])
+        nested = rs_solver._solve_stack([params], 1e-10)[1]
+        sk_chain_bound.maximize_stack([params], nested=nested)
         solo.append(dict(calls))
     # Each Newton step is one call for the whole grid, so the grid takes the
-    # steps of its slowest point.  The pressure, the bound value and its
-    # certificate are one call each; the rs certificates reuse the last
-    # Newton evaluation, and the bound reads its overlaps off the Newton
-    # solution with no one-layer solve.
+    # steps of its slowest point.  The pressure is one call; the rs
+    # certificates reuse the last Newton evaluation, and the bound reads its
+    # overlaps, value and certificate off the Newton solution with no
+    # kernel call.
     assert shapes == {(4, 4)}
     assert set(stacked) == {"newton", "pass"}
     assert stacked["newton"] == max(counts["newton"] for counts in solo)
-    assert stacked["pass"] == 3
-    assert all(counts["pass"] == 3 for counts in solo)
+    assert stacked["pass"] == 1
+    assert all(counts["pass"] == 1 for counts in solo)
     assert sum(stacked.values()) * 10 < sum(sum(c.values()) for c in solo)
 
 
@@ -273,7 +280,7 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
         assert cli.main(["scan", "--config", str(path), "--format", "json",
                          "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["rows"]
-        witness = 0
+        witness = related = 0
         for row, params in zip(rows, _grid_models(path), strict=True):
             point = tmp_path / "point.json"
             point.write_text(json.dumps(params.to_dict()))
@@ -298,10 +305,16 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
                 assert row[key] == value
             assert row["bound_value"] == (None if bound is None
                                           else bound["value"])
+            if bound is not None and any(x > 0.0 for x in bound["overlaps"]):
+                # Related weights: the bound is rs's pressure, bit for bit.
+                related += 1
+                assert (struct.pack("<d", bound["value"])
+                        == struct.pack("<d", rs["solutions"][0]["pressure"]))
             if bound is not None and not bound["certified"]:
                 flags.append("uncertified")
             assert row["flags"] == ";".join(flags)
             witness += params.zero_fields and row["verdict"] == "inside"
+        assert related > 0
         if name == "zero":
             assert 0 < witness < len(rows)
         else:
