@@ -551,15 +551,15 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     a point per row, written straight from the axes (:func:`_grid_stack`),
     and built, classified and solved as one: one
     :func:`machine.classify_annealed` call, one Newton iteration
-    (:func:`rs_solver.solve_stack`), one bound evaluation
+    (:func:`rs_solver._solve_stack`), one bound evaluation
     (:func:`sk_chain_bound.maximize_stack`, which takes the witnesses of the
-    classification and reads the bound at related weights off the Newton
-    solutions) and one certificate pass serve every point, each with
-    the bits of its own ``region``, ``rs`` or ``bound`` run.  A point whose
-    solve fails gets ``rs_failed`` or ``bound_failed`` on its own row, and
-    the other points go on.  A grid with more than ``_STACK_ENTRIES``
-    matrix entries (points times ``K^2``) is cut into stacks of at most
-    that many, solved one after the other.
+    classification and reads the bound off the Newton solutions, or off
+    ``q = 0`` at a witness) and one certificate pass serve every point,
+    each with the bits of its own ``region``, ``rs`` or ``bound`` run.  A
+    point whose solve fails gets ``rs_failed`` or ``bound_failed`` on its
+    own row, and the other points go on.  A grid with more than
+    ``_STACK_ENTRIES`` matrix entries (points times ``K^2``) is cut into
+    stacks of at most that many, solved one after the other.
     """
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")

@@ -521,18 +521,6 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                     part[redo] = value
 
 
-def _largest_roots(stack: _Stack, tol: float) -> list:
-    """:func:`_newton` on the points of ``stack``.  A single layer has no
-    interaction: ``q`` is the layer's own ``E tanh^2(z sqrt(v) + h)``."""
-    if stack.lam.shape[1] > 1:
-        return _newton(stack.M, stack.table, tol)
-    q = _expect_rows(TANH_SQ, np.zeros((len(stack), 1)), stack.table)
-    m = _mv(stack.M, q)
-    f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
-    residual = np.max(np.abs(q - f), axis=1).tolist()
-    return list(zip(q, residual, m, inv_cosh4))
-
-
 class _Solved(NamedTuple):
     """A point's largest consistency solution ``q`` with its residual,
     ``m = Mq``, its pressure and its de Almeida--Thouless test ``stable``:
@@ -547,10 +535,18 @@ class _Solved(NamedTuple):
 
 
 def _solved(stack: _Stack, tol: float) -> list:
-    """:func:`_largest_roots` of the points of ``stack``: per point its
-    :class:`_Solved`, with one kernel call for the pressures, or its
-    :class:`SolverError`."""
-    roots = _largest_roots(stack, tol)
+    """The largest consistency solution of every point of ``stack``
+    (:func:`_newton`): per point its :class:`_Solved`, with one kernel call
+    for the pressures, or its :class:`SolverError`.  A single layer has no
+    interaction: ``q`` is the layer's own ``E tanh^2(z sqrt(v) + h)``."""
+    if stack.lam.shape[1] > 1:
+        roots = _newton(stack.M, stack.table, tol)
+    else:
+        q = _expect_rows(TANH_SQ, np.zeros((len(stack), 1)), stack.table)
+        m = _mv(stack.M, q)
+        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
+        residual = np.max(np.abs(q - f), axis=1).tolist()
+        roots = list(zip(q, residual, m, inv_cosh4))
     rows = [j for j, root in enumerate(roots)
             if not isinstance(root, SolverError)]
     if not rows:

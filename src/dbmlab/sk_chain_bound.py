@@ -14,16 +14,17 @@ through ``theta_p``; with centred Gaussian (or zero) external fields the
 surrogate overlap is the largest solution of the scalar consistency
 equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  At free weights
 the K scalar equations are ``1 x 1`` rows of the one Newton body,
-:func:`rs_solver._newton`, solved together.  At the maximizer no scalar
-equation is solved: the weights are related to a consistency solution
-``q``, whose entries are the surrogate overlaps, or they are the
-annealed-region witness, where every surrogate overlap is 0.  At related
-weights the bound is the replica-symmetric pressure at ``q`` and each
-layer's validity test is the de Almeida--Thouless test at ``(Mq)_p``, so
-the value and the certificate are read off the consistency solution with
-no kernel call; at the witness they take one layered kernel call each.
-:func:`maximize_stack` does the same for a stack of same-K models, the
-points of a scan grid, each point's bits those of its own
+:func:`rs_solver._newton`, solved together, and each row returns its
+layer's validity test at the root.  At the maximizer no scalar equation
+is solved: the weights are related to a consistency solution ``q``, whose
+entries are the surrogate overlaps, or they are the annealed-region
+witness, where the consistency solution is ``q = 0`` exactly.  Either way
+the bound is the replica-symmetric pressure at ``q`` and each layer's
+validity test is the de Almeida--Thouless test at ``(Mq)_p``, so the
+value and the certificate are read off the consistency solution with no
+kernel call; at the witness they are the annealed pressure and ``0 <=
+0``.  :func:`maximize_stack` does the same for a stack of same-K models,
+the points of a scan grid, each point's bits those of its own
 :func:`maximize_bound` call, which is the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ghquad, machine, rs_solver
-from .ghquad import INV_COSH4, LOG_COSH
+from .ghquad import LOG_COSH
 from .machine import ModelParams
 from .rs_solver import _expect_rows, _row_dot, _Stack
 
@@ -133,19 +134,24 @@ def related_aux(q, params: ModelParams) -> np.ndarray:
 
 
 def _evaluate(stack: _Stack, theta_sq: np.ndarray
-              ) -> tuple[list[float], np.ndarray, np.ndarray]:
+              ) -> tuple[list[float], np.ndarray, np.ndarray, np.ndarray]:
     """Bound values of the points of ``stack`` at squared temperatures
     ``theta_sq`` (one ``(K,)`` row each), with the surrogate overlaps behind
-    them and whether every overlap solve of a point converged.
+    them, whether every overlap solve of a point converged, and whether
+    every layer of a point passed its validity test.
 
     Each layer's overlap is the largest root of ``x = E tanh^2(z sqrt(2
     theta^2 x) + h)``, a ``1 x 1`` row of :func:`rs_solver._newton` with
     self-coupling ``2 theta^2``, all layers of all points in one call.  A
     zero-field layer with ``2 theta^2 <= 1`` has no root but 0, and no
-    solve.  The bound values take one kernel call."""
+    solve.  A layer passes the scalar de Almeida--Thouless test ``m E
+    cosh^-4 <= x`` at ``m = 2 theta^2 x``, which its row returns at the
+    root; a layer left at 0 passes and one whose solve failed does not.
+    The bound values take one kernel call."""
     two_t = 2.0 * theta_sq.ravel()
     overlaps = np.zeros(two_t.size)
     converged = np.ones(two_t.size, dtype=bool)
+    stable = np.ones(two_t.size, dtype=bool)
     rows = np.flatnonzero((stack.table.v > 0.0) | (two_t > 1.0))
     roots = rs_solver._newton(two_t[rows, None, None], stack.table.take(rows),
                               _SCALAR_TOL) if rows.size else []
@@ -153,9 +159,11 @@ def _evaluate(stack: _Stack, theta_sq: np.ndarray
         failed = isinstance(root, rs_solver.SolverError)
         overlaps[r] = root.last_q[0] if failed else root[0][0]
         converged[r] = not failed
+        stable[r] = not failed and root[2][0] * root[3][0] <= root[0][0]
     overlaps = overlaps.reshape(theta_sq.shape)
     values = _functional_values(stack, theta_sq, overlaps)
-    return values, overlaps, converged.reshape(theta_sq.shape).all(axis=1)
+    return (values, overlaps, converged.reshape(theta_sq.shape).all(axis=1),
+            stable.reshape(theta_sq.shape).all(axis=1))
 
 
 def _functional_values(stack: _Stack, theta_sq: np.ndarray,
@@ -170,22 +178,6 @@ def _functional_values(stack: _Stack, theta_sq: np.ndarray,
         stack, np.ones(stack.lam.shape))).tolist()
 
 
-def _certified(stack: _Stack, theta_sq: np.ndarray,
-               overlaps: np.ndarray) -> list[bool]:
-    """Whether the replica-symmetric surrogate is valid on every layer, for
-    every point of ``stack``.
-
-    A layer passes when the scalar Almeida-Thouless criterion ``m E
-    cosh^-4 <= x`` holds at its surrogate overlap ``x``, with ``m = 2
-    theta^2 x``; one kernel call serves every point.  Below the
-    high-temperature line ``theta^2 < 1/8`` no separate test is needed:
-    there ``m <= x / 4`` and ``E cosh^-4 <= 1``, so the criterion holds.
-    """
-    m = 2.0 * overlaps * theta_sq
-    stable = m * _expect_rows(INV_COSH4, m, stack.table) <= overlaps
-    return np.logical_and.reduce(stable, axis=1).tolist()
-
-
 def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     """Evaluate the split bound at auxiliary weights ``a``.
 
@@ -196,15 +188,14 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     merely bounds themselves; a layer whose overlap solve did not
     converge leaves the value uncertified.  Each surrogate overlap is the
     largest root of its layer's scalar consistency equation, a ``1 x 1``
-    row of the nested Newton iteration started at 1.  Fields must be zero
-    or centred Gaussian.
+    row of the nested Newton iteration started at 1, which also returns
+    the layer's de Almeida--Thouless test at the root, so the check takes
+    no kernel call of its own.  Fields must be zero or centred Gaussian.
     """
     params.require_fields("the split bound", gaussian=False)
-    stack = _Stack([params])
     theta_sq = _theta_sq_from_aux(a, params)[None]
-    values, overlaps, converged = _evaluate(stack, theta_sq)
-    return values[0], bool(converged[0]) and _certified(stack, theta_sq,
-                                                        overlaps)[0]
+    values, _, converged, stable = _evaluate(_Stack([params]), theta_sq)
+    return values[0], bool(converged[0] and stable[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +253,15 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
     ``witness`` per model its annealed-region witness
     (``classify_annealed(...).feasible_a``), when the caller has solved or
     classified the models already; otherwise one
-    :func:`machine.classify_annealed` call classifies the zero-field and
-    one-layer models, the only ones whose witness is used, and the models
-    that need a consistency solution (those without a witness, and every
-    one-layer model) get it from one stacked Newton solve.  Those points
-    read their bound off the solution, with no kernel call: the overlaps
-    are ``q``, the value is the pressure at ``q`` and the certificate is
-    its de Almeida--Thouless test.  At the witness the overlaps are 0, and
-    the bound values and the certificates take one kernel call each.  The
-    related weights and the temperatures are row expressions.  Every point
+    :func:`machine.classify_annealed` call classifies the zero-field
+    models, the only ones whose witness is used, and the models without a
+    witness get their consistency solution from one stacked Newton solve.
+    A point at the witness takes the exact solution ``q = 0``, with the
+    annealed pressure and a passing test.  Every point reads its bound off
+    its solution, with no kernel call: the overlaps are ``q``, the value is
+    the pressure at ``q`` and the certificate is its de Almeida--Thouless
+    test.  The related weights and the temperatures are row expressions.
+    Every point
     gets the bits of its own :func:`maximize_bound` call.  Returns per
     model its :class:`BoundResult`, or the :class:`rs_solver.SolverError`
     or ``ValueError`` that :func:`maximize_bound` raises for it, while the
@@ -294,8 +285,8 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
                                 "layer weights; prune zero-weight layers "
                                 "from the model")
     valid = stack.centred & positive
-    # Only zero-field and one-layer points take their witness.
-    wants = valid & (stack.zero_fields | (K == 1))
+    # Only zero-field points take their witness.
+    wants = valid & stack.zero_fields
     if witness is None:
         witness = [None] * P
         rows = np.flatnonzero(wants)
@@ -304,31 +295,39 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
             for i, verdict in zip(rows.tolist(), verdicts):
                 witness[i] = verdict.feasible_a
     use_witness = [w and a is not None for w, a in zip(wants.tolist(), witness)]
-    # A single layer's overlap is its consistency solution, witness or not.
-    reads_q = [K == 1 or not w for w in use_witness]
-    reading = [i for i in np.flatnonzero(valid).tolist() if reads_q[i]]
+    reading = [i for i in np.flatnonzero(valid).tolist() if not use_witness[i]]
     if nested is None:
         nested = [None] * P
         if reading:
             for i, point in zip(reading, rs_solver._solved(
                     stack.take(reading), tol)):
                 nested[i] = point
+    solutions = list(nested)
     for i in reading:
         if isinstance(nested[i], Exception):
             results[i] = nested[i]
+    # With zero fields and rho < 1 the only consistency solution is q = 0,
+    # whose pressure is the annealed one and whose AT test reads 0 <= 0.
+    at_witness = [i for i in range(P) if use_witness[i]]
+    if at_witness:
+        points = stack.take(at_witness)
+        annealed = _LOG2 + machine.interaction_half_quadratic(
+            points, np.ones(points.lam.shape))
+        for i, pressure in zip(at_witness, annealed.tolist()):
+            solutions[i] = rs_solver._Solved(0, 0.0, 0, pressure, True)
     rows = [i for i in range(P) if results[i] is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
     # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
     overlaps = np.zeros((len(rows), K))
     for j, i in enumerate(rows):
-        if reads_q[i]:
-            overlaps[j] = nested[i].q
+        overlaps[j] = solutions[i].q
     aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
         if use_witness[i]:
             aux[j] = witness[i]
-        else:
+        elif K > 1:
+            # A single layer has no bond to relate.
             results[i] = errors[j]
     kept = [j for j, i in enumerate(rows) if results[i] is None]
     if not kept:
@@ -336,28 +335,17 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
     rows = [rows[j] for j in kept]
     stack, aux, overlaps = stack.take(rows), aux[kept], overlaps[kept]
     theta_sq = _theta_sq_from_aux(aux, stack)
-    # By the bridge identity the bound at weights related to q is the
-    # pressure at q, and each layer's test at m = 2 theta_p^2 q_p = (Mq)_p
-    # is that of the consistency solution.
-    values = [nested[i].pressure if reads_q[i] else None for i in rows]
-    certified = [nested[i].stable if reads_q[i] else None for i in rows]
-    at_witness = [j for j, i in enumerate(rows) if not reads_q[i]]
-    if at_witness:
-        points = stack.take(at_witness)
-        for j, value, ok in zip(
-                at_witness,
-                _functional_values(points, theta_sq[at_witness],
-                                   overlaps[at_witness]),
-                _certified(points, theta_sq[at_witness],
-                           overlaps[at_witness])):
-            values[j], certified[j] = value, ok
     suspect = np.any(np.abs(np.log(aux)) > _SUSPECT_WIDTH, axis=1).tolist()
     theta = np.sqrt(theta_sq)
     stationarity = np.max(np.abs(_matching_defect(aux, stack.lam, overlaps)),
                           axis=1, initial=0.0).tolist()
+    # By the bridge identity the bound at weights related to q is the
+    # pressure at q, and each layer's test at m = 2 theta_p^2 q_p = (Mq)_p
+    # is that of the consistency solution.
     for j, i in enumerate(rows):
         results[i] = BoundResult(
-            a=aux[j], value=values[j], certified=certified[j],
+            a=aux[j], value=solutions[i].pressure,
+            certified=solutions[i].stable,
             boundary_suspect=suspect[j], theta=theta[j],
             overlaps=overlaps[j], stationarity=stationarity[j])
     return results
@@ -376,24 +364,26 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
 
     * the annealed-region witness when every field is zero and the model
       lies strictly inside the annealed region, where ``q = 0`` is the only
-      consistency solution, and for a single layer, where the witness is
-      the empty vector, the only weights there are;
+      consistency solution (for a single layer the witness is the empty
+      vector, the only weights there are);
     * otherwise ``related_aux(q)`` for the largest consistency solution
       ``q``, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
-      with its :class:`rs_solver.SolverError` when it fails.
+      with its :class:`rs_solver.SolverError` when it fails.  A single
+      layer has no bond to relate, and the weights are again empty.
 
-    The surrogate overlaps are read off with no scalar solve: ``q`` at
-    related weights and for a single layer, 0 at the witness, where every
-    layer has ``2 theta_p^2 <= 1`` up to rounding.  At related weights and
-    for a single layer the value and the certificate are read off too: by
-    the bridge identity (:func:`bridge_check`) the bound there is the
-    replica-symmetric pressure at ``q``, the ``pressure`` of
-    :func:`rs_solver.solve_nested` bit for bit, and each layer's validity
-    test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is the solution's de
-    Almeida--Thouless test, which ``solve_nested`` reports as ``at_ok``
-    when every layer has Gaussian variance.  So the bound costs the
-    kernel calls of that solve and no more.  At the witness the value and
-    the certificate take one kernel call each.
+    The surrogate overlaps, the value and the certificate are read off the
+    consistency solution with no scalar solve and no kernel call: every
+    layer's surrogate overlap is ``q_p``, by the bridge identity
+    (:func:`bridge_check`) the bound is the replica-symmetric pressure at
+    ``q``, the ``pressure`` of :func:`rs_solver.solve_nested` bit for bit,
+    and each layer's validity test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is
+    the solution's de Almeida--Thouless test, which ``solve_nested``
+    reports as ``at_ok`` when every layer has Gaussian variance.  So the
+    bound costs the kernel calls of that solve and no more.  At the
+    witness, where every layer has ``2 theta_p^2 <= 1`` up to rounding,
+    ``q = 0`` is not solved for: the value is ``machine.annealed_pressure``
+    bit for bit, the test reads ``0 <= 0``, and the bound makes no kernel
+    call.
 
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related

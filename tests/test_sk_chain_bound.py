@@ -1,4 +1,5 @@
 """Tests for the variational chain bound: temperatures, functional, optimizer, bridge."""
+import collections
 import json
 import math
 
@@ -18,7 +19,7 @@ from dbmlab.sk_chain_bound import (
     related_aux,
 )
 
-from helpers import random_params
+from helpers import random_lambda, random_params
 from oracles import interaction_image, trapezoid_inv_cosh4, trapezoid_log_cosh
 
 
@@ -38,9 +39,9 @@ def evaluate_at(a, params):
     of the bound's evaluation."""
     stack = rs_solver._Stack([params])
     theta_sq = sk_chain_bound._theta_sq_from_aux(a, params)[None]
-    values, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
-    certified = bool(converged[0]) and sk_chain_bound._certified(
-        stack, theta_sq, overlaps)[0]
+    values, overlaps, converged, stable = sk_chain_bound._evaluate(stack,
+                                                                  theta_sq)
+    certified = bool(converged[0] and stable[0])
     return values[0], overlaps[0], theta_sq[0], bool(converged[0]), certified
 
 
@@ -170,6 +171,33 @@ def test_functional_unconverged_layer_solve_is_uncertified(monkeypatch):
     value, certified = p_dbm_functional(a, params)
     assert math.isfinite(value)
     assert certified is False
+
+
+def test_functional_certificate_equals_the_one_model_at_oracle_property():
+    # Each layer's 1 x 1 Newton row returns m = 2 theta^2 x and E cosh^-4
+    # at its root, which the certificate reads; the oracle evaluates the
+    # scalar AT test m E cosh^-4 <= x on the one model with its own kernel
+    # call.  Zero, Gaussian and mixed centred chains at random weights.
+    rng = np.random.default_rng(47)
+    outcomes = set()
+    for i in range(240):
+        kind = ("zero", "gaussian", "mixed")[i % 3]
+        K = int(rng.integers(1, 7))
+        variances = {"zero": np.zeros(K),
+                     "gaussian": rng.uniform(0.01, 2.0, K),
+                     "mixed": rng.choice([0.0, 0.05, 0.5], K)}[kind]
+        params = make(K, rng.uniform(0.2, 2.5, K - 1),
+                      random_lambda(rng, K, floor=0.02),
+                      [FieldSpec.gaussian(v) for v in variances])
+        a = np.exp(rng.uniform(-2.0, 2.0, K - 1))
+        _, overlaps, theta_sq, converged, _ = evaluate_at(a, params)
+        m = 2.0 * theta_sq * overlaps
+        oracle = converged and bool(np.all(
+            m * ghquad.expect(INV_COSH4, m, params.fields) <= overlaps))
+        assert p_dbm_functional(a, params)[1] is oracle
+        outcomes.add((kind, oracle))
+    assert outcomes == {(kind, ok) for kind in ("zero", "gaussian", "mixed")
+                        for ok in (True, False)}
 
 
 def test_functional_rejects_unsupported_fields():
@@ -307,9 +335,9 @@ def test_at_test_holds_below_the_high_temperature_line(layers):
     fields = tuple(FieldSpec.gaussian(v) for _, v in layers)
     K = len(fields)
     stack = rs_solver._Stack([make(K, (1.0,) * (K - 1), (1 / K,) * K, fields)])
-    _, overlaps, converged = sk_chain_bound._evaluate(stack, theta_sq)
+    _, _, converged, stable = sk_chain_bound._evaluate(stack, theta_sq)
     assert converged.all()
-    assert sk_chain_bound._certified(stack, theta_sq, overlaps) == [True]
+    assert stable.tolist() == [True]
 
 
 def test_maximize_certification_rederivable_from_checks():
@@ -414,8 +442,8 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
                                    atol=1e-12)
         assert warm.value == pytest.approx(value, rel=0.0, abs=1e-12)
         assert warm.certified == certified
-    # The cold side skips the certificate's call; the warm solves save more.
-    assert calls["warm"] < calls["cold"]
+    # The warm side reads everything off the solution, with no kernel call.
+    assert calls["warm"] == 0 < calls["cold"]
 
 
 def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
@@ -507,23 +535,44 @@ def test_bound_reads_its_value_and_certificate_off_the_consistency_solution(
     assert outcomes == {(True, True), (True, False), (False, False)}
 
 
-def test_witness_overlaps_are_exactly_zero():
+def test_witness_overlaps_are_exactly_zero(monkeypatch):
     # The annealed witness puts every layer at 2 theta_p^2 = 1 up to
     # rounding.  Where the float 2 theta_p^2 lands an ulp above 1 the
     # zero-field root is about 1e-16; the bound reports exactly 0 there, not
     # the artefact near 1e-13 at which a scalar solve with tolerance 1e-13
-    # stops.
+    # stops.  With zero fields and rho < 1, q = 0 is the only consistency
+    # solution: the bound takes it as it is, with the annealed pressure bit
+    # for bit and no kernel call or Newton solve.
+    calls = collections.Counter()
+    expect, newton = ghquad.expect, rs_solver._newton
+
+    def counting_expect(f, s, fields):
+        calls["expect"] += 1
+        return expect(f, s, fields)
+
+    def counting_newton(M, table, tol):
+        calls["newton"] += 1
+        return newton(M, table, tol)
+
     rng = np.random.default_rng(5)
     above = 0
+    sizes = set()
     for _ in range(150):
-        params, verdict = inside_zero_field_params(rng, k_range=(2, 8))
+        params, verdict = inside_zero_field_params(rng, k_range=(1, 8))
+        sizes.add(params.K)
         theta_sq = sk_chain_bound._theta_sq_from_aux(
             np.array(verdict.feasible_a), params)
         above += bool(np.any(2.0 * theta_sq > 1.0))
+        monkeypatch.setattr(ghquad, "expect", counting_expect)
+        monkeypatch.setattr(rs_solver, "_newton", counting_newton)
         result = maximize_bound(params)
+        monkeypatch.undo()
         assert result.overlaps.tolist() == [0.0] * params.K
         assert result.certified is True
-        assert abs(result.value - machine.annealed_pressure(params)) <= 4.4e-16
+        assert (np.float64(result.value).tobytes()
+                == np.float64(machine.annealed_pressure(params)).tobytes())
+    assert calls == {}
+    assert sizes == set(range(1, 9))
     assert above >= 40
 
 

@@ -64,18 +64,6 @@ def _one_model_pressure(q, params):
             + machine.interaction_half_quadratic(params, 1.0 - q))
 
 
-def _one_model_bound(bound, params):
-    """The split bound at a result's weights and overlaps by the one-model
-    products."""
-    theta_sq = sk_chain_bound._theta_sq_from_aux(bound.a, params)
-    layers = math.log(2.0) + ghquad.expect(
-        ghquad.LOG_COSH, 2.0 * bound.overlaps * theta_sq, params.fields)
-    layers += 0.5 * theta_sq * (1.0 - bound.overlaps) ** 2
-    value = float(np.dot(params.lam, layers))
-    value -= 0.5 * float(np.dot(params.lam, theta_sq))
-    return value + machine.interaction_half_quadratic(params, np.ones(params.K))
-
-
 def _solo(call, *args, **kwargs):
     try:
         return call(*args, **kwargs)
@@ -103,13 +91,13 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
             if isinstance(bound, Exception):
                 continue
-            # Related weights and a single layer read the bound off the
-            # consistency solution; the witness evaluates it at overlaps 0.
-            if params.K == 1 or np.any(bound.overlaps > 0.0):
+            # Every point reads the bound off its consistency solution; at
+            # the witness that is q = 0, whose pressure is the annealed one.
+            if params.zero_fields and not np.any(bound.overlaps > 0.0):
+                assert bound.value == machine.annealed_pressure(params)
+            else:
                 assert bound.value == _one_model_pressure(bound.overlaps,
                                                           params)
-            else:
-                assert bound.value == _one_model_bound(bound, params)
 
 
 def test_the_special_points_fail_as_their_solo_runs_do():
@@ -313,7 +301,11 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
             if bound is not None and not bound["certified"]:
                 flags.append("uncertified")
             assert row["flags"] == ";".join(flags)
-            witness += params.zero_fields and row["verdict"] == "inside"
+            if params.zero_fields and row["verdict"] == "inside":
+                # The witness: the bound is the annealed pressure exactly.
+                witness += 1
+                assert bound["annealed_gap"] == 0.0
+                assert bound["value"] == bound["p_annealed"]
         assert related > 0
         if name == "zero":
             assert 0 < witness < len(rows)
