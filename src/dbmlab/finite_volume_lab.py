@@ -10,7 +10,9 @@ region.
 
 The layered chain is bipartite: given the even-indexed layers, the spins
 of the odd-indexed layers are independent, and vice versa.  Exact
-enumeration uses that to sum one parity class of layers in closed form.
+enumeration uses that to sum one parity class of layers in closed form; of
+the other class's configurations it computes half, and reads the other
+half off them as their flips.
 A disorder sample is always a stack: a :class:`DisorderSample` holds
 consecutive samples along a leading array axis, one sample being a stack of
 one, and :func:`sample_disorder` is the one function that draws them.  All
@@ -21,7 +23,9 @@ SciPy's special functions are imported inside the two Monte Carlo
 functions that use them (:func:`_drift_detected` and the tempering sweep),
 so the commands that never run the Monte Carlo estimator start without
 loading SciPy; enumeration takes its ``logsumexp`` from :func:`_logsumexp`,
-a NumPy transcription of SciPy's algorithm with the same bits.
+a NumPy transcription of SciPy's algorithm with the same bits.  The Monte
+Carlo's heat-bath and swap tests take NumPy's vectorised ``exp`` and
+``log``, and SciPy's ``expit`` and libm's ``log`` only near a threshold.
 
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
@@ -71,7 +75,14 @@ _CHUNK_ENTRIES = 1 << 18
 _DRIFT_BATCHES = 10
 _DRIFT_LEVEL = 0.01
 
-# Element by element through math.log, for the tempering swap test.
+# NumPy's exp and log decide a heat-bath or swap test where the tested
+# quantity is further than this, relative to its size, from the threshold:
+# thousands of ulps wider than their rounding and that of the arithmetic
+# between.  SciPy's expit and libm's log, which a single chain's scalar
+# tests take, decide the rest, so every decision is the scalar one.
+_MARGIN = 2.0 ** -40
+
+# Element by element through math.log, for swap tests within the margin.
 _libm_log = np.vectorize(math.log, otypes=[float])
 
 
@@ -357,6 +368,20 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(np.sum(shifted, axis=-1) / m) + np.log(m) + top[..., 0]
 
 
+def _log_cosh_sum(local: np.ndarray) -> np.ndarray:
+    """``sum log 2 cosh g`` over the last axis of ``local``, overwritten.
+
+    Each term is ``|g| + log1p(exp(-2|g|))``; the soft parts take one more
+    array of ``local``'s shape.
+    """
+    np.abs(local, out=local)
+    soft = np.multiply(local, -2.0)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    soft += local
+    return np.sum(soft, axis=-1)
+
+
 def log_partition(sample: DisorderSample, params: ModelParams):
     """Exact ``log Z``: enumerate one parity class of layers, sum the other.
 
@@ -368,11 +393,18 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     with the cap of ``N <= 24`` spins there are at most ``2^12`` rows.  The
     enumerated spins enter linearly, through their own fields and the local
     fields of the summed spins, so all rows come from one product of the
-    configuration table with a matrix.  A stack of ``D`` samples takes one
-    such product per sample and one :func:`_logsumexp` call over all its
-    rows, and gives an array of ``D`` values.  Its working set is three
-    tables of the product's shape: the product, the local fields and their
-    ``log1p(exp(-2|g|))`` terms, each computed in place.
+    configuration table with a matrix.  Flipping every enumerated spin
+    negates a row of that product, and the table's second half holds the
+    flips of its first half in reverse order, so only the first half is
+    multiplied: a flipped row's local fields are ``h - row`` and its field
+    term is ``-row[0]``.  Where the summed spins have no fields, the flipped
+    rows' ``log 2 cosh`` sums are the rows' own and are not computed again.
+    The rows reach :func:`_logsumexp` in table order, so the values have the
+    bits of the whole table's.  A stack of ``D`` samples takes one such
+    product per sample and one :func:`_logsumexp` call over all its rows,
+    and gives an array of ``D`` values.  Its working set is three arrays of
+    the half product's shape, about one and a half tables: the product, and
+    one half's local fields and their ``log1p(exp(-2|g|))`` terms at a time.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -407,25 +439,33 @@ def log_partition(sample: DisorderSample, params: ModelParams):
             r = slice(rows[(p + 1) // 2], rows[(p + 1) // 2 + 1])
             linear[..., r, c] = ((scale * params.beta[p])
                                  * np.swapaxes(sample.couplings[p], -1, -2))
-    table = _spin_table(rows[-1]) @ linear
+    # Row 2^r - 1 - c of the table is the flip of row c, and flipping every
+    # enumerated spin negates its row of the product.  flips holds the rows
+    # whose flips are the second half, reversed; a one-row table (no
+    # enumerated spins) has no second half.
+    table = _spin_table(rows[-1])
+    half = table[:(len(table) + 1) // 2] @ linear
+    flips = half[..., :len(table) // 2, :]
     summed_fields = np.concatenate([sample.fields[p] for p in summed], axis=-1)
-    local = table[..., 1:] + summed_fields[..., None, :]
-    np.abs(local, out=local)
-    soft = np.multiply(local, -2.0)
-    np.exp(soft, out=soft)
-    np.log1p(soft, out=soft)
-    soft += local
-    return _logsumexp(table[..., 0] + np.sum(soft, axis=-1))
+    up = _log_cosh_sum(half[..., 1:] + summed_fields[..., None, :])
+    if summed_fields.any():
+        down = _log_cosh_sum(summed_fields[..., None, :] - flips[..., 1:])
+    else:
+        # |-g| = |g|: without fields the flipped rows' terms are the rows'.
+        down = up[..., :flips.shape[-2]]
+    return _logsumexp(np.concatenate((half[..., 0] + up,
+                                      (down - flips[..., 0])[..., ::-1]), axis=-1))
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
                    n_disorder: int = 200, seed: int = 0) -> PressureEstimate:
     """Quenched pressure by full enumeration over seeded disorder samples.
 
-    The samples are enumerated a stack at a time; a stack's working entries
-    are three times the entries of :func:`log_partition`'s configuration
-    table (the table, its local fields and their soft terms), so the
-    largest systems go one sample per stack.
+    The samples are enumerated a stack at a time.  A stack is budgeted three
+    times the entries of :func:`log_partition`'s configuration table per
+    sample, twice what enumeration now holds at once (three arrays of half
+    a table), so the largest systems go one sample per stack: stacking more
+    samples at ``N = 24`` measured no faster.
     """
     if assignment.N > EXACT_SPIN_CAP:
         raise ValueError(
@@ -504,9 +544,12 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
     coupled[p]`` taken after layer ``p`` updates is both the left part of
     layer ``p + 1``'s coupling field and, contracted with the updated layer
     ``p + 1``, bond ``p``'s share of ``-H``.  Each layer's field array is
-    scaled, shifted, mapped and tested in place, and holds the new spins
-    before they are written to the layer.  Returns ``-H`` per sample and
-    rung, shape ``(D, R)``.
+    scaled and shifted in place to the argument ``x``.  The heat-bath test
+    ``u < expit(x)`` is taken as the sign of ``1 - u (1 + exp(-x))``, with
+    NumPy's vectorised ``exp``, and written to the layer as the new spin;
+    SciPy's ``expit`` and the comparison decide the tests within
+    :data:`_MARGIN` of 0 and the NaN ones, so every spin is the one
+    ``expit`` gives.  Returns ``-H`` per sample and rung, shape ``(D, R)``.
     """
     # Imported here, not at module level, so that only the Monte Carlo
     # estimator loads SciPy.
@@ -531,16 +574,43 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
         local *= slope
         if fields2 is not None:
             local += fields2[p]
-        expit(local, out=local)
-        # The spins in local first: the layer is a strided view of states.
-        np.less(uniforms, local, out=local)
-        local *= 2.0
-        np.subtract(local, 1.0, out=layer)
+        # u < expit(x) exactly when 1 - u (1 + exp(-x)) > 0.  The test is
+        # NaN where u = 0 and exp(-x) overflows, and fails the margin.
+        test = np.negative(local)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(test, out=test)
+            test += 1.0
+            test *= uniforms
+        np.subtract(1.0, test, out=test)
+        np.copysign(1.0, test, out=layer)
+        np.abs(test, out=test)
+        sure = test > _MARGIN
+        if not sure.all():
+            unsure = ~sure
+            layer[unsure] = np.where(uniforms[unsure] < expit(local[unsure]),
+                                     1.0, -1.0)
         if p > 0:
             gain += np.einsum("dri,dri->dr", below, layer)
         if p < K - 1:
             below = layer @ coupled[p]
     return gain
+
+
+def _log_below(u: np.ndarray, log_u: np.ndarray, near: np.ndarray,
+               threshold: np.ndarray) -> np.ndarray:
+    """Whether libm's ``log(u) < threshold``, entry by entry.
+
+    ``log_u`` is NumPy's ``log(u)`` and ``near`` is ``_MARGIN * |log_u|``.
+    NumPy's log may round differently from libm's in the last places, so it
+    decides only where it is further than ``near`` from the threshold, and
+    libm's log, as a single chain's scalar swap test takes it, decides the
+    rest.
+    """
+    below = log_u < threshold
+    unsure = np.abs(log_u - threshold) <= near
+    if unsure.any():
+        below[unsure] = _libm_log(u[unsure]) < threshold[unsure]
+    return below
 
 
 def mc_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -565,7 +635,8 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     :data:`_CHUNK_ENTRIES` entries for the stack (two sweeps at least):
     one call per sample fills its row of a buffer allocated once per stack,
     with the uniforms its sweeps would draw one by one, and the swap tests
-    of the block take their logarithms in one call.  A
+    of the block take NumPy's logarithms in one call (libm's near a
+    threshold, see :func:`_log_below`).  A
     ``nonequilibrated`` flag is attached when :func:`_drift_detected`
     finds a drift in any rung's recorded energy series.
     """
@@ -629,11 +700,11 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
             for d, gen in enumerate(gens):
                 gen.random(out=rows[d, :filled])
             used = draws[:, :(count + 1) // 2]
-            # libm's log, as a single chain's scalar test takes it: NumPy's
-            # vectorised log may round differently in the last place.
-            log_u = _libm_log(np.maximum(np.concatenate(
+            swap_u = np.maximum(np.concatenate(
                 (used[..., R * N:width[0]], used[..., width[0] + R * N:]),
-                axis=-1), 1e-300))
+                axis=-1), 1e-300)
+            log_u = np.log(swap_u)
+            near = _MARGIN * np.abs(log_u)
             for sweep in range(first, first + count):
                 parity, k = sweep % 2, (sweep - first) // 2
                 offset = parity * width[0]
@@ -641,7 +712,9 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
                                         draws[:, k, offset:offset + width[parity]])
                 pairs = lo[parity]
                 log_accept = gap[parity] * (gain[:, pairs] - gain[:, pairs + 1])
-                d, r = np.nonzero(log_u[:, k, swap_cut[parity]] < log_accept)
+                cut = swap_cut[parity]
+                d, r = np.nonzero(_log_below(swap_u[:, k, cut], log_u[:, k, cut],
+                                             near[:, k, cut], log_accept))
                 if d.size:
                     # Each accepted pair (r, r + 1) trades places: one gather
                     # and one scatter per array.  Pairs of a sweep share no

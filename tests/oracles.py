@@ -329,6 +329,51 @@ def bruteforce_log_partition(layer_index: np.ndarray, beta, couplings, fields_h)
     return float(m + np.log(np.sum(np.exp(energy - m))))
 
 
+def full_table_log_partition(sample, params) -> np.ndarray:
+    """``log Z`` per sample of a stack from the whole configuration table.
+
+    The enumeration ``finite_volume_lab.log_partition`` did before it read
+    half the table: every row of the smaller parity class's configuration
+    table goes through the product with the linear map, and every row's
+    local fields through ``log 2 cosh``.  ``log_partition`` must give these
+    bits.
+    """
+    from dbmlab.finite_volume_lab import _logsumexp, _spin_table
+
+    sizes = sample.assignment.sizes
+    N = sample.assignment.N
+    K = len(sizes)
+    if K == 1:
+        h = sample.fields[0]
+        return np.sum(np.logaddexp(h, -h), axis=-1)
+    scale = math.sqrt(2.0 / N)
+    first = 0 if sum(sizes[0::2]) <= sum(sizes[1::2]) else 1
+    enumerated = range(first, K, 2)
+    summed = range(1 - first, K, 2)
+    rows = np.cumsum((0,) + tuple(sizes[p] for p in enumerated))
+    cols = np.cumsum((1,) + tuple(sizes[p] for p in summed))
+    linear = np.zeros((len(sample.fields[0]), rows[-1], cols[-1]))
+    linear[..., 0] = np.concatenate([sample.fields[p] for p in enumerated], axis=-1)
+    for p in summed:
+        c = slice(cols[p // 2], cols[p // 2 + 1])
+        if p > 0:
+            r = slice(rows[(p - 1) // 2], rows[(p - 1) // 2 + 1])
+            linear[..., r, c] = (scale * params.beta[p - 1]) * sample.couplings[p - 1]
+        if p < K - 1:
+            r = slice(rows[(p + 1) // 2], rows[(p + 1) // 2 + 1])
+            linear[..., r, c] = ((scale * params.beta[p])
+                                 * np.swapaxes(sample.couplings[p], -1, -2))
+    table = _spin_table(rows[-1]) @ linear
+    summed_fields = np.concatenate([sample.fields[p] for p in summed], axis=-1)
+    local = table[..., 1:] + summed_fields[..., None, :]
+    np.abs(local, out=local)
+    soft = np.multiply(local, -2.0)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    soft += local
+    return _logsumexp(table[..., 0] + np.sum(soft, axis=-1))
+
+
 def interaction_image(params, q) -> np.ndarray:
     """(Mq)_p from the chain formula, independent of the matrix builder:
 

@@ -24,8 +24,8 @@ from dbmlab.finite_volume_lab import (
 from dbmlab.machine import FieldSpec, ModelParams
 
 from helpers import random_field
-from oracles import (all_spin_configs, bruteforce_log_partition, per_sample_mc_pressure,
-                     reference_disorder)
+from oracles import (_sample_tempering_sweep, all_spin_configs, bruteforce_log_partition,
+                     full_table_log_partition, per_sample_mc_pressure, reference_disorder)
 
 LOG2 = math.log(2.0)
 
@@ -300,6 +300,39 @@ def test_log_partition_matches_fsum_enumeration(sizes):
     assert log_partition(stack, params).tolist() == singles
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_FIELD_KINDS)),
+                       min_size=1, max_size=6)
+       .filter(lambda ls: 0 < sum(n for n, _ in ls) <= fvl.EXACT_SPIN_CAP),
+       field_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       width=st.integers(1, 3))
+# Enumerated classes of no spins: a one-row table, whose flip is itself.
+@example(layers=[(0, "gaussian"), (5, "zero")], field_seed=0, seed=1, width=2)
+@example(layers=[(0, "zero"), (5, "discrete"), (0, "point_mass")], field_seed=1,
+         seed=2, width=1)
+@example(layers=[(4, "point_mass"), (0, "gaussian"), (3, "zero")], field_seed=2,
+         seed=3, width=3)
+# The largest tables, with and without fields.
+@example(layers=[(6, "zero"), (12, "zero"), (6, "zero")], field_seed=3, seed=4,
+         width=2)
+@example(layers=[(12, "gaussian"), (12, "discrete")], field_seed=4, seed=5, width=1)
+def test_log_partition_has_the_bits_of_the_full_table_property(layers, field_seed,
+                                                               seed, width):
+    # Enumeration multiplies half the configuration table and reads the other
+    # half's rows off it as their flips; every value keeps the bits of the
+    # whole table's product and reductions.
+    rng = np.random.default_rng(field_seed)
+    sizes = tuple(n for n, _ in layers)
+    K = len(sizes)
+    params = make(K, rng.uniform(0.2, 1.5, K - 1), (1.0 / K,) * K,
+                  [random_field(rng, kind) for _, kind in layers])
+    stack = sample_disorder(LayerAssignment(sizes), params, seed, 0, width)
+    got = log_partition(stack, params)
+    want = full_table_log_partition(stack, params)
+    assert got.shape == (width,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_logsumexp_has_the_bits_of_scipy():
     scipy = pytest.importorskip("scipy")
     from scipy.special import logsumexp
@@ -508,6 +541,90 @@ def test_mc_sweep_gain_is_minus_hamiltonian():
                 sample = sample_disorder(assignment, params, seed=9, index=d)
                 np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params)[0],
                                            rtol=0.0, atol=1e-13)
+
+
+def _heat_bath_boundary_case():
+    """A two-layer sweep whose layer-0 uniforms sit on the heat-bath threshold.
+
+    Layer 0's first spins have no couplings, so their argument ``x`` is their
+    doubled field exactly, in the package and in the per-sample oracle.
+    Their fields run over moderate values, ``x < -710`` (where ``exp(-x)``
+    overflows) and ``x`` past ``+-745`` (where ``expit`` is 0 or 1).  At rung
+    0 each uniform is SciPy's ``expit(x)``, at rungs 1 and 2 its neighbours
+    one ulp down and up, and at rung 3 it is 0.  The last spins of layer 0
+    and all of layer 1 are coupled, with random uniforms, so the gains are
+    not trivial.
+    """
+    from scipy.special import expit
+
+    rng = np.random.default_rng(29)
+    D, R, free, bound, n1 = 2, 4, 30, 3, 4
+    x = np.concatenate([np.linspace(-40.0, 40.0, free - 6),
+                        [-720.0, -745.5, -746.0, 745.5, 746.0, 800.0]])
+    x = np.stack([x, rng.permutation(x)])
+    fields2 = [np.concatenate([x, rng.normal(0.0, 1.0, (D, bound))], axis=1)[:, None, :],
+               rng.normal(0.0, 1.0, (D, 1, n1))]
+    sizes = (free + bound, n1)
+    N = sum(sizes)
+    coupled = [rng.normal(0.0, 0.3, (D, sizes[0], n1))]
+    coupled[0][:, :free] = 0.0
+    coupled_t = [np.ascontiguousarray(coupled[0].transpose(0, 2, 1))]
+    slope = (2.0 * np.linspace(0.2, 1.0, R))[:, None]
+    on = expit(x)
+    u0 = np.stack([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0), np.zeros_like(on)],
+                  axis=1)
+    draws = rng.random((D, R * N))
+    first = draws[:, :R * sizes[0]].reshape(D, R, sizes[0])
+    first[:, :, :free] = u0
+    states = rng.choice((-1.0, 1.0), size=(D, R, N))
+    return sizes, states, coupled, coupled_t, slope, fields2, draws
+
+
+def _heat_bath_sweeps(sizes, states, coupled, coupled_t, slope, fields2, draws):
+    """The package's spins and gains, and the per-sample oracle's."""
+    bounds = np.cumsum((0,) + sizes)
+    pkg = states.copy()
+    gain = fvl._tempering_sweep([pkg[:, :, bounds[p]:bounds[p + 1]] for p in range(2)],
+                                coupled, coupled_t, slope, fields2, draws)
+    ref = states.copy()
+    ref_gain = np.stack([
+        _sample_tempering_sweep([ref[d, :, bounds[p]:bounds[p + 1]] for p in range(2)],
+                                [coupled[0][d]], slope, [f[d] for f in fields2], draws[d])
+        for d in range(len(states))])
+    return pkg, gain, ref, ref_gain
+
+
+def test_heat_bath_decides_as_scipy_expit_on_its_threshold(monkeypatch):
+    case = _heat_bath_boundary_case()
+    free = 30
+    pkg, gain, ref, ref_gain = _heat_bath_sweeps(*case)
+    assert pkg.tobytes() == ref.tobytes()
+    assert gain.tobytes() == ref_gain.tobytes()
+    # The oracle sets a spin up at u = expit(x) one ulp down and never at
+    # expit(x) itself, so the cases hold both answers.
+    assert np.all(ref[:, 1, :free] >= ref[:, 0, :free])
+    assert np.any(ref[:, 1, :free] != ref[:, 0, :free])
+    # Negative control: with no margin NumPy's exp decides every test but
+    # the NaN ones, and the boundary cases are no longer the oracle's.
+    monkeypatch.setattr(fvl, "_MARGIN", -math.inf)
+    bypassed, _, ref, _ = _heat_bath_sweeps(*case)
+    assert np.count_nonzero(bypassed != ref) > 0
+
+
+def test_swap_test_decides_as_libm_log_on_its_threshold():
+    rng = np.random.default_rng(30)
+    u = np.concatenate([rng.random(4000), [1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+    libm = np.array([math.log(v) for v in u])
+    log_u = np.log(u)
+    near = fvl._MARGIN * np.abs(log_u)
+    for threshold in (libm, np.nextafter(libm, -np.inf), np.nextafter(libm, 0.0), log_u):
+        assert np.array_equal(fvl._log_below(u, log_u, near, threshold), libm < threshold)
+    # Negative control, where NumPy's log rounds below libm's somewhere: with
+    # no margin it decides alone, and accepts at libm's own log.
+    if not np.any(log_u < libm):
+        pytest.skip("NumPy's log is never below libm's on these uniforms here")
+    bypassed = fvl._log_below(u, log_u, np.full_like(near, -1.0), libm)
+    assert np.any(bypassed != (libm < libm))
 
 
 STACKED_CASES = {
