@@ -26,8 +26,18 @@ exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  So
 keeps the spacing in ``y`` at most the default's at ``s + v = 25``.  ``k``
 is capped at 6 (23041 nodes), so the kernels stay at machine accuracy
 through ``s + v <= ACCURATE_VARIANCE = 102400``; beyond it the largest rule
-is used.  Every rule satisfies the :class:`QuadratureRule` contract
-(positive weights summing to one, symmetric nodes).
+is used.  Machine accuracy means errors of a few units in the last place:
+against 30-digit references on the kernels' inputs of the benchmark's
+``scan-bound`` and ``query-mix`` streams (``s + v`` up to 4.3), the mean
+absolute error is 2.6e-17 to 4.6e-17 for each kernel and the largest is
+2.5e-16.
+
+Every rule satisfies the :class:`QuadratureRule` contract: positive
+weights that sum to one, within rounding, and nodes and weights that are
+exactly symmetric, ``nodes == -nodes[::-1]`` and ``weights ==
+weights[::-1]``, with a node at exactly 0 for odd orders.  So a rule
+carries its half on the non-negative nodes, :attr:`QuadratureRule.folded`,
+which gives the same integral of an even function from half the nodes.
 
 Layered calls
 -------------
@@ -37,19 +47,28 @@ of variances and one field per layer and evaluates every layer in one
 call: the atoms of all fields go into ``(atoms, nodes)`` arrays, atoms
 grouped by the rule their layer's total variance picks, in blocks bounded
 by entries: at most ``_BLOCK_ENTRIES`` (8192) atom-node entries per
-kernel row, or one atom when its rule alone has more nodes.  Arrays of that
+kernel row, or one atom when its nodes alone are more.  Arrays of that
 size (64 KiB per row) stay on the C allocator's heap, which the next block
 and the next call reuse, where larger ones are mapped from the operating
 system and faulted in afresh every time.  Each atom's node sum is its own
 dot product, so a layer's value is bit for bit that of the one-layer call,
-whatever else shares the call or however the atoms are blocked.  When
-every atom of a call is 0 (zero and centred Gaussian fields), the call
-skips adding the atoms to the nodes: that would add 0.0, which changes no
-bit but turns ``-0.0`` into ``0.0``, where every kernel agrees.  A float
-``s`` with one field is the one-layer case of the same body.  The fields'
-atoms are laid out as arrays in a :class:`FieldTable`; a solver that
-evaluates the same layers at every step builds it once and passes it in
-place of the fields.
+whatever else shares the call or however the atoms are blocked.
+
+Every kernel is even, so an atom at exactly 0 (every atom of a zero or
+centred Gaussian field) has an even integrand in ``z``.  Such an atom is
+evaluated on its rule's folded half only: the weight of node 0 kept and
+every other weight doubled, which is exact in floats.  So it costs half
+the entries, half the kernel pass and half the dot product of a shifted
+atom, and a block holds twice as many of them; nothing is added to its
+nodes.  Whether an atom folds depends on that atom alone, so the bits of a
+layer still do not depend on the other layers.  The fields' atoms are laid
+out as arrays in a :class:`FieldTable`, which also holds the order that
+puts the folded atoms before the shifted ones (:attr:`FieldTable.folds`);
+a solver that evaluates the same layers at every step builds it once and
+passes it in place of the fields.  Blocks are slices of that order.  A
+call whose atoms all fold, or all do not, is in it already; a mixed call
+pays one gather into it and one out.  A float ``s`` with one field is the
+one-layer case of the same body.
 
 Derivatives in the variance
 ---------------------------
@@ -109,6 +128,18 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
 
+    @functools.cached_property
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, weights)`` of the rule folded onto its non-negative
+        nodes for even integrands: the weight of node 0 kept and each
+        other weight doubled.  The sum is the rule's own when its nodes
+        and weights are exactly symmetric."""
+        half = self.order // 2
+        weights = 2.0 * self.weights[half:]
+        if self.order % 2:
+            weights[0] = self.weights[half]
+        return self.nodes[half:], weights
+
 
 def logcosh(y):
     """Overflow-safe ``log cosh y = |y| + log1p(e^(-2|y|)) - log 2``.
@@ -165,15 +196,23 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     Geometrically convergent inside the integrand's analyticity strip, which
     makes it the accurate choice for ``tanh^2`` / ``log cosh`` / ``cosh^-4``
     kernels up to large variance; the default ``order`` keeps those kernels
-    at ~1e-13 absolute accuracy through total variance 25.
+    at machine accuracy (see the module docstring) through total variance
+    25.  The nodes are exactly symmetric and the weights are normalised to
+    sum to one, within rounding.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.ones(1), order=1)
-    nodes = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, order)
+    # Mirrored equispaced nodes: each moves by at most an ulp of the
+    # half-width, and nodes == -nodes[::-1] holds exactly, with the centre
+    # node 0 for odd orders.
+    ends = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, order)
+    nodes = 0.5 * (ends - ends[::-1])
     weights = np.exp(-0.5 * nodes * nodes)
-    weights = weights / weights.sum()
+    # Divided by their correctly rounded sum, then each corrected by its
+    # share of the exact sum's remaining error: the exact sum lands within
+    # about 4e-17 of one, where the division alone leaves up to 7e-17.
+    weights /= math.fsum(weights)
+    weights -= weights * math.fsum(np.append(weights, -1.0))
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
 
@@ -242,6 +281,22 @@ class FieldTable:
         """Per layer, whether every atom is 0 (:attr:`FieldSpec.is_centred`)."""
         return np.logical_and.reduceat(self.shifts == 0.0, self.starts)
 
+    @functools.cached_property
+    def folds(self) -> tuple:
+        """``(count, order, inverse)``: ``count`` atoms are at exactly 0,
+        whose integrands :func:`expect` folds; ``order`` lists the atoms
+        with those first and the rest after, each in table order, and
+        ``inverse`` undoes it.  Both are ``None`` when all atoms or none
+        are at 0, where table order already is that order."""
+        zero = self.shifts == 0.0
+        count = int(np.count_nonzero(zero))
+        if count in (0, zero.size):
+            return count, None, None
+        order = np.argsort(~zero, kind="stable")
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        return count, order, inverse
+
     def field(self, layer: int) -> FieldSpec:
         """The field of one layer."""
         lo = int(self.starts[layer])
@@ -267,25 +322,33 @@ class FieldTable:
 
 
 def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
-    """``(rule, atoms)`` blocks of atoms that share the rule their layer's
-    total variance picks (:func:`_rule_for`), as many atoms as fit in
-    ``_BLOCK_ENTRIES`` entries and at least one; ``atoms`` is a slice or an
-    index array into the table's atoms, and ``largest`` is the largest
-    total variance."""
-    size = table.shifts.size
+    """``(nodes, weights, atoms, fold)`` blocks of atoms that share the rule
+    their layer's total variance picks (:func:`_rule_for`) and whether it
+    is folded, as many atoms as fit in ``_BLOCK_ENTRIES`` node entries and
+    at least one.  ``atoms`` is a slice, or with several rules an index
+    array, into the atoms in the order of :attr:`FieldTable.folds`, and
+    ``largest`` is the largest total variance."""
+    count, order, _ = table.folds
+    parts = [(True, slice(0, count)), (False, slice(count, table.shifts.size))]
     if largest <= _DEFAULT_VARIANCE:
-        rule = default_rule()
-        step = _BLOCK_ENTRIES // rule.order
-        for lo in range(0, size, step):
-            yield rule, slice(lo, lo + step)
-        return
-    rules = [_rule_for(variance) for variance in total.tolist()]
-    orders = np.repeat([rule.order for rule in rules], table.counts)
-    for rule in dict.fromkeys(rules):
-        atoms = np.flatnonzero(orders == rule.order)
-        step = max(1, _BLOCK_ENTRIES // rule.order)
-        for lo in range(0, atoms.size, step):
-            yield rule, atoms[lo:lo + step]
+        groups = [(default_rule(), fold, part) for fold, part in parts]
+    else:
+        rules = [_rule_for(variance) for variance in total.tolist()]
+        orders = np.repeat([rule.order for rule in rules], table.counts)
+        if order is not None:
+            orders = orders[order]
+        groups = [(rule, fold, part.start + np.flatnonzero(
+                      orders[part] == rule.order))
+                  for fold, part in parts for rule in dict.fromkeys(rules)]
+    for rule, fold, atoms in groups:
+        nodes, weights = rule.folded if fold else (rule.nodes, rule.weights)
+        step = max(1, _BLOCK_ENTRIES // nodes.size)
+        if isinstance(atoms, slice):
+            for lo in range(atoms.start, atoms.stop, step):
+                yield nodes, weights, slice(lo, min(lo + step, atoms.stop)), fold
+        else:
+            for lo in range(0, atoms.size, step):
+                yield nodes, weights, atoms[lo:lo + step], fold
 
 
 def expect(f, s, fields):
@@ -298,10 +361,14 @@ def expect(f, s, fields):
     arrays stacked along a leading axis, such as :data:`TANH_MOMENTS`,
     gives one row per array: ``(m, K)``, or ``(m,)`` for one layer.
 
+    ``f`` must be even, ``f(-y) == f(y)`` bit for bit, as every kernel of
+    this module is: an atom at exactly 0 is evaluated on its rule's
+    non-negative nodes only (:attr:`QuadratureRule.folded`).
+
     The atoms of all layers are evaluated in blocks of atoms that share a
-    rule, bounded by entries; the rule is picked from each layer's total
-    variance ``s_p + v_p`` (see the module docstring), and the atoms are
-    added to the scaled nodes only when some atom is nonzero.
+    rule and whether it is folded, bounded by entries; the rule is picked
+    from each layer's total variance ``s_p + v_p`` (see the module
+    docstring), and only the nonzero atoms are added to the scaled nodes.
     Each atom's node sum is its own dot product, so a layer's value does
     not depend on the other layers in the call: it is bit for bit the
     value of the one-layer call.
@@ -324,16 +391,18 @@ def expect(f, s, fields):
     several = table.shifts.size > len(table)
     if several:
         std = np.repeat(std, table.counts)
+    shifts = table.shifts
+    _, order, inverse = table.folds
+    if order is not None:
+        std, shifts = std[order], shifts[order]
     sums = None
-    shifted = table.shifts.any()
-    for rule, atoms in _rule_blocks(total, largest, table):
-        y = std[atoms, None] * rule.nodes
-        if shifted:
-            y += table.shifts[atoms, None]
+    for nodes, weights, atoms, fold in _rule_blocks(total, largest, table):
+        y = std[atoms, None] * nodes
+        if not fold:
+            y += shifts[atoms, None]
         vals = np.asarray(f(y), dtype=float)
         # One dot product per atom: (..., A, 1, N) @ (N, 1).
-        atom_sums = np.matmul(vals[..., None, :],
-                              rule.weights[:, None])[..., 0, 0]
+        atom_sums = np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
         del y, vals  # free this block's arrays before the next one's
         if sums is None and atom_sums.shape[-1] == table.shifts.size:
             sums = atom_sums
@@ -341,6 +410,8 @@ def expect(f, s, fields):
         if sums is None:
             sums = np.empty(atom_sums.shape[:-1] + table.shifts.shape)
         sums[..., atoms] = atom_sums
+    if order is not None:
+        sums = sums[..., inverse]
     if several:
         # Some layer has several atoms: weigh them and sum per layer.
         sums = np.add.reduceat(table.probs * sums, table.starts, axis=-1)

@@ -103,6 +103,16 @@ def trapezoid_gauss_expect(f, std: float, shift: float = 0.0,
     return float(np.sum(w * f(std * z + shift)))
 
 
+def folded_rule(rule: QuadratureRule):
+    """``(nodes, weights)`` of a symmetric rule on its non-negative nodes:
+    node 0 at its weight, the others at twice theirs."""
+    half = rule.order // 2
+    weights = 2.0 * rule.weights[half:]
+    if rule.order % 2:
+        weights[0] = rule.weights[half]
+    return rule.nodes[half:], weights
+
+
 def rule_expect(f, s, fields, rule: QuadratureRule):
     """E f(z sqrt(s_p) + h_p) under a given quadrature rule, for every field
     kind, with ``ghquad.expect``'s signature: a float ``s`` with one field
@@ -111,17 +121,27 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
 
     The package picks its rule from the variance; this evaluates the same
     sum under any rule, layer by layer and atom by atom, so tests can
-    compare rules or stand a coarse one in for ``ghquad.expect``.
+    compare rules or stand a coarse one in for ``ghquad.expect``.  As the
+    package does, an atom at 0 takes the sum folded onto the rule's
+    non-negative nodes (node 0 at its weight, the others at twice theirs),
+    which needs an even ``f`` and a symmetric rule.
     """
     single = isinstance(fields, machine.FieldSpec)
     layers = [fields] if single else list(fields)
     variances = np.asarray(s, dtype=float).reshape(-1)
+    half_nodes, half_weights = folded_rule(rule)
     out = []
     for s_p, field in zip(variances, layers, strict=True):
-        shifts, probs = np.array(field.values), np.array(field.probs)
-        y = math.sqrt(s_p + field.v) * rule.nodes[None, :] + shifts[:, None]
-        vals = np.asarray(f(y), dtype=float)
-        out.append(np.sum(probs * np.sum(vals * rule.weights, axis=-1),
+        std = math.sqrt(s_p + field.v)
+        sums = []
+        for shift in field.values:
+            if shift == 0.0:
+                vals = np.asarray(f(std * half_nodes), dtype=float)
+                sums.append(np.sum(vals * half_weights, axis=-1))
+            else:
+                vals = np.asarray(f(std * rule.nodes + shift), dtype=float)
+                sums.append(np.sum(vals * rule.weights, axis=-1))
+        out.append(np.sum(np.array(field.probs) * np.moveaxis(sums, 0, -1),
                           axis=-1))
     out = np.moveaxis(np.array(out), 0, -1)
     if not single:

@@ -10,8 +10,8 @@ from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_MOMENTS, TANH_SQ
 from dbmlab.machine import FieldSpec
 
 from helpers import field_specs
-from oracles import (gauss_hermite_rule, mc_gauss_expect, rule_expect,
-                     tanh_sq_slope, trapezoid_gauss_expect)
+from oracles import (folded_rule, gauss_hermite_rule, mc_gauss_expect,
+                     rule_expect, tanh_sq_slope, trapezoid_gauss_expect)
 
 
 # ---------------------------------------------------------------------------
@@ -25,12 +25,38 @@ def test_rule_weights_normalized():
         assert rule.nodes.size == order
         assert abs(rule.weights.sum() - 1.0) < 1e-13
         np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
-    for order in (61, 361, 722):
-        rule = ghquad.normal_trapezoid_rule(order)
-        assert rule.nodes.size == order
+    rules = [ghquad.normal_trapezoid_rule(order)
+             for order in (1, 2, 61, 361, 722, 23041)]
+    rules += [ghquad._refined_rule(doublings) for doublings in range(7)]
+    for rule in rules:
+        assert rule.nodes.size == rule.order
         assert abs(rule.weights.sum() - 1.0) < 1e-13
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
         assert np.all(rule.weights > 0.0)
+        # Exactly symmetric, which the fold of centred atoms rests on, and
+        # each node within an ulp of the half-width of the equispaced one.
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert np.array_equal(rule.weights, rule.weights[::-1])
+        if rule.order % 2:
+            assert rule.nodes[rule.order // 2] == 0.0
+        if rule.order > 1:
+            equispaced = np.linspace(-9.3, 9.3, rule.order)
+            assert np.all(np.abs(rule.nodes - equispaced) <= np.spacing(9.3))
+
+
+def test_folded_rule_is_the_non_negative_half():
+    for order in (1, 2, 61, 361, 722, 23041):
+        rule = ghquad.normal_trapezoid_rule(order)
+        nodes, weights = rule.folded
+        assert nodes.size == weights.size == order - order // 2
+        assert np.all(nodes >= 0.0)
+        if order % 2:
+            assert nodes[0] == 0.0
+        # Node 0 keeps its weight, every other weight doubles.
+        expected_nodes, expected_weights = folded_rule(rule)
+        assert np.array_equal(nodes, expected_nodes)
+        assert np.array_equal(weights, expected_weights)
+        assert math.fsum(weights) == math.fsum(rule.weights)
+        assert rule.folded is rule.folded
 
 
 def test_rules_match_gaussian_moments():
@@ -80,6 +106,22 @@ def test_logcosh_keeps_its_bits_and_raises_no_warning_near_the_largest_float():
         for value, expected in zip(y.tolist(), plain.tolist()):
             assert np.float64(ghquad.logcosh(value)).tobytes() == (
                 np.float64(expected).tobytes())
+
+
+def test_kernels_are_even_bit_for_bit():
+    # expect folds the integrand of an atom at 0 onto the rule's
+    # non-negative nodes, which is exact only for even kernels.
+    big = np.finfo(float).max
+    y = np.concatenate((np.linspace(0.0, 40.0, 4001),
+                        np.geomspace(1e-300, 1e308, 2001),
+                        [373.0, 400.0, 1e308, big, np.inf]))
+    y = np.concatenate((-y[::-1], y))
+    assert {0.0, 373.0, 400.0, 1e308, np.inf} <= set(np.abs(y).tolist())
+    assert np.signbit(y[y == 0.0]).tolist() == [True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (TANH_SQ, LOG_COSH, INV_COSH4, TANH_MOMENTS):
+            assert kernel(-y).tobytes() == kernel(y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +338,21 @@ def test_tanh_sq_expectation_bounded_and_monotone():
 
 
 def _fresh_atom_expect(f, s, field, rule):
-    """``expect`` with freshly allocated atoms: one dot product per atom."""
-    shifts, probs = np.array(field.values), np.array(field.probs)
+    """``expect`` with freshly allocated atoms: one dot product per atom,
+    on the rule folded onto its non-negative nodes for an atom at 0, and
+    the atoms weighed and summed by ``expect``'s reduction."""
     std = math.sqrt(s + field.v)
-    y = std * rule.nodes[None, :] + shifts[:, None]
-    vals = np.asarray(f(y), dtype=float)
-    return float(np.sum(probs * np.array([np.dot(row, rule.weights)
-                                          for row in vals])))
+    half_nodes, half_weights = folded_rule(rule)
+    sums = []
+    for shift in field.values:
+        if shift == 0.0:
+            row = np.asarray(f(std * half_nodes), dtype=float)
+            sums.append(np.dot(row, half_weights))
+        else:
+            row = np.asarray(f(std * rule.nodes + shift), dtype=float)
+            sums.append(np.dot(row, rule.weights))
+    return float(np.add.reduceat(np.array(field.probs) * np.array(sums),
+                                 [0])[0])
 
 
 _CENTRED_FIELDS = st.one_of(
@@ -425,6 +475,20 @@ def test_expect_blocks_are_bounded_by_entries():
                 == max(1, min(64, ghquad._BLOCK_ENTRIES // order))
     assert orders[0] == ghquad.DEFAULT_ORDER
     assert ghquad.DEFAULT_ORDER < orders[1] < ghquad._BLOCK_ENTRIES < orders[2]
+    # Centred atoms take the folded half of each rule, so a block holds
+    # twice as many of them, alone or beside shifted atoms.
+    centred = [FieldSpec.gaussian(0.3)] * 100
+    for s, fields in ((0.5, centred), (0.5, centred + [wide]),
+                      (200.0, centred + [wide])):
+        order = ghquad._rule_for(s + 0.3).order
+        half = (order + 1) // 2
+        shapes.clear()
+        ghquad.expect(recording, np.full(len(fields), s), fields)
+        folded = [atoms for atoms, nodes in shapes if nodes == half]
+        assert sum(folded) == 100
+        assert max(folded) == min(100, ghquad._BLOCK_ENTRIES // half)
+        assert sum(atoms for atoms, nodes in shapes if nodes == order) == (
+            len(fields) - 100) * 64
 
 
 def test_tanh_moments_are_the_two_kernels_bit_for_bit():
