@@ -18,16 +18,18 @@ polynomials interlace.  The largest zero of ``Delta_K`` is the spectral radius
 of that matrix, and localisation of all zeros inside ``(-r, r)`` is equivalent
 to positivity of every ``Delta_p(r)``.
 
-Chains of up to 32 vertices are solved by NumPy alone: :func:`zeros`
-hands the dense symmetric matrix to ``numpy.linalg.eigvalsh`` (LAPACK
-``dsyevd``).  That routine scales an out-of-range matrix by the same factor
-as ``dstevd`` (behind ``scipy.linalg.eigh_tridiagonal``) does.  Its
+:func:`zeros` hands the dense symmetric matrix to
+``numpy.linalg.eigvalsh`` (LAPACK ``dsyevd``) at every length up to
+``MAX_LAYERS``.  That routine scales an out-of-range matrix by the same
+factor as ``dstevd`` (behind ``scipy.linalg.eigh_tridiagonal``) does.  Its
 reduction to tridiagonal form then changes nothing: every column below the
 first sub-diagonal entry is already zero, so every Householder factor
 ``tau`` is 0.  Both end in ``dsterf`` on the same diagonal and
-off-diagonal, so the zeros agree bit for bit.  Longer chains, where the
-dense solve's ``O(K^3)`` cost overtakes, import SciPy and call
-``eigh_tridiagonal``; nothing else here needs SciPy.
+off-diagonal, so the zeros agree bit for bit with the tridiagonal solver's,
+with NumPy alone.  The dense solve costs ``O(K^3)`` where the tridiagonal
+one costs ``O(K^2)``: one solve at ``MAX_LAYERS`` takes milliseconds, but
+:func:`zeros_sequence`, and so :func:`interlacing_check`, makes one per
+leading sub-chain, seconds in all.
 
 Chains are capped at ``MAX_LAYERS`` vertices; values are plain float64, which
 can overflow for deep chains at large ``|x|``.  At ``x = 1``, where the
@@ -55,9 +57,6 @@ __all__ = [
 ]
 
 MAX_LAYERS = 512
-# Longest chain solved densely by NumPy; longer ones take SciPy's
-# tridiagonal solver, which is faster from about 48 vertices on.
-_DENSE_LAYERS = 32
 
 
 def _check_activities(t: Sequence[float], stack: bool = False) -> np.ndarray:
@@ -130,29 +129,19 @@ def zeros(t: Sequence[float]) -> np.ndarray:
     chains, one sorted row per chain.
 
     Computed as the eigenvalues of the symmetric tridiagonal matrix with zero
-    diagonal and off-diagonals ``sqrt(t_p)``: through the dense matrix and
-    ``numpy.linalg.eigvalsh`` for ``K <= 32``, and through
-    ``scipy.linalg.eigh_tridiagonal`` above, imported here so that short
-    chains never load SciPy.  Both reach LAPACK ``dsterf`` with the same
-    tridiagonal, so the zeros do not depend on the path taken (see the
-    module docstring).  A stack takes one batched ``eigvalsh`` call, which
-    hands each matrix to LAPACK alone, or one ``eigh_tridiagonal`` call per
-    chain, so each row has the bits of its own chain's call.
+    diagonal and off-diagonals ``sqrt(t_p)``, through the dense matrix and
+    ``numpy.linalg.eigvalsh``; they equal ``scipy.linalg.eigh_tridiagonal``'s
+    bit for bit (see the module docstring).  A stack takes one batched
+    ``eigvalsh`` call, which hands each matrix to LAPACK alone, so each row
+    has the bits of its own chain's call.
     """
     t = _check_activities(t, stack=True)
     K = t.shape[-1] + 1
-    if K == 1:
-        return np.zeros(t.shape[:-1] + (1,))
-    off = np.sqrt(t)
-    if K <= _DENSE_LAYERS:
-        # The off-diagonals, (p, p + 1) and (p + 1, p), as strides of the
-        # flattened matrix.
-        dense = np.zeros(t.shape[:-1] + (K * K,))
-        dense[..., 1::K + 1] = dense[..., K::K + 1] = off
-        return np.linalg.eigvalsh(dense.reshape(t.shape[:-1] + (K, K)))
-    from scipy.linalg import eigh_tridiagonal
-    return np.array([eigh_tridiagonal(np.zeros(K), row, eigvals_only=True)
-                     for row in off.reshape(-1, K - 1)]).reshape(t.shape[:-1] + (K,))
+    # The off-diagonals, (p, p + 1) and (p + 1, p), as strides of the
+    # flattened matrix.
+    dense = np.zeros(t.shape[:-1] + (K * K,))
+    dense[..., 1::K + 1] = dense[..., K::K + 1] = np.sqrt(t)
+    return np.linalg.eigvalsh(dense.reshape(t.shape[:-1] + (K, K)))
 
 
 def zeros_sequence(t: Sequence[float]) -> list[np.ndarray]:

@@ -19,13 +19,12 @@ one, and :func:`sample_disorder` is the one function that draws them.  All
 three estimators (exact enumeration, Monte Carlo and the covariance check)
 reduce one stack at a time.
 
-SciPy's special functions are imported inside the two Monte Carlo
-functions that use them (:func:`_drift_detected` and the tempering sweep),
-so the commands that never run the Monte Carlo estimator start without
-loading SciPy; enumeration takes its ``logsumexp`` from :func:`_logsumexp`,
-a NumPy transcription of SciPy's algorithm with the same bits.  The Monte
-Carlo's heat-bath and swap tests take NumPy's vectorised ``exp`` and
-``log``, and SciPy's ``expit`` and libm's ``log`` only near a threshold.
+The module runs on NumPy and the standard library alone.  Enumeration
+takes its ``logsumexp`` from :func:`_logsumexp`, a NumPy transcription of
+SciPy's algorithm with the same bits.  The Monte Carlo's heat-bath and swap
+tests take NumPy's vectorised ``exp`` and ``log``, and libm's ``exp`` and
+``log`` through :mod:`math` only near a threshold; its drift test takes its
+Student ``t`` quantile from the closed-form tail of :func:`_t_tail`.
 
 Randomness is counter-based: every disorder sample is generated from a
 Philox stream keyed by ``(master seed, sample index, stream id)``, so
@@ -78,8 +77,9 @@ _DRIFT_LEVEL = 0.01
 # NumPy's exp and log decide a heat-bath or swap test where the tested
 # quantity is further than this, relative to its size, from the threshold:
 # thousands of ulps wider than their rounding and that of the arithmetic
-# between.  SciPy's expit and libm's log, which a single chain's scalar
-# tests take, decide the rest, so every decision is the scalar one.
+# between.  Scalar logistic and log tests through libm (_expit and
+# math.log), as a single chain takes them, decide the rest, so every
+# decision is the scalar one.
 _MARGIN = 2.0 ** -40
 
 # Element by element through math.log, for swap tests within the margin.
@@ -487,6 +487,60 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 
+def _t_tail(t: float) -> float:
+    """``P(|T| > t)`` for Student's ``T`` with ``nu = _DRIFT_BATCHES - 2``
+    degrees of freedom (``nu`` even), at ``t > 0``.
+
+    For even ``nu`` (Abramowitz and Stegun 26.7.4), with ``theta =
+    arctan(t / sqrt(nu))``, ``P(|T| <= t)`` is ``sin(theta)`` times the
+    first ``nu / 2`` terms of ``sum_k c_k cos(theta)^(2k)``, where ``c_k =
+    (2k - 1)!! / (2k)!!`` are the coefficients of ``(1 - x)^(-1/2)``.  The
+    whole series is ``1 / sin(theta)``, so the tail is the positive
+    remainder ``sin(theta) * sum_{k >= nu/2} c_k cos(theta)^(2k)``, summed
+    smallest term first; ``1 - P(|T| <= t)`` would cancel.
+    """
+    nu = _DRIFT_BATCHES - 2
+    cos2 = nu / (nu + t * t)
+    k = nu // 2
+    term = math.prod((2 * j - 1) / (2 * j) for j in range(1, k + 1)) * cos2**k
+    terms = [term]
+    while term > 2.0**-60 * terms[0]:
+        term *= cos2 * (2 * k + 1) / (2 * k + 2)
+        k += 1
+        terms.append(term)
+    return t / math.sqrt(nu + t * t) * sum(reversed(terms))
+
+
+def _t_quantile(level: float) -> float:
+    """The ``t`` whose tail :func:`_t_tail` is ``level``.
+
+    Bisection over the floats of ``[1, 1e4]``, whose tails bracket every
+    level the caps on a verify run allow, ends at two neighbours, and the
+    one whose tail is nearer ``level`` is returned.
+    """
+    lo, hi = 1.0, 1e4
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if _t_tail(mid) > level:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(_t_tail(lo) - level) < abs(_t_tail(hi) - level) else hi
+
+
+@functools.cache
+def _drift_threshold(tests: int) -> float:
+    """The ``|t|`` past which :func:`_drift_detected` flags one of ``tests``
+    series: the two-sided ``_DRIFT_LEVEL / tests`` quantile.
+
+    The level is the tail that the rounded probability ``p = fl(1 - 0.5 *
+    _DRIFT_LEVEL / tests)`` names, ``2 (1 - p)``, whose subtraction is exact
+    (Sterbenz); it is a little off ``_DRIFT_LEVEL / tests`` itself.
+    """
+    return _t_quantile(2.0 * (1.0 - (1.0 - 0.5 * _DRIFT_LEVEL / tests)))
+
+
 def _drift_detected(records: np.ndarray) -> bool:
     """Whether any energy series in ``records`` drifts, by batch means.
 
@@ -498,14 +552,10 @@ def _drift_detected(records: np.ndarray) -> bool:
     index, over its standard error from their scatter about the fitted
     line, is a Student ``t`` statistic with 8 degrees of freedom.  A series
     drifts when ``|t|`` exceeds the two-sided ``_DRIFT_LEVEL / m`` quantile
-    (Bonferroni), so a row of equilibrated series is flagged with
-    probability at most ``_DRIFT_LEVEL``.  Series shorter than 20 sweeps
-    are never flagged.
+    (Bonferroni), :func:`_drift_threshold`, so a row of equilibrated series
+    is flagged with probability at most ``_DRIFT_LEVEL``.  Series shorter
+    than 20 sweeps are never flagged.
     """
-    # Imported here, not at module level, so that only the Monte Carlo
-    # estimator loads SciPy.
-    from scipy.special import stdtrit
-
     records = np.asarray(records, dtype=float)
     length = records.shape[0] // _DRIFT_BATCHES
     if length < 2:
@@ -519,8 +569,18 @@ def _drift_detected(records: np.ndarray) -> bool:
     residual = batches - batches.mean(axis=0) - slope * index
     scatter = np.sum(residual**2, axis=0) / (_DRIFT_BATCHES - 2)
     tests = max(1, int(np.prod(records.shape[1:])))
-    threshold = stdtrit(_DRIFT_BATCHES - 2, 1.0 - 0.5 * _DRIFT_LEVEL / tests)
+    threshold = _drift_threshold(tests)
     return bool(np.any(np.abs(slope) > threshold * np.sqrt(scatter / spread)))
+
+
+def _expit(x: float) -> float:
+    """The logistic ``1 / (1 + exp(-x))`` through libm's ``exp``, and 0
+    where ``exp(-x)`` overflows (``x`` below about ``-709.78``): the form
+    SciPy's ``expit`` evaluates, which gives 0 there too."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
@@ -547,14 +607,11 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
     scaled and shifted in place to the argument ``x``.  The heat-bath test
     ``u < expit(x)`` is taken as the sign of ``1 - u (1 + exp(-x))``, with
     NumPy's vectorised ``exp``, and written to the layer as the new spin;
-    SciPy's ``expit`` and the comparison decide the tests within
-    :data:`_MARGIN` of 0 and the NaN ones, so every spin is the one
-    ``expit`` gives.  Returns ``-H`` per sample and rung, shape ``(D, R)``.
+    the scalar :func:`_expit` and the comparison decide the tests within
+    :data:`_MARGIN` of 0 and the NaN ones, so every spin is the one the
+    scalar logistic gives.  Returns ``-H`` per sample and rung, shape
+    ``(D, R)``.
     """
-    # Imported here, not at module level, so that only the Monte Carlo
-    # estimator loads SciPy.
-    from scipy.special import expit
-
     D, R = layers[0].shape[:2]
     K = len(layers)
     gain = np.zeros((D, R))
@@ -587,8 +644,8 @@ def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
         sure = test > _MARGIN
         if not sure.all():
             unsure = ~sure
-            layer[unsure] = np.where(uniforms[unsure] < expit(local[unsure]),
-                                     1.0, -1.0)
+            layer[unsure] = [1.0 if u < _expit(x) else -1.0 for u, x in
+                             zip(uniforms[unsure].tolist(), local[unsure].tolist())]
         if p > 0:
             gain += np.einsum("dri,dri->dr", below, layer)
         if p < K - 1:

@@ -168,15 +168,23 @@ _ACTIVITIES = st.one_of(
               st.floats(1.0, 9.99), st.integers(-300, 299)))
 
 
+# Chains past 40 layers repeat a drawn list of activities, which keeps
+# drawing them cheap.
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(t=st.lists(_ACTIVITIES, min_size=1, max_size=39))
-@example(t=[1.0] * (chainpoly._DENSE_LAYERS - 1))  # the longest dense chain
-@example(t=[1.0] * chainpoly._DENSE_LAYERS)  # the shortest tridiagonal one
+@given(t=st.builds(lambda pattern, n: (pattern * n)[:n],
+                   st.lists(_ACTIVITIES, min_size=1, max_size=39), st.integers(1, 127)))
+@example(t=[1.0] * 31)  # K = 32
+@example(t=[1.0] * 32)  # K = 33
+@example(t=[1.0] * 127)  # K = 128
+@example(t=[1.0] * (chainpoly.MAX_LAYERS - 1))
+@example(t=[(1 + p % 7) * 1e200 for p in range(chainpoly.MAX_LAYERS - 1)])
+@example(t=[(1 + p % 5) * 1e-200 for p in range(127)])
 @example(t=[1e-300] * 20)
 @example(t=[1e300, 0.0, 1e300, 1e-300])
 def test_zeros_are_bit_identical_to_the_tridiagonal_solver(t):
-    # Short chains take NumPy's dense eigvalsh and long ones SciPy's
-    # tridiagonal solver: both end in LAPACK dsterf on the same matrix.
+    # NumPy's dense eigvalsh and SciPy's tridiagonal solver both end in
+    # LAPACK dsterf on the same matrix, at every chain length.
+    pytest.importorskip("scipy")
     from scipy.linalg import eigh_tridiagonal
     expected = eigh_tridiagonal(np.zeros(len(t) + 1), np.sqrt(t),
                                 eigvals_only=True)

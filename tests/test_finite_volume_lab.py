@@ -744,6 +744,25 @@ def test_drift_detector_on_synthetic_series():
     assert fvl._drift_detected(stack) is True
 
 
+def _ulps(a, b):
+    return np.abs(np.asarray(a, float).view(np.int64) - np.asarray(b, float).view(np.int64))
+
+
+def test_drift_threshold_is_scipy_stdtrit_within_two_ulps():
+    stdtrit = pytest.importorskip("scipy.special").stdtrit
+    rng = np.random.default_rng(31)
+    tests = np.unique(np.concatenate([np.arange(1, 1001),
+                                      np.round(10.0 ** rng.uniform(3.0, 5.0, 300))]))
+    tests = tests.astype(int).tolist()
+    # The probability that the drift test names, rounded as SciPy sees it.
+    expected = stdtrit(fvl._DRIFT_BATCHES - 2, 1.0 - 0.5 * fvl._DRIFT_LEVEL / np.array(tests))
+    assert _ulps([fvl._drift_threshold(m) for m in tests], expected).max() <= 2
+    # Negative control: the quantile of the unrounded tail level / m is a
+    # different number, many ulps away where 1 - level / (2 m) rounds far.
+    unrounded = [fvl._t_quantile(fvl._DRIFT_LEVEL / m) for m in tests]
+    assert _ulps(unrounded, expected).max() > 1000
+
+
 # ---------------------------------------------------------------------------
 # covariance identity
 # ---------------------------------------------------------------------------
