@@ -24,20 +24,34 @@ exponentially convergent trapezoidal rule", SIAM Review 56, 2014).  So
 361-node :func:`default_rule` through ``s + v <= 25``, and past that
 ``360 * 2^k + 1`` nodes with ``k = ceil(log2((s + v) / 25) / 2)``, which
 keeps the spacing in ``y`` at most the default's at ``s + v = 25``.  ``k``
-is capped at 6 (23041 nodes), so the kernels stay at machine accuracy
-through ``s + v <= ACCURATE_VARIANCE = 102400``; beyond it the largest rule
-is used.  Machine accuracy means errors of a few units in the last place:
-against 30-digit references on the kernels' inputs of the benchmark's
-``scan-bound`` and ``query-mix`` streams (``s + v`` up to 4.3), the mean
-absolute error is 2.6e-17 to 4.6e-17 for each kernel and the largest is
-2.5e-16.
+is capped at 6 (23041 nodes) at ``s + v = ACCURATE_VARIANCE = 102400``;
+beyond it the largest rule is used.  A shifted atom (any atom but 0) takes
+the 181-node rule, the default's spacing doubled, through ``s + v <=
+3.125``: its kernel values cost 181 there, as a folded atom's do (below).
+That rule's spacing alone would carry it to 6.25, but ``E cosh^-4`` on
+it is off by up to 8.5e-14 there.
+
+The kernels are at machine accuracy, errors of a few units in the last
+place, well inside each rung: against 30-digit references on the kernels'
+inputs of the benchmark's ``scan-bound`` and ``query-mix`` streams (``s +
+v`` up to 4.3), the mean absolute error is 2.1e-17 to 4.3e-17 for each
+kernel and the largest is 2.2e-16.  Each rung's top is where its spacing
+in ``y`` is widest, and there ``E cosh^-4`` is not at machine accuracy:
+it is off by 6.4e-14 at ``s + v = 25`` with a zero field and by 1.85e-14
+with ``h = 0.7``, against 1.1e-15 at 20 and 1.1e-16 at 12.5, and by
+3.1e-14 at the next rung's top, 100.  ``E tanh^2`` and ``E log cosh``
+stay within 1.8e-15 at every top measured through 400.
 
 Every rule satisfies the :class:`QuadratureRule` contract: positive
-weights that sum to one, within rounding, and nodes and weights that are
+weights whose exact sum is at most one, short of it by at most an ulp or
+two of the middle weight (7e-18 or less), and nodes and weights that are
 exactly symmetric, ``nodes == -nodes[::-1]`` and ``weights ==
 weights[::-1]``, with a node at exactly 0 for odd orders.  So a rule
 carries its half on the non-negative nodes, :attr:`QuadratureRule.folded`,
 which gives the same integral of an even function from half the nodes.
+A sum at most one keeps the exact sum of an atom at the largest float
+within the floats; where a dot product's rounding still carries it past,
+the atom's sum is taken again on halved weights.
 
 Layered calls
 -------------
@@ -45,7 +59,8 @@ The replica-symmetric pressure, its consistency map and the split bound
 are sums of one such integral per layer, so :func:`expect` takes a vector
 of variances and one field per layer and evaluates every layer in one
 call: the atoms of all fields go into ``(atoms, nodes)`` arrays, atoms
-grouped by the rule their layer's total variance picks, in blocks bounded
+grouped by the rule that their layer's total variance and whether they
+fold pick, in blocks bounded
 by entries: at most ``_BLOCK_ENTRIES`` (8192) atom-node entries per
 kernel row, or one atom when its nodes alone are more.  Arrays of that
 size (64 KiB per row) stay on the C allocator's heap, which the next block
@@ -60,8 +75,10 @@ evaluated on its rule's folded half only: the weight of node 0 kept and
 every other weight doubled, which is exact in floats.  So it costs half
 the entries, half the kernel pass and half the dot product of a shifted
 atom, and a block holds twice as many of them; nothing is added to its
-nodes.  Whether an atom folds depends on that atom alone, so the bits of a
-layer still do not depend on the other layers.  The fields' atoms are laid
+nodes.  Through ``s + v <= 3.125`` a shifted atom's 181-node rule costs
+the same as a folded atom's half of the 361-node one.  Whether an atom
+folds, and so its rule, depends on that atom and its layer alone, so the
+bits of a layer still do not depend on the other layers.  The fields' atoms are laid
 out as arrays in a :class:`FieldTable`, which also holds the order that
 puts the folded atoms before the shifted ones (:attr:`FieldTable.folds`);
 a solver that evaluates the same layers at every step builds it once and
@@ -85,6 +102,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +132,14 @@ _DEFAULT_VARIANCE = 25.0
 # through which the rule so refined is accurate.
 _MAX_DOUBLINGS = 6
 ACCURATE_VARIANCE = _DEFAULT_VARIANCE * 4.0 ** _MAX_DOUBLINGS
-_LOG2 = math.log(2.0)
+# Total variance through which a shifted atom takes the coarse rule, the
+# default's spacing doubled.  Its spacing alone would carry it to 6.25, but
+# it is off by up to 8.5e-14 there; 3.125 keeps it at machine accuracy.
+_COARSE_VARIANCE = _DEFAULT_VARIANCE / 8.0
 # Most atom-node entries per kernel row of an expect block: 64 KiB of
 # float64, under glibc's 128 KiB threshold for serving an allocation by mmap.
 _BLOCK_ENTRIES = 1 << 13
+_HALF_MAX = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,16 +164,20 @@ class QuadratureRule:
 
 
 def logcosh(y):
-    """Overflow-safe ``log cosh y = |y| + log1p(e^(-2|y|)) - log 2``.
+    """Overflow-safe ``log cosh y = |y| + log1p(expm1(-2|y|) / 2)``.
 
-    ``e^(-2|y|)`` is 0 in floats from ``|y| = 373``; taking it at
-    ``min(|y|, 400)`` keeps every bit and keeps ``-2|y|`` from overflowing
-    near the largest float."""
+    Exact at 0 and even, with no rounded ``log 2`` subtracted: that form
+    read high by up to 2.3e-17 near 0.  ``expm1(-2|y|)`` is -1 in floats
+    from ``|y| = 19``; taking it at ``min(|y|, 400)`` keeps every bit and
+    keeps ``-2|y|`` from overflowing near the largest float."""
     a = np.abs(y)
-    tail = np.log1p(np.exp(-2.0 * np.minimum(a, 400.0)))
-    tail += a
-    tail -= _LOG2
-    return tail
+    tail = np.minimum(a, 400.0)
+    out = tail if isinstance(tail, np.ndarray) else None
+    tail = np.multiply(tail, -2.0, out=out)
+    tail = np.expm1(tail, out=out)
+    tail = np.multiply(tail, 0.5, out=out)
+    tail = np.log1p(tail, out=out)
+    return np.add(tail, a, out=out)
 
 
 def _tanh_sq(y):
@@ -195,10 +221,9 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
 
     Geometrically convergent inside the integrand's analyticity strip, which
     makes it the accurate choice for ``tanh^2`` / ``log cosh`` / ``cosh^-4``
-    kernels up to large variance; the default ``order`` keeps those kernels
-    at machine accuracy (see the module docstring) through total variance
-    25.  The nodes are exactly symmetric and the weights are normalised to
-    sum to one, within rounding.
+    kernels up to large variance (see the module docstring).  The nodes
+    and weights are exactly symmetric, and the weights' exact sum is at
+    most one and within an ulp or two of the middle weight of it.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -207,13 +232,40 @@ def normal_trapezoid_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     # node 0 for odd orders.
     ends = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, order)
     nodes = 0.5 * (ends - ends[::-1])
-    weights = np.exp(-0.5 * nodes * nodes)
-    # Divided by their correctly rounded sum, then each corrected by its
-    # share of the exact sum's remaining error: the exact sum lands within
-    # about 4e-17 of one, where the division alone leaves up to 7e-17.
-    weights /= math.fsum(weights)
-    weights -= weights * math.fsum(np.append(weights, -1.0))
+    weights = _normalised(np.exp(-0.5 * nodes * nodes))
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
+
+
+def _normalised(weights: np.ndarray) -> np.ndarray:
+    """Symmetric positive ``weights`` scaled so that their exact sum is at
+    most one, and short of it by at most an ulp of the middle weight (two
+    for the middle pair of an even order).
+
+    Divided by their correctly rounded sum, each weight then takes its
+    share of the exact sum's error, and the rounding of each mirrored pair,
+    from the tails inward, is carried into the next pair, so the roundings
+    do not add up: rounding each weight on its own left the 361-node rule's
+    exact sum at 1 - 4.3e-17.  The middle weight (or pair) then steps down
+    an ulp while the exact sum is above one."""
+    weights = weights / math.fsum(weights)
+    excess = math.fsum(np.append(weights, -1.0))
+    values = weights.tolist()
+    half, odd = divmod(len(values), 2)
+    carry = 0.0
+    for i in range(half):
+        # The pair's exact target is 2 w (1 - excess) + carry; Fast2Sum
+        # gives the rounding error of each half.
+        shift = 0.5 * carry - values[i] * excess
+        rounded = values[i] + shift
+        carry = 2.0 * ((values[i] - rounded) + shift)
+        values[i] = values[-1 - i] = rounded
+    if odd:
+        values[half] += carry - values[half] * excess
+    weights = np.array(values)
+    middle = slice(half - 1 + odd, half + 1)
+    while math.fsum(np.append(weights, -1.0)) > 0.0:
+        weights[middle] = np.nextafter(weights[middle], 0.0)
+    return weights
 
 
 @functools.cache
@@ -223,14 +275,23 @@ def default_rule() -> QuadratureRule:
 
 
 @functools.cache
+def _coarse_rule() -> QuadratureRule:
+    """The default rule's node spacing doubled: 181 nodes (cached)."""
+    return normal_trapezoid_rule((DEFAULT_ORDER + 1) // 2)
+
+
+@functools.cache
 def _refined_rule(doublings: int) -> QuadratureRule:
     """The default rule with its node spacing halved ``doublings`` times."""
     return normal_trapezoid_rule((DEFAULT_ORDER - 1) * 2 ** doublings + 1)
 
 
-def _rule_for(variance: float) -> QuadratureRule:
-    """The cheapest rule accurate at total variance ``variance``, or the
-    finest one past ``ACCURATE_VARIANCE``."""
+def _rule_for(variance: float, shifted: bool = False) -> QuadratureRule:
+    """The cheapest rule accurate at total variance ``variance`` for an
+    atom at 0 (folded) or, with ``shifted``, any other atom; the finest
+    one past ``ACCURATE_VARIANCE``."""
+    if variance <= _COARSE_VARIANCE and shifted:
+        return _coarse_rule()
     if variance <= _DEFAULT_VARIANCE:
         return default_rule()
     capped = min(variance, ACCURATE_VARIANCE)
@@ -282,6 +343,13 @@ class FieldTable:
         return np.logical_and.reduceat(self.shifts == 0.0, self.starts)
 
     @functools.cached_property
+    def huge(self) -> bool:
+        """Whether some atom is at half the largest float or more in size,
+        where its node sum can round past the largest float (see
+        :func:`_huge_atom_sums`)."""
+        return bool(np.maximum.reduce(np.fabs(self.shifts)) >= _HALF_MAX)
+
+    @functools.cached_property
     def folds(self) -> tuple:
         """``(count, order, inverse)``: ``count`` atoms are at exactly 0,
         whose integrands :func:`expect` folds; ``order`` lists the atoms
@@ -323,32 +391,54 @@ class FieldTable:
 
 def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
     """``(nodes, weights, atoms, fold)`` blocks of atoms that share the rule
-    their layer's total variance picks (:func:`_rule_for`) and whether it
-    is folded, as many atoms as fit in ``_BLOCK_ENTRIES`` node entries and
-    at least one.  ``atoms`` is a slice, or with several rules an index
-    array, into the atoms in the order of :attr:`FieldTable.folds`, and
-    ``largest`` is the largest total variance."""
+    their layer's total variance and their fold pick (:func:`_rule_for`),
+    as many atoms as fit in ``_BLOCK_ENTRIES`` node entries and at least
+    one.  ``atoms`` is a slice, or with several rules an index array, into
+    the atoms in the order of :attr:`FieldTable.folds`, and ``largest`` is
+    the largest total variance."""
     count, order, _ = table.folds
-    parts = [(True, slice(0, count)), (False, slice(count, table.shifts.size))]
-    if largest <= _DEFAULT_VARIANCE:
-        groups = [(default_rule(), fold, part) for fold, part in parts]
-    else:
-        rules = [_rule_for(variance) for variance in total.tolist()]
-        orders = np.repeat([rule.order for rule in rules], table.counts)
-        if order is not None:
-            orders = orders[order]
-        groups = [(rule, fold, part.start + np.flatnonzero(
-                      orders[part] == rule.order))
-                  for fold, part in parts for rule in dict.fromkeys(rules)]
-    for rule, fold, atoms in groups:
-        nodes, weights = rule.folded if fold else (rule.nodes, rule.weights)
-        step = max(1, _BLOCK_ENTRIES // nodes.size)
-        if isinstance(atoms, slice):
-            for lo in range(atoms.start, atoms.stop, step):
-                yield nodes, weights, slice(lo, min(lo + step, atoms.stop)), fold
-        else:
-            for lo in range(0, atoms.size, step):
-                yield nodes, weights, atoms[lo:lo + step], fold
+    for fold, part in ((True, slice(0, count)),
+                       (False, slice(count, table.shifts.size))):
+        if part.start == part.stop:
+            continue
+        # Rules grow with the variance, so when the largest variance picks
+        # the rule that 0 picks, every layer's does.
+        top = _rule_for(largest, not fold)
+        rules = ([top] if top is _rule_for(0.0, not fold) else
+                 [_rule_for(variance, not fold) for variance in total.tolist()])
+        groups = {top: part}
+        if len(set(rules)) > 1:
+            orders = np.repeat([rule.order for rule in rules], table.counts)
+            if order is not None:
+                orders = orders[order]
+            groups = {rule: part.start + np.flatnonzero(
+                          orders[part] == rule.order)
+                      for rule in dict.fromkeys(rules)}
+        for rule, atoms in groups.items():
+            nodes, weights = rule.folded if fold else (rule.nodes, rule.weights)
+            step = max(1, _BLOCK_ENTRIES // nodes.size)
+            if isinstance(atoms, slice):
+                for lo in range(atoms.start, atoms.stop, step):
+                    yield nodes, weights, slice(lo, min(lo + step, atoms.stop)), fold
+            else:
+                for lo in range(0, atoms.size, step):
+                    yield nodes, weights, atoms[lo:lo + step], fold
+
+
+def _huge_atom_sums(vals: np.ndarray, weights: np.ndarray):
+    """The atom sums of :func:`expect` where some atom is at half the
+    largest float or more in size: a sum that the dot product's rounding
+    carries past the largest float, from finite values, is taken on halved
+    weights and doubled, at most the largest float in size.  Every other
+    sum keeps its bits."""
+    with np.errstate(over="ignore"):
+        sums = np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
+    over = np.isinf(sums) & np.isfinite(vals).all(axis=-1)
+    if over.any():
+        halved = np.matmul(vals[..., None, :],
+                           0.5 * weights[:, None])[..., 0, 0][over]
+        sums[over] = 2.0 * np.clip(halved, -_HALF_MAX, _HALF_MAX)
+    return sums
 
 
 def expect(f, s, fields):
@@ -367,11 +457,11 @@ def expect(f, s, fields):
 
     The atoms of all layers are evaluated in blocks of atoms that share a
     rule and whether it is folded, bounded by entries; the rule is picked
-    from each layer's total variance ``s_p + v_p`` (see the module
-    docstring), and only the nonzero atoms are added to the scaled nodes.
-    Each atom's node sum is its own dot product, so a layer's value does
-    not depend on the other layers in the call: it is bit for bit the
-    value of the one-layer call.
+    from each layer's total variance ``s_p + v_p`` and whether the atom is
+    at 0 (see the module docstring), and only the nonzero atoms are added
+    to the scaled nodes.  Each atom's node sum is its own dot product, so
+    a layer's value does not depend on the other layers in the call: it
+    is bit for bit the value of the one-layer call.
     """
     single = isinstance(fields, FieldSpec)
     table = (fields if isinstance(fields, FieldTable)
@@ -396,13 +486,18 @@ def expect(f, s, fields):
     if order is not None:
         std, shifts = std[order], shifts[order]
     sums = None
+    huge = table.huge
     for nodes, weights, atoms, fold in _rule_blocks(total, largest, table):
         y = std[atoms, None] * nodes
         if not fold:
             y += shifts[atoms, None]
         vals = np.asarray(f(y), dtype=float)
-        # One dot product per atom: (..., A, 1, N) @ (N, 1).
-        atom_sums = np.matmul(vals[..., None, :], weights[:, None])[..., 0, 0]
+        if huge:
+            atom_sums = _huge_atom_sums(vals, weights)
+        else:
+            # One dot product per atom: (..., A, 1, N) @ (N, 1).
+            atom_sums = np.matmul(vals[..., None, :],
+                                  weights[:, None])[..., 0, 0]
         del y, vals  # free this block's arrays before the next one's
         if sums is None and atom_sums.shape[-1] == table.shifts.size:
             sums = atom_sums

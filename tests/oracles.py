@@ -113,7 +113,7 @@ def folded_rule(rule: QuadratureRule):
     return rule.nodes[half:], weights
 
 
-def rule_expect(f, s, fields, rule: QuadratureRule):
+def rule_expect(f, s, fields, rule: QuadratureRule, exact: bool = False):
     """E f(z sqrt(s_p) + h_p) under a given quadrature rule, for every field
     kind, with ``ghquad.expect``'s signature: a float ``s`` with one field
     gives a float, a ``(K,)`` ``s`` with ``K`` fields a ``(K,)`` array, and a
@@ -124,12 +124,19 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
     compare rules or stand a coarse one in for ``ghquad.expect``.  As the
     package does, an atom at 0 takes the sum folded onto the rule's
     non-negative nodes (node 0 at its weight, the others at twice theirs),
-    which needs an even ``f`` and a symmetric rule.
+    which needs an even ``f`` and a symmetric rule.  With ``exact`` each
+    atom's products are summed by ``math.fsum``, correctly rounded.
     """
     single = isinstance(fields, machine.FieldSpec)
     layers = [fields] if single else list(fields)
     variances = np.asarray(s, dtype=float).reshape(-1)
     half_nodes, half_weights = folded_rule(rule)
+
+    def total(products):
+        if not exact:
+            return np.sum(products, axis=-1)
+        return np.apply_along_axis(math.fsum, -1, products)
+
     out = []
     for s_p, field in zip(variances, layers, strict=True):
         std = math.sqrt(s_p + field.v)
@@ -137,10 +144,10 @@ def rule_expect(f, s, fields, rule: QuadratureRule):
         for shift in field.values:
             if shift == 0.0:
                 vals = np.asarray(f(std * half_nodes), dtype=float)
-                sums.append(np.sum(vals * half_weights, axis=-1))
+                sums.append(total(vals * half_weights))
             else:
                 vals = np.asarray(f(std * rule.nodes + shift), dtype=float)
-                sums.append(np.sum(vals * rule.weights, axis=-1))
+                sums.append(total(vals * rule.weights))
         out.append(np.sum(np.array(field.probs) * np.moveaxis(sums, 0, -1),
                           axis=-1))
     out = np.moveaxis(np.array(out), 0, -1)

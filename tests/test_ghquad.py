@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,12 +27,20 @@ def test_rule_weights_normalized():
         assert abs(rule.weights.sum() - 1.0) < 1e-13
         np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-12)
     rules = [ghquad.normal_trapezoid_rule(order)
-             for order in (1, 2, 61, 361, 722, 23041)]
+             for order in (1, 2, 61, 181, 361, 722, 23041)]
+    rules += [ghquad._coarse_rule()]
     rules += [ghquad._refined_rule(doublings) for doublings in range(7)]
     for rule in rules:
         assert rule.nodes.size == rule.order
         assert abs(rule.weights.sum() - 1.0) < 1e-13
         assert np.all(rule.weights > 0.0)
+        # The exact sum is at most one, so no atom at the largest float
+        # overflows, and short of it by at most the step of the middle
+        # weight, or of the middle pair for even orders: 6.9e-18 for the
+        # 181-node rule, 3.5e-18 for the 361-node one.
+        deficit = 1 - sum(map(Fraction, rule.weights.tolist()))
+        assert 0 <= deficit <= 2 * np.spacing(rule.weights.max())
+        assert deficit <= 7e-18
         # Exactly symmetric, which the fold of centred atoms rests on, and
         # each node within an ulp of the half-width of the equispaced one.
         assert np.array_equal(rule.nodes, -rule.nodes[::-1])
@@ -78,11 +87,21 @@ def test_rule_rejects_bad_order():
 
 def test_logcosh_at_zero():
     assert ghquad.logcosh(0.0) == 0.0
+    assert ghquad.logcosh(np.zeros(3)).tolist() == [0.0] * 3
 
 
 def test_logcosh_matches_naive_form_in_safe_range():
     y = np.linspace(-20.0, 20.0, 1001)
     np.testing.assert_allclose(ghquad.logcosh(y), np.log(np.cosh(y)), atol=1e-12)
+
+
+def test_logcosh_accurate_near_zero():
+    # log cosh y = y^2/2 - y^4/12 + y^6/45 - ...; subtracting a rounded
+    # log 2 left errors near 1e-16 here, where the values are far smaller.
+    for y in (1e-300, 1e-150, 1e-8, 1e-5, 1e-3, 1e-2):
+        series = y * y / 2 - y**4 / 12 + y**6 / 45 - 17 * y**8 / 2520
+        assert abs(ghquad.logcosh(y) - series) <= 4 * np.spacing(y)
+        assert ghquad.logcosh(-y) == ghquad.logcosh(y)
 
 
 def test_logcosh_stable_for_large_arguments():
@@ -91,15 +110,15 @@ def test_logcosh_stable_for_large_arguments():
 
 
 def test_logcosh_keeps_its_bits_and_raises_no_warning_near_the_largest_float():
-    # e^(-2|y|) is 0 from |y| = 373 on, so taking it at min(|y|, 400) keeps
-    # the bits of the plain formula, whose -2|y| overflows past 9e307.
+    # expm1(-2|y|) is -1 from |y| = 19 on, so taking it at min(|y|, 400)
+    # keeps the bits of the plain formula, whose -2|y| overflows past 9e307.
     big = np.finfo(float).max
-    y = np.array([0.0, -0.0, 1e-300, 0.3, -20.0, 372.0, 373.0, 399.5, 400.0,
-                  400.5, 1e5, 8.9e307, 9e307, 1e308, -1e308, big, -big,
-                  np.inf, -np.inf, np.nan])
+    y = np.array([0.0, -0.0, 1e-300, 0.3, -20.0, 18.0, 19.0, 372.0, 373.0,
+                  399.5, 400.0, 400.5, 1e5, 8.9e307, 9e307, 1e308, -1e308,
+                  big, -big, np.inf, -np.inf, np.nan])
     with np.errstate(over="ignore"):
         a = np.abs(y)
-        plain = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        plain = a + np.log1p(0.5 * np.expm1(-2.0 * a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ghquad.logcosh(y).tobytes() == plain.tobytes()
@@ -297,6 +316,21 @@ def test_rule_follows_the_total_variance():
     # doubling per factor 4 in variance, capped at ACCURATE_VARIANCE.
     assert ghquad._rule_for(0.0) is ghquad.default_rule()
     assert ghquad._rule_for(25.0) is ghquad.default_rule()
+    # A shifted atom takes the 181-node rule through 3.125, with its
+    # spacing in y = z sqrt(s + v) at most the default's at 25, and the
+    # centred atom's rule past that.
+    coarse, default = ghquad._coarse_rule(), ghquad.default_rule()
+    assert coarse.order == 181 and coarse is ghquad._coarse_rule()
+    for variance in (0.0, 1e-300, 0.5, 3.0, 3.125):
+        assert ghquad._rule_for(variance, shifted=True) is coarse
+        assert ghquad._rule_for(variance) is default
+    assert ((coarse.nodes[1] - coarse.nodes[0]) * math.sqrt(3.125)
+            <= (default.nodes[1] - default.nodes[0]) * 5.0)
+    for variance in (np.nextafter(3.125, 4.0), 3.2, 25.0, 25.0 + 1e-9, 1e4,
+                     1e9):
+        assert (ghquad._rule_for(variance, shifted=True)
+                is ghquad._rule_for(variance))
+    assert ghquad._rule_for(np.nextafter(3.125, 4.0), shifted=True) is default
     for variance, order in ((25.0 + 1e-9, 721), (100.0, 721),
                             (100.0 + 1e-9, 1441), (1e4, 11521),
                             (ghquad.ACCURATE_VARIANCE, 23041)):
@@ -331,18 +365,70 @@ def test_expect_accurate_past_the_default_range(s):
             assert val == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(s=st.one_of(st.just(3.125), st.just(0.0), st.floats(0.0, 3.125)),
+       h=st.floats(-3.0, 3.0).filter(bool))
+def test_shifted_atoms_on_the_coarse_rule_are_accurate_property(s, h):
+    # A shifted atom takes the 181-node rule through s + v = 3.125: every
+    # kernel within 3e-16 (relative past 1, where log cosh reaches 3.6 and
+    # its ulp is 4.4e-16) of the finest rule's sum, correctly rounded.
+    finest = ghquad._rule_for(ghquad.ACCURATE_VARIANCE)
+    field = FieldSpec.point_mass(h)
+    assert ghquad._rule_for(s, shifted=True).order == 181
+    for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
+        ref = rule_expect(kernel, s, field, finest, exact=True)
+        assert abs(ghquad.expect(kernel, s, field) - ref) <= 3e-16 * max(
+            1.0, abs(ref))
+
+
+def test_coarse_rule_misses_at_twice_its_top():
+    # The negative control: at s + v = 6.25, the top that the node spacing
+    # alone would give, the 181-node rule misses by more than 1e-14.
+    coarse = ghquad._coarse_rule()
+    finest = ghquad._rule_for(ghquad.ACCURATE_VARIANCE)
+    misses = [abs(rule_expect(kernel, 6.25, FieldSpec.point_mass(h), coarse)
+                  - rule_expect(kernel, 6.25, FieldSpec.point_mass(h), finest,
+                                exact=True))
+              for kernel in (TANH_SQ, LOG_COSH, INV_COSH4)
+              for h in (0.3, 1.0, 2.5)]
+    assert max(misses) > 1e-14
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0, 5.0, 30.0, 150.0, 600.0,
+                               2500.0, 5000.0, 2e4, 1e5, 1e6])
+def test_expect_at_the_largest_float_is_finite_and_raises_no_warning(s):
+    # Every rule's exact weight sum is at most one, but the rounding of a
+    # dot product could still carry an atom at the largest float past it.
+    big = np.finfo(float).max
+    fields = [FieldSpec.point_mass(big), FieldSpec.point_mass(-big)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        layered = ghquad.expect(LOG_COSH, np.full(2, s), fields)
+        for field, value in zip(fields, layered.tolist()):
+            one = ghquad.expect(LOG_COSH, s, field)
+            assert math.isfinite(one) and one > 0.5 * big
+            assert one == value
+
+
 def test_tanh_sq_expectation_bounded_and_monotone():
     vals = [ghquad.expect(TANH_SQ, s, FieldSpec.zero()) for s in (0.1, 0.5, 1.0, 4.0, 16.0)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert np.all(np.diff(vals) > 0.0)
 
 
-def _fresh_atom_expect(f, s, field, rule):
+def _fresh_atom_expect(f, s, field):
     """``expect`` with freshly allocated atoms: one dot product per atom,
-    on the rule folded onto its non-negative nodes for an atom at 0, and
-    the atoms weighed and summed by ``expect``'s reduction."""
-    std = math.sqrt(s + field.v)
+    on the default rule folded onto its non-negative nodes for an atom at
+    0, and for any other atom on the 181-node rule through total variance
+    3.125 and the default rule past it (through 25), and the atoms weighed
+    and summed by ``expect``'s reduction."""
+    total = s + field.v
+    assert total <= 25.0
+    std = math.sqrt(total)
+    rule = ghquad.default_rule()
     half_nodes, half_weights = folded_rule(rule)
+    if total <= 3.125:
+        rule = ghquad.normal_trapezoid_rule(181)
     sums = []
     for shift in field.values:
         if shift == 0.0:
@@ -389,15 +475,15 @@ def test_centred_layers_keep_their_bytes_beside_a_shifted_layer_property(
 
 
 def test_table_atoms_are_bit_identical_to_fresh_atoms():
-    rule = ghquad.default_rule()
     fields = (FieldSpec.zero(), FieldSpec.gaussian(0.7),
               FieldSpec.point_mass(0.3),
-              FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+              FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+              FieldSpec.discrete((0.0, 1.2), (0.4, 0.6)))
     for field in fields:
-        for s in (0.0, 0.4, 3.0):
+        for s in (0.0, 0.4, 3.0, 3.125, 3.5, 20.0):
             for kernel in (TANH_SQ, LOG_COSH, INV_COSH4):
                 assert ghquad.expect(kernel, s, field) == _fresh_atom_expect(
-                    kernel, s, field, rule)
+                    kernel, s, field)
 
 
 # ---------------------------------------------------------------------------
@@ -406,21 +492,21 @@ def test_table_atoms_are_bit_identical_to_fresh_atoms():
 
 
 _LAYER_KERNELS = (TANH_SQ, LOG_COSH, INV_COSH4, TANH_MOMENTS)
-# Variances below and above the default rule's s = 25, and past the range
-# of the finest rule.
+# Variances on both sides of the coarse rule's 3.125 and the default
+# rule's 25, and past the range of the finest rule.
 _LAYER_VARIANCES = st.one_of(
-    st.floats(0.0, 25.0), st.floats(25.0, 2000.0),
+    st.floats(0.0, 3.125), st.floats(3.125, 25.0), st.floats(25.0, 2000.0),
     st.floats(ghquad.ACCURATE_VARIANCE, 4.0 * ghquad.ACCURATE_VARIANCE))
 
 
 def _assert_layered_matches_one_layer_calls(s, fields):
+    # Bit for bit, as expect promises.
     for kernel in _LAYER_KERNELS:
         layered = ghquad.expect(kernel, np.array(s), fields)
         assert layered.shape[-1] == len(fields)
         for p, (s_p, field) in enumerate(zip(s, fields)):
             one = ghquad.expect(kernel, s_p, field)
-            np.testing.assert_allclose(layered[..., p], one, rtol=0.0,
-                                       atol=1e-15)
+            assert layered[..., p].tobytes() == np.asarray(one).tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -459,10 +545,11 @@ def test_expect_blocks_are_bounded_by_entries():
         shapes.append(y.shape)
         return TANH_MOMENTS(y)
 
-    # The default rule, a refined one and the finest, past the cap alone.
+    # The coarse rule, the default one, a refined one and the finest, past
+    # the cap alone.
     orders = []
-    for s in (0.5, 100.0, 2.0 * ghquad.ACCURATE_VARIANCE):
-        order = ghquad._rule_for(s).order
+    for s in (0.5, 5.0, 100.0, 2.0 * ghquad.ACCURATE_VARIANCE):
+        order = ghquad._rule_for(s, shifted=True).order
         orders.append(order)
         for fields in ([wide], [wide, FieldSpec.gaussian(0.3), wide]):
             shapes.clear()
@@ -473,12 +560,14 @@ def test_expect_blocks_are_bounded_by_entries():
                 assert atoms * nodes <= max(ghquad._BLOCK_ENTRIES, nodes)
             assert max(atoms for atoms, nodes in shapes if nodes == order) \
                 == max(1, min(64, ghquad._BLOCK_ENTRIES // order))
-    assert orders[0] == ghquad.DEFAULT_ORDER
-    assert ghquad.DEFAULT_ORDER < orders[1] < ghquad._BLOCK_ENTRIES < orders[2]
+    # A shifted atom at s = 0.5 takes the 181-node rule: 45 atoms a block.
+    assert orders[0] == 181 and ghquad._BLOCK_ENTRIES // 181 == 45
+    assert orders[1] == ghquad.DEFAULT_ORDER
+    assert ghquad.DEFAULT_ORDER < orders[2] < ghquad._BLOCK_ENTRIES < orders[3]
     # Centred atoms take the folded half of each rule, so a block holds
     # twice as many of them, alone or beside shifted atoms.
     centred = [FieldSpec.gaussian(0.3)] * 100
-    for s, fields in ((0.5, centred), (0.5, centred + [wide]),
+    for s, fields in ((0.5, centred), (5.0, centred + [wide]),
                       (200.0, centred + [wide])):
         order = ghquad._rule_for(s + 0.3).order
         half = (order + 1) // 2
@@ -489,6 +578,11 @@ def test_expect_blocks_are_bounded_by_entries():
         assert max(folded) == min(100, ghquad._BLOCK_ENTRIES // half)
         assert sum(atoms for atoms, nodes in shapes if nodes == order) == (
             len(fields) - 100) * 64
+    # At s = 0.5 the folded default and the coarse rule both have 181
+    # nodes: the 100 centred atoms fill their blocks, then the 64 shifted.
+    shapes.clear()
+    ghquad.expect(recording, np.full(101, 0.5), centred + [wide])
+    assert shapes == [(45, 181), (45, 181), (10, 181), (45, 181), (19, 181)]
 
 
 def test_tanh_moments_are_the_two_kernels_bit_for_bit():
