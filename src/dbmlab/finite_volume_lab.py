@@ -12,7 +12,9 @@ The layered chain is bipartite: given the even-indexed layers, the spins
 of the odd-indexed layers are independent, and vice versa.  Exact
 enumeration uses that to sum one parity class of layers in closed form; of
 the other class's configurations it computes half, and reads the other
-half off them as their flips.
+half off them as their flips.  The Monte Carlo sweep is a two-colour heat
+bath: every even-indexed layer in one pass given the odd ones, then every
+odd-indexed layer.
 A disorder sample is always a stack: a :class:`DisorderSample` holds
 consecutive samples along a leading array axis, one sample being a stack of
 one, and :func:`sample_disorder` is the one function that draws them.  All
@@ -26,13 +28,18 @@ tests take NumPy's vectorised ``exp`` and ``log``, and libm's ``exp`` and
 ``log`` through :mod:`math` only near a threshold; its drift test takes its
 Student ``t`` quantile from the closed-form tail of :func:`_t_tail`.
 
-Randomness is counter-based: every disorder sample is generated from a
-Philox stream keyed by ``(master seed, sample index, stream id)``, so
+Randomness is keyed by ``(master seed, sample index, stream id)``, so
 results are bit-identical regardless of evaluation order or parallelism.
-The Monte Carlo chains take their uniforms in blocks of sweeps, one call
-per sample and block; a Philox double consumes one 64-bit output in stream
-order, so a block holds exactly the uniforms the sweeps would draw one by
-one.
+Disorder samples and the covariance check's configuration pairs come from
+Philox streams, one bit generator re-keyed in place per sample: a
+covariance stack draws a thousand samples of a few doubles each, and
+seeding a ``SeedSequence`` costs more than ten re-keyings.  The Monte Carlo
+draws far more per sample than it seeds, so each sample's dynamics take an
+SFC64 stream seeded by a ``SeedSequence`` of its key, which draws a double
+in well under half of Philox's time.  The chains take their uniforms in
+blocks of sweeps, one call per sample and block; a double consumes one
+64-bit output in stream order, so a block holds exactly the uniforms the
+sweeps would draw one by one.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ REPLICA_CAP = 1024
 PAIR_CAP = 10**4
 MC_RECORD_CAP = 1 << 24
 
-# Stream ids within one (seed, index) Philox key.
+# Stream ids within one (seed, index) key.
 _STREAM_DISORDER = 0
 _STREAM_DYNAMICS = 1
 _STREAM_PAIRS = 2
@@ -220,6 +227,13 @@ def _generator(seed: int, index: int, stream: int) -> np.random.Generator:
     philox = np.random.Philox(0)
     philox.state = _stream_state(seed, index, stream)
     return np.random.Generator(philox)
+
+
+def _dynamics_generator(seed: int, index: int) -> np.random.Generator:
+    """Generator on sample ``index``'s Monte Carlo stream: SFC64 seeded by
+    ``SeedSequence((seed, index, _STREAM_DYNAMICS))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        (seed & _MASK64, index, _STREAM_DYNAMICS))))
 
 
 def sample_disorder(assignment: LayerAssignment, params: ModelParams,
@@ -532,13 +546,9 @@ def _t_quantile(level: float) -> float:
 @functools.cache
 def _drift_threshold(tests: int) -> float:
     """The ``|t|`` past which :func:`_drift_detected` flags one of ``tests``
-    series: the two-sided ``_DRIFT_LEVEL / tests`` quantile.
-
-    The level is the tail that the rounded probability ``p = fl(1 - 0.5 *
-    _DRIFT_LEVEL / tests)`` names, ``2 (1 - p)``, whose subtraction is exact
-    (Sterbenz); it is a little off ``_DRIFT_LEVEL / tests`` itself.
-    """
-    return _t_quantile(2.0 * (1.0 - (1.0 - 0.5 * _DRIFT_LEVEL / tests)))
+    series: the two-sided quantile at the Bonferroni level ``_DRIFT_LEVEL /
+    tests`` itself, not at a probability ``1 - level / 2`` rounded first."""
+    return _t_quantile(_DRIFT_LEVEL / tests)
 
 
 def _drift_detected(records: np.ndarray) -> bool:
@@ -583,74 +593,109 @@ def _expit(x: float) -> float:
         return 0.0
 
 
-def _tempering_sweep(layers: list[np.ndarray], coupled: list[np.ndarray],
-                     coupled_t: list[np.ndarray], slope: np.ndarray,
-                     fields2: list[np.ndarray], draws: np.ndarray) -> np.ndarray:
-    """One heat-bath sweep over every layer, rung and stacked sample.
+def _class_couplings(sizes: tuple[int, ...], couplings, factors) -> tuple[int, list]:
+    """The chain's couplings arranged for the two-colour sweep.
 
-    ``layers[p]`` is the ``(D, R, N_p)`` view of layer ``p`` in the states
-    of ``D`` disorder samples at ``R`` rungs, updated in place;
-    ``coupled[p]`` is the ``(D, N_p, N_{p+1})`` stack of
-    ``sqrt(2/N) beta_p J_p`` and ``coupled_t[p]`` its transpose, a
-    contiguous ``(D, N_{p+1}, N_p)`` stack.  A spin of layer ``p`` with
-    coupling field ``g`` at rung ``r`` becomes ``+1`` with probability
-    ``expit(slope[r] * g + fields2[p])``, where ``slope`` (shape ``(R, 1)``)
-    is twice the rung's coupling scale and ``fields2[p]`` (shape
-    ``(D, 1, N_p)``) twice the layer's fields; ``fields2`` is ``None`` when
-    every field of the stack is zero, where adding it would change no
-    probability.  Row ``d`` of ``draws`` (shape
-    ``(D, >= R * N)``, rows of any stride) starts with sample ``d``'s
-    ``R * N`` uniforms, layer by layer.  The product ``layers[p] @
-    coupled[p]`` taken after layer ``p`` updates is both the left part of
-    layer ``p + 1``'s coupling field and, contracted with the updated layer
-    ``p + 1``, bond ``p``'s share of ``-H``.  Each layer's field array is
-    scaled and shifted in place to the argument ``x``.  The heat-bath test
-    ``u < expit(x)`` is taken as the sign of ``1 - u (1 + exp(-x))``, with
-    NumPy's vectorised ``exp``, and written to the layer as the new spin;
-    the scalar :func:`_expit` and the comparison decide the tests within
-    :data:`_MARGIN` of 0 and the NaN ones, so every spin is the one the
-    scalar logistic gives.  Returns ``-H`` per sample and rung, shape
-    ``(D, R)``.
+    A state is held in class order, the even-indexed layers and then the
+    odd-indexed ones, so the two neighbours ``p - 1`` and ``p + 1`` of an
+    odd layer ``p`` sit side by side in the even block.  Returns the even
+    block's width and, per odd layer ``p``, a tuple of its columns in the
+    state, its neighbours' columns, ``W_p = [C_{p-1}^T | C_p]`` (shape
+    ``(D, N_p, N_{p-1} + N_{p+1})``) and ``W_p^T``, both contiguous, where
+    ``C_q`` is ``factors[q]`` times ``couplings[q]`` (``C_p`` is left out
+    for the last layer).  Together they hold the entries of every bond
+    twice, once per direction.
     """
-    D, R = layers[0].shape[:2]
-    K = len(layers)
-    gain = np.zeros((D, R))
-    start = 0
-    for p in range(K):
-        layer = layers[p]
-        if p == 0:
-            local = layers[1] @ coupled_t[0] if K > 1 else np.zeros(layer.shape)
-        elif p < K - 1:
-            local = below + layers[p + 1] @ coupled_t[p]
-        else:
-            # A copy: below enters the bond's share of -H after the update.
-            local = below.copy()
-        stop = start + R * layer.shape[2]
-        uniforms = draws[:, start:stop].reshape(layer.shape)
-        start = stop
-        local *= slope
-        if fields2 is not None:
-            local += fields2[p]
-        # u < expit(x) exactly when 1 - u (1 + exp(-x)) > 0.  The test is
-        # NaN where u = 0 and exp(-x) overflows, and fails the margin.
-        test = np.negative(local)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.exp(test, out=test)
-            test += 1.0
-            test *= uniforms
-        np.subtract(1.0, test, out=test)
-        np.copysign(1.0, test, out=layer)
-        np.abs(test, out=test)
-        sure = test > _MARGIN
-        if not sure.all():
-            unsure = ~sure
-            layer[unsure] = [1.0 if u < _expit(x) else -1.0 for u, x in
-                             zip(uniforms[unsure].tolist(), local[unsure].tolist())]
-        if p > 0:
-            gain += np.einsum("dri,dri->dr", below, layer)
+    K = len(sizes)
+    evens = np.cumsum((0,) + sizes[0::2])
+    odds = evens[-1] + np.cumsum((0,) + sizes[1::2])
+    odd = []
+    for k, p in enumerate(range(1, K, 2)):
+        parts = [factors[p - 1] * couplings[p - 1]]
         if p < K - 1:
-            below = layer @ coupled[p]
-    return gain
+            parts.append(factors[p] * np.swapaxes(couplings[p], -1, -2))
+        down = np.concatenate(parts, axis=-2)
+        odd.append((slice(odds[k], odds[k + 1]),
+                    slice(evens[k], evens[min(k + 2, len(evens) - 1)]),
+                    np.ascontiguousarray(np.swapaxes(down, -1, -2)), down))
+    return int(evens[-1]), odd
+
+
+def _heat_bath(spins: np.ndarray, field: np.ndarray, slope: np.ndarray,
+               fields2, uniforms: np.ndarray) -> None:
+    """Heat-bath draws of ``spins`` given their coupling field, in place.
+
+    A spin with coupling field ``g`` at rung ``r`` becomes ``+1`` with
+    probability ``expit(x)``, ``x = slope[r] * g + fields2``, where
+    ``fields2``, twice the spins' fields, is ``None`` if they are all zero
+    (``expit(-0.0)`` is 0.5 too).  The test ``u < expit(x)`` is taken as
+    the sign of ``1 - u (1 + exp(-x))``, with NumPy's vectorised ``exp``,
+    and written to ``spins``; the scalar :func:`_expit` and the comparison
+    decide the tests within :data:`_MARGIN` of 0 and the NaN ones, so every
+    spin is the one the scalar logistic gives.  ``field`` is left as it is.
+    """
+    x = field * slope
+    if fields2 is not None:
+        x += fields2
+    # u < expit(x) exactly when 1 - u (1 + exp(-x)) > 0.  The test is NaN
+    # where u = 0 and exp(-x) overflows, and fails the margin.
+    test = np.negative(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(test, out=test)
+        test += 1.0
+        test *= uniforms
+    np.subtract(1.0, test, out=test)
+    np.copysign(1.0, test, out=spins)
+    np.abs(test, out=test)
+    sure = test > _MARGIN
+    if not sure.all():
+        unsure = ~sure
+        spins[unsure] = [1.0 if u < _expit(v) else -1.0 for u, v in
+                         zip(uniforms[unsure].tolist(), x[unsure].tolist())]
+
+
+def _tempering_sweep(states: np.ndarray, even: int, odd: list, slope: np.ndarray,
+                     fields2, draws: np.ndarray) -> np.ndarray:
+    """One two-colour heat-bath sweep over every rung and stacked sample.
+
+    ``states`` is the ``(D, R, N)`` stack of class-ordered states of ``D``
+    disorder samples at ``R`` rungs, updated in place; ``even`` and ``odd``
+    are :func:`_class_couplings`'s.  Given the odd layers, every spin of
+    the even ones is independent, and the reverse holds too, so the sweep
+    is two heat-bath passes (:func:`_heat_bath`): the even block, then the
+    odd one.  The even block's coupling field is one product ``sigma_p @
+    W_p`` per odd layer, added into the columns of its neighbours; the odd
+    block's is one product of the neighbours' columns with ``W_p^T`` per
+    odd layer.  ``slope`` (shape ``(R, 1)``) is twice each rung's coupling
+    scale, and ``fields2`` the pair of ``(D, 1, n)`` arrays of twice the
+    fields of the even and odd blocks, or of ``None`` when every field of
+    the stack is zero.  Row ``d`` of ``draws`` (shape ``(D, >= R * N)``,
+    rows of any stride) starts with sample ``d``'s ``R * N`` uniforms, the
+    even block's and then the odd block's.  Every bond joins an even and an
+    odd layer, so the odd pass's products, contracted with the updated odd
+    block, are ``-H``.  Returns ``-H`` per sample and rung, shape ``(D,
+    R)``.
+    """
+    D, R, N = states.shape
+    spins = (states[..., :even], states[..., even:])
+    if len(odd) == 1:
+        # K = 2 or 3: the one odd layer's neighbours are the whole even block.
+        cols, _, up, _ = odd[0]
+        field = states[..., cols] @ up
+    else:
+        field = np.zeros((D, R, even))
+        for cols, window, up, _ in odd:
+            field[..., window] += states[..., cols] @ up
+    _heat_bath(spins[0], field, slope, fields2[0],
+               draws[:, :R * even].reshape(D, R, even))
+    parts = [states[..., window] @ down for _, window, _, down in odd]
+    if len(parts) == 1:
+        field = parts[0]
+    else:
+        field = np.concatenate(parts or [np.zeros((D, R, 0))], axis=-1)
+    _heat_bath(spins[1], field, slope, fields2[1],
+               draws[:, R * even:R * N].reshape(D, R, N - even))
+    return np.einsum("dri,dri->dr", field, spins[1])
 
 
 def _log_below(u: np.ndarray, log_u: np.ndarray, near: np.ndarray,
@@ -680,14 +725,19 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     ``-H`` (:func:`hamiltonian`) under the Gibbs measure at scale ``t``.
     The ``replicas`` rungs sit at the Gauss-Legendre nodes of that
     integral; each records ``-H`` of its states after every sweep, and the
-    second half of the sweeps is averaged.  After every sweep, alternately
+    second half of the sweeps is averaged.  A sweep is a two-colour heat
+    bath (:func:`_tempering_sweep`): the states are held in class order,
+    the even-indexed layers and then the odd-indexed ones, and each class
+    is updated in one pass given the other.  After every sweep, alternately
     the even and the odd neighbouring rung pairs propose to swap states.
 
     The chains of all disorder samples run together, stacked along a
     leading axis (a few samples at a time for large systems, see
-    :func:`_disorder_stacks`).  Each sample still draws from its own keyed
-    random stream, in the order a chain run alone would, so the estimate
-    is reproducible regardless of how samples are stacked.  The uniforms
+    :func:`_disorder_stacks`).  Each sample still draws from its own
+    seeded SFC64 stream (:func:`_dynamics_generator`), in the order a chain
+    run alone would, so the estimate is reproducible regardless of how
+    samples are stacked: first its ``(R, N)`` initial spins, then per sweep
+    ``R * N`` uniforms for the spins and one per proposed swap.  The uniforms
     come in blocks of an even number of sweeps, at most
     :data:`_CHUNK_ENTRIES` entries for the stack (two sweeps at least):
     one call per sample fills its row of a buffer allocated once per stack,
@@ -713,7 +763,6 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     sizes = assignment.sizes
     N = assignment.N
     R = replicas
-    bounds = np.cumsum((0,) + sizes)
     scale = math.sqrt(2.0 / N)
     slope = (2.0 * nodes)[:, None]
     burn_in = sweeps // 2
@@ -731,17 +780,16 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     for stack in _disorder_stacks(assignment, params, seed, n_disorder, 2 * R * N):
         start, fields = stack.index, stack.fields
         D = fields[0].shape[0]
-        gens = [_generator(seed, j, _STREAM_DYNAMICS) for j in range(start, start + D)]
+        gens = [_dynamics_generator(seed, j) for j in range(start, start + D)]
         states = np.stack([gen.integers(0, 2, size=(R, N)) for gen in gens])
         states = states.astype(float) * 2.0 - 1.0
-        layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(len(sizes))]
-        coupled = [(scale * params.beta[p]) * block
-                   for p, block in enumerate(stack.couplings)]
-        coupled_t = [np.ascontiguousarray(block.transpose(0, 2, 1))
-                     for block in coupled]
+        even, odd = _class_couplings(sizes, stack.couplings,
+                                     [scale * b for b in params.beta])
         # Zero fields add nothing but a sign to a zero: expit(-0.0) is 0.5.
-        fields2 = ([2.0 * h[:, None, :] for h in fields]
-                   if any(h.any() for h in fields) else None)
+        fields2 = (None, None)
+        if any(h.any() for h in fields):
+            doubled = 2.0 * np.concatenate(fields[0::2] + fields[1::2], axis=1)[:, None, :]
+            fields2 = (doubled[..., :even], doubled[..., even:])
         # draws[d, k] holds sample d's uniforms for the k-th even sweep of
         # the block, then for the odd sweep after it.  Zeros, not garbage,
         # where a part block leaves its last odd sweep unfilled: the swap
@@ -765,7 +813,7 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
             for sweep in range(first, first + count):
                 parity, k = sweep % 2, (sweep - first) // 2
                 offset = parity * width[0]
-                gain = _tempering_sweep(layers, coupled, coupled_t, slope, fields2,
+                gain = _tempering_sweep(states, even, odd, slope, fields2,
                                         draws[:, k, offset:offset + width[parity]])
                 pairs = lo[parity]
                 log_accept = gap[parity] * (gain[:, pairs] - gain[:, pairs + 1])

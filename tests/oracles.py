@@ -429,37 +429,60 @@ def interaction_image(params, q) -> np.ndarray:
 # all samples; both must give the same bits.
 
 
-def _sample_tempering_sweep(layers, coupled, slope, fields2, draws):
-    """One heat-bath sweep over the (R, N_p) layer views of one sample; -H per rung."""
+def class_order(sizes) -> np.ndarray:
+    """Layer-order spin index of each class-ordered position: the
+    even-indexed layers' spins, then the odd-indexed layers'."""
+    bounds = np.cumsum((0,) + tuple(sizes))
+    layers = list(range(0, len(sizes), 2)) + list(range(1, len(sizes), 2))
+    return np.concatenate([np.arange(bounds[p], bounds[p + 1]) for p in layers])
+
+
+def _sample_tempering_sweep(states, sizes, coupled, slope, fields2, draws):
+    """One two-colour heat-bath sweep over the class-ordered (R, N) states of
+    one sample; -H per rung.
+
+    ``coupled[p]`` is the ``(N_p, N_{p+1})`` block of bond ``p``, scaled, and
+    ``fields2[p]`` twice layer ``p``'s fields.  The even block goes first,
+    its field summed in order of the odd layers ``p`` from ``sigma_p @ W_p``
+    with ``W_p = [C_{p-1}^T | C_p]``; then the odd block, each odd layer's
+    field from its neighbours ``[sigma_{p-1} | sigma_{p+1}] @ W_p^T``.
+    """
     from scipy.special import expit
 
-    R = slope.shape[0]
-    K = len(layers)
-    gain = np.zeros(R)
-    local = np.zeros(layers[0].shape)
-    start = 0
-    for p in range(K):
-        layer = layers[p]
-        if p < K - 1:
-            local = local + layers[p + 1] @ coupled[p].T
-        stop = start + layer.size
-        uniforms = draws[start:stop].reshape(layer.shape)
-        start = stop
-        layer[...] = np.where(uniforms < expit(slope * local + fields2[p]),
-                              1.0, -1.0)
-        if p > 0:
-            gain += np.einsum("ri,ri->r", below, layer)
-        if p < K - 1:
-            below = layer @ coupled[p]
-            local = below
-    return gain
+    K = len(sizes)
+    R = states.shape[0]
+    even = sum(sizes[0::2])
+    evens = np.cumsum((0,) + tuple(sizes[0::2]))
+    odds = even + np.cumsum((0,) + tuple(sizes[1::2]))
+    shift = np.concatenate([fields2[p] for p in range(0, K, 2)]
+                           + [fields2[p] for p in range(1, K, 2)])
+    blocks = []
+    for k, p in enumerate(range(1, K, 2)):
+        right = [coupled[p].T] if p < K - 1 else []
+        down = np.concatenate([coupled[p - 1]] + right, axis=0)
+        blocks.append((slice(odds[k], odds[k + 1]),
+                       slice(evens[k], evens[min(k + 2, len(evens) - 1)]),
+                       np.ascontiguousarray(down.T), down))
+    field = np.zeros((R, even))
+    for cols, window, up, _ in blocks:
+        field[:, window] += states[:, cols] @ up
+    u = draws[:R * even].reshape(R, even)
+    states[:, :even] = np.where(u < expit(slope * field + shift[:even]), 1.0, -1.0)
+    field = np.zeros((R, states.shape[1] - even))
+    for cols, window, _, down in blocks:
+        field[:, cols.start - even:cols.stop - even] = states[:, window] @ down
+    u = draws[R * even:states.size].reshape(field.shape)
+    states[:, even:] = np.where(u < expit(slope * field + shift[even:]), 1.0, -1.0)
+    return np.einsum("ri,ri->r", field, states[:, even:])
 
 
 def per_sample_mc_pressure(assignment, params, n_disorder, sweeps, replicas,
                            seed):
-    """(mean, std_error) of the tempering pressure, one chain set per sample."""
-    from dbmlab.finite_volume_lab import _STREAM_DYNAMICS, _generator
+    """(mean, std_error) of the tempering pressure, one chain set per sample.
 
+    Sample ``j``'s dynamics take an SFC64 seeded by ``SeedSequence((seed,
+    j, 1))``, built here rather than read from the package.
+    """
     x, w = np.polynomial.legendre.leggauss(replicas)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
@@ -467,24 +490,24 @@ def per_sample_mc_pressure(assignment, params, n_disorder, sweeps, replicas,
     N = assignment.N
     K = len(sizes)
     R = replicas
-    bounds = np.cumsum((0,) + sizes)
     scale = math.sqrt(2.0 / N)
     slope = (2.0 * nodes)[:, None]
     values = np.empty(n_disorder)
     for j in range(n_disorder):
         couplings, fields = reference_disorder(sizes, params, seed, j)
-        gen = _generator(seed, j, _STREAM_DYNAMICS)
+        gen = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence((seed & ((1 << 64) - 1), j, 1))))
         h_all = np.concatenate(fields)
         coupled = [(scale * params.beta[p]) * couplings[p] for p in range(K - 1)]
         fields2 = [2.0 * h for h in fields]
         states = gen.integers(0, 2, size=(R, N)).astype(float) * 2.0 - 1.0
-        layers = [states[:, bounds[p]:bounds[p + 1]] for p in range(K)]
         burn_in = sweeps // 2
         records = np.empty((sweeps - burn_in, R))
         for sweep in range(sweeps):
             rungs = range(sweep % 2, R - 1, 2)
             draws = gen.random(R * N + len(rungs))
-            gain = _sample_tempering_sweep(layers, coupled, slope, fields2, draws)
+            gain = _sample_tempering_sweep(states, sizes, coupled, slope, fields2,
+                                           draws)
             for r, u in zip(rungs, draws[R * N:]):
                 log_accept = (nodes[r + 1] - nodes[r]) * (gain[r] - gain[r + 1])
                 if math.log(max(u, 1e-300)) < log_accept:

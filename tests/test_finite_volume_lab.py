@@ -25,7 +25,8 @@ from dbmlab.machine import FieldSpec, ModelParams
 
 from helpers import random_field
 from oracles import (_sample_tempering_sweep, all_spin_configs, bruteforce_log_partition,
-                     full_table_log_partition, per_sample_mc_pressure, reference_disorder)
+                     class_order, full_table_log_partition, per_sample_mc_pressure,
+                     reference_disorder)
 
 LOG2 = math.log(2.0)
 
@@ -517,43 +518,64 @@ def test_mc_pressure_agrees_with_enumeration():
     assert abs(mc.mean - ex.mean) <= 3.0 * combined + 1e-4
 
 
+def test_mc_pressure_agrees_with_enumeration_on_a_deep_chain():
+    params = make(6, (0.9, 0.8, 1.0, 0.7, 0.9), (1 / 6,) * 6,
+                  (FieldSpec.gaussian(0.3), FieldSpec.zero(), FieldSpec.point_mass(0.2),
+                   FieldSpec.zero(), FieldSpec.gaussian(0.5), FieldSpec.zero()))
+    assignment = LayerAssignment.from_weights(params.lam, 24)
+    n = 24
+    mc = mc_pressure(assignment, params, n_disorder=n, sweeps=400, replicas=16, seed=4)
+    ex = exact_pressure(assignment, params, n_disorder=n, seed=4)
+    combined = math.hypot(mc.std_error, ex.std_error)
+    assert abs(mc.mean - ex.mean) <= 3.0 * combined + 1e-4
+
+
+# Layer sizes per depth, with empty layers and, for (0, 5, 0) and
+# (4, 0, 3, 0, 2), an empty class.
+SWEEP_SIZES = {1: ((6,),), 2: ((4, 5), (0, 5)), 3: ((4, 5, 3), (4, 0, 3), (0, 5, 0)),
+               4: ((3, 4, 2, 3), (0, 3, 2, 0)), 5: ((2, 3, 4, 1, 3), (4, 0, 3, 0, 2))}
+
+
 def test_mc_sweep_gain_is_minus_hamiltonian():
-    params = make(3, (1.2, 0.8), (0.3, 0.3, 0.4),
-                  (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.point_mass(0.2)))
-    for sizes in ((4, 5, 3), (4, 0, 3)):
+    laws = (FieldSpec.gaussian(0.4), FieldSpec.zero(), FieldSpec.point_mass(0.2))
+    for K, sizes in [(K, sizes) for K in SWEEP_SIZES for sizes in SWEEP_SIZES[K]]:
+        params = make(K, (1.2, 0.8, 1.0, 0.6)[:K - 1], (1 / K,) * K,
+                      [laws[p % 3] for p in range(K)])
         assignment = LayerAssignment(sizes)
         samples = sample_disorder(assignment, params, seed=9, index=0, count=3)
         rng = np.random.default_rng(1)
         D, R, N = 3, 4, assignment.N
         states = rng.choice((-1.0, 1.0), size=(D, R, N))
-        bounds = np.cumsum((0,) + sizes)
-        layers = [states[:, :, bounds[p]:bounds[p + 1]] for p in range(3)]
-        coupled = [math.sqrt(2.0 / N) * params.beta[p] * samples.couplings[p]
-                   for p in range(2)]
-        coupled_t = [np.ascontiguousarray(block.transpose(0, 2, 1))
-                     for block in coupled]
+        even, odd = fvl._class_couplings(
+            sizes, samples.couplings, [math.sqrt(2.0 / N) * b for b in params.beta])
+        assert even == sum(sizes[0::2])
+        order = class_order(sizes)
+        doubled = 2.0 * np.concatenate(samples.fields, axis=1)[:, None, order]
+        fields2 = (doubled[..., :even], doubled[..., even:])
         slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
-        fields2 = [2.0 * h[:, None, :] for h in samples.fields]
         for _ in range(3):
-            gain = fvl._tempering_sweep(layers, coupled, coupled_t, slope,
-                                        fields2, rng.random((D, R * N)))
+            gain = fvl._tempering_sweep(states, even, odd, slope, fields2,
+                                        rng.random((D, R * N)))
+            layered = np.empty_like(states)
+            layered[..., order] = states
             for d in range(D):
                 sample = sample_disorder(assignment, params, seed=9, index=d)
-                np.testing.assert_allclose(gain[d], -hamiltonian(sample, states[d], params)[0],
+                np.testing.assert_allclose(gain[d], -hamiltonian(sample, layered[d], params)[0],
                                            rtol=0.0, atol=1e-13)
 
 
 def _heat_bath_boundary_case():
     """A two-layer sweep whose layer-0 uniforms sit on the heat-bath threshold.
 
-    Layer 0's first spins have no couplings, so their argument ``x`` is their
-    doubled field exactly, in the package and in the per-sample oracle.
-    Their fields run over moderate values, ``x < -710`` (where ``exp(-x)``
-    overflows) and ``x`` past ``+-745`` (where ``expit`` is 0 or 1).  At rung
-    0 each uniform is SciPy's ``expit(x)``, at rungs 1 and 2 its neighbours
-    one ulp down and up, and at rung 3 it is 0.  The last spins of layer 0
-    and all of layer 1 are coupled, with random uniforms, so the gains are
-    not trivial.
+    With two layers the class order is the layer order.  Layer 0's first
+    spins have no couplings, so their argument ``x`` is their doubled field
+    exactly, in the package and in the per-sample oracle.  Their fields run
+    over moderate values, ``x < -710`` (where ``exp(-x)`` overflows) and
+    ``x`` past ``+-745`` (where ``expit`` is 0 or 1).  At rung 0 each
+    uniform is SciPy's ``expit(x)``, at rungs 1 and 2 its neighbours one
+    ulp down and up, and at rung 3 it is 0.  The last spins of layer 0 and
+    all of layer 1 are coupled, with random uniforms, so the gains are not
+    trivial.
     """
     from scipy.special import expit
 
@@ -568,7 +590,6 @@ def _heat_bath_boundary_case():
     N = sum(sizes)
     coupled = [rng.normal(0.0, 0.3, (D, sizes[0], n1))]
     coupled[0][:, :free] = 0.0
-    coupled_t = [np.ascontiguousarray(coupled[0].transpose(0, 2, 1))]
     slope = (2.0 * np.linspace(0.2, 1.0, R))[:, None]
     on = expit(x)
     u0 = np.stack([on, np.nextafter(on, 0.0), np.nextafter(on, 1.0), np.zeros_like(on)],
@@ -577,19 +598,18 @@ def _heat_bath_boundary_case():
     first = draws[:, :R * sizes[0]].reshape(D, R, sizes[0])
     first[:, :, :free] = u0
     states = rng.choice((-1.0, 1.0), size=(D, R, N))
-    return sizes, states, coupled, coupled_t, slope, fields2, draws
+    return sizes, states, coupled, slope, fields2, draws
 
 
-def _heat_bath_sweeps(sizes, states, coupled, coupled_t, slope, fields2, draws):
+def _heat_bath_sweeps(sizes, states, coupled, slope, fields2, draws):
     """The package's spins and gains, and the per-sample oracle's."""
-    bounds = np.cumsum((0,) + sizes)
     pkg = states.copy()
-    gain = fvl._tempering_sweep([pkg[:, :, bounds[p]:bounds[p + 1]] for p in range(2)],
-                                coupled, coupled_t, slope, fields2, draws)
+    gain = fvl._tempering_sweep(pkg, *fvl._class_couplings(sizes, coupled, [1.0]),
+                                slope, tuple(fields2), draws)
     ref = states.copy()
     ref_gain = np.stack([
-        _sample_tempering_sweep([ref[d, :, bounds[p]:bounds[p + 1]] for p in range(2)],
-                                [coupled[0][d]], slope, [f[d] for f in fields2], draws[d])
+        _sample_tempering_sweep(ref[d], sizes, [coupled[0][d]], slope,
+                                [f[d, 0] for f in fields2], draws[d])
         for d in range(len(states))])
     return pkg, gain, ref, ref_gain
 
@@ -638,6 +658,11 @@ STACKED_CASES = {
                                     (FieldSpec.zero(), FieldSpec.point_mass(0.2),
                                      FieldSpec.gaussian(0.3))), 8, 60, 5),
     "one-rung": ((3, 4, 2, 3), make(4, (1.2, 0.8, 0.5), (0.25,) * 4), 4, 30, 1),
+    "deep": ((3, 0, 2, 4, 2, 3), make(6, (0.9, 0.7, 1.1, 0.8, 0.6), (1 / 6,) * 6,
+                                      (FieldSpec.gaussian(0.3), FieldSpec.zero(),
+                                       FieldSpec.point_mass(0.2), FieldSpec.zero(),
+                                       FieldSpec.discrete((-1.0, 0.5), (0.3, 0.7)),
+                                       FieldSpec.zero())), 5, 30, 4),
     "several-chunks": ((1000, 1000), make(2, (0.5,), (0.5, 0.5)), 5, 4, 3),
     "several-blocks": ((4, 5), make(2, (0.8,), (0.5, 0.5),
                                     (FieldSpec.gaussian(0.4), FieldSpec.zero())),
@@ -748,19 +773,31 @@ def _ulps(a, b):
     return np.abs(np.asarray(a, float).view(np.int64) - np.asarray(b, float).view(np.int64))
 
 
-def test_drift_threshold_is_scipy_stdtrit_within_two_ulps():
-    stdtrit = pytest.importorskip("scipy.special").stdtrit
+def test_drift_threshold_is_the_exact_level_quantile_within_two_ulps():
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(31)
-    tests = np.unique(np.concatenate([np.arange(1, 1001),
-                                      np.round(10.0 ** rng.uniform(3.0, 5.0, 300))]))
+    tests = np.unique(np.concatenate([np.arange(1, 301),
+                                      np.round(10.0 ** rng.uniform(2.5, 5.0, 300))]))
     tests = tests.astype(int).tolist()
-    # The probability that the drift test names, rounded as SciPy sees it.
-    expected = stdtrit(fvl._DRIFT_BATCHES - 2, 1.0 - 0.5 * fvl._DRIFT_LEVEL / np.array(tests))
+    nu = fvl._DRIFT_BATCHES - 2
+
+    def quantile(m):
+        # P(|T| > t) = I_x(nu / 2, 1 / 2) at x = nu / (nu + t^2), solved at
+        # the level level / m itself.
+        level = mpmath.mpf(fvl._DRIFT_LEVEL) / m
+        return float(mpmath.findroot(
+            lambda t: mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t),
+                                     regularized=True) - level,
+            mpmath.mpf(fvl._drift_threshold(m))))
+
+    with mpmath.workdps(40):
+        expected = [quantile(m) for m in tests]
     assert _ulps([fvl._drift_threshold(m) for m in tests], expected).max() <= 2
-    # Negative control: the quantile of the unrounded tail level / m is a
-    # different number, many ulps away where 1 - level / (2 m) rounds far.
-    unrounded = [fvl._t_quantile(fvl._DRIFT_LEVEL / m) for m in tests]
-    assert _ulps(unrounded, expected).max() > 1000
+    # Negative control: the quantile of the tail 2 (1 - fl(1 - level / (2 m)))
+    # is a different number, many ulps away where 1 - level / (2 m) rounds far.
+    rounded = [fvl._t_quantile(2.0 * (1.0 - (1.0 - 0.5 * fvl._DRIFT_LEVEL / m)))
+               for m in tests]
+    assert _ulps(rounded, expected).max() > 1000
 
 
 # ---------------------------------------------------------------------------
