@@ -550,11 +550,12 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     The grid's points share ``K``, so they are held as one stack of arrays,
     a point per row, written straight from the axes (:func:`_grid_stack`),
     and built, classified and solved as one: one
-    :func:`machine.classify_annealed` call, one Newton iteration
-    (:func:`rs_solver._solve_stack`), one bound evaluation
-    (:func:`sk_chain_bound.maximize_stack`, which takes the witnesses of the
-    classification and reads the bound off the Newton solutions, or off
-    ``q = 0`` at a witness) and one certificate pass serve every point,
+    :func:`machine.classify_annealed` call, one solve
+    (:func:`rs_solver._solve_stack`, which takes that classification and
+    puts the zero-field points with a witness at ``q = 0``, and the others
+    through one Newton iteration), one bound evaluation
+    (:func:`sk_chain_bound.maximize_stack`, which reads the bound off those
+    solutions) and one certificate pass serve every point,
     each with the bits of its own ``region``, ``rs`` or ``bound`` run.  A
     point whose solve fails gets ``rs_failed`` or ``bound_failed`` on its
     own row, and the other points go on.  A grid with more than
@@ -583,14 +584,13 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     rows of ``points``, solved as one stack."""
     outputs = scan.outputs
     verdicts = machine.classify_annealed(stack)
-    solutions, nested = [None] * len(stack), None
-    if "rs_pressure" in outputs or "certificates" in outputs:
-        solutions, nested = rs_solver._solve_stack(
-            stack, tol, rho=[verdict.rho for verdict in verdicts])
+    solutions = [None] * len(stack)
+    if {"rs_pressure", "certificates", "bound"} & set(outputs):
+        results, nested = rs_solver._solve_stack(stack, tol, verdicts)
+        if "rs_pressure" in outputs or "certificates" in outputs:
+            solutions = results
     if "bound" in outputs:
-        bounds = sk_chain_bound.maximize_stack(
-            stack, tol, nested=nested,
-            witness=[verdict.feasible_a for verdict in verdicts])
+        bounds = sk_chain_bound.maximize_stack(stack, tol, nested=nested)
     paths = [axis.path for axis in scan.axes]
     rows = []
     for i, values in enumerate(points.tolist()):

@@ -23,34 +23,18 @@ layered :func:`ghquad.expect` call: the pressure, the map, the stability
 test, and each Newton step, whose map and slope come together from the
 fused :data:`~dbmlab.ghquad.TANH_MOMENTS` kernel.
 
-The nested solver is Newton's method on ``G(q) = q - F(q)`` with the
-analytic Jacobian ``I - diag(T'_p) M``, where ``T' = 3 E cosh^-4 - 2 (1 -
-T)`` by Gaussian integration by parts for any field.  With zero or centred
-Gaussian fields each layer map ``T_v(s) = E tanh^2(z sqrt(s + v))`` is
-increasing and concave, so ``G`` is convex, and Newton from ``q = 1``,
-which lies above every root, decreases monotonically onto the largest.  A
-guard raises :class:`SolverError` when an iterate leaves ``[0, 1]`` or
-climbs while the residual is still above ``1e-6``, which is how a
-layer variance past the quadrature's accuracy range
-(``ghquad.ACCURATE_VARIANCE``) shows.  Fields with a nonzero atom
-(point-mass or discrete, alone or mixed with centred ones) lose that
-theory: Newton starts at ``q = 1/2`` and keeps a step only if it lowers
-the residual, taking the damped step ``q - G(q) / 2`` otherwise.  Either way the iteration stops at residual
-``max(1e-14, tol / 100)`` once the next step, estimated with the last
-Jacobian, is within ``tol``, and fails only if its best residual stays
-above ``tol``.
+The nested solver (:func:`solve_nested`, which sets out its theory, guard
+and stopping rule) is Newton's method on ``G(q) = q - F(q)`` with the
+analytic Jacobian ``I - diag(T'_p) M``.  A model with zero fields strictly
+inside the annealed region takes no step: ``q = 0`` is its only solution,
+and the solver returns it exactly, with the annealed pressure.
 
-The nested solver, the pressure and the certificates take a stack of
-same-K models (:func:`solve_stack`), the points of a scan grid: every
-per-step array gains a leading point axis, and each Newton step makes one
-layered kernel call and one batched linear solve for every point still
-iterating, while each point stops on its own.  Every per-point product is
-a batched matmul of one row, no layer's kernel value depends on the other
-layers of its call, and a batched solve gives each system the bits of its
-own solve, so every point gets the bits of its one-model solve.
-:func:`solve_nested` is the stack of one.  A point whose solve fails gets
-its :class:`SolverError` or ``ValueError`` as its result, and the other
-points go on.
+The solver, the pressure and the certificates take a stack of same-K
+models (:func:`solve_stack`), the points of a scan grid, with one kernel
+call per Newton step for every point still iterating; every point gets
+the bits of its one-model solve, and :func:`solve_nested` is the stack of
+one.  A point whose solve fails gets its :class:`SolverError` or
+``ValueError`` as its result, and the other points go on.
 """
 from __future__ import annotations
 
@@ -102,11 +86,17 @@ class Certificates:
     """Certification flags attached to a solution.
 
     ``talagrand_ok``: every layer passes the high-temperature criterion
-    ``(Mq)_p < q_p / 4`` (``None`` when some layer is indeterminate).
+    ``(Mq)_p < q_p / 4`` (``None`` when some layer is indeterminate, as a
+    layer at ``q_p = 0`` is).
     ``at_ok``: every layer passes the de Almeida--Thouless stability
     inequality (``None`` when the fields are not centred Gaussian).
     ``stable_at_zero``: the consistency map is a local contraction at
     ``q = 0``, i.e. the spectral radius of ``M`` is below one.
+
+    With zero fields strictly inside the annealed region the solution is
+    ``q = 0`` exactly: ``talagrand_ok`` and ``at_ok`` are ``None`` and
+    ``stable_at_zero`` is true.  The split bound there is certified, since
+    its de Almeida--Thouless test at ``q = 0`` reads ``0 <= 0``.
     """
 
     talagrand_ok: bool | None
@@ -525,69 +515,113 @@ class _Solved(NamedTuple):
     """A point's largest consistency solution ``q`` with its residual,
     ``m = Mq``, its pressure and its de Almeida--Thouless test ``stable``:
     ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer, for
-    every field kind, from the Newton iteration's evaluation at ``q``."""
+    every field kind, from the Newton iteration's evaluation at ``q``.
+    ``witness`` is the annealed-region witness of a point put at ``q = 0``
+    by :func:`_solved`, and ``None`` for a Newton solution."""
 
     q: np.ndarray
     residual: float
     m: np.ndarray
     pressure: float
     stable: bool
+    witness: tuple | None = None
 
 
-def _solved(stack: _Stack, tol: float) -> list:
-    """The largest consistency solution of every point of ``stack``
-    (:func:`_newton`): per point its :class:`_Solved`, with one kernel call
-    for the pressures, or its :class:`SolverError`.  A single layer has no
-    interaction: ``q`` is the layer's own ``E tanh^2(z sqrt(v) + h)``."""
-    if stack.lam.shape[1] > 1:
-        roots = _newton(stack.M, stack.table, tol)
+def _zero_field_verdicts(stack: _Stack) -> list:
+    """Per point of ``stack`` its :func:`machine.classify_annealed` verdict
+    when every field is zero, else ``None``, from one call, or none when no
+    point has zero fields."""
+    zero = stack.zero_fields.tolist()
+    rows = [i for i, z in enumerate(zero) if z]
+    verdicts = iter(machine.classify_annealed(stack.take(rows)) if rows else ())
+    return [next(verdicts) if z else None for z in zero]
+
+
+def _solved(stack: _Stack, tol: float, verdicts) -> list:
+    """The largest consistency solution of every point of ``stack``: per
+    point its :class:`_Solved` or its :class:`SolverError`.
+
+    ``verdicts`` holds per point its :func:`machine.classify_annealed`
+    verdict, or ``None``.  With zero fields and a witness (strictly inside
+    the annealed region), ``q = 0`` is the only solution: the point takes
+    it with residual 0, the annealed pressure ``log 2 + (1/2) 1^T M1 1``
+    and the test ``0 <= 0``, with no Newton step and no kernel call.  The
+    other points take :func:`_newton`, and one kernel call for the
+    pressures; a single layer has no interaction, and its ``q`` is the
+    layer's own ``E tanh^2(z sqrt(v) + h)``."""
+    K = stack.lam.shape[1]
+    witness = [verdict.feasible_a if zero and verdict else None
+               for zero, verdict in zip(stack.zero_fields.tolist(), verdicts)]
+    roots: list = [None] * len(stack)
+    rows = [i for i, a in enumerate(witness) if a is not None]
+    if rows:
+        annealed = _LOG2 + machine.interaction_half_quadratic(
+            stack.take(rows), np.ones((len(rows), K)))
+        for i, pressure in zip(rows, annealed.tolist()):
+            roots[i] = _Solved(np.zeros(K), 0.0, np.zeros(K), pressure, True,
+                               witness[i])
+    newton = [i for i, a in enumerate(witness) if a is None]
+    if not newton:
+        return roots
+    stack = stack.take(newton)
+    if K > 1:
+        found = _newton(stack.M, stack.table, tol)
     else:
         q = _expect_rows(TANH_SQ, np.zeros((len(stack), 1)), stack.table)
         m = _mv(stack.M, q)
         f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
         residual = np.max(np.abs(q - f), axis=1).tolist()
-        roots = list(zip(q, residual, m, inv_cosh4))
-    rows = [j for j, root in enumerate(roots)
+        found = list(zip(q, residual, m, inv_cosh4))
+    rows = [j for j, root in enumerate(found)
             if not isinstance(root, SolverError)]
-    if not rows:
-        return roots
-    q, m, inv_cosh4 = (np.array([roots[j][k] for j in rows]) for k in (0, 2, 3))
-    pressures = _pressures(stack.take(rows), q, m)
-    stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
-    for j, q_j, m_j, pressure, ok in zip(rows, q, m, pressures, stable):
-        roots[j] = _Solved(q_j, roots[j][1], m_j, pressure, ok)
+    for i, root in zip(newton, found):
+        roots[i] = root
+    if rows:
+        q, m, inv_cosh4 = (np.array([found[j][k] for j in rows])
+                           for k in (0, 2, 3))
+        pressures = _pressures(stack.take(rows), q, m)
+        stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
+        for j, q_j, m_j, pressure, ok in zip(rows, q, m, pressures, stable):
+            roots[newton[j]] = _Solved(q_j, found[j][1], m_j, pressure, ok)
     return roots
 
 
-def _solve_stack(models, tol: float, rho=None) -> tuple[list, list]:
+def _solve_stack(models, tol: float, verdicts=None) -> tuple[list, list]:
     """:func:`solve_stack`'s results, and per model its :class:`_Solved`
     or the failure it has instead: the solutions before certification,
     with the pressure and the de Almeida--Thouless test that the split
     bound at weights related to ``q`` reads off
-    (:func:`sk_chain_bound.maximize_stack`)."""
+    (:func:`sk_chain_bound.maximize_stack`).  ``verdicts`` holds per model
+    its :func:`machine.classify_annealed` verdict when the caller has
+    classified the models already; otherwise the zero-field models are
+    classified here (:func:`_zero_field_verdicts`)."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     stack = _stack_of(models)
     if stack is None:
         return [], []
+    if verdicts is None:
+        verdicts = _zero_field_verdicts(stack)
     positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
     solved: list = [None] * len(stack)
     for i in np.flatnonzero(~positive).tolist():
         solved[i] = ValueError(
             "solvers require strictly positive layer weights; prune "
             "zero-weight layers from the model first")
-    valid = np.flatnonzero(positive)
-    if valid.size:
-        for i, point in zip(valid.tolist(), _solved(stack.take(valid), tol)):
+    valid = np.flatnonzero(positive).tolist()
+    if valid:
+        for i, point in zip(valid, _solved(stack.take(valid), tol,
+                                           [verdicts[i] for i in valid])):
             solved[i] = point
     results = list(solved)
     rows = [i for i, point in enumerate(solved) if isinstance(point, _Solved)]
     if rows:
+        known = [verdicts[i] for i in rows]
         certificates = _certificates(
             stack.take(rows), np.array([solved[i].q for i in rows]),
             np.array([solved[i].m for i in rows]),
             [solved[i].stable for i in rows],
-            None if rho is None else np.asarray(rho)[rows])
+            None if None in known else [verdict.rho for verdict in known])
         for i, certs in zip(rows, certificates):
             results[i] = RsSolution(
                 q=solved[i].q, pressure=solved[i].pressure,
@@ -596,7 +630,7 @@ def _solve_stack(models, tol: float, rho=None) -> tuple[list, list]:
     return results, solved
 
 
-def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
+def solve_stack(models, tol: float = 1e-10) -> list:
     """:func:`solve_nested` on every model of a stack of same-K models.
 
     ``models`` is a :class:`_Stack` or a sequence of same-K
@@ -607,10 +641,9 @@ def solve_stack(models, tol: float = 1e-10, rho=None) -> list:
     :func:`solve_nested` call.  Returns per model its
     :class:`RsSolution`, or the :class:`SolverError` or ``ValueError``
     that :func:`solve_nested` raises for it, while the other points go
-    on.  ``rho`` holds each model's spectral radius when the caller has it
-    already (for the ``stable_at_zero`` certificate).
+    on.
     """
-    return _solve_stack(models, tol, rho)[0]
+    return _solve_stack(models, tol)[0]
 
 
 def _one(result):
@@ -623,50 +656,49 @@ def _one(result):
 def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     """Safeguarded Newton solver for the consistency equations, any field kind.
 
-    The one-model stack of :func:`solve_stack`; raises what that returns
-    for the model.  The Jacobian of ``G(q) = q - F(q)`` is
-    ``I - diag(T'_p) M`` with the
-    slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
+    The one-model stack of :func:`solve_stack`; raises what that returns for
+    the model.  The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M``
+    with the slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
     ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
     integration by parts for every field kind.  A step costs one layered
-    ``TANH_MOMENTS`` expectation, which gives ``T_p`` and ``E cosh^-4``
-    on every layer, and one batched linear solve of two ``K x K``
-    systems: the step's Jacobian for the step, and the previous step's for
-    the distance to the root.
+    ``TANH_MOMENTS`` expectation, which gives ``T_p`` and ``E cosh^-4`` on
+    every layer, and one batched linear solve of two ``K x K`` systems: the
+    step's Jacobian for the step, and the previous step's for the distance to
+    the root.
 
     *Centred fields* (zero, or Gaussian with variance ``v >= 0``, on every
     layer).  Each ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing and
-    concave in ``s``, so ``G`` is convex and order-monotone.  Newton's
-    method started from ``q = 1``, which lies above every solution because
-    ``F(1) <= 1``, decreases monotonically onto the largest one (the
-    monotone Newton theorem: Ortega and Rheinboldt, *Iterative Solution of
-    Nonlinear Equations in Several Variables*, 1970, section 13.3).  With
-    positive variance on every layer that solution is the unique one and
-    strictly positive; with zero fields ``q = 0`` also solves the
-    equations.  The guard checks that theory: while the residual
-    ``max |G(q)|`` is above ``1e-6``, every iterate must stay in ``[0, 1]``
-    and must not increase in any coordinate beyond rounding (``1e-15``).  A
-    violation, which a layer variance past the quadrature's accuracy range
-    bends ``T`` into, raises :class:`SolverError`; its message names the
-    largest layer variance ``(Mq)_p + v_p``, to compare with that range,
-    ``s + v <= ghquad.ACCURATE_VARIANCE``.  Closer to the root the guard is
-    off and iterates are clipped to the unit box.
+    concave in ``s``, so ``G`` is convex and order-monotone.  Newton's method
+    started from ``q = 1``, which lies above every solution because
+    ``F(1) <= 1``, decreases monotonically onto the largest one (the monotone
+    Newton theorem: Ortega and Rheinboldt, *Iterative Solution of Nonlinear
+    Equations in Several Variables*, 1970, section 13.3).  With positive
+    variance on every layer that solution is the unique one and strictly
+    positive; with zero fields ``q = 0`` also solves the equations, and
+    strictly inside the annealed region (where
+    :func:`machine.classify_annealed` gives a witness) it is the only
+    solution, returned with no Newton step.  The guard checks that theory:
+    while the residual ``max |G(q)|`` is above ``1e-6``, every iterate must
+    stay in ``[0, 1]`` and must not increase in any coordinate beyond rounding
+    (``1e-15``).  A violation, which a layer variance past the quadrature's
+    accuracy range bends ``T`` into, raises :class:`SolverError`; its message
+    names the largest layer variance ``(Mq)_p + v_p``, to compare with that
+    range, ``s + v <= ghquad.ACCURATE_VARIANCE``.  Closer to the root the guard
+    is off and iterates are clipped to the unit box.
 
-    *Fields with a nonzero atom* (point-mass or discrete, alone or mixed
-    with centred ones).  The
-    monotone theory no longer applies, so the iteration starts at
-    ``q = 1/2`` and keeps a Newton step (clipped to the unit box) only if
-    it lowers the residual; otherwise it takes the damped fixed-point step
-    ``q - G(q) / 2``, the step of ``q <- (q + F(q)) / 2``.
+    *Fields with a nonzero atom* (point-mass or discrete, alone or mixed with
+    centred ones).  The monotone theory no longer applies, so the iteration
+    starts at ``q = 1/2`` and keeps a Newton step (clipped to the unit box)
+    only if it lowers the residual; otherwise it takes the damped fixed-point
+    step ``q - G(q) / 2``, the step of ``q <- (q + F(q)) / 2``.
 
-    Iteration stops once the residual is at most ``max(1e-14, tol / 100)``
-    and the last Jacobian's step from the iterate is at most ``tol`` (near
-    a critical line ``G`` is nearly singular at the root, and a tiny
-    residual alone can leave ``q`` far from it), or when a step no longer
-    lowers the residual and the best one is within ``tol``, or after 50
-    steps; the iterate with the smallest residual is returned.
-    :class:`SolverError`, carrying the step count, is raised when that
-    residual stays above ``tol``.
+    Iteration stops once the residual is at most ``max(1e-14, tol / 100)`` and
+    the last Jacobian's step from the iterate is at most ``tol`` (near a
+    critical line ``G`` is nearly singular at the root, and a tiny residual
+    alone can leave ``q`` far from it), or when a step no longer lowers the
+    residual and the best one is within ``tol``, or after 50 steps; the
+    iterate with the smallest residual is returned.  :class:`SolverError`,
+    carrying the step count, is raised when that residual stays above ``tol``.
     """
     return _one(solve_stack([params], tol)[0])
 

@@ -16,15 +16,14 @@ equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  At free weights
 the K scalar equations are ``1 x 1`` rows of the one Newton body,
 :func:`rs_solver._newton`, solved together, and each row returns its
 layer's validity test at the root.  At the maximizer no scalar equation
-is solved: the weights are related to a consistency solution ``q``, whose
-entries are the surrogate overlaps, or they are the annealed-region
-witness, where the consistency solution is ``q = 0`` exactly.  Either way
-the bound is the replica-symmetric pressure at ``q`` and each layer's
-validity test is the de Almeida--Thouless test at ``(Mq)_p``, so the
-value and the certificate are read off the consistency solution with no
-kernel call; at the witness they are the annealed pressure and ``0 <=
-0``.  :func:`maximize_stack` does the same for a stack of same-K models,
-the points of a scan grid, each point's bits those of its own
+is solved: the bound reads the consistency solution ``q`` of
+:mod:`dbmlab.rs_solver`, whose entries are the surrogate overlaps, at the
+weights related to ``q``, or at the annealed-region witness where the
+solver puts a zero-field model at ``q = 0``.  Either way the bound is the
+replica-symmetric pressure at ``q`` and each layer's validity test is the
+de Almeida--Thouless test at ``(Mq)_p``, with no kernel call.
+:func:`maximize_stack` does the same for a stack of same-K models, the
+points of a scan grid, each point's bits those of its own
 :func:`maximize_bound` call, which is the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
@@ -242,29 +241,25 @@ def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np
     return lam_q[..., :-1] * a - lam_q[..., 1:]
 
 
-def maximize_stack(models, tol: float = 1e-10, *, nested=None,
-                   witness=None) -> list:
+def maximize_stack(models, tol: float = 1e-10, *, nested=None) -> list:
     """:func:`maximize_bound` on every model of a stack of same-K models.
 
     ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
     :class:`ModelParams`.  ``nested`` holds per model its consistency
     solution as :func:`rs_solver._solve_stack` returns it (a
-    :class:`rs_solver._Solved` or the failure in its place), and
-    ``witness`` per model its annealed-region witness
-    (``classify_annealed(...).feasible_a``), when the caller has solved or
-    classified the models already; otherwise one
-    :func:`machine.classify_annealed` call classifies the zero-field
-    models, the only ones whose witness is used, and the models without a
-    witness get their consistency solution from one stacked Newton solve.
-    A point at the witness takes the exact solution ``q = 0``, with the
-    annealed pressure and a passing test.  Every point reads its bound off
-    its solution, with no kernel call: the overlaps are ``q``, the value is
+    :class:`rs_solver._Solved` or the failure in its place) when the
+    caller has solved the models already; otherwise one
+    :func:`rs_solver._solved` call solves the models the bound takes,
+    classifying the zero-field ones.  Every point reads its bound off its
+    solution, with no kernel call: the overlaps are ``q``, the value is
     the pressure at ``q`` and the certificate is its de Almeida--Thouless
-    test.  The related weights and the temperatures are row expressions.
-    Every point
-    gets the bits of its own :func:`maximize_bound` call.  Returns per
-    model its :class:`BoundResult`, or the :class:`rs_solver.SolverError`
-    or ``ValueError`` that :func:`maximize_bound` raises for it, while the
+    test.  A point solved by the annealed-region witness has ``q = 0``
+    and takes the witness as its weights; the others take the weights
+    related to ``q``.  The related weights and the temperatures are row
+    expressions.  Every point gets the bits of its own
+    :func:`maximize_bound` call.  Returns per model its
+    :class:`BoundResult`, or the :class:`rs_solver.SolverError` or
+    ``ValueError`` that :func:`maximize_bound` raises for it, while the
     other points go on.
     """
     if not tol > 0.0:
@@ -284,48 +279,23 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
         results[i] = ValueError("the split bound requires strictly positive "
                                 "layer weights; prune zero-weight layers "
                                 "from the model")
-    valid = stack.centred & positive
-    # Only zero-field points take their witness.
-    wants = valid & stack.zero_fields
-    if witness is None:
-        witness = [None] * P
-        rows = np.flatnonzero(wants)
-        if rows.size:
-            verdicts = machine.classify_annealed(stack.take(rows))
-            for i, verdict in zip(rows.tolist(), verdicts):
-                witness[i] = verdict.feasible_a
-    use_witness = [w and a is not None for w, a in zip(wants.tolist(), witness)]
-    reading = [i for i in np.flatnonzero(valid).tolist() if not use_witness[i]]
-    if nested is None:
-        nested = [None] * P
-        if reading:
-            for i, point in zip(reading, rs_solver._solved(
-                    stack.take(reading), tol)):
-                nested[i] = point
-    solutions = list(nested)
-    for i in reading:
+    rows = np.flatnonzero(stack.centred & positive).tolist()
+    if nested is None and rows:
+        points = stack.take(rows)
+        nested = dict(zip(rows, rs_solver._solved(
+            points, tol, rs_solver._zero_field_verdicts(points))))
+    for i in rows:
         if isinstance(nested[i], Exception):
             results[i] = nested[i]
-    # With zero fields and rho < 1 the only consistency solution is q = 0,
-    # whose pressure is the annealed one and whose AT test reads 0 <= 0.
-    at_witness = [i for i in range(P) if use_witness[i]]
-    if at_witness:
-        points = stack.take(at_witness)
-        annealed = _LOG2 + machine.interaction_half_quadratic(
-            points, np.ones(points.lam.shape))
-        for i, pressure in zip(at_witness, annealed.tolist()):
-            solutions[i] = rs_solver._Solved(0, 0.0, 0, pressure, True)
-    rows = [i for i in range(P) if results[i] is None]
+    rows = [i for i in rows if results[i] is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
     # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
-    overlaps = np.zeros((len(rows), K))
-    for j, i in enumerate(rows):
-        overlaps[j] = solutions[i].q
+    overlaps = np.array([nested[i].q for i in rows]).reshape(len(rows), K)
     aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
-        if use_witness[i]:
-            aux[j] = witness[i]
+        if nested[i].witness is not None:
+            aux[j] = nested[i].witness
         elif K > 1:
             # A single layer has no bond to relate.
             results[i] = errors[j]
@@ -344,8 +314,8 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None,
     # is that of the consistency solution.
     for j, i in enumerate(rows):
         results[i] = BoundResult(
-            a=aux[j], value=solutions[i].pressure,
-            certified=solutions[i].stable,
+            a=aux[j], value=nested[i].pressure,
+            certified=nested[i].stable,
             boundary_suspect=suspect[j], theta=theta[j],
             overlaps=overlaps[j], stationarity=stationarity[j])
     return results
@@ -360,16 +330,14 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     solves them and ``a = related_aux(q)``, then ``2 theta_p^2 q_p = (M
     q)_p``, so every layer's surrogate overlap equals ``q_p``, the
     bond-matching conditions hold, and the bound's gradient in ``a``
-    vanishes by the envelope identity.  The point evaluated is
-
-    * the annealed-region witness when every field is zero and the model
-      lies strictly inside the annealed region, where ``q = 0`` is the only
-      consistency solution (for a single layer the witness is the empty
-      vector, the only weights there are);
-    * otherwise ``related_aux(q)`` for the largest consistency solution
-      ``q``, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
-      with its :class:`rs_solver.SolverError` when it fails.  A single
-      layer has no bond to relate, and the weights are again empty.
+    vanishes by the envelope identity.  ``q`` is the largest consistency
+    solution, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
+    with its :class:`rs_solver.SolverError` when it fails, and the point
+    evaluated is ``related_aux(q)``.  With zero fields strictly inside the
+    annealed region the solver puts the model at ``q = 0``, its only
+    solution, and the point evaluated is the region's witness, where every
+    layer has ``2 theta_p^2 <= 1`` up to rounding.  A single layer has no
+    bond, and its weights are the empty vector.
 
     The surrogate overlaps, the value and the certificate are read off the
     consistency solution with no scalar solve and no kernel call: every
@@ -379,11 +347,9 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     and each layer's validity test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is
     the solution's de Almeida--Thouless test, which ``solve_nested``
     reports as ``at_ok`` when every layer has Gaussian variance.  So the
-    bound costs the kernel calls of that solve and no more.  At the
-    witness, where every layer has ``2 theta_p^2 <= 1`` up to rounding,
-    ``q = 0`` is not solved for: the value is ``machine.annealed_pressure``
-    bit for bit, the test reads ``0 <= 0``, and the bound makes no kernel
-    call.
+    bound costs the kernel calls of that solve and no more: none at the
+    witness, where the value is ``machine.annealed_pressure`` and the test
+    reads ``0 <= 0``, so the bound is certified.
 
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dbmlab import ghquad, machine, rs_solver, sk_chain_bound
 from dbmlab.ghquad import LOG_COSH, TANH_SQ
@@ -743,6 +743,58 @@ def test_talagrand_zero_overlap_indeterminate_without_witness():
     sol = solve_nested(params)
     assert sol.q[1] == 0.0 and sol.q[0] > 0.0 and sol.q[2] > 0.0
     assert sol.certificates.talagrand_ok is None
+
+
+@st.composite
+def inside_zero_field_chains(draw):
+    """Zero-field chains, K 2-8, beta uniform in [0.2, 1.3] and Dirichlet
+    weights, strictly inside the annealed region with a witness."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K = int(rng.integers(2, 9))
+    params = make(K, rng.uniform(0.2, 1.3, K - 1).tolist(),
+                  rng.dirichlet(np.ones(K)).tolist())
+    verdict = machine.classify_annealed(params)
+    assume(verdict.verdict == "inside" and verdict.feasible_a is not None)
+    return params
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(params=inside_zero_field_chains())
+def test_zero_fields_inside_the_region_take_q_zero_unsolved_property(params):
+    # With zero fields and rho < 1, q = 0 is the only consistency solution:
+    # rs and the bound both take it as it is, with the annealed pressure
+    # bit for bit, and neither makes a Newton step or a kernel call.
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((rs_solver, "_newton"), (ghquad, "expect")):
+            real = getattr(module, name)
+            patch.setattr(module, name, lambda *args, _real=real, _name=name:
+                          calls.append(_name) or _real(*args))
+        sol = solve_nested(params)
+        bound = sk_chain_bound.maximize_bound(params)
+    assert calls == []
+    assert sol.q.tolist() == [0.0] * params.K and sol.residual == 0.0
+    assert sol.pressure == machine.annealed_pressure(params)
+    assert sol.certificates.to_dict() == {
+        "talagrand_ok": None, "at_ok": None, "stable_at_zero": True}
+    assert (np.float64(bound.value).tobytes()
+            == np.float64(sol.pressure).tobytes())
+    assert bound.overlaps.tobytes() == sol.q.tobytes()
+    assert bound.certified is True
+
+
+def test_zero_fields_on_the_region_boundary_take_newton(monkeypatch):
+    # K = 2, lam = (1/2, 1/2), beta = 1 has rho = 1: the verdict is
+    # boundary, there is no witness, and Newton solves the point.
+    params = make(2, (1.0,), (0.5, 0.5))
+    assert machine.classify_annealed(params).verdict == "boundary"
+    calls = []
+    newton = rs_solver._newton
+    monkeypatch.setattr(rs_solver, "_newton",
+                        lambda *args: calls.append(1) or newton(*args))
+    solve_nested(params)
+    sk_chain_bound.maximize_bound(params)
+    assert len(calls) == 2
 
 
 def test_talagrand_positive_overlap_uses_interaction_form():

@@ -76,14 +76,19 @@ def _solo(call, *args, **kwargs):
 def test_stacked_points_equal_their_solo_runs_property(models):
     tol = 1e-10
     verdicts = [machine.classify_annealed(params) for params in models]
-    solutions, nested = rs_solver._solve_stack(models, tol,
-                                               rho=[v.rho for v in verdicts])
+    solutions, nested = rs_solver._solve_stack(models, tol, verdicts)
     assert len(solutions) == len(models)
-    for params, solution in zip(models, solutions):
+    for params, verdict, solution in zip(models, verdicts, solutions):
         solo = _solo(rs_solver.solve_nested, params, tol)
         _same(solution, solo)
-        if not isinstance(solo, Exception):
-            np.testing.assert_array_equal(solution.q, solo.q)
+        if isinstance(solo, Exception):
+            continue
+        np.testing.assert_array_equal(solution.q, solo.q)
+        if params.zero_fields and verdict.feasible_a is not None:
+            # The witness: q = 0 exactly, with the annealed pressure.
+            assert not np.any(solution.q) and solution.residual == 0.0
+            assert solo.pressure == machine.annealed_pressure(params)
+        else:
             assert solo.pressure == _one_model_pressure(solo.q, params)
     for bounds in (sk_chain_bound.maximize_stack(models, tol, nested=nested),
                    sk_chain_bound.maximize_stack(models, tol)):
@@ -246,6 +251,16 @@ def test_matrices_and_spectral_radius_are_computed_once_per_point(
     assert cli.main(["rs", "--config", str(path), "--out",
                      str(tmp_path / "rs.csv")]) == 0
     assert counts == {"build_matrices": 1, "largest_zero": 1}
+    # Zero fields: the classification's spectral radius serves the
+    # certificates too, and q = 0 at the witness needs no matrices.
+    for beta, built in ((0.5, 0), (2.0, 1)):
+        counts.clear()
+        path.write_text(json.dumps({"K": 3, "beta": [beta, beta],
+                                    "lambda": [0.3, 0.4, 0.3]}))
+        assert cli.main(["rs", "--config", str(path), "--out",
+                         str(tmp_path / "rs.csv")]) == 0
+        assert +counts == +collections.Counter(build_matrices=built,
+                                               largest_zero=1)
 
 
 def _zero_field_grid():
