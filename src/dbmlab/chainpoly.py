@@ -14,9 +14,11 @@ their activities,
 Its zeros are the eigenvalues of the symmetric tridiagonal matrix with zero
 diagonal and off-diagonal entries ``sqrt(t_p)``; they are therefore real, are
 simple whenever every ``t_p > 0``, and the zero sets of consecutive
-polynomials interlace.  The largest zero of ``Delta_K`` is the spectral radius
-of that matrix, and localisation of all zeros inside ``(-r, r)`` is equivalent
-to positivity of every ``Delta_p(r)``.
+polynomials interlace.  :func:`interlacing_check` tests the computed zeros
+against the eigensolver's error bound, so it holds for every valid chain.
+The largest zero of ``Delta_K`` is the spectral radius of that matrix, and
+localisation of all zeros inside ``(-r, r)`` is equivalent to positivity of
+every ``Delta_p(r)``.
 
 :func:`zeros` hands the dense symmetric matrix to
 ``numpy.linalg.eigvalsh`` (LAPACK ``dsyevd``) at every length up to
@@ -157,14 +159,20 @@ def largest_zero(t: Sequence[float]):
     return float(top) if top.ndim == 0 else top
 
 
-def interlacing_check(t: Sequence[float], strict: bool = False, tol: float = 1e-12) -> bool:
-    """Whether consecutive zero sets interlace along the whole chain.
+def interlacing_check(t: Sequence[float], strict: bool = False) -> bool:
+    """Whether the computed zero sets of consecutive leading sub-chains
+    interlace along the whole chain.
 
-    Weak interlacing (``strict=False``) allows coincident zeros up to ``tol``,
-    which occur when some activities vanish; with every ``t_p > 0`` the
-    interlacing is strict.
+    Weak interlacing (``strict=False``) allows a zero past its neighbour by
+    up to ``4 K eps max |zero of Delta_K|``, the eigensolver's error bound:
+    ``eigvalsh`` errs by about ``K eps ||T||_2``, and the largest zero is
+    ``||T||_2``, which bounds every sub-chain's zeros.  So it holds for
+    every valid chain, at any scale, as the exact zeros do (coincident
+    zeros occur when some activities vanish).  With every ``t_p > 0`` the
+    interlacing is strict, and ``strict=True`` tests it with no tolerance.
     """
     zs = zeros_sequence(t)
+    tol = 4 * len(zs) * np.finfo(float).eps * np.abs(zs[-1]).max()
     for prev, cur in zip(zs, zs[1:]):
         lo, hi = cur[:-1], cur[1:]
         if strict:

@@ -446,11 +446,7 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     except ValueError as exc:
         raise SolveFailure(f"the bound failed: {exc}") from exc
     p_annealed = float(machine.annealed_pressure(params))
-    flags = []
-    if not data["certified"]:
-        flags.append("uncertified")
-    if data["boundary_suspect"]:
-        flags.append("boundary_suspect")
+    flags = [] if data["certified"] else ["uncertified"]
     payload = {"command": "bound", **data, "p_annealed": p_annealed,
                "annealed_gap": p_annealed - data["value"], "flags": flags}
     if args.format == "json":

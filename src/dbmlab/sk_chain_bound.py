@@ -52,8 +52,6 @@ _LOG2 = math.log(2.0)
 _RELATED_TOL = 1e-10
 # Tolerance of the scalar consistency solves at free weights.
 _SCALAR_TOL = 1e-13
-# Maximizers with some |log a_p| above this are flagged boundary-suspect.
-_SUSPECT_WIDTH = 12.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,38 +205,24 @@ class BoundResult:
     """Outcome of maximizing the split bound over auxiliary weights.
 
     ``a`` is the maximizer, ``value`` the bound there, ``certified``
-    whether every layer passed its validity check, ``boundary_suspect``
-    whether some ``|log a_p|`` exceeds ``12``, ``theta`` and ``overlaps``
-    the induced temperatures and surrogate overlaps, and ``stationarity``
-    the largest violation of the bond-wise matching conditions at the
-    reported point.
+    whether every layer passed its validity check, and ``theta`` and
+    ``overlaps`` the induced temperatures and surrogate overlaps.
     """
 
     a: np.ndarray
     value: float
     certified: bool
-    boundary_suspect: bool
     theta: np.ndarray
     overlaps: np.ndarray
-    stationarity: float
 
     def to_dict(self) -> dict:
         return {
             "a": [float(x) for x in self.a],
             "value": float(self.value),
             "certified": bool(self.certified),
-            "boundary_suspect": bool(self.boundary_suspect),
             "theta": [float(x) for x in self.theta],
             "overlaps": [float(x) for x in self.overlaps],
-            "stationarity": float(self.stationarity),
         }
-
-
-def _matching_defect(a: np.ndarray, lam: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Bond-wise residuals of the relatedness equations; one row per point
-    for a stack."""
-    lam_q = lam * overlaps
-    return lam_q[..., :-1] * a - lam_q[..., 1:]
 
 
 def maximize_stack(models, tol: float = 1e-10, *, nested=None) -> list:
@@ -304,20 +288,14 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None) -> list:
         return results
     rows = [rows[j] for j in kept]
     stack, aux, overlaps = stack.take(rows), aux[kept], overlaps[kept]
-    theta_sq = _theta_sq_from_aux(aux, stack)
-    suspect = np.any(np.abs(np.log(aux)) > _SUSPECT_WIDTH, axis=1).tolist()
-    theta = np.sqrt(theta_sq)
-    stationarity = np.max(np.abs(_matching_defect(aux, stack.lam, overlaps)),
-                          axis=1, initial=0.0).tolist()
+    theta = np.sqrt(_theta_sq_from_aux(aux, stack))
     # By the bridge identity the bound at weights related to q is the
     # pressure at q, and each layer's test at m = 2 theta_p^2 q_p = (Mq)_p
     # is that of the consistency solution.
     for j, i in enumerate(rows):
         results[i] = BoundResult(
             a=aux[j], value=nested[i].pressure,
-            certified=nested[i].stable,
-            boundary_suspect=suspect[j], theta=theta[j],
-            overlaps=overlaps[j], stationarity=stationarity[j])
+            certified=nested[i].stable, theta=theta[j], overlaps=overlaps[j])
     return results
 
 
@@ -354,8 +332,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     Needs strictly positive layer weights and zero or centred Gaussian
     fields, and raises ``ValueError`` otherwise or when the related
     weights are not positive floats.  For a single layer the bound is the
-    layer's own pressure and ``stationarity`` is 0.  ``boundary_suspect``
-    flags ``|log a_p| > 12``.
+    layer's own pressure.
     """
     return rs_solver._one(maximize_stack([params], tol)[0])
 
@@ -384,12 +361,10 @@ def bridge_check(q, a, params: ModelParams) -> tuple[bool, float]:
     if np.any(q <= 0.0) or np.any(q > 1.0):
         raise ValueError("overlap entries must lie in (0, 1]")
     theta_sq = _theta_sq_from_aux(a, params)
-    if K == 1:
-        related = True
-    else:
-        a = np.asarray(a, dtype=float)
-        lam = np.asarray(params.lam, dtype=float)
-        related = bool(np.max(np.abs(_matching_defect(a, lam, q))) <= _RELATED_TOL)
+    # A single layer has no bond, and so no matching equation to break.
+    lam_q = np.asarray(params.lam, dtype=float) * q
+    defect = lam_q[:-1] * np.asarray(a, dtype=float) - lam_q[1:]
+    related = bool(np.max(np.abs(defect), initial=0.0) <= _RELATED_TOL)
     surrogate = _functional_values(_Stack([params]), theta_sq[None], q[None])[0]
     gap = rs_solver.rs_pressure(q, params) - surrogate
     return related, float(gap)

@@ -210,6 +210,40 @@ def test_interlacing_random_chains():
         assert chainpoly.interlacing_check(t_pos, strict=True)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(K=st.integers(2, 128), log_scale=st.floats(-200.0, 200.0),
+       spread=st.sampled_from([1, 4]), zero=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(K=128, log_scale=200.0, spread=4, zero=True, seed=0)
+@example(K=128, log_scale=-200.0, spread=4, zero=True, seed=1)
+def test_interlacing_holds_on_every_valid_chain_at_any_scale_property(
+        K, log_scale, spread, zero, seed):
+    # Cauchy interlacing holds exactly for every chain with t_p >= 0, so
+    # the check on the computed zeros must hold as well, whatever the scale.
+    rng = np.random.default_rng(seed)
+    t = 10.0 ** log_scale * rng.uniform(0.0, 1.0, K - 1) ** spread
+    if zero:
+        t[rng.integers(0, K - 1)] = 0.0
+    assert chainpoly.interlacing_check(t)
+
+
+def test_interlacing_fails_a_zero_moved_past_its_neighbour(monkeypatch):
+    # Negative control: one sub-chain zero moved past its upper neighbour in
+    # the next set by 10 times the solver's error bound breaks interlacing;
+    # moved by a tenth of it, the check still takes it as rounding.
+    rng = np.random.default_rng(36)
+    for scale in (1e-200, 1.0, 1e200):
+        t = scale * rng.uniform(0.1, 2.0, 15)
+        zs = chainpoly.zeros_sequence(t)
+        tol = 4 * len(zs) * np.finfo(float).eps * np.abs(zs[-1]).max()
+        for margin, ok in ((10.0, False), (0.1, True)):
+            moved = [z.copy() for z in zs]
+            moved[7][3] = moved[8][4] + margin * tol
+            monkeypatch.setattr(chainpoly, "zeros_sequence", lambda _: moved)
+            assert chainpoly.interlacing_check(t) is ok
+            monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # zero localisation
 # ---------------------------------------------------------------------------

@@ -306,7 +306,7 @@ def test_bound_single_layer(tmp_path):
         LOG2 + ghquad.expect(ghquad.LOG_COSH, 0.0, field), abs=1e-9)
     assert data["certified"] is True
     assert data["a"] == []
-    assert data["theta"] == [0.0] and data["stationarity"] == 0.0
+    assert data["theta"] == [0.0]
     assert data["overlaps"] == [pytest.approx(
         ghquad.expect(ghquad.TANH_SQ, 0.0, field), abs=1e-12)]
 
@@ -333,6 +333,23 @@ def test_bound_flags_uncertified(tmp_path):
     data = read_json(out)
     assert data["certified"] is False
     assert "uncertified" in data["flags"]
+
+
+def test_bound_raises_no_flag_at_a_far_witness(tmp_path):
+    # At beta = 0.001 the annealed witness is the weight 1e6, far from 1,
+    # and the bound is certified and equals p_annealed exactly: nothing is
+    # flagged, and the report carries no key the bound does not compute.
+    cfg = write_config(tmp_path, balanced2(0.001))
+    out = str(tmp_path / "bound.json")
+    rc = cli.main(["bound", "--config", cfg, "--format", "json", "--out", out])
+    assert rc == 0
+    data = read_json(out)
+    assert data["a"] == [pytest.approx(1e6)]
+    assert data["flags"] == []
+    assert data["certified"] is True
+    assert data["annealed_gap"] == 0.0
+    assert set(data) == {"command", "a", "value", "certified", "theta",
+                         "overlaps", "p_annealed", "annealed_gap", "flags"}
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +769,20 @@ def test_poly_report_known_case(tmp_path):
     lines = (tmp_path / "poly.csv").read_text().strip().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("spectral_radius,") for line in lines)
+
+
+def test_poly_interlacing_holds_on_a_large_scale_chain(tmp_path):
+    # Zeros up to about 517: the worst computed violation, 1.4e-12, is
+    # rounding well inside the eigensolver's error bound (1.8e-11), though
+    # past a fixed 1e-12.
+    K = 40
+    cfg = write_config(tmp_path, {
+        "K": K, "beta": [41 + (187 * p) % 45 for p in range(K - 1)],
+        "lambda": [1 / K] * K})
+    out = str(tmp_path / "poly.json")
+    assert cli.main(["poly", "--config", cfg, "--format", "json",
+                     "--out", out]) == 0
+    assert read_json(out)["interlacing_ok"] is True
 
 
 # ---------------------------------------------------------------------------
