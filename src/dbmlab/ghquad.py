@@ -78,13 +78,14 @@ atom, and a block holds twice as many of them; nothing is added to its
 nodes.  Through ``s + v <= 3.125`` a shifted atom's 181-node rule costs
 the same as a folded atom's half of the 361-node one.  Whether an atom
 folds, and so its rule, depends on that atom and its layer alone, so the
-bits of a layer still do not depend on the other layers.  The fields' atoms are laid
-out as arrays in a :class:`FieldTable`, which also holds the order that
-puts the folded atoms before the shifted ones (:attr:`FieldTable.folds`);
-a solver that evaluates the same layers at every step builds it once and
-passes it in place of the fields.  Blocks are slices of that order.  A
-call whose atoms all fold, or all do not, is in it already; a mixed call
-pays one gather into it and one out.  A float ``s`` with one field is the
+bits of a layer still do not depend on the other layers.  The fields'
+atoms are laid out as arrays in a :class:`FieldTable`, which also holds
+the indices of its folded atoms and of its shifted ones, each in table
+order (:attr:`FieldTable.atoms_by_fold`); a solver that evaluates the same
+layers at every step builds it once and passes it in place of the fields.
+Each block is an index array into the table's atoms: the call gathers
+that block's variances and shifts and writes its sums back in place, so
+no call reorders its atoms.  A float ``s`` with one field is the
 one-layer case of the same body.
 
 Derivatives in the variance
@@ -314,7 +315,10 @@ class FieldTable:
     ``counts`` the number of its atoms.  :func:`expect` builds one from the
     fields of every call; a caller that evaluates the same layers many
     times (a solver's steps) builds it once and passes it as ``fields``,
-    and takes the table of some of its layers with :meth:`take`.
+    and takes the table of some of its layers with :meth:`take`.  What
+    :func:`expect` reads of the atoms beyond their arrays, whether some
+    atom is huge (:attr:`huge`) and which fold (:attr:`atoms_by_fold`), is
+    computed once per table.
     """
 
     def __init__(self, fields):
@@ -350,20 +354,12 @@ class FieldTable:
         return bool(np.maximum.reduce(np.fabs(self.shifts)) >= _HALF_MAX)
 
     @functools.cached_property
-    def folds(self) -> tuple:
-        """``(count, order, inverse)``: ``count`` atoms are at exactly 0,
-        whose integrands :func:`expect` folds; ``order`` lists the atoms
-        with those first and the rest after, each in table order, and
-        ``inverse`` undoes it.  Both are ``None`` when all atoms or none
-        are at 0, where table order already is that order."""
+    def atoms_by_fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The indices of the atoms at exactly 0, whose integrands
+        :func:`expect` folds, and of the shifted atoms, each in table
+        order."""
         zero = self.shifts == 0.0
-        count = int(np.count_nonzero(zero))
-        if count in (0, zero.size):
-            return count, None, None
-        order = np.argsort(~zero, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        return count, order, inverse
+        return np.flatnonzero(zero), np.flatnonzero(~zero)
 
     def field(self, layer: int) -> FieldSpec:
         """The field of one layer."""
@@ -393,13 +389,11 @@ def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
     """``(nodes, weights, atoms, fold)`` blocks of atoms that share the rule
     their layer's total variance and their fold pick (:func:`_rule_for`),
     as many atoms as fit in ``_BLOCK_ENTRIES`` node entries and at least
-    one.  ``atoms`` is a slice, or with several rules an index array, into
-    the atoms in the order of :attr:`FieldTable.folds`, and ``largest`` is
+    one: the folded atoms first, then the shifted ones.  ``atoms`` is an
+    index array into the table's atoms, in table order, and ``largest`` is
     the largest total variance."""
-    count, order, _ = table.folds
-    for fold, part in ((True, slice(0, count)),
-                       (False, slice(count, table.shifts.size))):
-        if part.start == part.stop:
+    for fold, part in zip((True, False), table.atoms_by_fold):
+        if not part.size:
             continue
         # Rules grow with the variance, so when the largest variance picks
         # the rule that 0 picks, every layer's does.
@@ -408,21 +402,15 @@ def _rule_blocks(total: np.ndarray, largest: float, table: FieldTable):
                  [_rule_for(variance, not fold) for variance in total.tolist()])
         groups = {top: part}
         if len(set(rules)) > 1:
-            orders = np.repeat([rule.order for rule in rules], table.counts)
-            if order is not None:
-                orders = orders[order]
-            groups = {rule: part.start + np.flatnonzero(
-                          orders[part] == rule.order)
+            orders = np.repeat([rule.order for rule in rules],
+                               table.counts)[part]
+            groups = {rule: part[orders == rule.order]
                       for rule in dict.fromkeys(rules)}
         for rule, atoms in groups.items():
             nodes, weights = rule.folded if fold else (rule.nodes, rule.weights)
             step = max(1, _BLOCK_ENTRIES // nodes.size)
-            if isinstance(atoms, slice):
-                for lo in range(atoms.start, atoms.stop, step):
-                    yield nodes, weights, slice(lo, min(lo + step, atoms.stop)), fold
-            else:
-                for lo in range(0, atoms.size, step):
-                    yield nodes, weights, atoms[lo:lo + step], fold
+            for lo in range(0, atoms.size, step):
+                yield nodes, weights, atoms[lo:lo + step], fold
 
 
 def _huge_atom_sums(vals: np.ndarray, weights: np.ndarray):
@@ -481,16 +469,12 @@ def expect(f, s, fields):
     several = table.shifts.size > len(table)
     if several:
         std = np.repeat(std, table.counts)
-    shifts = table.shifts
-    _, order, inverse = table.folds
-    if order is not None:
-        std, shifts = std[order], shifts[order]
     sums = None
     huge = table.huge
     for nodes, weights, atoms, fold in _rule_blocks(total, largest, table):
         y = std[atoms, None] * nodes
         if not fold:
-            y += shifts[atoms, None]
+            y += table.shifts[atoms, None]
         vals = np.asarray(f(y), dtype=float)
         if huge:
             atom_sums = _huge_atom_sums(vals, weights)
@@ -505,8 +489,6 @@ def expect(f, s, fields):
         if sums is None:
             sums = np.empty(atom_sums.shape[:-1] + table.shifts.shape)
         sums[..., atoms] = atom_sums
-    if order is not None:
-        sums = sums[..., inverse]
     if several:
         # Some layer has several atoms: weigh them and sum per layer.
         sums = np.add.reduceat(table.probs * sums, table.starts, axis=-1)

@@ -54,6 +54,9 @@ __all__ = [
 
 MAX_FIELD_ATOMS = 64
 _SIMPLEX_TOL = 1e-9
+# Half-width of the band about rho = 1 that classify_annealed reports as
+# the boundary.
+_BOUNDARY_TOL = 1e-9
 
 
 def config_number(value, what: str, integral: bool = False):
@@ -280,7 +283,7 @@ class RegionVerdict:
     """Result of the annealed-region classification.
 
     ``verdict`` is ``inside`` / ``outside`` / ``boundary`` (the latter when
-    ``|rho - 1|`` is within :func:`classify_annealed`'s ``boundary_tol``);
+    ``|rho - 1| <= 1e-9``, :func:`classify_annealed`'s boundary band);
     ``z_chain`` holds the chain values ``(z_0, ..., z_K)`` at ``x = 1``;
     ``feasible_a`` is the witness for the layer inequality system when inside
     (``None`` when outside, on the boundary, when some layer width
@@ -405,15 +408,15 @@ def witness_recursion(params: ModelParams) -> np.ndarray:
     return out.T
 
 
-def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9):
+def classify_annealed(params: ModelParams):
     """Classify the parameters against the annealed region.
 
     Computes the spectral radius ``rho``, the chain values
     ``z_p = Delta_p(1; t)``, and — strictly inside with all layer widths
     positive — the feasibility witness: the entries of
     :func:`witness_recursion`, given only when they are finite and they and
-    the last slack are positive.  Verdicts within ``boundary_tol`` of
-    ``rho = 1`` are reported as ``boundary``.
+    the last slack are positive.  Verdicts within ``1e-9`` of ``rho = 1``
+    are reported as ``boundary``.
 
     Returns a :class:`RegionVerdict`, or for a stack of same-``K`` points
     (an object with ``beta`` ``(P, K-1)`` and ``lam`` ``(P, K)`` arrays)
@@ -427,8 +430,8 @@ def classify_annealed(params: ModelParams, boundary_tol: float = 1e-9):
     z = chainpoly.eval_sequence(1.0, t)
     one = t.ndim == 1
     rho = [rho] if one else rho.tolist()
-    inside = [r < 1.0 - boundary_tol for r in rho]
-    verdicts = ["inside" if ok else "outside" if r > 1.0 + boundary_tol
+    inside = [r < 1.0 - _BOUNDARY_TOL for r in rho]
+    verdicts = ["inside" if ok else "outside" if r > 1.0 + _BOUNDARY_TOL
                 else "boundary" for ok, r in zip(inside, rho)]
     lam = np.asarray(params.lam, dtype=float)
     K = lam.shape[-1]

@@ -360,23 +360,20 @@ _GUARD_RESIDUAL = 1e-6
 _GUARD_SLACK = 1e-15
 
 
-def _solve(systems, rhs) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve(systems, rhs) -> np.ndarray:
     """``x_i = systems_i^{-1} rhs_i`` for every row, in one batched
     ``np.linalg.solve``, which gives each system the bits of its own
-    solve.  Returns ``(x, solved)`` with ``solved`` None when every system
-    is regular.  Otherwise each system is solved alone: a singular one
-    gets a NaN row and ``solved`` False."""
+    solve.  When some system is singular, each is solved alone, and a
+    singular one gets a NaN row."""
     try:
-        return np.linalg.solve(systems, rhs[..., None])[..., 0], None
+        return np.linalg.solve(systems, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     x = np.full(rhs.shape, math.nan)
-    solved = np.zeros(len(rhs), dtype=bool)
     for i, (system, b) in enumerate(zip(systems, rhs)):
         with contextlib.suppress(np.linalg.LinAlgError):
             x[i] = np.linalg.solve(system, b)
-            solved[i] = True
-    return x, solved
+    return x
 
 
 def _evaluate(M, fields, q) -> list:
@@ -418,10 +415,11 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
     stopping rule of :func:`solve_nested`, for every row at once.  Each
     step makes one layered ``TANH_MOMENTS`` call for every row still
     iterating, a second one only for the damped steps of non-centred rows,
-    and one batched linear solve: every row's Jacobian for its step, with
-    its previous one for the distance to the root, ``max |J^{-1} G(q)|``
-    (``inf`` at the start or after a singular ``J``).  A row that stops
-    leaves the rows, so its values are those of a one-row solve.
+    and one batched linear solve of those rows' Jacobians.  A row's step
+    ``J(q)^{-1} G(q)`` is also its distance to the root, ``max |J(q)^{-1}
+    G(q)|`` (NaN after a singular ``J``, which no ``<= tol`` test passes).
+    A row that stops leaves the rows, so its values are those of a one-row
+    solve.
     """
     n, K = M.shape[:2]
     rows, fields = np.arange(n), table
@@ -434,23 +432,12 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
     best_res = [math.inf] * n
     state = _evaluate(M, fields, np.where(np.array(centred)[:, None], 1.0, 0.5)
                       * np.ones(K))
-    jac_prev = None
     for step in itertools.count():
         q, m, slope, g, res, inv_cosh4 = state
         n = rows.size
-        jac = eye - slope[:, :, None] * M
-        if jac_prev is None:
-            x, solved = _solve(jac, g)
-            distance = np.full(n, math.inf)
-        else:
-            # A singular previous Jacobian fails its solve again here.
-            x, solved = _solve(np.concatenate([jac_prev, jac]),
-                               np.concatenate([g, g]))
-            distance = np.maximum.reduce(np.abs(x[:n]), axis=1)
-            if solved is not None:
-                distance[~solved[:n]] = math.inf
-            x = x[n:]
+        x = _solve(eye - slope[:, :, None] * M, g)
         new = q - x  # a singular Jacobian's row is NaN
+        distance = np.maximum.reduce(np.abs(x), axis=1)
         finite = np.logical_and.reduce(np.isfinite(new), axis=1).tolist()
         guard = None
         keep = []
@@ -487,12 +474,11 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
         if len(keep) < n:
             if not keep:
                 return results
-            q, g, res, new, jac, rows, M = (
-                a[keep] for a in (q, g, res, new, jac, rows, M))
+            q, g, res, new, rows, M = (
+                a[keep] for a in (q, g, res, new, rows, M))
             centred = [centred[j] for j in keep]
             finite = [finite[j] for j in keep]
             fields = _row_fields(table, K, rows)
-        jac_prev = jac
         # Centred rows take the Newton step; the others take it only if it
         # is finite and lowers the residual, else the damped step.
         candidate = np.clip(new, 0.0, 1.0)
@@ -662,9 +648,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
     integration by parts for every field kind.  A step costs one layered
     ``TANH_MOMENTS`` expectation, which gives ``T_p`` and ``E cosh^-4`` on
-    every layer, and one batched linear solve of two ``K x K`` systems: the
-    step's Jacobian for the step, and the previous step's for the distance to
-    the root.
+    every layer, and one ``K x K`` linear solve, of the step's Jacobian.
 
     *Centred fields* (zero, or Gaussian with variance ``v >= 0``, on every
     layer).  Each ``T_v(s) = E tanh^2(z sqrt(s + v))`` is increasing and
@@ -693,12 +677,15 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     step ``q - G(q) / 2``, the step of ``q <- (q + F(q)) / 2``.
 
     Iteration stops once the residual is at most ``max(1e-14, tol / 100)`` and
-    the last Jacobian's step from the iterate is at most ``tol`` (near a
-    critical line ``G`` is nearly singular at the root, and a tiny residual
-    alone can leave ``q`` far from it), or when a step no longer lowers the
-    residual and the best one is within ``tol``, or after 50 steps; the
-    iterate with the smallest residual is returned.  :class:`SolverError`,
-    carrying the step count, is raised when that residual stays above ``tol``.
+    the iterate's own Newton step ``J(q)^{-1} G(q)`` is at most ``tol`` in
+    every layer (near a critical line ``G`` is nearly singular at the root,
+    and a tiny residual alone can leave ``q`` far from it), or when a step no
+    longer lowers the residual and the best one is within ``tol``, or after 50
+    steps; the iterate with the smallest residual is returned.  At a double
+    root Newton converges linearly with ratio 1/2, and its step is half the
+    distance to the root, so ``q`` can stop up to ``2 tol`` from it.
+    :class:`SolverError`, carrying the step count, is raised when that
+    residual stays above ``tol``.
     """
     return _one(solve_stack([params], tol)[0])
 

@@ -221,7 +221,8 @@ def test_expect_is_the_only_expectation_entry_point():
 
 _ALL_FIELD_KINDS = (FieldSpec.zero(), FieldSpec.gaussian(0.6),
                     FieldSpec.point_mass(0.4),
-                    FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)))
+                    FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+                    FieldSpec.discrete((-1.0, 0.0, 1.5), (0.3, 0.4, 0.3)))
 
 
 def _slope(s, field):

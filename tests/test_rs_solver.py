@@ -628,6 +628,22 @@ def test_nested_lands_on_the_root_just_past_a_critical_line(excess):
     np.testing.assert_allclose(sol.q, overlaps, rtol=1e-4, atol=0.0)
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.0 + 2.0**-52])
+def test_nested_stops_within_twice_tol_of_a_double_root(beta):
+    # At rho = 1 (and 4.4e-16 past it) q - F(q) = 2 q^2 + O(q^3), so the
+    # root 0 (2.2e-16) is double and Newton halves the distance each step:
+    # a step at most tol leaves q at most 2 tol from the root.
+    sol = solve_nested(make(2, (beta,), (0.5, 0.5)), 1e-10)
+    assert np.all(np.abs(sol.q) <= 2e-10)
+
+
+def test_nested_keeps_its_bits_just_past_a_double_root():
+    # At beta^2 = 1 + 1e-8 the root, about 5.0e-9, is simple but nearly
+    # double, and Newton stops 7.4e-11 above it, within tol.
+    sol = solve_nested(make(2, (math.sqrt(1.0 + 1e-8),), (0.5, 0.5)), 1e-10)
+    assert sol.q.tolist() == [5.074301306590723e-09] * 2
+
+
 @pytest.mark.parametrize("nodes", [3, 5, 9])
 def test_nested_guard_trips_on_the_first_step_of_coarse_rules(monkeypatch, nodes):
     # So few trapezoid nodes make T non-concave, and the first Newton step

@@ -358,17 +358,40 @@ def test_batched_solve_keeps_each_systems_bits_and_marks_singular_ones():
     rng = np.random.default_rng(17)
     systems = np.eye(4) - rng.uniform(0.0, 0.5, (5, 4, 4))
     rhs = rng.uniform(-1.0, 1.0, (5, 4))
-    x, solved = rs_solver._solve(systems, rhs)
-    assert solved is None
+    x = rs_solver._solve(systems, rhs)
     for system, b, row in zip(systems, rhs, x):
         np.testing.assert_array_equal(row, np.linalg.solve(system, b))
-    # One singular system: the others keep their bits, it gets NaN.
+    # One singular system: its row is NaN, the others keep their bits.
     systems[2] = 0.0
-    x, solved = rs_solver._solve(systems, rhs)
-    assert solved.tolist() == [True, True, False, True, True]
+    x = rs_solver._solve(systems, rhs)
     assert np.all(np.isnan(x[2]))
     for i in (0, 1, 3, 4):
         np.testing.assert_array_equal(x[i], np.linalg.solve(systems[i], rhs[i]))
+
+
+def test_each_newton_step_solves_one_system_per_iterating_row(monkeypatch):
+    # Centred chains take no damped step, so each evaluation holds exactly
+    # the rows that iterate at the next step; the weakest coupling stops a
+    # step before the others.
+    solve, evaluate = rs_solver._solve, rs_solver._evaluate
+    systems, iterating = [], []
+
+    def solving(jacobians, rhs):
+        systems.append((len(jacobians), len(rhs)))
+        return solve(jacobians, rhs)
+
+    def evaluating(M, fields, q):
+        iterating.append(len(q))
+        return evaluate(M, fields, q)
+
+    monkeypatch.setattr(rs_solver, "_solve", solving)
+    monkeypatch.setattr(rs_solver, "_evaluate", evaluating)
+    models = [ModelParams(K=3, beta=(beta, beta), lam=(0.3, 0.4, 0.3),
+                          fields=(FieldSpec.gaussian(0.2),) * 3)
+              for beta in (0.2, 0.6, 1.0, 1.5, 3.0)]
+    rs_solver.solve_stack(models)
+    assert len(set(iterating)) > 1
+    assert systems == [(n, n) for n in iterating]
 
 
 @st.composite
