@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from dbmlab import machine
+from dbmlab import chainpoly, machine
 from dbmlab.machine import ModelParams
 
 
@@ -36,6 +36,15 @@ def main() -> None:
     parser.add_argument("--max", dest="hi", type=float, default=2.5)
     parser.add_argument("--steps", type=int, default=21)
     args = parser.parse_args()
+    # One layer has no coupling, so its spectral radius never crosses one.
+    if not 2 <= args.layers <= chainpoly.MAX_LAYERS:
+        parser.error(f"--layers must lie in [2, {chainpoly.MAX_LAYERS}], "
+                     f"got {args.layers}")
+    if not all(math.isfinite(x) and x > 0.0 for x in (args.lo, args.hi)):
+        parser.error(f"--min and --max must be finite and positive, got "
+                     f"{args.lo!r} and {args.hi!r}")
+    if args.steps < 1:
+        parser.error(f"--steps must be at least 1, got {args.steps}")
 
     print("beta,rho,verdict")
     for beta in np.linspace(args.lo, args.hi, args.steps):

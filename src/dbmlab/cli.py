@@ -435,7 +435,7 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     params = config.params
     tol = _tol(args, config)
     try:
-        params.require_fields("the bound", gaussian=False)
+        params.require_fields("the bound")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if min(params.lam) <= 0.0:
@@ -547,9 +547,9 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     a point per row, written straight from the axes (:func:`_grid_stack`),
     and built, classified and solved as one: one
     :func:`machine.classify_annealed` call, one solve
-    (:func:`rs_solver._solve_stack`, which takes that classification and
+    (:func:`rs_solver.solve_stack`, which takes that classification and
     puts the zero-field points with a witness at ``q = 0``, and the others
-    through one Newton iteration), one bound evaluation
+    through one Newton iteration), one bound read
     (:func:`sk_chain_bound.maximize_stack`, which reads the bound off those
     solutions) and one certificate pass serve every point,
     each with the bits of its own ``region``, ``rs`` or ``bound`` run.  A
@@ -582,11 +582,11 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     verdicts = machine.classify_annealed(stack)
     solutions = [None] * len(stack)
     if {"rs_pressure", "certificates", "bound"} & set(outputs):
-        results, nested = rs_solver._solve_stack(stack, tol, verdicts)
+        solved = rs_solver.solve_stack(stack, tol, verdicts)
         if "rs_pressure" in outputs or "certificates" in outputs:
-            solutions = results
+            solutions = solved
     if "bound" in outputs:
-        bounds = sk_chain_bound.maximize_stack(stack, tol, nested=nested)
+        bounds = sk_chain_bound.maximize_stack(stack, solved)
     paths = [axis.path for axis in scan.axes]
     rows = []
     for i, values in enumerate(points.tolist()):

@@ -245,17 +245,14 @@ class ModelParams:
         """Every layer has a centred Gaussian field with positive variance."""
         return all(f.v > 0.0 for f in self.fields)
 
-    def require_fields(self, what: str, gaussian: bool) -> None:
-        """Raise ``ValueError`` naming the first layer that ``what`` cannot take.
-
-        ``gaussian`` requires :attr:`gaussian_fields`; otherwise every layer
-        must have a zero or centred Gaussian field (:attr:`FieldSpec.is_centred`).
-        """
-        need = ("centred Gaussian fields with positive variance" if gaussian
-                else "zero or centred Gaussian external fields")
+    def require_fields(self, what: str) -> None:
+        """Raise ``ValueError`` naming the first layer that ``what`` cannot
+        take: every layer must have a zero or centred Gaussian field
+        (:attr:`FieldSpec.is_centred`)."""
         for p, f in enumerate(self.fields):
-            if not (f.v > 0.0 if gaussian else f.is_centred):
-                raise ValueError(f"{what} requires {need} on every layer "
+            if not f.is_centred:
+                raise ValueError(f"{what} requires zero or centred Gaussian "
+                                 f"external fields on every layer "
                                  f"(layer {p} has kind '{f.kind}')")
 
     def to_dict(self) -> dict:

@@ -34,7 +34,12 @@ models (:func:`solve_stack`), the points of a scan grid, with one kernel
 call per Newton step for every point still iterating; every point gets
 the bits of its one-model solve, and :func:`solve_nested` is the stack of
 one.  A point whose solve fails gets its :class:`SolverError` or
-``ValueError`` as its result, and the other points go on.
+``ValueError`` as its result, and the other points go on.  Each
+:class:`RsSolution` also carries what the split bound reads off it
+(:mod:`dbmlab.sk_chain_bound`): its de Almeida--Thouless test on every
+layer, for every field kind, and the witness of a point put at ``q = 0``.
+So which solution a point takes, and what its test says, is decided here
+alone.
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -116,7 +120,13 @@ class RsSolution:
     """Solver output: overlap vector, pressure value and certificates.
 
     ``residual`` is ``max_p |q_p - F_p(q)|`` at the returned ``q``;
-    ``method`` names the solver (``nested``).
+    ``method`` names the solver (``nested``).  Two more fields, which
+    :meth:`to_dict` leaves out, are what the split bound reads
+    (:func:`sk_chain_bound.maximize_stack`): ``stable``, the de
+    Almeida--Thouless test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p``
+    on every layer, for every field kind (``at_ok`` reports it where every
+    layer has Gaussian variance), and ``witness``, the annealed-region
+    witness of a point put at ``q = 0``, else ``None``.
     """
 
     q: np.ndarray
@@ -124,6 +134,8 @@ class RsSolution:
     residual: float
     method: str
     certificates: Certificates
+    stable: bool
+    witness: tuple | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -317,8 +329,8 @@ def _certificates(stack: _Stack, q, m, stable,
                   rho=None) -> list[Certificates]:
     """Certificates of the points of ``stack`` at overlaps ``q`` (one row
     each), from ``m = Mq`` and each point's de Almeida--Thouless test
-    ``stable`` (:attr:`_Solved.stable`), which the solver has evaluated at
-    ``q`` already.
+    ``stable`` (:attr:`RsSolution.stable`), which the solver has evaluated
+    at ``q`` already.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
     the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
@@ -497,22 +509,6 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                     part[redo] = value
 
 
-class _Solved(NamedTuple):
-    """A point's largest consistency solution ``q`` with its residual,
-    ``m = Mq``, its pressure and its de Almeida--Thouless test ``stable``:
-    ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer, for
-    every field kind, from the Newton iteration's evaluation at ``q``.
-    ``witness`` is the annealed-region witness of a point put at ``q = 0``
-    by :func:`_solved`, and ``None`` for a Newton solution."""
-
-    q: np.ndarray
-    residual: float
-    m: np.ndarray
-    pressure: float
-    stable: bool
-    witness: tuple | None = None
-
-
 def _zero_field_verdicts(stack: _Stack) -> list:
     """Per point of ``stack`` its :func:`machine.classify_annealed` verdict
     when every field is zero, else ``None``, from one call, or none when no
@@ -523,113 +519,87 @@ def _zero_field_verdicts(stack: _Stack) -> list:
     return [next(verdicts) if z else None for z in zero]
 
 
-def _solved(stack: _Stack, tol: float, verdicts) -> list:
-    """The largest consistency solution of every point of ``stack``: per
-    point its :class:`_Solved` or its :class:`SolverError`.
+def solve_stack(models, tol: float = 1e-10, verdicts=None) -> list:
+    """:func:`solve_nested` on every model of a stack of same-K models.
 
-    ``verdicts`` holds per point its :func:`machine.classify_annealed`
-    verdict, or ``None``.  With zero fields and a witness (strictly inside
-    the annealed region), ``q = 0`` is the only solution: the point takes
-    it with residual 0, the annealed pressure ``log 2 + (1/2) 1^T M1 1``
-    and the test ``0 <= 0``, with no Newton step and no kernel call.  The
-    other points take :func:`_newton`, and one kernel call for the
-    pressures; a single layer has no interaction, and its ``q`` is the
-    layer's own ``E tanh^2(z sqrt(v) + h)``."""
-    K = stack.lam.shape[1]
-    witness = [verdict.feasible_a if zero and verdict else None
-               for zero, verdict in zip(stack.zero_fields.tolist(), verdicts)]
-    roots: list = [None] * len(stack)
-    rows = [i for i, a in enumerate(witness) if a is not None]
-    if rows:
-        annealed = _LOG2 + machine.interaction_half_quadratic(
-            stack.take(rows), np.ones((len(rows), K)))
-        for i, pressure in zip(rows, annealed.tolist()):
-            roots[i] = _Solved(np.zeros(K), 0.0, np.zeros(K), pressure, True,
-                               witness[i])
-    newton = [i for i, a in enumerate(witness) if a is None]
-    if not newton:
-        return roots
-    stack = stack.take(newton)
-    if K > 1:
-        found = _newton(stack.M, stack.table, tol)
-    else:
-        q = _expect_rows(TANH_SQ, np.zeros((len(stack), 1)), stack.table)
-        m = _mv(stack.M, q)
-        f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m, stack.table)
-        residual = np.max(np.abs(q - f), axis=1).tolist()
-        found = list(zip(q, residual, m, inv_cosh4))
-    rows = [j for j, root in enumerate(found)
-            if not isinstance(root, SolverError)]
-    for i, root in zip(newton, found):
-        roots[i] = root
-    if rows:
-        q, m, inv_cosh4 = (np.array([found[j][k] for j in rows])
-                           for k in (0, 2, 3))
-        pressures = _pressures(stack.take(rows), q, m)
-        stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1).tolist()
-        for j, q_j, m_j, pressure, ok in zip(rows, q, m, pressures, stable):
-            roots[newton[j]] = _Solved(q_j, found[j][1], m_j, pressure, ok)
-    return roots
-
-
-def _solve_stack(models, tol: float, verdicts=None) -> tuple[list, list]:
-    """:func:`solve_stack`'s results, and per model its :class:`_Solved`
-    or the failure it has instead: the solutions before certification,
-    with the pressure and the de Almeida--Thouless test that the split
-    bound at weights related to ``q`` reads off
-    (:func:`sk_chain_bound.maximize_stack`).  ``verdicts`` holds per model
-    its :func:`machine.classify_annealed` verdict when the caller has
-    classified the models already; otherwise the zero-field models are
-    classified here (:func:`_zero_field_verdicts`)."""
+    ``models`` is a :class:`_Stack` or a sequence of same-K
+    :class:`ModelParams`.  ``verdicts`` holds per model its
+    :func:`machine.classify_annealed` verdict, or ``None``, when the caller
+    has classified the models already; otherwise the zero-field models are
+    classified here (:func:`_zero_field_verdicts`).  With zero fields and a
+    witness (strictly inside the annealed region), ``q = 0`` is the only
+    solution: the point takes it with residual 0, the annealed pressure
+    ``log 2 + (1/2) 1^T M1 1``, the test ``0 <= 0`` and the witness, with no
+    Newton step and no kernel call.  The other points take one
+    :func:`_newton` body, whose steps make one layered kernel call and one
+    batched linear solve for every point still iterating; a single layer
+    has no interaction, and its ``q`` is the layer's own ``E tanh^2(z
+    sqrt(v) + h)``.  The pressures and the certificates take one pass each,
+    as row expressions, so every point gets the bits of its own
+    :func:`solve_nested` call.  Returns per model its :class:`RsSolution`,
+    or the :class:`SolverError` or ``ValueError`` that :func:`solve_nested`
+    raises for it, while the other points go on.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     stack = _stack_of(models)
     if stack is None:
-        return [], []
+        return []
     if verdicts is None:
         verdicts = _zero_field_verdicts(stack)
-    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
-    solved: list = [None] * len(stack)
-    for i in np.flatnonzero(~positive).tolist():
-        solved[i] = ValueError(
-            "solvers require strictly positive layer weights; prune "
-            "zero-weight layers from the model first")
-    valid = np.flatnonzero(positive).tolist()
-    if valid:
-        for i, point in zip(valid, _solved(stack.take(valid), tol,
-                                           [verdicts[i] for i in valid])):
-            solved[i] = point
-    results = list(solved)
-    rows = [i for i, point in enumerate(solved) if isinstance(point, _Solved)]
+    P, K = stack.lam.shape
+    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1).tolist()
+    results: list = [None if ok else ValueError(
+        "solvers require strictly positive layer weights; prune zero-weight "
+        "layers from the model first") for ok in positive]
+    witness = [verdict.feasible_a if ok and zero and verdict else None for
+               ok, zero, verdict in zip(positive, stack.zero_fields, verdicts)]
+    # Per point: q, m = Mq, the residual, the pressure (None while the
+    # point is unsolved) and the de Almeida--Thouless test.
+    q, m = np.zeros((P, K)), np.zeros((P, K))
+    residual, pressure, stable = [0.0] * P, [None] * P, [True] * P
+    rows = [i for i, a in enumerate(witness) if a is not None]
+    if rows:
+        annealed = _LOG2 + machine.interaction_half_quadratic(
+            stack.take(rows), np.ones((len(rows), K)))
+        for i, value in zip(rows, annealed.tolist()):
+            pressure[i] = value
+    newton = [i for i, (ok, a) in enumerate(zip(positive, witness))
+              if ok and a is None]
+    if newton:
+        points = stack.take(newton)
+        if K > 1:
+            found = _newton(points.M, points.table, tol)
+        else:
+            q1 = _expect_rows(TANH_SQ, np.zeros((len(points), 1)), points.table)
+            m1 = _mv(points.M, q1)
+            f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m1, points.table)
+            found = list(zip(q1, np.max(np.abs(q1 - f), axis=1).tolist(), m1,
+                             inv_cosh4))
+        # A root (q, residual, m, E cosh^-4) waits here for its solution.
+        for i, root in zip(newton, found):
+            results[i] = root
+        rows = [i for i in newton if not isinstance(results[i], SolverError)]
+        if rows:
+            q[rows], m[rows], inv_cosh4 = (
+                np.array([results[i][k] for i in rows]) for k in (0, 2, 3))
+            values = _pressures(stack.take(rows), q[rows], m[rows])
+            tests = np.logical_and.reduce(m[rows] * inv_cosh4 <= q[rows],
+                                          axis=1).tolist()
+            for i, value, ok in zip(rows, values, tests):
+                residual[i], pressure[i], stable[i] = results[i][1], value, ok
+    rows = [i for i, value in enumerate(pressure) if value is not None]
     if rows:
         known = [verdicts[i] for i in rows]
         certificates = _certificates(
-            stack.take(rows), np.array([solved[i].q for i in rows]),
-            np.array([solved[i].m for i in rows]),
-            [solved[i].stable for i in rows],
+            stack.take(rows), q[rows], m[rows], [stable[i] for i in rows],
             None if None in known else [verdict.rho for verdict in known])
         for i, certs in zip(rows, certificates):
             results[i] = RsSolution(
-                q=solved[i].q, pressure=solved[i].pressure,
-                residual=solved[i].residual, method="nested",
-                certificates=certs)
-    return results, solved
-
-
-def solve_stack(models, tol: float = 1e-10) -> list:
-    """:func:`solve_nested` on every model of a stack of same-K models.
-
-    ``models`` is a :class:`_Stack` or a sequence of same-K
-    :class:`ModelParams`.  One body serves the whole stack: each Newton
-    step makes one layered kernel call and one batched linear solve for
-    every point still iterating, and the pressure and the certificates
-    take one pass each.  Every point gets the bits of its own
-    :func:`solve_nested` call.  Returns per model its
-    :class:`RsSolution`, or the :class:`SolverError` or ``ValueError``
-    that :func:`solve_nested` raises for it, while the other points go
-    on.
-    """
-    return _solve_stack(models, tol)[0]
+                q=q[i], pressure=pressure[i], residual=residual[i],
+                method="nested", certificates=certs, stable=stable[i],
+                witness=witness[i])
+    return results
 
 
 def _one(result):

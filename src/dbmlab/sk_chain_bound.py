@@ -15,15 +15,15 @@ surrogate overlap is the largest solution of the scalar consistency
 equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  At free weights
 the K scalar equations are ``1 x 1`` rows of the one Newton body,
 :func:`rs_solver._newton`, solved together, and each row returns its
-layer's validity test at the root.  At the maximizer no scalar equation
-is solved: the bound reads the consistency solution ``q`` of
-:mod:`dbmlab.rs_solver`, whose entries are the surrogate overlaps, at the
-weights related to ``q``, or at the annealed-region witness where the
-solver puts a zero-field model at ``q = 0``.  Either way the bound is the
-replica-symmetric pressure at ``q`` and each layer's validity test is the
-de Almeida--Thouless test at ``(Mq)_p``, with no kernel call.
-:func:`maximize_stack` does the same for a stack of same-K models, the
-points of a scan grid, each point's bits those of its own
+layer's validity test at the root.  At the maximizer nothing is solved
+here: the bound is a read of the consistency solution of
+:func:`rs_solver.solve_stack`, whose entries ``q`` are the surrogate
+overlaps, at the weights related to ``q``, or at the annealed-region
+witness where the solver puts a zero-field model at ``q = 0``.  Either
+way the bound is the solution's pressure and each layer's validity test
+is the solution's de Almeida--Thouless test at ``(Mq)_p``, with no kernel
+call.  :func:`maximize_stack` reads a stack of same-K models, the points
+of a scan grid, off their solutions, each point's bits those of its own
 :func:`maximize_bound` call, which is the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
@@ -189,7 +189,7 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     the layer's de Almeida--Thouless test at the root, so the check takes
     no kernel call of its own.  Fields must be zero or centred Gaussian.
     """
-    params.require_fields("the split bound", gaussian=False)
+    params.require_fields("the split bound")
     theta_sq = _theta_sq_from_aux(a, params)[None]
     values, _, converged, stable = _evaluate(_Stack([params]), theta_sq)
     return values[0], bool(converged[0] and stable[0])
@@ -225,61 +225,45 @@ class BoundResult:
         }
 
 
-def maximize_stack(models, tol: float = 1e-10, *, nested=None) -> list:
-    """:func:`maximize_bound` on every model of a stack of same-K models.
+def maximize_stack(models, solutions) -> list:
+    """:func:`maximize_bound` on every model of a stack of same-K models,
+    read off their consistency solutions.
 
     ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
-    :class:`ModelParams`.  ``nested`` holds per model its consistency
-    solution as :func:`rs_solver._solve_stack` returns it (a
-    :class:`rs_solver._Solved` or the failure in its place) when the
-    caller has solved the models already; otherwise one
-    :func:`rs_solver._solved` call solves the models the bound takes,
-    classifying the zero-field ones.  Every point reads its bound off its
-    solution, with no kernel call: the overlaps are ``q``, the value is
-    the pressure at ``q`` and the certificate is its de Almeida--Thouless
-    test.  A point solved by the annealed-region witness has ``q = 0``
-    and takes the witness as its weights; the others take the weights
-    related to ``q``.  The related weights and the temperatures are row
-    expressions.  Every point gets the bits of its own
-    :func:`maximize_bound` call.  Returns per model its
-    :class:`BoundResult`, or the :class:`rs_solver.SolverError` or
-    ``ValueError`` that :func:`maximize_bound` raises for it, while the
-    other points go on.
+    :class:`ModelParams`, and ``solutions`` holds per model what
+    :func:`rs_solver.solve_stack` returns for it: its
+    :class:`rs_solver.RsSolution` or the failure in its place.  Every point
+    reads its bound off its solution, with no solve and no kernel call:
+    the overlaps are ``q``, the value is the pressure at ``q`` and the
+    certificate is the solution's de Almeida--Thouless test ``stable``.  A
+    point that the solver put at ``q = 0`` takes its ``witness`` as its
+    weights; the others take the weights related to ``q``.  The related
+    weights and the temperatures are row expressions.  Returns per model
+    its :class:`BoundResult`, or the ``ValueError`` of a model whose
+    fields are not zero or centred Gaussian, else its solution's failure,
+    else the ``ValueError`` of related weights that are not positive
+    floats, while the other points go on.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     stack = rs_solver._stack_of(models)
     if stack is None:
         return []
-    P, K = stack.lam.shape
-    results: list = [None] * P
+    K = stack.lam.shape[1]
+    results: list = [solution if isinstance(solution, Exception) else None
+                     for solution in solutions]
     for i in np.flatnonzero(~stack.centred).tolist():
         try:
-            stack.model(i).require_fields("the split bound", gaussian=False)
+            stack.model(i).require_fields("the split bound")
         except ValueError as exc:
             results[i] = exc
-    positive = np.logical_and.reduce(stack.lam > 0.0, axis=1)
-    for i in np.flatnonzero(stack.centred & ~positive).tolist():
-        results[i] = ValueError("the split bound requires strictly positive "
-                                "layer weights; prune zero-weight layers "
-                                "from the model")
-    rows = np.flatnonzero(stack.centred & positive).tolist()
-    if nested is None and rows:
-        points = stack.take(rows)
-        nested = dict(zip(rows, rs_solver._solved(
-            points, tol, rs_solver._zero_field_verdicts(points))))
-    for i in rows:
-        if isinstance(nested[i], Exception):
-            results[i] = nested[i]
-    rows = [i for i in rows if results[i] is None]
+    rows = [i for i, result in enumerate(results) if result is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
     # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
-    overlaps = np.array([nested[i].q for i in rows]).reshape(len(rows), K)
+    overlaps = np.array([solutions[i].q for i in rows]).reshape(len(rows), K)
     aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
-        if nested[i].witness is not None:
-            aux[j] = nested[i].witness
+        if solutions[i].witness is not None:
+            aux[j] = solutions[i].witness
         elif K > 1:
             # A single layer has no bond to relate.
             results[i] = errors[j]
@@ -294,47 +278,51 @@ def maximize_stack(models, tol: float = 1e-10, *, nested=None) -> list:
     # is that of the consistency solution.
     for j, i in enumerate(rows):
         results[i] = BoundResult(
-            a=aux[j], value=nested[i].pressure,
-            certified=nested[i].stable, theta=theta[j], overlaps=overlaps[j])
+            a=aux[j], value=solutions[i].pressure,
+            certified=solutions[i].stable, theta=theta[j],
+            overlaps=overlaps[j])
     return results
 
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
-    The one-model stack of :func:`maximize_stack`; raises what that
-    returns for the model.  The maximizer is read off the consistency
-    equations, with one evaluation of the bound and no search.  If ``q``
-    solves them and ``a = related_aux(q)``, then ``2 theta_p^2 q_p = (M
-    q)_p``, so every layer's surrogate overlap equals ``q_p``, the
-    bond-matching conditions hold, and the bound's gradient in ``a``
-    vanishes by the envelope identity.  ``q`` is the largest consistency
-    solution, that of :func:`rs_solver.solve_nested` at tolerance ``tol``,
-    with its :class:`rs_solver.SolverError` when it fails, and the point
-    evaluated is ``related_aux(q)``.  With zero fields strictly inside the
-    annealed region the solver puts the model at ``q = 0``, its only
-    solution, and the point evaluated is the region's witness, where every
-    layer has ``2 theta_p^2 <= 1`` up to rounding.  A single layer has no
-    bond, and its weights are the empty vector.
+    :func:`maximize_stack` on the stack of one, over its
+    :func:`rs_solver.solve_stack` solution at tolerance ``tol``; raises
+    what that returns for the model.  The maximizer is read off the
+    consistency equations, with no search.  If ``q`` solves them and ``a =
+    related_aux(q)``, then ``2 theta_p^2 q_p = (M q)_p``, so every layer's
+    surrogate overlap equals ``q_p``, the bond-matching conditions hold,
+    and the bound's gradient in ``a`` vanishes by the envelope identity.
+    ``q`` is the largest consistency solution, that of
+    :func:`rs_solver.solve_nested`, with its :class:`rs_solver.SolverError`
+    when it fails, and the point evaluated is ``related_aux(q)``.  With
+    zero fields strictly inside the annealed region the solver puts the
+    model at ``q = 0``, its only solution, and the point evaluated is the
+    region's witness, where every layer has ``2 theta_p^2 <= 1`` up to
+    rounding.  A single layer has no bond, and its weights are the empty
+    vector.
 
     The surrogate overlaps, the value and the certificate are read off the
-    consistency solution with no scalar solve and no kernel call: every
-    layer's surrogate overlap is ``q_p``, by the bridge identity
+    solution with no scalar solve and no kernel call: every layer's
+    surrogate overlap is ``q_p``, by the bridge identity
     (:func:`bridge_check`) the bound is the replica-symmetric pressure at
     ``q``, the ``pressure`` of :func:`rs_solver.solve_nested` bit for bit,
     and each layer's validity test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is
     the solution's de Almeida--Thouless test, which ``solve_nested``
     reports as ``at_ok`` when every layer has Gaussian variance.  So the
-    bound costs the kernel calls of that solve and no more: none at the
-    witness, where the value is ``machine.annealed_pressure`` and the test
-    reads ``0 <= 0``, so the bound is certified.
+    bound costs that solve, its certificates included, and no more; at the
+    witness the value is ``machine.annealed_pressure`` and the test reads
+    ``0 <= 0``, so the bound is certified.
 
-    Needs strictly positive layer weights and zero or centred Gaussian
-    fields, and raises ``ValueError`` otherwise or when the related
-    weights are not positive floats.  For a single layer the bound is the
-    layer's own pressure.
+    Needs zero or centred Gaussian fields (checked first) and strictly
+    positive layer weights (the solver's check), and raises ``ValueError``
+    otherwise or when the related weights are not positive floats.  For a
+    single layer the bound is the layer's own pressure.
     """
-    return rs_solver._one(maximize_stack([params], tol)[0])
+    stack = _Stack([params])
+    return rs_solver._one(maximize_stack(stack,
+                                         rs_solver.solve_stack(stack, tol))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -251,14 +251,15 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
         if residual < tol:
             m = machine.build_matrices(params)[2] @ q
             inv_cosh4 = ghquad.expect(ghquad.INV_COSH4, m, params.fields)
+            stable = bool(np.all(m * inv_cosh4 <= q))
             return RsSolution(
                 q=q.copy(),
                 pressure=rs_pressure(q, params),
                 residual=residual,
                 method="fixed_point",
                 certificates=_certificates(
-                    _Stack([params]), q[None], m[None],
-                    [bool(np.all(m * inv_cosh4 <= q))])[0],
+                    _Stack([params]), q[None], m[None], [stable])[0],
+                stable=stable,
             )
         q = (1.0 - damping) * q + damping * f
     raise SolverError(

@@ -622,9 +622,8 @@ def test_nested_lands_on_the_root_just_past_a_critical_line(excess):
     params = make(3, (beta, beta), lam)
     sol = solve_nested(params)
     assert sol.residual <= 1e-10
-    nested = rs_solver._solve_stack([params], 1e-10)[1]
-    overlaps = sk_chain_bound.maximize_stack([params],
-                                             nested=nested)[0].overlaps
+    overlaps = sk_chain_bound.maximize_stack(
+        [params], rs_solver.solve_stack([params], 1e-10))[0].overlaps
     np.testing.assert_allclose(sol.q, overlaps, rtol=1e-4, atol=0.0)
 
 

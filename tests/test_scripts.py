@@ -37,6 +37,24 @@ def test_script_runs_and_prints_its_csv_header(script):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("args", [["--layers", "1"], ["--layers", "0"],
+                                  ["--layers", "600"], ["--min", "-1"],
+                                  ["--max", "inf"], ["--min", "nan"],
+                                  ["--steps", "0"]])
+def test_boundary_scan_rejects_bad_input_with_one_line(args):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "boundary_scan.py"), *args],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    # argparse prints its usage, wrapped to the terminal, then one error line.
+    lines = done.stderr.splitlines()
+    assert lines[0].startswith("usage: boundary_scan.py")
+    assert [line for line in lines if ": error: " in line] == lines[-1:]
+    assert lines[-1].startswith("boundary_scan.py: error: ")
+
+
 def test_boundary_scan_critical_coupling_puts_rho_at_one():
     script = runpy.run_path(str(ROOT / "scripts" / "boundary_scan.py"))
     for K in (2, 3, 5, 8):

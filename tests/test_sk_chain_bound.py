@@ -433,10 +433,10 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
     chains += _zero_field_chains_outside(rng, 12)
     for params in chains:
         side[0] = "nested"
-        nested = rs_solver._solve_stack([params], 1e-10)[1]
-        q = nested[0].q
+        solutions = rs_solver.solve_stack([params], 1e-10)
+        q = solutions[0].q
         side[0] = "warm"
-        warm = sk_chain_bound.maximize_stack([params], nested=nested)[0]
+        warm = sk_chain_bound.maximize_stack([params], solutions)[0]
         side[0] = "cold"
         value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
@@ -465,9 +465,9 @@ def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
     monkeypatch.setattr(rs_solver, "_newton", recording)
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
-    nested = rs_solver._solve_stack([params], 1e-10)[1]
+    solutions = rs_solver.solve_stack([params], 1e-10)
     q = solve_nested(params).q
-    warm = sk_chain_bound.maximize_stack([params], nested=nested)[0]
+    warm = sk_chain_bound.maximize_stack([params], solutions)[0]
     np.testing.assert_array_equal(warm.overlaps, q)
     np.testing.assert_array_equal(maximize_bound(params).overlaps, q)
     outside, = _zero_field_chains_outside(np.random.default_rng(3), 1)

@@ -19,7 +19,9 @@ from helpers import model_params
 def _special(name, K):
     """Points that take another path than a random model: zero fields
     inside the annealed region (the bound's witness) and outside it, the
-    beta = 1000 chain that trips the Newton guard, and a zero-width layer."""
+    beta = 1000 chain that trips the Newton guard, and a zero-width layer,
+    with zero fields or with point-mass ones, which the bound refuses
+    before the solver's failure."""
     lam = tuple([1.0 / K] * K)
     if name == "inside":
         return ModelParams(K=K, beta=(0.3,) * (K - 1), lam=lam)
@@ -30,8 +32,11 @@ def _special(name, K):
                            fields=tuple(FieldSpec.gaussian(0.5 - 0.2 * (p % 2))
                                         for p in range(K)))
     # A zero-width layer; one layer cannot have one.
+    fields = ((FieldSpec.point_mass(0.4),) * K if name == "point_mass_zero_width"
+              else ())
     return ModelParams(K=K, beta=(0.5,) * (K - 1),
-                       lam=(0.0,) + (1.0 / (K - 1),) * (K - 1) if K > 1 else lam)
+                       lam=(0.0,) + (1.0 / (K - 1),) * (K - 1) if K > 1 else lam,
+                       fields=fields)
 
 
 @st.composite
@@ -41,7 +46,8 @@ def stacks(draw):
     models = draw(st.lists(model_params(k_range=(K, K)), min_size=1,
                            max_size=5))
     models += [_special(name, K) for name in draw(st.lists(
-        st.sampled_from(["inside", "outside", "guard", "zero_width"]),
+        st.sampled_from(["inside", "outside", "guard", "zero_width",
+                         "point_mass_zero_width"]),
         max_size=4))]
     return draw(st.permutations(models))
 
@@ -76,11 +82,13 @@ def _solo(call, *args, **kwargs):
 def test_stacked_points_equal_their_solo_runs_property(models):
     tol = 1e-10
     verdicts = [machine.classify_annealed(params) for params in models]
-    solutions, nested = rs_solver._solve_stack(models, tol, verdicts)
+    solutions = rs_solver.solve_stack(models, tol, verdicts)
     assert len(solutions) == len(models)
     for params, verdict, solution in zip(models, verdicts, solutions):
         solo = _solo(rs_solver.solve_nested, params, tol)
         _same(solution, solo)
+        if min(params.lam) <= 0.0:
+            assert str(solo).startswith("solvers require strictly positive")
         if isinstance(solo, Exception):
             continue
         np.testing.assert_array_equal(solution.q, solo.q)
@@ -90,10 +98,18 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             assert solo.pressure == machine.annealed_pressure(params)
         else:
             assert solo.pressure == _one_model_pressure(solo.q, params)
-    for bounds in (sk_chain_bound.maximize_stack(models, tol, nested=nested),
-                   sk_chain_bound.maximize_stack(models, tol)):
+    # The scan form passes its classification; without it the solver
+    # classifies the zero-field points itself.
+    for bounds in (sk_chain_bound.maximize_stack(models, solutions),
+                   sk_chain_bound.maximize_stack(
+                       models, rs_solver.solve_stack(models, tol))):
         for params, bound in zip(models, bounds):
             _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
+            if min(params.lam) <= 0.0:
+                # The bound refuses the fields before the solver the widths.
+                centred = all(f.is_centred for f in params.fields)
+                assert str(bound).startswith(
+                    "solvers require" if centred else "the split bound requires")
             if isinstance(bound, Exception):
                 continue
             # Every point reads the bound off its consistency solution; at
@@ -107,16 +123,26 @@ def test_stacked_points_equal_their_solo_runs_property(models):
 
 def test_the_special_points_fail_as_their_solo_runs_do():
     # The property's failing points do fail: the guard trips at beta = 1000
-    # and a zero-width layer fails both solves.
+    # and a zero-width layer fails both solves, with the solver's message,
+    # unless its fields are point masses, which the bound refuses first.
     tol = 1e-10
     guard, zero_width = _special("guard", 2), _special("zero_width", 3)
+    point_mass = _special("point_mass_zero_width", 3)
     solutions = rs_solver.solve_stack([guard, _special("inside", 2)], tol)
     assert isinstance(solutions[0], rs_solver.SolverError)
     assert "left the monotone descent" in str(solutions[0])
     assert isinstance(solutions[1], rs_solver.RsSolution)
-    for result in (rs_solver.solve_stack([zero_width], tol)[0],
-                   sk_chain_bound.maximize_stack([zero_width], tol)[0]):
-        assert isinstance(result, ValueError)
+    models = [zero_width, point_mass]
+    solutions = rs_solver.solve_stack(models, tol)
+    bounds = sk_chain_bound.maximize_stack(models, solutions)
+    for solution in solutions:
+        assert isinstance(solution, ValueError)
+        assert str(solution).startswith("solvers require strictly positive")
+    assert bounds[0] is solutions[0]
+    assert isinstance(bounds[1], ValueError)
+    assert str(bounds[1]) == (
+        "the split bound requires zero or centred Gaussian external fields "
+        "on every layer (layer 0 has kind 'point_mass')")
 
 
 # A K = 4 centred-Gaussian model scanned over a 6 x 4 grid that crosses the
@@ -207,8 +233,8 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
     solo = []
     for params in _grid_models(path):
         calls.clear()
-        nested = rs_solver._solve_stack([params], 1e-10)[1]
-        sk_chain_bound.maximize_stack([params], nested=nested)
+        sk_chain_bound.maximize_stack([params],
+                                      rs_solver.solve_stack([params], 1e-10))
         solo.append(dict(calls))
     # Each Newton step is one call for the whole grid, so the grid takes the
     # steps of its slowest point.  The pressure is one call; the rs
