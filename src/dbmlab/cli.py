@@ -373,7 +373,7 @@ def _tol(args, config: _Config) -> float:
 def cmd_region(config: _Config, args) -> tuple[str, bool]:
     axes = config.scan.axes if config.scan is not None else ()
     paths = [axis.path for axis in axes]
-    grid = ([(points.tolist(), machine.classify_annealed(stack))
+    grid = ([(points.tolist(), stack.verdicts)
              for points, stack in _grid_stacks(config.params, axes)] if axes
             else [([[]], [machine.classify_annealed(config.params)])])
     rows = []
@@ -545,11 +545,11 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
 
     The grid's points share ``K``, so they are held as one stack of arrays,
     a point per row, written straight from the axes (:func:`_grid_stack`),
-    and built, classified and solved as one: one
-    :func:`machine.classify_annealed` call, one solve
-    (:func:`rs_solver.solve_stack`, which takes that classification and
-    puts the zero-field points with a witness at ``q = 0``, and the others
-    through one Newton iteration), one bound read
+    and built, classified and solved as one: one classification, the
+    stack's own (``_Stack.verdicts``, from its spectral radii), one solve
+    (:func:`rs_solver.solve_stack`, which reads that classification off the
+    stack and puts the zero-field points with a witness at ``q = 0``, and
+    the others through one Newton iteration), one bound read
     (:func:`sk_chain_bound.maximize_stack`, which reads the bound off those
     solutions) and one certificate pass serve every point,
     each with the bits of its own ``region``, ``rs`` or ``bound`` run.  A
@@ -579,10 +579,10 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     """The rows of the grid points of ``stack``, whose axis values are the
     rows of ``points``, solved as one stack."""
     outputs = scan.outputs
-    verdicts = machine.classify_annealed(stack)
+    verdicts = stack.verdicts
     solutions = [None] * len(stack)
     if {"rs_pressure", "certificates", "bound"} & set(outputs):
-        solved = rs_solver.solve_stack(stack, tol, verdicts)
+        solved = rs_solver.solve_stack(stack, tol)
         if "rs_pressure" in outputs or "certificates" in outputs:
             solutions = solved
     if "bound" in outputs:

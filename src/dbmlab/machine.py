@@ -240,11 +240,6 @@ class ModelParams:
     def zero_fields(self) -> bool:
         return all(f.is_zero for f in self.fields)
 
-    @property
-    def gaussian_fields(self) -> bool:
-        """Every layer has a centred Gaussian field with positive variance."""
-        return all(f.v > 0.0 for f in self.fields)
-
     def require_fields(self, what: str) -> None:
         """Raise ``ValueError`` naming the first layer that ``what`` cannot
         take: every layer must have a zero or centred Gaussian field
@@ -420,10 +415,15 @@ def classify_annealed(params: ModelParams):
     the list of the points' verdicts.  A stack takes one
     :func:`chainpoly.largest_zero` call, one chain recursion and one
     witness recursion, each a row expression, so every point gets the
-    verdict of its own call.
+    verdict of its own call (the body, :func:`_classify`, takes ``rho``).
     """
+    return _classify(params, spectral_radius(params))
+
+
+def _classify(params: ModelParams, rho):
+    """:func:`classify_annealed` of ``params`` whose spectral radius is
+    ``rho``, a float, or one per point for a stack."""
     t = activities(params)
-    rho = chainpoly.largest_zero(t)
     z = chainpoly.eval_sequence(1.0, t)
     one = t.ndim == 1
     rho = [rho] if one else rho.tolist()

@@ -33,8 +33,11 @@ The solver, the pressure and the certificates take a stack of same-K
 models (:func:`solve_stack`), the points of a scan grid, with one kernel
 call per Newton step for every point still iterating; every point gets
 the bits of its one-model solve, and :func:`solve_nested` is the stack of
-one.  A point whose solve fails gets its :class:`SolverError` or
-``ValueError`` as its result, and the other points go on.  Each
+one.  A stack derives its matrices, spectral radii and annealed
+classification from its own parameters, once each, so which zero-field
+point sits at ``q = 0`` follows from the point alone.  A point whose
+solve fails gets its :class:`SolverError` or ``ValueError`` as its
+result, and the other points go on.  Each
 :class:`RsSolution` also carries what the split bound reads off it
 (:mod:`dbmlab.sk_chain_bound`): its de Almeida--Thouless test on every
 layer, for every field kind, and the witness of a point put at ``q = 0``.
@@ -174,9 +177,13 @@ class _Stack:
     ``beta`` holds the inverse temperatures as a ``(P, K - 1)`` array,
     ``lam`` the layer weights as ``(P, K)`` and ``table`` the fields of
     every point, point by point, one per layer, as one
-    :class:`ghquad.FieldTable`.  ``M``, the interaction matrices as ``(P,
-    K, K)``, is built on first use by one :func:`machine.build_matrices`
-    call, a row expression like every per-point quantity of the stack.
+    :class:`ghquad.FieldTable`.  Three facts of the points are derived on
+    first use, each by one call that is a row expression like every
+    per-point quantity of the stack: ``M``, the interaction matrices as
+    ``(P, K, K)`` (:func:`machine.build_matrices`); ``rho``, the spectral
+    radii (:func:`machine.spectral_radius`); and ``verdicts``, the
+    :func:`machine.classify_annealed` verdicts, built from ``rho``.  A
+    sub-stack (:meth:`take`) carries the rows of those already derived.
     Every per-point product is a batched matmul of one row, which gives
     the bits of the one-model product: ``M q`` per row is the GEMV of ``M
     @ q``, and a weighted sum per row the dot product of ``np.dot``.
@@ -221,14 +228,25 @@ class _Stack:
     def M(self) -> np.ndarray:
         return machine.build_matrices(self)[2]
 
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return machine.spectral_radius(self)
+
+    @functools.cached_property
+    def verdicts(self) -> list:
+        return machine._classify(self, self.rho)
+
     def take(self, rows) -> "_Stack":
         """The stack of the distinct points ``rows``, in stack order."""
         if len(rows) == len(self):
             return self
         stack = _Stack.rows(self.beta[rows], self.lam[rows],
                             _row_fields(self.table, self.lam.shape[1], rows))
-        if "M" in self.__dict__:
-            stack.M = self.M[rows]
+        for name in ("M", "rho"):
+            if name in self.__dict__:
+                setattr(stack, name, getattr(self, name)[rows])
+        if "verdicts" in self.__dict__:
+            stack.verdicts = [self.verdicts[i] for i in rows]
         return stack
 
     def model(self, i: int) -> ModelParams:
@@ -325,21 +343,18 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _certificates(stack: _Stack, q, m, stable,
-                  rho=None) -> list[Certificates]:
+def _certificates(stack: _Stack, q, m, stable) -> list[Certificates]:
     """Certificates of the points of ``stack`` at overlaps ``q`` (one row
-    each), from ``m = Mq`` and each point's de Almeida--Thouless test
+    each), from ``m = Mq``, each point's de Almeida--Thouless test
     ``stable`` (:attr:`RsSolution.stable`), which the solver has evaluated
-    at ``q`` already.
+    at ``q`` already, and the stack's spectral radii ``rho``.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
     the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
     some ``q_p = 0`` leaves a layer open, else ``True``; a single layer
     has no interaction and passes.  ``at_ok`` is ``stable`` for points
     with positive field variance on every layer, and ``None`` for the
-    others.  ``rho`` holds each point's spectral radius when the caller
-    has it; otherwise one :func:`machine.spectral_radius` call on the
-    stack computes them.
+    others.  ``stable_at_zero`` is ``rho < 1``.
     """
     if q.shape[1] == 1:
         talagrand = [True] * len(q)
@@ -350,11 +365,8 @@ def _certificates(stack: _Stack, q, m, stable,
                      for fail, open_ in zip(fails, open_layer)]
     at_ok = [ok if gaussian else None
              for ok, gaussian in zip(stable, stack.gaussian.tolist())]
-    if rho is None:
-        rho = np.atleast_1d(machine.spectral_radius(stack))
-    stable_at_zero = (np.asarray(rho) < 1.0).tolist()
     return [Certificates(talagrand_ok=t, at_ok=a, stable_at_zero=r)
-            for t, a, r in zip(talagrand, at_ok, stable_at_zero)]
+            for t, a, r in zip(talagrand, at_ok, (stack.rho < 1.0).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -509,51 +521,42 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                     part[redo] = value
 
 
-def _zero_field_verdicts(stack: _Stack) -> list:
-    """Per point of ``stack`` its :func:`machine.classify_annealed` verdict
-    when every field is zero, else ``None``, from one call, or none when no
-    point has zero fields."""
-    zero = stack.zero_fields.tolist()
-    rows = [i for i, z in enumerate(zero) if z]
-    verdicts = iter(machine.classify_annealed(stack.take(rows)) if rows else ())
-    return [next(verdicts) if z else None for z in zero]
-
-
-def solve_stack(models, tol: float = 1e-10, verdicts=None) -> list:
+def solve_stack(models, tol: float = 1e-10) -> list:
     """:func:`solve_nested` on every model of a stack of same-K models.
 
     ``models`` is a :class:`_Stack` or a sequence of same-K
-    :class:`ModelParams`.  ``verdicts`` holds per model its
-    :func:`machine.classify_annealed` verdict, or ``None``, when the caller
-    has classified the models already; otherwise the zero-field models are
-    classified here (:func:`_zero_field_verdicts`).  With zero fields and a
+    :class:`ModelParams`.  When some point has zero fields, the stack
+    classifies itself (:attr:`_Stack.verdicts`); with zero fields and a
     witness (strictly inside the annealed region), ``q = 0`` is the only
     solution: the point takes it with residual 0, the annealed pressure
     ``log 2 + (1/2) 1^T M1 1``, the test ``0 <= 0`` and the witness, with no
     Newton step and no kernel call.  The other points take one
     :func:`_newton` body, whose steps make one layered kernel call and one
     batched linear solve for every point still iterating; a single layer
-    has no interaction, and its ``q`` is the layer's own ``E tanh^2(z
-    sqrt(v) + h)``.  The pressures and the certificates take one pass each,
-    as row expressions, so every point gets the bits of its own
-    :func:`solve_nested` call.  Returns per model its :class:`RsSolution`,
-    or the :class:`SolverError` or ``ValueError`` that :func:`solve_nested`
-    raises for it, while the other points go on.
+    has no interaction, so ``Mq = 0`` and its ``q`` is the layer's own ``E
+    tanh^2(z sqrt(v) + h)``, the first row of one ``TANH_MOMENTS`` call.
+    The pressures and the certificates, which read the stack's spectral
+    radii (:attr:`_Stack.rho`), take one pass each, as row expressions, so
+    every point gets the bits of its own :func:`solve_nested` call.
+    Returns per model its :class:`RsSolution`, or the :class:`SolverError`
+    or ``ValueError`` that :func:`solve_nested` raises for it, while the
+    other points go on.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     stack = _stack_of(models)
     if stack is None:
         return []
-    if verdicts is None:
-        verdicts = _zero_field_verdicts(stack)
     P, K = stack.lam.shape
     positive = np.logical_and.reduce(stack.lam > 0.0, axis=1).tolist()
     results: list = [None if ok else ValueError(
         "solvers require strictly positive layer weights; prune zero-weight "
         "layers from the model first") for ok in positive]
-    witness = [verdict.feasible_a if ok and zero and verdict else None for
-               ok, zero, verdict in zip(positive, stack.zero_fields, verdicts)]
+    zero = [ok and z for ok, z in zip(positive, stack.zero_fields.tolist())]
+    witness = [None] * P
+    if any(zero):
+        witness = [verdict.feasible_a if z else None
+                   for z, verdict in zip(zero, stack.verdicts)]
     # Per point: q, m = Mq, the residual, the pressure (None while the
     # point is unsolved) and the de Almeida--Thouless test.
     q, m = np.zeros((P, K)), np.zeros((P, K))
@@ -571,11 +574,9 @@ def solve_stack(models, tol: float = 1e-10, verdicts=None) -> list:
         if K > 1:
             found = _newton(points.M, points.table, tol)
         else:
-            q1 = _expect_rows(TANH_SQ, np.zeros((len(points), 1)), points.table)
-            m1 = _mv(points.M, q1)
-            f, inv_cosh4 = _expect_rows(TANH_MOMENTS, m1, points.table)
-            found = list(zip(q1, np.max(np.abs(q1 - f), axis=1).tolist(), m1,
-                             inv_cosh4))
+            m1 = np.zeros((len(points), 1))
+            q1, inv_cosh4 = _expect_rows(TANH_MOMENTS, m1, points.table)
+            found = [(q_i, 0.0, m1[0], c) for q_i, c in zip(q1, inv_cosh4)]
         # A root (q, residual, m, E cosh^-4) waits here for its solution.
         for i, root in zip(newton, found):
             results[i] = root
@@ -590,10 +591,8 @@ def solve_stack(models, tol: float = 1e-10, verdicts=None) -> list:
                 residual[i], pressure[i], stable[i] = results[i][1], value, ok
     rows = [i for i, value in enumerate(pressure) if value is not None]
     if rows:
-        known = [verdicts[i] for i in rows]
         certificates = _certificates(
-            stack.take(rows), q[rows], m[rows], [stable[i] for i in rows],
-            None if None in known else [verdict.rho for verdict in known])
+            stack.take(rows), q[rows], m[rows], [stable[i] for i in rows])
         for i, certs in zip(rows, certificates):
             results[i] = RsSolution(
                 q=q[i], pressure=pressure[i], residual=residual[i],

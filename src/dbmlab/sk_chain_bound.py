@@ -315,11 +315,12 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     witness the value is ``machine.annealed_pressure`` and the test reads
     ``0 <= 0``, so the bound is certified.
 
-    Needs zero or centred Gaussian fields (checked first) and strictly
-    positive layer weights (the solver's check), and raises ``ValueError``
-    otherwise or when the related weights are not positive floats.  For a
-    single layer the bound is the layer's own pressure.
+    Needs zero or centred Gaussian fields (checked before the solve) and
+    strictly positive layer weights (the solver's check), and raises
+    ``ValueError`` otherwise or when the related weights are not positive
+    floats.  For a single layer the bound is the layer's own pressure.
     """
+    params.require_fields("the split bound")
     stack = _Stack([params])
     return rs_solver._one(maximize_stack(stack,
                                          rs_solver.solve_stack(stack, tol))[0])

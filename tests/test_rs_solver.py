@@ -376,6 +376,33 @@ def test_nested_single_layer():
     assert sol.residual < 1e-12
 
 
+def test_nested_single_layer_solves_in_one_kernel_call(monkeypatch):
+    # One layer has no interaction, so Mq = 0: q is the first row of one
+    # TANH_MOMENTS call at variance 0, which is TANH_SQ's row bit for bit,
+    # and the residual is exactly 0.  The pressure makes the other call.
+    kernels = []
+    real = ghquad.expect
+
+    def counted(f, *args, **kwargs):
+        kernels.append(f)
+        return real(f, *args, **kwargs)
+    for field in (FieldSpec.gaussian(0.3), FieldSpec.gaussian(40.0),
+                  FieldSpec.point_mass(0.7),
+                  FieldSpec.discrete((-1.0, 0.5, 2.0), (0.2, 0.5, 0.3))):
+        want = real(TANH_SQ, np.zeros(1), (field,))
+        kernels.clear()
+        monkeypatch.setattr(ghquad, "expect", counted)
+        sol = solve_nested(make(1, (), (1.0,), (field,)))
+        monkeypatch.setattr(ghquad, "expect", real)
+        assert kernels == [ghquad.TANH_MOMENTS, LOG_COSH]
+        assert sol.q.tobytes() == want.tobytes() and sol.residual == 0.0
+    # Zero fields sit at the witness, q = 0, with no kernel call.
+    monkeypatch.setattr(ghquad, "expect", counted)
+    kernels.clear()
+    sol = solve_nested(make(1, (), (1.0,)))
+    assert kernels == [] and sol.q.tolist() == [0.0] and sol.residual == 0.0
+
+
 def test_nested_two_layer_symmetric_matches_scalar_reduction():
     params = make(2, (1.0,), (0.5, 0.5),
                   (FieldSpec.gaussian(1.0), FieldSpec.gaussian(1.0)))

@@ -218,6 +218,26 @@ def test_functional_rejects_bad_aux():
 # ---------------------------------------------------------------------------
 
 
+def test_maximize_refuses_fields_before_any_solve(monkeypatch):
+    # The field check costs microseconds; a refused model reaches neither
+    # the Newton body nor the kernel.
+    counts = collections.Counter()
+    for module, name in ((rs_solver, "_newton"), (ghquad, "expect")):
+        real = getattr(module, name)
+
+        def wrapped(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    fields = [FieldSpec.gaussian(0.4)] * 6
+    fields[3] = FieldSpec.point_mass(0.7)
+    params = make(6, (0.8,) * 5, (1 / 6,) * 6, tuple(fields))
+    with pytest.raises(ValueError, match=r"the split bound requires .* "
+                       r"\(layer 3 has kind 'point_mass'\)"):
+        maximize_bound(params)
+    assert not counts
+
+
 def test_maximize_zero_fields_inside_collapses_to_annealed():
     params = make(2, (0.9,), (0.5, 0.5))
     result = maximize_bound(params)
@@ -632,7 +652,7 @@ def deterministic_starts(params):
     verdict = machine.classify_annealed(params)
     if verdict.feasible_a:
         starts.append(np.log(verdict.feasible_a))
-    if params.gaussian_fields:
+    if all(f.v > 0.0 for f in params.fields):
         starts.append(np.log(related_aux(solve_nested(params).q, params)))
     return starts
 
@@ -684,7 +704,7 @@ def test_maximize_matches_every_start_oracle():
         assert result.value >= top - 1e-12
         tied = {certified for value, certified in runs if value >= top - 1e-12}
         assert result.certified in tied
-        if params.gaussian_fields:
+        if all(f.v > 0.0 for f in params.fields):
             assert tied == {result.certified}
         elif True in tied:
             assert result.certified is True

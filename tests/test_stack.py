@@ -82,7 +82,7 @@ def _solo(call, *args, **kwargs):
 def test_stacked_points_equal_their_solo_runs_property(models):
     tol = 1e-10
     verdicts = [machine.classify_annealed(params) for params in models]
-    solutions = rs_solver.solve_stack(models, tol, verdicts)
+    solutions = rs_solver.solve_stack(models, tol)
     assert len(solutions) == len(models)
     for params, verdict, solution in zip(models, verdicts, solutions):
         solo = _solo(rs_solver.solve_nested, params, tol)
@@ -98,27 +98,22 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             assert solo.pressure == machine.annealed_pressure(params)
         else:
             assert solo.pressure == _one_model_pressure(solo.q, params)
-    # The scan form passes its classification; without it the solver
-    # classifies the zero-field points itself.
-    for bounds in (sk_chain_bound.maximize_stack(models, solutions),
-                   sk_chain_bound.maximize_stack(
-                       models, rs_solver.solve_stack(models, tol))):
-        for params, bound in zip(models, bounds):
-            _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
-            if min(params.lam) <= 0.0:
-                # The bound refuses the fields before the solver the widths.
-                centred = all(f.is_centred for f in params.fields)
-                assert str(bound).startswith(
-                    "solvers require" if centred else "the split bound requires")
-            if isinstance(bound, Exception):
-                continue
-            # Every point reads the bound off its consistency solution; at
-            # the witness that is q = 0, whose pressure is the annealed one.
-            if params.zero_fields and not np.any(bound.overlaps > 0.0):
-                assert bound.value == machine.annealed_pressure(params)
-            else:
-                assert bound.value == _one_model_pressure(bound.overlaps,
-                                                          params)
+    bounds = sk_chain_bound.maximize_stack(models, solutions)
+    for params, bound in zip(models, bounds):
+        _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
+        if min(params.lam) <= 0.0:
+            # The bound refuses the fields before the solver the widths.
+            centred = all(f.is_centred for f in params.fields)
+            assert str(bound).startswith(
+                "solvers require" if centred else "the split bound requires")
+        if isinstance(bound, Exception):
+            continue
+        # Every point reads the bound off its consistency solution; at the
+        # witness that is q = 0, whose pressure is the annealed one.
+        if params.zero_fields and not np.any(bound.overlaps > 0.0):
+            assert bound.value == machine.annealed_pressure(params)
+        else:
+            assert bound.value == _one_model_pressure(bound.overlaps, params)
 
 
 def test_the_special_points_fail_as_their_solo_runs_do():
@@ -287,6 +282,65 @@ def test_matrices_and_spectral_radius_are_computed_once_per_point(
                          str(tmp_path / "rs.csv")]) == 0
         assert +counts == +collections.Counter(build_matrices=built,
                                                largest_zero=1)
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts``."""
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_a_mixed_stack_computes_one_spectral_radius_per_point(monkeypatch):
+    # Zero fields inside and outside the annealed region beside a centred
+    # Gaussian point: the witnesses' classification and the certificates
+    # read the same spectral radii, the stack's own, computed in one call.
+    lam = (0.3, 0.4, 0.3)
+    models = [ModelParams(K=3, beta=(0.5, 0.5), lam=lam),
+              ModelParams(K=3, beta=(0.5, 0.5), lam=lam,
+                          fields=(FieldSpec.gaussian(0.3),) * 3),
+              ModelParams(K=3, beta=(2.0, 2.0), lam=lam)]
+    solo = [rs_solver.solve_nested(params) for params in models]
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, chainpoly, "largest_zero")
+    solutions = rs_solver.solve_stack(models)
+    assert counts == {"largest_zero": 1}
+    for stacked, alone in zip(solutions, solo):
+        _same(stacked, alone)
+    # Only the point inside sits at q = 0; the one outside is solved.
+    assert not np.any(solutions[0].q) and solutions[0].witness is not None
+    assert np.all(solutions[2].q > 0.4) and solutions[2].witness is None
+    assert [solution.certificates.stable_at_zero
+            for solution in solutions] == [True, True, False]
+
+
+def test_take_hands_a_sub_stack_the_parents_derived_rows(monkeypatch):
+    rng = np.random.default_rng(40)
+    models = []
+    for i in range(5):
+        lam = rng.dirichlet(np.ones(4))
+        fields = ((FieldSpec.gaussian(0.2),) * 4 if i % 2 else ())
+        models.append(ModelParams(K=4, beta=tuple(rng.uniform(0.3, 2.0, 3)),
+                                  lam=tuple(lam / lam.sum()), fields=fields))
+    stack = rs_solver._Stack(models)
+    # Underived facts stay underived in a sub-stack.
+    assert not {"M", "rho", "verdicts"} & set(vars(stack.take([0, 1])))
+    assert len(stack.M) == len(stack.rho) == len(stack.verdicts) == 5
+    rows = [0, 2, 3]
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, machine, "build_matrices")
+    _count_calls(monkeypatch, counts, chainpoly, "largest_zero")
+    sub = stack.take(rows)
+    M, rho, verdicts = sub.M, sub.rho, sub.verdicts
+    assert not counts
+    fresh = rs_solver._Stack([models[i] for i in rows])
+    assert M.tobytes() == fresh.M.tobytes()
+    assert rho.tobytes() == fresh.rho.tobytes()
+    assert ([_verdict_bits(v) for v in verdicts]
+            == [_verdict_bits(v) for v in fresh.verdicts])
 
 
 def _zero_field_grid():
