@@ -549,14 +549,15 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     stack's own (``_Stack.verdicts``, from its spectral radii), one solve
     (:func:`rs_solver.solve_stack`, which reads that classification off the
     stack and puts the zero-field points with a witness at ``q = 0``, and
-    the others through one Newton iteration), one bound read
-    (:func:`sk_chain_bound.maximize_stack`, which reads the bound off those
-    solutions) and one certificate pass serve every point,
-    each with the bits of its own ``region``, ``rs`` or ``bound`` run.  A
-    point whose solve fails gets ``rs_failed`` or ``bound_failed`` on its
-    own row, and the other points go on.  A grid with more than
-    ``_STACK_ENTRIES`` matrix entries (points times ``K^2``) is cut into
-    stacks of at most that many, solved one after the other.
+    the others through one Newton iteration, and which the stack keeps),
+    one bound read (:func:`sk_chain_bound.maximize_stack`, which reads the
+    bound off the stack's solutions, solving it when no other output has)
+    and one certificate pass serve every point, each with the bits of its
+    own ``region``, ``rs`` or ``bound`` run.  A point whose solve fails gets
+    ``rs_failed`` or ``bound_failed`` on its own row, and the other points
+    go on.  A grid with more than ``_STACK_ENTRIES`` matrix entries (points
+    times ``K^2``) is cut into stacks of at most that many, solved one
+    after the other.
     """
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")
@@ -581,12 +582,10 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     outputs = scan.outputs
     verdicts = stack.verdicts
     solutions = [None] * len(stack)
-    if {"rs_pressure", "certificates", "bound"} & set(outputs):
-        solved = rs_solver.solve_stack(stack, tol)
-        if "rs_pressure" in outputs or "certificates" in outputs:
-            solutions = solved
+    if "rs_pressure" in outputs or "certificates" in outputs:
+        solutions = rs_solver.solve_stack(stack, tol)
     if "bound" in outputs:
-        bounds = sk_chain_bound.maximize_stack(stack, solved)
+        bounds = sk_chain_bound.maximize_stack(stack, tol)
     paths = [axis.path for axis in scan.axes]
     rows = []
     for i, values in enumerate(points.tolist()):

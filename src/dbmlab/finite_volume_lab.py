@@ -198,15 +198,6 @@ class PressureEstimate:
         return PressureEstimate(mean=float(np.mean(values)), std_error=std_error,
                                 n_samples=n, method=method, flags=flags)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": float(self.mean),
-            "std_error": float(self.std_error),
-            "n_samples": int(self.n_samples),
-            "method": self.method,
-            "flags": list(self.flags),
-        }
-
 
 # ---------------------------------------------------------------------------
 # disorder generation
@@ -434,33 +425,30 @@ def log_partition(sample: DisorderSample, params: ModelParams):
         h = sample.fields[0]
         return np.sum(np.logaddexp(h, -h), axis=-1)
     scale = math.sqrt(2.0 / N)
-    first = 0 if sum(sizes[0::2]) <= sum(sizes[1::2]) else 1
-    enumerated = range(first, K, 2)
-    summed = range(1 - first, K, 2)
-    rows = np.cumsum((0,) + tuple(sizes[p] for p in enumerated))
-    cols = np.cumsum((1,) + tuple(sizes[p] for p in summed))
-    # Layer p is number p // 2 of its class.  Row block rows[p // 2] holds an
-    # enumerated layer's spins; column 0 takes their fields and column block
-    # cols[p // 2] the coupling part of summed layer p's local fields.
-    linear = np.zeros((len(sample.fields[0]), rows[-1], cols[-1]))
-    linear[..., 0] = np.concatenate([sample.fields[p] for p in enumerated], axis=-1)
-    for p in summed:
-        c = slice(cols[p // 2], cols[p // 2 + 1])
-        if p > 0:
-            r = slice(rows[(p - 1) // 2], rows[(p - 1) // 2 + 1])
-            linear[..., r, c] = (scale * params.beta[p - 1]) * sample.couplings[p - 1]
-        if p < K - 1:
-            r = slice(rows[(p + 1) // 2], rows[(p + 1) // 2 + 1])
-            linear[..., r, c] = ((scale * params.beta[p])
-                                 * np.swapaxes(sample.couplings[p], -1, -2))
+    even, odd = _class_couplings(sizes, sample.couplings,
+                                 [scale * b for b in params.beta])
+    first = 0 if even <= N - even else 1
+    enumerated, summed = sample.fields[first::2], sample.fields[1 - first::2]
+    # Rows: the enumerated spins in class order.  Column 0 takes their
+    # fields, the rest the summed spins' coupling fields: per odd layer W_p
+    # if the odd class is enumerated, else W_p^T.
+    n = N - even if first else even
+    linear = np.zeros((len(sample.fields[0]), n, N - n + 1))
+    linear[..., 0] = np.concatenate(enumerated, axis=-1)
+    for cols, window, w, w_t in odd:
+        spins = slice(cols.start - even, cols.stop - even)
+        if first:
+            linear[..., spins, window.start + 1:window.stop + 1] = w
+        else:
+            linear[..., window, spins.start + 1:spins.stop + 1] = w_t
     # Row 2^r - 1 - c of the table is the flip of row c, and flipping every
     # enumerated spin negates its row of the product.  flips holds the rows
     # whose flips are the second half, reversed; a one-row table (no
     # enumerated spins) has no second half.
-    table = _spin_table(rows[-1])
+    table = _spin_table(n)
     half = table[:(len(table) + 1) // 2] @ linear
     flips = half[..., :len(table) // 2, :]
-    summed_fields = np.concatenate([sample.fields[p] for p in summed], axis=-1)
+    summed_fields = np.concatenate(summed, axis=-1)
     up = _log_cosh_sum(half[..., 1:] + summed_fields[..., None, :])
     if summed_fields.any():
         down = _log_cosh_sum(summed_fields[..., None, :] - flips[..., 1:])
@@ -594,7 +582,8 @@ def _expit(x: float) -> float:
 
 
 def _class_couplings(sizes: tuple[int, ...], couplings, factors) -> tuple[int, list]:
-    """The chain's couplings arranged for the two-colour sweep.
+    """The chain's couplings by parity class, for the two-colour sweep and
+    :func:`log_partition`'s linear map.
 
     A state is held in class order, the even-indexed layers and then the
     odd-indexed ones, so the two neighbours ``p - 1`` and ``p + 1`` of an

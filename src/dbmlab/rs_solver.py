@@ -35,14 +35,14 @@ call per Newton step for every point still iterating; every point gets
 the bits of its one-model solve, and :func:`solve_nested` is the stack of
 one.  A stack derives its matrices, spectral radii and annealed
 classification from its own parameters, once each, so which zero-field
-point sits at ``q = 0`` follows from the point alone.  A point whose
-solve fails gets its :class:`SolverError` or ``ValueError`` as its
-result, and the other points go on.  Each
-:class:`RsSolution` also carries what the split bound reads off it
-(:mod:`dbmlab.sk_chain_bound`): its de Almeida--Thouless test on every
-layer, for every field kind, and the witness of a point put at ``q = 0``.
-So which solution a point takes, and what its test says, is decided here
-alone.
+point sits at ``q = 0`` follows from the point alone, and it keeps its
+solutions, one solve per tolerance.  A point whose solve fails gets its
+:class:`SolverError` or ``ValueError`` as its result, and the other
+points go on.  Each :class:`RsSolution` also carries what the split bound
+reads off it (:func:`sk_chain_bound.maximize_stack`, which solves its own
+stack): its de Almeida--Thouless test on every layer, for every field
+kind, and the witness of a point put at ``q = 0``.  So which solution a
+point takes, and what its test says, is decided here alone.
 """
 from __future__ import annotations
 
@@ -124,12 +124,12 @@ class RsSolution:
 
     ``residual`` is ``max_p |q_p - F_p(q)|`` at the returned ``q``;
     ``method`` names the solver (``nested``).  Two more fields, which
-    :meth:`to_dict` leaves out, are what the split bound reads
-    (:func:`sk_chain_bound.maximize_stack`): ``stable``, the de
-    Almeida--Thouless test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p``
-    on every layer, for every field kind (``at_ok`` reports it where every
-    layer has Gaussian variance), and ``witness``, the annealed-region
-    witness of a point put at ``q = 0``, else ``None``.
+    :meth:`to_dict` leaves out, are what the split bound reads off the
+    stack's own solve (:func:`sk_chain_bound.maximize_stack`): ``stable``,
+    the de Almeida--Thouless test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) +
+    h_p) <= q_p`` on every layer, for every field kind (``at_ok`` reports
+    it where every layer has Gaussian variance), and ``witness``, the
+    annealed-region witness of a point put at ``q = 0``, else ``None``.
     """
 
     q: np.ndarray
@@ -183,10 +183,12 @@ class _Stack:
     ``(P, K, K)`` (:func:`machine.build_matrices`); ``rho``, the spectral
     radii (:func:`machine.spectral_radius`); and ``verdicts``, the
     :func:`machine.classify_annealed` verdicts, built from ``rho``.  A
-    sub-stack (:meth:`take`) carries the rows of those already derived.
-    Every per-point product is a batched matmul of one row, which gives
-    the bits of the one-model product: ``M q`` per row is the GEMV of ``M
-    @ q``, and a weighted sum per row the dot product of ``np.dot``.
+    sub-stack (:meth:`take`) carries the rows of those already derived,
+    and starts unsolved: ``solved`` holds the stack's :func:`solve_stack`
+    results, keyed by tolerance.  Every per-point product is a batched
+    matmul of one row, which gives the bits of the one-model product: ``M
+    q`` per row is the GEMV of ``M @ q``, and a weighted sum per row the
+    dot product of ``np.dot``.
 
     ``_Stack(models)`` stacks same-K :class:`ModelParams`; a scan grid
     builds its rows directly with :meth:`rows`.
@@ -213,6 +215,7 @@ class _Stack:
 
     def _set(self, beta, lam, table) -> None:
         self.beta, self.lam, self.table = beta, lam, table
+        self.solved: dict = {}
         centred = table.centred.reshape(lam.shape)
         # Per point: every layer's field centred, Gaussian with positive
         # variance, or zero.
@@ -540,13 +543,17 @@ def solve_stack(models, tol: float = 1e-10) -> list:
     every point gets the bits of its own :func:`solve_nested` call.
     Returns per model its :class:`RsSolution`, or the :class:`SolverError`
     or ``ValueError`` that :func:`solve_nested` raises for it, while the
-    other points go on.
+    other points go on.  A :class:`_Stack` keeps its results
+    (:attr:`_Stack.solved`): solved again at the same ``tol``, it returns a
+    new list of the same records, with no kernel call.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     stack = _stack_of(models)
     if stack is None:
         return []
+    if tol in stack.solved:
+        return list(stack.solved[tol])
     P, K = stack.lam.shape
     positive = np.logical_and.reduce(stack.lam > 0.0, axis=1).tolist()
     results: list = [None if ok else ValueError(
@@ -590,6 +597,8 @@ def solve_stack(models, tol: float = 1e-10) -> list:
             for i, value, ok in zip(rows, values, tests):
                 residual[i], pressure[i], stable[i] = results[i][1], value, ok
     rows = [i for i, value in enumerate(pressure) if value is not None]
+    # Every later solve of the stack hands out these rows of q.
+    q.flags.writeable = False
     if rows:
         certificates = _certificates(
             stack.take(rows), q[rows], m[rows], [stable[i] for i in rows])
@@ -598,7 +607,8 @@ def solve_stack(models, tol: float = 1e-10) -> list:
                 q=q[i], pressure=pressure[i], residual=residual[i],
                 method="nested", certificates=certs, stable=stable[i],
                 witness=witness[i])
-    return results
+    stack.solved[tol] = results
+    return list(results)
 
 
 def _one(result):

@@ -22,9 +22,9 @@ overlaps, at the weights related to ``q``, or at the annealed-region
 witness where the solver puts a zero-field model at ``q = 0``.  Either
 way the bound is the solution's pressure and each layer's validity test
 is the solution's de Almeida--Thouless test at ``(Mq)_p``, with no kernel
-call.  :func:`maximize_stack` reads a stack of same-K models, the points
-of a scan grid, off their solutions, each point's bits those of its own
-:func:`maximize_bound` call, which is the stack of one.
+call.  :func:`maximize_stack` solves a stack of same-K models, the points
+of a scan grid, and reads each point's bound off its own solution, with
+the bits of its own :func:`maximize_bound` call, the stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
 ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` for every bond; for related pairs
@@ -225,26 +225,27 @@ class BoundResult:
         }
 
 
-def maximize_stack(models, solutions) -> list:
+def maximize_stack(models, tol: float = 1e-10) -> list:
     """:func:`maximize_bound` on every model of a stack of same-K models,
     read off their consistency solutions.
 
     ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
-    :class:`ModelParams`, and ``solutions`` holds per model what
-    :func:`rs_solver.solve_stack` returns for it: its
-    :class:`rs_solver.RsSolution` or the failure in its place.  Every point
-    reads its bound off its solution, with no solve and no kernel call:
-    the overlaps are ``q``, the value is the pressure at ``q`` and the
-    certificate is the solution's de Almeida--Thouless test ``stable``.  A
-    point that the solver put at ``q = 0`` takes its ``witness`` as its
-    weights; the others take the weights related to ``q``.  The related
-    weights and the temperatures are row expressions.  Returns per model
-    its :class:`BoundResult`, or the ``ValueError`` of a model whose
-    fields are not zero or centred Gaussian, else its solution's failure,
-    else the ``ValueError`` of related weights that are not positive
-    floats, while the other points go on.
+    :class:`ModelParams`.  The stack is solved at tolerance ``tol`` by
+    :func:`rs_solver.solve_stack`, which answers a stack already solved
+    there from the stack's own results, and every point reads its bound
+    off its own solution, with no kernel call: the overlaps are ``q``, the
+    value is the pressure at ``q`` and the certificate is the solution's
+    de Almeida--Thouless test ``stable``.  A point that the solver put at
+    ``q = 0`` takes its ``witness`` as its weights; the others take the
+    weights related to ``q``.  The related weights and the temperatures
+    are row expressions.  Returns per model its :class:`BoundResult`, or
+    the ``ValueError`` of a model whose fields are not zero or centred
+    Gaussian, else its solution's failure, else the ``ValueError`` of
+    related weights that are not positive floats, while the other points
+    go on.
     """
     stack = rs_solver._stack_of(models)
+    solutions = rs_solver.solve_stack(() if stack is None else stack, tol)
     if stack is None:
         return []
     K = stack.lam.shape[1]
@@ -287,13 +288,13 @@ def maximize_stack(models, solutions) -> list:
 def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
-    :func:`maximize_stack` on the stack of one, over its
-    :func:`rs_solver.solve_stack` solution at tolerance ``tol``; raises
-    what that returns for the model.  The maximizer is read off the
-    consistency equations, with no search.  If ``q`` solves them and ``a =
-    related_aux(q)``, then ``2 theta_p^2 q_p = (M q)_p``, so every layer's
-    surrogate overlap equals ``q_p``, the bond-matching conditions hold,
-    and the bound's gradient in ``a`` vanishes by the envelope identity.
+    ``maximize_stack([params], tol)`` after the field check, which solves
+    the stack of one at tolerance ``tol``; raises what that returns for
+    the model.  The maximizer is read off the consistency equations, with
+    no search.  If ``q`` solves them and ``a = related_aux(q)``, then ``2
+    theta_p^2 q_p = (M q)_p``, so every layer's surrogate overlap equals
+    ``q_p``, the bond-matching conditions hold, and the bound's gradient
+    in ``a`` vanishes by the envelope identity.
     ``q`` is the largest consistency solution, that of
     :func:`rs_solver.solve_nested`, with its :class:`rs_solver.SolverError`
     when it fails, and the point evaluated is ``related_aux(q)``.  With
@@ -321,9 +322,7 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     floats.  For a single layer the bound is the layer's own pressure.
     """
     params.require_fields("the split bound")
-    stack = _Stack([params])
-    return rs_solver._one(maximize_stack(stack,
-                                         rs_solver.solve_stack(stack, tol))[0])
+    return rs_solver._one(maximize_stack([params], tol)[0])
 
 
 # ---------------------------------------------------------------------------

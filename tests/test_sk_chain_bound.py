@@ -238,6 +238,22 @@ def test_maximize_refuses_fields_before_any_solve(monkeypatch):
     assert not counts
 
 
+def test_maximize_stack_solves_its_own_models():
+    # Each point's bound is read off its own model's solution, and a list
+    # of solutions where the tolerance goes is refused, so A's bound can
+    # never be B's pressure (0.908847, certified).
+    lam = (0.3, 0.4, 0.3)
+    a, b = (make(3, (beta, beta), lam, (FieldSpec.gaussian(0.3),) * 3)
+            for beta in (1.2, 0.6))
+    with pytest.raises(TypeError):
+        sk_chain_bound.maximize_stack([a], rs_solver.solve_stack([b]))
+    bound = sk_chain_bound.maximize_stack([a], 1e-10)[0]
+    assert bound.value == solve_nested(a).pressure
+    assert bound.value == pytest.approx(1.145565, abs=1e-6)
+    both = sk_chain_bound.maximize_stack([a, b], 1e-10)
+    assert [r.value for r in both] == [solve_nested(p).pressure for p in (a, b)]
+
+
 def test_maximize_zero_fields_inside_collapses_to_annealed():
     params = make(2, (0.9,), (0.5, 0.5))
     result = maximize_bound(params)
@@ -453,10 +469,10 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
     chains += _zero_field_chains_outside(rng, 12)
     for params in chains:
         side[0] = "nested"
-        solutions = rs_solver.solve_stack([params], 1e-10)
-        q = solutions[0].q
+        stack = rs_solver._Stack([params])
+        q = rs_solver.solve_stack(stack, 1e-10)[0].q
         side[0] = "warm"
-        warm = sk_chain_bound.maximize_stack([params], solutions)[0]
+        warm = sk_chain_bound.maximize_stack(stack, 1e-10)[0]
         side[0] = "cold"
         value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
@@ -485,9 +501,8 @@ def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
     monkeypatch.setattr(rs_solver, "_newton", recording)
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
-    solutions = rs_solver.solve_stack([params], 1e-10)
     q = solve_nested(params).q
-    warm = sk_chain_bound.maximize_stack([params], solutions)[0]
+    warm = sk_chain_bound.maximize_stack([params], 1e-10)[0]
     np.testing.assert_array_equal(warm.overlaps, q)
     np.testing.assert_array_equal(maximize_bound(params).overlaps, q)
     outside, = _zero_field_chains_outside(np.random.default_rng(3), 1)

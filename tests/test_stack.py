@@ -98,7 +98,7 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             assert solo.pressure == machine.annealed_pressure(params)
         else:
             assert solo.pressure == _one_model_pressure(solo.q, params)
-    bounds = sk_chain_bound.maximize_stack(models, solutions)
+    bounds = sk_chain_bound.maximize_stack(models, tol)
     for params, bound in zip(models, bounds):
         _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
         if min(params.lam) <= 0.0:
@@ -127,9 +127,9 @@ def test_the_special_points_fail_as_their_solo_runs_do():
     assert isinstance(solutions[0], rs_solver.SolverError)
     assert "left the monotone descent" in str(solutions[0])
     assert isinstance(solutions[1], rs_solver.RsSolution)
-    models = [zero_width, point_mass]
-    solutions = rs_solver.solve_stack(models, tol)
-    bounds = sk_chain_bound.maximize_stack(models, solutions)
+    stack = rs_solver._Stack([zero_width, point_mass])
+    solutions = rs_solver.solve_stack(stack, tol)
+    bounds = sk_chain_bound.maximize_stack(stack, tol)
     for solution in solutions:
         assert isinstance(solution, ValueError)
         assert str(solution).startswith("solvers require strictly positive")
@@ -228,8 +228,7 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
     solo = []
     for params in _grid_models(path):
         calls.clear()
-        sk_chain_bound.maximize_stack([params],
-                                      rs_solver.solve_stack([params], 1e-10))
+        sk_chain_bound.maximize_stack([params], 1e-10)
         solo.append(dict(calls))
     # Each Newton step is one call for the whole grid, so the grid takes the
     # steps of its slowest point.  The pressure is one call; the rs
@@ -341,6 +340,39 @@ def test_take_hands_a_sub_stack_the_parents_derived_rows(monkeypatch):
     assert rho.tobytes() == fresh.rho.tobytes()
     assert ([_verdict_bits(v) for v in verdicts]
             == [_verdict_bits(v) for v in fresh.verdicts])
+
+
+def test_a_stack_is_solved_once_per_tolerance(monkeypatch):
+    # The stack keeps its results: solved again at the same tolerance it
+    # hands back the same records with no Newton step and no kernel call;
+    # another tolerance solves again, and a sub-stack starts unsolved.
+    lam = (0.3, 0.4, 0.3)
+    models = [ModelParams(K=3, beta=(b, b), lam=lam,
+                          fields=(FieldSpec.gaussian(0.3),) * 3)
+              for b in (0.6, 1.2)]
+    models.append(_special("zero_width", 3))
+    stack = rs_solver._Stack(models)
+    first = rs_solver.solve_stack(stack, 1e-10)
+    counts = collections.Counter()
+    _count_calls(monkeypatch, counts, rs_solver, "_newton")
+    _count_calls(monkeypatch, counts, ghquad, "expect")
+    again = rs_solver.solve_stack(stack, 1e-10)
+    bounds = sk_chain_bound.maximize_stack(stack, 1e-10)
+    assert not counts
+    assert again is not first
+    assert all(a is b for a, b in zip(again, first, strict=True))
+    assert not first[0].q.flags.writeable
+    assert bounds[2] is first[2]
+    assert [bound.value for bound in bounds[:2]] == [
+        solution.pressure for solution in first[:2]]
+    coarse = rs_solver.solve_stack(stack, 1e-8)
+    assert counts["_newton"] == 1
+    assert not any(a is b for a, b in zip(coarse, first))
+    counts.clear()
+    sub = stack.take([0, 1])
+    assert not sub.solved
+    rs_solver.solve_stack(sub, 1e-10)
+    assert counts["_newton"] == 1
 
 
 def _zero_field_grid():
