@@ -546,10 +546,12 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     The grid's points share ``K``, so they are held as one stack of arrays,
     a point per row, written straight from the axes (:func:`_grid_stack`),
     and built, classified and solved as one: one classification, the
-    stack's own (``_Stack.verdicts``, from its spectral radii), one solve
-    (:func:`rs_solver.solve_stack`, which reads that classification off the
-    stack and puts the zero-field points with a witness at ``q = 0``, and
-    the others through one Newton iteration, and which the stack keeps),
+    stack's own (``_Stack.verdicts``, from its spectral radii), made only
+    when ``region`` or ``rho`` is asked for or a zero-field point is solved,
+    one solve (:func:`rs_solver.solve_stack`, which reads that
+    classification off the stack and puts the zero-field points with a
+    witness at ``q = 0``, and the others through one Newton iteration, and
+    which the stack keeps),
     one bound read (:func:`sk_chain_bound.maximize_stack`, which reads the
     bound off the stack's solutions, solving it when no other output has)
     and one certificate pass serve every point, each with the bits of its
@@ -580,7 +582,8 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
     """The rows of the grid points of ``stack``, whose axis values are the
     rows of ``points``, solved as one stack."""
     outputs = scan.outputs
-    verdicts = stack.verdicts
+    if "region" in outputs or "rho" in outputs:
+        verdicts = stack.verdicts
     solutions = [None] * len(stack)
     if "rs_pressure" in outputs or "certificates" in outputs:
         solutions = rs_solver.solve_stack(stack, tol)

@@ -236,15 +236,20 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
     so it is independent of any other randomness in the process and of how
     the samples are stacked: one Philox bit generator is re-keyed for
     each.  Couplings are drawn bond by bond, then fields layer by layer.
-    A field is drawn from its law: a Gaussian draw when ``v > 0``, the
-    atom itself when there is one, and a draw among the atoms otherwise,
-    so a layer whose field is constant takes nothing from the stream and
-    is filled once for the whole stack.
+    A sample's couplings are one row of a ``(count, sum N_p N_{p+1})``
+    buffer, filled by one call in that order, and the per-bond ``couplings``
+    are views of it.  A field is drawn from its law: a Gaussian draw when
+    ``v > 0``, the atom itself when there is one, and a draw among the
+    atoms otherwise, so a layer whose field is constant takes nothing from
+    the stream and is filled once for the whole stack.
     """
     sizes = assignment.sizes
     if params.K != len(sizes):
         raise ValueError("assignment and parameters disagree on the layer count")
-    couplings = tuple(np.empty((count, a, b)) for a, b in zip(sizes, sizes[1:]))
+    ends = np.cumsum([0] + [a * b for a, b in zip(sizes, sizes[1:])]).tolist()
+    bonds = np.empty((count, ends[-1]))
+    couplings = tuple(bonds[:, lo:hi].reshape(count, a, b) for lo, hi, a, b
+                      in zip(ends, ends[1:], sizes, sizes[1:]))
     fields = tuple(np.empty((count, n)) for n in sizes)
     drawn = []
     for field, rows in zip(params.fields, fields):
@@ -260,8 +265,7 @@ def sample_disorder(assignment: LayerAssignment, params: ModelParams,
     for d in range(count):
         key[1] = (index + d) & _MASK64
         philox.state = state
-        for block in couplings:
-            gen.standard_normal(out=block[d])
+        gen.standard_normal(out=bonds[d])
         for field, rows in drawn:
             if field.v > 0.0:
                 gen.standard_normal(out=rows[d])
@@ -373,18 +377,49 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(np.sum(shifted, axis=-1) / m) + np.log(m) + top[..., 0]
 
 
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of ``terms``, with the bits of
+    ``np.sum(rows, axis=-1)`` on the same terms laid out as contiguous rows.
+
+    NumPy sums a row of ``n`` terms pairwise, onto an initial 0: below 8
+    terms one by one; up to 128 in eight running sums, over every eighth
+    term, combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7))``, and then the last ``n mod 8`` terms one by one; past 128 as the
+    sums of two parts, the first ``n // 2`` rounded down to a multiple of 8
+    terms long.  Here each addition in that order is one NumPy call over the
+    trailing axes, so it runs one long loop over every row at once.  Every
+    value is NumPy's, and a zero is ``+0.0``, as NumPy's initial 0 makes it.
+    """
+    n = len(terms)
+    if n > 128:
+        cut = n // 2 - n // 2 % 8
+        return _row_sum(terms[:cut]) + _row_sum(terms[cut:])
+    total = np.zeros(terms.shape[1:])
+    stop = 0 if n < 8 else n - n % 8
+    if stop:
+        running = terms[:8]
+        for i in range(8, stop, 8):
+            running = running + terms[i:i + 8]
+        running = running[0::2] + running[1::2]
+        total += (running[0] + running[1]) + (running[2] + running[3])
+    for term in terms[stop:]:
+        total += term
+    return total
+
+
 def _log_cosh_sum(local: np.ndarray) -> np.ndarray:
-    """``sum log 2 cosh g`` over the last axis of ``local``, overwritten.
+    """``sum log 2 cosh g`` over the leading axis of ``local``, overwritten.
 
     Each term is ``|g| + log1p(exp(-2|g|))``; the soft parts take one more
-    array of ``local``'s shape.
+    array of ``local``'s shape.  The terms of one sum lie one per row, and
+    :func:`_row_sum` adds them in the order ``np.sum(axis=-1)`` takes.
     """
     np.abs(local, out=local)
     soft = np.multiply(local, -2.0)
     np.exp(soft, out=soft)
     np.log1p(soft, out=soft)
     soft += local
-    return np.sum(soft, axis=-1)
+    return _row_sum(soft)
 
 
 def log_partition(sample: DisorderSample, params: ModelParams):
@@ -402,14 +437,22 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     negates a row of that product, and the table's second half holds the
     flips of its first half in reverse order, so only the first half is
     multiplied: a flipped row's local fields are ``h - row`` and its field
-    term is ``-row[0]``.  Where the summed spins have no fields, the flipped
-    rows' ``log 2 cosh`` sums are the rows' own and are not computed again.
-    The rows reach :func:`_logsumexp` in table order, so the values have the
+    term is ``-row[0]``.  Where the summed spins have no fields, the
+    flipped rows' ``log 2 cosh`` sums are the rows' own and are not
+    computed again, and the fields are not added (``|g + 0| = |g|``).
+
+    The product is copied once, transposed, so that the field term and each
+    summed spin's local fields are contiguous rows over the configurations
+    (and the samples of a stack): every step after it runs one long loop,
+    and the ``log 2 cosh`` terms are summed row by row (:func:`_row_sum`) in
+    the order ``np.sum(axis=-1)`` takes over a configuration's terms.  The
+    rows reach :func:`_logsumexp` in table order, so the values have the
     bits of the whole table's.  A stack of ``D`` samples takes one such
     product per sample and one :func:`_logsumexp` call over all its rows,
-    and gives an array of ``D`` values.  Its working set is three arrays of
-    the half product's shape, about one and a half tables: the product, and
-    one half's local fields and their ``log1p(exp(-2|g|))`` terms at a time.
+    and gives an array of ``D`` values.  Its working set is at most three
+    arrays of the half product's size: the product and its transpose, then
+    the transpose, one half's local fields and their ``log1p(exp(-2|g|))``
+    terms.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -436,27 +479,29 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     linear = np.zeros((len(sample.fields[0]), n, N - n + 1))
     linear[..., 0] = np.concatenate(enumerated, axis=-1)
     for cols, window, w, w_t in odd:
-        spins = slice(cols.start - even, cols.stop - even)
         if first:
-            linear[..., spins, window.start + 1:window.stop + 1] = w
+            linear[..., cols, window.start + 1:window.stop + 1] = w
         else:
-            linear[..., window, spins.start + 1:spins.stop + 1] = w_t
+            linear[..., window, cols.start + 1:cols.stop + 1] = w_t
     # Row 2^r - 1 - c of the table is the flip of row c, and flipping every
-    # enumerated spin negates its row of the product.  flips holds the rows
-    # whose flips are the second half, reversed; a one-row table (no
-    # enumerated spins) has no second half.
+    # enumerated spin negates its row of the product: the first n_flips rows
+    # of the half table are those whose flips are the second half, reversed.
+    # A one-row table (no enumerated spins) has no second half.
     table = _spin_table(n)
-    half = table[:(len(table) + 1) // 2] @ linear
-    flips = half[..., :len(table) // 2, :]
-    summed_fields = np.concatenate(summed, axis=-1)
-    up = _log_cosh_sum(half[..., 1:] + summed_fields[..., None, :])
+    n_flips = len(table) // 2
+    # (1 + summed spins, D, rows of the half table).
+    rows = (table[:(len(table) + 1) // 2] @ linear).transpose(2, 0, 1).copy()
+    field_term, flips = rows[0], rows[0, :, :n_flips]
+    summed_fields = np.concatenate(summed, axis=-1).T[..., None]
     if summed_fields.any():
-        down = _log_cosh_sum(summed_fields[..., None, :] - flips[..., 1:])
+        up = _log_cosh_sum(rows[1:] + summed_fields)
+        down = _log_cosh_sum(summed_fields - rows[1:, :, :n_flips])
     else:
         # |-g| = |g|: without fields the flipped rows' terms are the rows'.
-        down = up[..., :flips.shape[-2]]
-    return _logsumexp(np.concatenate((half[..., 0] + up,
-                                      (down - flips[..., 0])[..., ::-1]), axis=-1))
+        up = _log_cosh_sum(rows[1:])
+        down = up[..., :n_flips]
+    return _logsumexp(np.concatenate((field_term + up, (down - flips)[..., ::-1]),
+                                     axis=-1))
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
@@ -586,18 +631,18 @@ def _class_couplings(sizes: tuple[int, ...], couplings, factors) -> tuple[int, l
     :func:`log_partition`'s linear map.
 
     A state is held in class order, the even-indexed layers and then the
-    odd-indexed ones, so the two neighbours ``p - 1`` and ``p + 1`` of an
-    odd layer ``p`` sit side by side in the even block.  Returns the even
-    block's width and, per odd layer ``p``, a tuple of its columns in the
-    state, its neighbours' columns, ``W_p = [C_{p-1}^T | C_p]`` (shape
-    ``(D, N_p, N_{p-1} + N_{p+1})``) and ``W_p^T``, both contiguous, where
-    ``C_q`` is ``factors[q]`` times ``couplings[q]`` (``C_p`` is left out
-    for the last layer).  Together they hold the entries of every bond
-    twice, once per direction.
+    odd-indexed ones, as two blocks, so the two neighbours ``p - 1`` and
+    ``p + 1`` of an odd layer ``p`` sit side by side in the even block.
+    Returns the even block's width and, per odd layer ``p``, a tuple of its
+    columns in the odd block, its neighbours' columns in the even block,
+    ``W_p = [C_{p-1}^T | C_p]`` (shape ``(D, N_p, N_{p-1} + N_{p+1})``) and
+    ``W_p^T``, both contiguous, where ``C_q`` is ``factors[q]`` times
+    ``couplings[q]`` (``C_p`` is left out for the last layer).  Together
+    they hold the entries of every bond twice, once per direction.
     """
     K = len(sizes)
     evens = np.cumsum((0,) + sizes[0::2])
-    odds = evens[-1] + np.cumsum((0,) + sizes[1::2])
+    odds = np.cumsum((0,) + sizes[1::2])
     odd = []
     for k, p in enumerate(range(1, K, 2)):
         parts = [factors[p - 1] * couplings[p - 1]]
@@ -610,81 +655,125 @@ def _class_couplings(sizes: tuple[int, ...], couplings, factors) -> tuple[int, l
     return int(evens[-1]), odd
 
 
-def _heat_bath(spins: np.ndarray, field: np.ndarray, slope: np.ndarray,
-               fields2, uniforms: np.ndarray) -> None:
-    """Heat-bath draws of ``spins`` given their coupling field, in place.
+@dataclass(frozen=True, eq=False)
+class _ClassBlock:
+    """One parity class of a stack's tempering states, with the buffers of
+    its heat-bath pass.
+
+    ``spins`` is the C-contiguous ``(D, R, n)`` block of the class's spins
+    of ``D`` disorder samples at ``R`` rungs; ``field``, ``arg`` and
+    ``test`` are buffers of its shape, for the spins' coupling field and
+    :func:`_heat_bath`'s work.  ``minus_slope`` is minus twice each rung's
+    coupling scale, broadcast to the block's shape, and ``fields2`` the
+    ``(D, 1, n)`` array of twice the spins' fields, or ``None`` when every
+    field of the stack is zero.
+    """
+
+    spins: np.ndarray
+    minus_slope: np.ndarray
+    fields2: np.ndarray | None
+    field: np.ndarray
+    arg: np.ndarray
+    test: np.ndarray
+
+
+def _class_blocks(states: np.ndarray, even: int, slope: np.ndarray,
+                  fields2) -> tuple[_ClassBlock, _ClassBlock]:
+    """The even and the odd :class:`_ClassBlock` of the class-ordered
+    ``(D, R, N)`` states, whose first ``even`` columns are the even class.
+
+    ``slope`` (shape ``(R, 1)``) is twice each rung's coupling scale and
+    ``fields2`` the pair of the blocks' doubled fields (or of ``None``).
+    The spins are copied; ``states`` is left as it is.
+    """
+    blocks = []
+    for spins, doubled in zip((states[..., :even], states[..., even:]), fields2):
+        spins = np.ascontiguousarray(spins)
+        blocks.append(_ClassBlock(
+            spins=spins, minus_slope=np.broadcast_to(-slope, spins.shape).copy(),
+            fields2=doubled, field=np.zeros_like(spins),
+            arg=np.empty_like(spins), test=np.empty_like(spins)))
+    return blocks[0], blocks[1]
+
+
+def _heat_bath(block: _ClassBlock, uniforms: np.ndarray) -> None:
+    """Heat-bath draws of ``block.spins`` given ``block.field``, in place.
 
     A spin with coupling field ``g`` at rung ``r`` becomes ``+1`` with
-    probability ``expit(x)``, ``x = slope[r] * g + fields2``, where
-    ``fields2``, twice the spins' fields, is ``None`` if they are all zero
-    (``expit(-0.0)`` is 0.5 too).  The test ``u < expit(x)`` is taken as
-    the sign of ``1 - u (1 + exp(-x))``, with NumPy's vectorised ``exp``,
-    and written to ``spins``; the scalar :func:`_expit` and the comparison
+    probability ``expit(x)``, ``x = 2 t_r g + fields2``, where ``t_r`` is
+    the rung's coupling scale and ``fields2``, twice the spin's field, is
+    left out when every field is zero (``expit(-0.0)`` is 0.5 too).  The
+    test ``u < expit(x)`` is taken as the sign of ``1 - u (1 + exp(-x))``,
+    with NumPy's vectorised ``exp``, and written to the spins.  ``-x`` is
+    formed as ``g * minus_slope - fields2``, which is exact: negation
+    commutes with rounding.  The scalar :func:`_expit` and the comparison
     decide the tests within :data:`_MARGIN` of 0 and the NaN ones, so every
-    spin is the one the scalar logistic gives.  ``field`` is left as it is.
+    spin is the one the scalar logistic gives.  ``exp(-x)`` overflows for
+    ``x`` below about -709.78, so the caller runs this under an
+    ``np.errstate`` that ignores overflow and invalid operations
+    (:func:`_tempering_sweep`).  Every operation writes to a buffer of the
+    block, over its whole contiguous shape.
     """
-    x = field * slope
-    if fields2 is not None:
-        x += fields2
+    arg, test, spins = block.arg, block.test, block.spins
+    np.multiply(block.field, block.minus_slope, out=arg)
+    if block.fields2 is not None:
+        arg -= block.fields2
     # u < expit(x) exactly when 1 - u (1 + exp(-x)) > 0.  The test is NaN
     # where u = 0 and exp(-x) overflows, and fails the margin.
-    test = np.negative(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.exp(test, out=test)
-        test += 1.0
-        test *= uniforms
+    np.exp(arg, out=test)
+    test += 1.0
+    test *= uniforms
     np.subtract(1.0, test, out=test)
     np.copysign(1.0, test, out=spins)
     np.abs(test, out=test)
-    sure = test > _MARGIN
-    if not sure.all():
-        unsure = ~sure
-        spins[unsure] = [1.0 if u < _expit(v) else -1.0 for u, v in
-                         zip(uniforms[unsure].tolist(), x[unsure].tolist())]
+    # The least |test| is NaN where some test is.
+    if test.size and not test.min() > _MARGIN:
+        unsure = ~(test > _MARGIN)
+        spins[unsure] = [1.0 if u < _expit(-v) else -1.0 for u, v in
+                         zip(uniforms[unsure].tolist(), arg[unsure].tolist())]
 
 
-def _tempering_sweep(states: np.ndarray, even: int, odd: list, slope: np.ndarray,
-                     fields2, draws: np.ndarray) -> np.ndarray:
+def _tempering_sweep(blocks: tuple[_ClassBlock, _ClassBlock], odd: list,
+                     draws: np.ndarray, out: np.ndarray) -> None:
     """One two-colour heat-bath sweep over every rung and stacked sample.
 
-    ``states`` is the ``(D, R, N)`` stack of class-ordered states of ``D``
-    disorder samples at ``R`` rungs, updated in place; ``even`` and ``odd``
-    are :func:`_class_couplings`'s.  Given the odd layers, every spin of
-    the even ones is independent, and the reverse holds too, so the sweep
-    is two heat-bath passes (:func:`_heat_bath`): the even block, then the
-    odd one.  The even block's coupling field is one product ``sigma_p @
-    W_p`` per odd layer, added into the columns of its neighbours; the odd
-    block's is one product of the neighbours' columns with ``W_p^T`` per
-    odd layer.  ``slope`` (shape ``(R, 1)``) is twice each rung's coupling
-    scale, and ``fields2`` the pair of ``(D, 1, n)`` arrays of twice the
-    fields of the even and odd blocks, or of ``None`` when every field of
-    the stack is zero.  Row ``d`` of ``draws`` (shape ``(D, >= R * N)``,
-    rows of any stride) starts with sample ``d``'s ``R * N`` uniforms, the
-    even block's and then the odd block's.  Every bond joins an even and an
-    odd layer, so the odd pass's products, contracted with the updated odd
-    block, are ``-H``.  Returns ``-H`` per sample and rung, shape ``(D,
-    R)``.
+    ``blocks`` are the even and the odd :class:`_ClassBlock` of ``D``
+    disorder samples at ``R`` rungs (:func:`_class_blocks`), updated in
+    place, and ``odd`` is :func:`_class_couplings`'s.  Given the odd
+    layers, every spin of the even ones is independent, and the reverse
+    holds too, so the sweep is two heat-bath passes (:func:`_heat_bath`):
+    the even block, then the odd one, under one ``np.errstate``.  The even
+    block's coupling field is one product ``sigma_p @ W_p`` per odd layer,
+    added into the columns of its neighbours; the odd block's is one
+    product of the neighbours' columns with ``W_p^T`` per odd layer.  With
+    one odd layer (``K`` = 2 or 3) each product is of whole blocks and
+    writes straight into the block's ``field``.  Row ``d`` of ``draws``
+    (shape ``(D, >= R * N)``, rows of any stride) starts with sample ``d``'s
+    ``R * N`` uniforms, the even block's and then the odd block's.  Every
+    bond joins an even and an odd layer, so the odd pass's products,
+    contracted with the updated odd block, are ``-H``: they are written to
+    ``out``, shape ``(D, R)`` and of any strides, per sample and rung.
     """
-    D, R, N = states.shape
-    spins = (states[..., :even], states[..., even:])
+    even, odds = blocks
+    D, R, n_even = even.spins.shape
+    n_draws = R * (n_even + odds.spins.shape[-1])
     if len(odd) == 1:
         # K = 2 or 3: the one odd layer's neighbours are the whole even block.
-        cols, _, up, _ = odd[0]
-        field = states[..., cols] @ up
+        _, _, up, down = odd[0]
+        np.matmul(odds.spins, up, out=even.field)
     else:
-        field = np.zeros((D, R, even))
+        even.field[...] = 0.0
         for cols, window, up, _ in odd:
-            field[..., window] += states[..., cols] @ up
-    _heat_bath(spins[0], field, slope, fields2[0],
-               draws[:, :R * even].reshape(D, R, even))
-    parts = [states[..., window] @ down for _, window, _, down in odd]
-    if len(parts) == 1:
-        field = parts[0]
-    else:
-        field = np.concatenate(parts or [np.zeros((D, R, 0))], axis=-1)
-    _heat_bath(spins[1], field, slope, fields2[1],
-               draws[:, R * even:R * N].reshape(D, R, N - even))
-    return np.einsum("dri,dri->dr", field, spins[1])
+            even.field[..., window] += odds.spins[..., cols] @ up
+    with np.errstate(over="ignore", invalid="ignore"):
+        _heat_bath(even, draws[:, :R * n_even].reshape(even.spins.shape))
+        if len(odd) == 1:
+            np.matmul(even.spins, down, out=odds.field)
+        else:
+            for cols, window, _, down in odd:
+                odds.field[..., cols] = even.spins[..., window] @ down
+        _heat_bath(odds, draws[:, R * n_even:n_draws].reshape(odds.spins.shape))
+    np.einsum("dri,dri->dr", odds.field, odds.spins, out=out)
 
 
 def _log_below(u: np.ndarray, log_u: np.ndarray, near: np.ndarray,
@@ -716,9 +805,14 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     integral; each records ``-H`` of its states after every sweep, and the
     second half of the sweeps is averaged.  A sweep is a two-colour heat
     bath (:func:`_tempering_sweep`): the states are held in class order,
-    the even-indexed layers and then the odd-indexed ones, and each class
-    is updated in one pass given the other.  After every sweep, alternately
-    the even and the odd neighbouring rung pairs propose to swap states.
+    the even-indexed layers and then the odd-indexed ones, as two
+    C-contiguous ``(D, R, n)`` blocks (:func:`_class_blocks`), and each
+    class is updated in one pass given the other.  After every sweep,
+    alternately the even and the odd neighbouring rung pairs propose to
+    swap states: the tests read the pairs' gains off a ``(D, pairs, 2)``
+    view of the sweep's ``-H``, which a kept sweep writes straight into the
+    records, and the accepted pairs trade their rows in one masked copy per
+    array, on ``(D, pairs, 2, ...)`` views of the gains and of each block.
 
     The chains of all disorder samples run together, stacked along a
     leading axis (a few samples at a time for large systems, see
@@ -779,6 +873,13 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
         if any(h.any() for h in fields):
             doubled = 2.0 * np.concatenate(fields[0::2] + fields[1::2], axis=1)[:, None, :]
             fields2 = (doubled[..., :even], doubled[..., even:])
+        blocks = _class_blocks(states, even, slope, fields2)
+        # Per parity, the blocks' rungs of the pairs proposing swaps as
+        # (D, pairs, 2, n) views: an accepted pair trades its two rows.
+        pair_views = [[block.spins[:, p:p + 2 * pairs.size].reshape(
+            D, pairs.size, 2, block.spins.shape[-1]) for block in blocks]
+            for p, pairs in enumerate(lo)]
+        scratch = np.empty((D, R))
         # draws[d, k] holds sample d's uniforms for the k-th even sweep of
         # the block, then for the odd sweep after it.  Zeros, not garbage,
         # where a part block leaves its last odd sweep unfilled: the swap
@@ -802,24 +903,24 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
             for sweep in range(first, first + count):
                 parity, k = sweep % 2, (sweep - first) // 2
                 offset = parity * width[0]
-                gain = _tempering_sweep(states, even, odd, slope, fields2,
-                                        draws[:, k, offset:offset + width[parity]])
-                pairs = lo[parity]
-                log_accept = gap[parity] * (gain[:, pairs] - gain[:, pairs + 1])
+                # -H goes straight into the records once they are kept.
+                gain = (records[start:start + D, sweep - burn_in]
+                        if sweep >= burn_in else scratch)
+                _tempering_sweep(blocks, odd,
+                                 draws[:, k, offset:offset + width[parity]], gain)
+                n_pairs = lo[parity].size
+                pairs = gain[:, parity:parity + 2 * n_pairs].reshape(D, n_pairs, 2)
+                log_accept = gap[parity] * (pairs[..., 0] - pairs[..., 1])
                 cut = swap_cut[parity]
-                d, r = np.nonzero(_log_below(swap_u[:, k, cut], log_u[:, k, cut],
-                                             near[:, k, cut], log_accept))
-                if d.size:
-                    # Each accepted pair (r, r + 1) trades places: one gather
-                    # and one scatter per array.  Pairs of a sweep share no
-                    # rung.
-                    r = pairs[r]
-                    d = np.concatenate((d, d))
-                    to, source = np.concatenate((r, r + 1)), np.concatenate((r + 1, r))
-                    states[d, to] = states[d, source]
-                    gain[d, to] = gain[d, source]
-                if sweep >= burn_in:
-                    records[start:start + D, sweep - burn_in] = gain
+                accept = _log_below(swap_u[:, k, cut], log_u[:, k, cut],
+                                    near[:, k, cut], log_accept)
+                if accept.any():
+                    # Each accepted pair (r, r + 1) trades places: one masked
+                    # copy per array.  Pairs of a sweep share no rung.
+                    np.copyto(pairs, pairs[..., ::-1], where=accept[..., None])
+                    for view in pair_views[parity]:
+                        np.copyto(view, view[..., ::-1, :],
+                                  where=accept[..., None, None])
         h_all = np.concatenate(fields, axis=1)
         anchor = np.sum(np.logaddexp(h_all, -h_all), axis=1) / N
         mean_gain = records[start:start + D].mean(axis=1)

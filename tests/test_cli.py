@@ -625,6 +625,44 @@ def test_scan_two_axes_deterministic_and_ordered(tmp_path):
     assert first_axis == pytest.approx([0.4, 0.4, 0.6, 0.6, 0.8, 0.8])
 
 
+@pytest.mark.parametrize("outputs", [["bound"], ["rs_pressure"]])
+def test_scan_classifies_only_for_region_or_rho(tmp_path, monkeypatch, outputs):
+    # Centred Gaussian fields: no point takes the annealed witness, so a scan
+    # without region or rho classifies nothing, and its columns are those
+    # of the run with every output.
+    data = model_dict(3, (0.9, 0.7), (0.3, 0.4, 0.3),
+                      (FieldSpec.gaussian(0.4), FieldSpec.gaussian(0.2),
+                       FieldSpec.gaussian(0.3)))
+    data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.3, "max": 1.8, "steps": 7},
+                             {"path": "fields[1].v", "min": 0.1, "max": 0.6,
+                              "steps": 3}],
+                    "outputs": ["region", "rho", "rs_pressure", "bound",
+                                "certificates"]}
+    full = str(tmp_path / "full.json")
+    assert cli.main(["scan", "--config", write_config(tmp_path, data, "full_cfg.json"),
+                     "--format", "json", "--out", full]) == 0
+    calls = []
+    classify = machine._classify
+    monkeypatch.setattr(machine, "_classify",
+                        lambda *args: calls.append(args) or classify(*args))
+    data["scan"]["outputs"] = outputs
+    alone = str(tmp_path / "alone.json")
+    assert cli.main(["scan", "--config", write_config(tmp_path, data),
+                     "--format", "json", "--out", alone]) == 0
+    assert calls == []
+    columns = read_json(alone)["columns"]
+    assert columns[-1] == "flags"
+    full_rows, rows = read_json(full)["rows"], read_json(alone)["rows"]
+    assert len(rows) == len(full_rows) == 21
+    assert [json.dumps([row[c] for c in columns[:-1]]) for row in rows] == \
+        [json.dumps([row[c] for c in columns[:-1]]) for row in full_rows]
+    # Region and rho still classify the stack, once.
+    data["scan"]["outputs"] = ["rho"]
+    assert cli.main(["scan", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "rho.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_scan_lambda_axis_renormalizes_the_rest(tmp_path):
     data = model_dict(3, (0.5, 0.5), (0.2, 0.3, 0.5))
     data["scan"] = {"axes": [{"path": "lambda[1]", "min": 0.3, "max": 0.6,

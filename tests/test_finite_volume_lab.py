@@ -334,6 +334,41 @@ def test_log_partition_has_the_bits_of_the_full_table_property(layers, field_see
     assert got.tobytes() == want.tobytes()
 
 
+_SUM_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30, 1.0, -1.0]),
+    st.floats(-1e30, 1e30, allow_nan=False, allow_subnormal=False),
+    st.builds(lambda sign, exponent, mantissa: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.integers(-30, 30),
+              st.floats(1.0, 10.0)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(terms=st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.lists(_SUM_TERMS, min_size=n, max_size=n),
+                       min_size=1, max_size=6)))
+# Below eight terms, exactly eight, multiples of eight, and tails.
+@example(terms=[[]])
+@example(terms=[[-0.0] * 7, [-0.0, 0.0] * 3 + [-0.0]])
+@example(terms=[[1e30, 1.0, -1e30, 1.0, 1e-30, -1.0, 1e30, -1e30],
+                [-0.0] * 8])
+@example(terms=[[1e30, -1e30, 3.0] * 5 + [1e-30]])
+@example(terms=[[(-1.0) ** k * 10.0 ** (k - 20) for k in range(40)]])
+def test_row_sum_has_the_bits_of_numpy_sum_property(terms):
+    # One sum per row, its terms down the leading axis: every sum has the
+    # bits NumPy's pairwise row sum gives, signed zeros included.
+    rows = np.array(terms, dtype=float).reshape(len(terms), -1)
+    got = fvl._row_sum(np.ascontiguousarray(rows.T))
+    assert got.tobytes() == np.sum(rows, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("n", [128, 129, 136, 300])
+def test_row_sum_splits_long_rows_as_numpy_does(n):
+    rng = np.random.default_rng(n)
+    rows = rng.choice((-1.0, 1.0), (5, n)) * 10.0 ** rng.uniform(-30, 30, (5, n))
+    got = fvl._row_sum(np.ascontiguousarray(rows.T))
+    assert got.tobytes() == np.sum(rows, axis=-1).tobytes()
+
+
 def test_logsumexp_has_the_bits_of_scipy():
     scipy = pytest.importorskip("scipy")
     from scipy.special import logsumexp
@@ -553,11 +588,12 @@ def test_mc_sweep_gain_is_minus_hamiltonian():
         doubled = 2.0 * np.concatenate(samples.fields, axis=1)[:, None, order]
         fields2 = (doubled[..., :even], doubled[..., even:])
         slope = (2.0 * np.linspace(0.1, 1.0, R))[:, None]
+        blocks = fvl._class_blocks(states, even, slope, fields2)
+        gain = np.empty((D, R))
         for _ in range(3):
-            gain = fvl._tempering_sweep(states, even, odd, slope, fields2,
-                                        rng.random((D, R * N)))
+            fvl._tempering_sweep(blocks, odd, rng.random((D, R * N)), gain)
             layered = np.empty_like(states)
-            layered[..., order] = states
+            layered[..., order] = np.concatenate([b.spins for b in blocks], axis=-1)
             for d in range(D):
                 sample = sample_disorder(assignment, params, seed=9, index=d)
                 np.testing.assert_allclose(gain[d], -hamiltonian(sample, layered[d], params)[0],
@@ -603,9 +639,11 @@ def _heat_bath_boundary_case():
 
 def _heat_bath_sweeps(sizes, states, coupled, slope, fields2, draws):
     """The package's spins and gains, and the per-sample oracle's."""
-    pkg = states.copy()
-    gain = fvl._tempering_sweep(pkg, *fvl._class_couplings(sizes, coupled, [1.0]),
-                                slope, tuple(fields2), draws)
+    even, odd = fvl._class_couplings(sizes, coupled, [1.0])
+    blocks = fvl._class_blocks(states, even, slope, tuple(fields2))
+    gain = np.empty(states.shape[:2])
+    fvl._tempering_sweep(blocks, odd, draws, gain)
+    pkg = np.concatenate([block.spins for block in blocks], axis=-1)
     ref = states.copy()
     ref_gain = np.stack([
         _sample_tempering_sweep(ref[d], sizes, [coupled[0][d]], slope,
