@@ -607,11 +607,9 @@ def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
                 row["rs_pressure"] = (None if solution is None
                                       else float(solution.pressure))
             elif name == "certificates":
-                certs = (solution.certificates.to_dict()
-                         if solution is not None
-                         else {"talagrand_ok": None, "at_ok": None,
-                               "stable_at_zero": None})
-                row.update(certs)
+                for column in _OUTPUT_COLUMNS["certificates"]:
+                    row[column] = (None if solution is None else
+                                   getattr(solution.certificates, column))
             elif name == "bound":
                 bound = bounds[i]
                 if isinstance(bound, Exception):

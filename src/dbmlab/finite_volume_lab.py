@@ -948,14 +948,7 @@ class CovariancePair:
     std_error: float
     standardized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "overlaps": [float(x) for x in self.overlaps],
-            "empirical": float(self.empirical),
-            "predicted": float(self.predicted),
-            "std_error": float(self.std_error),
-            "standardized": float(self.standardized),
-        }
+    to_dict = machine.json_form
 
 
 def _predicted_covariance(assignment: LayerAssignment, params: ModelParams,
@@ -1044,16 +1037,7 @@ class TrendRow:
     gap: float
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "N": int(self.N),
-            "method": self.method,
-            "mean": float(self.mean),
-            "std_error": float(self.std_error),
-            "p_annealed": float(self.p_annealed),
-            "gap": float(self.gap),
-            "flags": list(self.flags),
-        }
+    to_dict = machine.json_form
 
 
 @dataclass(frozen=True)
@@ -1065,13 +1049,7 @@ class TrendReport:
     jensen_ok: bool
     gap_decreasing: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "p_annealed": float(self.p_annealed),
-            "jensen_ok": bool(self.jensen_ok),
-            "gap_decreasing": bool(self.gap_decreasing),
-        }
+    to_dict = machine.json_form
 
 
 def annealed_trend(params: ModelParams, sizes, n_disorder: int = 200,

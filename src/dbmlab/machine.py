@@ -26,6 +26,7 @@ point gets the bits of its own call.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,6 +51,7 @@ __all__ = [
     "extremal_lambda",
     "config_number",
     "config_numbers",
+    "json_form",
 ]
 
 MAX_FIELD_ATOMS = 64
@@ -87,6 +89,27 @@ def config_numbers(values, what: str) -> tuple[float, ...]:
         for v in values:
             config_number(v, what)
     return tuple(map(float, values))
+
+
+def json_form(value):
+    """``value`` in JSON's types: the ``to_dict`` of a result record.
+
+    A dataclass becomes the dict of its fields, so a record's JSON keys
+    follow its field order; arrays and tuples become lists, NumPy scalars
+    the Python values they hold, and every other value (``bool``, ``int``,
+    ``float``, ``str`` or ``None``) stays as it is.  Each field is converted
+    in turn, so a record of records becomes a dict of dicts.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [json_form(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 @dataclass(frozen=True)

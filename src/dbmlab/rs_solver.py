@@ -110,12 +110,7 @@ class Certificates:
     at_ok: bool | None
     stable_at_zero: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "talagrand_ok": self.talagrand_ok,
-            "at_ok": self.at_ok,
-            "stable_at_zero": self.stable_at_zero,
-        }
+    to_dict = machine.json_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +136,9 @@ class RsSolution:
     witness: tuple | None = None
 
     def to_dict(self) -> dict:
+        """The report's JSON form, written out rather than
+        :func:`machine.json_form`, because it leaves out ``stable`` and
+        ``witness``."""
         return {
             "q": [float(x) for x in self.q],
             "pressure": float(self.pressure),

@@ -215,14 +215,7 @@ class BoundResult:
     theta: np.ndarray
     overlaps: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "a": [float(x) for x in self.a],
-            "value": float(self.value),
-            "certified": bool(self.certified),
-            "theta": [float(x) for x in self.theta],
-            "overlaps": [float(x) for x in self.overlaps],
-        }
+    to_dict = machine.json_form
 
 
 def maximize_stack(models, tol: float = 1e-10) -> list:

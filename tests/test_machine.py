@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from dbmlab import chainpoly, machine
+from dbmlab import chainpoly, machine, rs_solver, sk_chain_bound
+from dbmlab import finite_volume_lab as fvl
 from dbmlab.machine import FieldSpec, ModelParams
 
 from helpers import model_params, random_lambda, random_params
@@ -406,3 +407,71 @@ def test_extremal_value_is_an_upper_bound_over_random_lambda():
         value = machine.extremal_lambda(beta).value
         params = make(K, beta, random_lambda(rng, K))
         assert machine.spectral_radius(params) <= value + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# JSON form of the result records
+# ---------------------------------------------------------------------------
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        assert all(type(key) is str for key in value)
+        for item in value.values():
+            yield from _json_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item)
+    else:
+        yield value
+
+
+def test_every_result_record_writes_json_types_in_its_field_order():
+    gaussian = make(3, (0.6, 0.9), (0.3, 0.4, 0.3),
+                    (FieldSpec.gaussian(0.4),) * 3)
+    zero = make(2, (0.8,), (0.5, 0.5))
+    solved = rs_solver.solve_nested(gaussian)
+    at_zero = rs_solver.solve_nested(zero)
+    bound = sk_chain_bound.maximize_bound(gaussian)
+    trend = fvl.annealed_trend(
+        zero, [fvl.LayerAssignment.from_weights(zero.lam, n) for n in (6, 8)],
+        n_disorder=4, seed=3)
+    pairs = fvl.covariance_report(fvl.LayerAssignment((3, 2)), zero,
+                                  n_disorder=5, seed=3, n_pairs=2)
+    certificates = ["talagrand_ok", "at_ok", "stable_at_zero"]
+    trend_row = ["N", "method", "mean", "std_error", "p_annealed", "gap",
+                 "flags"]
+    keys = [
+        (solved.certificates, certificates),
+        (at_zero.certificates, certificates),
+        (solved, ["q", "pressure", "residual", "method", "certificates"]),
+        (at_zero, ["q", "pressure", "residual", "method", "certificates"]),
+        (bound, ["a", "value", "certified", "theta", "overlaps"]),
+        (pairs[0], ["overlaps", "empirical", "predicted", "std_error",
+                    "standardized"]),
+        (trend.rows[0], trend_row),
+        (trend, ["rows", "p_annealed", "jensen_ok", "gap_decreasing"]),
+    ]
+    for record, expected in keys:
+        d = record.to_dict()
+        assert list(d) == expected
+        assert all(type(leaf) in (bool, int, float, str, type(None))
+                   for leaf in _json_leaves(d))
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
+    assert at_zero.certificates.to_dict() == {
+        "talagrand_ok": None, "at_ok": None, "stable_at_zero": True}
+    assert type(solved.certificates.to_dict()["at_ok"]) is bool
+    assert list(solved.to_dict()["certificates"]) == certificates
+    assert [list(row) for row in trend.to_dict()["rows"]] == [trend_row] * 2
+    assert trend.to_dict()["rows"][1] == trend.rows[1].to_dict()
+    assert bound.to_dict()["theta"] == bound.theta.tolist()
+    assert pairs[1].to_dict()["overlaps"] == pairs[1].overlaps.tolist()
+    assert trend.rows[0].to_dict()["flags"] == list(trend.rows[0].flags)
+
+
+def test_json_form_reads_numpy_scalars_and_nested_tuples():
+    assert machine.json_form((np.float64(0.5), np.int64(3), np.bool_(True),
+                              (np.array([1.0, -0.0]), "x", None))) == \
+        [0.5, 3, True, [[1.0, -0.0], "x", None]]
+    assert [type(x) for x in machine.json_form(
+        (np.float64(0.5), np.int64(3), np.bool_(True)))] == [float, int, bool]
