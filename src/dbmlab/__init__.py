@@ -20,7 +20,8 @@ sk_chain_bound
 finite_volume_lab
     Finite-volume experiments: exact enumeration, Monte Carlo pressure with
     thermodynamic integration and parallel tempering, covariance checks,
-    annealed-gap trends.
+    annealed-gap trends.  Imported on first use, so that the package's
+    import does not pay for it.
 cli
     Command-line interface over the above (region / poly / rs / bound /
     verify / scan), the ``dbmlab`` command.  It is not imported with the
@@ -28,8 +29,9 @@ cli
 """
 from __future__ import annotations
 
-from . import (chainpoly, finite_volume_lab, ghquad, machine, rs_solver,
-               sk_chain_bound)
+import importlib
+
+from . import chainpoly, ghquad, machine, rs_solver, sk_chain_bound
 from .machine import (FieldSpec, ModelParams, annealed_pressure,
                       classify_annealed, spectral_radius)
 
@@ -49,3 +51,10 @@ __all__ = [
     "spectral_radius",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # finite_volume_lab loads on first use: only ``verify`` needs it.
+    if name == "finite_volume_lab":
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,8 @@ Every command reads a JSON config holding the model parameters plus
 optional ``scan`` / ``solver`` / ``verify`` sections, and writes CSV or
 JSON to ``--out`` (default: stdout).  Given the same config and seed, a
 rerun produces byte-identical output.  Exit codes: 0 success, 1 invariant
-or solver failure, 2 usage error.
+or solver failure, 2 usage error (flags, a config that cannot be read or
+parsed, an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (chainpoly, finite_volume_lab, ghquad, machine, rs_solver,
-               sk_chain_bound)
+from . import chainpoly, ghquad, machine, rs_solver, sk_chain_bound
 from .machine import FieldSpec, ModelParams
 
 _OUTPUT_COLUMNS = {
@@ -170,14 +170,28 @@ def _parse_scan(obj, params: ModelParams) -> ScanSpec:
 
 
 def _load_config(path: str) -> _Config:
+    """The config at ``path``, read as UTF-8 JSON text (RFC 8259).
+
+    Line ends are read as text mode reads them (``\\r\\n`` and ``\\r`` as
+    ``\\n``), so JSON's error positions count the same characters.
+    """
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config is nested too deeply: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
@@ -310,7 +324,66 @@ def _kv_csv(pairs) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload`` as indented JSON text, byte for byte
+    ``json.dumps(payload, indent=2) + "\\n"`` (which, given an ``indent``,
+    takes CPython's slower pure-Python encoder).
+
+    That holds for dicts with ``str`` keys, lists, tuples, strings, ints,
+    floats (``NaN``, ``Infinity`` and ``-Infinity`` spelled as ``json``
+    spells them), booleans and ``None``, and for their subclasses, such as
+    ``np.float64``.  Any other value, ``np.bool_`` and ``np.int64``
+    included, raises ``TypeError`` as ``json.dumps`` does; so does any
+    other key.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+# The JSON types, which _json_value dispatches on exactly.
+_JSON_KINDS = frozenset((dict, list, tuple, str, int, float, bool, type(None)))
+# json's spellings of the float reprs that are no JSON number.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the
+    nesting level whose line break and indent is ``newline``."""
+    kind = type(value)
+    if kind not in _JSON_KINDS:
+        kind = _json_base(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is str:
+        return _json_str(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join([
+            _json_str(key) + ": " + _json_value(item, inner)
+            for key, item in value.items()]) + newline + "}")
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([
+            _json_value(item, inner) for item in value]) + newline + "]")
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    return "null"
+
+
+def _json_base(value) -> type:
+    """The JSON type a subclass instance is written as, in ``json``'s
+    order of checks; ``TypeError`` for what ``json.dumps`` refuses."""
+    for kind in (str, int, float, list, tuple, dict):
+        if isinstance(value, kind):
+            return kind
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _flatten_kv(prefix: str, value) -> list[tuple[str, object]]:
@@ -328,10 +401,13 @@ def _flatten_kv(prefix: str, value) -> list[tuple[str, object]]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +550,9 @@ def _criteria_consistent(params: ModelParams) -> bool:
 
 
 def cmd_verify(config: _Config, args) -> tuple[str, bool]:
+    # Imported here, so that the other commands need not load it.
+    from . import finite_volume_lab
+
     params = config.params
     section = config.verify
     totals = section.get("sizes", [12, 18, 24])
@@ -683,6 +762,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         text, ok = _HANDLERS[args.command](config, args)
+        _emit(text, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -692,7 +772,6 @@ def main(argv=None) -> int:
     except SolveFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
     return 0 if ok else 1
 
 

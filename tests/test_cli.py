@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import mistyped_model_sections, model_sections
 from oracles import damped_fixed_point
 
 LOG2 = math.log(2.0)
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def model_dict(K, beta, lam, fields=()):
@@ -550,7 +552,7 @@ def test_verify_csv_joins_a_row_s_flags_with_semicolons(tmp_path, monkeypatch):
                    flags=("nonequilibrated", "jensen_violation"))
     fake = TrendReport(rows=(row,), p_annealed=0.8, jensen_ok=False,
                        gap_decreasing=False)
-    monkeypatch.setattr(cli.finite_volume_lab, "annealed_trend",
+    monkeypatch.setattr(finite_volume_lab, "annealed_trend",
                         lambda *a, **k: fake)
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--config", write_config(tmp_path, verify_config()),
@@ -565,7 +567,7 @@ def test_verify_exit_one_on_hard_invariant_failure(tmp_path, monkeypatch):
     fake = TrendReport(rows=(row,), p_annealed=0.8, jensen_ok=False,
                        gap_decreasing=False)
 
-    monkeypatch.setattr(cli.finite_volume_lab, "annealed_trend",
+    monkeypatch.setattr(finite_volume_lab, "annealed_trend",
                         lambda *a, **k: fake)
     cfg = write_config(tmp_path, verify_config())
     out = str(tmp_path / "verify.json")
@@ -579,7 +581,7 @@ def test_verify_exit_one_on_hard_invariant_failure(tmp_path, monkeypatch):
 def test_verify_reaches_every_traced_finite_volume_layer(tmp_path, monkeypatch):
     # The benchmark traces these module attributes; each must still be
     # called by verify, through the attribute, so no layer goes dark.
-    fvl = cli.finite_volume_lab
+    fvl = finite_volume_lab
     names = ("sample_disorder", "log_partition", "hamiltonian", "mc_pressure",
              "covariance_report")
     calls = dict.fromkeys(names, 0)
@@ -1064,6 +1066,125 @@ def test_default_output_is_stdout(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "rho,verdict"
     assert lines[1].endswith(",inside")
+
+
+def _one_error_line(capsys, start):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {start}")
+    assert err.count("\n") == 1
+
+
+def test_a_config_that_is_not_utf8_is_usage_error_with_one_line(tmp_path,
+                                                                capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"K": 1, "beta": [], "lambda": [1.0], "note": "\xff"}')
+    assert cli.main(["region", "--config", str(path)]) == 2
+    _one_error_line(capsys, "config is not UTF-8 text:")
+
+
+def test_a_config_nested_past_the_recursion_limit_is_usage_error(tmp_path,
+                                                                 capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["region", "--config", str(path)]) == 2
+    _one_error_line(capsys, "config is nested too deeply:")
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_an_unwritable_out_path_is_usage_error_with_one_line(tmp_path, capsys,
+                                                             target):
+    cfg = write_config(tmp_path, balanced2())
+    out = str(tmp_path / target)
+    assert cli.main(["region", "--config", cfg, "--out", out]) == 2
+    _one_error_line(capsys, "cannot write output file:")
+
+
+def test_a_byte_order_mark_is_still_refused(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(balanced2()).encode())
+    assert cli.main(["region", "--config", str(path)]) == 2
+    _one_error_line(capsys, "config is not valid JSON: Unexpected UTF-8 BOM")
+
+
+@pytest.mark.parametrize("text", ['{"K": 2,\r\n "beta": [0.5,]\r\n}',
+                                  '{"K": 2,\r "beta": [0.5,]\r}',
+                                  '{"K": 2, "note": "a\rb"}'],
+                         ids=["crlf", "cr", "cr-in-a-string"])
+def test_config_errors_count_line_ends_as_text_mode_reads_them(tmp_path,
+                                                               capsys, text):
+    path = tmp_path / "lines.json"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(fh.read())
+    assert cli.main(["region", "--config", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: config is not valid JSON: {info.value}\n")
+
+
+def test_non_ascii_utf8_configs_load(tmp_path, capsys):
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(dict(balanced2(), scan={
+        "axes": [{"path": "beta[0]", "min": 0.5, "max": 1.5, "steps": 2}],
+        "outputs": ["rho"], "note": "β ≤ 1"}), ensure_ascii=False).encode())
+    assert cli.main(["scan", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("beta[0],rho,flags\n")
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+_JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t", "é β ≤",
+                     " \U0001f600"]),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                     2.2250738585072009e-308]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none())
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(payload=_JSON_PAYLOADS)
+def test_json_writer_equals_json_dumps_property(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}],
+                         ids=["np.bool_", "np.int64", "set"])
+def test_json_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"rows": [value]}, indent=2)
+    with pytest.raises(TypeError) as info:
+        cli._json_text({"rows": [value]})
+    assert str(info.value) == str(expected.value)
+
+
+def test_every_json_report_on_the_examples_is_json_dumps_text(capsys):
+    reported = set()
+    for example in sorted(EXAMPLES.glob("*.json")):
+        for command in ("region", "poly", "rs", "bound", "verify", "scan"):
+            code = cli.main([command, "--config", str(example),
+                             "--format", "json"])
+            out = capsys.readouterr().out
+            if code == 2:
+                assert out == ""
+                continue
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+            reported.add(command)
+    assert reported == {"region", "poly", "rs", "bound", "verify", "scan"}
 
 
 # ---------------------------------------------------------------------------
