@@ -76,6 +76,11 @@ _STREAM_PAIRS = 2
 # working arrays, so that large systems are stacked a few samples at a time.
 _CHUNK_ENTRIES = 1 << 18
 
+# Entries of half product per chunk of samples that enumeration reduces at
+# once, so that its working arrays stay in cache: at N = 24, 2^14 to 2^16
+# measured alike and 2^18 about a fifth slower.
+_ENUM_ENTRIES = _CHUNK_ENTRIES // 8
+
 # Batches per energy series in the drift test, and the probability that it
 # flags a row of equilibrated series.
 _DRIFT_BATCHES = 10
@@ -205,11 +210,15 @@ class PressureEstimate:
 
 
 def _stream_state(seed: int, index: int, stream: int) -> dict:
-    """Philox state at the start of the stream keyed by ``(seed, index, stream)``."""
+    """Philox state at the start of the stream keyed by ``(seed, index, stream)``.
+
+    The words are Python ints in lists, which the ``state`` setter reads in
+    under half the time of ``uint64`` arrays.
+    """
     return {"bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, 0, stream & _MASK64], dtype=np.uint64),
-                      "key": np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "state": {"counter": [0, 0, 0, stream & _MASK64],
+                      "key": [seed & _MASK64, index & _MASK64]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
 
 
@@ -282,7 +291,9 @@ def _disorder_stacks(assignment: LayerAssignment, params: ModelParams,
 
     A stack holds at most :data:`_CHUNK_ENTRIES` entries of couplings plus
     ``work_entries`` per sample, the caller's working arrays (and at least
-    one sample).
+    one sample).  Those are what the caller holds for a whole stack:
+    enumeration, which reduces a stack in chunks of samples
+    (:func:`log_partition`), counts only its linear map.
     """
     sizes = assignment.sizes
     per_sample = sum(a * b for a, b in zip(sizes, sizes[1:])) + work_entries
@@ -343,22 +354,35 @@ def layer_overlaps(assignment: LayerAssignment, sigma, tau) -> np.ndarray:
     return out
 
 
-@functools.cache
 def _spin_table(n: int) -> np.ndarray:
     """All ``2^n`` configurations of ``n`` spins, shape ``(2^n, n)``.
 
     Row ``c`` has spin ``i`` equal to ``+1`` where bit ``i`` of ``c`` is set;
     the rows from ``2^i`` to ``2^(i+1) - 1`` repeat the first ``2^i`` rows
-    with spin ``i`` up.  Cached and read-only: :func:`log_partition` asks for
-    at most 13 sizes, the largest of ``2^12`` rows.
+    with spin ``i`` up, so row ``2^n - 1 - c`` is the flip of row ``c``.
+    Enumeration reads only the first half, transposed
+    (:func:`_half_table_t`).
     """
     table = np.full((1 << n, n), -1.0)
     for i in range(n):
         half = 1 << i
         table[half:2 * half, :i] = table[:half, :i]
         table[half:2 * half, i] = 1.0
-    table.flags.writeable = False
     return table
+
+
+@functools.cache
+def _half_table_t(n: int) -> np.ndarray:
+    """The first ``ceil(2^n / 2)`` rows of :func:`_spin_table`, transposed to
+    a contiguous ``(n, ceil(2^n / 2))`` array.
+
+    Built on first use, cached and read-only: :func:`log_partition` asks for
+    at most 13 sizes, the largest of ``12 x 2^11`` entries.
+    """
+    table = _spin_table(n)
+    half = np.ascontiguousarray(table[:(len(table) + 1) // 2].T)
+    half.flags.writeable = False
+    return half
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -441,18 +465,22 @@ def log_partition(sample: DisorderSample, params: ModelParams):
     flipped rows' ``log 2 cosh`` sums are the rows' own and are not
     computed again, and the fields are not added (``|g + 0| = |g|``).
 
-    The product is copied once, transposed, so that the field term and each
-    summed spin's local fields are contiguous rows over the configurations
-    (and the samples of a stack): every step after it runs one long loop,
-    and the ``log 2 cosh`` terms are summed row by row (:func:`_row_sum`) in
-    the order ``np.sum(axis=-1)`` takes over a configuration's terms.  The
-    rows reach :func:`_logsumexp` in table order, so the values have the
-    bits of the whole table's.  A stack of ``D`` samples takes one such
-    product per sample and one :func:`_logsumexp` call over all its rows,
-    and gives an array of ``D`` values.  Its working set is at most three
-    arrays of the half product's size: the product and its transpose, then
-    the transpose, one half's local fields and their ``log1p(exp(-2|g|))``
-    terms.
+    The class couplings, the linear map and the fields are built once for
+    the stack.  The product is formed already transposed, as the linear
+    map's transpose times the transposed half table (:func:`_half_table_t`),
+    so that the field term and each summed spin's local fields are
+    contiguous rows over the configurations (and the samples of a chunk):
+    every step after it runs one long loop, and the ``log 2 cosh`` terms are
+    summed row by row (:func:`_row_sum`) in the order ``np.sum(axis=-1)``
+    takes over a configuration's terms.  The rows reach :func:`_logsumexp`
+    in table order, so the values have the bits of the whole table's.  The
+    samples of a stack of ``D`` go through the product and the reductions a
+    chunk at a time, as many as fit :data:`_ENUM_ENTRIES` entries of half
+    product (at least one), each chunk in one product and one
+    :func:`_logsumexp` call, and the stack gives an array of ``D`` values.
+    Beside the stack's linear map, the working set is at most three arrays
+    of a chunk's half product: the product, one half's local fields and
+    their ``log1p(exp(-2|g|))`` terms, which stay in cache.
     """
     assignment = sample.assignment
     sizes = assignment.sizes
@@ -472,47 +500,60 @@ def log_partition(sample: DisorderSample, params: ModelParams):
                                  [scale * b for b in params.beta])
     first = 0 if even <= N - even else 1
     enumerated, summed = sample.fields[first::2], sample.fields[1 - first::2]
-    # Rows: the enumerated spins in class order.  Column 0 takes their
-    # fields, the rest the summed spins' coupling fields: per odd layer W_p
-    # if the odd class is enumerated, else W_p^T.
+    # Row j of sample d's linear map takes its enumerated spins, in class
+    # order, to column j of its product: column 0 to their fields, the rest
+    # to the summed spins' coupling fields, per odd layer the columns of W_p
+    # if the odd class is enumerated, else those of W_p^T.
     n = N - even if first else even
-    linear = np.zeros((len(sample.fields[0]), n, N - n + 1))
-    linear[..., 0] = np.concatenate(enumerated, axis=-1)
+    D = len(sample.fields[0])
+    linear_t = np.zeros((N - n + 1, D, n))
+    linear_t[0] = np.concatenate(enumerated, axis=-1)
     for cols, window, w, w_t in odd:
         if first:
-            linear[..., cols, window.start + 1:window.stop + 1] = w
+            linear_t[window.start + 1:window.stop + 1, :, cols] = w.transpose(2, 0, 1)
         else:
-            linear[..., window, cols.start + 1:cols.stop + 1] = w_t
+            linear_t[cols.start + 1:cols.stop + 1, :, window] = w_t.transpose(2, 0, 1)
+    summed_fields = np.concatenate(summed, axis=-1).T[..., None]
+    has_fields = summed_fields.any()
     # Row 2^r - 1 - c of the table is the flip of row c, and flipping every
     # enumerated spin negates its row of the product: the first n_flips rows
     # of the half table are those whose flips are the second half, reversed.
     # A one-row table (no enumerated spins) has no second half.
-    table = _spin_table(n)
-    n_flips = len(table) // 2
-    # (1 + summed spins, D, rows of the half table).
-    rows = (table[:(len(table) + 1) // 2] @ linear).transpose(2, 0, 1).copy()
-    field_term, flips = rows[0], rows[0, :, :n_flips]
-    summed_fields = np.concatenate(summed, axis=-1).T[..., None]
-    if summed_fields.any():
-        up = _log_cosh_sum(rows[1:] + summed_fields)
-        down = _log_cosh_sum(summed_fields - rows[1:, :, :n_flips])
-    else:
-        # |-g| = |g|: without fields the flipped rows' terms are the rows'.
-        up = _log_cosh_sum(rows[1:])
-        down = up[..., :n_flips]
-    return _logsumexp(np.concatenate((field_term + up, (down - flips)[..., ::-1]),
-                                     axis=-1))
+    half_t = _half_table_t(n)
+    n_flips = (1 << n) // 2
+    width = max(1, _ENUM_ENTRIES // (len(linear_t) * half_t.shape[1]))
+    values = np.empty(D)
+    for lo in range(0, D, width):
+        chunk = linear_t[:, lo:lo + width]
+        M, d = chunk.shape[:2]
+        # (1 + summed spins, samples of the chunk, rows of the half table),
+        # from one matrix product over the chunk's rows: a product per
+        # summed spin would go to BLAS as a matrix-vector product for a
+        # chunk of one sample, which groups its sums differently.
+        rows = (chunk.reshape(M * d, n) @ half_t).reshape(M, d, -1)
+        field_term, flips = rows[0], rows[0, :, :n_flips]
+        if has_fields:
+            local = summed_fields[:, lo:lo + width]
+            up = _log_cosh_sum(rows[1:] + local)
+            down = _log_cosh_sum(local - rows[1:, :, :n_flips])
+        else:
+            # |-g| = |g|: without fields the flipped rows' terms are the rows'.
+            up = _log_cosh_sum(rows[1:])
+            down = up[..., :n_flips]
+        values[lo:lo + width] = _logsumexp(
+            np.concatenate((field_term + up, (down - flips)[..., ::-1]), axis=-1))
+    return values
 
 
 def exact_pressure(assignment: LayerAssignment, params: ModelParams,
                    n_disorder: int = 200, seed: int = 0) -> PressureEstimate:
     """Quenched pressure by full enumeration over seeded disorder samples.
 
-    The samples are enumerated a stack at a time.  A stack is budgeted three
-    times the entries of :func:`log_partition`'s configuration table per
-    sample, twice what enumeration now holds at once (three arrays of half
-    a table), so the largest systems go one sample per stack: stacking more
-    samples at ``N = 24`` measured no faster.
+    The samples are enumerated a stack at a time.  A stack is budgeted its
+    couplings and :func:`log_partition`'s linear map per sample, the arrays
+    it holds for the whole stack; enumeration bounds its own working set by
+    chunks of samples.  So a run at ``N = 24`` draws about 900 samples at
+    once.
     """
     if assignment.N > EXACT_SPIN_CAP:
         raise ValueError(
@@ -521,11 +562,11 @@ def exact_pressure(assignment: LayerAssignment, params: ModelParams,
     if n_disorder < 1:
         raise ValueError("need at least one disorder sample")
     even, odd = sum(assignment.sizes[0::2]), sum(assignment.sizes[1::2])
-    table = (1 << min(even, odd)) * (1 + max(even, odd))
+    linear = min(even, odd) * (1 + max(even, odd))
     values = np.concatenate([
         log_partition(stack, params)
         for stack in _disorder_stacks(assignment, params, seed, n_disorder,
-                                      3 * table)]) / assignment.N
+                                      linear)]) / assignment.N
     return PressureEstimate.from_values(values, "exact_enum")
 
 
@@ -1011,13 +1052,6 @@ def covariance_report(assignment: LayerAssignment, params: ModelParams,
                                    predicted=predicted, std_error=std_error,
                                    standardized=standardized))
     return rows
-
-
-def covariance_check(assignment: LayerAssignment, params: ModelParams,
-                     n_disorder: int = 200, seed: int = 0) -> float:
-    """Worst standardized covariance deviation over ten random pairs."""
-    rows = covariance_report(assignment, params, n_disorder, seed)
-    return max(row.standardized for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dbmlab.finite_volume_lab import (
     DisorderSample,
     LayerAssignment,
     annealed_trend,
-    covariance_check,
     covariance_report,
     exact_pressure,
     hamiltonian,
@@ -392,11 +391,59 @@ def test_exact_pressure_is_independent_of_stacking(monkeypatch):
     assignment = LayerAssignment((3, 4, 3))
     params = make(3, (0.9, 0.7), (0.3, 0.4, 0.3), (FieldSpec.gaussian(0.4),) * 3)
     whole = exact_pressure(assignment, params, n_disorder=9, seed=2)
-    monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", 1)
-    assert exact_pressure(assignment, params, n_disorder=9, seed=2) == whole
+    # A sample takes 52 entries of a stack (24 couplings, a 7 x 4 linear map)
+    # and 56 of enumeration's chunk (a 7 x 8 half product).  Stacks and
+    # chunks of the nine samples, by budget: stacks of one, chunks of one;
+    # stacks of two, chunks of one; stacks of five and four, chunks of two;
+    # one stack, chunks of four; one stack, chunks of one.
+    for chunk_entries, enum_entries in ((1, 56), (104, 56), (260, 112),
+                                        (1 << 18, 224), (1 << 18, 1)):
+        monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(fvl, "_ENUM_ENTRIES", enum_entries)
+        assert exact_pressure(assignment, params, n_disorder=9, seed=2) == whole
     values = [log_partition(sample_disorder(assignment, params, 2, j), params)[0] / 10
               for j in range(9)]
     assert whole.mean == float(np.mean(values))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(layers=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(_FIELD_KINDS)),
+                       min_size=1, max_size=5)
+       .filter(lambda ls: 0 < sum(n for n, _ in ls) <= fvl.EXACT_SPIN_CAP),
+       field_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 7), width=st.integers(1, 8))
+# Chunks that do not divide the stack, chunks of one, and one chunk.
+@example(layers=[(3, "gaussian"), (4, "discrete"), (2, "zero")], field_seed=0,
+         seed=1, count=7, width=3)
+@example(layers=[(2, "point_mass"), (3, "zero")], field_seed=1, seed=2, count=5,
+         width=1)
+@example(layers=[(1, "zero"), (2, "gaussian"), (0, "discrete"), (3, "zero"),
+                 (2, "point_mass")], field_seed=2, seed=3, count=6, width=4)
+# The largest table in chunks of two; no enumerated spins.
+@example(layers=[(6, "zero"), (12, "zero"), (6, "zero")], field_seed=3, seed=4,
+         count=5, width=2)
+@example(layers=[(0, "gaussian"), (5, "discrete")], field_seed=4, seed=5,
+         count=3, width=2)
+def test_log_partition_chunks_equal_per_sample_calls_property(layers, field_seed, seed,
+                                                              count, width):
+    # Enumeration reduces a stack a chunk of samples at a time; every value
+    # keeps the bits of the sample's own call, whatever the chunk width.
+    rng = np.random.default_rng(field_seed)
+    sizes = tuple(n for n, _ in layers)
+    K = len(sizes)
+    params = make(K, rng.uniform(0.2, 1.5, K - 1), (1.0 / K,) * K,
+                  [random_field(rng, kind) for _, kind in layers])
+    assignment = LayerAssignment(sizes)
+    singles = np.array([log_partition(sample_disorder(assignment, params, seed, j),
+                                      params)[0] for j in range(count)])
+    # Entries of one sample's half product: 1 + the summed spins, times half
+    # the enumerated class's configurations.
+    small, large = sorted((sum(sizes[0::2]), sum(sizes[1::2])))
+    entries = (1 + large) * ((1 << small) + 1) // 2
+    stack = sample_disorder(assignment, params, seed, 0, count)
+    with mock.patch.object(fvl, "_ENUM_ENTRIES", width * entries):
+        got = log_partition(stack, params)
+    assert got.tobytes() == singles.tobytes()
 
 
 def test_stacked_sample_shapes():
@@ -935,9 +982,11 @@ def test_covariance_refuses_systems_past_the_spin_cap(monkeypatch):
 def test_covariance_check_standardized_deviation():
     assignment = LayerAssignment((3, 3))
     params = make(2, (0.9,), (0.5, 0.5))
-    worst = covariance_check(assignment, params, n_disorder=2500, seed=41)
+    worst = max(row.standardized for row in
+                covariance_report(assignment, params, n_disorder=2500, seed=41))
     assert worst < 5.0
-    again = covariance_check(assignment, params, n_disorder=2500, seed=41)
+    again = max(row.standardized for row in
+                covariance_report(assignment, params, n_disorder=2500, seed=41))
     assert worst == again
 
 
