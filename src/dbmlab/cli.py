@@ -309,11 +309,28 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_table(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+# The types of the columns that _cells writes with no call per cell.
+_CELL_KINDS = frozenset((float, str, bool, type(None)))
+
+
+def _cells(values) -> list[str]:
+    """The CSV cells of a column of values, each as :func:`_cell` writes
+    it; a column of ``float``, ``str``, ``bool`` and ``None`` alone, as a
+    scan's are, is written with no call per cell."""
+    if not set(map(type, values)) <= _CELL_KINDS:
+        return list(map(_cell, values))
+    return [float.__repr__(value) if type(value) is float
+            else "" if value is None
+            else ("true" if value else "false") if type(value) is bool
+            else value for value in values]
+
+
+def _csv_table(header, columns) -> str:
+    """CSV text with the ``header`` line and one line per row of
+    ``columns``, a list of values per column, each column formatted once
+    (:func:`_cells`)."""
+    lines = map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _kv_csv(pairs) -> str:
@@ -333,9 +350,12 @@ def _json_text(payload: dict) -> str:
     spells them), booleans and ``None``, and for their subclasses, such as
     ``np.float64``.  Any other value, ``np.bool_`` and ``np.int64``
     included, raises ``TypeError`` as ``json.dumps`` does; so does any
-    other key.
+    other key.  A container's ``float``, ``str``, ``bool`` and ``None``
+    items are written inline, and the keys of the dicts that share a key
+    set, such as a scan's rows, are encoded once, into one format string
+    that every such dict fills.
     """
-    return _json_value(payload, "\n") + "\n"
+    return _json_value(payload, "\n", {}) + "\n"
 
 
 # The JSON types, which _json_value dispatches on exactly.
@@ -345,9 +365,11 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_value(value, newline: str) -> str:
+def _json_value(value, newline: str, forms: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at the
-    nesting level whose line break and indent is ``newline``."""
+    nesting level whose line break and indent is ``newline``.  ``forms``
+    holds the format string of each dict key set met so far, keyed by its
+    indent and keys."""
     kind = type(value)
     if kind not in _JSON_KINDS:
         kind = _json_base(value)
@@ -360,20 +382,46 @@ def _json_value(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        return ("{" + inner + ("," + inner).join([
-            _json_str(key) + ": " + _json_value(item, inner)
-            for key, item in value.items()]) + newline + "}")
+        key = (inner, *value)
+        form = forms.get(key)
+        if form is None:
+            # _json_str refuses a key that is no str, before it is kept.
+            form = forms[key] = "{" + ",".join([
+                inner + _json_str(name).replace("%", "%%") + ": %s"
+                for name in value]) + newline + "}"
+        return form % tuple(_json_items(value.values(), inner, forms))
     if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([
-            _json_value(item, inner) for item in value]) + newline + "]")
+        items = _json_items(value, inner, forms)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is bool:
         return "true" if value else "false"
     if kind is int:
         return int.__repr__(value)
     return "null"
+
+
+def _json_items(values, newline: str, forms: dict) -> list[str]:
+    """The texts of a container's items at the level of ``newline``: the
+    scalars of the four common types inline, the others by
+    :func:`_json_value`."""
+    out = []
+    for item in values:
+        kind = type(item)
+        if kind is float:
+            text = float.__repr__(item)
+            out.append(_NON_FINITE[text] if text in _NON_FINITE else text)
+        elif kind is str:
+            out.append(_json_str(item))
+        elif item is None:
+            out.append("null")
+        elif kind is bool:
+            out.append("true" if item else "false")
+        else:
+            out.append(_json_value(item, newline, forms))
+    return out
 
 
 def _json_base(value) -> type:
@@ -464,7 +512,7 @@ def cmd_region(config: _Config, args) -> tuple[str, bool]:
     if args.format == "json":
         return _json_text({"command": "region", "rows": rows}), True
     columns = paths + ["rho", "verdict"]
-    return _csv_table(columns, rows), True
+    return _csv_table(columns, _by_column(columns, rows)), True
 
 
 def cmd_poly(config: _Config, args) -> tuple[str, bool]:
@@ -615,8 +663,8 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
         }
         return _json_text(payload), ok
     rows = [dict(row.to_dict(), flags=";".join(row.flags)) for row in report.rows]
-    return _csv_table(("N", "method", "mean", "std_error", "p_annealed", "gap",
-                       "flags"), rows), ok
+    columns = ("N", "method", "mean", "std_error", "p_annealed", "gap", "flags")
+    return _csv_table(columns, _by_column(columns, rows)), ok
 
 
 def cmd_scan(config: _Config, args) -> tuple[str, bool]:
@@ -625,84 +673,95 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     The grid's points share ``K``, so they are held as one stack of arrays,
     a point per row, written straight from the axes (:func:`_grid_stack`),
     and built, classified and solved as one: one classification, the
-    stack's own (``_Stack.verdicts``, from its spectral radii), made only
+    stack's own (``_Stack.regions``, from its spectral radii), made only
     when ``region`` or ``rho`` is asked for or a zero-field point is solved,
-    one solve (:func:`rs_solver.solve_stack`, which reads that
-    classification off the stack and puts the zero-field points with a
-    witness at ``q = 0``, and the others through one Newton iteration, and
-    which the stack keeps),
-    one bound read (:func:`sk_chain_bound.maximize_stack`, which reads the
-    bound off the stack's solutions, solving it when no other output has)
-    and one certificate pass serve every point, each with the bits of its
-    own ``region``, ``rs`` or ``bound`` run.  A point whose solve fails gets
-    ``rs_failed`` or ``bound_failed`` on its own row, and the other points
-    go on.  A grid with more than ``_STACK_ENTRIES`` matrix entries (points
-    times ``K^2``) is cut into stacks of at most that many, solved one
-    after the other.
+    one solve (``rs_solver._solved``, which reads that classification off
+    the stack and puts the zero-field points with a witness at ``q = 0``,
+    and the others through one Newton iteration, and which the stack
+    keeps), one bound read (``sk_chain_bound._bound_failures``, which reads
+    the bound off the stack's solve) and one certificate pass serve every
+    point, each with the bits of its own ``region``, ``rs`` or ``bound``
+    run.  Every output is a column of the stack's results, read as it is
+    (:func:`_scan_columns`): no per-point record is built.  A point whose
+    solve fails gets ``rs_failed`` or ``bound_failed`` on its own row, and
+    the other points go on.  A grid with more than ``_STACK_ENTRIES``
+    matrix entries (points times ``K^2``) is cut into stacks of at most
+    that many, solved one after the other.
     """
     if config.scan is None:
         raise ConfigError("the scan command requires a scan section in the config")
     scan = config.scan
     tol = _tol(args, config)
-    rows = []
-    for points, stack in _grid_stacks(config.params, scan.axes):
-        rows += _scan_rows(scan, tol, points, stack)
     columns = [axis.path for axis in scan.axes]
     for name in scan.outputs:
         columns.extend(_OUTPUT_COLUMNS[name])
     columns.append("flags")
+    values = [[] for _ in columns]
+    for points, stack in _grid_stacks(config.params, scan.axes):
+        parts = _scan_columns(scan, tol, points, stack)
+        for column, part in zip(values, parts):
+            column += part
     if args.format == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
         return _json_text({"command": "scan", "columns": columns,
                            "rows": rows}), True
-    return _csv_table(columns, rows), True
+    return _csv_table(columns, values), True
 
 
-def _scan_rows(scan: ScanSpec, tol: float, points, stack) -> list:
-    """The rows of the grid points of ``stack``, whose axis values are the
-    rows of ``points``, solved as one stack."""
+def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
+    """The columns of the scan table at the grid points of ``stack``,
+    whose axis values are the rows of ``points``, solved as one stack: the
+    axis values, the outputs' columns and the flags, a list of values
+    each.
+
+    Each output column is read once off the stack's columns (its
+    classification, ``_Stack.regions``, and its solve,
+    ``rs_solver._solved``); a failed point's values are ``None``.  The
+    flags are built from the failure columns: ``rs_failed`` where the
+    consistency solve failed (when ``rs_pressure`` or ``certificates`` is
+    an output), ``bound_failed`` where the bound did, and ``uncertified``
+    where the bound's certificate is false.
+    """
     outputs = scan.outputs
+    columns = points.T.tolist()
+    tags = []
     if "region" in outputs or "rho" in outputs:
-        verdicts = stack.verdicts
-    solutions = [None] * len(stack)
-    if "rs_pressure" in outputs or "certificates" in outputs:
-        solutions = rs_solver.solve_stack(stack, tol)
-    if "bound" in outputs:
-        bounds = sk_chain_bound.maximize_stack(stack, tol)
-    paths = [axis.path for axis in scan.axes]
-    rows = []
-    for i, values in enumerate(points.tolist()):
-        row = dict(zip(paths, values))
-        flags = []
-        solution = solutions[i]
-        if isinstance(solution, Exception):
-            flags.append("rs_failed")
-            solution = None
-        for name in outputs:
-            if name == "region":
-                row["verdict"] = verdicts[i].verdict
-            elif name == "rho":
-                row["rho"] = verdicts[i].rho
-            elif name == "rs_pressure":
-                row["rs_pressure"] = (None if solution is None
-                                      else float(solution.pressure))
-            elif name == "certificates":
-                for column in _OUTPUT_COLUMNS["certificates"]:
-                    row[column] = (None if solution is None else
-                                   getattr(solution.certificates, column))
-            elif name == "bound":
-                bound = bounds[i]
-                if isinstance(bound, Exception):
-                    value, certified = None, None
-                    flags.append("bound_failed")
-                else:
-                    value, certified = bound.value, bound.certified
-                row["bound_value"] = value
-                row["bound_certified"] = certified
-                if certified is False:
-                    flags.append("uncertified")
-        row["flags"] = ";".join(flags)
-        rows.append(row)
-    return rows
+        regions = stack.regions
+    rs = "rs_pressure" in outputs or "certificates" in outputs
+    if rs or "bound" in outputs:
+        solved = rs_solver._solved(stack, tol)
+    if rs:
+        tags.append(["rs_failed" if failure is not None else ""
+                     for failure in solved.failure])
+    for name in outputs:
+        if name == "region":
+            columns.append(regions.verdict)
+        elif name == "rho":
+            columns.append(regions.rho)
+        elif name == "rs_pressure":
+            columns.append(solved.pressure)
+        elif name == "certificates":
+            columns += [solved.talagrand_ok, solved.at_ok,
+                        solved.stable_at_zero]
+        elif name == "bound":
+            failures = sk_chain_bound._bound_failures(stack, solved)[0]
+            bounded = [failure is None for failure in failures]
+            columns.append([value if ok else None
+                            for ok, value in zip(bounded, solved.pressure)])
+            columns.append([certified if ok else None
+                            for ok, certified in zip(bounded, solved.stable)])
+            tags.append(["bound_failed" if not ok else "" if certified
+                         else "uncertified"
+                         for ok, certified in zip(bounded, solved.stable)])
+    columns.append([";".join(filter(None, point)) for point in zip(*tags)]
+                   if tags else [""] * len(stack))
+    return columns
+
+
+def _by_column(columns, rows) -> list:
+    """The values of each of ``columns`` (``None`` where a row has none),
+    a list per column, for :func:`_csv_table`."""
+    return [[row.get(column) for row in rows] for column in columns]
 
 
 _HANDLERS = {

@@ -438,39 +438,79 @@ def classify_annealed(params: ModelParams):
     the list of the points' verdicts.  A stack takes one
     :func:`chainpoly.largest_zero` call, one chain recursion and one
     witness recursion, each a row expression, so every point gets the
-    verdict of its own call (the body, :func:`_classify`, takes ``rho``).
+    verdict of its own call (the body, :func:`_classify`, takes ``rho`` and
+    gives columns, which :func:`_verdicts` turns into the records).
     """
-    return _classify(params, spectral_radius(params))
+    regions = _classify(params, spectral_radius(params))
+    verdicts = _verdicts(regions)
+    return verdicts[0] if regions.lam.ndim == 1 else verdicts
 
 
-def _classify(params: ModelParams, rho):
-    """:func:`classify_annealed` of ``params`` whose spectral radius is
-    ``rho``, a float, or one per point for a stack."""
-    t = activities(params)
-    z = chainpoly.eval_sequence(1.0, t)
-    one = t.ndim == 1
-    rho = [rho] if one else rho.tolist()
-    inside = [r < 1.0 - _BOUNDARY_TOL for r in rho]
-    verdicts = ["inside" if ok else "outside" if r > 1.0 + _BOUNDARY_TOL
-                else "boundary" for ok, r in zip(inside, rho)]
+class _Regions:
+    """The classification of same-K points as columns, a point per entry.
+
+    ``verdict`` and ``rho`` are lists, the fields of each point's
+    :class:`RegionVerdict`.  :meth:`z_chain` and :meth:`witness` derive
+    the other two fields when asked, from the points' ``beta`` ``(P, K -
+    1)`` and ``lam`` ``(P, K)`` arrays (one model's ``(K - 1,)`` and
+    ``(K,)``, whose recursions run on scalars), by one chain recursion and
+    one witness recursion, so that a scan that reads the verdicts alone
+    derives neither.
+    """
+
+    def __init__(self, beta, lam, rho):
+        self.beta, self.lam, self.rho = beta, lam, rho
+        self.verdict = ["inside" if r < 1.0 - _BOUNDARY_TOL
+                        else "outside" if r > 1.0 + _BOUNDARY_TOL
+                        else "boundary" for r in rho]
+
+    def z_chain(self) -> np.ndarray:
+        """The ``(P, K + 1)`` array of the points' chain values."""
+        return chainpoly.eval_sequence(1.0, activities(self)).reshape(
+            len(self.rho), -1)
+
+    def witness(self) -> list:
+        """The points' ``feasible_a``: strictly inside with every width
+        positive, the entries of :func:`witness_recursion` when they are
+        finite and they and the last slack are positive, else ``None``."""
+        K = self.lam.shape[-1]
+        inside = [verdict == "inside" for verdict in self.verdict]
+        witness = [() if within and K == 1 else None for within in inside]
+        if K > 1 and any(inside):
+            entries = witness_recursion(self).reshape(len(self.rho), K)
+            a = entries[:, :-1]
+            valid = (np.logical_and.reduce((0.0 < a) & (a < math.inf), axis=1)
+                     & (entries[:, -1] > 0.0)
+                     & (np.minimum.reduce(self.lam, axis=-1) > 0.0)).tolist()
+            for i, (ok, within, row) in enumerate(zip(valid, inside,
+                                                      a.tolist())):
+                if ok and within:
+                    witness[i] = tuple(row)
+        return witness
+
+    def take(self, rows) -> "_Regions":
+        """The columns of the points ``rows``."""
+        return _Regions(self.beta[rows], self.lam[rows],
+                        [self.rho[i] for i in rows])
+
+
+def _classify(params: ModelParams, rho) -> _Regions:
+    """The :func:`classify_annealed` columns (:class:`_Regions`) of
+    ``params`` whose spectral radius is ``rho``, a float for one model, or
+    one per point for a stack: the verdicts and radii at once, the chain
+    values and witnesses when asked for."""
     lam = np.asarray(params.lam, dtype=float)
-    K = lam.shape[-1]
-    witness = [() if ok and K == 1 else None for ok in inside]
-    if K > 1 and any(inside):
-        entries = witness_recursion(params).reshape(len(rho), K)
-        a = entries[:, :-1]
-        valid = (np.logical_and.reduce((0.0 < a) & (a < math.inf), axis=1)
-                 & (entries[:, -1] > 0.0)
-                 & (np.minimum.reduce(lam, axis=-1) > 0.0)).tolist()
-        for i, (ok, within) in enumerate(zip(valid, inside)):
-            if ok and within:
-                witness[i] = tuple(a[i].tolist())
-    out = [RegionVerdict(verdict=verdict, rho=r, z_chain=tuple(chain),
-                         feasible_a=a)
-           for verdict, r, chain, a in zip(verdicts, rho,
-                                           z.reshape(len(rho), K + 1).tolist(),
-                                           witness)]
-    return out[0] if one else out
+    return _Regions(np.asarray(params.beta, dtype=float), lam,
+                    [rho] if lam.ndim == 1 else rho.tolist())
+
+
+def _verdicts(regions: _Regions) -> list[RegionVerdict]:
+    """The :class:`RegionVerdict` of every point of ``regions``."""
+    return [RegionVerdict(verdict=verdict, rho=r, z_chain=tuple(chain),
+                          feasible_a=a)
+            for verdict, r, chain, a in zip(regions.verdict, regions.rho,
+                                            regions.z_chain().tolist(),
+                                            regions.witness())]
 
 
 # ---------------------------------------------------------------------------

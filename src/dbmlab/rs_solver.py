@@ -179,14 +179,15 @@ class _Stack:
     first use, each by one call that is a row expression like every
     per-point quantity of the stack: ``M``, the interaction matrices as
     ``(P, K, K)`` (:func:`machine.build_matrices`); ``rho``, the spectral
-    radii (:func:`machine.spectral_radius`); and ``verdicts``, the
-    :func:`machine.classify_annealed` verdicts, built from ``rho``.  A
-    sub-stack (:meth:`take`) carries the rows of those already derived,
-    and starts unsolved: ``solved`` holds the stack's :func:`solve_stack`
-    results, keyed by tolerance.  Every per-point product is a batched
-    matmul of one row, which gives the bits of the one-model product: ``M
-    q`` per row is the GEMV of ``M @ q``, and a weighted sum per row the
-    dot product of ``np.dot``.
+    radii (:func:`machine.spectral_radius`); and ``regions``, the
+    :func:`machine.classify_annealed` classification as columns, built
+    from ``rho``, whose records, ``verdicts``, are built only when asked
+    for.  A sub-stack (:meth:`take`) carries the rows of those already
+    derived, and starts unsolved: ``solved`` holds the stack's solves as
+    :class:`_Solved` columns, keyed by tolerance.  Every per-point product
+    is a batched matmul of one row, which gives the bits of the one-model
+    product: ``M q`` per row is the GEMV of ``M @ q``, and a weighted sum
+    per row the dot product of ``np.dot``.
 
     ``_Stack(models)`` stacks same-K :class:`ModelParams`; a scan grid
     builds its rows directly with :meth:`rows`.
@@ -234,8 +235,12 @@ class _Stack:
         return machine.spectral_radius(self)
 
     @functools.cached_property
-    def verdicts(self) -> list:
+    def regions(self) -> machine._Regions:
         return machine._classify(self, self.rho)
+
+    @functools.cached_property
+    def verdicts(self) -> list:
+        return machine._verdicts(self.regions)
 
     def take(self, rows) -> "_Stack":
         """The stack of the distinct points ``rows``, in stack order."""
@@ -246,8 +251,8 @@ class _Stack:
         for name in ("M", "rho"):
             if name in self.__dict__:
                 setattr(stack, name, getattr(self, name)[rows])
-        if "verdicts" in self.__dict__:
-            stack.verdicts = [self.verdicts[i] for i in rows]
+        if "regions" in self.__dict__:
+            stack.regions = self.regions.take(rows)
         return stack
 
     def model(self, i: int) -> ModelParams:
@@ -344,30 +349,32 @@ def jacobian_at_zero(params: ModelParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _certificates(stack: _Stack, q, m, stable) -> list[Certificates]:
-    """Certificates of the points of ``stack`` at overlaps ``q`` (one row
-    each), from ``m = Mq``, each point's de Almeida--Thouless test
-    ``stable`` (:attr:`RsSolution.stable`), which the solver has evaluated
-    at ``q`` already, and the stack's spectral radii ``rho``.
+def _certificates(stack: _Stack, q, m, stable) -> tuple[list, list, list]:
+    """The certificate columns ``(talagrand_ok, at_ok, stable_at_zero)``
+    of the points of ``stack`` at overlaps ``q`` (one row each), from ``m
+    = Mq``, each point's de Almeida--Thouless test ``stable``
+    (:attr:`RsSolution.stable`), which the solver has evaluated at ``q``
+    already, and the stack's spectral radii ``rho``.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
     the high-temperature test ``(Mq)_p < q_p / 4``, else ``None`` when
     some ``q_p = 0`` leaves a layer open, else ``True``; a single layer
     has no interaction and passes.  ``at_ok`` is ``stable`` for points
     with positive field variance on every layer, and ``None`` for the
-    others.  ``stable_at_zero`` is ``rho < 1``.
+    others.  ``stable_at_zero`` is ``rho < 1``.  Each entry reads its
+    point's row alone.
     """
     if q.shape[1] == 1:
         talagrand = [True] * len(q)
     else:
-        fails = np.any((q > 0.0) & ~(m < 0.25 * q), axis=1)
-        open_layer = np.any(q <= 0.0, axis=1)
+        fails = np.logical_or.reduce((q > 0.0) & ~(m < 0.25 * q),
+                                     axis=1).tolist()
+        open_layer = np.logical_or.reduce(q <= 0.0, axis=1).tolist()
         talagrand = [False if fail else None if open_ else True
                      for fail, open_ in zip(fails, open_layer)]
     at_ok = [ok if gaussian else None
              for ok, gaussian in zip(stable, stack.gaussian.tolist())]
-    return [Certificates(talagrand_ok=t, at_ok=a, stable_at_zero=r)
-            for t, a, r in zip(talagrand, at_ok, (stack.rho < 1.0).tolist())]
+    return talagrand, at_ok, (stack.rho < 1.0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -522,46 +529,60 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                     part[redo] = value
 
 
-def solve_stack(models, tol: float = 1e-10) -> list:
-    """:func:`solve_nested` on every model of a stack of same-K models.
+class _Solved:
+    """A stack's solve at one tolerance as columns, a point per entry.
 
-    ``models`` is a :class:`_Stack` or a sequence of same-K
-    :class:`ModelParams`.  When some point has zero fields, the stack
-    classifies itself (:attr:`_Stack.verdicts`); with zero fields and a
-    witness (strictly inside the annealed region), ``q = 0`` is the only
-    solution: the point takes it with residual 0, the annealed pressure
-    ``log 2 + (1/2) 1^T M1 1``, the test ``0 <= 0`` and the witness, with no
-    Newton step and no kernel call.  The other points take one
-    :func:`_newton` body, whose steps make one layered kernel call and one
-    batched linear solve for every point still iterating; a single layer
-    has no interaction, so ``Mq = 0`` and its ``q`` is the layer's own ``E
-    tanh^2(z sqrt(v) + h)``, the first row of one ``TANH_MOMENTS`` call.
-    The pressures and the certificates, which read the stack's spectral
-    radii (:attr:`_Stack.rho`), take one pass each, as row expressions, so
-    every point gets the bits of its own :func:`solve_nested` call.
-    Returns per model its :class:`RsSolution`, or the :class:`SolverError`
-    or ``ValueError`` that :func:`solve_nested` raises for it, while the
-    other points go on.  A :class:`_Stack` keeps its results
-    (:attr:`_Stack.solved`): solved again at the same ``tol``, it returns a
-    new list of the same records, with no kernel call.
+    ``q`` is a read-only ``(P, K)`` array (a zero row for a failed point).
+    The lists ``failure`` (the point's :class:`SolverError` or
+    ``ValueError``, else ``None``), ``pressure``, ``residual``, ``stable``
+    and ``witness``, and the certificate columns ``talagrand_ok``,
+    ``at_ok`` and ``stable_at_zero``, hold the fields of each point's
+    :class:`RsSolution`, with ``None`` for a failed point's pressure and
+    certificates.  The records themselves, ``records``, are
+    built on first use, once.
     """
+
+    def __init__(self, q, failure, pressure, residual, stable, witness,
+                 certificates):
+        self.q, self.failure, self.pressure = q, failure, pressure
+        self.residual, self.stable, self.witness = residual, stable, witness
+        self.talagrand_ok, self.at_ok, self.stable_at_zero = certificates
+
+    @functools.cached_property
+    def records(self) -> list:
+        """Per point its :class:`RsSolution`, or its failure."""
+        columns = zip(self.q, self.failure, self.pressure, self.residual,
+                      self.stable, self.witness, self.talagrand_ok,
+                      self.at_ok, self.stable_at_zero)
+        return [failure if failure is not None else RsSolution(
+            q=q, pressure=pressure, residual=residual, method="nested",
+            certificates=Certificates(talagrand_ok=t, at_ok=a,
+                                      stable_at_zero=r),
+            stable=stable, witness=witness)
+            for q, failure, pressure, residual, stable, witness, t, a, r
+            in columns]
+
+
+def _solved(models, tol: float) -> _Solved | None:
+    """The :class:`_Solved` columns of :func:`solve_stack` (``None`` for
+    no models), which a :class:`_Stack` keeps, one solve per tolerance."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     stack = _stack_of(models)
     if stack is None:
-        return []
+        return None
     if tol in stack.solved:
-        return list(stack.solved[tol])
+        return stack.solved[tol]
     P, K = stack.lam.shape
     positive = np.logical_and.reduce(stack.lam > 0.0, axis=1).tolist()
-    results: list = [None if ok else ValueError(
+    failure: list = [None if ok else ValueError(
         "solvers require strictly positive layer weights; prune zero-weight "
         "layers from the model first") for ok in positive]
     zero = [ok and z for ok, z in zip(positive, stack.zero_fields.tolist())]
     witness = [None] * P
     if any(zero):
-        witness = [verdict.feasible_a if z else None
-                   for z, verdict in zip(zero, stack.verdicts)]
+        witness = [a if z else None
+                   for z, a in zip(zero, stack.regions.witness())]
     # Per point: q, m = Mq, the residual, the pressure (None while the
     # point is unsolved) and the de Almeida--Thouless test.
     q, m = np.zeros((P, K)), np.zeros((P, K))
@@ -582,31 +603,65 @@ def solve_stack(models, tol: float = 1e-10) -> list:
             m1 = np.zeros((len(points), 1))
             q1, inv_cosh4 = _expect_rows(TANH_MOMENTS, m1, points.table)
             found = [(q_i, 0.0, m1[0], c) for q_i, c in zip(q1, inv_cosh4)]
-        # A root (q, residual, m, E cosh^-4) waits here for its solution.
+        # A root is (q, residual, m, E cosh^-4).
+        roots = []
         for i, root in zip(newton, found):
-            results[i] = root
-        rows = [i for i in newton if not isinstance(results[i], SolverError)]
-        if rows:
-            q[rows], m[rows], inv_cosh4 = (
-                np.array([results[i][k] for i in rows]) for k in (0, 2, 3))
-            values = _pressures(stack.take(rows), q[rows], m[rows])
-            tests = np.logical_and.reduce(m[rows] * inv_cosh4 <= q[rows],
+            if isinstance(root, SolverError):
+                failure[i] = root
+            else:
+                roots.append((i, root))
+        if roots:
+            rows = [i for i, _ in roots]
+            q_rows, m_rows, inv_cosh4 = (
+                np.array([root[k] for _, root in roots]) for k in (0, 2, 3))
+            q[rows], m[rows] = q_rows, m_rows
+            values = _pressures(stack.take(rows), q_rows, m_rows)
+            tests = np.logical_and.reduce(m_rows * inv_cosh4 <= q_rows,
                                           axis=1).tolist()
-            for i, value, ok in zip(rows, values, tests):
-                residual[i], pressure[i], stable[i] = results[i][1], value, ok
-    rows = [i for i, value in enumerate(pressure) if value is not None]
-    # Every later solve of the stack hands out these rows of q.
+            for (i, root), value, ok in zip(roots, values, tests):
+                residual[i], pressure[i], stable[i] = root[1], value, ok
+    # Every later read of the stack's solve hands out these rows of q.
     q.flags.writeable = False
-    if rows:
-        certificates = _certificates(
-            stack.take(rows), q[rows], m[rows], [stable[i] for i in rows])
-        for i, certs in zip(rows, certificates):
-            results[i] = RsSolution(
-                q=q[i], pressure=pressure[i], residual=residual[i],
-                method="nested", certificates=certs, stable=stable[i],
-                witness=witness[i])
-    stack.solved[tol] = results
-    return list(results)
+    certificates = _certificates(stack, q, m, stable)
+    for i, value in enumerate(pressure):
+        if value is None:
+            for column in certificates:
+                column[i] = None
+    solved = _Solved(q, failure, pressure, residual, stable, witness,
+                     certificates)
+    stack.solved[tol] = solved
+    return solved
+
+
+def solve_stack(models, tol: float = 1e-10) -> list:
+    """:func:`solve_nested` on every model of a stack of same-K models.
+
+    ``models`` is a :class:`_Stack` or a sequence of same-K
+    :class:`ModelParams`.  When some point has zero fields, the stack
+    classifies itself (:attr:`_Stack.regions`); with zero fields and a
+    witness (strictly inside the annealed region), ``q = 0`` is the only
+    solution: the point takes it with residual 0, the annealed pressure
+    ``log 2 + (1/2) 1^T M1 1``, the test ``0 <= 0`` and the witness, with no
+    Newton step and no kernel call.  The other points take one
+    :func:`_newton` body, whose steps make one layered kernel call and one
+    batched linear solve for every point still iterating; a single layer
+    has no interaction, so ``Mq = 0`` and its ``q`` is the layer's own ``E
+    tanh^2(z sqrt(v) + h)``, the first row of one ``TANH_MOMENTS`` call.
+    The pressures and the certificates, which read the stack's spectral
+    radii (:attr:`_Stack.rho`), take one pass each, as row expressions, so
+    every point gets the bits of its own :func:`solve_nested` call.
+
+    The solve's results are columns (:class:`_Solved`), which the stack
+    keeps (:attr:`_Stack.solved`) and a scan reads as they are; the
+    records returned here are built from them on first use.  Returns per
+    model its :class:`RsSolution`, or the :class:`SolverError` or
+    ``ValueError`` that :func:`solve_nested` raises for it, while the
+    other points go on.  Solved again at the same ``tol``, a
+    :class:`_Stack` returns a new list of the same records, with no kernel
+    call.
+    """
+    solved = _solved(models, tol)
+    return [] if solved is None else list(solved.records)
 
 
 def _one(result):

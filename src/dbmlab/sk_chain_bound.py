@@ -92,11 +92,12 @@ def _related_rows(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, list]:
     or the ``ValueError`` that :func:`related_aux` raises for it."""
     with np.errstate(all="ignore"):
         a = lam[:, 1:] * q[:, 1:] / (lam[:, :-1] * q[:, :-1])
-    checks = ((np.all(q > 0.0, axis=1),
+    every = np.logical_and.reduce
+    checks = ((every(q > 0.0, axis=1),
                "related auxiliary weights need strictly positive overlaps"),
-              (np.all(lam > 0.0, axis=1),
+              (every(lam > 0.0, axis=1),
                "related auxiliary weights need positive layer weights"),
-              (np.all((a > 0.0) & (a < math.inf), axis=1),
+              (every((a > 0.0) & (a < math.inf), axis=1),
                "related auxiliary weights leave the positive floats; "
                "some layer weight or overlap is too small"))
     errors: list = [None] * len(q)
@@ -223,59 +224,71 @@ def maximize_stack(models, tol: float = 1e-10) -> list:
     read off their consistency solutions.
 
     ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
-    :class:`ModelParams`.  The stack is solved at tolerance ``tol`` by
-    :func:`rs_solver.solve_stack`, which answers a stack already solved
-    there from the stack's own results, and every point reads its bound
-    off its own solution, with no kernel call: the overlaps are ``q``, the
-    value is the pressure at ``q`` and the certificate is the solution's
-    de Almeida--Thouless test ``stable``.  A point that the solver put at
-    ``q = 0`` takes its ``witness`` as its weights; the others take the
-    weights related to ``q``.  The related weights and the temperatures
-    are row expressions.  Returns per model its :class:`BoundResult`, or
-    the ``ValueError`` of a model whose fields are not zero or centred
-    Gaussian, else its solution's failure, else the ``ValueError`` of
-    related weights that are not positive floats, while the other points
-    go on.
+    :class:`ModelParams`.  The stack is solved at tolerance ``tol`` as
+    :func:`rs_solver.solve_stack` solves it, which answers a stack already
+    solved there from the stack's own results, and every point reads its
+    bound off the solve's columns (:class:`rs_solver._Solved`), with no kernel
+    call: the overlaps are ``q``, the value is the pressure at ``q`` and
+    the certificate is the de Almeida--Thouless test ``stable``.  A point
+    that the solver put at ``q = 0`` takes its ``witness`` as its weights;
+    the others take the weights related to ``q`` (:func:`_bound_failures`).
+    The related weights and the temperatures are row expressions, and a
+    :class:`BoundResult` is built only for the value returned.  Returns per
+    model its :class:`BoundResult`, or the ``ValueError`` of a model whose
+    fields are not zero or centred Gaussian, else its solution's failure,
+    else the ``ValueError`` of related weights that are not positive
+    floats, while the other points go on.
     """
     stack = rs_solver._stack_of(models)
-    solutions = rs_solver.solve_stack(() if stack is None else stack, tol)
+    solved = rs_solver._solved(() if stack is None else stack, tol)
     if stack is None:
         return []
+    results, rows, aux, overlaps = _bound_failures(stack, solved)
+    if rows:
+        theta = np.sqrt(_theta_sq_from_aux(aux, stack.take(rows)))
+        # By the bridge identity the bound at weights related to q is the
+        # pressure at q, and each layer's test at m = 2 theta_p^2 q_p =
+        # (Mq)_p is that of the consistency solution.
+        for j, i in enumerate(rows):
+            results[i] = BoundResult(
+                a=aux[j], value=solved.pressure[i],
+                certified=solved.stable[i], theta=theta[j],
+                overlaps=overlaps[j])
+    return results
+
+
+def _bound_failures(stack: _Stack, solved) -> tuple[list, list, np.ndarray,
+                                                     np.ndarray]:
+    """Per point of ``stack`` the failure of its bound, else ``None``,
+    read off the stack's solve ``solved`` (:class:`rs_solver._Solved`);
+    with the points that have a bound, and their weights and overlaps, a
+    row each.
+
+    The value of a point with a bound is its ``pressure`` and its
+    certificate is its ``stable``; a scan reads those columns as they
+    are.
+    """
     K = stack.lam.shape[1]
-    results: list = [solution if isinstance(solution, Exception) else None
-                     for solution in solutions]
+    failures = list(solved.failure)
     for i in np.flatnonzero(~stack.centred).tolist():
         try:
             stack.model(i).require_fields("the split bound")
         except ValueError as exc:
-            results[i] = exc
-    rows = [i for i, result in enumerate(results) if result is None]
+            failures[i] = exc
+    rows = [i for i, failure in enumerate(failures) if failure is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
     # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
-    overlaps = np.array([solutions[i].q for i in rows]).reshape(len(rows), K)
+    overlaps = solved.q[rows]
     aux, errors = _related_rows(overlaps, stack.lam[rows])
     for j, i in enumerate(rows):
-        if solutions[i].witness is not None:
-            aux[j] = solutions[i].witness
+        if solved.witness[i] is not None:
+            aux[j] = solved.witness[i]
         elif K > 1:
             # A single layer has no bond to relate.
-            results[i] = errors[j]
-    kept = [j for j, i in enumerate(rows) if results[i] is None]
-    if not kept:
-        return results
-    rows = [rows[j] for j in kept]
-    stack, aux, overlaps = stack.take(rows), aux[kept], overlaps[kept]
-    theta = np.sqrt(_theta_sq_from_aux(aux, stack))
-    # By the bridge identity the bound at weights related to q is the
-    # pressure at q, and each layer's test at m = 2 theta_p^2 q_p = (Mq)_p
-    # is that of the consistency solution.
-    for j, i in enumerate(rows):
-        results[i] = BoundResult(
-            a=aux[j], value=solutions[i].pressure,
-            certified=solutions[i].stable, theta=theta[j],
-            overlaps=overlaps[j])
-    return results
+            failures[i] = errors[j]
+    kept = [j for j, i in enumerate(rows) if failures[i] is None]
+    return failures, [rows[j] for j in kept], aux[kept], overlaps[kept]
 
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:

@@ -15,8 +15,9 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from dbmlab import ghquad, machine
 from dbmlab.ghquad import QuadratureRule
-from dbmlab.rs_solver import (RsSolution, SolverError, _certificates,
-                              _check_overlap, _Stack, rs_map, rs_pressure)
+from dbmlab.rs_solver import (Certificates, RsSolution, SolverError,
+                              _certificates, _check_overlap, _Stack, rs_map,
+                              rs_pressure)
 
 # ---------------------------------------------------------------------------
 # Chain matching polynomials
@@ -252,13 +253,14 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
             m = machine.build_matrices(params)[2] @ q
             inv_cosh4 = ghquad.expect(ghquad.INV_COSH4, m, params.fields)
             stable = bool(np.all(m * inv_cosh4 <= q))
+            columns = _certificates(_Stack([params]), q[None], m[None],
+                                    [stable])
             return RsSolution(
                 q=q.copy(),
                 pressure=rs_pressure(q, params),
                 residual=residual,
                 method="fixed_point",
-                certificates=_certificates(
-                    _Stack([params]), q[None], m[None], [stable])[0],
+                certificates=Certificates(*(column[0] for column in columns)),
                 stable=stable,
             )
         q = (1.0 - damping) * q + damping * f

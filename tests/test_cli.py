@@ -1156,8 +1156,52 @@ _JSON_PAYLOADS = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(payload=_JSON_PAYLOADS)
+class _Float(float):
+    """A ``float`` subclass, which ``json`` writes by ``float.__repr__``."""
+
+    def __repr__(self):
+        return "not the JSON text"
+
+
+class _Int(int):
+    """An ``int`` subclass; ``bool`` itself cannot be subclassed."""
+
+    def __repr__(self):
+        return "not the JSON text"
+
+
+# The values of a scan row, with the subclasses json writes as their base.
+_ROW_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.floats().map(np.float64),
+    st.floats().map(_Float),
+    st.integers().map(_Int),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8))
+# Column names, with the characters of a format string among them.
+_ROW_KEYS = st.lists(st.one_of(st.text(max_size=6),
+                               st.sampled_from(["%", "%s", "%%", "%(a)s",
+                                                "beta[0]", "fields[1].v"])),
+                     max_size=6, unique=True)
+
+
+@st.composite
+def _scan_payloads(draw):
+    """Lists of dicts that share their keys, as a scan's rows do, beside a
+    reordered key set and the same key set one level deeper."""
+    keys = draw(_ROW_KEYS)
+    rows = [dict(zip(keys, draw(st.lists(_ROW_VALUES, min_size=len(keys),
+                                         max_size=len(keys)))))
+            for _ in range(draw(st.integers(0, 5)))]
+    reordered = dict(reversed(rows[0].items())) if rows else {}
+    return {"command": "scan", "columns": keys, "rows": rows,
+            "more": [reordered, {"rows": rows}]}
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(payload=st.one_of(_JSON_PAYLOADS, _scan_payloads()))
 def test_json_writer_equals_json_dumps_property(payload):
     assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
@@ -1165,11 +1209,16 @@ def test_json_writer_equals_json_dumps_property(payload):
 @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}],
                          ids=["np.bool_", "np.int64", "set"])
 def test_json_writer_refuses_what_json_dumps_refuses(value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps({"rows": [value]}, indent=2)
-    with pytest.raises(TypeError) as info:
-        cli._json_text({"rows": [value]})
-    assert str(info.value) == str(expected.value)
+    # Alone in a list, and as an item of a row whose key set the writer has
+    # already met.
+    row = {"rho": 0.5, "verdict": "inside"}
+    for payload in ({"rows": [value]},
+                    {"rows": [row, dict(row, verdict=value)]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError) as info:
+            cli._json_text(payload)
+        assert str(info.value) == str(expected.value)
 
 
 def test_every_json_report_on_the_examples_is_json_dumps_text(capsys):

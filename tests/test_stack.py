@@ -8,6 +8,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbmlab import chainpoly, cli, ghquad, machine, rs_solver, sk_chain_bound
@@ -375,6 +376,27 @@ def test_a_stack_is_solved_once_per_tolerance(monkeypatch):
     assert counts["_newton"] == 1
 
 
+def test_a_scan_builds_no_per_point_record(tmp_path, monkeypatch):
+    # A scan reads its outputs off the stack's columns: no solution, bound,
+    # certificate or verdict record is built, and rs still builds its own.
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-point record was built")
+
+    for module, name in ((rs_solver, "RsSolution"),
+                         (rs_solver, "Certificates"),
+                         (sk_chain_bound, "BoundResult"),
+                         (machine, "RegionVerdict")):
+        monkeypatch.setattr(module, name, refused)
+    path = tmp_path / "grid.json"
+    for config in (_GRID_MODEL, _zero_field_grid()):
+        path.write_text(json.dumps(config))
+        for fmt in ("csv", "json"):
+            assert cli.main(["scan", "--config", str(path), "--format", fmt,
+                             "--out", str(tmp_path / "out")]) == 0
+    with pytest.raises(AssertionError, match="per-point record"):
+        cli.main(["rs", "--config", str(path)])
+
+
 def _zero_field_grid():
     """Zero fields over a beta axis across the annealed boundary: witness
     points next to nested ones."""
@@ -385,61 +407,129 @@ def _zero_field_grid():
                                  "certificates"]}}
 
 
+def _boundary_grid():
+    """A two-layer chain with rho = beta^2 on a beta axis within 1e-10 of
+    1, all of it within the boundary band: zero fields, with no witness,
+    and a centred Gaussian field on one layer."""
+    return {"K": 2, "beta": [1.0], "lambda": [0.5, 0.5],
+            "scan": {"axes": [{"path": "beta[0]", "min": 1.0 - 1e-10,
+                               "max": 1.0 + 1e-10, "steps": 3},
+                              {"path": "fields[1].v", "min": 0.0, "max": 0.3,
+                               "steps": 2}]}}
+
+
+def _solo_row(tmp_path, params):
+    """Every scan column of one grid point, with its failures, from the
+    point's own ``region``, ``rs`` and ``bound`` runs."""
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(params.to_dict()))
+    answers = {}
+    for command in ("region", "rs", "bound"):
+        answer = tmp_path / f"{command}.json"
+        if cli.main([command, "--config", str(point), "--format", "json",
+                     "--out", str(answer)]) == 0:
+            answers[command] = json.loads(answer.read_text())
+    region, rs, bound = (answers.get(c) for c in ("region", "rs", "bound"))
+    solution = rs["solutions"][0] if rs else None
+    row = {"verdict": region["rows"][0]["verdict"],
+           "rho": region["rows"][0]["rho"],
+           "rs_pressure": solution["pressure"] if rs else None,
+           "bound_value": bound["value"] if bound else None,
+           "bound_certified": bound["certified"] if bound else None}
+    row.update(solution["certificates"] if rs else
+               dict.fromkeys(("talagrand_ok", "at_ok", "stable_at_zero")))
+    return row, solution, bound
+
+
+def _csv_text(value):
+    """A JSON value as the CSV spells it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
+    # Grids with failing points (a zero-width layer), zero-field points at
+    # q = 0 with a witness beside solved ones, and points within the
+    # boundary band, scanned with every subset of the outputs: each row, in
+    # JSON and in CSV, is the row of the point's own region, rs and bound
+    # runs, with its own flags.
     edges = json.loads((Path(__file__).resolve().parent.parent
                         / "examples" / "scan_edges.json").read_text())
-    for name, config in (("edges", edges), ("zero", _zero_field_grid())):
+    names = ("region", "rho", "rs_pressure", "bound", "certificates")
+    subsets = [list(outputs) for n in range(len(names) + 1)
+               for outputs in itertools.combinations(names, n)]
+    for name, config in (("edges", edges), ("zero", _zero_field_grid()),
+                         ("boundary", _boundary_grid())):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
-        out = tmp_path / f"{name}_out.json"
-        assert cli.main(["scan", "--config", str(path), "--format", "json",
-                         "--out", str(out)]) == 0
-        rows = json.loads(out.read_text())["rows"]
+        models = _grid_models(path)
+        solo = [_solo_row(tmp_path, params) for params in models]
         witness = related = 0
-        for row, params in zip(rows, _grid_models(path), strict=True):
-            point = tmp_path / "point.json"
-            point.write_text(json.dumps(params.to_dict()))
-            flags = []
-            answers = {}
-            for command in ("rs", "bound"):
-                answer = tmp_path / f"{command}.json"
-                code = cli.main([command, "--config", str(point), "--format",
-                                 "json", "--out", str(answer)])
-                if code == 0:
-                    answers[command] = json.loads(answer.read_text())
-                else:
-                    flags.append(f"{command}_failed")
-            rs = answers.get("rs")
-            bound = answers.get("bound")
-            assert row["rs_pressure"] == (
-                None if rs is None else rs["solutions"][0]["pressure"])
-            certificates = (rs["solutions"][0]["certificates"] if rs else
-                            dict.fromkeys(("talagrand_ok", "at_ok",
-                                           "stable_at_zero")))
-            for key, value in certificates.items():
-                assert row[key] == value
-            assert row["bound_value"] == (None if bound is None
-                                          else bound["value"])
+        for params, (expected, solution, bound) in zip(models, solo):
             if bound is not None and any(x > 0.0 for x in bound["overlaps"]):
                 # Related weights: the bound is rs's pressure, bit for bit.
                 related += 1
                 assert (struct.pack("<d", bound["value"])
-                        == struct.pack("<d", rs["solutions"][0]["pressure"]))
-            if bound is not None and not bound["certified"]:
-                flags.append("uncertified")
-            assert row["flags"] == ";".join(flags)
-            if params.zero_fields and row["verdict"] == "inside":
-                # The witness: the bound is the annealed pressure exactly.
+                        == struct.pack("<d", solution["pressure"]))
+            if params.zero_fields and expected["verdict"] == "inside":
+                # The witness: q = 0, and the bound is the annealed
+                # pressure exactly.
                 witness += 1
+                assert not any(solution["q"])
                 assert bound["annealed_gap"] == 0.0
                 assert bound["value"] == bound["p_annealed"]
+        axes = config["scan"]["axes"]
+        paths = [axis["path"] for axis in axes]
+        points = list(itertools.product(*(
+            np.linspace(axis["min"], axis["max"], axis["steps"]).tolist()
+            for axis in axes)))
+        for outputs in subsets:
+            config["scan"]["outputs"] = outputs
+            path.write_text(json.dumps(config))
+            columns = paths + [column for output in outputs
+                               for column in cli._OUTPUT_COLUMNS[output]]
+            columns.append("flags")
+            out = tmp_path / f"{name}_out"
+            assert cli.main(["scan", "--config", str(path), "--format",
+                             "json", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["columns"] == columns
+            assert cli.main(["scan", "--config", str(path),
+                             "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == ",".join(columns)
+            assert len(report["rows"]) == len(lines) - 1 == len(solo)
+            for row, line, point, (expected, solution, bound) in zip(
+                    report["rows"], lines[1:], points, solo):
+                flags = []
+                if solution is None and {"rs_pressure",
+                                         "certificates"} & set(outputs):
+                    flags.append("rs_failed")
+                if "bound" in outputs:
+                    if bound is None:
+                        flags.append("bound_failed")
+                    elif not bound["certified"]:
+                        flags.append("uncertified")
+                want = dict(zip(paths, point), **expected,
+                            flags=";".join(flags))
+                assert list(row) == columns
+                assert row == {column: want[column] for column in columns}
+                assert line.split(",") == [_csv_text(want[column])
+                                           for column in columns]
         assert related > 0
         if name == "zero":
-            assert 0 < witness < len(rows)
+            assert 0 < witness < len(solo)
+        elif name == "edges":
+            assert sum(solution is None and bound is None
+                       for _, solution, bound in solo) == 4
         else:
-            assert sum(row["flags"] == "rs_failed;bound_failed"
-                       for row in rows) == 4
-            assert math.isfinite(rows[-1]["bound_value"])
+            verdicts = {expected["verdict"] for expected, _, _ in solo}
+            assert verdicts == {"boundary"}
+            assert {expected["rho"] < 1.0
+                    for expected, _, _ in solo} == {True, False}
 
 
 def test_a_large_grid_is_solved_in_stacks_of_bounded_size(tmp_path, monkeypatch):
