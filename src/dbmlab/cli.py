@@ -309,27 +309,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-# The types of the columns that _cells writes with no call per cell.
-_CELL_KINDS = frozenset((float, str, bool, type(None)))
-
-
-def _cells(values) -> list[str]:
-    """The CSV cells of a column of values, each as :func:`_cell` writes
-    it; a column of ``float``, ``str``, ``bool`` and ``None`` alone, as a
-    scan's are, is written with no call per cell."""
-    if not set(map(type, values)) <= _CELL_KINDS:
-        return list(map(_cell, values))
-    return [float.__repr__(value) if type(value) is float
-            else "" if value is None
-            else ("true" if value else "false") if type(value) is bool
-            else value for value in values]
-
-
 def _csv_table(header, columns) -> str:
     """CSV text with the ``header`` line and one line per row of
-    ``columns``, a list of values per column, each column formatted once
-    (:func:`_cells`)."""
-    lines = map(",".join, zip(*map(_cells, columns)))
+    ``columns``, a list of values per column, each column formatted once."""
+    lines = map(",".join, zip(*(map(_cell, column) for column in columns)))
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
@@ -678,7 +661,7 @@ def cmd_scan(config: _Config, args) -> tuple[str, bool]:
     one solve (``rs_solver._solved``, which reads that classification off
     the stack and puts the zero-field points with a witness at ``q = 0``,
     and the others through one Newton iteration, and which the stack
-    keeps), one bound read (``sk_chain_bound._bound_failures``, which reads
+    keeps), one bound read (``sk_chain_bound._bound_columns``, which reads
     the bound off the stack's solve) and one certificate pass serve every
     point, each with the bits of its own ``region``, ``rs`` or ``bound``
     run.  Every output is a column of the stack's results, read as it is
@@ -715,12 +698,12 @@ def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
     each.
 
     Each output column is read once off the stack's columns (its
-    classification, ``_Stack.regions``, and its solve,
-    ``rs_solver._solved``); a failed point's values are ``None``.  The
-    flags are built from the failure columns: ``rs_failed`` where the
-    consistency solve failed (when ``rs_pressure`` or ``certificates`` is
-    an output), ``bound_failed`` where the bound did, and ``uncertified``
-    where the bound's certificate is false.
+    classification, ``_Stack.regions``, its solve, ``rs_solver._solved``,
+    and its bound, ``sk_chain_bound._bound_columns``); a failed point's
+    values are ``None``.  The flags are built from the failure columns:
+    ``rs_failed`` where the consistency solve failed (when ``rs_pressure``
+    or ``certificates`` is an output), ``bound_failed`` where the bound
+    did, and ``uncertified`` where the bound's certificate is false.
     """
     outputs = scan.outputs
     columns = points.T.tolist()
@@ -744,15 +727,12 @@ def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
             columns += [solved.talagrand_ok, solved.at_ok,
                         solved.stable_at_zero]
         elif name == "bound":
-            failures = sk_chain_bound._bound_failures(stack, solved)[0]
-            bounded = [failure is None for failure in failures]
-            columns.append([value if ok else None
-                            for ok, value in zip(bounded, solved.pressure)])
-            columns.append([certified if ok else None
-                            for ok, certified in zip(bounded, solved.stable)])
-            tags.append(["bound_failed" if not ok else "" if certified
-                         else "uncertified"
-                         for ok, certified in zip(bounded, solved.stable)])
+            bound = sk_chain_bound._bound_columns(stack, solved)
+            columns += [bound.value, bound.certified]
+            tags.append(["bound_failed" if failure is not None
+                         else "" if certified else "uncertified"
+                         for failure, certified in zip(bound.failure,
+                                                       bound.certified)])
     columns.append([";".join(filter(None, point)) for point in zip(*tags)]
                    if tags else [""] * len(stack))
     return columns

@@ -27,6 +27,7 @@ point gets the bits of its own call.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -450,11 +451,11 @@ class _Regions:
     """The classification of same-K points as columns, a point per entry.
 
     ``verdict`` and ``rho`` are lists, the fields of each point's
-    :class:`RegionVerdict`.  :meth:`z_chain` and :meth:`witness` derive
-    the other two fields when asked, from the points' ``beta`` ``(P, K -
-    1)`` and ``lam`` ``(P, K)`` arrays (one model's ``(K - 1,)`` and
-    ``(K,)``, whose recursions run on scalars), by one chain recursion and
-    one witness recursion, so that a scan that reads the verdicts alone
+    :class:`RegionVerdict`.  :attr:`z_chain` and :attr:`witness` derive
+    the other two fields on first use, once, from the points' ``beta``
+    ``(P, K - 1)`` and ``lam`` ``(P, K)`` arrays (one model's ``(K - 1,)``
+    and ``(K,)``, whose recursions run on scalars), by one chain recursion
+    and one witness recursion, so that a scan that reads the verdicts alone
     derives neither.
     """
 
@@ -464,11 +465,13 @@ class _Regions:
                         else "outside" if r > 1.0 + _BOUNDARY_TOL
                         else "boundary" for r in rho]
 
+    @functools.cached_property
     def z_chain(self) -> np.ndarray:
         """The ``(P, K + 1)`` array of the points' chain values."""
         return chainpoly.eval_sequence(1.0, activities(self)).reshape(
             len(self.rho), -1)
 
+    @functools.cached_property
     def witness(self) -> list:
         """The points' ``feasible_a``: strictly inside with every width
         positive, the entries of :func:`witness_recursion` when they are
@@ -509,8 +512,8 @@ def _verdicts(regions: _Regions) -> list[RegionVerdict]:
     return [RegionVerdict(verdict=verdict, rho=r, z_chain=tuple(chain),
                           feasible_a=a)
             for verdict, r, chain, a in zip(regions.verdict, regions.rho,
-                                            regions.z_chain().tolist(),
-                                            regions.witness())]
+                                            regions.z_chain.tolist(),
+                                            regions.witness)]
 
 
 # ---------------------------------------------------------------------------

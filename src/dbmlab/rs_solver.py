@@ -582,7 +582,7 @@ def _solved(models, tol: float) -> _Solved | None:
     witness = [None] * P
     if any(zero):
         witness = [a if z else None
-                   for z, a in zip(zero, stack.regions.witness())]
+                   for z, a in zip(zero, stack.regions.witness)]
     # Per point: q, m = Mq, the residual, the pressure (None while the
     # point is unsolved) and the de Almeida--Thouless test.
     q, m = np.zeros((P, K)), np.zeros((P, K))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,46 +228,57 @@ def maximize_stack(models, tol: float = 1e-10) -> list:
     :class:`ModelParams`.  The stack is solved at tolerance ``tol`` as
     :func:`rs_solver.solve_stack` solves it, which answers a stack already
     solved there from the stack's own results, and every point reads its
-    bound off the solve's columns (:class:`rs_solver._Solved`), with no kernel
-    call: the overlaps are ``q``, the value is the pressure at ``q`` and
-    the certificate is the de Almeida--Thouless test ``stable``.  A point
-    that the solver put at ``q = 0`` takes its ``witness`` as its weights;
-    the others take the weights related to ``q`` (:func:`_bound_failures`).
-    The related weights and the temperatures are row expressions, and a
-    :class:`BoundResult` is built only for the value returned.  Returns per
-    model its :class:`BoundResult`, or the ``ValueError`` of a model whose
-    fields are not zero or centred Gaussian, else its solution's failure,
-    else the ``ValueError`` of related weights that are not positive
-    floats, while the other points go on.
+    bound off the bound's columns (:func:`_bound_columns`), with no kernel
+    call.  The temperatures are row expressions, and a :class:`BoundResult`
+    is built only for the value returned.  Returns per model its
+    :class:`BoundResult`, or the ``ValueError`` of a model whose fields are
+    not zero or centred Gaussian, else its solution's failure, else the
+    ``ValueError`` of related weights that are not positive floats, while
+    the other points go on.
     """
     stack = rs_solver._stack_of(models)
     solved = rs_solver._solved(() if stack is None else stack, tol)
     if stack is None:
         return []
-    results, rows, aux, overlaps = _bound_failures(stack, solved)
-    if rows:
-        theta = np.sqrt(_theta_sq_from_aux(aux, stack.take(rows)))
-        # By the bridge identity the bound at weights related to q is the
-        # pressure at q, and each layer's test at m = 2 theta_p^2 q_p =
-        # (Mq)_p is that of the consistency solution.
-        for j, i in enumerate(rows):
+    bound = _bound_columns(stack, solved)
+    results = list(bound.failure)
+    if bound.rows:
+        theta = np.sqrt(_theta_sq_from_aux(bound.aux, stack.take(bound.rows)))
+        overlaps = solved.q[bound.rows]
+        for j, i in enumerate(bound.rows):
             results[i] = BoundResult(
-                a=aux[j], value=solved.pressure[i],
-                certified=solved.stable[i], theta=theta[j],
+                a=bound.aux[j], value=bound.value[i],
+                certified=bound.certified[i], theta=theta[j],
                 overlaps=overlaps[j])
     return results
 
 
-def _bound_failures(stack: _Stack, solved) -> tuple[list, list, np.ndarray,
-                                                     np.ndarray]:
-    """Per point of ``stack`` the failure of its bound, else ``None``,
-    read off the stack's solve ``solved`` (:class:`rs_solver._Solved`);
-    with the points that have a bound, and their weights and overlaps, a
-    row each.
+class _BoundColumns(NamedTuple):
+    """The split bound at every point of a solved stack as columns, a
+    point per entry of ``failure``, ``value`` and ``certified`` (``None``
+    for a point whose bound failed); with ``rows``, the points that have a
+    bound, and ``aux``, their weights, a row each."""
 
-    The value of a point with a bound is its ``pressure`` and its
-    certificate is its ``stable``; a scan reads those columns as they
-    are.
+    failure: list
+    value: list
+    certified: list
+    rows: list
+    aux: np.ndarray
+
+
+def _bound_columns(stack: _Stack, solved) -> _BoundColumns:
+    """The :class:`_BoundColumns` of ``stack``, read off its solve
+    ``solved`` (:class:`rs_solver._Solved`), with no kernel call.
+
+    A point's bound fails with its solution's failure, or the
+    ``ValueError`` of fields that are not zero or centred Gaussian, or of
+    related weights that are not positive floats.  A point that the solver
+    put at ``q = 0`` takes its ``witness`` as its weights; the others take
+    the weights related to ``q``.  By the bridge identity the bound at
+    weights related to ``q`` is the pressure at ``q``, and each layer's
+    test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is that of the consistency
+    solution: the value is the point's ``pressure`` and the certificate
+    its de Almeida--Thouless test ``stable``.
     """
     K = stack.lam.shape[1]
     failures = list(solved.failure)
@@ -279,8 +291,7 @@ def _bound_failures(stack: _Stack, solved) -> tuple[list, list, np.ndarray,
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at
     # 2 theta_p^2 <= 1 up to rounding, where the largest root is 0.
-    overlaps = solved.q[rows]
-    aux, errors = _related_rows(overlaps, stack.lam[rows])
+    aux, errors = _related_rows(solved.q[rows], stack.lam[rows])
     for j, i in enumerate(rows):
         if solved.witness[i] is not None:
             aux[j] = solved.witness[i]
@@ -288,7 +299,12 @@ def _bound_failures(stack: _Stack, solved) -> tuple[list, list, np.ndarray,
             # A single layer has no bond to relate.
             failures[i] = errors[j]
     kept = [j for j, i in enumerate(rows) if failures[i] is None]
-    return failures, [rows[j] for j in kept], aux[kept], overlaps[kept]
+    value = [None if failure is not None else pressure
+             for failure, pressure in zip(failures, solved.pressure)]
+    certified = [None if failure is not None else stable
+                 for failure, stable in zip(failures, solved.stable)]
+    return _BoundColumns(failures, value, certified,
+                         [rows[j] for j in kept], aux[kept])
 
 
 def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:

@@ -525,6 +525,9 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
         elif name == "edges":
             assert sum(solution is None and bound is None
                        for _, solution, bound in solo) == 4
+            # The last point lies past the zero-width layer and has a
+            # finite bound.
+            assert math.isfinite(solo[-1][2]["value"])
         else:
             verdicts = {expected["verdict"] for expected, _, _ in solo}
             assert verdicts == {"boundary"}
