@@ -316,13 +316,6 @@ def _csv_table(header, columns) -> str:
     return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _kv_csv(pairs) -> str:
-    lines = ["key,value"]
-    for key, value in pairs:
-        lines.append(f"{key},{_cell(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(payload: dict) -> str:
     """``payload`` as indented JSON text, byte for byte
     ``json.dumps(payload, indent=2) + "\\n"`` (which, given an ``indent``,
@@ -479,23 +472,22 @@ def _tol(args, config: _Config) -> float:
 
 def cmd_region(config: _Config, args) -> tuple[str, bool]:
     axes = config.scan.axes if config.scan is not None else ()
-    paths = [axis.path for axis in axes]
-    grid = ([(points.tolist(), stack.verdicts)
-             for points, stack in _grid_stacks(config.params, axes)] if axes
-            else [([[]], [machine.classify_annealed(config.params)])])
-    rows = []
-    for points, verdicts in grid:
-        for point, verdict in zip(points, verdicts):
-            row = dict(zip(paths, point))
-            row["rho"] = verdict.rho
-            row["verdict"] = verdict.verdict
-            row["witness"] = (None if verdict.feasible_a is None
-                              else list(verdict.feasible_a))
-            rows.append(row)
+    columns = [axis.path for axis in axes] + ["rho", "verdict", "witness"]
+    if axes:
+        values = [[] for _ in columns]
+        for points, stack in _grid_stacks(config.params, axes):
+            regions = stack.regions
+            parts = points.T.tolist() + [regions.rho, regions.verdict,
+                                         regions.witness]
+            for column, part in zip(values, parts):
+                column += part
+    else:
+        verdict = machine.classify_annealed(config.params)
+        values = [[verdict.rho], [verdict.verdict], [verdict.feasible_a]]
     if args.format == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
         return _json_text({"command": "region", "rows": rows}), True
-    columns = paths + ["rho", "verdict"]
-    return _csv_table(columns, _by_column(columns, rows)), True
+    return _csv_table(columns[:-1], values[:-1]), True
 
 
 def cmd_poly(config: _Config, args) -> tuple[str, bool]:
@@ -519,7 +511,7 @@ def cmd_poly(config: _Config, args) -> tuple[str, bool]:
              *_flatten_kv("zero", payload["zeros"])]
     pairs += [(key, payload[key]) for key in
               ("largest_zero", "spectral_radius", "interlacing_ok")]
-    return _kv_csv(pairs), True
+    return _csv_table(("key", "value"), zip(*pairs)), True
 
 
 def cmd_rs(config: _Config, args) -> tuple[str, bool]:
@@ -535,7 +527,7 @@ def cmd_rs(config: _Config, args) -> tuple[str, bool]:
                            "solutions": [solution]}), True
     pairs = _flatten_kv(solution.pop("method"), solution)
     pairs.append(("p_annealed", p_annealed))
-    return _kv_csv(pairs), True
+    return _csv_table(("key", "value"), zip(*pairs)), True
 
 
 def cmd_bound(config: _Config, args) -> tuple[str, bool]:
@@ -561,7 +553,7 @@ def cmd_bound(config: _Config, args) -> tuple[str, bool]:
     pairs = _flatten_kv("", {k: v for k, v in payload.items()
                              if k not in ("command", "flags")})
     pairs.append(("flags", ";".join(flags)))
-    return _kv_csv(pairs), True
+    return _csv_table(("key", "value"), zip(*pairs)), True
 
 
 def _criteria_consistent(params: ModelParams) -> bool:
@@ -711,9 +703,8 @@ def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
     if "region" in outputs or "rho" in outputs:
         regions = stack.regions
     rs = "rs_pressure" in outputs or "certificates" in outputs
-    if rs or "bound" in outputs:
-        solved = rs_solver._solved(stack, tol)
     if rs:
+        solved = rs_solver._solved(stack, tol)
         tags.append(["rs_failed" if failure is not None else ""
                      for failure in solved.failure])
     for name in outputs:
@@ -727,7 +718,7 @@ def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
             columns += [solved.talagrand_ok, solved.at_ok,
                         solved.stable_at_zero]
         elif name == "bound":
-            bound = sk_chain_bound._bound_columns(stack, solved)
+            bound = sk_chain_bound._bound_columns(stack, tol)
             columns += [bound.value, bound.certified]
             tags.append(["bound_failed" if failure is not None
                          else "" if certified else "uncertified"

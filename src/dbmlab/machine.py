@@ -22,7 +22,9 @@ The functions of the parameters below also take a stack of ``P`` same-``K``
 points, any object with ``beta`` ``(P, K - 1)`` and ``lam`` ``(P, K)``
 arrays (a scan grid's rows), and give a row or an entry per point.  Their
 arithmetic is element-wise and each sum runs along its own row, so every
-point gets the bits of its own call.
+point gets the bits of its own call.  :func:`classify_annealed` builds one
+model's record; a stack reads the same classification as columns
+(:func:`_classify`).
 """
 from __future__ import annotations
 
@@ -424,7 +426,7 @@ def witness_recursion(params: ModelParams) -> np.ndarray:
     return out.T
 
 
-def classify_annealed(params: ModelParams):
+def classify_annealed(params: ModelParams) -> RegionVerdict:
     """Classify the parameters against the annealed region.
 
     Computes the spectral radius ``rho``, the chain values
@@ -434,17 +436,17 @@ def classify_annealed(params: ModelParams):
     the last slack are positive.  Verdicts within ``1e-9`` of ``rho = 1``
     are reported as ``boundary``.
 
-    Returns a :class:`RegionVerdict`, or for a stack of same-``K`` points
-    (an object with ``beta`` ``(P, K-1)`` and ``lam`` ``(P, K)`` arrays)
-    the list of the points' verdicts.  A stack takes one
-    :func:`chainpoly.largest_zero` call, one chain recursion and one
-    witness recursion, each a row expression, so every point gets the
-    verdict of its own call (the body, :func:`_classify`, takes ``rho`` and
-    gives columns, which :func:`_verdicts` turns into the records).
+    Returns a :class:`RegionVerdict`, built from the one row of the
+    classification's columns (:func:`_classify`), which a stack of
+    same-``K`` points (:attr:`rs_solver._Stack.regions`) reads as they
+    are, with one :func:`chainpoly.largest_zero` call, one chain recursion
+    and one witness recursion, each a row expression, so every point gets
+    the verdict of its own call.
     """
     regions = _classify(params, spectral_radius(params))
-    verdicts = _verdicts(regions)
-    return verdicts[0] if regions.lam.ndim == 1 else verdicts
+    return RegionVerdict(verdict=regions.verdict[0], rho=regions.rho[0],
+                         z_chain=tuple(regions.z_chain[0].tolist()),
+                         feasible_a=regions.witness[0])
 
 
 class _Regions:
@@ -491,11 +493,6 @@ class _Regions:
                     witness[i] = tuple(row)
         return witness
 
-    def take(self, rows) -> "_Regions":
-        """The columns of the points ``rows``."""
-        return _Regions(self.beta[rows], self.lam[rows],
-                        [self.rho[i] for i in rows])
-
 
 def _classify(params: ModelParams, rho) -> _Regions:
     """The :func:`classify_annealed` columns (:class:`_Regions`) of
@@ -505,15 +502,6 @@ def _classify(params: ModelParams, rho) -> _Regions:
     lam = np.asarray(params.lam, dtype=float)
     return _Regions(np.asarray(params.beta, dtype=float), lam,
                     [rho] if lam.ndim == 1 else rho.tolist())
-
-
-def _verdicts(regions: _Regions) -> list[RegionVerdict]:
-    """The :class:`RegionVerdict` of every point of ``regions``."""
-    return [RegionVerdict(verdict=verdict, rho=r, z_chain=tuple(chain),
-                          feasible_a=a)
-            for verdict, r, chain, a in zip(regions.verdict, regions.rho,
-                                            regions.z_chain.tolist(),
-                                            regions.witness)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,19 +30,20 @@ inside the annealed region takes no step: ``q = 0`` is its only solution,
 and the solver returns it exactly, with the annealed pressure.
 
 The solver, the pressure and the certificates take a stack of same-K
-models (:func:`solve_stack`), the points of a scan grid, with one kernel
-call per Newton step for every point still iterating; every point gets
-the bits of its one-model solve, and :func:`solve_nested` is the stack of
-one.  A stack derives its matrices, spectral radii and annealed
-classification from its own parameters, once each, so which zero-field
-point sits at ``q = 0`` follows from the point alone, and it keeps its
-solutions, one solve per tolerance.  A point whose solve fails gets its
-:class:`SolverError` or ``ValueError`` as its result, and the other
-points go on.  Each :class:`RsSolution` also carries what the split bound
-reads off it (:func:`sk_chain_bound.maximize_stack`, which solves its own
-stack): its de Almeida--Thouless test on every layer, for every field
-kind, and the witness of a point put at ``q = 0``.  So which solution a
-point takes, and what its test says, is decided here alone.
+models (:class:`_Stack`), the points of a scan grid, with one kernel call
+per Newton step for every point still iterating; a stack answers in
+columns (:func:`_solved`), and every point gets the bits of its
+one-model solve, :func:`solve_nested`, which builds its record from row
+0 of its stack of one.  A stack derives its matrices, spectral radii and
+annealed classification from its own parameters, once each, so which
+zero-field point sits at ``q = 0`` follows from the point alone, and it
+keeps its solutions, one solve per tolerance.  A point whose solve fails
+gets its :class:`SolverError` or ``ValueError`` as its failure, and the
+other points go on.  The columns also hold what the split bound reads off
+the solve (:func:`sk_chain_bound._bound_columns`, which solves its own
+stack): each point's de Almeida--Thouless test on every layer, for every
+field kind, and the witness of a point put at ``q = 0``.  So which
+solution a point takes, and what its test says, is decided here alone.
 """
 from __future__ import annotations
 
@@ -67,7 +68,6 @@ __all__ = [
     "jacobian_at_zero",
     "latala_guerra",
     "solve_nested",
-    "solve_stack",
 ]
 
 _LOG2 = math.log(2.0)
@@ -118,13 +118,7 @@ class RsSolution:
     """Solver output: overlap vector, pressure value and certificates.
 
     ``residual`` is ``max_p |q_p - F_p(q)|`` at the returned ``q``;
-    ``method`` names the solver (``nested``).  Two more fields, which
-    :meth:`to_dict` leaves out, are what the split bound reads off the
-    stack's own solve (:func:`sk_chain_bound.maximize_stack`): ``stable``,
-    the de Almeida--Thouless test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) +
-    h_p) <= q_p`` on every layer, for every field kind (``at_ok`` reports
-    it where every layer has Gaussian variance), and ``witness``, the
-    annealed-region witness of a point put at ``q = 0``, else ``None``.
+    ``method`` names the solver (``nested``).
     """
 
     q: np.ndarray
@@ -132,20 +126,8 @@ class RsSolution:
     residual: float
     method: str
     certificates: Certificates
-    stable: bool
-    witness: tuple | None = None
 
-    def to_dict(self) -> dict:
-        """The report's JSON form, written out rather than
-        :func:`machine.json_form`, because it leaves out ``stable`` and
-        ``witness``."""
-        return {
-            "q": [float(x) for x in self.q],
-            "pressure": float(self.pressure),
-            "residual": float(self.residual),
-            "method": self.method,
-            "certificates": self.certificates.to_dict(),
-        }
+    to_dict = machine.json_form
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +163,9 @@ class _Stack:
     ``(P, K, K)`` (:func:`machine.build_matrices`); ``rho``, the spectral
     radii (:func:`machine.spectral_radius`); and ``regions``, the
     :func:`machine.classify_annealed` classification as columns, built
-    from ``rho``, whose records, ``verdicts``, are built only when asked
-    for.  A sub-stack (:meth:`take`) carries the rows of those already
-    derived, and starts unsolved: ``solved`` holds the stack's solves as
-    :class:`_Solved` columns, keyed by tolerance.  Every per-point product
+    from ``rho``.  A sub-stack (:meth:`take`) carries the rows of ``M`` if
+    that is derived already, and starts unsolved: ``solved`` holds the
+    stack's solves as :class:`_Solved` columns, keyed by tolerance.  Every per-point product
     is a batched matmul of one row, which gives the bits of the one-model
     product: ``M q`` per row is the GEMV of ``M @ q``, and a weighted sum
     per row the dot product of ``np.dot``.
@@ -238,21 +219,14 @@ class _Stack:
     def regions(self) -> machine._Regions:
         return machine._classify(self, self.rho)
 
-    @functools.cached_property
-    def verdicts(self) -> list:
-        return machine._verdicts(self.regions)
-
     def take(self, rows) -> "_Stack":
         """The stack of the distinct points ``rows``, in stack order."""
         if len(rows) == len(self):
             return self
         stack = _Stack.rows(self.beta[rows], self.lam[rows],
                             _row_fields(self.table, self.lam.shape[1], rows))
-        for name in ("M", "rho"):
-            if name in self.__dict__:
-                setattr(stack, name, getattr(self, name)[rows])
-        if "regions" in self.__dict__:
-            stack.regions = self.regions.take(rows)
+        if "M" in self.__dict__:
+            stack.M = self.M[rows]
         return stack
 
     def model(self, i: int) -> ModelParams:
@@ -261,15 +235,6 @@ class _Stack:
         return ModelParams(K=K, beta=tuple(self.beta[i].tolist()),
                            lam=tuple(self.lam[i].tolist()),
                            fields=tuple(_row_fields(self.table, K, [i])))
-
-
-def _stack_of(models) -> _Stack | None:
-    """``models`` as a stack: a :class:`_Stack` as it is, a sequence of
-    same-K models stacked, and ``None`` for no models."""
-    if isinstance(models, _Stack):
-        return models
-    models = tuple(models)
-    return _Stack(models) if models else None
 
 
 def _row_fields(table: ghquad.FieldTable, K: int, rows) -> ghquad.FieldTable:
@@ -353,7 +318,7 @@ def _certificates(stack: _Stack, q, m, stable) -> tuple[list, list, list]:
     """The certificate columns ``(talagrand_ok, at_ok, stable_at_zero)``
     of the points of ``stack`` at overlaps ``q`` (one row each), from ``m
     = Mq``, each point's de Almeida--Thouless test ``stable``
-    (:attr:`RsSolution.stable`), which the solver has evaluated at ``q``
+    (:attr:`_Solved.stable`), which the solver has evaluated at ``q``
     already, and the stack's spectral radii ``rho``.
 
     ``talagrand_ok`` is ``False`` when some layer with ``q_p > 0`` fails
@@ -534,12 +499,15 @@ class _Solved:
 
     ``q`` is a read-only ``(P, K)`` array (a zero row for a failed point).
     The lists ``failure`` (the point's :class:`SolverError` or
-    ``ValueError``, else ``None``), ``pressure``, ``residual``, ``stable``
-    and ``witness``, and the certificate columns ``talagrand_ok``,
-    ``at_ok`` and ``stable_at_zero``, hold the fields of each point's
-    :class:`RsSolution`, with ``None`` for a failed point's pressure and
-    certificates.  The records themselves, ``records``, are
-    built on first use, once.
+    ``ValueError``, else ``None``), ``pressure`` and ``residual``, and the
+    certificate columns ``talagrand_ok``, ``at_ok`` and ``stable_at_zero``,
+    hold the fields of each point's :class:`RsSolution` (:meth:`record`),
+    with ``None`` for a failed point's pressure and certificates.  Two more
+    lists are what the split bound reads off the solve: ``stable``, the de
+    Almeida--Thouless test ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <=
+    q_p`` on every layer, for every field kind (``at_ok`` reports it where
+    every layer has Gaussian variance), and ``witness``, the
+    annealed-region witness of a point put at ``q = 0``, else ``None``.
     """
 
     def __init__(self, q, failure, pressure, residual, stable, witness,
@@ -548,29 +516,43 @@ class _Solved:
         self.residual, self.stable, self.witness = residual, stable, witness
         self.talagrand_ok, self.at_ok, self.stable_at_zero = certificates
 
-    @functools.cached_property
-    def records(self) -> list:
-        """Per point its :class:`RsSolution`, or its failure."""
-        columns = zip(self.q, self.failure, self.pressure, self.residual,
-                      self.stable, self.witness, self.talagrand_ok,
-                      self.at_ok, self.stable_at_zero)
-        return [failure if failure is not None else RsSolution(
-            q=q, pressure=pressure, residual=residual, method="nested",
-            certificates=Certificates(talagrand_ok=t, at_ok=a,
-                                      stable_at_zero=r),
-            stable=stable, witness=witness)
-            for q, failure, pressure, residual, stable, witness, t, a, r
-            in columns]
+    def record(self, i: int) -> RsSolution:
+        """The :class:`RsSolution` of point ``i``; raises its failure."""
+        if self.failure[i] is not None:
+            raise self.failure[i]
+        return RsSolution(
+            q=self.q[i], pressure=self.pressure[i],
+            residual=self.residual[i], method="nested",
+            certificates=Certificates(talagrand_ok=self.talagrand_ok[i],
+                                      at_ok=self.at_ok[i],
+                                      stable_at_zero=self.stable_at_zero[i]))
 
 
-def _solved(models, tol: float) -> _Solved | None:
-    """The :class:`_Solved` columns of :func:`solve_stack` (``None`` for
-    no models), which a :class:`_Stack` keeps, one solve per tolerance."""
+def _solved(stack: _Stack, tol: float) -> _Solved:
+    """:func:`solve_nested` on every point of ``stack``, as the columns of
+    a :class:`_Solved`, which the stack keeps (:attr:`_Stack.solved`),
+    one solve per tolerance.
+
+    When some point has zero fields, the stack classifies itself
+    (:attr:`_Stack.regions`); with zero fields and a witness (strictly
+    inside the annealed region), ``q = 0`` is the only solution: the point
+    takes it with residual 0, the annealed pressure ``log 2 + (1/2) 1^T M1
+    1``, the test ``0 <= 0`` and the witness, with no Newton step and no
+    kernel call.  The other points take one :func:`_newton` body, whose
+    steps make one layered kernel call and one batched linear solve for
+    every point still iterating; a single layer has no interaction, so
+    ``Mq = 0`` and its ``q`` is the layer's own ``E tanh^2(z sqrt(v) +
+    h)``, the first row of one ``TANH_MOMENTS`` call.  The pressures and
+    the certificates, which read the stack's spectral radii
+    (:attr:`_Stack.rho`), take one pass each, as row expressions, so every
+    point gets the bits of its own :func:`solve_nested` call.  A point
+    that :func:`solve_nested` would fail gets the :class:`SolverError` or
+    ``ValueError`` it raises as its ``failure``, while the other points go
+    on.  Solved again at the same ``tol``, the stack hands back the same
+    columns, with no kernel call.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    stack = _stack_of(models)
-    if stack is None:
-        return None
     if tol in stack.solved:
         return stack.solved[tol]
     P, K = stack.lam.shape
@@ -633,49 +615,11 @@ def _solved(models, tol: float) -> _Solved | None:
     return solved
 
 
-def solve_stack(models, tol: float = 1e-10) -> list:
-    """:func:`solve_nested` on every model of a stack of same-K models.
-
-    ``models`` is a :class:`_Stack` or a sequence of same-K
-    :class:`ModelParams`.  When some point has zero fields, the stack
-    classifies itself (:attr:`_Stack.regions`); with zero fields and a
-    witness (strictly inside the annealed region), ``q = 0`` is the only
-    solution: the point takes it with residual 0, the annealed pressure
-    ``log 2 + (1/2) 1^T M1 1``, the test ``0 <= 0`` and the witness, with no
-    Newton step and no kernel call.  The other points take one
-    :func:`_newton` body, whose steps make one layered kernel call and one
-    batched linear solve for every point still iterating; a single layer
-    has no interaction, so ``Mq = 0`` and its ``q`` is the layer's own ``E
-    tanh^2(z sqrt(v) + h)``, the first row of one ``TANH_MOMENTS`` call.
-    The pressures and the certificates, which read the stack's spectral
-    radii (:attr:`_Stack.rho`), take one pass each, as row expressions, so
-    every point gets the bits of its own :func:`solve_nested` call.
-
-    The solve's results are columns (:class:`_Solved`), which the stack
-    keeps (:attr:`_Stack.solved`) and a scan reads as they are; the
-    records returned here are built from them on first use.  Returns per
-    model its :class:`RsSolution`, or the :class:`SolverError` or
-    ``ValueError`` that :func:`solve_nested` raises for it, while the
-    other points go on.  Solved again at the same ``tol``, a
-    :class:`_Stack` returns a new list of the same records, with no kernel
-    call.
-    """
-    solved = _solved(models, tol)
-    return [] if solved is None else list(solved.records)
-
-
-def _one(result):
-    """The one point of a stack's results, raising its failure."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     """Safeguarded Newton solver for the consistency equations, any field kind.
 
-    The one-model stack of :func:`solve_stack`; raises what that returns for
-    the model.  The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M``
+    The record of the one point of its stack's :func:`_solved` columns;
+    raises that point's failure.  The Jacobian of ``G(q) = q - F(q)`` is ``I - diag(T'_p) M``
     with the slopes ``T'_p = 3 E cosh^-4 - 2 (1 - T_p)`` of the layer maps
     ``T_p(s) = E tanh^2(z sqrt(s) + h_p)`` at ``(Mq)_p``, by Gaussian
     integration by parts for every field kind.  A step costs one layered
@@ -719,7 +663,7 @@ def solve_nested(params: ModelParams, tol: float = 1e-10) -> RsSolution:
     :class:`SolverError`, carrying the step count, is raised when that
     residual stays above ``tol``.
     """
-    return _one(solve_stack([params], tol)[0])
+    return _solved(_Stack([params]), tol).record(0)
 
 
 def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
@@ -742,4 +686,6 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
         raise ValueError("tol must be positive")
     root = _newton(np.full((1, 1, 1), 2.0 * beta * beta),
                    ghquad.FieldTable([FieldSpec.gaussian(v)]), tol)[0]
-    return float(_one(root)[0][0])
+    if isinstance(root, SolverError):
+        raise root
+    return float(root[0][0])

@@ -17,14 +17,15 @@ the K scalar equations are ``1 x 1`` rows of the one Newton body,
 :func:`rs_solver._newton`, solved together, and each row returns its
 layer's validity test at the root.  At the maximizer nothing is solved
 here: the bound is a read of the consistency solution of
-:func:`rs_solver.solve_stack`, whose entries ``q`` are the surrogate
+:func:`rs_solver._solved`, whose entries ``q`` are the surrogate
 overlaps, at the weights related to ``q``, or at the annealed-region
 witness where the solver puts a zero-field model at ``q = 0``.  Either
 way the bound is the solution's pressure and each layer's validity test
 is the solution's de Almeida--Thouless test at ``(Mq)_p``, with no kernel
-call.  :func:`maximize_stack` solves a stack of same-K models, the points
-of a scan grid, and reads each point's bound off its own solution, with
-the bits of its own :func:`maximize_bound` call, the stack of one.
+call.  :func:`_bound_columns` solves a stack of same-K models, the points
+of a scan grid, and reads each point's bound off its own solution as
+columns, with the bits of its own :func:`maximize_bound` call, which
+builds its record from row 0 of its stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
 ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` for every bond; for related pairs
@@ -220,39 +221,6 @@ class BoundResult:
     to_dict = machine.json_form
 
 
-def maximize_stack(models, tol: float = 1e-10) -> list:
-    """:func:`maximize_bound` on every model of a stack of same-K models,
-    read off their consistency solutions.
-
-    ``models`` is a :class:`rs_solver._Stack` or a sequence of same-K
-    :class:`ModelParams`.  The stack is solved at tolerance ``tol`` as
-    :func:`rs_solver.solve_stack` solves it, which answers a stack already
-    solved there from the stack's own results, and every point reads its
-    bound off the bound's columns (:func:`_bound_columns`), with no kernel
-    call.  The temperatures are row expressions, and a :class:`BoundResult`
-    is built only for the value returned.  Returns per model its
-    :class:`BoundResult`, or the ``ValueError`` of a model whose fields are
-    not zero or centred Gaussian, else its solution's failure, else the
-    ``ValueError`` of related weights that are not positive floats, while
-    the other points go on.
-    """
-    stack = rs_solver._stack_of(models)
-    solved = rs_solver._solved(() if stack is None else stack, tol)
-    if stack is None:
-        return []
-    bound = _bound_columns(stack, solved)
-    results = list(bound.failure)
-    if bound.rows:
-        theta = np.sqrt(_theta_sq_from_aux(bound.aux, stack.take(bound.rows)))
-        overlaps = solved.q[bound.rows]
-        for j, i in enumerate(bound.rows):
-            results[i] = BoundResult(
-                a=bound.aux[j], value=bound.value[i],
-                certified=bound.certified[i], theta=theta[j],
-                overlaps=overlaps[j])
-    return results
-
-
 class _BoundColumns(NamedTuple):
     """The split bound at every point of a solved stack as columns, a
     point per entry of ``failure``, ``value`` and ``certified`` (``None``
@@ -266,9 +234,10 @@ class _BoundColumns(NamedTuple):
     aux: np.ndarray
 
 
-def _bound_columns(stack: _Stack, solved) -> _BoundColumns:
-    """The :class:`_BoundColumns` of ``stack``, read off its solve
-    ``solved`` (:class:`rs_solver._Solved`), with no kernel call.
+def _bound_columns(stack: _Stack, tol: float) -> _BoundColumns:
+    """The :class:`_BoundColumns` of ``stack``, read off its own solve at
+    tolerance ``tol`` (:func:`rs_solver._solved`, which the stack keeps),
+    with no kernel call.
 
     A point's bound fails with its solution's failure, or the
     ``ValueError`` of fields that are not zero or centred Gaussian, or of
@@ -281,6 +250,7 @@ def _bound_columns(stack: _Stack, solved) -> _BoundColumns:
     its de Almeida--Thouless test ``stable``.
     """
     K = stack.lam.shape[1]
+    solved = rs_solver._solved(stack, tol)
     failures = list(solved.failure)
     for i in np.flatnonzero(~stack.centred).tolist():
         try:
@@ -310,13 +280,13 @@ def _bound_columns(stack: _Stack, solved) -> _BoundColumns:
 def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     """Maximize the split bound over positive auxiliary weights.
 
-    ``maximize_stack([params], tol)`` after the field check, which solves
-    the stack of one at tolerance ``tol``; raises what that returns for
-    the model.  The maximizer is read off the consistency equations, with
-    no search.  If ``q`` solves them and ``a = related_aux(q)``, then ``2
-    theta_p^2 q_p = (M q)_p``, so every layer's surrogate overlap equals
-    ``q_p``, the bond-matching conditions hold, and the bound's gradient
-    in ``a`` vanishes by the envelope identity.
+    The record of the one point of its stack's :func:`_bound_columns`
+    after the field check, which solves the stack of one at tolerance
+    ``tol``; raises the point's failure.  The maximizer is read off the
+    consistency equations, with no search.  If ``q`` solves them and ``a =
+    related_aux(q)``, then ``2 theta_p^2 q_p = (M q)_p``, so every layer's
+    surrogate overlap equals ``q_p``, the bond-matching conditions hold,
+    and the bound's gradient in ``a`` vanishes by the envelope identity.
     ``q`` is the largest consistency solution, that of
     :func:`rs_solver.solve_nested`, with its :class:`rs_solver.SolverError`
     when it fails, and the point evaluated is ``related_aux(q)``.  With
@@ -344,7 +314,14 @@ def maximize_bound(params: ModelParams, tol: float = 1e-10) -> BoundResult:
     floats.  For a single layer the bound is the layer's own pressure.
     """
     params.require_fields("the split bound")
-    return rs_solver._one(maximize_stack([params], tol)[0])
+    stack = _Stack([params])
+    bound = _bound_columns(stack, tol)
+    if bound.failure[0] is not None:
+        raise bound.failure[0]
+    return BoundResult(
+        a=bound.aux[0], value=bound.value[0], certified=bound.certified[0],
+        theta=np.sqrt(_theta_sq_from_aux(bound.aux, stack))[0],
+        overlaps=rs_solver._solved(stack, tol).q[0].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded random model instances shared across the test suite."""
+"""Seeded random model instances, and the CSV spelling of JSON values,
+shared across the test suite."""
 from __future__ import annotations
 
 import numpy as np
@@ -153,3 +154,13 @@ def mistyped_model_sections(draw, k_range: tuple[int, int] = (1, 4)) -> dict:
     container, key = draw(st.sampled_from(slots))
     container[key] = draw(_NOT_NUMBERS)
     return section
+
+
+def csv_text(value) -> str:
+    """A JSON value as the CSV reports spell it: ``null`` as the empty
+    cell, booleans as ``true``/``false`` and a float by its ``repr``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)

@@ -261,7 +261,6 @@ def damped_fixed_point(params, q0=None, damping: float = 0.5,
                 residual=residual,
                 method="fixed_point",
                 certificates=Certificates(*(column[0] for column in columns)),
-                stable=stable,
             )
         q = (1.0 - damping) * q + damping * f
     raise SolverError(

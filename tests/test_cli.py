@@ -12,7 +12,7 @@ from dbmlab import cli, finite_volume_lab, ghquad, machine, rs_solver
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
 
-from helpers import mistyped_model_sections, model_sections
+from helpers import csv_text, mistyped_model_sections, model_sections
 from oracles import damped_fixed_point
 
 LOG2 = math.log(2.0)
@@ -828,6 +828,70 @@ def test_poly_interlacing_holds_on_a_large_scale_chain(tmp_path):
 # ---------------------------------------------------------------------------
 # output conventions
 # ---------------------------------------------------------------------------
+
+
+def _flat(prefix, value):
+    """The ``(key, value)`` leaves of a JSON value: an object's keys joined
+    with dots, a list's entries indexed."""
+    if isinstance(value, dict):
+        return [pair for key, sub in value.items()
+                for pair in _flat(f"{prefix}.{key}" if prefix else key, sub)]
+    if isinstance(value, list):
+        return [pair for i, sub in enumerate(value)
+                for pair in _flat(f"{prefix}[{i}]", sub)]
+    return [(prefix, value)]
+
+
+def _csv_of_json(command, report):
+    """The cells of the CSV report that spells the JSON ``report``."""
+    if command == "region":
+        columns = [column for column in report["rows"][0] if column != "witness"]
+        return [columns] + [[csv_text(row[column]) for column in columns]
+                            for row in report["rows"]]
+    if command == "poly":
+        pairs = (_flat("activity", report["activities"])
+                 + _flat("coefficient", report["coefficients"])
+                 + _flat("zero", report["zeros"])
+                 + [(key, report[key]) for key in
+                    ("largest_zero", "spectral_radius", "interlacing_ok")])
+    elif command == "rs":
+        solution = dict(report["solutions"][0])
+        pairs = (_flat(solution.pop("method"), solution)
+                 + [("p_annealed", report["p_annealed"])])
+    else:
+        pairs = _flat("", {key: value for key, value in report.items()
+                           if key not in ("command", "flags")})
+        pairs.append(("flags", ";".join(report["flags"])))
+    return [["key", "value"]] + [[key, csv_text(value)] for key, value in pairs]
+
+
+@pytest.mark.parametrize("example", sorted(path.name for path in
+                                           EXAMPLES.glob("*.json")))
+def test_csv_and_json_agree_cell_by_cell(tmp_path, capsys, example):
+    # Every report that CSV and JSON both write holds the same cells: null
+    # is the empty cell, booleans are true/false and floats their repr.
+    # region runs on the example's grid, if it has one, and on its model.
+    config = json.loads((EXAMPLES / example).read_text())
+    model = {key: value for key, value in config.items() if key != "scan"}
+    runs = [("region", config), ("region", model), ("rs", model),
+            ("bound", model), ("poly", model)]
+    compared = 0
+    for command, data in runs:
+        path = write_config(tmp_path, data)
+        texts = {}
+        for fmt in ("json", "csv"):
+            code = cli.main([command, "--config", path, "--format", fmt])
+            texts[fmt] = (code, *capsys.readouterr())
+        (code, json_out, json_err), (csv_code, csv_out, csv_err) = (
+            texts["json"], texts["csv"])
+        assert (code, json_err) == (csv_code, csv_err)
+        if code != 0:
+            assert json_out == csv_out == ""
+            continue
+        compared += 1
+        cells = [line.split(",") for line in csv_out.splitlines()]
+        assert cells == _csv_of_json(command, json.loads(json_out))
+    assert compared >= 4
 
 
 def test_json_numbers_roundtrip_bitwise(tmp_path):

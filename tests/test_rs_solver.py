@@ -649,7 +649,7 @@ def test_nested_lands_on_the_root_just_past_a_critical_line(excess):
     params = make(3, (beta, beta), lam)
     sol = solve_nested(params)
     assert sol.residual <= 1e-10
-    overlaps = sk_chain_bound.maximize_stack([params], 1e-10)[0].overlaps
+    overlaps = sk_chain_bound.maximize_bound(params, 1e-10).overlaps
     np.testing.assert_allclose(sol.q, overlaps, rtol=1e-4, atol=0.0)
 
 

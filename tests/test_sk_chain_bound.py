@@ -238,20 +238,23 @@ def test_maximize_refuses_fields_before_any_solve(monkeypatch):
     assert not counts
 
 
-def test_maximize_stack_solves_its_own_models():
-    # Each point's bound is read off its own model's solution, and a list
-    # of solutions where the tolerance goes is refused, so A's bound can
+def test_bound_columns_solve_their_own_stack():
+    # Each point's bound is read off its own stack's solution, and another
+    # stack's solve where the tolerance goes is refused, so A's bound can
     # never be B's pressure (0.908847, certified).
     lam = (0.3, 0.4, 0.3)
     a, b = (make(3, (beta, beta), lam, (FieldSpec.gaussian(0.3),) * 3)
             for beta in (1.2, 0.6))
+    other = rs_solver._solved(rs_solver._Stack([b]), 1e-10)
+    assert other.pressure[0] == pytest.approx(0.908847, abs=1e-6)
     with pytest.raises(TypeError):
-        sk_chain_bound.maximize_stack([a], rs_solver.solve_stack([b]))
-    bound = sk_chain_bound.maximize_stack([a], 1e-10)[0]
-    assert bound.value == solve_nested(a).pressure
-    assert bound.value == pytest.approx(1.145565, abs=1e-6)
-    both = sk_chain_bound.maximize_stack([a, b], 1e-10)
-    assert [r.value for r in both] == [solve_nested(p).pressure for p in (a, b)]
+        sk_chain_bound._bound_columns(rs_solver._Stack([a]), other)
+    bound = sk_chain_bound._bound_columns(rs_solver._Stack([a]), 1e-10)
+    assert bound.value[0] == solve_nested(a).pressure
+    assert bound.value[0] == pytest.approx(1.145565, abs=1e-6)
+    both = sk_chain_bound._bound_columns(rs_solver._Stack([a, b]), 1e-10)
+    assert both.value == [solve_nested(p).pressure for p in (a, b)]
+    assert both.certified == [maximize_bound(p).certified for p in (a, b)]
 
 
 def test_maximize_zero_fields_inside_collapses_to_annealed():
@@ -470,17 +473,16 @@ def test_warm_started_surrogates_match_cold_starts(monkeypatch):
     for params in chains:
         side[0] = "nested"
         stack = rs_solver._Stack([params])
-        q = rs_solver.solve_stack(stack, 1e-10)[0].q
+        q = rs_solver._solved(stack, 1e-10).q[0]
         side[0] = "warm"
-        warm = sk_chain_bound.maximize_stack(stack, 1e-10)[0]
+        warm = sk_chain_bound._bound_columns(stack, 1e-10)
         side[0] = "cold"
         value, overlaps, theta_sq, converged, certified = evaluate_at(
             related_aux(q, params), params)
-        assert converged
-        np.testing.assert_allclose(warm.overlaps, overlaps, rtol=0.0,
-                                   atol=1e-12)
-        assert warm.value == pytest.approx(value, rel=0.0, abs=1e-12)
-        assert warm.certified == certified
+        assert converged and warm.rows == [0]
+        np.testing.assert_allclose(q, overlaps, rtol=0.0, atol=1e-12)
+        assert warm.value[0] == pytest.approx(value, rel=0.0, abs=1e-12)
+        assert warm.certified[0] == certified
     # The warm side reads everything off the solution, with no kernel call.
     assert calls["warm"] == 0 < calls["cold"]
 
@@ -502,8 +504,10 @@ def test_maximize_reads_the_surrogate_overlaps_off_the_consistency_solution(
     params = make(3, (0.9, 1.1), (0.3, 0.4, 0.3),
                   tuple(FieldSpec.gaussian(0.3) for _ in range(3)))
     q = solve_nested(params).q
-    warm = sk_chain_bound.maximize_stack([params], 1e-10)[0]
-    np.testing.assert_array_equal(warm.overlaps, q)
+    stack = rs_solver._Stack([params])
+    warm = sk_chain_bound._bound_columns(stack, 1e-10)
+    np.testing.assert_array_equal(
+        rs_solver._solved(stack, 1e-10).q[warm.rows], [q])
     np.testing.assert_array_equal(maximize_bound(params).overlaps, q)
     outside, = _zero_field_chains_outside(np.random.default_rng(3), 1)
     np.testing.assert_array_equal(maximize_bound(outside).overlaps,

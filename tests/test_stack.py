@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dbmlab import chainpoly, cli, ghquad, machine, rs_solver, sk_chain_bound
 from dbmlab.machine import FieldSpec, ModelParams
 
-from helpers import model_params
+from helpers import csv_text, model_params
 
 
 def _special(name, K):
@@ -78,12 +78,43 @@ def _solo(call, *args, **kwargs):
         return exc
 
 
+def _records(stack, tol):
+    """Each point's :class:`RsSolution`, or its failure, built from the
+    stack's solve columns."""
+    solved = rs_solver._solved(stack, tol)
+    return [_solo(solved.record, i) for i in range(len(stack))]
+
+
+def _bounds(stack, tol):
+    """Each point's bound as read off the stack's bound columns: the
+    :class:`BoundResult` fields ``a``, ``value``, ``certified`` and
+    ``overlaps`` (the point's row of the solve), or its failure."""
+    bound = sk_chain_bound._bound_columns(stack, tol)
+    q = rs_solver._solved(stack, tol).q
+    out = list(bound.failure)
+    for j, i in enumerate(bound.rows):
+        out[i] = {"a": bound.aux[j].tolist(), "value": bound.value[i],
+                  "certified": bound.certified[i], "overlaps": q[i].tolist()}
+    return out
+
+
+def _same_bound(stacked, solo):
+    """A bound read off the columns equals the solo :class:`BoundResult`
+    in every field the columns hold, or fails alike."""
+    if isinstance(solo, Exception):
+        _same(stacked, solo)
+        return
+    assert not isinstance(stacked, Exception), stacked
+    assert stacked == {key: solo.to_dict()[key] for key in stacked}
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(models=stacks())
 def test_stacked_points_equal_their_solo_runs_property(models):
     tol = 1e-10
     verdicts = [machine.classify_annealed(params) for params in models]
-    solutions = rs_solver.solve_stack(models, tol)
+    stack = rs_solver._Stack(models)
+    solutions = _records(stack, tol)
     assert len(solutions) == len(models)
     for params, verdict, solution in zip(models, verdicts, solutions):
         solo = _solo(rs_solver.solve_nested, params, tol)
@@ -99,9 +130,9 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             assert solo.pressure == machine.annealed_pressure(params)
         else:
             assert solo.pressure == _one_model_pressure(solo.q, params)
-    bounds = sk_chain_bound.maximize_stack(models, tol)
+    bounds = _bounds(stack, tol)
     for params, bound in zip(models, bounds):
-        _same(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
+        _same_bound(bound, _solo(sk_chain_bound.maximize_bound, params, tol))
         if min(params.lam) <= 0.0:
             # The bound refuses the fields before the solver the widths.
             centred = all(f.is_centred for f in params.fields)
@@ -111,10 +142,11 @@ def test_stacked_points_equal_their_solo_runs_property(models):
             continue
         # Every point reads the bound off its consistency solution; at the
         # witness that is q = 0, whose pressure is the annealed one.
-        if params.zero_fields and not np.any(bound.overlaps > 0.0):
-            assert bound.value == machine.annealed_pressure(params)
+        overlaps = np.array(bound["overlaps"])
+        if params.zero_fields and not np.any(overlaps > 0.0):
+            assert bound["value"] == machine.annealed_pressure(params)
         else:
-            assert bound.value == _one_model_pressure(bound.overlaps, params)
+            assert bound["value"] == _one_model_pressure(overlaps, params)
 
 
 def test_the_special_points_fail_as_their_solo_runs_do():
@@ -124,13 +156,13 @@ def test_the_special_points_fail_as_their_solo_runs_do():
     tol = 1e-10
     guard, zero_width = _special("guard", 2), _special("zero_width", 3)
     point_mass = _special("point_mass_zero_width", 3)
-    solutions = rs_solver.solve_stack([guard, _special("inside", 2)], tol)
+    solutions = _records(rs_solver._Stack([guard, _special("inside", 2)]), tol)
     assert isinstance(solutions[0], rs_solver.SolverError)
     assert "left the monotone descent" in str(solutions[0])
     assert isinstance(solutions[1], rs_solver.RsSolution)
     stack = rs_solver._Stack([zero_width, point_mass])
-    solutions = rs_solver.solve_stack(stack, tol)
-    bounds = sk_chain_bound.maximize_stack(stack, tol)
+    solutions = _records(stack, tol)
+    bounds = _bounds(stack, tol)
     for solution in solutions:
         assert isinstance(solution, ValueError)
         assert str(solution).startswith("solvers require strictly positive")
@@ -229,7 +261,7 @@ def test_scan_makes_one_kernel_call_per_step_for_the_whole_grid(
     solo = []
     for params in _grid_models(path):
         calls.clear()
-        sk_chain_bound.maximize_stack([params], 1e-10)
+        sk_chain_bound.maximize_bound(params, 1e-10)
         solo.append(dict(calls))
     # Each Newton step is one call for the whole grid, so the grid takes the
     # steps of its slowest point.  The pressure is one call; the rs
@@ -306,15 +338,14 @@ def test_a_mixed_stack_computes_one_spectral_radius_per_point(monkeypatch):
     solo = [rs_solver.solve_nested(params) for params in models]
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, chainpoly, "largest_zero")
-    solutions = rs_solver.solve_stack(models)
+    solved = rs_solver._solved(rs_solver._Stack(models), 1e-10)
     assert counts == {"largest_zero": 1}
-    for stacked, alone in zip(solutions, solo):
-        _same(stacked, alone)
+    for i, alone in enumerate(solo):
+        _same(solved.record(i), alone)
     # Only the point inside sits at q = 0; the one outside is solved.
-    assert not np.any(solutions[0].q) and solutions[0].witness is not None
-    assert np.all(solutions[2].q > 0.4) and solutions[2].witness is None
-    assert [solution.certificates.stable_at_zero
-            for solution in solutions] == [True, True, False]
+    assert not np.any(solved.q[0]) and solved.witness[0] is not None
+    assert np.all(solved.q[2] > 0.4) and solved.witness[2] is None
+    assert solved.stable_at_zero == [True, True, False]
 
 
 def test_take_hands_a_sub_stack_the_parents_derived_rows(monkeypatch):
@@ -327,58 +358,55 @@ def test_take_hands_a_sub_stack_the_parents_derived_rows(monkeypatch):
                                   lam=tuple(lam / lam.sum()), fields=fields))
     stack = rs_solver._Stack(models)
     # Underived facts stay underived in a sub-stack.
-    assert not {"M", "rho", "verdicts"} & set(vars(stack.take([0, 1])))
-    assert len(stack.M) == len(stack.rho) == len(stack.verdicts) == 5
+    assert not {"M", "rho", "regions"} & set(vars(stack.take([0, 1])))
+    assert len(stack.M) == 5
     rows = [0, 2, 3]
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, machine, "build_matrices")
-    _count_calls(monkeypatch, counts, chainpoly, "largest_zero")
     sub = stack.take(rows)
-    M, rho, verdicts = sub.M, sub.rho, sub.verdicts
+    M = sub.M
     assert not counts
     fresh = rs_solver._Stack([models[i] for i in rows])
     assert M.tobytes() == fresh.M.tobytes()
-    assert rho.tobytes() == fresh.rho.tobytes()
-    assert ([_verdict_bits(v) for v in verdicts]
-            == [_verdict_bits(v) for v in fresh.verdicts])
 
 
 def test_a_stack_is_solved_once_per_tolerance(monkeypatch):
-    # The stack keeps its results: solved again at the same tolerance it
-    # hands back the same records with no Newton step and no kernel call;
-    # another tolerance solves again, and a sub-stack starts unsolved.
+    # The stack keeps its results: solved again at the same tolerance, and
+    # read by the bound, it hands back the same columns with no Newton step
+    # and no kernel call; another tolerance solves again, and a sub-stack
+    # starts unsolved.
     lam = (0.3, 0.4, 0.3)
     models = [ModelParams(K=3, beta=(b, b), lam=lam,
                           fields=(FieldSpec.gaussian(0.3),) * 3)
               for b in (0.6, 1.2)]
     models.append(_special("zero_width", 3))
     stack = rs_solver._Stack(models)
-    first = rs_solver.solve_stack(stack, 1e-10)
+    first = rs_solver._solved(stack, 1e-10)
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, rs_solver, "_newton")
     _count_calls(monkeypatch, counts, ghquad, "expect")
-    again = rs_solver.solve_stack(stack, 1e-10)
-    bounds = sk_chain_bound.maximize_stack(stack, 1e-10)
+    again = rs_solver._solved(stack, 1e-10)
+    bound = sk_chain_bound._bound_columns(stack, 1e-10)
     assert not counts
-    assert again is not first
-    assert all(a is b for a, b in zip(again, first, strict=True))
-    assert not first[0].q.flags.writeable
-    assert bounds[2] is first[2]
-    assert [bound.value for bound in bounds[:2]] == [
-        solution.pressure for solution in first[:2]]
-    coarse = rs_solver.solve_stack(stack, 1e-8)
+    assert again is first
+    assert not first.q.flags.writeable
+    assert not first.record(0).q.flags.writeable
+    assert bound.failure[2] is first.failure[2]
+    assert bound.value[:2] == first.pressure[:2]
+    coarse = rs_solver._solved(stack, 1e-8)
     assert counts["_newton"] == 1
-    assert not any(a is b for a, b in zip(coarse, first))
+    assert coarse is not first and coarse.q is not first.q
     counts.clear()
     sub = stack.take([0, 1])
     assert not sub.solved
-    rs_solver.solve_stack(sub, 1e-10)
+    rs_solver._solved(sub, 1e-10)
     assert counts["_newton"] == 1
 
 
 def test_a_scan_builds_no_per_point_record(tmp_path, monkeypatch):
-    # A scan reads its outputs off the stack's columns: no solution, bound,
-    # certificate or verdict record is built, and rs still builds its own.
+    # A scan, and region on a grid, read their outputs off the stack's
+    # columns: no solution, bound, certificate or verdict record is built,
+    # and rs and region on one model still build their own.
     def refused(*args, **kwargs):
         raise AssertionError("a per-point record was built")
 
@@ -390,11 +418,16 @@ def test_a_scan_builds_no_per_point_record(tmp_path, monkeypatch):
     path = tmp_path / "grid.json"
     for config in (_GRID_MODEL, _zero_field_grid()):
         path.write_text(json.dumps(config))
-        for fmt in ("csv", "json"):
-            assert cli.main(["scan", "--config", str(path), "--format", fmt,
+        for command, fmt in itertools.product(("scan", "region"),
+                                              ("csv", "json")):
+            assert cli.main([command, "--config", str(path), "--format", fmt,
                              "--out", str(tmp_path / "out")]) == 0
     with pytest.raises(AssertionError, match="per-point record"):
         cli.main(["rs", "--config", str(path)])
+    del config["scan"]
+    path.write_text(json.dumps(config))
+    with pytest.raises(AssertionError, match="per-point record"):
+        cli.main(["region", "--config", str(path)])
 
 
 def _zero_field_grid():
@@ -439,15 +472,6 @@ def _solo_row(tmp_path, params):
     row.update(solution["certificates"] if rs else
                dict.fromkeys(("talagrand_ok", "at_ok", "stable_at_zero")))
     return row, solution, bound
-
-
-def _csv_text(value):
-    """A JSON value as the CSV spells it."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
@@ -517,7 +541,7 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
                             flags=";".join(flags))
                 assert list(row) == columns
                 assert row == {column: want[column] for column in columns}
-                assert line.split(",") == [_csv_text(want[column])
+                assert line.split(",") == [csv_text(want[column])
                                            for column in columns]
         assert related > 0
         if name == "zero":
@@ -533,6 +557,73 @@ def test_scan_rows_equal_solo_rs_and_bound_runs(tmp_path):
             assert verdicts == {"boundary"}
             assert {expected["rho"] < 1.0
                     for expected, _, _ in solo} == {True, False}
+
+
+def _region_grid():
+    """Zero fields on a three-layer chain over a width axis of 0, 1e-320
+    and 2e-320 (a zero-width layer, and witnesses whose recursion leaves
+    the floats) and a beta axis through 1, where rho = 1: inside, on the
+    boundary and outside."""
+    return {"K": 3, "beta": [0.5, 0.5], "lambda": [0.2, 0.4, 0.4],
+            "scan": {"axes": [{"path": "lambda[0]", "min": 0.0,
+                               "max": 2e-320, "steps": 3},
+                              {"path": "beta[1]", "min": 0.5, "max": 1.5,
+                               "steps": 3}]}}
+
+
+def test_region_grid_rows_equal_solo_region_runs(tmp_path, monkeypatch):
+    # A region grid cut into stacks of at most two points reads each row
+    # off its stack's columns; in JSON (rho, verdict, witness) and in CSV,
+    # it is the row of the point's own region run, at a zero-width layer,
+    # within the boundary band, where a width of 1e-320 loses the witness
+    # past the floats, and where the witness is found.
+    monkeypatch.setattr(cli, "_STACK_ENTRIES", 2 * 3 ** 2)
+    edges = json.loads((Path(__file__).resolve().parent.parent
+                        / "examples" / "scan_edges.json").read_text())
+    seen = set()
+    for name, config in (("region", _region_grid()),
+                         ("zero", _zero_field_grid()),
+                         ("boundary", _boundary_grid()), ("edges", edges)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        paths = [axis["path"] for axis in config["scan"]["axes"]]
+        grid = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{name}_out.{fmt}"
+            assert cli.main(["region", "--config", str(path), "--format",
+                             fmt, "--out", str(out)]) == 0
+            grid[fmt] = out.read_text()
+        rows = json.loads(grid["json"])["rows"]
+        lines = grid["csv"].splitlines()
+        assert lines[0] == ",".join(paths + ["rho", "verdict"])
+        models = _grid_models(path)
+        assert len(rows) == len(lines) - 1 == len(models)
+        point = tmp_path / "point.json"
+        for params, row, line in zip(models, rows, lines[1:]):
+            point.write_text(json.dumps(params.to_dict()))
+            solo = {}
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"solo.{fmt}"
+                assert cli.main(["region", "--config", str(point), "--format",
+                                 fmt, "--out", str(out)]) == 0
+                solo[fmt] = out.read_text()
+            own, = json.loads(solo["json"])["rows"]
+            assert list(row) == paths + ["rho", "verdict", "witness"]
+            assert {key: row[key] for key in own} == own
+            header, cells = solo["csv"].splitlines()
+            assert header == "rho,verdict"
+            assert line.split(",")[len(paths):] == cells.split(",")
+            width = min(params.lam)
+            if width == 0.0:
+                seen.add("zero_width")
+            elif width < 1e-300 and own["verdict"] == "inside":
+                assert own["witness"] is None
+                seen.add("lost")
+            if own["verdict"] == "boundary":
+                seen.add("boundary" if own["rho"] == 1.0 else "band")
+            if own["witness"] is not None:
+                seen.add("witness")
+    assert seen == {"zero_width", "lost", "boundary", "band", "witness"}
 
 
 def test_a_large_grid_is_solved_in_stacks_of_bounded_size(tmp_path, monkeypatch):
@@ -594,7 +685,7 @@ def test_each_newton_step_solves_one_system_per_iterating_row(monkeypatch):
     models = [ModelParams(K=3, beta=(beta, beta), lam=(0.3, 0.4, 0.3),
                           fields=(FieldSpec.gaussian(0.2),) * 3)
               for beta in (0.2, 0.6, 1.0, 1.5, 3.0)]
-    rs_solver.solve_stack(models)
+    rs_solver._solved(rs_solver._Stack(models), 1e-10)
     assert len(set(iterating)) > 1
     assert systems == [(n, n) for n in iterating]
 
@@ -620,6 +711,17 @@ def chains(draw):
     return models
 
 
+def _stacked_verdicts(stack):
+    """Each point's classification read off the stack's columns, as a
+    :class:`RegionVerdict` to compare with its own call's."""
+    regions = stack.regions
+    return [machine.RegionVerdict(verdict=verdict, rho=rho,
+                                  z_chain=tuple(chain), feasible_a=witness)
+            for verdict, rho, chain, witness in zip(
+                regions.verdict, regions.rho, regions.z_chain.tolist(),
+                regions.witness)]
+
+
 def _verdict_bits(verdict):
     """A verdict with its floats as bytes, so that NaN chain values
     compare."""
@@ -636,7 +738,7 @@ def test_stacked_classification_equals_each_chains_own_property(models):
     # (K = 33-40), one chain recursion and one witness recursion give every
     # chain the verdict, radius, chain values and witness of its own call.
     stack = rs_solver._Stack(models)
-    stacked = machine.classify_annealed(stack)
+    stacked = _stacked_verdicts(stack)
     assert len(stacked) == len(models)
     for verdict, params in zip(stacked, models):
         solo = machine.classify_annealed(params)
@@ -663,7 +765,7 @@ def test_stacked_classification_covers_both_eigensolvers_and_lost_witnesses():
             models.append(ModelParams(
                 K=K, beta=(0.3,) * (K - 1),
                 lam=(1e-320,) + (1.0 / (K - 1),) * (K - 1)))
-        stacked = machine.classify_annealed(rs_solver._Stack(models))
+        stacked = _stacked_verdicts(rs_solver._Stack(models))
         solo = [machine.classify_annealed(params) for params in models]
         assert stacked == solo
         assert [v.verdict for v in solo[:2]] == (
