@@ -99,30 +99,33 @@ def matching_sums(t: Sequence[float]) -> np.ndarray:
     """Matching sums ``f_d`` of the chain, for ``d = 0 .. K // 2``.
 
     ``f_d`` is the sum over d-edge matchings of the product of activities,
-    computed by the edge-by-edge recursion
-    ``f_{d,p} = f_{d,p-1} + t_{p-1} * f_{d-1,p-2}``.
+    computed vertex by vertex, one array step over ``d`` each, by the
+    recursion ``f_{d,p} = f_{d,p-1} + t_{p-1} * f_{d-1,p-2}``.  An edge of
+    zero activity lies in no matching of nonzero weight, so it adds
+    nothing, and it is skipped: a sum past the floats is ``inf``, never
+    ``nan`` (``0 * inf``), and raises no warning.
     """
     t = _check_activities(t)
-    K = t.size + 1
-    max_d = K // 2
-    # table[d, p] = f_d for the leading p-vertex chain
-    table = np.zeros((max_d + 1, K + 1))
-    table[0, :] = 1.0
-    for p in range(2, K + 1):
-        dmax_p = p // 2
-        for d in range(1, dmax_p + 1):
-            table[d, p] = table[d, p - 1] + t[p - 2] * table[d - 1, p - 2]
-    return table[:, K].copy()
+    # f_d of the leading chain so far, and of the one a vertex shorter.
+    f = shorter = np.zeros((t.size + 1) // 2 + 1)
+    f[0] = 1.0
+    with np.errstate(over="ignore"):
+        for tp in t.tolist():
+            grown = f.copy()
+            if tp != 0.0:
+                grown[1:] += tp * shorter[:-1]
+            f, shorter = grown, f
+    return f
 
 
 def coefficients(t: Sequence[float]) -> np.ndarray:
-    """Ascending coefficient vector of ``Delta_K`` (length ``K + 1``)."""
+    """Ascending coefficient vector of ``Delta_K`` (length ``K + 1``); a
+    coefficient past the floats is ``inf`` in size."""
     t = _check_activities(t)
-    K = t.size + 1
     f = matching_sums(t)
-    coeffs = np.zeros(K + 1)
-    for d in range(K // 2 + 1):
-        coeffs[K - 2 * d] = (-1.0) ** d * f[d]
+    f[1::2] = -f[1::2]
+    coeffs = np.zeros(t.size + 2)
+    coeffs[::-2] = f
     return coeffs
 
 

@@ -20,12 +20,12 @@ parsed, an ``--out`` that cannot be written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,7 @@ class SolveFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScanAxis:
     """One scanned parameter axis: a path plus an inclusive value range."""
 
@@ -82,7 +82,7 @@ class ScanAxis:
         return np.linspace(self.lo, self.hi, self.steps)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScanSpec:
     """Validated scan request: one or two axes and the outputs to tabulate."""
 
@@ -90,7 +90,7 @@ class ScanSpec:
     outputs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Config:
     params: ModelParams
     scan: ScanSpec | None
@@ -482,8 +482,9 @@ def cmd_region(config: _Config, args) -> tuple[str, bool]:
             for column, part in zip(values, parts):
                 column += part
     else:
-        verdict = machine.classify_annealed(config.params)
-        values = [[verdict.rho], [verdict.verdict], [verdict.feasible_a]]
+        params = config.params
+        regions = machine._classify(params, machine.spectral_radius(params))
+        values = [regions.rho, regions.verdict, regions.witness]
     if args.format == "json":
         rows = [dict(zip(columns, row)) for row in zip(*values)]
         return _json_text({"command": "region", "rows": rows}), True
@@ -637,9 +638,11 @@ def cmd_verify(config: _Config, args) -> tuple[str, bool]:
             "ok": ok,
         }
         return _json_text(payload), ok
-    rows = [dict(row.to_dict(), flags=";".join(row.flags)) for row in report.rows]
-    columns = ("N", "method", "mean", "std_error", "p_annealed", "gap", "flags")
-    return _csv_table(columns, _by_column(columns, rows)), ok
+    columns = [f.name for f in dataclasses.fields(finite_volume_lab.TrendRow)]
+    values = [[getattr(row, name) for row in report.rows] for name in columns]
+    flags = columns.index("flags")
+    values[flags] = [";".join(tags) for tags in values[flags]]
+    return _csv_table(columns, values), ok
 
 
 def cmd_scan(config: _Config, args) -> tuple[str, bool]:
@@ -727,12 +730,6 @@ def _scan_columns(scan: ScanSpec, tol: float, points, stack) -> list:
     columns.append([";".join(filter(None, point)) for point in zip(*tags)]
                    if tags else [""] * len(stack))
     return columns
-
-
-def _by_column(columns, rows) -> list:
-    """The values of each of ``columns`` (``None`` where a row has none),
-    a list per column, for :func:`_csv_table`."""
-    return [[row.get(column) for row in rows] for column in columns]
 
 
 _HANDLERS = {

@@ -23,8 +23,9 @@ points, any object with ``beta`` ``(P, K - 1)`` and ``lam`` ``(P, K)``
 arrays (a scan grid's rows), and give a row or an entry per point.  Their
 arithmetic is element-wise and each sum runs along its own row, so every
 point gets the bits of its own call.  :func:`classify_annealed` builds one
-model's record; a stack reads the same classification as columns
-(:func:`_classify`).
+model's record; a stack, and ``region`` on one model, read the same
+classification as columns (:func:`_classify`), which derive the chain
+values and the witnesses only when they are read.
 """
 from __future__ import annotations
 
@@ -222,6 +223,13 @@ class FieldSpec:
         raise ValueError(f"unknown field kind {kind!r}")
 
 
+def _fields_refused(what: str, layer: int, field: FieldSpec) -> ValueError:
+    """The error of ``what``, which takes zero or centred Gaussian fields
+    alone, refusing ``field``, the first other field, on layer ``layer``."""
+    return ValueError(f"{what} requires zero or centred Gaussian external fields "
+                      f"on every layer (layer {layer} has kind '{field.kind}')")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of a K-layer chain model.
@@ -272,9 +280,7 @@ class ModelParams:
         (:attr:`FieldSpec.is_centred`)."""
         for p, f in enumerate(self.fields):
             if not f.is_centred:
-                raise ValueError(f"{what} requires zero or centred Gaussian "
-                                 f"external fields on every layer "
-                                 f"(layer {p} has kind '{f.kind}')")
+                raise _fields_refused(what, p, f)
 
     def to_dict(self) -> dict:
         return {

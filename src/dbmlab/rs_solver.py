@@ -44,6 +44,9 @@ the solve (:func:`sk_chain_bound._bound_columns`, which solves its own
 stack): each point's de Almeida--Thouless test on every layer, for every
 field kind, and the witness of a point put at ``q = 0``.  So which
 solution a point takes, and what its test says, is decided here alone.
+No model is built back from a row: a reader of a stack takes what it
+needs from the stack's arrays and field table, as the bound reads which
+points' fields it refuses.
 """
 from __future__ import annotations
 
@@ -228,13 +231,6 @@ class _Stack:
         if "M" in self.__dict__:
             stack.M = self.M[rows]
         return stack
-
-    def model(self, i: int) -> ModelParams:
-        """The :class:`ModelParams` of point ``i``."""
-        K = self.lam.shape[1]
-        return ModelParams(K=K, beta=tuple(self.beta[i].tolist()),
-                           lam=tuple(self.lam[i].tolist()),
-                           fields=tuple(_row_fields(self.table, K, [i])))
 
 
 def _row_fields(table: ghquad.FieldTable, K: int, rows) -> ghquad.FieldTable:

@@ -240,23 +240,27 @@ def _bound_columns(stack: _Stack, tol: float) -> _BoundColumns:
     with no kernel call.
 
     A point's bound fails with its solution's failure, or the
-    ``ValueError`` of fields that are not zero or centred Gaussian, or of
-    related weights that are not positive floats.  A point that the solver
-    put at ``q = 0`` takes its ``witness`` as its weights; the others take
-    the weights related to ``q``.  By the bridge identity the bound at
-    weights related to ``q`` is the pressure at ``q``, and each layer's
-    test at ``m = 2 theta_p^2 q_p = (Mq)_p`` is that of the consistency
-    solution: the value is the point's ``pressure`` and the certificate
-    its de Almeida--Thouless test ``stable``.
+    ``ValueError`` of fields that are not zero or centred Gaussian (worded
+    as :meth:`ModelParams.require_fields` words it, and read off the
+    stack's field table), or of related weights that are not positive
+    floats.  A point that the solver put at ``q = 0`` takes its
+    ``witness`` as its weights; the others take the weights related to
+    ``q``.  By the bridge identity the bound at weights related to ``q``
+    is the pressure at ``q``, and each layer's test at ``m = 2 theta_p^2
+    q_p = (Mq)_p`` is that of the consistency solution: the value is the
+    point's ``pressure`` and the certificate its de Almeida--Thouless test
+    ``stable``.
     """
     K = stack.lam.shape[1]
     solved = rs_solver._solved(stack, tol)
     failures = list(solved.failure)
-    for i in np.flatnonzero(~stack.centred).tolist():
-        try:
-            stack.model(i).require_fields("the split bound")
-        except ValueError as exc:
-            failures[i] = exc
+    refused = np.flatnonzero(~stack.centred)
+    if refused.size:
+        # Each refused point's first layer that is not centred.
+        layers = (~stack.table.centred.reshape(-1, K)[refused]).argmax(axis=1)
+        for i, p in zip(refused.tolist(), layers.tolist()):
+            failures[i] = machine._fields_refused(
+                "the split bound", p, stack.table.field(i * K + p))
     rows = [i for i, failure in enumerate(failures) if failure is None]
     # At weights related to q, 2 theta_p^2 q_p = (Mq)_p: each layer's
     # surrogate root is q_p.  The witness puts every zero-field layer at

@@ -62,6 +62,22 @@ def matching_coefficients_bruteforce(t) -> np.ndarray:
     return coeffs
 
 
+def matching_sums_by_entry(t) -> np.ndarray:
+    """Matching sums ``f_d`` of the chain, ``d = 0 .. K // 2``, by the
+    edge-by-edge recursion ``f_{d,p} = f_{d,p-1} + t_{p-1} f_{d-1,p-2}``
+    one entry at a time, zero activities included; a sum past the floats
+    can come out ``nan`` (``0 * inf``)."""
+    t = np.asarray(t, dtype=float)
+    K = t.size + 1
+    table = np.zeros((K // 2 + 1, K + 1))
+    table[0, :] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, K + 1):
+            for d in range(1, p // 2 + 1):
+                table[d, p] = table[d, p - 1] + t[p - 2] * table[d - 1, p - 2]
+    return table[:, K].copy()
+
+
 def companion_zeros(coeffs_ascending) -> np.ndarray:
     """Roots of a polynomial via the companion matrix (numpy polyroots)."""
     roots = np.polynomial.polynomial.polyroots(np.asarray(coeffs_ascending, dtype=float))

@@ -10,6 +10,7 @@ from oracles import (
     companion_zeros,
     matching_coefficients_bruteforce,
     matching_eval_bruteforce,
+    matching_sums_by_entry,
 )
 
 
@@ -89,6 +90,24 @@ def test_coefficients_match_bruteforce_enumeration():
         ours = chainpoly.coefficients(t)
         ref = matching_coefficients_bruteforce(t)
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(K=st.integers(1, 80), scale=st.floats(-60.0, 60.0),
+       zeros=st.lists(st.integers(0, 78), max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_matching_sums_keep_the_bits_of_the_entrywise_recursion_property(
+        K, scale, zeros, seed):
+    # One array step per vertex does each entry's arithmetic of the
+    # entrywise recursion, so every finite sum keeps its bits; a zero
+    # activity is skipped, so a sum past the floats is inf, never nan.
+    t = np.random.default_rng(seed).random(K - 1) * 10.0 ** scale
+    t[[z for z in zeros if z < K - 1]] = 0.0
+    ours = chainpoly.matching_sums(t)
+    ref = matching_sums_by_entry(t)
+    finite = np.isfinite(ref)
+    assert ours[finite].tobytes() == ref[finite].tobytes()
+    assert not np.isnan(ours).any()
+    assert np.all(ours[np.isinf(ref)] == math.inf)
 
 
 def test_coefficients_satisfy_three_term_recursion():

@@ -93,6 +93,35 @@ def test_region_single_layer_always_inside(tmp_path):
     assert all(r["verdict"] == "inside" for r in rows)
 
 
+@pytest.mark.parametrize("K, beta, lam", [
+    (1, (), (1.0,)),
+    (3, (0.5, 0.5), (0.0, 0.5, 0.5)),  # a zero-width layer
+    (2, (1.0 + 1e-10,), (0.5, 0.5)),  # within the boundary band
+    (2, (1.0 + 1e-8,), (0.5, 0.5)),  # just outside it
+    (3, (0.5, 0.5), (1e-320, 0.5, 0.5)),  # a witness lost past the floats
+    (4, (0.6, 0.9, 0.4), (0.2, 0.3, 0.3, 0.2)),  # a witness
+])
+def test_region_on_one_model_reads_classify_annealed(tmp_path, K, beta, lam):
+    # region on one model reads the classification's columns: its rho,
+    # verdict and witness are classify_annealed's, in JSON and in CSV.
+    params = ModelParams(K=K, beta=beta, lam=lam)
+    verdict = machine.classify_annealed(params)
+    cfg = write_config(tmp_path, params.to_dict())
+    out = tmp_path / "region"
+    assert cli.main(["region", "--config", cfg, "--format", "json",
+                     "--out", str(out)]) == 0
+    witness = (None if verdict.feasible_a is None
+               else list(verdict.feasible_a))
+    assert read_json(out)["rows"] == [
+        {"rho": verdict.rho, "verdict": verdict.verdict, "witness": witness}]
+    assert cli.main(["region", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == f"rho,verdict\n{verdict.rho!r},{verdict.verdict}\n"
+    if lam[0] == 1e-320:
+        assert verdict.verdict == "inside" and witness is None
+    if beta == (1.0 + 1e-10,):
+        assert verdict.verdict == "boundary" and verdict.rho != 1.0
+
+
 def test_scan_steps_below_two_is_usage_error(tmp_path):
     data = balanced2()
     data["scan"] = {"axes": [{"path": "beta[0]", "min": 0.5, "max": 1.5,
@@ -823,6 +852,35 @@ def test_poly_interlacing_holds_on_a_large_scale_chain(tmp_path):
     assert cli.main(["poly", "--config", cfg, "--format", "json",
                      "--out", out]) == 0
     assert read_json(out)["interlacing_ok"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("beta, lam, zero_activity", [
+    # The only perfect matching takes the zero-activity last edge.
+    ((1e70,) * 5, (0.2,) * 5 + (0.0,), True),
+    # An activity that underflows to 0 beside ones near the largest float.
+    ((1e70,) * 4 + (1e-90,), (0.2,) * 4 + (0.1, 0.1), True),
+    ((1e70,) * 4, (0.2,) * 5, False),
+])
+def test_poly_writes_no_nan_when_matching_sums_leave_the_floats(
+        tmp_path, capsys, beta, lam, zero_activity):
+    # A matching sum past the floats is inf; an edge of zero activity adds
+    # nothing to the sums, so it makes no 0 * inf.  Nothing is written to
+    # stderr, and no coefficient is NaN.
+    K = len(lam)
+    cfg = write_config(tmp_path, model_dict(K, beta, lam))
+    for fmt in ("csv", "json"):
+        assert cli.main(["poly", "--config", cfg, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "nan" not in captured.out.lower()
+    coefficients = json.loads(captured.out)["coefficients"]
+    assert math.inf in map(abs, coefficients)
+    # The constant term is f_{K/2}, the perfect matchings' sum, or 0 for
+    # an odd chain.
+    if zero_activity:
+        assert coefficients[0] == 0.0
+    assert captured.out.count("Infinity") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,56 @@ def test_the_special_points_fail_as_their_solo_runs_do():
         "on every layer (layer 0 has kind 'point_mass')")
 
 
+def test_the_bound_refuses_grid_points_off_the_field_table(monkeypatch):
+    # Grids whose base model has a point-mass layer first, or a discrete
+    # layer last behind centred ones.  The refusals are read off the
+    # stack's field table, so no model is built: with ModelParams refused
+    # once the grids are built, every row reads bound_failed, the rs column
+    # is that of a run without the stub, and each point's failure is its
+    # solo maximize_bound refusal, by type and text.
+    tol = 1e-10
+    discrete = FieldSpec.discrete((-1.0, 0.5), (0.4, 0.6))
+    grids = [
+        (ModelParams(K=3, beta=(0.7, 1.1), lam=(0.3, 0.4, 0.3),
+                     fields=(FieldSpec.point_mass(0.6),
+                             FieldSpec.gaussian(0.3), discrete)),
+         (("beta[0]", 0.2, 2.0, 4), ("fields[1].v", 0.0, 0.8, 3))),
+        (ModelParams(K=3, beta=(0.7, 1.1), lam=(0.3, 0.4, 0.3),
+                     fields=(FieldSpec.gaussian(0.2), FieldSpec.zero(),
+                             discrete)),
+         (("fields[0].v", 0.0, 0.8, 3), ("beta[1]", 0.5, 1.5, 2)))]
+    scan = cli.ScanSpec(axes=(), outputs=("rs_pressure", "bound"))
+
+    def grid():
+        return [part for base, specs in grids
+                for part in cli._grid_stacks(base, _axes(base, *specs))]
+
+    unstubbed = [cli._scan_columns(scan, tol, points, stack)
+                 for points, stack in grid()]
+    parts = grid()
+    models = [[_row_model(stack, i) for i in range(len(stack))]
+              for _, stack in parts]
+
+    def refused(self):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(machine.ModelParams, "__post_init__", refused)
+    kinds = set()
+    for (points, stack), solo, old in zip(parts, models, unstubbed):
+        # The axis values, rs_pressure, bound_value, bound_certified, flags.
+        new = cli._scan_columns(scan, tol, points, stack)
+        assert new[2] == old[2] and None not in new[2]
+        assert new[3] == new[4] == [None] * len(stack)
+        assert new[5] == ["bound_failed"] * len(stack)
+        failures = sk_chain_bound._bound_columns(stack, tol).failure
+        for failure, params in zip(failures, solo):
+            own = _solo(sk_chain_bound.maximize_bound, params, tol)
+            assert type(failure) is type(own) is ValueError
+            assert str(failure) == str(own)
+            kinds.add(str(own).split("kind ")[-1])
+    assert kinds == {"'point_mass')", "'discrete')"}
+
+
 # A K = 4 centred-Gaussian model scanned over a 6 x 4 grid that crosses the
 # annealed boundary and the bound's certification line.
 _GRID_MODEL = {
@@ -404,9 +454,9 @@ def test_a_stack_is_solved_once_per_tolerance(monkeypatch):
 
 
 def test_a_scan_builds_no_per_point_record(tmp_path, monkeypatch):
-    # A scan, and region on a grid, read their outputs off the stack's
+    # A scan, and region on a grid or on one model, read their outputs off
     # columns: no solution, bound, certificate or verdict record is built,
-    # and rs and region on one model still build their own.
+    # and rs on one model still builds its own.
     def refused(*args, **kwargs):
         raise AssertionError("a per-point record was built")
 
@@ -422,12 +472,15 @@ def test_a_scan_builds_no_per_point_record(tmp_path, monkeypatch):
                                               ("csv", "json")):
             assert cli.main([command, "--config", str(path), "--format", fmt,
                              "--out", str(tmp_path / "out")]) == 0
-    with pytest.raises(AssertionError, match="per-point record"):
-        cli.main(["rs", "--config", str(path)])
+    # region on one model reads the classification's columns too; rs
+    # still builds its record, which shows that the stub works.
     del config["scan"]
     path.write_text(json.dumps(config))
+    for fmt in ("csv", "json"):
+        assert cli.main(["region", "--config", str(path), "--format", fmt,
+                         "--out", str(tmp_path / "out")]) == 0
     with pytest.raises(AssertionError, match="per-point record"):
-        cli.main(["region", "--config", str(path)])
+        cli.main(["rs", "--config", str(path)])
 
 
 def _zero_field_grid():
@@ -777,9 +830,17 @@ def test_stacked_classification_covers_both_eigensolvers_and_lost_witnesses():
                 machine.witness_recursion(models[3])[:-1]))
 
 
+def _row_model(stack, i):
+    """The :class:`ModelParams` of point ``i`` of ``stack``."""
+    K = stack.lam.shape[1]
+    return ModelParams(K=K, beta=tuple(stack.beta[i].tolist()),
+                       lam=tuple(stack.lam[i].tolist()),
+                       fields=tuple(stack.table.take(range(i * K, i * K + K))))
+
+
 def _grid_rows(base, axes):
     """Every row model of the grid that ``scan`` builds, in grid order."""
-    return [stack.model(i) for _, stack in cli._grid_stacks(base, axes)
+    return [_row_model(stack, i) for _, stack in cli._grid_stacks(base, axes)
             for i in range(len(stack))]
 
 
