@@ -459,9 +459,9 @@ def _setting(section: dict, key: str, default, kind):
 def _tol(args, config: _Config) -> float:
     tol = (float(args.tol) if args.tol is not None
            else _setting(config.solver, "tol", 1e-10, float))
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not 0.0 < tol < 1.0:
         raise ConfigError(
-            f"the solver tolerance must be positive and finite, got {tol}")
+            f"the solver tolerance must lie in (0, 1), got {tol}")
     return tol
 
 
@@ -564,12 +564,12 @@ def _criteria_consistent(params: ModelParams) -> bool:
     entry overflowed to ``inf`` or is not a number, and none is zero or
     negative) says nothing, so it agrees.
     """
-    verdict = machine.classify_annealed(params)
-    inside = verdict.rho < 1.0
-    return verdict.verdict == "boundary" or (
-        inside == all(z > 0.0 for z in verdict.z_chain)
+    regions = machine._classify(params, machine.spectral_radius(params))
+    inside = regions.rho[0] < 1.0
+    return regions.verdict[0] == "boundary" or (
+        inside == bool(np.all(regions.z_chain[0] > 0.0))
         and (min(params.lam) <= 0.0
-             or inside == (verdict.feasible_a is not None)
+             or inside == (regions.witness[0] is not None)
              or not np.any(machine.witness_recursion(params) <= 0.0)))
 
 

@@ -1101,11 +1101,11 @@ def annealed_trend(params: ModelParams, sizes, n_disorder: int = 200,
     """
     if not params.zero_fields:
         raise ValueError("the annealed trend is defined for zero external fields")
-    verdict = machine.classify_annealed(params)
-    if verdict.verdict != "inside":
+    regions = machine._classify(params, machine.spectral_radius(params))
+    if regions.verdict[0] != "inside":
         raise ValueError(
             "parameters must lie strictly inside the annealed region "
-            f"(classified as '{verdict.verdict}')")
+            f"(classified as '{regions.verdict[0]}')")
     assignments = list(sizes)
     if len(assignments) < 2:
         raise ValueError("need at least two system sizes to compare")

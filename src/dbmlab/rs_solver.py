@@ -393,12 +393,17 @@ def _guard_error(steps, q, residual, m, v) -> SolverError:
         last_q=q, residual=residual, iterations=steps)
 
 
-def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
+def _newton(M, table: ghquad.FieldTable, tol: float) -> tuple:
     """Largest consistency solution ``q = E tanh^2(z sqrt(Mq) + h)`` of
-    every row: ``(q, residual, Mq, E cosh^-4(z sqrt(Mq) + h))`` at its
-    best-residual iterate, or the :class:`SolverError` it ends with, either
-    when its step leaves the monotone descent or when its best residual
-    stays above ``tol``.
+    every row, as the columns ``(q, m, residual, stable, failure)``, built
+    once when the last row stops: ``q`` and ``m = Mq`` as ``(n, K)`` arrays
+    at each row's best-residual iterate, and per row its ``residual``, its
+    de Almeida--Thouless test ``stable``, ``(Mq)_p E cosh^-4(z sqrt((Mq)_p)
+    + h_p) <= q_p`` on every layer, and its ``failure``, ``None`` or the
+    :class:`SolverError` it ends with, either when its step leaves the
+    monotone descent or when its best residual stays above ``tol``.  A
+    failed row's ``q`` is its failure's ``last_q``, and its ``residual``
+    the failure's.
 
     ``M`` holds the rows' matrices as ``(n, K, K)`` and ``table`` their
     fields, ``K`` layers per row; a row is centred when all its fields
@@ -420,8 +425,8 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
     mixed = not all(centred)
     eye = np.eye(K)
     target = max(1e-14, 0.01 * tol)
-    results: list = [None] * n
-    best: list = [None] * n  # per row (q, residual, m, E cosh^-4)
+    failure: list = [None] * n
+    best: list = [None] * n  # per row (q, m, E cosh^-4)
     best_res = [math.inf] * n
     state = _evaluate(M, fields, np.where(np.array(centred)[:, None], 1.0, 0.5)
                       * np.ones(K))
@@ -438,16 +443,17 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                                           distance.tolist())):
             lowered = r < best_res[i]
             if lowered:
-                best[i], best_res[i] = (q[j], r, m[j], inv_cosh4[j]), r
+                best[i], best_res[i] = (q[j], m[j], inv_cosh4[j]), r
             # A step that no longer lowers a residual within tol has
             # stalled at rounding level.
             if ((not lowered and best_res[i] <= tol)
                     or (best_res[i] <= target and d <= tol)
                     or step == _NEWTON_STEPS):
-                results[i] = best[i] if best_res[i] <= tol else SolverError(
-                    f"nested solve stalled at residual {best_res[i]:.3e} > "
-                    f"tol={tol}", last_q=best[i][0], residual=best_res[i],
-                    iterations=step)
+                if best_res[i] > tol:
+                    failure[i] = SolverError(
+                        f"nested solve stalled at residual {best_res[i]:.3e} "
+                        f"> tol={tol}", last_q=best[i][0],
+                        residual=best_res[i], iterations=step)
                 continue
             descends = finite[j]
             if centred[j] and descends and r > _GUARD_RESIDUAL:
@@ -460,13 +466,17 @@ def _newton(M, table: ghquad.FieldTable, tol: float) -> list:
                                                axis=1).tolist())
                 descends = guard[0][j] >= 0.0 and guard[1][j] <= 0.0
             if centred[j] and not descends:
-                results[i] = _guard_error(step + 1, q[j], r, m[j],
+                best[i], best_res[i] = (q[j], m[j], inv_cosh4[j]), r
+                failure[i] = _guard_error(step + 1, q[j], r, m[j],
                                           table.v[i * K:(i + 1) * K])
                 continue
             keep.append(j)
         if len(keep) < n:
             if not keep:
-                return results
+                q, m, inv_cosh4 = (np.array([row[k] for row in best])
+                                   for k in range(3))
+                stable = np.logical_and.reduce(m * inv_cosh4 <= q, axis=1)
+                return q, m, best_res, stable.tolist(), failure
             q, g, res, new, rows, M = (
                 a[keep] for a in (q, g, res, new, rows, M))
             centred = [centred[j] for j in keep]
@@ -536,9 +546,15 @@ def _solved(stack: _Stack, tol: float) -> _Solved:
     1``, the test ``0 <= 0`` and the witness, with no Newton step and no
     kernel call.  The other points take one :func:`_newton` body, whose
     steps make one layered kernel call and one batched linear solve for
-    every point still iterating; a single layer has no interaction, so
-    ``Mq = 0`` and its ``q`` is the layer's own ``E tanh^2(z sqrt(v) +
-    h)``, the first row of one ``TANH_MOMENTS`` call.  The pressures and
+    every point still iterating, and whose columns (``q``, ``m = Mq``, the
+    residual, the de Almeida--Thouless test and the failure) they take as
+    they are.  A single layer has no interaction, so ``Mq = 0`` and its
+    ``q`` is the layer's own ``E tanh^2(z sqrt(v) + h)``, the first row of
+    one ``TANH_MOMENTS`` call, which writes the same columns, with residual
+    0 and the test true (at ``Mq = 0`` it reads ``0 <= q``).  A ``tol``
+    outside ``(0, 1)`` is a ``ValueError``: the residual never exceeds 1,
+    so from ``tol = 1`` on every point of the unit box would stop the
+    iteration, the start ``q = 1`` included.  The pressures and
     the certificates, which read the stack's spectral radii
     (:attr:`_Stack.rho`), take one pass each, as row expressions, so every
     point gets the bits of its own :func:`solve_nested` call.  A point
@@ -547,8 +563,8 @@ def _solved(stack: _Stack, tol: float) -> _Solved:
     on.  Solved again at the same ``tol``, the stack hands back the same
     columns, with no kernel call.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be positive and below 1")
     if tol in stack.solved:
         return stack.solved[tol]
     P, K = stack.lam.shape
@@ -578,26 +594,21 @@ def _solved(stack: _Stack, tol: float) -> _Solved:
         if K > 1:
             found = _newton(points.M, points.table, tol)
         else:
-            m1 = np.zeros((len(points), 1))
-            q1, inv_cosh4 = _expect_rows(TANH_MOMENTS, m1, points.table)
-            found = [(q_i, 0.0, m1[0], c) for q_i, c in zip(q1, inv_cosh4)]
-        # A root is (q, residual, m, E cosh^-4).
-        roots = []
-        for i, root in zip(newton, found):
-            if isinstance(root, SolverError):
-                failure[i] = root
-            else:
-                roots.append((i, root))
-        if roots:
-            rows = [i for i, _ in roots]
-            q_rows, m_rows, inv_cosh4 = (
-                np.array([root[k] for _, root in roots]) for k in (0, 2, 3))
-            q[rows], m[rows] = q_rows, m_rows
-            values = _pressures(stack.take(rows), q_rows, m_rows)
-            tests = np.logical_and.reduce(m_rows * inv_cosh4 <= q_rows,
-                                          axis=1).tolist()
-            for (i, root), value, ok in zip(roots, values, tests):
-                residual[i], pressure[i], stable[i] = root[1], value, ok
+            m1 = np.zeros((len(newton), 1))
+            found = (_expect_rows(TANH_MOMENTS, m1, points.table)[0], m1,
+                     [0.0] * len(newton), [True] * len(newton),
+                     [None] * len(newton))
+        found_q, found_m, found_res, found_stable, found_failure = found
+        roots = [j for j, error in enumerate(found_failure) if error is None]
+        rows = [newton[j] for j in roots]
+        for i, error in zip(newton, found_failure):
+            failure[i] = error
+        if rows:
+            q[rows], m[rows] = found_q[roots], found_m[roots]
+            values = _pressures(stack.take(rows), q[rows], m[rows])
+            for i, j, value in zip(rows, roots, values):
+                residual[i], pressure[i] = found_res[j], value
+                stable[i] = found_stable[j]
     # Every later read of the stack's solve hands out these rows of q.
     q.flags.writeable = False
     certificates = _certificates(stack, q, m, stable)
@@ -670,18 +681,20 @@ def latala_guerra(beta: float, v: float, tol: float = 1e-12) -> float:
     is strictly decreasing on ``(0, 1]``), solved as a ``1 x 1`` row of the
     nested Newton iteration with self-coupling ``M = 2 beta^2``, from ``q =
     1``, with its stopping rule at ``tol``.  Raises :class:`SolverError`
-    when that is not reached.
+    when that is not reached, and ``ValueError`` unless ``v > 0``, ``beta
+    >= 0`` with ``2 beta^2`` finite, and ``0 < tol < 1``.
     """
     beta = float(beta)
     v = float(v)
     if v <= 0.0:
         raise ValueError("field variance v must be positive")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    root = _newton(np.full((1, 1, 1), 2.0 * beta * beta),
-                   ghquad.FieldTable([FieldSpec.gaussian(v)]), tol)[0]
-    if isinstance(root, SolverError):
-        raise root
-    return float(root[0][0])
+    if not (beta >= 0.0 and math.isfinite(2.0 * beta * beta)):
+        raise ValueError("beta must be nonnegative, with 2 beta^2 finite")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be positive and below 1")
+    q, _, _, _, failure = _newton(np.full((1, 1, 1), 2.0 * beta * beta),
+                                  ghquad.FieldTable([FieldSpec.gaussian(v)]),
+                                  tol)
+    if failure[0] is not None:
+        raise failure[0]
+    return float(q[0, 0])

@@ -15,17 +15,17 @@ surrogate overlap is the largest solution of the scalar consistency
 equation ``x = E tanh^2(z sqrt(2 x theta_p^2) + h_p)``.  At free weights
 the K scalar equations are ``1 x 1`` rows of the one Newton body,
 :func:`rs_solver._newton`, solved together, and each row returns its
-layer's validity test at the root.  At the maximizer nothing is solved
-here: the bound is a read of the consistency solution of
-:func:`rs_solver._solved`, whose entries ``q`` are the surrogate
-overlaps, at the weights related to ``q``, or at the annealed-region
-witness where the solver puts a zero-field model at ``q = 0``.  Either
-way the bound is the solution's pressure and each layer's validity test
-is the solution's de Almeida--Thouless test at ``(Mq)_p``, with no kernel
-call.  :func:`_bound_columns` solves a stack of same-K models, the points
-of a scan grid, and reads each point's bound off its own solution as
-columns, with the bits of its own :func:`maximize_bound` call, which
-builds its record from row 0 of its stack of one.
+layer's validity test at the root, as the body's ``stable`` column.  At
+the maximizer nothing is solved here: the bound is a read of the
+consistency solution of :func:`rs_solver._solved`, whose entries ``q``
+are the surrogate overlaps, at the weights related to ``q``, or at the
+annealed-region witness where the solver puts a zero-field model at
+``q = 0``.  Either way the bound is the solution's pressure and each layer's
+validity test is the solution's de Almeida--Thouless test at ``(Mq)_p``,
+with no kernel call.  :func:`_bound_columns` solves a stack of same-K
+models, the points of a scan grid, and reads each point's bound off its
+own solution as columns, with the bits of its own :func:`maximize_bound`
+call, which builds its record from row 0 of its stack of one.
 
 An overlap vector ``q`` and auxiliary weights ``a`` are *related* when
 ``lam_p q_p a_p = lam_{p+1} q_{p+1}`` for every bond; for related pairs
@@ -146,24 +146,23 @@ def _evaluate(stack: _Stack, theta_sq: np.ndarray
     zero-field layer with ``2 theta^2 <= 1`` has no root but 0, and no
     solve.  A layer passes the scalar de Almeida--Thouless test ``m E
     cosh^-4 <= x`` at ``m = 2 theta^2 x``, which its row returns at the
-    root; a layer left at 0 passes and one whose solve failed does not.
+    root as the ``stable`` column; a layer left at 0 passes and one whose
+    solve failed does not, and its overlap is its failure's last iterate.
     The bound values take one kernel call."""
     two_t = 2.0 * theta_sq.ravel()
     overlaps = np.zeros(two_t.size)
     converged = np.ones(two_t.size, dtype=bool)
     stable = np.ones(two_t.size, dtype=bool)
     rows = np.flatnonzero((stack.table.v > 0.0) | (two_t > 1.0))
-    roots = rs_solver._newton(two_t[rows, None, None], stack.table.take(rows),
-                              _SCALAR_TOL) if rows.size else []
-    for r, root in zip(rows.tolist(), roots):
-        failed = isinstance(root, rs_solver.SolverError)
-        overlaps[r] = root.last_q[0] if failed else root[0][0]
-        converged[r] = not failed
-        stable[r] = not failed and root[2][0] * root[3][0] <= root[0][0]
+    if rows.size:
+        q, _, _, stable[rows], failure = rs_solver._newton(
+            two_t[rows, None, None], stack.table.take(rows), _SCALAR_TOL)
+        overlaps[rows] = q[:, 0]
+        converged[rows] = [error is None for error in failure]
     overlaps = overlaps.reshape(theta_sq.shape)
     values = _functional_values(stack, theta_sq, overlaps)
     return (values, overlaps, converged.reshape(theta_sq.shape).all(axis=1),
-            stable.reshape(theta_sq.shape).all(axis=1))
+            (converged & stable).reshape(theta_sq.shape).all(axis=1))
 
 
 def _functional_values(stack: _Stack, theta_sq: np.ndarray,
@@ -189,8 +188,9 @@ def p_dbm_functional(a, params: ModelParams) -> tuple[float, bool]:
     converge leaves the value uncertified.  Each surrogate overlap is the
     largest root of its layer's scalar consistency equation, a ``1 x 1``
     row of the nested Newton iteration started at 1, which also returns
-    the layer's de Almeida--Thouless test at the root, so the check takes
-    no kernel call of its own.  Fields must be zero or centred Gaussian.
+    the layer's de Almeida--Thouless test at the root as a column of its
+    own, so the check takes no kernel call of its own.  Fields must be
+    zero or centred Gaussian.
     """
     params.require_fields("the split bound")
     theta_sq = _theta_sq_from_aux(a, params)[None]

@@ -141,7 +141,7 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert cli.main(["region", "--config", broken]) == 2
     good = write_config(tmp_path, gauss2(), name="good.json")
     for command in ("rs", "bound"):
-        for tol in ("0", "-1"):
+        for tol in ("0", "-1", "1", "100", "inf", "nan"):
             assert cli.main([command, "--config", good, "--tol", tol]) == 2
     point_mass = write_config(
         tmp_path, model_dict(2, (0.6,), (0.5, 0.5),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dbmlab import ghquad, machine, rs_solver, sk_chain_bound
-from dbmlab.ghquad import LOG_COSH, TANH_SQ
+from dbmlab.ghquad import INV_COSH4, LOG_COSH, TANH_SQ
 from dbmlab.machine import FieldSpec, ModelParams
 from dbmlab.rs_solver import (
     SolverError,
@@ -19,7 +19,7 @@ from dbmlab.rs_solver import (
     solve_nested,
 )
 
-from helpers import model_params, random_params
+from helpers import field_specs, model_params, random_params
 from oracles import (
     central_fd_gradient,
     central_fd_jacobian,
@@ -233,6 +233,15 @@ def test_scalar_solver_rejects_nonpositive_variance():
         latala_guerra(1.0, -0.3, 1e-12)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -0.5, 1e154])
+def test_scalar_solver_names_a_bad_beta(beta):
+    # A NaN once passed the beta < 0 guard, and an infinite beta or one
+    # whose 2 beta^2 overflows reached the kernel, whose message named the
+    # variance s instead.
+    with pytest.raises(ValueError, match="^beta must be nonnegative"):
+        latala_guerra(beta, 0.5)
+
+
 def test_scalar_solver_residual_and_range():
     rng = np.random.default_rng(18)
     cases = []
@@ -245,10 +254,11 @@ def test_scalar_solver_residual_and_range():
     # one positive value, and the 1 x 1 Newton row with self-coupling
     # 2 beta^2, started at 1, must return the positive one.
     for beta in (0.75, 1.0, 1.5, 2.0):
-        root, = rs_solver._newton(np.full((1, 1, 1), 2.0 * beta * beta),
-                                  ghquad.FieldTable([FieldSpec.zero()]), 1e-12)
-        assert not isinstance(root, SolverError)
-        cases.append((beta, FieldSpec.zero(), float(root[0][0])))
+        q, _, _, _, failure = rs_solver._newton(
+            np.full((1, 1, 1), 2.0 * beta * beta),
+            ghquad.FieldTable([FieldSpec.zero()]), 1e-12)
+        assert failure == [None]
+        cases.append((beta, FieldSpec.zero(), float(q[0, 0])))
     for beta, field, q in cases:
         assert 0.0 < q < 1.0
         resid = abs(q - ghquad.expect(TANH_SQ, 2.0 * q * beta * beta, field))
@@ -262,14 +272,26 @@ def _one_layer_rows(theta_sq, fields, tol):
                              ghquad.FieldTable(fields), tol)
 
 
-def _assert_same_root(got, want):
-    if isinstance(want, SolverError):
-        assert isinstance(got, SolverError) and str(got) == str(want)
-        np.testing.assert_array_equal(got.last_q, want.last_q)
+def _row(columns, i):
+    """Row ``i`` of the ``rs_solver._newton`` columns ``(q, m, residual,
+    stable, failure)``."""
+    return tuple(column[i] for column in columns)
+
+
+def _assert_same_row(got, want):
+    """Two rows of ``rs_solver._newton`` columns agree: the same bits in
+    ``q`` and ``m``, the same residual and test, and failures equal by
+    type, text and ``last_q``."""
+    *values, got_failure = got
+    *wanted, want_failure = want
+    for a, b in zip(values, wanted, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    if want_failure is None:
+        assert got_failure is None
     else:
-        assert not isinstance(got, SolverError)
-        for a, b in zip(got, want, strict=True):
-            np.testing.assert_array_equal(a, b)
+        assert type(got_failure) is type(want_failure)
+        assert str(got_failure) == str(want_failure)
+        np.testing.assert_array_equal(got_failure.last_q, want_failure.last_q)
 
 
 _ONE_LAYER_FIELDS = st.one_of(st.just(FieldSpec.zero()),
@@ -284,10 +306,62 @@ def test_lockstep_scalar_solver_matches_one_layer_solves_property(layers):
     # rule, whatever the other rows in the call do.
     theta_sq = np.array([t for t, _ in layers])
     fields = [f for _, f in layers]
-    roots = _one_layer_rows(theta_sq, fields, 1e-13)
-    for p, root in enumerate(roots):
-        _assert_same_root(root, _one_layer_rows(theta_sq[p:p + 1],
-                                                fields[p:p + 1], 1e-13)[0])
+    columns = _one_layer_rows(theta_sq, fields, 1e-13)
+    for p in range(len(layers)):
+        alone = _one_layer_rows(theta_sq[p:p + 1], fields[p:p + 1], 1e-13)
+        _assert_same_row(_row(columns, p), _row(alone, 0))
+
+
+# A balanced K = 2 chain whose first Newton step leaves the monotone
+# descent: its layer variance 1e6 is past the quadrature's range.
+_GUARD_ROW = make(2, (1000.0,), (0.5, 0.5), (FieldSpec.gaussian(0.3),) * 2)
+
+
+@st.composite
+def newton_rows(draw):
+    """``(M, fields)`` of one ``rs_solver._newton`` call: ``1 x 1``
+    one-layer rows with self-coupling ``2 theta^2``, or K = 2 or K = 3
+    chains with any mix of field kinds, among them, for K = 2, the chain
+    that trips the guard."""
+    K = draw(st.integers(1, 3))
+    if K == 1:
+        layers = draw(st.lists(st.tuples(st.floats(0.0, 3.0), field_specs()),
+                               min_size=1, max_size=6))
+        return (2.0 * np.array([t for t, _ in layers])[:, None, None],
+                [f for _, f in layers])
+    models = draw(st.lists(model_params(k_range=(K, K), zero_weights=False),
+                           min_size=1, max_size=5))
+    if K == 2:
+        models.insert(draw(st.integers(0, len(models))), _GUARD_ROW)
+    return (np.array([machine.build_matrices(params)[2] for params in models]),
+            [f for params in models for f in params.fields])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=newton_rows())
+def test_newton_columns_equal_each_row_solved_alone_property(rows):
+    # Every row's columns are those of its own one-row call, its test is
+    # the de Almeida--Thouless inequality at its q and m, and a failed row
+    # holds its failure's last iterate and residual.
+    M, fields = rows
+    n, K = M.shape[:2]
+    columns = rs_solver._newton(M, ghquad.FieldTable(fields), 1e-10)
+    q, m, residual, stable, failure = columns
+    assert q.shape == m.shape == (n, K)
+    assert len(residual) == len(stable) == len(failure) == n
+    for i in range(n):
+        alone = rs_solver._newton(M[i:i + 1],
+                                  ghquad.FieldTable(fields[i * K:(i + 1) * K]),
+                                  1e-10)
+        _assert_same_row(_row(columns, i), _row(alone, 0))
+        if failure[i] is not None:
+            assert q[i].tobytes() == failure[i].last_q.tobytes()
+            assert residual[i] == failure[i].residual
+    inv_cosh4 = ghquad.expect(INV_COSH4, m.ravel(), fields).reshape(n, K)
+    assert stable == np.logical_and.reduce(m * inv_cosh4 <= q,
+                                           axis=1).tolist()
+    if K == 2:
+        assert any("monotone descent" in str(error) for error in failure)
 
 
 def test_lockstep_scalar_solver_makes_one_kernel_call_per_step(monkeypatch):
@@ -485,10 +559,12 @@ def test_nested_rejects_zero_lambda_layers():
         solve_nested(params)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, 1.0])
 def test_solvers_reject_a_tolerance_that_is_not_positive(tol):
     # A NaN tolerance once ran every solve to its step limit and failed
-    # with "residual 0.000e+00 > tol=nan".
+    # with "residual 0.000e+00 > tol=nan".  The residual never exceeds 1,
+    # so from tol = 1 every point of the unit box met the stopping rule,
+    # and from tol = 100 the start q = 1 came back as the solution.
     params = make(2, (0.7,), (0.5, 0.5),
                   (FieldSpec.gaussian(0.5), FieldSpec.gaussian(0.5)))
     for solve in (lambda: solve_nested(params, tol),

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -120,6 +121,25 @@ def test_example_configs_run_through_the_cli(tmp_path):
     assert trend["jensen_ok"] is True
     assert trend["gap_decreasing"] is True
     assert data["covariance"]["worst"] < 5.0
+
+
+_NO_SCIPY = """
+import sys
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def test_readme_python_api_runs_and_loads_no_scipy():
+    # The README's Python API section runs as it is written, on NumPy alone.
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    done = subprocess.run([sys.executable, "-c", "".join(blocks) + _NO_SCIPY],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout
 
 
 _LOADED_SCIPY = """
