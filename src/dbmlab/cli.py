@@ -298,20 +298,26 @@ def _grid_stacks(base: ModelParams, axes):
 
 
 def _cell(value) -> str:
+    kind = type(value)
+    if kind is float:
+        return float.__repr__(value)
+    if kind is str or kind is int:
+        return str(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    raise TypeError(f"Object of type {kind.__name__} is not CSV serializable")
 
 
 def _csv_table(header, columns) -> str:
     """CSV text with the ``header`` line and one line per row of
-    ``columns``, a list of values per column, each column formatted once."""
+    ``columns``, a list of values per column, each column formatted once.
+
+    A cell is a ``float`` (its ``repr``), ``str``, ``None`` (empty),
+    ``bool`` (``true``/``false``) or ``int``, of exactly that type; any
+    other value, a NumPy scalar or a subclass included, raises
+    ``TypeError``."""
     lines = map(",".join, zip(*(map(_cell, column) for column in columns)))
     return "\n".join([",".join(header), *lines]) + "\n"
 
@@ -319,41 +325,33 @@ def _csv_table(header, columns) -> str:
 def _json_text(payload: dict) -> str:
     """``payload`` as indented JSON text, byte for byte
     ``json.dumps(payload, indent=2) + "\\n"`` (which, given an ``indent``,
-    takes CPython's slower pure-Python encoder).
+    takes CPython's pure-Python encoder before Python 3.13).
 
-    That holds for dicts with ``str`` keys, lists, tuples, strings, ints,
-    floats (``NaN``, ``Infinity`` and ``-Infinity`` spelled as ``json``
-    spells them), booleans and ``None``, and for their subclasses, such as
-    ``np.float64``.  Any other value, ``np.bool_`` and ``np.int64``
-    included, raises ``TypeError`` as ``json.dumps`` does; so does any
-    other key.  A container's ``float``, ``str``, ``bool`` and ``None``
-    items are written inline, and the keys of the dicts that share a key
-    set, such as a scan's rows, are encoded once, into one format string
-    that every such dict fills.
+    A report holds JSON's own types only: dicts with ``str`` keys, lists,
+    tuples, strings, ints, floats (``NaN``, ``Infinity`` and ``-Infinity``
+    spelled as ``json`` spells them), booleans and ``None``, each of
+    exactly that type.  Any other value, a NumPy scalar or a subclass
+    included, raises ``TypeError``, and so does a key that is no ``str``.
+    Each scalar type is written in one place,
+    :func:`_json_items`, and the keys of the dicts that share a key set,
+    such as a scan's rows, are encoded once, into one format string that
+    every such dict fills.
     """
-    return _json_value(payload, "\n", {}) + "\n"
+    return _json_items((payload,), "\n", {})[0] + "\n"
 
 
-# The JSON types, which _json_value dispatches on exactly.
-_JSON_KINDS = frozenset((dict, list, tuple, str, int, float, bool, type(None)))
 # json's spellings of the float reprs that are no JSON number.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_value(value, newline: str, forms: dict) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at the
-    nesting level whose line break and indent is ``newline``.  ``forms``
-    holds the format string of each dict key set met so far, keyed by its
-    indent and keys."""
+    """The container ``value``, a dict, list or tuple, as ``json.dumps(value,
+    indent=2)`` writes it at the nesting level whose line break and indent
+    is ``newline``; ``TypeError`` for any other value.  ``forms`` holds the
+    format string of each dict key set met so far, keyed by its indent and
+    keys."""
     kind = type(value)
-    if kind not in _JSON_KINDS:
-        kind = _json_base(value)
-    if kind is float:
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if kind is str:
-        return _json_str(value)
     if kind is dict:
         if not value:
             return "{}"
@@ -372,17 +370,12 @@ def _json_value(value, newline: str, forms: dict) -> str:
         inner = newline + "  "
         items = _json_items(value, inner, forms)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return int.__repr__(value)
-    return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _json_items(values, newline: str, forms: dict) -> list[str]:
-    """The texts of a container's items at the level of ``newline``: the
-    scalars of the four common types inline, the others by
-    :func:`_json_value`."""
+    """The texts of a container's items at the level of ``newline``: each
+    scalar inline, each container by :func:`_json_value`."""
     out = []
     for item in values:
         kind = type(item)
@@ -395,19 +388,11 @@ def _json_items(values, newline: str, forms: dict) -> list[str]:
             out.append("null")
         elif kind is bool:
             out.append("true" if item else "false")
+        elif kind is int:
+            out.append(int.__repr__(item))
         else:
             out.append(_json_value(item, newline, forms))
     return out
-
-
-def _json_base(value) -> type:
-    """The JSON type a subclass instance is written as, in ``json``'s
-    order of checks; ``TypeError`` for what ``json.dumps`` refuses."""
-    for kind in (str, int, float, list, tuple, dict):
-        if isinstance(value, kind):
-            return kind
-    raise TypeError(
-        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _flatten_kv(prefix: str, value) -> list[tuple[str, object]]:
@@ -416,7 +401,7 @@ def _flatten_kv(prefix: str, value) -> list[tuple[str, object]]:
         for key, sub in value.items():
             out.extend(_flatten_kv(f"{prefix}.{key}" if prefix else key, sub))
         return out
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, list):
         out = []
         for i, sub in enumerate(value):
             out.extend(_flatten_kv(f"{prefix}[{i}]", sub))

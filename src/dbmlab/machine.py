@@ -537,10 +537,10 @@ def extremal_lambda(beta: Sequence[float]) -> ExtremalLambda:
         if beta_sq[p] >= value - tol:
             lam = np.zeros(K)
             lam[p] = lam[p + 1] = 0.5
-            maximizers.append(tuple(lam))
+            maximizers.append(tuple(lam.tolist()))
     for p in range(1, K - 1):
         if beta_sq[p - 1] >= value - tol and beta_sq[p] >= value - tol:
             lam = np.zeros(K)
             lam[p - 1], lam[p], lam[p + 1] = 0.25, 0.5, 0.25
-            maximizers.append(tuple(lam))
+            maximizers.append(tuple(lam.tolist()))
     return ExtremalLambda(value=value, maximizers=tuple(maximizers))

@@ -98,10 +98,20 @@ class Certificates:
     ``talagrand_ok``: every layer passes the high-temperature criterion
     ``(Mq)_p < q_p / 4`` (``None`` when some layer is indeterminate, as a
     layer at ``q_p = 0`` is).
-    ``at_ok``: every layer passes the de Almeida--Thouless stability
-    inequality (``None`` when the fields are not centred Gaussian).
-    ``stable_at_zero``: the consistency map is a local contraction at
-    ``q = 0``, i.e. the spectral radius of ``M`` is below one.
+    ``at_ok``: the split bound's per-layer de Almeida--Thouless test,
+    ``(Mq)_p E cosh^-4(z sqrt((Mq)_p) + h_p) <= q_p`` on every layer, the
+    test that the bound's ``certified`` reads.  It is reported only when
+    every layer's field is Gaussian with positive variance, and is ``None``
+    otherwise: a zero field on any layer, or a field with an atom besides
+    0, gives ``None``.
+    ``stable_at_zero``: the spectral radius of ``M`` is below one.  With
+    zero fields that says the consistency map is a local contraction at
+    its solution ``q = 0``; with fields ``q = 0`` solves nothing, and the
+    flag states the zero-field fact alone.
+
+    Neither ``at_ok`` nor ``stable_at_zero`` proves replica symmetry for
+    this model; ``at_ok`` is the test of each decoupled SK layer of the
+    split bound, not of the full model's replica-symmetric solution.
 
     With zero fields strictly inside the annealed region the solution is
     ``q = 0`` exactly: ``talagrand_ok`` and ``at_ok`` are ``None`` and
@@ -166,9 +176,9 @@ class _Stack:
     ``(P, K, K)`` (:func:`machine.build_matrices`); ``rho``, the spectral
     radii (:func:`machine.spectral_radius`); and ``regions``, the
     :func:`machine.classify_annealed` classification as columns, built
-    from ``rho``.  A sub-stack (:meth:`take`) carries the rows of ``M`` if
-    that is derived already, and starts unsolved: ``solved`` holds the
-    stack's solves as :class:`_Solved` columns, keyed by tolerance.  Every per-point product
+    from ``rho``.  A sub-stack (:meth:`take`) starts underived and
+    unsolved: ``solved`` holds the stack's solves as :class:`_Solved`
+    columns, keyed by tolerance.  Every per-point product
     is a batched matmul of one row, which gives the bits of the one-model
     product: ``M q`` per row is the GEMV of ``M @ q``, and a weighted sum
     per row the dot product of ``np.dot``.
@@ -226,11 +236,8 @@ class _Stack:
         """The stack of the distinct points ``rows``, in stack order."""
         if len(rows) == len(self):
             return self
-        stack = _Stack.rows(self.beta[rows], self.lam[rows],
-                            _row_fields(self.table, self.lam.shape[1], rows))
-        if "M" in self.__dict__:
-            stack.M = self.M[rows]
-        return stack
+        return _Stack.rows(self.beta[rows], self.lam[rows],
+                           _row_fields(self.table, self.lam.shape[1], rows))
 
 
 def _row_fields(table: ghquad.FieldTable, K: int, rows) -> ghquad.FieldTable:

@@ -2,6 +2,9 @@
 shared across the test suite."""
 from __future__ import annotations
 
+import json
+import random
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -154,6 +157,108 @@ def mistyped_model_sections(draw, k_range: tuple[int, int] = (1, 4)) -> dict:
     container, key = draw(st.sampled_from(slots))
     container[key] = draw(_NOT_NUMBERS)
     return section
+
+
+@st.composite
+def _inside_chains(draw) -> ModelParams:
+    """Zero-field chains strictly inside the annealed region: with every
+    ``beta_p <= 0.9`` the spectral radius, at most ``max_p beta_p^2``,
+    stays below 0.81."""
+    K = draw(st.integers(1, 4))
+    beta = draw(st.lists(st.floats(0.1, 0.9), min_size=K - 1, max_size=K - 1))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=K, max_size=K))
+    return ModelParams(K=K, beta=tuple(beta), lam=tuple(_normalized(weights)))
+
+
+def _sorted_pair(low: float, high: float) -> st.SearchStrategy:
+    return st.lists(st.floats(low, high), min_size=2, max_size=2).map(sorted)
+
+
+# The parts of a config that a fuzzed config may replace: a key, or with
+# ``None`` one entry of the list there.  The verify entries are only ever
+# replaced, never dropped, since their defaults run the full-size checks.
+_CONFIG_PARTS = (
+    ("K",), ("beta",), ("lambda",), ("fields",), ("beta", None),
+    ("lambda", None), ("fields", None), ("scan",), ("scan", "outputs"),
+    ("scan", "axes"), ("scan", "axes", None),
+    *[("scan", "axes", None, key) for key in ("path", "min", "max", "steps")],
+    ("solver",), ("solver", "tol"), ("verify", "sizes", None),
+    *[("verify", key) for key in ("sizes", "n_disorder", "sweeps", "replicas",
+                                  "covariance_total", "covariance_n_disorder",
+                                  "n_pairs")])
+
+
+@st.composite
+def config_sections(draw) -> dict:
+    """Hypothesis strategy over whole JSON configs.
+
+    Starts from a valid config (half the time a zero-field chain inside
+    the annealed region, so that ``verify`` does work) with ``scan``,
+    ``solver`` and ``verify`` sections of small counts, and replaces or
+    drops one or two of its parts with arbitrary JSON values.  Every value
+    drawn past a cap is one that must be refused before work starts.
+    """
+    params = draw(st.one_of(_inside_chains(), model_params((1, 4))))
+    K = params.K
+    # No grid scans every layer weight, which the scan refuses.
+    paths = [*(f"beta[{p}]" for p in range(K - 1)),
+             *(f"lambda[{p}]" for p in range(K - 1)),
+             *(f"fields[{p}].v" for p, field in enumerate(params.fields)
+               if field.is_centred)]
+    ranges = {"beta": (0.1, 2.0), "lambda": (0.0, 1.0), "fields": (0.0, 1.0)}
+    axes = []
+    for path in draw(st.permutations(paths))[:draw(st.integers(1, 2))]:
+        low, high = draw(_sorted_pair(*ranges[path.partition("[")[0]]))
+        axes.append({"path": path, "min": low, "max": high,
+                     "steps": draw(st.integers(2, 4))})
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 12), min_size=2, max_size=3,
+                 unique=True).map(sorted),
+        st.integers(1, 12).map(lambda n: [n, 30])))
+    config = params.to_dict()
+    if axes:
+        config["scan"] = {"axes": axes, "outputs": draw(st.lists(
+            st.sampled_from(("region", "rho", "rs_pressure", "bound",
+                             "certificates")), unique=True))}
+    config["solver"] = {"tol": draw(st.sampled_from([1e-10, 1e-6, 0.5]))}
+    config["verify"] = {
+        "sizes": sizes, "n_disorder": draw(st.integers(1, 3)),
+        "sweeps": draw(st.integers(2, 4)), "replicas": draw(st.integers(1, 2)),
+        "covariance_total": draw(st.integers(1, 12)),
+        "covariance_n_disorder": draw(st.integers(3, 4)),
+        "n_pairs": draw(st.integers(1, 2))}
+    # Parts picked by a generator seeded with the drawn config, so that
+    # each is picked about as often: Hypothesis's own draws, seeds
+    # included, lean to the first parts and repeat small values.
+    rng = random.Random(json.dumps(config))
+    for part in rng.sample(_CONFIG_PARTS, rng.randint(1, 2)):
+        slot = _slot(draw, config, part)
+        if slot is None:
+            continue
+        container, key = slot
+        if isinstance(key, str) and part[0] != "verify" and draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = draw(_JSON_VALUES)
+    return config
+
+
+def _slot(draw, config: dict, part: tuple):
+    """The container and key of ``part`` in ``config``, with an entry
+    drawn for each ``None``; ``None`` when an earlier replacement left no
+    such slot."""
+    container = config
+    for depth, key in enumerate(part, 1):
+        if key is None:
+            if not (isinstance(container, list) and container):
+                return None
+            key = draw(st.integers(0, len(container) - 1))
+        elif not (isinstance(container, dict)
+                  and (key in container or depth == len(part))):
+            return None
+        if depth == len(part):
+            return container, key
+        container = container[key]
 
 
 def csv_text(value) -> str:

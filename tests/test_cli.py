@@ -1,4 +1,6 @@
 """Tests for the command-line interface."""
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -12,7 +14,8 @@ from dbmlab import cli, finite_volume_lab, ghquad, machine, rs_solver
 from dbmlab.finite_volume_lab import TrendReport, TrendRow
 from dbmlab.machine import FieldSpec, ModelParams
 
-from helpers import csv_text, mistyped_model_sections, model_sections
+from helpers import (config_sections, csv_text, mistyped_model_sections,
+                     model_sections)
 from oracles import damped_fixed_point
 
 LOG2 = math.log(2.0)
@@ -1267,7 +1270,6 @@ _JSON_LEAVES = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                      2.2250738585072009e-308]),
-    st.floats().map(np.float64),
     st.booleans(),
     st.none())
 _JSON_PAYLOADS = st.recursive(
@@ -1278,27 +1280,11 @@ _JSON_PAYLOADS = st.recursive(
     max_leaves=40)
 
 
-class _Float(float):
-    """A ``float`` subclass, which ``json`` writes by ``float.__repr__``."""
-
-    def __repr__(self):
-        return "not the JSON text"
-
-
-class _Int(int):
-    """An ``int`` subclass; ``bool`` itself cannot be subclassed."""
-
-    def __repr__(self):
-        return "not the JSON text"
-
-
-# The values of a scan row, with the subclasses json writes as their base.
+# The values of a scan row.
 _ROW_VALUES = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
-    st.floats().map(np.float64),
-    st.floats().map(_Float),
-    st.integers().map(_Int),
+    st.integers(),
     st.booleans(),
     st.none(),
     st.text(max_size=8))
@@ -1347,6 +1333,25 @@ def test_json_writer_refuses_what_json_dumps_refuses(value):
         with pytest.raises(TypeError) as info:
             cli._json_text(payload)
         assert str(info.value) == str(expected.value)
+
+
+class _Float(float):
+    """A ``float`` subclass, which ``json`` would write as a ``float``."""
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), _Float(0.5)],
+                         ids=["np.float64", "float subclass"])
+def test_report_writers_refuse_any_value_not_of_a_json_type(value):
+    # Both writers take JSON's own types only; a NumPy scalar or a subclass
+    # is refused, naming its type, where json.dumps would write a float.
+    name = type(value).__name__
+    row = {"rho": 0.5, "verdict": "inside"}
+    for payload in (value, {"rows": [value]}, {"rows": [row, dict(row, rho=value)]}):
+        with pytest.raises(TypeError, match=f"Object of type {name} is not"):
+            cli._json_text(payload)
+    for columns in ([[value]], [["inside", "outside"], [0.5, value]]):
+        with pytest.raises(TypeError, match=f"Object of type {name} is not"):
+            cli._csv_table(["a"] * len(columns), columns)
 
 
 def test_every_json_report_on_the_examples_is_json_dumps_text(capsys):
@@ -1461,6 +1466,26 @@ def test_fuzzed_model_section_exits_cleanly_property(tmp_path_factory, section,
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=config_sections())
+def test_fuzzed_config_exits_cleanly_property(tmp_path_factory, config):
+    # The scan, solver and verify sections too, each config through every
+    # command that reads them: a usage error is one "error:" line and
+    # nothing on stdout; verify exits 1 with no line when its checks fail.
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    for command in ("scan", "region", "verify", "rs", "bound"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--seed", "3"])
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert out.getvalue() == "", command
+            assert err.getvalue().startswith("error: "), command
+            assert err.getvalue().count("\n") == 1, command
+            assert err.getvalue().endswith("\n"), command
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

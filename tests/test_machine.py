@@ -387,6 +387,16 @@ def test_extremal_lambda_peaked_middle():
     assert any(np.allclose(m, (0.0, 0.5, 0.5, 0.0)) for m in res.maximizers)
 
 
+def test_extremal_maximizers_hold_python_floats():
+    # Public records hold Python numbers: a maximizer's repr reads 0.5, not
+    # np.float64(0.5).
+    for beta in ((1.0,), (1.0, 1.0), (1.0, 2.0, 2.0, 1.0)):
+        maximizers = machine.extremal_lambda(beta).maximizers
+        assert maximizers
+        assert all(type(x) is float for m in maximizers for x in m)
+        assert "np." not in repr(maximizers)
+
+
 def test_extremal_maximizers_achieve_the_value():
     rng = np.random.default_rng(33)
     for _ in range(20):

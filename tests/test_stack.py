@@ -414,10 +414,12 @@ def test_take_hands_a_sub_stack_the_parents_derived_rows(monkeypatch):
     counts = collections.Counter()
     _count_calls(monkeypatch, counts, machine, "build_matrices")
     sub = stack.take(rows)
+    # A sub-stack derives its own M, by one call, with the bits of the
+    # parent's rows and of a stack built afresh.
     M = sub.M
-    assert not counts
+    assert counts == {"build_matrices": 1}
     fresh = rs_solver._Stack([models[i] for i in rows])
-    assert M.tobytes() == fresh.M.tobytes()
+    assert M.tobytes() == stack.M[rows].tobytes() == fresh.M.tobytes()
 
 
 def test_a_stack_is_solved_once_per_tolerance(monkeypatch):
