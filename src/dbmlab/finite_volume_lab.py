@@ -817,18 +817,18 @@ def _tempering_sweep(blocks: tuple[_ClassBlock, _ClassBlock], odd: list,
     np.einsum("dri,dri->dr", odds.field, odds.spins, out=out)
 
 
-def _log_below(u: np.ndarray, log_u: np.ndarray, near: np.ndarray,
-               threshold: np.ndarray) -> np.ndarray:
-    """Whether libm's ``log(u) < threshold``, entry by entry.
+def _log_below(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Whether libm's ``log(max(u, 1e-300)) < threshold``, entry by entry.
 
-    ``log_u`` is NumPy's ``log(u)`` and ``near`` is ``_MARGIN * |log_u|``.
     NumPy's log may round differently from libm's in the last places, so it
-    decides only where it is further than ``near`` from the threshold, and
-    libm's log, as a single chain's scalar swap test takes it, decides the
-    rest.
+    decides only where it is further than ``_MARGIN`` times its size from
+    the threshold, and libm's log, as a single chain's scalar swap test
+    takes it, decides the rest.
     """
+    u = np.maximum(u, 1e-300)
+    log_u = np.log(u)
     below = log_u < threshold
-    unsure = np.abs(log_u - threshold) <= near
+    unsure = np.abs(log_u - threshold) <= _MARGIN * np.abs(log_u)
     if unsure.any():
         below[unsure] = _libm_log(u[unsure]) < threshold[unsure]
     return below
@@ -862,11 +862,12 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     run alone would, so the estimate is reproducible regardless of how
     samples are stacked: first its ``(R, N)`` initial spins, then per sweep
     ``R * N`` uniforms for the spins and one per proposed swap.  The uniforms
-    come in blocks of an even number of sweeps, at most
-    :data:`_CHUNK_ENTRIES` entries for the stack (two sweeps at least):
-    one call per sample fills its row of a buffer allocated once per stack,
-    with the uniforms its sweeps would draw one by one, and the swap tests
-    of the block take NumPy's logarithms in one call (libm's near a
+    come in blocks of sweeps, at most :data:`_CHUNK_ENTRIES` entries for
+    the stack (one sweep at least): one call per sample fills its flat row
+    of a buffer allocated once per stack with the uniforms its sweeps would
+    draw one by one, and sweep ``s`` reads the columns ``offsets[s]`` to
+    ``offsets[s + 1]`` of the block's rows, its spins' uniforms and then
+    its swaps' (the swap tests take NumPy's log, and libm's near a
     threshold, see :func:`_log_below`).  A
     ``nonequilibrated`` flag is attached when :func:`_drift_detected`
     finds a drift in any rung's recorded energy series.
@@ -890,13 +891,13 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
     scale = math.sqrt(2.0 / N)
     slope = (2.0 * nodes)[:, None]
     burn_in = sweeps // 2
-    # Per parity of the sweep: the lower rungs of the pairs proposing swaps,
-    # the node gaps scaling their log acceptance, the sweep's count of
-    # uniforms, and its columns among a block's swap logarithms.
+    # Per parity of the sweep: the lower rungs of the pairs proposing swaps
+    # and the node gaps scaling their log acceptance.  Sweep s reads the
+    # uniforms offsets[s]:offsets[s + 1] of its sample's stream.
     lo = [np.arange(parity, R - 1, 2) for parity in (0, 1)]
     gap = [nodes[pairs + 1] - nodes[pairs] for pairs in lo]
     width = [R * N + pairs.size for pairs in lo]
-    swap_cut = [slice(0, lo[0].size), slice(lo[0].size, None)]
+    offsets = np.cumsum([0] + [width[s % 2] for s in range(sweeps)])
     # Sample-major, so that each sample's (sweep, rung) block reduces in the
     # order of a single chain's records.
     records = np.empty((n_disorder, sweeps - burn_in, R))
@@ -921,40 +922,25 @@ def mc_pressure(assignment: LayerAssignment, params: ModelParams,
             D, pairs.size, 2, block.spins.shape[-1]) for block in blocks]
             for p, pairs in enumerate(lo)]
         scratch = np.empty((D, R))
-        # draws[d, k] holds sample d's uniforms for the k-th even sweep of
-        # the block, then for the odd sweep after it.  Zeros, not garbage,
-        # where a part block leaves its last odd sweep unfilled: the swap
-        # logarithms are taken over whole pairs.
-        pair_width = width[0] + width[1]
-        per_block = max(2, 2 * (_CHUNK_ENTRIES // (D * pair_width)))
-        per_block = min(per_block, sweeps + sweeps % 2)
-        draws = np.zeros((D, per_block // 2, pair_width))
-        rows = draws.reshape(D, -1)
+        # Row d of draws holds sample d's uniforms for a block of sweeps.
+        per_block = min(sweeps, max(1, _CHUNK_ENTRIES // (D * width[0])))
+        draws = np.empty((D, per_block * width[0]))
         for first in range(0, sweeps, per_block):
-            count = min(per_block, sweeps - first)
-            filled = count // 2 * pair_width + count % 2 * width[0]
+            last = min(first + per_block, sweeps)
+            base = offsets[first]
             for d, gen in enumerate(gens):
-                gen.random(out=rows[d, :filled])
-            used = draws[:, :(count + 1) // 2]
-            swap_u = np.maximum(np.concatenate(
-                (used[..., R * N:width[0]], used[..., width[0] + R * N:]),
-                axis=-1), 1e-300)
-            log_u = np.log(swap_u)
-            near = _MARGIN * np.abs(log_u)
-            for sweep in range(first, first + count):
-                parity, k = sweep % 2, (sweep - first) // 2
-                offset = parity * width[0]
+                gen.random(out=draws[d, :offsets[last] - base])
+            for sweep in range(first, last):
+                parity = sweep % 2
+                row = draws[:, offsets[sweep] - base:offsets[sweep + 1] - base]
                 # -H goes straight into the records once they are kept.
                 gain = (records[start:start + D, sweep - burn_in]
                         if sweep >= burn_in else scratch)
-                _tempering_sweep(blocks, odd,
-                                 draws[:, k, offset:offset + width[parity]], gain)
+                _tempering_sweep(blocks, odd, row, gain)
                 n_pairs = lo[parity].size
                 pairs = gain[:, parity:parity + 2 * n_pairs].reshape(D, n_pairs, 2)
                 log_accept = gap[parity] * (pairs[..., 0] - pairs[..., 1])
-                cut = swap_cut[parity]
-                accept = _log_below(swap_u[:, k, cut], log_u[:, k, cut],
-                                    near[:, k, cut], log_accept)
+                accept = _log_below(row[:, R * N:], log_accept)
                 if accept.any():
                     # Each accepted pair (r, r + 1) trades places: one masked
                     # copy per array.  Pairs of a sweep share no rung.

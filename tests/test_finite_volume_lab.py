@@ -716,20 +716,19 @@ def test_heat_bath_decides_as_scipy_expit_on_its_threshold(monkeypatch):
     assert np.count_nonzero(bypassed != ref) > 0
 
 
-def test_swap_test_decides_as_libm_log_on_its_threshold():
+def test_swap_test_decides_as_libm_log_on_its_threshold(monkeypatch):
     rng = np.random.default_rng(30)
     u = np.concatenate([rng.random(4000), [1e-300, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
     libm = np.array([math.log(v) for v in u])
     log_u = np.log(u)
-    near = fvl._MARGIN * np.abs(log_u)
     for threshold in (libm, np.nextafter(libm, -np.inf), np.nextafter(libm, 0.0), log_u):
-        assert np.array_equal(fvl._log_below(u, log_u, near, threshold), libm < threshold)
+        assert np.array_equal(fvl._log_below(u, threshold), libm < threshold)
     # Negative control, where NumPy's log rounds below libm's somewhere: with
     # no margin it decides alone, and accepts at libm's own log.
     if not np.any(log_u < libm):
         pytest.skip("NumPy's log is never below libm's on these uniforms here")
-    bypassed = fvl._log_below(u, log_u, np.full_like(near, -1.0), libm)
-    assert np.any(bypassed != (libm < libm))
+    monkeypatch.setattr(fvl, "_MARGIN", -math.inf)
+    assert np.any(fvl._log_below(u, libm) != (libm < libm))
 
 
 STACKED_CASES = {
@@ -752,36 +751,83 @@ STACKED_CASES = {
     "several-blocks": ((4, 5), make(2, (0.8,), (0.5, 0.5),
                                     (FieldSpec.gaussian(0.4), FieldSpec.zero())),
                        12, 29, 4),
+    "one-sweep-blocks": ((3, 4), make(2, (0.9,), (0.5, 0.5),
+                                      (FieldSpec.zero(), FieldSpec.gaussian(0.3))),
+                         3, 7, 3),
 }
 
 # Entries per stack for "several-blocks": stacks of 10 and 2 samples, whose
-# uniforms come in blocks of 2 and 12 sweeps, so 29 sweeps end in a part block.
+# uniforms come in blocks of 2 and 13 sweeps, so 29 sweeps end in a part block.
 BLOCK_CHUNK_ENTRIES = 1000
+
+# Entries per stack for "one-sweep-blocks": fewer than one sweep's 22
+# uniforms, so each stack holds one sample and each block one sweep.
+SWEEP_CHUNK_ENTRIES = 20
 
 
 @pytest.mark.parametrize("case", sorted(STACKED_CASES))
 def test_mc_pressure_equals_per_sample_chains(case, monkeypatch):
     sizes, params, n_disorder, sweeps, replicas = STACKED_CASES[case]
     assignment = LayerAssignment(sizes)
+    # Uniforms of an even sweep, the widest: R N spins plus the swaps.
+    width = replicas * assignment.N + len(range(0, replicas - 1, 2))
     if case == "several-chunks":
         per_sample = 1000 * 1000 + 2 * replicas * assignment.N
         assert fvl._CHUNK_ENTRIES // per_sample < n_disorder
     if case == "several-blocks":
         monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", BLOCK_CHUNK_ENTRIES)
         per_sample = 4 * 5 + 2 * replicas * assignment.N
-        width = BLOCK_CHUNK_ENTRIES // per_sample
-        assert (width, n_disorder - width) == (10, 2)
-        # Uniforms of an even and an odd sweep: R N spins plus the swaps.
-        pair_width = 2 * replicas * assignment.N + replicas - 1
-        for D, block in ((10, 2), (2, 12)):
-            assert 2 * (BLOCK_CHUNK_ENTRIES // (D * pair_width)) == block
+        stacked = BLOCK_CHUNK_ENTRIES // per_sample
+        assert (stacked, n_disorder - stacked) == (10, 2)
+        for D, block in ((10, 2), (2, 13)):
+            assert BLOCK_CHUNK_ENTRIES // (D * width) == block
             assert sweeps > block and sweeps % block
+    if case == "one-sweep-blocks":
+        monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", SWEEP_CHUNK_ENTRIES)
+        assert SWEEP_CHUNK_ENTRIES < width == 22
+        assert sweeps % 2
     est = mc_pressure(assignment, params, n_disorder=n_disorder, sweeps=sweeps,
                       replicas=replicas, seed=3)
     mean, std_error = per_sample_mc_pressure(assignment, params, n_disorder,
                                              sweeps, replicas, 3)
     assert est.mean == mean
     assert est.std_error == std_error
+
+
+def test_mc_pressure_reads_each_samples_stream_in_order(monkeypatch):
+    # The uniforms every sweep receives, sample by sample and in sweep
+    # order, are one draw from the sample's SFC64 stream after its initial
+    # spins: across blocks of 2 and 13 sweeps, each stack ending in a part
+    # block, and odd sweeps, whose swaps take one uniform fewer.  Each
+    # stack's buffer stays within the entry budget.
+    sizes, params, n_disorder, sweeps, replicas = STACKED_CASES["several-blocks"]
+    assignment = LayerAssignment(sizes)
+    R, N = replicas, assignment.N
+    monkeypatch.setattr(fvl, "_CHUNK_ENTRIES", BLOCK_CHUNK_ENTRIES)
+    seen, buffers = [], set()
+    sweep = fvl._tempering_sweep
+
+    def spy(blocks, odd, draws, out):
+        seen.append(draws.copy())
+        buffers.add(draws.base.size)
+        sweep(blocks, odd, draws, out)
+
+    monkeypatch.setattr(fvl, "_tempering_sweep", spy)
+    mc_pressure(assignment, params, n_disorder=n_disorder, sweeps=sweeps,
+                replicas=R, seed=3)
+    stacks = [np.concatenate(seen[i:i + sweeps], axis=1)
+              for i in range(0, len(seen), sweeps)]
+    assert [len(stack) for stack in stacks] == [10, 2]
+    width = R * N + len(range(0, R - 1, 2))
+    assert buffers == {10 * 2 * width, 2 * 13 * width}
+    assert max(buffers) <= BLOCK_CHUNK_ENTRIES
+    rows = np.concatenate(stacks)
+    total = sum(R * N + len(range(s % 2, R - 1, 2)) for s in range(sweeps))
+    assert rows.shape == (n_disorder, total) and sweeps % 2
+    for j in range(n_disorder):
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence((3, j, 1))))
+        gen.integers(0, 2, size=(R, N))
+        assert rows[j].tobytes() == gen.random(total).tobytes()
 
 
 def test_mc_pressure_tracks_enumeration_sample_by_sample():
